@@ -24,7 +24,7 @@ from clusterlm.events import (
     save_counts,
     load_counts,
 )
-from clusterlm.ctxtree import ContextTree, TreeNode, build_suffix_tree, nodes_at_level
+from clusterlm.ctxtree import ContextTree, Level, build_suffix_tree
 from clusterlm.cluster import (
     ClusterParams,
     Clustering,
@@ -80,9 +80,8 @@ __all__ = [
     "save_counts",
     "load_counts",
     "ContextTree",
-    "TreeNode",
+    "Level",
     "build_suffix_tree",
-    "nodes_at_level",
     "ClusterParams",
     "Clustering",
     "MoveDelta",

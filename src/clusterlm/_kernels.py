@@ -7,46 +7,19 @@ over the counterpart axis.  The criterion is
     F = sum f(N(s,g)) - sum f(N(s)) - sum f(N(g)),   f(x) = x ln x
 
 and a move delta is F(after) - F(before) assembled from the cells the
-move touches, evaluated for every candidate target cluster at once.
-
-Kernels are numba-jitted when numba is importable; setting
-``CLUSTERLM_NUMBA=0`` in the environment forces the pure-numpy fallback
-(the two paths agree to float rounding, see benchmarks/bench_kernels.py).
+move touches, evaluated for every candidate target cluster at once with
+numpy.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-USING_NUMBA = _HAVE_NUMBA and os.environ.get("CLUSTERLM_NUMBA", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy path
-# ---------------------------------------------------------------------------
+# There is one kernel path, numpy; these record that for run reports.
+USING_NUMBA = False
+_HAVE_NUMBA = False
 
 
 def _xlogx_arr(a: np.ndarray) -> np.ndarray:
@@ -61,13 +34,7 @@ def _xlogx_scalar(x: float) -> float:
     return x * math.log(x) if x > 0 else 0.0
 
 
-def criterion_value_np(joint, state_totals, cat_totals) -> float:
-    return float(
-        _xlogx_arr(joint).sum() - _xlogx_arr(state_totals).sum() - _xlogx_arr(cat_totals).sum()
-    )
-
-
-def word_move_deltas_np(joint, cat_totals, profile, g_cur, n_elem):
+def word_move_deltas(joint, cat_totals, profile, g_cur, n_elem):
     """Criterion deltas for moving one word to every category.
 
     ``profile[s]`` is the word's event count within state ``s`` and
@@ -91,7 +58,7 @@ def word_move_deltas_np(joint, cat_totals, profile, g_cur, n_elem):
     return out
 
 
-def group_move_deltas_np(joint, state_totals, profile, s_cur, n_elem):
+def group_move_deltas(joint, state_totals, profile, s_cur, n_elem):
     """Criterion deltas for moving a coherent context group to every
     state.  ``profile[g]`` is the group's event count within category
     ``g``."""
@@ -111,87 +78,3 @@ def group_move_deltas_np(joint, state_totals, profile, s_cur, n_elem):
     out = deltas + src_joint - gain - src_margin
     out[s_cur] = 0.0
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba path
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _f(x):
-    xf = np.float64(x)
-    if xf > 0.0:
-        return xf * np.log(xf)
-    return 0.0
-
-
-@njit(cache=True)
-def criterion_value_jit(joint, state_totals, cat_totals):
-    n_s, n_g = joint.shape
-    acc = 0.0
-    for s in range(n_s):
-        for g in range(n_g):
-            acc += _f(joint[s, g])
-    for s in range(n_s):
-        acc -= _f(state_totals[s])
-    for g in range(n_g):
-        acc -= _f(cat_totals[g])
-    return acc
-
-
-@njit(cache=True)
-def word_move_deltas_jit(joint, cat_totals, profile, g_cur, n_elem):
-    n_s, n_g = joint.shape
-    deltas = np.zeros(n_g, dtype=np.float64)
-    src_joint = 0.0
-    for s in range(n_s):
-        p = profile[s]
-        if p == 0:
-            continue
-        row = joint[s]
-        for t in range(n_g):
-            a = row[t]
-            deltas[t] += _f(a + p) - _f(a)
-        a = row[g_cur]
-        src_joint += _f(a - p) - _f(a)
-    src_margin = _f(cat_totals[g_cur] - n_elem) - _f(cat_totals[g_cur])
-    for t in range(n_g):
-        m = cat_totals[t]
-        deltas[t] += src_joint - (_f(m + n_elem) - _f(m)) - src_margin
-    deltas[g_cur] = 0.0
-    return deltas
-
-
-@njit(cache=True)
-def group_move_deltas_jit(joint, state_totals, profile, s_cur, n_elem):
-    n_s, n_g = joint.shape
-    nz = np.nonzero(profile)[0]
-    deltas = np.zeros(n_s, dtype=np.float64)
-    src_joint = 0.0
-    row = joint[s_cur]
-    for j in range(nz.size):
-        a = row[nz[j]]
-        q = profile[nz[j]]
-        src_joint += _f(a - q) - _f(a)
-    src_margin = _f(state_totals[s_cur] - n_elem) - _f(state_totals[s_cur])
-    for t in range(n_s):
-        acc = 0.0
-        row_t = joint[t]
-        for j in range(nz.size):
-            a = row_t[nz[j]]
-            q = profile[nz[j]]
-            acc += _f(a + q) - _f(a)
-        deltas[t] = acc + src_joint - (_f(state_totals[t] + n_elem) - _f(state_totals[t])) - src_margin
-    deltas[s_cur] = 0.0
-    return deltas
-
-
-if USING_NUMBA:
-    criterion_value = criterion_value_jit
-    word_move_deltas = word_move_deltas_jit
-    group_move_deltas = group_move_deltas_jit
-else:
-    criterion_value = criterion_value_np
-    word_move_deltas = word_move_deltas_np
-    group_move_deltas = group_move_deltas_np

@@ -121,29 +121,6 @@ def _relative_to(path: str | Path, anchor_file: str | Path) -> str:
         return str(target.resolve())
 
 
-def _build_spec(
-    slot_kinds: Sequence[tuple[str, int]],
-    vocab: Vocabulary,
-    tagmap: str | None,
-    classmap: str | None,
-) -> ContextSpec:
-    mappers = {}
-    for kind, _ in slot_kinds:
-        if kind in mappers:
-            continue
-        if kind == "w":
-            mappers[kind] = identity_mapper(vocab)
-        elif kind == "t":
-            if not tagmap:
-                raise ValueError("context spec uses t: slots but no --tagmap was given")
-            mappers[kind] = load_feature_map(tagmap, vocab, "tag-map", "t")
-        else:
-            if not classmap:
-                raise ValueError("context spec uses g: slots but no --classmap was given")
-            mappers[kind] = load_feature_map(classmap, vocab, "class-map", "g")
-    return ContextSpec(tuple(Slot(off, mappers[kind]) for kind, off in slot_kinds))
-
-
 def _peek_slot_names(counts_path: str | Path) -> list[str]:
     names = []
     with open(counts_path, "r", encoding="utf-8") as fh:
@@ -156,6 +133,7 @@ def _peek_slot_names(counts_path: str | Path) -> list[str]:
 
 
 def _mappers_for(names: Sequence[str], vocab: Vocabulary, tagmap, classmap) -> dict:
+    """Feature mapper for each slot name (w, t or g)."""
     mappers = {}
     for name in names:
         if name in mappers:
@@ -164,11 +142,11 @@ def _mappers_for(names: Sequence[str], vocab: Vocabulary, tagmap, classmap) -> d
             mappers[name] = identity_mapper(vocab)
         elif name == "t":
             if not tagmap:
-                raise ValueError("counts use a tag map; pass --tagmap")
+                raise ValueError("t: slots need a tag map; pass --tagmap")
             mappers[name] = load_feature_map(tagmap, vocab, "tag-map", "t")
         elif name == "g":
             if not classmap:
-                raise ValueError("counts use a class map; pass --classmap")
+                raise ValueError("g: slots need a class map; pass --classmap")
             mappers[name] = load_feature_map(classmap, vocab, "class-map", "g")
         else:
             raise ValueError(f"counts reference an unknown mapper {name!r}")
@@ -192,7 +170,8 @@ def cmd_vocab_build(args) -> int:
 def cmd_counts_collect(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     slot_kinds = parse_context_spec(args.context)
-    spec = _build_spec(slot_kinds, vocab, args.tagmap, args.classmap)
+    mappers = _mappers_for([kind for kind, _ in slot_kinds], vocab, args.tagmap, args.classmap)
+    spec = ContextSpec(tuple(Slot(off, mappers[kind]) for kind, off in slot_kinds))
     sentences = encode_corpus(read_corpus_lines(args.corpus), vocab)
     table = extract_events(sentences, spec, vocab)
     _atomic_write(args.out, lambda p: save_counts(table, p))
@@ -364,12 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on internal parallelism (current kernels are single-threaded)",
-    )
-    common.add_argument(
         "--manifest",
         metavar="PATH",
         default=None,
@@ -474,9 +447,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     args._argv = argv
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:

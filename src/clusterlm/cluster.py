@@ -27,7 +27,7 @@ import numpy as np
 
 from clusterlm import _kernels
 from clusterlm.corpus import Vocabulary
-from clusterlm.ctxtree import ContextTree, TreeNode
+from clusterlm.ctxtree import ContextTree, Level, suffix_level
 from clusterlm.events import ContextTuple, EventTable
 
 
@@ -59,7 +59,7 @@ class MoveDelta:
     """One applied exchange move and its exact criterion improvement."""
 
     kind: str  # "word" or "group"
-    element: object  # word id, or the group's context-tree key
+    element: object  # word id, or the group's context suffix
     source: int
     target: int
     delta: float
@@ -135,10 +135,10 @@ class Clustering:
 
         # transpose: per-word lists of (context index, count)
         order = np.argsort(self.ctx_words, kind="stable")
-        ctx_of = np.repeat(
+        self.ctx_of = np.repeat(
             np.arange(len(self.contexts), dtype=np.int32), np.diff(self.ctx_ptr)
         )
-        self.w_ctxs = ctx_of[order]
+        self.w_ctxs = self.ctx_of[order]
         self.w_ccounts = self.ctx_wcounts[order]
         self.w_ptr = np.zeros(self.n_words + 1, dtype=np.int64)
         np.add.at(self.w_ptr[1:], self.ctx_words, 1)
@@ -146,10 +146,7 @@ class Clustering:
 
     def _build_stats(self) -> None:
         self.joint = np.zeros((self.n_states, self.n_categories), dtype=np.int64)
-        for i in range(len(self.contexts)):
-            s = int(self.S[i])
-            lo, hi = self.ctx_ptr[i], self.ctx_ptr[i + 1]
-            np.add.at(self.joint[s], self.G[self.ctx_words[lo:hi]], self.ctx_wcounts[lo:hi])
+        np.add.at(self.joint, (self.S[self.ctx_of], self.G[self.ctx_words]), self.ctx_wcounts)
         self.state_totals = self.joint.sum(axis=1)
         self.cat_totals = self.joint.sum(axis=0)
 
@@ -180,10 +177,11 @@ class Clustering:
 
     def group_profile(self, leaf_indices: np.ndarray) -> np.ndarray:
         """Event counts of a set of contexts per category."""
+        lo = self.ctx_ptr[leaf_indices]
+        n = self.ctx_ptr[leaf_indices + 1] - lo
+        pos = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
         prof = np.zeros(self.n_categories, dtype=np.int64)
-        for i in leaf_indices:
-            lo, hi = self.ctx_ptr[i], self.ctx_ptr[i + 1]
-            np.add.at(prof, self.G[self.ctx_words[lo:hi]], self.ctx_wcounts[lo:hi])
+        np.add.at(prof, self.G[self.ctx_words[pos]], self.ctx_wcounts[pos])
         return prof
 
     # -- moves -----------------------------------------------------------
@@ -257,31 +255,18 @@ def delta_move_word(clustering: Clustering, w: int, target: int) -> float:
 
 
 def delta_move_context_group(
-    clustering: Clustering,
-    group: "TreeNode | Iterable[ContextTuple]",
-    target: int,
+    clustering: Clustering, group: Iterable[ContextTuple], target: int
 ) -> float:
     """Exact change of F if a coherent group of contexts moved to state
-    ``target``.  ``group`` is a suffix-tree node or an iterable of
-    context tuples; all members must currently share one state."""
+    ``target``.  All context tuples in ``group`` must currently share
+    one state."""
     if not 0 <= target < clustering.n_states:
         raise ValueError("state id out of range")
-    idx = _leaf_indices(clustering, group)
-    return float(clustering.group_move_deltas(idx)[target])
-
-
-def _leaf_indices(
-    clustering: Clustering, group: "TreeNode | Iterable[ContextTuple]"
-) -> np.ndarray:
-    if isinstance(group, TreeNode):
-        tuples = list(group.contexts())
-    else:
-        tuples = list(group)
     try:
-        idx = [clustering.ctx_index[c] for c in tuples]
+        idx = [clustering.ctx_index[c] for c in group]
     except KeyError as exc:
         raise ValueError(f"unknown context {exc.args[0]!r}") from None
-    return np.asarray(idx, dtype=np.int64)
+    return float(clustering.group_move_deltas(np.asarray(idx, dtype=np.int64))[target])
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +277,9 @@ def _leaf_indices(
 def _ranked_init(counts: Sequence[int], n_clusters: int) -> np.ndarray:
     """Most frequent ``n_clusters - 1`` elements get their own cluster,
     everything else shares the last one.  Ties break toward lower id."""
-    order = sorted(range(len(counts)), key=lambda i: (-counts[i], i))
-    out = np.full(len(counts), n_clusters - 1, dtype=np.int32)
-    for rank, i in enumerate(order[: n_clusters - 1]):
-        out[i] = rank
+    order = np.argsort(-np.asarray(counts, dtype=np.int64), kind="stable")
+    out = np.full(len(order), n_clusters - 1, dtype=np.int32)
+    out[order[: n_clusters - 1]] = np.arange(min(n_clusters - 1, len(order)), dtype=np.int32)
     return out
 
 
@@ -321,14 +305,8 @@ def _grouped_init(table: EventTable, tree: ContextTree, params: ClusterParams) -
         raise ValueError("n_categories exceeds vocabulary size")
     if params.n_states > table.n_contexts:
         raise ValueError("n_states exceeds distinct context count")
-    contexts = sorted(table.counts)
-    ctx_index = {c: i for i, c in enumerate(contexts)}
-    nodes = tree.nodes_at_level(1)
-    node_states = _ranked_init([n.count for n in nodes], min(params.n_states, len(nodes)))
-    S = np.zeros(len(contexts), dtype=np.int32)
-    for node, st in zip(nodes, node_states):
-        for c in node.contexts():
-            S[ctx_index[c]] = st
+    level1 = tree.levels[1]
+    S = _ranked_init(level1.counts, min(params.n_states, len(level1)))[level1.group_of]
     word_counts = [table.word_marginals.get(w, 0) for w in range(table.n_words)]
     G = _ranked_init(word_counts, params.n_categories)
     return Clustering(table, params.n_categories, params.n_states, G, S)
@@ -339,22 +317,14 @@ def _grouped_init(table: EventTable, tree: ContextTree, params: ClusterParams) -
 # ---------------------------------------------------------------------------
 
 
-def _visit_units(
-    clustering: Clustering,
-    groups: list[tuple[object, np.ndarray, int]],
-    min_count: int,
-) -> list[tuple]:
-    """Merged visit order: words and context groups by decreasing count,
-    ties preferring words, then lower id.  Units below ``min_count`` are
-    left wherever initialization put them."""
-    units: list[tuple] = []
-    for w in range(clustering.n_words):
-        n = int(clustering.word_counts[w])
-        if n >= min_count:
-            units.append((-n, 0, w, "word", w, None))
-    for ordinal, (key, idx, n) in enumerate(groups):
-        if n >= min_count:
-            units.append((-n, 1, ordinal, "group", key, idx))
+def _visit_units(clustering: Clustering, level: Level, min_count: int) -> list[tuple]:
+    """Merged visit order: words and the level's context groups by
+    decreasing count, ties preferring words, then lower id.  Units below
+    ``min_count`` are left wherever initialization put them."""
+    words = np.flatnonzero(clustering.word_counts >= min_count)
+    groups = np.flatnonzero(level.counts >= min_count)
+    units = [(-int(clustering.word_counts[w]), 0, int(w), "word", None) for w in words]
+    units += [(-int(level.counts[k]), 1, int(k), "group", level) for k in groups]
     units.sort(key=lambda u: u[:3])
     return units
 
@@ -371,8 +341,7 @@ def _sweep(
     iterations = 0
     for _ in range(params.max_iterations):
         iterations += 1
-        for unit in units:
-            kind, element, idx = unit[3], unit[4], unit[5]
+        for _, _, element, kind, level in units:
             if kind == "word":
                 deltas = clustering.word_move_deltas(element)
                 target = int(np.argmax(deltas))
@@ -385,15 +354,17 @@ def _sweep(
                             MoveDelta("word", element, source, target, float(deltas[target])),
                         )
             else:
+                idx = level.group(element)
                 deltas = clustering.group_move_deltas(idx)
                 target = int(np.argmax(deltas))
                 if deltas[target] > 0.0:
                     source = int(clustering.S[idx[0]])
                     clustering.apply_group_move(idx, target)
                     if on_move is not None:
+                        key = level.key(element)
                         on_move(
                             clustering,
-                            MoveDelta("group", element, source, target, float(deltas[target])),
+                            MoveDelta("group", key, source, target, float(deltas[target])),
                         )
         f_now = clustering.criterion()
         gain = f_now - f_prev
@@ -410,11 +381,9 @@ def run_flat(
     """Exchange clustering with every distinct context as its own
     movable unit."""
     clustering = init_clustering(table, params)
-    groups = [
-        (c, np.asarray([i], dtype=np.int64), int(clustering.ctx_counts[i]))
-        for i, c in enumerate(clustering.contexts)
-    ]
-    units = _visit_units(clustering, groups, params.min_count)
+    mat = np.array(clustering.contexts, dtype=np.int64)
+    leaves = suffix_level(mat, table.spec.depth, clustering.ctx_counts)
+    units = _visit_units(clustering, leaves, params.min_count)
     n_iter = _sweep(clustering, units, params, on_move)
     clustering.iterations_run = n_iter
     clustering.iterations_per_level = [n_iter]
@@ -430,23 +399,21 @@ def run_tree(
     """Exchange clustering with context moves coarsened level by level
     along a suffix-grouping tree.
 
-    At level l the movable context units are whole level-l subtrees, so
-    contexts too rare to support their own statistics move together with
-    the siblings sharing their length-l suffix.  Each level starts from
-    the previous level's assignment, which keeps every unit coherent
+    At level l the movable context units are the level-l suffix groups,
+    so contexts too rare to support their own statistics move together
+    with the siblings sharing their length-l suffix.  Each level starts
+    from the previous level's assignment, which keeps every unit coherent
     (all member contexts in one state); the final level moves individual
     contexts and a depth-1 tree therefore reduces to the flat run.
     """
     if tree.depth != table.spec.depth:
         raise ValueError("tree depth does not match context spec depth")
+    if tree.levels[0].group_of.size != table.n_contexts:
+        raise ValueError("tree context count does not match the event table")
     clustering = _grouped_init(table, tree, params)
     clustering.iterations_per_level = []
-    for level in range(1, tree.depth + 1):
-        groups = []
-        for node in tree.nodes_at_level(level):
-            idx = _leaf_indices(clustering, node)
-            groups.append((node.key, idx, node.count))
-        units = _visit_units(clustering, groups, params.min_count)
+    for level in tree.levels[1:]:
+        units = _visit_units(clustering, level, params.min_count)
         clustering.iterations_per_level.append(_sweep(clustering, units, params, on_move))
     clustering.iterations_run = sum(clustering.iterations_per_level)
     return clustering
@@ -516,7 +483,10 @@ def load_clustering(path: str | Path, table: EventTable) -> Clustering:
     seen_words = 0
     while i < len(lines) and lines[i] != "#S":
         wid_s, _, cat_s = lines[i].partition("\t")
-        G[int(wid_s)] = int(cat_s)
+        wid = int(wid_s)
+        if not 0 <= wid < n_words:
+            raise ValueError(f"corrupt clustering file: word id {wid} outside the vocabulary")
+        G[wid] = int(cat_s)
         seen_words += 1
         i += 1
     if seen_words != n_words:

@@ -1,110 +1,75 @@
-"""Suffix-grouping hierarchy over observed contexts.
+"""Suffix grouping of observed contexts, one array set per level.
 
-Level ``i`` of the tree holds one node per distinct length-``i`` suffix
-``(v_i, ..., v_1)`` of the observed context tuples; the leaves (level L)
-are exactly the distinct contexts, and every node aggregates the event
-counts of the leaves below it.  Moving a node's whole context group at
-once gives the clustering reliable statistics for contexts that are
+Contexts are indexed in sorted tuple order, the order ``Clustering``
+uses.  Level ``l`` groups them by their last ``l`` values
+``(v_l, ..., v_1)``: level 0 is one group holding every context, and the
+leaf level L has one group per distinct context.  Moving a whole group
+at once gives the clustering reliable statistics for contexts that are
 individually rare.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+
+import numpy as np
 
 from clusterlm.events import ContextTuple, EventTable
 
 
-@dataclass
-class TreeNode:
-    key: ContextTuple
-    level: int
-    count: int = 0
-    children: list["TreeNode"] = field(default_factory=list, repr=False)
+@dataclass(frozen=True)
+class Level:
+    """The groups of one suffix length.
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
+    ``keys[k]`` is group ``k``'s suffix (rows in sorted order), ``counts[k]``
+    its event count, and ``members[bounds[k]:bounds[k + 1]]`` the indices
+    of its contexts; ``group_of[i]`` is the group of context ``i``.
+    """
 
-    def contexts(self) -> Iterator[ContextTuple]:
-        """Leaf context tuples below this node, in child-key order."""
-        if self.is_leaf:
-            yield self.key
-        else:
-            for child in self.children:
-                yield from child.contexts()
+    keys: np.ndarray
+    counts: np.ndarray
+    group_of: np.ndarray
+    members: np.ndarray
+    bounds: np.ndarray
 
-    @property
-    def n_leaves(self) -> int:
-        return 1 if self.is_leaf else sum(c.n_leaves for c in self.children)
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def group(self, k: int) -> np.ndarray:
+        return self.members[self.bounds[k] : self.bounds[k + 1]]
+
+    def key(self, k: int) -> ContextTuple:
+        return tuple(int(v) for v in self.keys[k])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContextTree:
     depth: int
-    root: TreeNode
-    levels: list[list[TreeNode]] = field(repr=False)
+    levels: list[Level]
 
-    def nodes_at_level(self, level: int) -> list[TreeNode]:
-        if not 0 <= level <= self.depth:
-            raise ValueError(f"level {level} outside [0, {self.depth}]")
-        return self.levels[level]
 
-    def dump(self) -> str:
-        """Indented text rendering, for debugging."""
-        out: list[str] = []
-
-        def walk(node: TreeNode, indent: int):
-            key = " ".join(str(v) for v in node.key) if node.key else "*"
-            out.append(f"{'  ' * indent}({key}) n={node.count}")
-            for child in node.children:
-                walk(child, indent + 1)
-
-        walk(self.root, 0)
-        return "\n".join(out)
+def suffix_level(mat: np.ndarray, level: int, ctx_counts: np.ndarray) -> Level:
+    """Group the rows of the sorted context matrix ``mat`` by their last
+    ``level`` columns; ``ctx_counts[i]`` is the event count of row ``i``."""
+    keys, group_of = np.unique(mat[:, mat.shape[1] - level :], axis=0, return_inverse=True)
+    group_of = group_of.reshape(-1)
+    members = np.argsort(group_of, kind="stable")
+    bounds = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(group_of, minlength=len(keys)), out=bounds[1:])
+    counts = np.add.reduceat(ctx_counts[members], bounds[:-1])
+    return Level(keys=keys, counts=counts, group_of=group_of, members=members, bounds=bounds)
 
 
 def build_suffix_tree(table: EventTable) -> ContextTree:
-    """Group the table's contexts by shared suffixes of every length.
-
-    The level-``i`` key of a context ``(v_L, ..., v_1)`` is its last
-    ``i`` values.  Children are sorted by key, so construction and all
-    traversals are deterministic.
-    """
+    """Group the table's contexts by shared suffixes of every length."""
     if not table.counts:
         raise ValueError("empty event table")
-    depth = table.spec.depth
     contexts = sorted(table.context_marginals)
-
-    root = TreeNode(key=(), level=0)
-    levels: list[list[TreeNode]] = [[root]]
-    by_key: dict[ContextTuple, TreeNode] = {(): root}
-    for lvl in range(1, depth + 1):
-        level_nodes: list[TreeNode] = []
-        seen: dict[ContextTuple, TreeNode] = {}
-        for ctx in contexts:
-            key = ctx[depth - lvl :]
-            node = seen.get(key)
-            if node is None:
-                node = TreeNode(key=key, level=lvl)
-                seen[key] = node
-                by_key[key] = node
-                parent = by_key[key[1:]]
-                parent.children.append(node)
-                level_nodes.append(node)
-        level_nodes.sort(key=lambda n: n.key)
-        levels.append(level_nodes)
-    for level_nodes in levels:
-        for node in level_nodes:
-            node.children.sort(key=lambda n: n.key)
-
-    for ctx in contexts:
-        n = table.context_marginals[ctx]
-        for lvl in range(depth + 1):
-            by_key[ctx[depth - lvl :]].count += n
-    return ContextTree(depth=depth, root=root, levels=levels)
-
-
-def nodes_at_level(tree: ContextTree, level: int) -> list[TreeNode]:
-    return tree.nodes_at_level(level)
+    mat = np.array(contexts, dtype=np.int64)
+    ctx_counts = np.fromiter(
+        map(table.context_marginals.__getitem__, contexts), dtype=np.int64, count=len(contexts)
+    )
+    depth = table.spec.depth
+    return ContextTree(
+        depth=depth, levels=[suffix_level(mat, lvl, ctx_counts) for lvl in range(depth + 1)]
+    )

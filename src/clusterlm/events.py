@@ -82,6 +82,8 @@ class EventTable:
                 word_marg[w] = word_marg.get(w, 0) + n
             ctx_marg[ctx] = n_c
             total += n_c
+        if word_marg and (min(word_marg) < 0 or max(word_marg) >= n_words):
+            raise ValueError(f"word ids outside the {n_words}-word vocabulary")
         return cls(
             spec=spec,
             n_words=n_words,

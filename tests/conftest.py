@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import random
 
-import pytest
 
+from clusterlm.cluster import _ranked_init
 from clusterlm.corpus import Vocabulary, build_vocabulary, encode_corpus, identity_mapper
 from clusterlm.events import ContextSpec, EventTable, Slot, extract_events
 
@@ -83,6 +83,31 @@ def random_event_table(rng: random.Random, n_words: int, n_contexts: int,
     return EventTable.from_counts(mapper_holder, n_words, counts)
 
 
+def suffix_groups(table: EventTable, level: int) -> list[tuple[tuple, list[int], int]]:
+    """(suffix, context indices, event count) for each distinct
+    length-``level`` suffix of the sorted contexts, in suffix order.
+    Built with plain dicts so it checks the suffix tree independently."""
+    contexts = sorted(table.counts)
+    members: dict[tuple, list[int]] = {}
+    for i, c in enumerate(contexts):
+        members.setdefault(c[len(c) - level :], []).append(i)
+    return [
+        (key, idx, sum(table.context_marginals[contexts[i]] for i in idx))
+        for key, idx in sorted(members.items())
+    ]
+
+
+def grouped_states(table: EventTable, n_states: int) -> list[int]:
+    """Tree start: the count-ranked level-1 suffix groups take the states."""
+    level1 = suffix_groups(table, 1)
+    ranks = _ranked_init([n for _, _, n in level1], min(n_states, len(level1)))
+    S = [0] * table.n_contexts
+    for (_, idx, _), st in zip(level1, ranks):
+        for i in idx:
+            S[i] = int(st)
+    return S
+
+
 def _placeholder_spec(n_words: int, depth: int) -> ContextSpec:
     import numpy as np
 
@@ -143,18 +168,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if name in seen:
             tag = "PASS" if seen[name] else "FAIL"
             terminalreporter.write_line(f"[{tag}] {i:2d}. {desc}")
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Compile the jitted kernels once so timed tests measure the
-    algorithm, not compilation."""
-    from clusterlm.cluster import ClusterParams, run_flat, run_tree
-    from clusterlm.ctxtree import build_suffix_tree
-
-    rng = random.Random(0)
-    table = random_event_table(rng, n_words=6, n_contexts=8)
-    params = ClusterParams(n_categories=2, n_states=2, min_count=1)
-    run_flat(table, params)
-    run_tree(table, build_suffix_tree(table), params)
-    return True

@@ -33,9 +33,11 @@ from clusterlm.models import (
 
 from conftest import (
     build_table,
+    grouped_states,
     make_class_corpus,
     make_random_corpus,
     random_event_table,
+    suffix_groups,
 )
 from test_cluster import Shadow
 
@@ -86,7 +88,7 @@ def factored_loglik(clustering):
 
 
 class TestChecklist:
-    def test_01_criterion_equals_loglik_identity(self, warm_kernels):
+    def test_01_criterion_equals_loglik_identity(self):
         """F == factored training log-likelihood minus the assignment-
         independent word term sum_w N(w) ln N(w), on >= 100 random
         instances."""
@@ -101,7 +103,7 @@ class TestChecklist:
             assert math.isclose(cl.criterion(), expect, rel_tol=1e-9, abs_tol=1e-9)
         assert time.monotonic() - t0 < 10.0
 
-    def test_02_move_deltas_match_scratch(self, warm_kernels):
+    def test_02_move_deltas_match_scratch(self):
         """1000 word-moves and 1000 group-moves per instance: the
         incremental delta equals criterion-after minus criterion-before,
         recomputed from scratch."""
@@ -143,7 +145,7 @@ class TestChecklist:
                 cl.apply_group_move(idx, src)
         assert time.monotonic() - t0 < 30.0
 
-    def test_03_greedy_matches_exhaustive_search(self, warm_kernels):
+    def test_03_greedy_matches_exhaustive_search(self):
         """On tiny instances (<= 10 words, <= 12 contexts, 3 categories,
         3 states) every applied move equals the move an exhaustive
         from-scratch search over all targets would pick, ties broken
@@ -172,13 +174,12 @@ class TestChecklist:
             trace = []
             cl = run_tree(table, tree, params, on_move=lambda c, m: trace.append(
                 (m.kind, m.element, m.source, m.target)))
-            expect, sh = exhaustive_greedy(table, params, tree=tree)
+            expect, sh = exhaustive_greedy(table, params, tree=True)
             assert trace and trace == expect
             assert list(cl.G) == sh.G and list(cl.S) == sh.S
         assert time.monotonic() - t0 < 10.0
 
-    def test_04_monotone_criterion_and_stopping_rule(self, warm_kernels,
-                                                     directional):
+    def test_04_monotone_criterion_and_stopping_rule(self, directional):
         """Every applied move strictly improves the criterion; sweeping
         stops at the first pass whose relative gain falls below the
         convergence threshold; sweeps per level stay small on natural
@@ -392,7 +393,7 @@ class TestChecklist:
 
 
 @pytest.fixture(scope="module")
-def directional(warm_kernels):
+def directional():
     """Shared sparse-context corpus, both clustering runs, and held-out
     class-model perplexities."""
     t0 = time.monotonic()
@@ -421,32 +422,22 @@ def directional(warm_kernels):
     }
 
 
-def exhaustive_greedy(table, params, tree=None):
+def exhaustive_greedy(table, params, tree=False):
     """Reference greedy loop whose move choice recomputes the full
     criterion from scratch for every candidate target: visit units by
     descending count (words before context groups at equal count),
     apply the best strictly-improving move, lowest target on ties."""
     contexts = sorted(table.counts)
-    ctx_index = {c: i for i, c in enumerate(contexts)}
     word_counts = [table.word_marginals.get(w, 0) for w in range(table.n_words)]
     ctx_counts = [table.context_marginals[c] for c in contexts]
     G = list(_ranked_init(word_counts, params.n_categories))
-    if tree is None:
-        S = list(_ranked_init(ctx_counts, params.n_states))
-        level_groups = [[(c, [i], ctx_counts[i]) for i, c in enumerate(contexts)]]
+    depth = table.spec.depth
+    if tree:
+        S = grouped_states(table, params.n_states)
+        level_groups = [suffix_groups(table, level) for level in range(1, depth + 1)]
     else:
-        nodes = tree.nodes_at_level(1)
-        node_states = _ranked_init([n.count for n in nodes],
-                                   min(params.n_states, len(nodes)))
-        S = [0] * len(contexts)
-        for node, st in zip(nodes, node_states):
-            for c in node.contexts():
-                S[ctx_index[c]] = int(st)
-        level_groups = [
-            [(n.key, [ctx_index[c] for c in n.contexts()], n.count)
-             for n in tree.nodes_at_level(level)]
-            for level in range(1, tree.depth + 1)
-        ]
+        S = list(_ranked_init(ctx_counts, params.n_states))
+        level_groups = [suffix_groups(table, depth)]
     sh = Shadow(table, params.n_categories, params.n_states, G, S)
     trace = []
 

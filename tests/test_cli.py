@@ -203,11 +203,27 @@ class TestFailureModes:
         capsys.readouterr()
         assert rc == 2
 
-    def test_threads_must_be_positive(self, tmp_path, capsys):
-        (tmp_path / "t.txt").write_text("a b\n")
-        err = run_fail(["vocab", "build", "--corpus", tmp_path / "t.txt",
-                        "--out", tmp_path / "v.txt", "--threads", "0"], capsys)
-        assert "--threads" in err
+    def test_out_of_range_word_ids_are_errors(self, workdir, capsys):
+        d = workdir
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--context", "w:-1", "--out", d / "c.tsv"], capsys)
+        run_ok(["cluster", "run", "--counts", d / "c.tsv", "--states", "4",
+                "--categories", "4", "--out", d / "cl.tsv"], capsys)
+        counts = (d / "c.tsv").read_text()
+        (d / "bad_c.tsv").write_text(counts + "3\t99\t1\n")
+        err = run_fail(["cluster", "run", "--counts", d / "bad_c.tsv", "--states", "4",
+                        "--categories", "4", "--out", d / "cl2.tsv"], capsys)
+        assert err.startswith("error:") and "word ids" in err
+        assert not (d / "cl2.tsv").exists()
+        lines = (d / "cl.tsv").read_text().splitlines()
+        i = lines.index("#G") + 1
+        lines[i] = "99999\t0"
+        (d / "bad_cl.tsv").write_text("\n".join(lines) + "\n")
+        err = run_fail(["classes", "export", "--clustering", d / "bad_cl.tsv",
+                        "--counts", d / "c.tsv", "--vocab", d / "v.txt",
+                        "--out", d / "classes.tsv"], capsys)
+        assert err.startswith("error:") and "word id" in err
 
     def test_non_model_file_rejected_by_interp(self, tmp_path, capsys):
         d = tmp_path

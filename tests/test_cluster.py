@@ -29,7 +29,13 @@ from clusterlm.cluster import (
 )
 from clusterlm.ctxtree import build_suffix_tree
 
-from conftest import build_table, make_random_corpus, random_event_table
+from conftest import (
+    build_table,
+    grouped_states,
+    make_random_corpus,
+    random_event_table,
+    suffix_groups,
+)
 
 
 def f(x):
@@ -141,30 +147,21 @@ class Shadow:
             self.S[i] = target
 
 
-def shadow_greedy(table, params, tree=None):
-    """Mirror of run_flat / run_tree returning (trace, shadow)."""
+def shadow_greedy(table, params, tree=False):
+    """Mirror of run_flat (or run_tree, with ``tree``) returning (trace,
+    shadow).  Suffix groups come from ``suffix_groups``, not the tree."""
     contexts = sorted(table.counts)
     word_counts = [table.word_marginals.get(w, 0) for w in range(table.n_words)]
     ctx_counts = [table.context_marginals[c] for c in contexts]
     G = list(_ranked_init(word_counts, params.n_categories))
 
-    if tree is None:
-        S = list(_ranked_init(ctx_counts, params.n_states))
-        level_groups = [[(c, [i], ctx_counts[i]) for i, c in enumerate(contexts)]]
+    depth = table.spec.depth
+    if tree:
+        S = grouped_states(table, params.n_states)
+        level_groups = [suffix_groups(table, level) for level in range(1, depth + 1)]
     else:
-        ctx_index = {c: i for i, c in enumerate(contexts)}
-        nodes = tree.nodes_at_level(1)
-        node_states = _ranked_init([n.count for n in nodes], min(params.n_states, len(nodes)))
-        S = [0] * len(contexts)
-        for node, st in zip(nodes, node_states):
-            for c in node.contexts():
-                S[ctx_index[c]] = int(st)
-        level_groups = []
-        for level in range(1, tree.depth + 1):
-            groups = []
-            for node in tree.nodes_at_level(level):
-                groups.append((node.key, [ctx_index[c] for c in node.contexts()], node.count))
-            level_groups.append(groups)
+        S = list(_ranked_init(ctx_counts, params.n_states))
+        level_groups = [suffix_groups(table, depth)]
 
     sh = Shadow(table, params.n_categories, params.n_states, G, S)
     trace = []
@@ -249,13 +246,12 @@ class TestMoveDeltas:
     def test_group_delta_equals_scratch_difference(self, seed):
         rng = random.Random(80 + seed)
         table, cl = random_clustering(rng)
-        tree = build_suffix_tree(table)
         sh = Shadow(table, cl.n_categories, cl.n_states, cl.G, cl.S)
-        for node in tree.nodes_at_level(tree.depth):
-            # leaves are always coherent (single context)
+        for ctx in cl.contexts:
+            # single contexts are always coherent
             t = rng.randrange(cl.n_states)
-            d = delta_move_context_group(cl, node, t)
-            idx = [sh.ctx_index[c] for c in node.contexts()]
+            d = delta_move_context_group(cl, [ctx], t)
+            idx = [sh.ctx_index[ctx]]
             before = sh.criterion()
             sh.apply_group(idx, t)
             assert d == pytest.approx(sh.criterion() - before, abs=1e-9)
@@ -388,7 +384,7 @@ class TestGreedyAgainstShadow:
         trace = []
         cl = run_tree(table, tree, params, on_move=lambda c, m: trace.append(
             (m.kind, m.element, m.source, m.target)))
-        strace, sh = shadow_greedy(table, params, tree=tree)
+        strace, sh = shadow_greedy(table, params, tree=True)
         assert trace == strace
         assert list(cl.G) == sh.G
         assert list(cl.S) == sh.S
@@ -408,27 +404,22 @@ class TestGreedyAgainstShadow:
             (m.kind, m.element, m.source, m.target, m.delta)))
         assert trace
 
-        contexts = sorted(table.counts)
-        ctx_index = {c: i for i, c in enumerate(contexts)}
-        nodes_by_key = {
-            n.key: n for level in range(1, tree.depth + 1) for n in tree.nodes_at_level(level)
+        members = {
+            key: idx
+            for level in range(1, table.spec.depth + 1)
+            for key, idx, _ in suffix_groups(table, level)
         }
         word_counts = [table.word_marginals.get(w, 0) for w in range(table.n_words)]
         G = list(_ranked_init(word_counts, params.n_categories))
-        lvl1 = tree.nodes_at_level(1)
-        node_states = _ranked_init([n.count for n in lvl1], min(params.n_states, len(lvl1)))
-        S = [0] * len(contexts)
-        for node, st in zip(lvl1, node_states):
-            for c in node.contexts():
-                S[ctx_index[c]] = int(st)
-        sh = Shadow(table, params.n_categories, params.n_states, G, S)
+        sh = Shadow(table, params.n_categories, params.n_states, G,
+                    grouped_states(table, params.n_states))
 
         for kind, element, source, target, delta in trace:
             if kind == "word":
                 deltas = sh.word_deltas(element)
                 assert sh.G[element] == source
             else:
-                idx = [ctx_index[c] for c in nodes_by_key[element].contexts()]
+                idx = members[element]
                 deltas = sh.group_deltas(idx)
                 assert sh.S[idx[0]] == source
             assert deltas[target] == pytest.approx(delta, abs=1e-9)
@@ -550,8 +541,7 @@ class TestRunBehaviour:
         params = ClusterParams(n_categories=3, n_states=4, min_count=1)
 
         def check(cl, move):
-            for node in tree.nodes_at_level(1):
-                idx = [cl.ctx_index[c] for c in node.contexts()]
+            for _, idx, _ in suffix_groups(table, 1):
                 states = {int(cl.S[i]) for i in idx}
                 # level-1 units fragment only after the sweep moves on to
                 # finer levels; while they are the move unit they stay whole
@@ -620,6 +610,20 @@ class TestExportAndPersistence:
         lines[i] = f"{wid}\t{(int(cat) + 1) % cl.n_categories}"
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="criterion mismatch"):
+            load_clustering(p, table)
+
+    @pytest.mark.parametrize("bad_id", [99999, -1])
+    def test_load_rejects_out_of_range_word_id(self, tmp_path, bad_id):
+        sents = make_random_corpus(6, n_sentences=25, n_words=8)
+        vocab, enc, table = build_table(sents, offsets=(-1,))
+        cl = run_flat(table, ClusterParams(n_categories=3, n_states=3, min_count=1))
+        p = tmp_path / "clusters.tsv"
+        save_clustering(cl, p)
+        lines = p.read_text().splitlines()
+        i = lines.index("#G") + 1
+        lines[i] = f"{bad_id}\t{lines[i].split()[1]}"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="word id"):
             load_clustering(p, table)
 
     def test_load_rejects_mismatched_counts(self, tmp_path):

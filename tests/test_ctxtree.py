@@ -1,13 +1,48 @@
-"""Suffix grouping of context tuples into a per-level tree."""
+"""Suffix grouping of context tuples into per-level group arrays."""
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clusterlm.ctxtree import ContextTree, TreeNode, build_suffix_tree
+from clusterlm.ctxtree import build_suffix_tree
 
 from conftest import build_table, random_event_table
+
+
+def check_levels(table, tree):
+    """Structural invariants every level of a suffix tree must hold."""
+    contexts = sorted(table.counts)
+    depth = table.spec.depth
+    assert tree.depth == depth and len(tree.levels) == depth + 1
+    for lvl, level in enumerate(tree.levels):
+        keys = [level.key(k) for k in range(len(level))]
+        # unique, sorted, suffixes of length lvl
+        assert keys == sorted(set(keys))
+        assert all(len(k) == lvl for k in keys)
+        # counts at every level partition the event total
+        assert level.counts.dtype == np.int64
+        assert int(level.counts.sum()) == table.total
+        assert level.bounds[0] == 0 and level.bounds[-1] == len(contexts)
+        for k, key in enumerate(keys):
+            members = level.group(k)
+            assert members.size > 0
+            assert all(contexts[i][depth - lvl :] == key for i in members)
+            assert all(level.group_of[i] == k for i in members)
+            assert level.counts[k] == sum(table.context_marginals[contexts[i]] for i in members)
+        if lvl:
+            # a level-lvl key drops its farthest value to a level-(lvl-1) key,
+            # and the children's counts sum to their parent's
+            parent = tree.levels[lvl - 1]
+            parent_of = {parent.key(p): p for p in range(len(parent))}
+            sums = np.zeros(len(parent), dtype=np.int64)
+            for k, key in enumerate(keys):
+                sums[parent_of[key[1:]]] += level.counts[k]
+            np.testing.assert_array_equal(sums, parent.counts)
+    leaves = tree.levels[depth]
+    assert [leaves.key(k) for k in range(len(leaves))] == contexts
 
 
 class TestHandBuiltTree:
@@ -20,51 +55,47 @@ class TestHandBuiltTree:
         vocab, table = self._table()
         tree = build_suffix_tree(table)
         assert tree.depth == 2
-        lvl1 = tree.nodes_at_level(1)
+        lvl1 = tree.levels[1]
         # level-1 keys are the distinct nearest-slot values
         expected = sorted({ctx[-1:] for ctx in table.counts})
-        assert [n.key for n in lvl1] == expected
+        assert [lvl1.key(k) for k in range(len(lvl1))] == expected
 
     def test_leaf_level_matches_contexts(self):
         vocab, table = self._table()
         tree = build_suffix_tree(table)
-        leaves = tree.nodes_at_level(2)
-        assert [n.key for n in leaves] == sorted(table.counts)
-        for n in leaves:
-            assert n.count == table.context_marginals[n.key]
-            assert n.children == []
+        leaves = tree.levels[2]
+        contexts = sorted(table.counts)
+        assert [leaves.key(k) for k in range(len(leaves))] == contexts
+        for k, ctx in enumerate(contexts):
+            assert leaves.counts[k] == table.context_marginals[ctx]
+            assert list(leaves.group(k)) == [k]
 
     def test_node_counts_sum_children(self):
         vocab, table = self._table()
         tree = build_suffix_tree(table)
-        for node in tree.nodes_at_level(1):
-            assert node.count == sum(c.count for c in node.children)
+        lvl1, leaves = tree.levels[1], tree.levels[2]
+        for k in range(len(lvl1)):
+            children = [j for j in range(len(leaves)) if leaves.key(j)[1:] == lvl1.key(k)]
+            assert lvl1.counts[k] == sum(leaves.counts[j] for j in children)
 
     def test_contexts_enumerates_sorted_leaves(self):
         vocab, table = self._table()
         tree = build_suffix_tree(table)
-        for node in tree.nodes_at_level(1):
-            ctxs = list(node.contexts())
+        contexts = sorted(table.counts)
+        lvl1 = tree.levels[1]
+        for k in range(len(lvl1)):
+            ctxs = [contexts[i] for i in lvl1.group(k)]
             assert ctxs == sorted(ctxs)
-            assert all(c[-1:] == node.key for c in ctxs)
-            assert node.n_leaves == len(ctxs)
+            assert all(c[-1:] == lvl1.key(k) for c in ctxs)
+        assert sum(lvl1.group(k).size for k in range(len(lvl1))) == table.n_contexts
 
     def test_root_spans_everything(self):
         vocab, table = self._table()
         tree = build_suffix_tree(table)
-        assert tree.root.level == 0
-        assert tree.root.count == table.total
-        assert tree.root.n_leaves == table.n_contexts
-        assert sorted(tree.root.contexts()) == sorted(table.counts)
-
-    def test_nodes_at_level_bounds(self):
-        vocab, table = self._table()
-        tree = build_suffix_tree(table)
-        assert tree.nodes_at_level(0) == [tree.root]
-        with pytest.raises(ValueError):
-            tree.nodes_at_level(-1)
-        with pytest.raises(ValueError):
-            tree.nodes_at_level(3)
+        root = tree.levels[0]
+        assert len(root) == 1 and root.key(0) == ()
+        assert root.counts[0] == table.total
+        assert list(root.group(0)) == list(range(table.n_contexts))
 
 
 class TestRandomTrees:
@@ -73,42 +104,40 @@ class TestRandomTrees:
         rng = random.Random(seed)
         depth = rng.randint(1, 4)
         table = random_event_table(rng, n_words=8, n_contexts=rng.randint(3, 25), depth=depth)
-        tree = build_suffix_tree(table)
-        assert tree.depth == depth
-        total_leaves = 0
-        for level in range(1, depth + 1):
-            nodes = tree.nodes_at_level(level)
-            keys = [n.key for n in nodes]
-            # unique, sorted, correct suffix length
-            assert keys == sorted(set(keys))
-            assert all(len(k) == level for k in keys)
-            assert all(n.level == level for n in nodes)
-            # counts at every level partition the event total
-            assert sum(n.count for n in nodes) == table.total
-            for n in nodes:
-                # a child refines its parent by prepending one farther slot
-                for child in n.children:
-                    assert child.key[1:] == n.key
-                if level < depth:
-                    assert sum(c.count for c in n.children) == n.count
-        leaves = tree.nodes_at_level(depth)
-        assert sum(n.n_leaves for n in leaves) == table.n_contexts
+        check_levels(table, build_suffix_tree(table))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(1, 4),
+        n_words=st.integers(2, 9),
+        n_contexts=st.integers(1, 30),
+    )
+    def test_levels_hold_invariants(self, seed, depth, n_words, n_contexts):
+        n_contexts = min(n_contexts, n_words**depth)
+        table = random_event_table(
+            random.Random(seed), n_words=n_words, n_contexts=n_contexts, depth=depth
+        )
+        check_levels(table, build_suffix_tree(table))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_children_sorted_by_key(self, seed):
+        # the children of a group, taken in group order, have ascending
+        # keys and their members partition the parent's members
         rng = random.Random(100 + seed)
         table = random_event_table(rng, n_words=6, n_contexts=20, depth=3)
         tree = build_suffix_tree(table)
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            kid_keys = [c.key for c in node.children]
-            assert kid_keys == sorted(kid_keys)
-            stack.extend(node.children)
+        for parent, level in zip(tree.levels, tree.levels[1:]):
+            for p in range(len(parent)):
+                kids = [k for k in range(len(level)) if level.key(k)[1:] == parent.key(p)]
+                assert [level.key(k) for k in kids] == sorted(level.key(k) for k in kids)
+                merged = sorted(i for k in kids for i in level.group(k))
+                assert merged == sorted(parent.group(p))
 
     def test_depth_one_tree_has_leaf_roots(self):
         rng = random.Random(42)
         table = random_event_table(rng, n_words=5, n_contexts=4, depth=1)
         tree = build_suffix_tree(table)
         assert tree.depth == 1
-        assert [n.key for n in tree.nodes_at_level(1)] == sorted(table.counts)
+        lvl1 = tree.levels[1]
+        assert [lvl1.key(k) for k in range(len(lvl1))] == sorted(table.counts)

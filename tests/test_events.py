@@ -182,6 +182,17 @@ class TestCountsRoundTrip:
         with pytest.raises(ValueError, match="unknown mapper"):
             load_counts(path, {"w": identity_mapper(vocab)})
 
+    @pytest.mark.parametrize("bad_id", [99, -1])
+    def test_load_rejects_out_of_range_word_id(self, tmp_path, bad_id):
+        vocab, enc, table = build_table(["a b a"], offsets=(-1,))
+        path = tmp_path / "counts.tsv"
+        save_counts(table, path)
+        lines = path.read_text().splitlines()
+        ctx, _, n = lines[-1].split("\t")
+        path.write_text("\n".join(lines + [f"{ctx}\t{bad_id}\t{n}"]) + "\n")
+        with pytest.raises(ValueError, match="word ids outside"):
+            load_counts(path)
+
     def test_load_rejects_non_counts_file(self, tmp_path):
         path = tmp_path / "bogus.tsv"
         path.write_text("hello\n")
