@@ -90,10 +90,19 @@ def format_context_spec(slots: Sequence[tuple[str, int]]) -> str:
 
 
 def _atomic_write(path: str | Path, writer: Callable[[Path], None]) -> None:
+    """Run ``writer`` on a fresh temporary file next to ``path``, then
+    rename it into place.  The temporary file is created exclusively
+    under a random name, so runs writing the same output never share
+    it, and it is removed when the writer fails."""
     out = Path(path)
-    tmp = out.with_name(out.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, out)
+    tmp = out.with_name(f"{out.name}.{os.urandom(8).hex()}.tmp")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    try:
+        writer(tmp)
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_lines(path: str | Path, lines: Sequence[str]) -> None:
@@ -215,23 +224,7 @@ def cmd_cluster_run(args) -> int:
     )
     if args.model_out:
         model = ClassLM(clustering, vocab, discount=args.discount)
-        mapper_paths = {}
-        for name in _peek_slot_names(args.counts):
-            if name == "t":
-                mapper_paths[name] = ("tag-map", _relative_to(args.tagmap, args.model_out))
-            elif name == "g":
-                mapper_paths[name] = ("class-map", _relative_to(args.classmap, args.model_out))
-        _atomic_write(
-            args.model_out,
-            lambda p: save_classlm(
-                model,
-                p,
-                vocab_path=_relative_to(args.vocab, args.model_out),
-                counts_path=_relative_to(args.counts, args.model_out),
-                clustering_path=_relative_to(args.out, args.model_out),
-                mapper_paths=mapper_paths,
-            ),
-        )
+        _atomic_write(args.model_out, lambda p: save_classlm(model, p))
         print(f"class model -> {args.model_out}")
     _maybe_manifest(
         args,
@@ -281,7 +274,7 @@ def cmd_interp_tune(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     components = [load_model(p) for p in args.models]
     heldout = encode_corpus(read_corpus_lines(args.heldout), vocab)
-    weights = tune_weights_em(
+    weights, report = tune_weights_em(
         components,
         heldout,
         eos_id=vocab.eos_id,
@@ -292,9 +285,6 @@ def cmd_interp_tune(args) -> int:
     model = InterpolatedModel(components, weights)
     comp_paths = [_relative_to(p, args.out) for p in args.models]
     _atomic_write(args.out, lambda p: save_interpolated(model, p, comp_paths))
-    report = perplexity(
-        model, heldout, eos_id=vocab.eos_id, include_eos=not args.no_eos, model_id="interp"
-    )
     print("weights: " + " ".join(f"{x:.6f}" for x in weights))
     print(f"heldout perplexity: {report.perplexity:.4g} -> {args.out}")
     _maybe_manifest(args, list(args.models) + [args.heldout, args.vocab])

@@ -172,11 +172,14 @@ def tune_weights_em(
     init: Sequence[float] | None = None,
     max_iters: int = 100,
     tol: float = 1e-6,
-) -> np.ndarray:
+) -> tuple[np.ndarray, EvalReport]:
     """Tune mixture weights for ``components`` on held-out sentences.
 
     Component probabilities per event are computed once; the EM fixed
-    point then runs on the fixed matrix.
+    point then runs on the fixed matrix.  Returns the weights and the
+    held-out report of the tuned mixture, scored from the same matrix
+    with the arithmetic of ``InterpolatedModel.prob``, so it equals
+    ``perplexity`` of that mixture to the last bit.
     """
     if len(components) < 2:
         raise ValueError("at least two components required")
@@ -187,5 +190,23 @@ def tune_weights_em(
         rows.append([comp.prob(w, hist) for comp in components])
     if not rows:
         raise ValueError("degenerate held-out corpus: no events")
-    weights, _ = em_mixture_weights(np.asarray(rows), init=init, max_iters=max_iters, tol=tol)
-    return weights
+    probs = np.asarray(rows, dtype=np.float64)
+    weights, _ = em_mixture_weights(probs, init=init, max_iters=max_iters, tol=tol)
+    # per event: total += lam * p over the nonzero weights, in component
+    # order; elementwise float64 numpy rounds exactly as the scalar loop
+    mix = np.zeros(len(probs), dtype=np.float64)
+    for k, lam in enumerate(weights):
+        if lam != 0.0:
+            mix += float(lam) * probs[:, k]
+    zero = np.flatnonzero(mix <= 0.0)
+    if zero.size:
+        raise ValueError(f"tuned mixture gives zero probability to held-out event {zero[0]}")
+    total = math.fsum(math.log(p) for p in mix.tolist())
+    count = len(mix)
+    report = EvalReport(
+        model_id="interp",
+        token_count=count,
+        logprob_sum=total,
+        perplexity=math.exp(-total / count),
+    )
+    return weights, report

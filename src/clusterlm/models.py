@@ -18,20 +18,38 @@ All trained models are immutable and their queries are pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from clusterlm.cluster import Clustering, load_clustering
-from clusterlm.corpus import Vocabulary, identity_mapper, load_feature_map
-from clusterlm.events import ContextTuple, load_counts
+# load_counts and load_clustering are unused here but stay importable:
+# the benchmark tracer patches them in this module's namespace.
+from clusterlm.cluster import Clustering, load_clustering  # noqa: F401
+from clusterlm.corpus import Vocabulary
+from clusterlm.events import ContextTuple, load_counts  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
 # clustered class model
 # ---------------------------------------------------------------------------
+
+CLASSLM_VERSION = "#clusterlm-classlm v2"
+_CORRUPT = "corrupt class model file"
+_ROWS_PER_WRITE = 1 << 12
+
+
+class ClassSlot(NamedTuple):
+    """One context position of a class model: its negative offset, the
+    name of its feature mapper, the mapper's arity, and the value the
+    sentence-begin token maps to."""
+
+    offset: int
+    name: str
+    arity: int
+    bos: int
 
 
 class ClassLM:
@@ -48,57 +66,99 @@ class ClassLM:
     A context never seen in training falls back to the state most
     frequent among contexts sharing its longest seen suffix; with no
     seen suffix at all, to the heaviest state.
+
+    The model is a handful of tables: ``maps`` (the value of every word
+    at every slot), ``G`` and ``word_counts`` per word, the nonzero joint
+    cells ``joint_cells`` (rows s, g, N(s,g), sorted), ``state_of`` (every
+    training context's state, in sorted context order), and per proper
+    suffix length k the sorted ``suffix_tables[k-1]`` = (keys, states).
+    ``save_classlm`` writes exactly these, so a saved model loads on its
+    own.
     """
 
     def __init__(self, clustering: Clustering, vocab: Vocabulary, discount: float = 0.5):
-        if not 0.0 <= discount < 1.0:
-            raise ValueError("discount must lie in [0, 1)")
+        _check_discount(discount)
+        slots = clustering.table.spec.slots
+        n_words = len(vocab)
+        if clustering.n_words != n_words:
+            raise ValueError("clustering and vocabulary differ in size")
+        for slot in slots:
+            if slot.mapper.table.size < n_words:
+                raise ValueError(
+                    f"slot {slot.offset} ({slot.mapper.name}): its mapper table covers "
+                    f"{slot.mapper.table.size} words but the vocabulary has {n_words}; "
+                    "load the counts with the feature maps they were collected with"
+                )
+        suffix_tables = _suffix_tables(clustering)
+        s, g = np.nonzero(clustering.joint)
+        self._setup(
+            discount,
+            [
+                ClassSlot(
+                    sl.offset, sl.mapper.name, sl.mapper.arity, int(sl.mapper.table[vocab.bos_id])
+                )
+                for sl in slots
+            ],
+            np.stack([sl.mapper.table[:n_words] for sl in slots], axis=1),
+            clustering.G.copy(),
+            clustering.word_counts.copy(),
+            np.stack([s, g, clustering.joint[s, g]], axis=1),
+            clustering.n_categories,
+            clustering.n_states,
+            dict(zip(clustering.contexts, map(int, clustering.S))),
+            suffix_tables,
+        )
+
+    def _setup(
+        self,
+        discount: float,
+        slots: Sequence[ClassSlot],
+        maps: np.ndarray,
+        G: np.ndarray,
+        word_counts: np.ndarray,
+        joint_cells: np.ndarray,
+        n_categories: int,
+        n_states: int,
+        state_of: dict[ContextTuple, int],
+        suffix_tables: list[tuple[np.ndarray, np.ndarray]],
+    ) -> None:
+        """Keep the tables; derive the marginals and the suffix lookup."""
         self.discount = float(discount)
-        self.n_words = clustering.n_words
-        self.n_categories = clustering.n_categories
-        self.n_states = clustering.n_states
-        self.spec = clustering.table.spec
-        self.bos_id = vocab.bos_id
+        self.slots = tuple(slots)
+        self.depth = len(self.slots)
+        self.maps = maps
+        self.G = G
+        self.word_counts = word_counts
+        self.joint_cells = joint_cells
+        self.suffix_tables = suffix_tables
+        self.n_words = len(G)
+        self.n_categories = int(n_categories)
+        self.n_states = int(n_states)
 
-        self.G = clustering.G.copy()
-        self.word_counts = clustering.word_counts.copy()
-        self.joint = clustering.joint.copy()
-        self.state_totals = clustering.state_totals.copy()
-        self.cat_totals = clustering.cat_totals.copy()
-        self.total = int(self.word_counts.sum())
-        self._nplus = (self.joint > 0).sum(axis=1).astype(np.int64)
-
-        self.state_of = {c: int(s) for c, s in zip(clustering.contexts, clustering.S)}
-        self._fallback = self._build_fallback(clustering)
-        self._default_state = int(np.argmax(self.state_totals))
-        self._offsets = [slot.offset for slot in self.spec.slots]
-        self._tables = [slot.mapper.table for slot in self.spec.slots]
-        self._bos_values = tuple(int(t[self.bos_id]) for t in self._tables)
-
-    @staticmethod
-    def _build_fallback(clustering: Clustering) -> dict[ContextTuple, int]:
-        """Most frequent state (event-weighted, ties to the lower id)
-        for every proper context suffix seen in training."""
-        depth = clustering.table.spec.depth
-        weights: dict[ContextTuple, dict[int, int]] = {}
-        for c, s, n in zip(clustering.contexts, clustering.S, clustering.ctx_counts):
-            for keep in range(1, depth):
-                suf = c[depth - keep :]
-                row = weights.setdefault(suf, {})
-                row[int(s)] = row.get(int(s), 0) + int(n)
-        return {
-            suf: min(row, key=lambda s: (-row[s], s)) for suf, row in weights.items()
+        s, g, n = joint_cells.T
+        self.state_totals = _sums(s, n, self.n_states)
+        self.cat_totals = _sums(g, n, self.n_categories)
+        self.total = int(word_counts.sum())
+        self._nplus = np.bincount(s, minlength=self.n_states).astype(np.int64)
+        self._joint = dict(zip(zip(s.tolist(), g.tolist()), n.tolist()))
+        self.state_of = state_of
+        self._fallback = {
+            key: st for keys, sts in suffix_tables for key, st in zip(_tuples(keys), sts.tolist())
         }
+        self._default_state = int(np.argmax(self.state_totals))
+        self._offsets = [sl.offset for sl in self.slots]
+        self._tables = list(maps.T)
+        self._bos_values = tuple(sl.bos for sl in self.slots)
 
     def resolve_state(self, context: ContextTuple) -> int:
         """State of a context tuple, through the suffix fallback when
         the exact tuple was never seen."""
-        if len(context) != self.spec.depth:
+        if len(context) != self.depth:
             raise ValueError("context tuple length does not match the model's slots")
         s = self.state_of.get(tuple(context))
         if s is not None:
             return s
-        depth = self.spec.depth
+        depth = self.depth
         for keep in range(depth - 1, 0, -1):
             s = self._fallback.get(tuple(context[depth - keep :]))
             if s is not None:
@@ -117,7 +177,7 @@ class ClassLM:
         n_s = float(self.state_totals[s])
         d = self.discount
         p_g = (
-            max(float(self.joint[s, g]) - d, 0.0) / n_s
+            max(float(self._joint.get((s, g), 0)) - d, 0.0) / n_s
             + (d * float(self._nplus[s]) / n_s) * (n_g / self.total)
         )
         p_w = float(self.word_counts[w]) / n_g
@@ -139,71 +199,330 @@ class ClassLM:
     def n_parameters(self) -> int:
         """Raw stored-entry count: nonzero joint cells, word counts, and
         the context-to-state map."""
-        return int(np.count_nonzero(self.joint)) + self.n_words + len(self.state_of)
+        return len(self.joint_cells) + self.n_words + len(self.state_of)
 
 
-def save_classlm(
-    model: ClassLM,
-    path: str | Path,
-    *,
-    vocab_path: str,
-    counts_path: str,
-    clustering_path: str,
-    mapper_paths: dict[str, tuple[str, str]] | None = None,
-) -> None:
-    """Write the model as references to its artifacts plus smoothing
-    parameters.  ``mapper_paths`` maps slot names to (kind, path) for
-    every non-identity feature map the counts were collected with.
-    Relative paths are resolved against the model file at load time."""
-    lines = [
-        "#clusterlm-classlm v1",
-        f"#discount\t{model.discount!r}",
-        f"#vocab\t{vocab_path}",
-        f"#counts\t{counts_path}",
-        f"#clustering\t{clustering_path}",
+def _check_discount(discount: float) -> None:
+    if not 0.0 <= discount < 1.0:
+        raise ValueError("discount must lie in [0, 1)")
+
+
+def _sums(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Exact int64 per-index sums of ``weights``."""
+    out = np.zeros(size, dtype=np.int64)
+    np.add.at(out, index, weights)
+    return out
+
+
+def _tuples(rows: np.ndarray) -> Iterator[tuple[int, ...]]:
+    """Rows of a 2-D integer array as tuples of Python ints."""
+    return zip(*rows.T.tolist())
+
+
+def _suffix_tables(clustering: Clustering) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``_suffix_states`` of the clustering's contexts for every proper
+    suffix length."""
+    depth = clustering.table.spec.depth
+    contexts = np.fromiter(
+        itertools.chain.from_iterable(clustering.contexts),
+        dtype=np.int32,
+        count=len(clustering.contexts) * depth,
+    ).reshape(-1, depth)
+    return [
+        _suffix_states(contexts, clustering.S, clustering.ctx_counts, keep)
+        for keep in range(1, depth)
     ]
-    for name, (kind, mpath) in sorted((mapper_paths or {}).items()):
-        lines.append(f"#mapper\t{name}\t{kind}\t{mpath}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _suffix_states(
+    contexts: np.ndarray, states: np.ndarray, counts: np.ndarray, keep: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, states): every distinct length-``keep`` suffix of the
+    context rows, sorted, with the state holding most of its events
+    (ties to the lower state id)."""
+    suffix = contexts[:, contexts.shape[1] - keep :]
+    order = np.lexsort((states, *suffix.T[::-1]))
+    suffix, states, counts = suffix[order], states[order], counts[order]
+    new_pair = _row_starts(suffix)
+    new_pair[1:] |= states[1:] != states[:-1]
+    starts = np.flatnonzero(new_pair)
+    suffix, states, weight = suffix[starts], states[starts], np.add.reduceat(counts, starts)
+    # heaviest state first within each suffix, the lower id among equals
+    order = np.lexsort((states, -weight, *suffix.T[::-1]))
+    suffix, states = suffix[order], states[order]
+    first = _row_starts(suffix)
+    return suffix[first], states[first].astype(np.int32)
+
+
+def _row_starts(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows that differ from the row before them."""
+    out = np.ones(len(rows), dtype=bool)
+    out[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return out
+
+
+def _format_rows(keys: np.ndarray, values: np.ndarray | None = None) -> bytes:
+    """One ASCII line per row of non-negative integers: the ``keys``
+    separated by spaces, then a tab and the row's entry of ``values``
+    when given.  Built with numpy, digit position by digit position."""
+    table = keys if values is None else np.column_stack([keys, values])
+    n_rows, n_cols = table.shape
+    if n_rows == 0:
+        return b""
+    flat = table.astype(np.int64).ravel()
+    n_digits = np.searchsorted(10 ** np.arange(1, 19, dtype=np.int64), flat, side="right") + 1
+    ends = np.cumsum(n_digits + 1) - 1  # the separator after each field
+    out = np.empty(int(ends[-1]) + 1, dtype=np.uint8)
+    seps = np.full(n_cols, ord(" "), dtype=np.uint8)
+    seps[-1] = ord("\n")
+    if values is not None:
+        seps[-2] = ord("\t")
+    out[ends] = np.tile(seps, n_rows)
+    rest = flat.copy()
+    for j in range(int(n_digits.max())):
+        live = n_digits > j
+        out[(ends - 1 - j)[live]] = ord("0") + rest[live] % 10
+        rest //= 10
+    return out.tobytes()
+
+
+def save_classlm(model: ClassLM, path: str | Path) -> None:
+    """Write the model as one self-contained text file.
+
+    After the version line come ``#discount``, ``#n_words``,
+    ``#n_categories``, ``#n_states``, ``#depth`` and one
+    ``#slot<TAB>offset<TAB>name<TAB>arity<TAB>begin-value`` line per
+    slot.  Then the sections, each opened by its row count: ``#maps``
+    (the slot values of each word), ``#words`` (category and count of
+    each word), ``#joint`` (``s g<TAB>N(s,g)`` for every nonzero cell),
+    one ``#suffix<TAB>k`` per proper suffix length k (``suffix<TAB>state``)
+    and ``#contexts`` (``context<TAB>state``).  Rows are sorted, so equal
+    models give equal bytes.
+    """
+    header = [
+        CLASSLM_VERSION,
+        f"#discount\t{model.discount!r}",
+        f"#n_words\t{model.n_words}",
+        f"#n_categories\t{model.n_categories}",
+        f"#n_states\t{model.n_states}",
+        f"#depth\t{model.depth}",
+    ]
+    header += [f"#slot\t{sl.offset}\t{sl.name}\t{sl.arity}\t{sl.bos}" for sl in model.slots]
+    sections = [
+        ("#maps", model.maps, None),
+        ("#words", model.G[:, None], model.word_counts),
+        ("#joint", model.joint_cells[:, :2], model.joint_cells[:, 2]),
+    ]
+    sections += [
+        (f"#suffix\t{keep}", keys, states)
+        for keep, (keys, states) in enumerate(model.suffix_tables, 1)
+    ]
+    n_contexts = len(model.state_of)
+    with open(path, "wb") as fh:
+        fh.write("\n".join(header).encode("utf-8") + b"\n")
+        # a block of rows at a time keeps the formatting temporaries small
+        for key, keys, values in sections:
+            fh.write(f"{key}\t{len(keys)}\n".encode("ascii"))
+            for lo in range(0, len(keys), _ROWS_PER_WRITE):
+                hi = lo + _ROWS_PER_WRITE
+                fh.write(_format_rows(keys[lo:hi], None if values is None else values[lo:hi]))
+        fh.write(f"#contexts\t{n_contexts}\n".encode("ascii"))
+        contexts, states = iter(model.state_of), iter(model.state_of.values())
+        for lo in range(0, n_contexts, _ROWS_PER_WRITE):
+            rows = min(_ROWS_PER_WRITE, n_contexts - lo)
+            keys = np.fromiter(
+                itertools.chain.from_iterable(itertools.islice(contexts, rows)),
+                dtype=np.int64,
+                count=rows * model.depth,
+            )
+            values = np.fromiter(itertools.islice(states, rows), dtype=np.int64, count=rows)
+            fh.write(_format_rows(keys.reshape(rows, model.depth), values))
+
+
+class _Sections:
+    """Cursor over the bytes of a class model file."""
+
+    def __init__(self, data: bytes, pos: int):
+        self.data = data
+        self.pos = pos
+
+    def line(self, key: str, n_fields: int) -> list[str]:
+        """Fields of the next line, which must be ``key`` plus
+        ``n_fields`` tab-separated fields."""
+        end = self.data.find(b"\n", self.pos)
+        if end < 0:
+            raise ValueError(f"{_CORRUPT}: missing {key} line")
+        fields = self.data[self.pos : end].decode("utf-8").split("\t")
+        if fields[0] != key or len(fields) != n_fields + 1:
+            raise ValueError(f"{_CORRUPT}: expected a {key} line with {n_fields} field(s)")
+        self.pos = end + 1
+        return fields[1:]
+
+    def rows(self, key: str, n_rows: int, n_key: int, n_value: int) -> np.ndarray:
+        """The ``n_rows`` integer rows after the last line read, each
+        ``n_key`` space-separated fields plus, if ``n_value``, a tab and
+        one more field; parsed in one pass."""
+        data, pos = self.data, self.pos
+        if pos >= len(data) or data.startswith(b"#", pos):
+            end = pos
+        else:
+            nxt = data.find(b"\n#", pos)
+            end = len(data) if nxt < 0 else nxt + 1
+        body = data[pos:end]
+        found = body.count(b"\n")
+        if found != n_rows:
+            raise ValueError(f"{_CORRUPT}: {key} declares {n_rows} rows, {found} found")
+        n_cols = n_key + n_value
+        buf = np.frombuffer(body, dtype=np.uint8)
+        is_sep = (buf == 32) | (buf == 9) | (buf == 10)
+        sep_at = np.flatnonzero(is_sep)
+        pattern = np.array([32] * (n_key - 1) + [9] * n_value + [10], dtype=np.uint8)
+        if sep_at.size != n_rows * n_cols or (
+            buf[sep_at].reshape(n_rows, n_cols) != pattern
+        ).any():
+            raise ValueError(f"{_CORRUPT}: malformed {key} rows")
+        if not (is_sep | ((buf >= 48) & (buf <= 57))).all():
+            raise ValueError(f"{_CORRUPT}: {key} holds a field that is not a non-negative integer")
+        # every field is 1 to 18 digits, so the parse below is exact
+        widths = np.diff(sep_at, prepend=-1) - 1
+        if widths.size and (widths.min() < 1 or widths.max() > 18):
+            raise ValueError(f"{_CORRUPT}: {key} holds an empty or oversized field")
+        values = np.fromstring(body, dtype=np.int64, sep=" ")
+        self.pos = end
+        return values.reshape(n_rows, n_cols)
+
+
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{_CORRUPT}: {what} is not an integer: {text!r}") from None
+
+
+def _check_range(values: np.ndarray, lo: int, hi: int, what: str) -> None:
+    if values.size and (int(values.min()) < lo or int(values.max()) >= hi):
+        raise ValueError(f"{_CORRUPT}: {what} outside [{lo}, {hi})")
+
+
+def _check_strictly_sorted(rows: np.ndarray, what: str) -> None:
+    """Rows must increase strictly in lexicographic order."""
+    if len(rows) < 2:
+        return
+    diff = rows[1:] - rows[:-1]
+    nonzero = diff != 0
+    first = nonzero.argmax(axis=1)
+    if not (nonzero.any(axis=1) & (diff[np.arange(len(diff)), first] > 0)).all():
+        raise ValueError(f"{_CORRUPT}: {what} rows are not strictly sorted")
 
 
 def load_classlm(path: str | Path) -> ClassLM:
-    base = Path(path).parent
-    discount = 0.5
-    vocab_path = counts_path = clustering_path = None
-    mapper_specs: dict[str, tuple[str, str]] = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != "#clusterlm-classlm v1":
-        raise ValueError("not a class model file")
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        key = parts[0]
-        if key == "#discount":
-            discount = float(parts[1])
-        elif key == "#vocab":
-            vocab_path = parts[1]
-        elif key == "#counts":
-            counts_path = parts[1]
-        elif key == "#clustering":
-            clustering_path = parts[1]
-        elif key == "#mapper":
-            mapper_specs[parts[1]] = (parts[2], parts[3])
-    if not (vocab_path and counts_path and clustering_path):
-        raise ValueError("class model file must reference vocab, counts and clustering")
+    """Read a class model file written by ``save_classlm``.
 
-    def resolve(p: str) -> Path:
-        q = Path(p)
-        return q if q.is_absolute() else base / q
+    The file alone defines the model.  Every section is parsed in one
+    numpy pass, and shapes, id ranges, sort orders and the joint's
+    column sums (they must equal the per-category word counts) are
+    checked; any inconsistency raises ``ValueError``.
+    """
+    data = Path(path).read_bytes()
+    first, _, _ = data.partition(b"\n")
+    if first == b"#clusterlm-classlm v1":
+        raise ValueError(
+            f"{path} is a v1 class model, which only referenced its training files; "
+            "re-run `clusterlm cluster run --model-out` to write a self-contained model"
+        )
+    if first != CLASSLM_VERSION.encode():
+        raise ValueError(f"not a class model file: {path}")
+    r = _Sections(data, len(first) + 1)
+    discount_s = r.line("#discount", 1)[0]
+    try:
+        discount = float(discount_s)
+    except ValueError:
+        raise ValueError(f"{_CORRUPT}: discount is not a number: {discount_s!r}") from None
+    _check_discount(discount)
+    n_words = _int(r.line("#n_words", 1)[0], "n_words")
+    n_categories = _int(r.line("#n_categories", 1)[0], "n_categories")
+    n_states = _int(r.line("#n_states", 1)[0], "n_states")
+    depth = _int(r.line("#depth", 1)[0], "depth")
+    if depth < 1:
+        raise ValueError(f"{_CORRUPT}: depth must be at least 1")
+    slots = []
+    for _ in range(depth):
+        off, name, arity, bos = r.line("#slot", 4)
+        off, arity, bos = _int(off, "slot offset"), _int(arity, "arity"), _int(bos, "begin value")
+        slots.append(ClassSlot(off, name, arity, bos))
+    offsets = [sl.offset for sl in slots]
+    if offsets[-1] >= 0 or any(b <= a for a, b in zip(offsets, offsets[1:])):
+        raise ValueError(f"{_CORRUPT}: slot offsets must be negative and increasing")
+    for sl in slots:
+        if not 0 < sl.arity < 2**31:
+            raise ValueError(f"{_CORRUPT}: slot {sl.offset} arity outside [1, 2**31)")
+        if not 0 <= sl.bos < sl.arity:
+            raise ValueError(f"{_CORRUPT}: slot {sl.offset} begin value outside [0, {sl.arity})")
 
-    vocab = Vocabulary.load(resolve(vocab_path))
-    mappers = {"w": identity_mapper(vocab)}
-    for name, (kind, mpath) in mapper_specs.items():
-        mappers[name] = load_feature_map(resolve(mpath), vocab, kind, name)
-    table = load_counts(resolve(counts_path), mappers=mappers)
-    clustering = load_clustering(resolve(clustering_path), table)
-    return ClassLM(clustering, vocab, discount=discount)
+    def section(key: str, n_key: int, n_value: int, n_rows: int | None = None) -> np.ndarray:
+        declared = _int(r.line(key, 1)[0], f"{key} row count")
+        if n_rows is not None and declared != n_rows:
+            raise ValueError(f"{_CORRUPT}: {key} declares {declared} rows, expected {n_rows}")
+        return r.rows(key, declared, n_key, n_value)
+
+    maps = section("#maps", depth, 0, n_words)
+    words = section("#words", 1, 1, n_words)
+    cells = section("#joint", 2, 1)
+    suffix_rows = []
+    for keep in range(1, depth):
+        got, declared = r.line("#suffix", 2)
+        if _int(got, "suffix length") != keep:
+            raise ValueError(f"{_CORRUPT}: expected the #suffix table of length {keep}")
+        suffix_rows.append(r.rows("#suffix", _int(declared, "#suffix row count"), keep, 1))
+    ctx_rows = section("#contexts", depth, 1)
+    if r.pos != len(data):
+        raise ValueError(f"{_CORRUPT}: unexpected content after #contexts")
+
+    if not 1 <= n_categories <= n_words:
+        raise ValueError(f"{_CORRUPT}: n_categories must lie in [1, n_words]")
+    if not 1 <= n_states <= len(ctx_rows):
+        raise ValueError(f"{_CORRUPT}: n_states must lie in [1, number of contexts]")
+    for k, sl in enumerate(slots):
+        _check_range(maps[:, k], 0, sl.arity, f"slot {sl.offset} values")
+    G, word_counts = words[:, 0].astype(np.int32), words[:, 1]
+    _check_range(G, 0, n_categories, "word categories")
+    if not 0 < sum(word_counts.tolist()) < 2**62:
+        raise ValueError(f"{_CORRUPT}: word counts must add up to a total in (0, 2**62)")
+    _check_range(cells[:, 0], 0, n_states, "joint states")
+    _check_range(cells[:, 1], 0, n_categories, "joint categories")
+    _check_range(cells[:, 2], 1, 2**62, "joint counts")
+    _check_strictly_sorted(cells[:, :2], "#joint")
+    if not np.array_equal(
+        _sums(cells[:, 1], cells[:, 2], n_categories), _sums(G, word_counts, n_categories)
+    ):
+        raise ValueError(f"{_CORRUPT}: joint column sums differ from the category word counts")
+    state_totals = _sums(cells[:, 0], cells[:, 2], n_states)
+
+    def table(rows: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+        keys, states = rows[:, :-1], rows[:, -1]
+        for k, sl in enumerate(slots[depth - keys.shape[1] :]):
+            _check_range(keys[:, k], 0, sl.arity, f"{what} slot {sl.offset} values")
+        _check_strictly_sorted(keys, what)
+        _check_range(states, 0, n_states, f"{what} states")
+        if (state_totals[states] == 0).any():
+            raise ValueError(f"{_CORRUPT}: {what} maps to a state without events")
+        return keys.astype(np.int32), states.astype(np.int32)
+
+    contexts, states = table(ctx_rows, "#contexts")
+    model = ClassLM.__new__(ClassLM)
+    model._setup(
+        discount,
+        slots,
+        maps.astype(np.int32),
+        G,
+        word_counts,
+        cells,
+        n_categories,
+        n_states,
+        dict(zip(_tuples(contexts), states.tolist())),
+        [table(rows, f"#suffix {keep}") for keep, rows in enumerate(suffix_rows, 1)],
+    )
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +858,7 @@ def load_model(path: str | Path):
         first = fh.readline().strip()
     if first == "#clusterlm-backoff v1":
         return load_backoff(path)
-    if first == "#clusterlm-classlm v1":
+    if first.startswith("#clusterlm-classlm "):
         return load_classlm(path)
     if first == "#clusterlm-interp v1":
         return load_interpolated(path)

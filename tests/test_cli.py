@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from clusterlm.cli import format_context_spec, main, parse_context_spec
+from clusterlm.cli import _atomic_write, format_context_spec, main, parse_context_spec
 
 from conftest import make_random_corpus
 
@@ -274,3 +274,45 @@ class TestReproducibility:
                     "--categories", "5", "--min-count", "2", "--tree",
                     "--out", d / out], capsys)
         assert (d / "cl1.tsv").read_bytes() == (d / "cl2.tsv").read_bytes()
+
+
+class TestAtomicWrite:
+    def test_failed_writer_leaves_no_temp_file_and_no_target(self, tmp_path):
+        target = tmp_path / "out.txt"
+
+        def writer(p):
+            p.write_text("partial")
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError):
+            _atomic_write(target, writer)
+        assert list(tmp_path.iterdir()) == []
+        target.write_text("previous")
+        with pytest.raises(RuntimeError):
+            _atomic_write(target, writer)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert target.read_text() == "previous"
+
+    def test_interleaved_writers_keep_their_own_temp_files(self, tmp_path):
+        target = tmp_path / "out.txt"
+        seen = {}
+
+        def second(p):
+            p.write_text("second")
+
+        def first(p):
+            p.write_text("first")
+            # another run writes the same output while this one is mid-write
+            _atomic_write(target, second)
+            seen["after_second"] = target.read_text()
+            seen["own_temp"] = p.read_text()
+
+        _atomic_write(target, first)
+        assert seen == {"after_second": "second", "own_temp": "first"}
+        assert target.read_text() == "first"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_output_mode_matches_a_plain_write(self, tmp_path):
+        (tmp_path / "plain.txt").write_text("x")
+        _atomic_write(tmp_path / "atomic.txt", lambda p: p.write_text("x"))
+        assert (tmp_path / "atomic.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode

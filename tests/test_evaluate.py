@@ -237,10 +237,15 @@ class TestTuneWeights:
                            discount=0.5, bos_id=6)
         m3 = train_backoff(ngram_counts(train, 3, bos_id=6, eos_id=5), 7,
                            discount=0.5, bos_id=6)
-        w = tune_weights_em([m2, m3], held, eos_id=5)
+        w, report = tune_weights_em([m2, m3], held, eos_id=5)
         assert abs(float(w.sum()) - 1.0) < 1e-9
         mix = InterpolatedModel([m2, m3], w)
-        pp_mix = perplexity(mix, held, eos_id=5).perplexity
+        rescored = perplexity(mix, held, eos_id=5)
+        # the report comes from the EM matrix, bit-identical to rescoring
+        assert (report.token_count, report.logprob_sum, report.perplexity) == (
+            rescored.token_count, rescored.logprob_sum, rescored.perplexity
+        )
+        pp_mix = rescored.perplexity
         pp_best = min(
             perplexity(m, held, eos_id=5).perplexity for m in (m2, m3)
         )

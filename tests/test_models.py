@@ -1,15 +1,26 @@
 """Class-factored, backoff and interpolated language models."""
 
+import functools
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clusterlm.cluster import Clustering, ClusterParams, run_flat, run_tree, save_clustering
-from clusterlm.corpus import FeatureMapper, build_vocabulary, identity_mapper
+from clusterlm.cluster import Clustering, ClusterParams, load_clustering, run_flat, run_tree
+from clusterlm.corpus import (
+    FeatureMapper,
+    Vocabulary,
+    build_vocabulary,
+    identity_mapper,
+    load_feature_map,
+)
 from clusterlm.ctxtree import build_suffix_tree
-from clusterlm.events import ContextSpec, EventTable, Slot, save_counts
+from clusterlm.events import ContextSpec, EventTable, Slot, load_counts, save_counts
 from clusterlm.models import (
     BackoffModel,
     ClassLM,
@@ -25,7 +36,7 @@ from clusterlm.models import (
     train_backoff,
 )
 
-from conftest import build_table, make_random_corpus
+from conftest import build_table, make_random_corpus, random_event_table, tiny_vocab
 
 
 def identity_clustering(table):
@@ -169,18 +180,11 @@ class TestClassLM:
         clu = run_tree(table, tree, ClusterParams(n_categories=4, n_states=4, min_count=2))
         lm = ClassLM(clu, vocab, discount=0.3)
 
-        vocab.save(tmp_path / "vocab.txt")
-        save_counts(table, tmp_path / "counts.tsv")
-        save_clustering(clu, tmp_path / "clusters.tsv")
-        save_classlm(
-            lm,
-            tmp_path / "model.classlm",
-            vocab_path="vocab.txt",
-            counts_path="counts.tsv",
-            clustering_path="clusters.tsv",
-        )
+        save_classlm(lm, tmp_path / "model.classlm")
         loaded = load_classlm(tmp_path / "model.classlm")
         assert loaded.discount == lm.discount
+        assert loaded.n_parameters == lm.n_parameters
+        assert_same_probs(lm, loaded, probe_contexts(lm, vocab))
         rng = random.Random(1)
         a, b = vocab.id_of("w0"), vocab.id_of("w1")
         for _ in range(50):
@@ -188,11 +192,267 @@ class TestClassLM:
             hist = [rng.choice([a, b]) for _ in range(rng.randint(0, 3))]
             assert loaded.prob(w, hist) == lm.prob(w, hist)
 
-    def test_load_requires_referenced_artifacts(self, tmp_path):
+    def test_load_rejects_v1_file(self, tmp_path):
         p = tmp_path / "model.classlm"
-        p.write_text("#clusterlm-classlm v1\n#discount\t0.5\n")
-        with pytest.raises(ValueError, match="reference"):
+        p.write_text("#clusterlm-classlm v1\n#discount\t0.5\n#vocab\tvocab.txt\n")
+        with pytest.raises(ValueError, match="re-run"):
             load_classlm(p)
+        with pytest.raises(ValueError, match="re-run"):
+            load_model(p)
+
+    def test_mapper_table_must_cover_vocabulary(self, tmp_path):
+        # counts reloaded without their mappers carry empty placeholder tables
+        sents = make_random_corpus(43, n_sentences=20, n_words=6)
+        vocab, enc, table = build_table(sents, offsets=(-2, -1))
+        save_counts(table, tmp_path / "counts.tsv")
+        reloaded = load_counts(tmp_path / "counts.tsv")
+        clu = run_flat(reloaded, ClusterParams(n_categories=3, n_states=3, min_count=1))
+        with pytest.raises(ValueError, match=r"slot -2 \(w\).*covers 0 words"):
+            ClassLM(clu, vocab)
+
+
+def probe_contexts(lm, vocab):
+    """Seen contexts, contexts resolved through each suffix length, and
+    fully unseen ones.  The end token never occurs inside a context."""
+    eos = vocab.eos_id
+    seen = sorted(lm.state_of)
+    probes = list(seen)
+    for keep in range(1, lm.depth):
+        probes += [(eos,) * (lm.depth - keep) + c[lm.depth - keep :] for c in seen[::3]]
+    probes.append((eos,) * lm.depth)
+    return probes
+
+
+def assert_same_probs(a, b, contexts):
+    """Bit-identical state and probability of every word in every context."""
+    for ctx in contexts:
+        assert a.resolve_state(ctx) == b.resolve_state(ctx)
+        for w in range(a.n_words):
+            assert a.prob_given_context(w, ctx) == b.prob_given_context(w, ctx)
+
+
+class TestClassLMFile:
+    """The self-contained v2 class model file."""
+
+    @staticmethod
+    @functools.cache
+    def model(depth, seed=47):
+        sents = make_random_corpus(seed, n_sentences=60, n_words=8)
+        vocab, enc, table = build_table(sents, offsets=tuple(range(-depth, 0)))
+        params = ClusterParams(n_categories=4, n_states=5, min_count=2)
+        if depth > 1:
+            clu = run_tree(table, build_suffix_tree(table), params)
+        else:
+            clu = run_flat(table, params)
+        return ClassLM(clu, vocab, discount=0.4), vocab, enc
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_round_trip_is_bit_identical(self, tmp_path, depth):
+        lm, vocab, enc = self.model(depth)
+        path = tmp_path / "m.classlm"
+        save_classlm(lm, path)
+        loaded = load_classlm(path)
+        probes = probe_contexts(lm, vocab)
+        assert any(lm.state_of.get(c) is None for c in probes)
+        assert_same_probs(lm, loaded, probes)
+        for sent in enc[:10]:
+            for i in range(len(sent) + 1):
+                for w in range(lm.n_words):
+                    assert loaded.prob(w, sent[:i]) == lm.prob(w, sent[:i])
+        # a reloaded model writes the same bytes
+        save_classlm(loaded, tmp_path / "again.classlm")
+        assert (tmp_path / "again.classlm").read_bytes() == path.read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10**6), n_states=st.integers(1, 4))
+    def test_fallback_matches_dict_oracle(self, seed, n_states):
+        rng = random.Random(seed)
+        vocab = tiny_vocab(["a", "b", "c"])
+        table = random_event_table(rng, len(vocab), rng.randint(n_states, 25), depth=3, max_count=3)
+        G = [rng.randrange(2) for _ in range(len(vocab))]
+        S = [rng.randrange(n_states) for _ in range(table.n_contexts)]
+        clu = Clustering(table, 2, n_states, G, S)
+        # event-weighted majority state per proper suffix, ties to the lower id
+        weights = {}
+        for c, s, n in zip(clu.contexts, S, clu.ctx_counts.tolist()):
+            for keep in (1, 2):
+                row = weights.setdefault(c[3 - keep :], {})
+                row[s] = row.get(s, 0) + n
+        expected = {suf: min(row, key=lambda s: (-row[s], s)) for suf, row in weights.items()}
+        assert ClassLM(clu, vocab)._fallback == expected
+
+    def test_cli_model_loads_without_its_training_files(self, tmp_path, capsys):
+        from clusterlm.cli import main
+
+        d = tmp_path
+        (d / "train.txt").write_text("\n".join(make_random_corpus(59, 80, n_words=10)) + "\n")
+
+        def run(*args):
+            assert main([str(a) for a in args]) == 0, capsys.readouterr()
+
+        run("vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt")
+        run("counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+            "--context", "w:-1", "--out", d / "c1.tsv")
+        run("cluster", "run", "--counts", d / "c1.tsv", "--states", "4", "--categories", "4",
+            "--min-count", "2", "--out", d / "cl1.tsv")
+        run("classes", "export", "--clustering", d / "cl1.tsv", "--counts", d / "c1.tsv",
+            "--vocab", d / "v.txt", "--out", d / "classes.tsv")
+        run("counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+            "--context", "g:-2,w:-1", "--classmap", d / "classes.tsv", "--out", d / "c2.tsv")
+        run("cluster", "run", "--counts", d / "c2.tsv", "--tree", "--states", "5",
+            "--categories", "4", "--min-count", "2", "--out", d / "cl2.tsv",
+            "--vocab", d / "v.txt", "--classmap", d / "classes.tsv",
+            "--model-out", d / "m.classlm")
+
+        vocab = Vocabulary.load(d / "v.txt")
+        mappers = {"w": identity_mapper(vocab),
+                   "g": load_feature_map(d / "classes.tsv", vocab, "class-map", "g")}
+        table = load_counts(d / "c2.tsv", mappers=mappers)
+        built = ClassLM(load_clustering(d / "cl2.tsv", table), vocab, discount=0.5)
+        assert built.slots[0].name == "g" and built.slots[0].bos != vocab.bos_id
+        for name in ("v.txt", "c1.tsv", "cl1.tsv", "classes.tsv", "c2.tsv", "cl2.tsv", "train.txt"):
+            (d / name).unlink()
+        loaded = load_model(d / "m.classlm")
+        assert_same_probs(built, loaded, probe_contexts(built, vocab))
+        hist = [vocab.id_of("w3"), vocab.id_of("w1")]
+        for i in range(3):
+            for w in range(len(vocab)):
+                assert loaded.prob(w, hist[:i]) == built.prob(w, hist[:i])
+
+    def test_truncation_at_every_line_is_rejected(self, tmp_path):
+        lm, vocab, enc = self.model(2)
+        save_classlm(lm, tmp_path / "m.classlm")
+        lines = (tmp_path / "m.classlm").read_text().splitlines(keepends=True)
+        cut = tmp_path / "cut.classlm"
+        for k in range(len(lines)):
+            cut.write_text("".join(lines[:k]))
+            with pytest.raises(ValueError):
+                load_classlm(cut)
+            cut.write_text("".join(lines[:k]) + lines[k][: len(lines[k]) // 2])
+            with pytest.raises(ValueError):
+                load_classlm(cut)
+
+    CORRUPTIONS = {
+        "v1 header": lambda L: ["#clusterlm-classlm v1"] + L[1:],
+        "other header": lambda L: ["#clusterlm-classlm v3"] + L[1:],
+        "discount one": lambda L: set_line(L, "#discount", "#discount\t1.0"),
+        "discount negative": lambda L: set_line(L, "#discount", "#discount\t-0.1"),
+        "discount nan": lambda L: set_line(L, "#discount", "#discount\tnan"),
+        "discount text": lambda L: set_line(L, "#discount", "#discount\thalf"),
+        "depth zero": lambda L: set_line(L, "#depth", "#depth\t0"),
+        "depth too large": lambda L: set_line(L, "#depth", "#depth\t3"),
+        "n_words off": lambda L: set_line(L, "#n_words", "#n_words\t7"),
+        "n_states above contexts": lambda L: set_line(L, "#n_states", "#n_states\t100000"),
+        "n_categories above words": lambda L: set_line(L, "#n_categories", "#n_categories\t100000"),
+        "begin value out of range": lambda L: edit_slot(L, bos=10**6),
+        "offsets out of order": lambda L: edit_slot(L, offset=-1),
+        "map value out of range": lambda L: edit_row(L, "#maps", 0, "99999 0"),
+        "category out of range": lambda L: edit_row(L, "#words", 0, "4\t1"),
+        "negative word count": lambda L: edit_row(L, "#words", 0, "0\t-1"),
+        "word count changed": lambda L: edit_row(L, "#words", 3, bump_last(L, "#words", 3)),
+        "joint state out of range": lambda L: edit_row(L, "#joint", 0, "5 0\t1"),
+        "joint count zero": lambda L: edit_row(L, "#joint", 0, "0 0\t0"),
+        "joint cells unsorted": lambda L: swap_rows(L, "#joint", 0, 1),
+        "joint count short": lambda L: recount(L, "#joint", -1),
+        "joint count long": lambda L: recount(L, "#joint", +1),
+        "suffix state out of range": lambda L: edit_row(L, "#suffix", 0, "0\t9"),
+        "suffix rows unsorted": lambda L: swap_rows(L, "#suffix", 0, 1),
+        "suffix length wrong": lambda L: set_line(
+            L, "#suffix", "#suffix\t2\t" + L[find(L, "#suffix")].split("\t")[2]
+        ),
+        "context value out of range": lambda L: edit_row(L, "#contexts", 0, "0 99999\t0"),
+        "context state out of range": lambda L: edit_row(L, "#contexts", 0, "0 0\t-1"),
+        "context rows unsorted": lambda L: swap_rows(L, "#contexts", 0, 1),
+        "duplicate context row": lambda L: edit_row(L, "#contexts", 1, L[find(L, "#contexts") + 1]),
+        "context count short": lambda L: recount(L, "#contexts", -1),
+        "context count long": lambda L: recount(L, "#contexts", +1),
+        "missing section": lambda L: [x for x in L if not x.startswith("#suffix")],
+        "non-integer field": lambda L: edit_row(L, "#contexts", 0, "0 x\t0"),
+        "float field": lambda L: edit_row(L, "#words", 0, "0\t1.5"),
+        "huge field": lambda L: edit_row(L, "#words", 0, "0\t" + "9" * 25),
+        "extra field": lambda L: edit_row(L, "#contexts", 0, "0 0 0\t0"),
+        "space for tab": lambda L: edit_row(
+            L, "#contexts", 0, L[find(L, "#contexts") + 1].replace("\t", " ")
+        ),
+        "blank line": lambda L: L[:-1] + ["", L[-1]],
+        "trailing section": lambda L: L + ["#extra\t0"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_corruption_is_rejected(self, tmp_path, name):
+        lm, vocab, enc = self.model(2)
+        save_classlm(lm, tmp_path / "m.classlm")
+        lines = (tmp_path / "m.classlm").read_text().splitlines()
+        bad = tmp_path / "bad.classlm"
+        bad.write_text("\n".join(self.CORRUPTIONS[name](lines)) + "\n")
+        with pytest.raises(ValueError):
+            load_classlm(bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_byte_damage_never_escapes_as_another_error(self, data):
+        lm, vocab, enc = self.model(2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.classlm"
+            save_classlm(lm, path)
+            raw = bytearray(path.read_bytes())
+            for _ in range(data.draw(st.integers(1, 3))):
+                at = data.draw(st.integers(0, len(raw) - 1))
+                if data.draw(st.booleans()):
+                    raw[at] = data.draw(st.sampled_from(b"0123456789 \t\n#-x"))
+                else:
+                    del raw[at]
+            path.write_bytes(bytes(raw))
+            try:
+                loaded = load_classlm(path)
+            except ValueError:
+                return
+            for ctx in probe_contexts(loaded, vocab)[:20]:
+                for w in range(loaded.n_words):
+                    assert 0.0 <= loaded.prob_given_context(w, ctx) <= 1.0 + 1e-12
+
+
+def find(lines, key):
+    return next(i for i, x in enumerate(lines) if x.split("\t")[0] == key)
+
+
+def set_line(lines, key, new):
+    out = list(lines)
+    out[find(lines, key)] = new
+    return out
+
+
+def edit_row(lines, key, row, new):
+    out = list(lines)
+    out[find(lines, key) + 1 + row] = new
+    return out
+
+
+def swap_rows(lines, key, a, b):
+    at = find(lines, key) + 1
+    out = list(lines)
+    out[at + a], out[at + b] = out[at + b], out[at + a]
+    return out
+
+
+def recount(lines, key, change):
+    at = find(lines, key)
+    head, _, n = lines[at].rpartition("\t")
+    return set_line(lines, key, f"{head}\t{int(n) + change}")
+
+
+def edit_slot(lines, offset=None, bos=None):
+    at = find(lines, "#slot")
+    key, off, name, arity, b = lines[at].split("\t")
+    out = list(lines)
+    out[at] = "\t".join([key, str(off if offset is None else offset), name, arity,
+                         str(b if bos is None else bos)])
+    return out
+
+
+def bump_last(lines, key, row):
+    head, _, n = lines[find(lines, key) + 1 + row].rpartition("\t")
+    return f"{head}\t{int(n) + 1}"
 
 
 class TestNgramCounts:
@@ -406,16 +666,7 @@ class TestInterpolatedModel:
         counts = ngram_counts(enc, 2, bos_id=vocab.bos_id, eos_id=vocab.eos_id)
         bo = train_backoff(counts, len(vocab), discount=0.5, bos_id=vocab.bos_id)
 
-        vocab.save(tmp_path / "vocab.txt")
-        save_counts(table, tmp_path / "counts.tsv")
-        save_clustering(clu, tmp_path / "clusters.tsv")
-        save_classlm(
-            lm,
-            tmp_path / "class.model",
-            vocab_path="vocab.txt",
-            counts_path="counts.tsv",
-            clustering_path="clusters.tsv",
-        )
+        save_classlm(lm, tmp_path / "class.model")
         save_backoff(bo, tmp_path / "backoff.model")
         mix = InterpolatedModel([lm, bo], [0.4, 0.6])
         save_interpolated(mix, tmp_path / "mix.model", ["class.model", "backoff.model"])
