@@ -20,7 +20,6 @@ from clusterlm.events import (
     Slot,
     EventTable,
     extract_events,
-    distinct_context_count,
     save_counts,
     load_counts,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "Slot",
     "EventTable",
     "extract_events",
-    "distinct_context_count",
     "save_counts",
     "load_counts",
     "ContextTree",

@@ -1,0 +1,154 @@
+"""Integer row sections: the text codec of the counts, clustering and
+class model files.
+
+A section is a run of lines, one per row of an integer matrix: the
+row's key fields separated by spaces, then each value field after a
+tab, as in ``3 17<TAB>5<TAB>2``.  Rows are formatted and parsed a whole
+array at a time with numpy, and formatting a parsed section gives back
+its bytes.
+"""
+
+from __future__ import annotations
+
+from typing import BinaryIO, Iterator
+
+import numpy as np
+
+_ROWS_PER_WRITE = 1 << 12
+
+
+def write_rows(fh: BinaryIO, keys: np.ndarray, *values: np.ndarray) -> None:
+    """Write one ASCII line per row of non-negative integers: the
+    columns of ``keys`` separated by spaces, then a tab before the row's
+    entry of each of ``values``.  Formatted with numpy digit position by
+    digit position, a block of rows at a time so the temporaries stay
+    small."""
+    n_cols = keys.shape[1] + len(values)
+    seps = np.full(n_cols, ord(" "), dtype=np.uint8)
+    seps[keys.shape[1] - 1 :] = ord("\t")
+    seps[-1] = ord("\n")
+    for lo in range(0, len(keys), _ROWS_PER_WRITE):
+        hi = lo + _ROWS_PER_WRITE
+        flat = np.column_stack([keys[lo:hi], *(v[lo:hi] for v in values)]).astype(np.int64).ravel()
+        n_digits = np.searchsorted(10 ** np.arange(1, 19, dtype=np.int64), flat, side="right") + 1
+        ends = np.cumsum(n_digits + 1) - 1  # the separator after each field
+        out = np.empty(int(ends[-1]) + 1, dtype=np.uint8)
+        out[ends] = np.tile(seps, len(flat) // n_cols)
+        for j in range(int(n_digits.max())):
+            live = n_digits > j
+            out[(ends - 1 - j)[live]] = ord("0") + flat[live] % 10
+            flat //= 10
+        fh.write(out.tobytes())
+
+
+class Reader:
+    """Cursor over the bytes of a file of header lines and row sections.
+    Every error is a ``ValueError`` opened by ``corrupt``."""
+
+    def __init__(self, data: bytes, pos: int, corrupt: str):
+        self.data = data
+        self.pos = pos
+        self.corrupt = corrupt
+
+    def error(self, message: str) -> ValueError:
+        return ValueError(f"{self.corrupt}: {message}")
+
+    def at(self, key: str) -> bool:
+        """Whether the next line is a ``key`` line with fields."""
+        return self.data.startswith(key.encode() + b"\t", self.pos)
+
+    def line(self, key: str, n_fields: int) -> list[str]:
+        """Fields of the next line, which must be ``key`` plus
+        ``n_fields`` tab-separated fields."""
+        end = self.data.find(b"\n", self.pos)
+        if end < 0:
+            raise self.error(f"missing {key} line")
+        fields = self.data[self.pos : end].decode("utf-8").split("\t")
+        if fields[0] != key or len(fields) != n_fields + 1:
+            raise self.error(f"expected a {key} line with {n_fields} field(s)")
+        self.pos = end + 1
+        return fields[1:]
+
+    def int(self, text: str, what: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise self.error(f"{what} is not an integer: {text!r}") from None
+
+    def int_line(self, key: str) -> int:
+        """The integer of the next line, ``key<TAB>n``."""
+        return self.int(self.line(key, 1)[0], key[1:])
+
+    def rows(self, what: str, n_key: int, n_value: int, n_rows: int | None = None) -> np.ndarray:
+        """The integer rows up to the next ``#`` line or the end, each
+        ``n_key`` space-separated fields and ``n_value`` more after tabs,
+        parsed in one pass.  A field is an optionally negative integer
+        of 1 to 18 digits.  When ``n_rows`` is given there must be
+        exactly that many rows."""
+        data, pos = self.data, self.pos
+        if pos >= len(data) or data.startswith(b"#", pos):
+            end = pos
+        else:
+            nxt = data.find(b"\n#", pos)
+            end = len(data) if nxt < 0 else nxt + 1
+        body = data[pos:end]
+        found = body.count(b"\n")
+        if n_rows is not None and found != n_rows:
+            raise self.error(f"{what} declares {n_rows} rows, {found} found")
+        n_cols = n_key + n_value
+        buf = np.frombuffer(body, dtype=np.uint8)
+        is_sep = (buf == 32) | (buf == 9) | (buf == 10)
+        sep_at = np.flatnonzero(is_sep)
+        pattern = np.array([32] * (n_key - 1) + [9] * n_value + [10], dtype=np.uint8)
+        cut = body and not body.endswith(b"\n")  # a last line without its newline
+        if cut or sep_at.size != found * n_cols or (
+            buf[sep_at].reshape(found, n_cols) != pattern
+        ).any():
+            raise self.error(f"malformed {what} rows")
+        is_minus = buf == 45
+        if not (is_sep | is_minus | ((buf >= 48) & (buf <= 57))).all():
+            raise self.error(f"{what} holds a field that is not an integer")
+        widths = np.diff(sep_at, prepend=-1) - 1
+        signed = is_minus[sep_at - widths]
+        if int(signed.sum()) != int(is_minus.sum()):
+            raise self.error(f"{what} holds a minus sign inside a field")
+        # every field is 1 to 18 digits, so the parse below is exact
+        widths -= signed
+        if widths.size and (widths.min() < 1 or widths.max() > 18):
+            raise self.error(f"{what} holds an empty or oversized field")
+        values = np.fromstring(body, dtype=np.int64, sep=" ")
+        self.pos = end
+        return values.reshape(found, n_cols)
+
+    def end(self, after: str) -> None:
+        if self.pos != len(self.data):
+            raise self.error(f"unexpected content after {after}")
+
+
+def check_range(values: np.ndarray, lo: int, hi: int, what: str) -> None:
+    if values.size and (int(values.min()) < lo or int(values.max()) >= hi):
+        raise ValueError(f"{what} outside [{lo}, {hi})")
+
+
+def check_strictly_sorted(rows: np.ndarray, what: str) -> None:
+    """Rows must increase strictly in lexicographic order."""
+    if len(rows) < 2:
+        return
+    before, after = rows[:-1], rows[1:]
+    differ = before != after
+    first = differ.argmax(axis=1)
+    at = np.arange(len(first))
+    if not (differ.any(axis=1) & (after[at, first] > before[at, first])).all():
+        raise ValueError(f"{what} rows are not strictly sorted")
+
+
+def row_starts(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows that differ from the row before them."""
+    out = np.ones(len(rows), dtype=bool)
+    out[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return out
+
+
+def tuples(rows: np.ndarray) -> Iterator[tuple[int, ...]]:
+    """Rows of a 2-D integer array as tuples of Python ints."""
+    return zip(*rows.T.tolist())

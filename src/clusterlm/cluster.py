@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from clusterlm import _kernels
+from clusterlm._rows import Reader, write_rows
 from clusterlm.corpus import Vocabulary
 from clusterlm.ctxtree import ContextTree, Level, suffix_level
 from clusterlm.events import ContextTuple, EventTable
@@ -72,8 +73,8 @@ class Clustering:
     """Joint assignment of words to categories and contexts to states,
     with the count statistics needed for O(nonzero) move deltas.
 
-    Contexts are indexed by their sorted order; ``S[i]`` is the state of
-    ``contexts[i]`` and ``G[w]`` the category of word ``w``.
+    ``S[i]`` is the state of the table's ``contexts[i]`` and ``G[w]`` the
+    category of word ``w``.
     """
 
     def __init__(
@@ -88,65 +89,43 @@ class Clustering:
         self.n_categories = int(n_categories)
         self.n_states = int(n_states)
         self.n_words = table.n_words
-        self.contexts: list[ContextTuple] = sorted(table.counts)
-        self.ctx_index = {c: i for i, c in enumerate(self.contexts)}
 
-        self.G = np.asarray(G, dtype=np.int32).copy()
-        self.S = np.asarray(S, dtype=np.int32).copy()
-        if self.G.shape != (self.n_words,):
+        G, S = np.asarray(G), np.asarray(S)
+        if G.shape != (self.n_words,):
             raise ValueError("category assignment length does not match vocabulary")
-        if self.S.shape != (len(self.contexts),):
+        if S.shape != (table.n_contexts,):
             raise ValueError("state assignment length does not match context count")
-        if self.G.size and not (0 <= self.G.min() and self.G.max() < self.n_categories):
+        if G.size and not (0 <= G.min() and G.max() < self.n_categories):
             raise ValueError("category id out of range")
-        if self.S.size and not (0 <= self.S.min() and self.S.max() < self.n_states):
+        if S.size and not (0 <= S.min() and S.max() < self.n_states):
             raise ValueError("state id out of range")
+        self.G = G.astype(np.int32)
+        self.S = S.astype(np.int32)
 
-        self.word_counts = np.zeros(self.n_words, dtype=np.int64)
-        for w, n in table.word_marginals.items():
-            self.word_counts[w] = n
-        self.ctx_counts = np.fromiter(
-            (table.context_marginals[c] for c in self.contexts),
-            dtype=np.int64,
-            count=len(self.contexts),
-        )
+        # the table's arrays, shared rather than copied
+        self.word_counts = table.word_counts
+        self.ctx_counts = table.ctx_counts
 
-        self._build_csr()
+        self._build_transpose()
         self._build_stats()
         self.iterations_run = 0
         self.iterations_per_level: list[int] = []
 
     # -- construction ----------------------------------------------------
 
-    def _build_csr(self) -> None:
-        counts = self.table.counts
-        nnz = sum(len(counts[c]) for c in self.contexts)
-        self.ctx_ptr = np.zeros(len(self.contexts) + 1, dtype=np.int64)
-        self.ctx_words = np.zeros(nnz, dtype=np.int32)
-        self.ctx_wcounts = np.zeros(nnz, dtype=np.int64)
-        pos = 0
-        for i, c in enumerate(self.contexts):
-            row = counts[c]
-            for w in sorted(row):
-                self.ctx_words[pos] = w
-                self.ctx_wcounts[pos] = row[w]
-                pos += 1
-            self.ctx_ptr[i + 1] = pos
-
-        # transpose: per-word lists of (context index, count)
-        order = np.argsort(self.ctx_words, kind="stable")
-        self.ctx_of = np.repeat(
-            np.arange(len(self.contexts), dtype=np.int32), np.diff(self.ctx_ptr)
-        )
+    def _build_transpose(self) -> None:
+        """Per-word lists of (context index, count)."""
+        table = self.table
+        order = np.argsort(table.words, kind="stable")
+        self.ctx_of = np.repeat(np.arange(table.n_contexts, dtype=np.int32), np.diff(table.ptr))
         self.w_ctxs = self.ctx_of[order]
-        self.w_ccounts = self.ctx_wcounts[order]
+        self.w_ccounts = table.freqs[order]
         self.w_ptr = np.zeros(self.n_words + 1, dtype=np.int64)
-        np.add.at(self.w_ptr[1:], self.ctx_words, 1)
-        np.cumsum(self.w_ptr, out=self.w_ptr)
+        np.cumsum(np.bincount(table.words, minlength=self.n_words), out=self.w_ptr[1:])
 
     def _build_stats(self) -> None:
         self.joint = np.zeros((self.n_states, self.n_categories), dtype=np.int64)
-        np.add.at(self.joint, (self.S[self.ctx_of], self.G[self.ctx_words]), self.ctx_wcounts)
+        np.add.at(self.joint, (self.S[self.ctx_of], self.G[self.table.words]), self.table.freqs)
         self.state_totals = self.joint.sum(axis=1)
         self.cat_totals = self.joint.sum(axis=0)
 
@@ -177,11 +156,12 @@ class Clustering:
 
     def group_profile(self, leaf_indices: np.ndarray) -> np.ndarray:
         """Event counts of a set of contexts per category."""
-        lo = self.ctx_ptr[leaf_indices]
-        n = self.ctx_ptr[leaf_indices + 1] - lo
+        table = self.table
+        lo = table.ptr[leaf_indices]
+        n = table.ptr[leaf_indices + 1] - lo
         pos = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
         prof = np.zeros(self.n_categories, dtype=np.int64)
-        np.add.at(prof, self.G[self.ctx_words[pos]], self.ctx_wcounts[pos])
+        np.add.at(prof, self.G[table.words[pos]], table.freqs[pos])
         return prof
 
     # -- moves -----------------------------------------------------------
@@ -262,10 +242,7 @@ def delta_move_context_group(
     one state."""
     if not 0 <= target < clustering.n_states:
         raise ValueError("state id out of range")
-    try:
-        idx = [clustering.ctx_index[c] for c in group]
-    except KeyError as exc:
-        raise ValueError(f"unknown context {exc.args[0]!r}") from None
+    idx = [clustering.table.index_of(c) for c in group]
     return float(clustering.group_move_deltas(np.asarray(idx, dtype=np.int64))[target])
 
 
@@ -290,11 +267,8 @@ def init_clustering(table: EventTable, params: ClusterParams) -> Clustering:
         raise ValueError("n_categories exceeds vocabulary size")
     if params.n_states > table.n_contexts:
         raise ValueError("n_states exceeds distinct context count")
-    contexts = sorted(table.counts)
-    word_counts = [table.word_marginals.get(w, 0) for w in range(table.n_words)]
-    ctx_counts = [table.context_marginals[c] for c in contexts]
-    G = _ranked_init(word_counts, params.n_categories)
-    S = _ranked_init(ctx_counts, params.n_states)
+    G = _ranked_init(table.word_counts, params.n_categories)
+    S = _ranked_init(table.ctx_counts, params.n_states)
     return Clustering(table, params.n_categories, params.n_states, G, S)
 
 
@@ -307,8 +281,7 @@ def _grouped_init(table: EventTable, tree: ContextTree, params: ClusterParams) -
         raise ValueError("n_states exceeds distinct context count")
     level1 = tree.levels[1]
     S = _ranked_init(level1.counts, min(params.n_states, len(level1)))[level1.group_of]
-    word_counts = [table.word_marginals.get(w, 0) for w in range(table.n_words)]
-    G = _ranked_init(word_counts, params.n_categories)
+    G = _ranked_init(table.word_counts, params.n_categories)
     return Clustering(table, params.n_categories, params.n_states, G, S)
 
 
@@ -381,8 +354,7 @@ def run_flat(
     """Exchange clustering with every distinct context as its own
     movable unit."""
     clustering = init_clustering(table, params)
-    mat = np.array(clustering.contexts, dtype=np.int64)
-    leaves = suffix_level(mat, table.spec.depth, clustering.ctx_counts)
+    leaves = suffix_level(table.contexts, table.spec.depth, table.ctx_counts)
     units = _visit_units(clustering, leaves, params.min_count)
     n_iter = _sweep(clustering, units, params, on_move)
     clustering.iterations_run = n_iter
@@ -437,77 +409,60 @@ def export_categories(clustering: Clustering, vocab: Vocabulary) -> dict[int, li
 
 def save_clustering(clustering: Clustering, path: str | Path) -> None:
     """Text dump: header, word-to-category lines, context-to-state lines."""
-    lines = [
+    header = [
         "#clusterlm-clustering v1",
         f"#n_categories\t{clustering.n_categories}",
         f"#n_states\t{clustering.n_states}",
         f"#n_words\t{clustering.n_words}",
         f"#depth\t{clustering.table.spec.depth}",
         f"#criterion\t{clustering.criterion()!r}",
-        "#G",
     ]
-    for w in range(clustering.n_words):
-        lines.append(f"{w}\t{int(clustering.G[w])}")
-    lines.append("#S")
-    for i, c in enumerate(clustering.contexts):
-        lines.append(f"{' '.join(str(v) for v in c)}\t{int(clustering.S[i])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "wb") as fh:
+        fh.write("\n".join(header).encode("utf-8") + b"\n#G\n")
+        write_rows(fh, np.arange(clustering.n_words)[:, None], clustering.G)
+        fh.write(b"#S\n")
+        write_rows(fh, clustering.table.contexts, clustering.S)
 
 
 def load_clustering(path: str | Path, table: EventTable) -> Clustering:
     """Rebuild a Clustering from a saved assignment plus the counts it
-    was trained on.  The stored criterion is checked against the rebuilt
-    tables."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != "#clusterlm-clustering v1":
+    was trained on.  The rows must be those ``save_clustering`` writes:
+    words 0 to n-1, then the table's contexts in order.  A stored
+    criterion is checked against the rebuilt tables."""
+    data = Path(path).read_bytes()
+    first, _, _ = data.partition(b"\n")
+    if first.strip() != b"#clusterlm-clustering v1":
         raise ValueError("not a clustering file")
-    meta: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and lines[i].startswith("#") and lines[i] != "#G":
-        key, _, value = lines[i][1:].partition("\t")
-        meta[key] = value
-        i += 1
-    if i >= len(lines) or lines[i] != "#G":
-        raise ValueError("corrupt clustering file: missing assignment sections")
-    n_categories = int(meta["n_categories"])
-    n_states = int(meta["n_states"])
-    n_words = int(meta["n_words"])
-    depth = int(meta["depth"])
+    r = Reader(data, len(first) + 1, "corrupt clustering file")
+    n_categories = r.int_line("#n_categories")
+    n_states = r.int_line("#n_states")
+    n_words = r.int_line("#n_words")
+    depth = r.int_line("#depth")
     if n_words != table.n_words:
         raise ValueError("clustering does not match counts: vocabulary size differs")
     if depth != table.spec.depth:
         raise ValueError("clustering does not match counts: context depth differs")
-
-    G = np.zeros(n_words, dtype=np.int32)
-    i += 1
-    seen_words = 0
-    while i < len(lines) and lines[i] != "#S":
-        wid_s, _, cat_s = lines[i].partition("\t")
-        wid = int(wid_s)
-        if not 0 <= wid < n_words:
-            raise ValueError(f"corrupt clustering file: word id {wid} outside the vocabulary")
-        G[wid] = int(cat_s)
-        seen_words += 1
-        i += 1
-    if seen_words != n_words:
-        raise ValueError("corrupt clustering file: word section incomplete")
-    if i >= len(lines):
-        raise ValueError("corrupt clustering file: missing state section")
-
-    S_map: dict[ContextTuple, int] = {}
-    for line in lines[i + 1 :]:
-        if not line.strip():
-            continue
-        ctx_s, _, st_s = line.partition("\t")
-        S_map[tuple(int(v) for v in ctx_s.split())] = int(st_s)
-    contexts = sorted(table.counts)
-    if set(S_map) != set(contexts):
-        raise ValueError("clustering does not match counts: context sets differ")
-    S = np.fromiter((S_map[c] for c in contexts), dtype=np.int32, count=len(contexts))
-    clustering = Clustering(table, n_categories, n_states, G, S)
-    stored = float(meta.get("criterion", "nan"))
+    if not (1 <= n_categories <= n_words and 1 <= n_states <= table.n_contexts):
+        raise r.error("n_categories must lie in [1, n_words], n_states in [1, n_contexts]")
+    stored = math.nan
+    if r.at("#criterion"):
+        text = r.line("#criterion", 1)[0]
+        try:
+            stored = float(text)
+        except ValueError:
+            raise r.error(f"criterion is not a number: {text!r}") from None
+    r.line("#G", 0)
+    words = r.rows("#G", 1, 1, n_words)
+    if not np.array_equal(words[:, 0], np.arange(n_words)):
+        raise r.error("the #G word ids must run from 0 to n_words - 1 in order")
+    r.line("#S", 0)
+    contexts = r.rows("#S", depth, 1, table.n_contexts)
+    r.end("the #S rows")
+    if not np.array_equal(contexts[:, :-1], table.contexts):
+        raise ValueError("clustering does not match counts: the #S rows are not its contexts")
+    clustering = Clustering(table, n_categories, n_states, words[:, 1], contexts[:, -1])
     if math.isfinite(stored):
         got = clustering.criterion()
         if abs(got - stored) > 1e-6 * max(1.0, abs(stored)):
-            raise ValueError("corrupt clustering file: criterion mismatch")
+            raise r.error("criterion mismatch")
     return clustering

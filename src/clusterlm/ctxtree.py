@@ -62,14 +62,8 @@ def suffix_level(mat: np.ndarray, level: int, ctx_counts: np.ndarray) -> Level:
 
 def build_suffix_tree(table: EventTable) -> ContextTree:
     """Group the table's contexts by shared suffixes of every length."""
-    if not table.counts:
-        raise ValueError("empty event table")
-    contexts = sorted(table.context_marginals)
-    mat = np.array(contexts, dtype=np.int64)
-    ctx_counts = np.fromiter(
-        map(table.context_marginals.__getitem__, contexts), dtype=np.int64, count=len(contexts)
-    )
     depth = table.spec.depth
     return ContextTree(
-        depth=depth, levels=[suffix_level(mat, lvl, ctx_counts) for lvl in range(depth + 1)]
+        depth=depth,
+        levels=[suffix_level(table.contexts, lvl, table.ctx_counts) for lvl in range(depth + 1)],
     )

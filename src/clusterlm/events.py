@@ -8,10 +8,22 @@ offsets from the predicted position.  Tuples are stored farthest-first,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+import itertools
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from clusterlm._rows import (
+    Reader,
+    check_range,
+    check_strictly_sorted,
+    row_starts,
+    tuples,
+    write_rows,
+)
 from clusterlm.corpus import FeatureMapper, Vocabulary
 
 ContextTuple = tuple[int, ...]
@@ -52,50 +64,79 @@ class ContextSpec:
         return tuple(s.mapper.arity for s in self.slots)
 
 
-@dataclass
 class EventTable:
-    """Sparse counts N(context, word) with exact integer marginals."""
+    """Sparse counts N(context, word) as sorted compressed-row arrays.
 
-    spec: ContextSpec
-    n_words: int
-    counts: dict[ContextTuple, dict[int, int]] = field(repr=False)
-    context_marginals: dict[ContextTuple, int] = field(repr=False)
-    word_marginals: dict[int, int] = field(repr=False)
-    total: int
+    ``contexts[i]`` is the i-th distinct context, rows in ascending
+    tuple order; its words are ``words[ptr[i]:ptr[i + 1]]``, ascending,
+    with counts ``freqs`` at the same positions.  ``ctx_counts`` and
+    ``word_counts`` are the exact marginals (0 for a word never seen).
+    The arrays are read-only; clustering and the models share them.
+    """
+
+    def __init__(self, spec: ContextSpec, n_words: int, keys: np.ndarray, freqs: np.ndarray):
+        """Build the table from one row per distinct event, ``keys`` =
+        (context values..., word id) in strictly increasing order, with
+        their positive counts ``freqs``."""
+        keys = np.asarray(keys, dtype=np.int64)
+        freqs = np.asarray(freqs, dtype=np.int64)
+        if len(freqs) == 0:
+            raise ValueError("empty event table")
+        if keys.shape != (len(freqs), spec.depth + 1):
+            raise ValueError("context tuple length does not match spec depth")
+        check_range(keys[:, -1], 0, n_words, "word ids")
+        for k, slot in enumerate(spec.slots):
+            check_range(keys[:, k], 0, slot.mapper.arity, f"slot {slot.offset} values")
+        if int(freqs.min()) <= 0:
+            raise ValueError("stored counts must be strictly positive")
+        total = sum(freqs.tolist())  # exact, so the int64 sums below cannot wrap
+        if total >= 2**62:
+            raise ValueError("stored counts must add up to less than 2**62")
+        check_strictly_sorted(keys, "(context, word)")
+
+        first = np.flatnonzero(row_starts(keys[:, :-1]))
+        self.spec = spec
+        self.n_words = int(n_words)
+        self.contexts = keys[first, :-1].astype(np.int32)
+        self.ptr = np.append(first, len(keys))
+        self.words = keys[:, -1].astype(np.int32)
+        self.freqs = freqs
+        self.ctx_counts = np.add.reduceat(freqs, first)
+        self.word_counts = np.zeros(self.n_words, dtype=np.int64)
+        np.add.at(self.word_counts, self.words, freqs)
+        self.total = total
+        for name in ("contexts", "ptr", "words", "freqs", "ctx_counts", "word_counts"):
+            getattr(self, name).flags.writeable = False
 
     @classmethod
     def from_counts(
         cls, spec: ContextSpec, n_words: int, counts: dict[ContextTuple, dict[int, int]]
     ) -> "EventTable":
-        """Build a table (with marginals) from raw sparse counts."""
-        ctx_marg: dict[ContextTuple, int] = {}
-        word_marg: dict[int, int] = {}
-        total = 0
-        for ctx, row in counts.items():
-            if len(ctx) != spec.depth:
-                raise ValueError("context tuple length does not match spec depth")
-            n_c = 0
-            for w, n in row.items():
-                if n <= 0:
-                    raise ValueError("stored counts must be strictly positive")
-                n_c += n
-                word_marg[w] = word_marg.get(w, 0) + n
-            ctx_marg[ctx] = n_c
-            total += n_c
-        if word_marg and (min(word_marg) < 0 or max(word_marg) >= n_words):
-            raise ValueError(f"word ids outside the {n_words}-word vocabulary")
-        return cls(
-            spec=spec,
-            n_words=n_words,
-            counts=counts,
-            context_marginals=ctx_marg,
-            word_marginals=word_marg,
-            total=total,
-        )
+        """A table from nested dicts, ``counts[context][word] = n``."""
+        rows = [(*ctx, w, n) for ctx in sorted(counts) for w, n in sorted(counts[ctx].items())]
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+        return cls(spec, n_words, table[:, :-1], table[:, -1])
 
     @property
     def n_contexts(self) -> int:
-        return len(self.counts)
+        return len(self.contexts)
+
+    @property
+    def counts(self) -> dict[ContextTuple, dict[int, int]]:
+        # nested dicts for the benchmark tracer and tests; package code reads the arrays
+        words, freqs, ptr = self.words.tolist(), self.freqs.tolist(), self.ptr.tolist()
+        return {
+            ctx: dict(zip(words[lo:hi], freqs[lo:hi]))
+            for ctx, lo, hi in zip(tuples(self.contexts), ptr, ptr[1:])
+        }
+
+    def index_of(self, context: ContextTuple) -> int:
+        """Row of ``context`` in ``contexts``; ValueError if never seen."""
+        rows, key = self.contexts, tuple(context)
+        i = bisect.bisect_left(range(len(rows)), key, key=lambda k: tuple(rows[k].tolist()))
+        if i == len(rows) or tuple(rows[i].tolist()) != key:
+            raise ValueError(f"unknown context {key!r}")
+        return i
 
 
 def extract_events(
@@ -114,46 +155,43 @@ def extract_events(
                 f"mapper arity mismatch: slot {slot.offset} maps {slot.mapper.table.size} "
                 f"words, vocabulary has {len(vocab)}"
             )
-    bos_values = tuple(int(s.mapper.table[vocab.bos_id]) for s in spec.slots)
-    tables = [s.mapper.table for s in spec.slots]
-    offsets = [s.offset for s in spec.slots]
-    eos = vocab.eos_id
-
-    counts: dict[ContextTuple, dict[int, int]] = {}
-    for sent in sentences:
-        n = len(sent)
-        for i in range(n + 1):
-            w = sent[i] if i < n else eos
-            ctx = tuple(
-                int(tables[k][sent[i + offsets[k]]]) if i + offsets[k] >= 0 else bos_values[k]
-                for k in range(len(offsets))
-            )
-            row = counts.setdefault(ctx, {})
-            row[w] = row.get(w, 0) + 1
-    if not counts:
+    sentences = list(sentences)
+    if not sentences:
         raise ValueError("empty corpus")
-    return EventTable.from_counts(spec, len(vocab), counts)
-
-
-def distinct_context_count(table: EventTable, min_count: int) -> tuple[int, int]:
-    """(number of distinct contexts, number occurring fewer than
-    ``min_count`` times)."""
-    below = sum(1 for n in table.context_marginals.values() if n < min_count)
-    return len(table.context_marginals), below
+    # The corpus becomes one stream of blocks: `pad` begin tokens, the
+    # sentence and its end token.  Every position after a block's padding
+    # is predicted, and no context reaches back past that padding.
+    pad = -spec.slots[0].offset
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    block_ends = np.cumsum(lengths + pad + 1) - 1
+    stream = np.full(int(block_ends[-1]) + 1, vocab.bos_id, dtype=np.int64)
+    is_word = np.ones(len(stream), dtype=bool)
+    is_word[(block_ends - lengths - pad)[:, None] + np.arange(pad)] = False
+    is_word[block_ends] = False
+    stream[is_word] = np.fromiter(
+        itertools.chain.from_iterable(sentences), dtype=np.int64, count=int(lengths.sum())
+    )
+    stream[block_ends] = vocab.eos_id
+    is_word[block_ends] = True  # the end token is predicted too
+    at = np.flatnonzero(is_word)
+    keys = np.column_stack(
+        [slot.mapper.table[stream[at + slot.offset]] for slot in spec.slots] + [stream[at]]
+    )
+    keys = keys[np.lexsort(keys.T[::-1])]
+    first = np.flatnonzero(row_starts(keys))
+    return EventTable(spec, len(vocab), keys[first], np.diff(first, append=len(keys)))
 
 
 def save_counts(table: EventTable, path: str | Path) -> None:
     """Text dump: header with slot metadata, then one line per event,
     ``v_L ... v_1<TAB>word-id<TAB>count`` sorted by tuple then word."""
-    lines = ["#clusterlm-counts v1", f"#vocab\t{table.n_words}"]
+    header = ["#clusterlm-counts v1", f"#vocab\t{table.n_words}"]
     for slot in table.spec.slots:
-        lines.append(f"#slot\t{slot.offset}\t{slot.mapper.name}\t{slot.mapper.arity}")
-    for ctx in sorted(table.counts):
-        row = table.counts[ctx]
-        ctx_str = " ".join(str(v) for v in ctx)
-        for w in sorted(row):
-            lines.append(f"{ctx_str}\t{w}\t{row[w]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header.append(f"#slot\t{slot.offset}\t{slot.mapper.name}\t{slot.mapper.arity}")
+    with open(path, "wb") as fh:
+        fh.write("\n".join(header).encode("utf-8") + b"\n")
+        rows = np.repeat(table.contexts, np.diff(table.ptr), axis=0)
+        write_rows(fh, rows, table.words, table.freqs)
 
 
 def load_counts(path: str | Path, mappers: dict[str, FeatureMapper] | None = None) -> EventTable:
@@ -162,53 +200,38 @@ def load_counts(path: str | Path, mappers: dict[str, FeatureMapper] | None = Non
     When ``mappers`` is given, slot names are resolved against it and
     arities are checked; otherwise placeholder identity-kind mappers of
     the recorded arity are synthesized (sufficient for clustering, which
-    only consumes value ids).
+    only consumes value ids).  The event lines are parsed in one numpy
+    pass; they must be sorted and unique, with every word id and slot
+    value in range, or ``ValueError`` is raised.
     """
-    import numpy as np
-
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "#clusterlm-counts v1":
+    data = Path(path).read_bytes()
+    first, _, _ = data.partition(b"\n")
+    if first != b"#clusterlm-counts v1":
         raise ValueError(f"not a counts file: {path}")
-    n_words = None
+    r = Reader(data, len(first) + 1, "corrupt counts file")
+    n_words = r.int_line("#vocab")
     slots: list[Slot] = []
-    body_start = 0
-    for idx, line in enumerate(lines):
-        if not line.startswith("#"):
-            body_start = idx
-            break
-        if line.startswith("#vocab\t"):
-            n_words = int(line.split("\t")[1])
-        elif line.startswith("#slot\t"):
-            _, off, name, arity = line.split("\t")
-            off, arity = int(off), int(arity)
-            if mappers is not None:
-                if name not in mappers:
-                    raise ValueError(f"counts file references unknown mapper {name!r}")
-                mapper = mappers[name]
-                if mapper.arity != arity:
-                    raise ValueError(
-                        f"mapper arity mismatch for {name!r}: file says {arity}, got {mapper.arity}"
-                    )
-            else:
-                mapper = FeatureMapper(
-                    name=name,
-                    kind="identity",
-                    table=np.zeros(0, dtype=np.int32),
-                    arity=arity,
-                    value_names=[],
+    while r.at("#slot"):
+        off, name, arity = r.line("#slot", 3)
+        off, arity = r.int(off, "slot offset"), r.int(arity, "slot arity")
+        if mappers is not None:
+            if name not in mappers:
+                raise ValueError(f"counts file references unknown mapper {name!r}")
+            mapper = mappers[name]
+            if mapper.arity != arity:
+                raise ValueError(
+                    f"mapper arity mismatch for {name!r}: file says {arity}, got {mapper.arity}"
                 )
-            slots.append(Slot(offset=off, mapper=mapper))
-    else:
-        body_start = len(lines)
-    if n_words is None:
-        raise ValueError("counts file lacks #vocab header")
+        else:
+            mapper = FeatureMapper(
+                name=name,
+                kind="identity",
+                table=np.zeros(0, dtype=np.int32),
+                arity=arity,
+                value_names=[],
+            )
+        slots.append(Slot(offset=off, mapper=mapper))
     spec = ContextSpec(slots=tuple(slots))
-
-    counts: dict[ContextTuple, dict[int, int]] = {}
-    for line in lines[body_start:]:
-        if not line:
-            continue
-        ctx_str, w_str, n_str = line.split("\t")
-        ctx = tuple(int(v) for v in ctx_str.split(" "))
-        counts.setdefault(ctx, {})[int(w_str)] = int(n_str)
-    return EventTable.from_counts(spec, n_words, counts)
+    rows = r.rows("event", spec.depth, 2)
+    r.end("the event lines")
+    return EventTable(spec, n_words, rows[:, :-1], rows[:, -1])

@@ -18,12 +18,20 @@ All trained models are immutable and their queries are pure.
 
 from __future__ import annotations
 
-import itertools
 import math
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+from clusterlm._rows import (
+    Reader,
+    check_range,
+    check_strictly_sorted,
+    row_starts,
+    tuples,
+    write_rows,
+)
 
 # load_counts and load_clustering are unused here but stay importable:
 # the benchmark tracer patches them in this module's namespace.
@@ -38,7 +46,6 @@ from clusterlm.events import ContextTuple, load_counts  # noqa: F401
 
 CLASSLM_VERSION = "#clusterlm-classlm v2"
 _CORRUPT = "corrupt class model file"
-_ROWS_PER_WRITE = 1 << 12
 
 
 class ClassSlot(NamedTuple):
@@ -69,8 +76,8 @@ class ClassLM:
 
     The model is a handful of tables: ``maps`` (the value of every word
     at every slot), ``G`` and ``word_counts`` per word, the nonzero joint
-    cells ``joint_cells`` (rows s, g, N(s,g), sorted), ``state_of`` (every
-    training context's state, in sorted context order), and per proper
+    cells ``joint_cells`` (rows s, g, N(s,g), sorted), the training
+    ``contexts`` (sorted rows) with their ``states``, and per proper
     suffix length k the sorted ``suffix_tables[k-1]`` = (keys, states).
     ``save_classlm`` writes exactly these, so a saved model loads on its
     own.
@@ -89,7 +96,7 @@ class ClassLM:
                     f"{slot.mapper.table.size} words but the vocabulary has {n_words}; "
                     "load the counts with the feature maps they were collected with"
                 )
-        suffix_tables = _suffix_tables(clustering)
+        table = clustering.table
         s, g = np.nonzero(clustering.joint)
         self._setup(
             discount,
@@ -105,8 +112,12 @@ class ClassLM:
             np.stack([s, g, clustering.joint[s, g]], axis=1),
             clustering.n_categories,
             clustering.n_states,
-            dict(zip(clustering.contexts, map(int, clustering.S))),
-            suffix_tables,
+            table.contexts,
+            clustering.S.copy(),
+            [
+                _suffix_states(table.contexts, clustering.S, table.ctx_counts, keep)
+                for keep in range(1, table.spec.depth)
+            ],
         )
 
     def _setup(
@@ -119,7 +130,8 @@ class ClassLM:
         joint_cells: np.ndarray,
         n_categories: int,
         n_states: int,
-        state_of: dict[ContextTuple, int],
+        contexts: np.ndarray,
+        states: np.ndarray,
         suffix_tables: list[tuple[np.ndarray, np.ndarray]],
     ) -> None:
         """Keep the tables; derive the marginals and the suffix lookup."""
@@ -141,9 +153,11 @@ class ClassLM:
         self.total = int(word_counts.sum())
         self._nplus = np.bincount(s, minlength=self.n_states).astype(np.int64)
         self._joint = dict(zip(zip(s.tolist(), g.tolist()), n.tolist()))
-        self.state_of = state_of
+        self.contexts = contexts
+        self.states = states
+        self.state_of = dict(zip(tuples(contexts), states.tolist()))
         self._fallback = {
-            key: st for keys, sts in suffix_tables for key, st in zip(_tuples(keys), sts.tolist())
+            key: st for keys, sts in suffix_tables for key, st in zip(tuples(keys), sts.tolist())
         }
         self._default_state = int(np.argmax(self.state_totals))
         self._offsets = [sl.offset for sl in self.slots]
@@ -214,26 +228,6 @@ def _sums(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _tuples(rows: np.ndarray) -> Iterator[tuple[int, ...]]:
-    """Rows of a 2-D integer array as tuples of Python ints."""
-    return zip(*rows.T.tolist())
-
-
-def _suffix_tables(clustering: Clustering) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``_suffix_states`` of the clustering's contexts for every proper
-    suffix length."""
-    depth = clustering.table.spec.depth
-    contexts = np.fromiter(
-        itertools.chain.from_iterable(clustering.contexts),
-        dtype=np.int32,
-        count=len(clustering.contexts) * depth,
-    ).reshape(-1, depth)
-    return [
-        _suffix_states(contexts, clustering.S, clustering.ctx_counts, keep)
-        for keep in range(1, depth)
-    ]
-
-
 def _suffix_states(
     contexts: np.ndarray, states: np.ndarray, counts: np.ndarray, keep: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -243,47 +237,15 @@ def _suffix_states(
     suffix = contexts[:, contexts.shape[1] - keep :]
     order = np.lexsort((states, *suffix.T[::-1]))
     suffix, states, counts = suffix[order], states[order], counts[order]
-    new_pair = _row_starts(suffix)
+    new_pair = row_starts(suffix)
     new_pair[1:] |= states[1:] != states[:-1]
     starts = np.flatnonzero(new_pair)
     suffix, states, weight = suffix[starts], states[starts], np.add.reduceat(counts, starts)
     # heaviest state first within each suffix, the lower id among equals
     order = np.lexsort((states, -weight, *suffix.T[::-1]))
     suffix, states = suffix[order], states[order]
-    first = _row_starts(suffix)
+    first = row_starts(suffix)
     return suffix[first], states[first].astype(np.int32)
-
-
-def _row_starts(rows: np.ndarray) -> np.ndarray:
-    """Mask of the rows that differ from the row before them."""
-    out = np.ones(len(rows), dtype=bool)
-    out[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return out
-
-
-def _format_rows(keys: np.ndarray, values: np.ndarray | None = None) -> bytes:
-    """One ASCII line per row of non-negative integers: the ``keys``
-    separated by spaces, then a tab and the row's entry of ``values``
-    when given.  Built with numpy, digit position by digit position."""
-    table = keys if values is None else np.column_stack([keys, values])
-    n_rows, n_cols = table.shape
-    if n_rows == 0:
-        return b""
-    flat = table.astype(np.int64).ravel()
-    n_digits = np.searchsorted(10 ** np.arange(1, 19, dtype=np.int64), flat, side="right") + 1
-    ends = np.cumsum(n_digits + 1) - 1  # the separator after each field
-    out = np.empty(int(ends[-1]) + 1, dtype=np.uint8)
-    seps = np.full(n_cols, ord(" "), dtype=np.uint8)
-    seps[-1] = ord("\n")
-    if values is not None:
-        seps[-2] = ord("\t")
-    out[ends] = np.tile(seps, n_rows)
-    rest = flat.copy()
-    for j in range(int(n_digits.max())):
-        live = n_digits > j
-        out[(ends - 1 - j)[live]] = ord("0") + rest[live] % 10
-        rest //= 10
-    return out.tobytes()
 
 
 def save_classlm(model: ClassLM, path: str | Path) -> None:
@@ -309,110 +271,20 @@ def save_classlm(model: ClassLM, path: str | Path) -> None:
     ]
     header += [f"#slot\t{sl.offset}\t{sl.name}\t{sl.arity}\t{sl.bos}" for sl in model.slots]
     sections = [
-        ("#maps", model.maps, None),
-        ("#words", model.G[:, None], model.word_counts),
-        ("#joint", model.joint_cells[:, :2], model.joint_cells[:, 2]),
+        ("#maps", model.maps, ()),
+        ("#words", model.G[:, None], (model.word_counts,)),
+        ("#joint", model.joint_cells[:, :2], (model.joint_cells[:, 2],)),
     ]
     sections += [
-        (f"#suffix\t{keep}", keys, states)
+        (f"#suffix\t{keep}", keys, (states,))
         for keep, (keys, states) in enumerate(model.suffix_tables, 1)
     ]
-    n_contexts = len(model.state_of)
+    sections.append(("#contexts", model.contexts, (model.states,)))
     with open(path, "wb") as fh:
         fh.write("\n".join(header).encode("utf-8") + b"\n")
-        # a block of rows at a time keeps the formatting temporaries small
         for key, keys, values in sections:
             fh.write(f"{key}\t{len(keys)}\n".encode("ascii"))
-            for lo in range(0, len(keys), _ROWS_PER_WRITE):
-                hi = lo + _ROWS_PER_WRITE
-                fh.write(_format_rows(keys[lo:hi], None if values is None else values[lo:hi]))
-        fh.write(f"#contexts\t{n_contexts}\n".encode("ascii"))
-        contexts, states = iter(model.state_of), iter(model.state_of.values())
-        for lo in range(0, n_contexts, _ROWS_PER_WRITE):
-            rows = min(_ROWS_PER_WRITE, n_contexts - lo)
-            keys = np.fromiter(
-                itertools.chain.from_iterable(itertools.islice(contexts, rows)),
-                dtype=np.int64,
-                count=rows * model.depth,
-            )
-            values = np.fromiter(itertools.islice(states, rows), dtype=np.int64, count=rows)
-            fh.write(_format_rows(keys.reshape(rows, model.depth), values))
-
-
-class _Sections:
-    """Cursor over the bytes of a class model file."""
-
-    def __init__(self, data: bytes, pos: int):
-        self.data = data
-        self.pos = pos
-
-    def line(self, key: str, n_fields: int) -> list[str]:
-        """Fields of the next line, which must be ``key`` plus
-        ``n_fields`` tab-separated fields."""
-        end = self.data.find(b"\n", self.pos)
-        if end < 0:
-            raise ValueError(f"{_CORRUPT}: missing {key} line")
-        fields = self.data[self.pos : end].decode("utf-8").split("\t")
-        if fields[0] != key or len(fields) != n_fields + 1:
-            raise ValueError(f"{_CORRUPT}: expected a {key} line with {n_fields} field(s)")
-        self.pos = end + 1
-        return fields[1:]
-
-    def rows(self, key: str, n_rows: int, n_key: int, n_value: int) -> np.ndarray:
-        """The ``n_rows`` integer rows after the last line read, each
-        ``n_key`` space-separated fields plus, if ``n_value``, a tab and
-        one more field; parsed in one pass."""
-        data, pos = self.data, self.pos
-        if pos >= len(data) or data.startswith(b"#", pos):
-            end = pos
-        else:
-            nxt = data.find(b"\n#", pos)
-            end = len(data) if nxt < 0 else nxt + 1
-        body = data[pos:end]
-        found = body.count(b"\n")
-        if found != n_rows:
-            raise ValueError(f"{_CORRUPT}: {key} declares {n_rows} rows, {found} found")
-        n_cols = n_key + n_value
-        buf = np.frombuffer(body, dtype=np.uint8)
-        is_sep = (buf == 32) | (buf == 9) | (buf == 10)
-        sep_at = np.flatnonzero(is_sep)
-        pattern = np.array([32] * (n_key - 1) + [9] * n_value + [10], dtype=np.uint8)
-        if sep_at.size != n_rows * n_cols or (
-            buf[sep_at].reshape(n_rows, n_cols) != pattern
-        ).any():
-            raise ValueError(f"{_CORRUPT}: malformed {key} rows")
-        if not (is_sep | ((buf >= 48) & (buf <= 57))).all():
-            raise ValueError(f"{_CORRUPT}: {key} holds a field that is not a non-negative integer")
-        # every field is 1 to 18 digits, so the parse below is exact
-        widths = np.diff(sep_at, prepend=-1) - 1
-        if widths.size and (widths.min() < 1 or widths.max() > 18):
-            raise ValueError(f"{_CORRUPT}: {key} holds an empty or oversized field")
-        values = np.fromstring(body, dtype=np.int64, sep=" ")
-        self.pos = end
-        return values.reshape(n_rows, n_cols)
-
-
-def _int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{_CORRUPT}: {what} is not an integer: {text!r}") from None
-
-
-def _check_range(values: np.ndarray, lo: int, hi: int, what: str) -> None:
-    if values.size and (int(values.min()) < lo or int(values.max()) >= hi):
-        raise ValueError(f"{_CORRUPT}: {what} outside [{lo}, {hi})")
-
-
-def _check_strictly_sorted(rows: np.ndarray, what: str) -> None:
-    """Rows must increase strictly in lexicographic order."""
-    if len(rows) < 2:
-        return
-    diff = rows[1:] - rows[:-1]
-    nonzero = diff != 0
-    first = nonzero.argmax(axis=1)
-    if not (nonzero.any(axis=1) & (diff[np.arange(len(diff)), first] > 0)).all():
-        raise ValueError(f"{_CORRUPT}: {what} rows are not strictly sorted")
+            write_rows(fh, keys, *values)
 
 
 def load_classlm(path: str | Path) -> ClassLM:
@@ -432,23 +304,23 @@ def load_classlm(path: str | Path) -> ClassLM:
         )
     if first != CLASSLM_VERSION.encode():
         raise ValueError(f"not a class model file: {path}")
-    r = _Sections(data, len(first) + 1)
+    r = Reader(data, len(first) + 1, _CORRUPT)
     discount_s = r.line("#discount", 1)[0]
     try:
         discount = float(discount_s)
     except ValueError:
         raise ValueError(f"{_CORRUPT}: discount is not a number: {discount_s!r}") from None
     _check_discount(discount)
-    n_words = _int(r.line("#n_words", 1)[0], "n_words")
-    n_categories = _int(r.line("#n_categories", 1)[0], "n_categories")
-    n_states = _int(r.line("#n_states", 1)[0], "n_states")
-    depth = _int(r.line("#depth", 1)[0], "depth")
+    n_words = r.int_line("#n_words")
+    n_categories = r.int_line("#n_categories")
+    n_states = r.int_line("#n_states")
+    depth = r.int_line("#depth")
     if depth < 1:
         raise ValueError(f"{_CORRUPT}: depth must be at least 1")
     slots = []
     for _ in range(depth):
         off, name, arity, bos = r.line("#slot", 4)
-        off, arity, bos = _int(off, "slot offset"), _int(arity, "arity"), _int(bos, "begin value")
+        off, arity, bos = r.int(off, "offset"), r.int(arity, "arity"), r.int(bos, "begin value")
         slots.append(ClassSlot(off, name, arity, bos))
     offsets = [sl.offset for sl in slots]
     if offsets[-1] >= 0 or any(b <= a for a, b in zip(offsets, offsets[1:])):
@@ -460,10 +332,10 @@ def load_classlm(path: str | Path) -> ClassLM:
             raise ValueError(f"{_CORRUPT}: slot {sl.offset} begin value outside [0, {sl.arity})")
 
     def section(key: str, n_key: int, n_value: int, n_rows: int | None = None) -> np.ndarray:
-        declared = _int(r.line(key, 1)[0], f"{key} row count")
+        declared = r.int(r.line(key, 1)[0], f"{key} row count")
         if n_rows is not None and declared != n_rows:
             raise ValueError(f"{_CORRUPT}: {key} declares {declared} rows, expected {n_rows}")
-        return r.rows(key, declared, n_key, n_value)
+        return r.rows(key, n_key, n_value, declared)
 
     maps = section("#maps", depth, 0, n_words)
     words = section("#words", 1, 1, n_words)
@@ -471,27 +343,28 @@ def load_classlm(path: str | Path) -> ClassLM:
     suffix_rows = []
     for keep in range(1, depth):
         got, declared = r.line("#suffix", 2)
-        if _int(got, "suffix length") != keep:
+        if r.int(got, "suffix length") != keep:
             raise ValueError(f"{_CORRUPT}: expected the #suffix table of length {keep}")
-        suffix_rows.append(r.rows("#suffix", _int(declared, "#suffix row count"), keep, 1))
+        suffix_rows.append(r.rows("#suffix", keep, 1, r.int(declared, "#suffix row count")))
     ctx_rows = section("#contexts", depth, 1)
-    if r.pos != len(data):
-        raise ValueError(f"{_CORRUPT}: unexpected content after #contexts")
+    r.end("#contexts")
 
     if not 1 <= n_categories <= n_words:
         raise ValueError(f"{_CORRUPT}: n_categories must lie in [1, n_words]")
     if not 1 <= n_states <= len(ctx_rows):
         raise ValueError(f"{_CORRUPT}: n_states must lie in [1, number of contexts]")
     for k, sl in enumerate(slots):
-        _check_range(maps[:, k], 0, sl.arity, f"slot {sl.offset} values")
-    G, word_counts = words[:, 0].astype(np.int32), words[:, 1]
-    _check_range(G, 0, n_categories, "word categories")
+        check_range(maps[:, k], 0, sl.arity, f"{_CORRUPT}: slot {sl.offset} values")
+    G, word_counts = words[:, 0], words[:, 1]
+    check_range(G, 0, n_categories, f"{_CORRUPT}: word categories")
+    check_range(word_counts, 0, 2**62, f"{_CORRUPT}: word counts")
+    G = G.astype(np.int32)
     if not 0 < sum(word_counts.tolist()) < 2**62:
         raise ValueError(f"{_CORRUPT}: word counts must add up to a total in (0, 2**62)")
-    _check_range(cells[:, 0], 0, n_states, "joint states")
-    _check_range(cells[:, 1], 0, n_categories, "joint categories")
-    _check_range(cells[:, 2], 1, 2**62, "joint counts")
-    _check_strictly_sorted(cells[:, :2], "#joint")
+    check_range(cells[:, 0], 0, n_states, f"{_CORRUPT}: joint states")
+    check_range(cells[:, 1], 0, n_categories, f"{_CORRUPT}: joint categories")
+    check_range(cells[:, 2], 1, 2**62, f"{_CORRUPT}: joint counts")
+    check_strictly_sorted(cells[:, :2], f"{_CORRUPT}: #joint")
     if not np.array_equal(
         _sums(cells[:, 1], cells[:, 2], n_categories), _sums(G, word_counts, n_categories)
     ):
@@ -501,9 +374,9 @@ def load_classlm(path: str | Path) -> ClassLM:
     def table(rows: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
         keys, states = rows[:, :-1], rows[:, -1]
         for k, sl in enumerate(slots[depth - keys.shape[1] :]):
-            _check_range(keys[:, k], 0, sl.arity, f"{what} slot {sl.offset} values")
-        _check_strictly_sorted(keys, what)
-        _check_range(states, 0, n_states, f"{what} states")
+            check_range(keys[:, k], 0, sl.arity, f"{_CORRUPT}: {what} slot {sl.offset} values")
+        check_strictly_sorted(keys, f"{_CORRUPT}: {what}")
+        check_range(states, 0, n_states, f"{_CORRUPT}: {what} states")
         if (state_totals[states] == 0).any():
             raise ValueError(f"{_CORRUPT}: {what} maps to a state without events")
         return keys.astype(np.int32), states.astype(np.int32)
@@ -519,7 +392,8 @@ def load_classlm(path: str | Path) -> ClassLM:
         cells,
         n_categories,
         n_states,
-        dict(zip(_tuples(contexts), states.tolist())),
+        contexts,
+        states,
         [table(rows, f"#suffix {keep}") for keep, rows in enumerate(suffix_rows, 1)],
     )
     return model

@@ -83,16 +83,29 @@ def random_event_table(rng: random.Random, n_words: int, n_contexts: int,
     return EventTable.from_counts(mapper_holder, n_words, counts)
 
 
+def marginals(table: EventTable) -> tuple[dict[tuple, int], dict[int, int]]:
+    """(context -> event count, word -> event count), summed in plain
+    Python from the table's nested-dict view."""
+    ctx_marg: dict[tuple, int] = {}
+    word_marg: dict[int, int] = {}
+    for ctx, row in table.counts.items():
+        ctx_marg[ctx] = sum(row.values())
+        for w, n in row.items():
+            word_marg[w] = word_marg.get(w, 0) + n
+    return ctx_marg, word_marg
+
+
 def suffix_groups(table: EventTable, level: int) -> list[tuple[tuple, list[int], int]]:
     """(suffix, context indices, event count) for each distinct
     length-``level`` suffix of the sorted contexts, in suffix order.
     Built with plain dicts so it checks the suffix tree independently."""
-    contexts = sorted(table.counts)
+    ctx_marg, _ = marginals(table)
+    contexts = sorted(ctx_marg)
     members: dict[tuple, list[int]] = {}
     for i, c in enumerate(contexts):
         members.setdefault(c[len(c) - level :], []).append(i)
     return [
-        (key, idx, sum(table.context_marginals[contexts[i]] for i in idx))
+        (key, idx, sum(ctx_marg[contexts[i]] for i in idx))
         for key, idx in sorted(members.items())
     ]
 

@@ -35,6 +35,7 @@ from conftest import (
     build_table,
     grouped_states,
     make_class_corpus,
+    marginals,
     make_random_corpus,
     random_event_table,
     suffix_groups,
@@ -66,23 +67,26 @@ def factored_loglik(clustering):
     summed directly over the raw events: each event with count n
     contributes n * ln[ p(category|state) * p(word|category) ]."""
     table = clustering.table
+    _, word_marg = marginals(table)
+    counts = table.counts
+    contexts = sorted(counts)
     G, S = clustering.G, clustering.S
     joint = {}
     state_tot = {}
     cat_tot = {}
-    for i, c in enumerate(clustering.contexts):
+    for i, c in enumerate(contexts):
         s = int(S[i])
-        for w, n in table.counts[c].items():
+        for w, n in counts[c].items():
             g = int(G[w])
             joint[s, g] = joint.get((s, g), 0) + n
             state_tot[s] = state_tot.get(s, 0) + n
             cat_tot[g] = cat_tot.get(g, 0) + n
     terms = []
-    for i, c in enumerate(clustering.contexts):
+    for i, c in enumerate(contexts):
         s = int(S[i])
-        for w, n in table.counts[c].items():
+        for w, n in counts[c].items():
             g = int(G[w])
-            p = (joint[s, g] / state_tot[s]) * (table.word_marginals[w] / cat_tot[g])
+            p = (joint[s, g] / state_tot[s]) * (word_marg[w] / cat_tot[g])
             terms.append(n * math.log(p))
     return math.fsum(terms)
 
@@ -97,7 +101,7 @@ class TestChecklist:
         for _ in range(120):
             cl = random_instance(rng)
             word_term = math.fsum(
-                n * math.log(n) for n in cl.table.word_marginals.values()
+                n * math.log(n) for n in marginals(cl.table)[1].values()
             )
             expect = factored_loglik(cl) - word_term
             assert math.isclose(cl.criterion(), expect, rel_tol=1e-9, abs_tol=1e-9)
@@ -112,7 +116,7 @@ class TestChecklist:
         for _ in range(3):
             cl = random_instance(rng)
             states_of = {}
-            for i in range(len(cl.contexts)):
+            for i in range(cl.table.n_contexts):
                 states_of.setdefault(int(cl.S[i]), []).append(i)
             for _ in range(1000):
                 w = rng.randrange(cl.n_words)
@@ -220,7 +224,7 @@ class TestChecklist:
         with suffix-grouped moves reaches a higher criterion and a lower
         held-out perplexity than flat per-context moves."""
         d = directional
-        below = sum(1 for n in d["table"].context_marginals.values() if n < 6)
+        below = sum(1 for n in marginals(d["table"])[0].values() if n < 6)
         assert below / d["table"].n_contexts >= 0.80
         assert d["tree"].criterion() >= d["flat"].criterion()
         assert d["pp_tree"] <= d["pp_flat"]
@@ -268,14 +272,16 @@ class TestChecklist:
             np.arange(table.n_words), np.arange(table.n_contexts),
         )
         model = ClassLM(cl, vocab, discount=0.0)
-        for c, row in table.counts.items():
-            total = table.context_marginals[c]
+        ctx_marg, _ = marginals(table)
+        counts = table.counts
+        for c, row in counts.items():
+            total = ctx_marg[c]
             for w, n in row.items():
                 assert model.prob_given_context(w, c) == n / total
         logs = []
         for _, _, w, hist in _events(enc, vocab.eos_id, True):
             c = model.context_of(hist)
-            logs.append(math.log(table.counts[c][w] / table.context_marginals[c]))
+            logs.append(math.log(counts[c][w] / ctx_marg[c]))
         pp_ml = math.exp(-math.fsum(logs) / len(logs))
         report = perplexity(model, enc, eos_id=vocab.eos_id)
         assert report.token_count == len(logs)
@@ -427,9 +433,9 @@ def exhaustive_greedy(table, params, tree=False):
     criterion from scratch for every candidate target: visit units by
     descending count (words before context groups at equal count),
     apply the best strictly-improving move, lowest target on ties."""
-    contexts = sorted(table.counts)
-    word_counts = [table.word_marginals.get(w, 0) for w in range(table.n_words)]
-    ctx_counts = [table.context_marginals[c] for c in contexts]
+    ctx_marg, word_marg = marginals(table)
+    word_counts = [word_marg.get(w, 0) for w in range(table.n_words)]
+    ctx_counts = [ctx_marg[c] for c in sorted(ctx_marg)]
     G = list(_ranked_init(word_counts, params.n_categories))
     depth = table.spec.depth
     if tree:

@@ -8,9 +8,13 @@ and stopping can be compared against the optimized implementation.
 
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterlm.cluster import (
     Clustering,
@@ -33,6 +37,7 @@ from conftest import (
     build_table,
     grouped_states,
     make_random_corpus,
+    marginals,
     random_event_table,
     suffix_groups,
 )
@@ -49,15 +54,17 @@ class Shadow:
         self.table = table
         self.n_categories = n_categories
         self.n_states = n_states
-        self.contexts = sorted(table.counts)
+        self.counts = table.counts
+        self.contexts = sorted(self.counts)
         self.ctx_index = {c: i for i, c in enumerate(self.contexts)}
         self.G = [int(g) for g in G]
         self.S = [int(s) for s in S]
-        self.word_counts = [table.word_marginals.get(w, 0) for w in range(table.n_words)]
-        self.ctx_counts = [table.context_marginals[c] for c in self.contexts]
+        ctx_marg, word_marg = marginals(table)
+        self.word_counts = [word_marg.get(w, 0) for w in range(table.n_words)]
+        self.ctx_counts = [ctx_marg[c] for c in self.contexts]
         self.joint = [[0] * n_categories for _ in range(n_states)]
         for i, c in enumerate(self.contexts):
-            for w, n in table.counts[c].items():
+            for w, n in self.counts[c].items():
                 self.joint[self.S[i]][self.G[w]] += n
         self.state_tot = [sum(row) for row in self.joint]
         self.cat_tot = [sum(self.joint[s][g] for s in range(n_states)) for g in range(n_categories)]
@@ -71,7 +78,7 @@ class Shadow:
     def word_profile(self, w):
         prof = [0] * self.n_states
         for i, c in enumerate(self.contexts):
-            n = self.table.counts[c].get(w, 0)
+            n = self.counts[c].get(w, 0)
             if n:
                 prof[self.S[i]] += n
         return prof
@@ -79,7 +86,7 @@ class Shadow:
     def group_profile(self, idx):
         prof = [0] * self.n_categories
         for i in idx:
-            for w, n in self.table.counts[self.contexts[i]].items():
+            for w, n in self.counts[self.contexts[i]].items():
                 prof[self.G[w]] += n
         return prof
 
@@ -150,9 +157,9 @@ class Shadow:
 def shadow_greedy(table, params, tree=False):
     """Mirror of run_flat (or run_tree, with ``tree``) returning (trace,
     shadow).  Suffix groups come from ``suffix_groups``, not the tree."""
-    contexts = sorted(table.counts)
-    word_counts = [table.word_marginals.get(w, 0) for w in range(table.n_words)]
-    ctx_counts = [table.context_marginals[c] for c in contexts]
+    ctx_marg, word_marg = marginals(table)
+    word_counts = [word_marg.get(w, 0) for w in range(table.n_words)]
+    ctx_counts = [ctx_marg[c] for c in sorted(ctx_marg)]
     G = list(_ranked_init(word_counts, params.n_categories))
 
     depth = table.spec.depth
@@ -247,7 +254,7 @@ class TestMoveDeltas:
         rng = random.Random(80 + seed)
         table, cl = random_clustering(rng)
         sh = Shadow(table, cl.n_categories, cl.n_states, cl.G, cl.S)
-        for ctx in cl.contexts:
+        for ctx in sh.contexts:
             # single contexts are always coherent
             t = rng.randrange(cl.n_states)
             d = delta_move_context_group(cl, [ctx], t)
@@ -280,7 +287,7 @@ class TestMoveDeltas:
         assert n >= 3
         S = np.arange(n, dtype=np.int32) % 2
         cl = Clustering(table, 2, 2, np.zeros(table.n_words, dtype=np.int32), S)
-        both = [cl.contexts[0], cl.contexts[1]]
+        both = sorted(table.counts)[:2]
         with pytest.raises(ValueError, match="fragmented"):
             delta_move_context_group(cl, both, 0)
 
@@ -292,7 +299,7 @@ class TestMoveDeltas:
         with pytest.raises(ValueError, match="category id"):
             delta_move_word(cl, 0, cl.n_categories)
         with pytest.raises(ValueError, match="state id"):
-            delta_move_context_group(cl, [cl.contexts[0]], cl.n_states)
+            delta_move_context_group(cl, [min(table.counts)], cl.n_states)
         with pytest.raises(ValueError, match="unknown context"):
             delta_move_context_group(cl, [(99, 99)], 0)
         with pytest.raises(ValueError, match="empty context group"):
@@ -409,7 +416,8 @@ class TestGreedyAgainstShadow:
             for level in range(1, table.spec.depth + 1)
             for key, idx, _ in suffix_groups(table, level)
         }
-        word_counts = [table.word_marginals.get(w, 0) for w in range(table.n_words)]
+        word_marg = marginals(table)[1]
+        word_counts = [word_marg.get(w, 0) for w in range(table.n_words)]
         G = list(_ranked_init(word_counts, params.n_categories))
         sh = Shadow(table, params.n_categories, params.n_states, G,
                     grouped_states(table, params.n_states))
@@ -525,12 +533,13 @@ class TestRunBehaviour:
         init = init_clustering(table, params)
         moved = []
         cl = run_flat(table, params, on_move=lambda c, m: moved.append((m.kind, m.element)))
+        ctx_marg, word_marg = marginals(table)
         for w in range(table.n_words):
-            if table.word_marginals.get(w, 0) < params.min_count:
+            if word_marg.get(w, 0) < params.min_count:
                 assert ("word", w) not in moved
                 assert cl.G[w] == init.G[w]
-        for i, c in enumerate(cl.contexts):
-            if table.context_marginals[c] < params.min_count:
+        for i, c in enumerate(sorted(ctx_marg)):
+            if ctx_marg[c] < params.min_count:
                 assert ("group", c) not in moved
                 assert cl.S[i] == init.S[i]
 
@@ -565,7 +574,7 @@ class TestExportAndPersistence:
         rest = cats[0]
         expect = sorted(
             (w for w in range(table.n_words) if G[w] == 0),
-            key=lambda w: (-table.word_marginals.get(w, 0), w),
+            key=lambda w: (-marginals(table)[1].get(w, 0), w),
         )
         assert rest == [vocab.tokens[w] for w in expect]
 
@@ -635,3 +644,101 @@ class TestExportAndPersistence:
         vocab2, enc2, other = build_table(["a b c d e f g a b c"], offsets=(-1,))
         with pytest.raises(ValueError, match="does not match counts"):
             load_clustering(p, other)
+
+
+def saved_clustering(tmp_path, seed=6, offsets=(-1,)):
+    """(table, path, lines) of a saved flat clustering of a small corpus."""
+    sents = make_random_corpus(seed, n_sentences=25, n_words=8)
+    vocab, enc, table = build_table(sents, offsets=offsets)
+    cl = run_flat(table, ClusterParams(n_categories=3, n_states=3, min_count=1))
+    path = tmp_path / "clusters.tsv"
+    save_clustering(cl, path)
+    return table, path, path.read_text().splitlines()
+
+
+def without_criterion(lines):
+    return [x for x in lines if not x.startswith("#criterion")]
+
+
+class TestClusteringFile:
+    """The loader accepts exactly the rows save_clustering writes."""
+
+    @pytest.mark.parametrize(
+        "key", ["#n_categories", "#n_states", "#n_words", "#depth", "#G", "#S"]
+    )
+    def test_missing_header_line_is_a_value_error(self, tmp_path, key):
+        table, path, lines = saved_clustering(tmp_path)
+        path.write_text("\n".join(x for x in lines if x.split("\t")[0] != key) + "\n")
+        with pytest.raises(ValueError):
+            load_clustering(path, table)
+
+    def test_header_value_not_an_integer(self, tmp_path):
+        table, path, lines = saved_clustering(tmp_path)
+        lines[lines.index("#n_states\t3")] = "#n_states\tthree"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="n_states is not an integer"):
+            load_clustering(path, table)
+
+    def test_repeated_word_row_is_rejected_without_a_criterion(self, tmp_path):
+        table, path, lines = saved_clustering(tmp_path)
+        lines = without_criterion(lines)
+        i = lines.index("#G") + 1
+        lines[i] = "0\t1"
+        lines[i + 1] = "0\t1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="word id"):
+            load_clustering(path, table)
+
+    def test_reordered_context_rows_are_rejected_without_a_criterion(self, tmp_path):
+        table, path, lines = saved_clustering(tmp_path)
+        lines = without_criterion(lines)
+        i = lines.index("#S") + 1
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="not its contexts"):
+            load_clustering(path, table)
+
+    def test_loads_without_a_criterion(self, tmp_path):
+        table, path, lines = saved_clustering(tmp_path)
+        reference = load_clustering(path, table)
+        path.write_text("\n".join(without_criterion(lines)) + "\n")
+        loaded = load_clustering(path, table)
+        assert loaded.G.tolist() == reference.G.tolist()
+        assert loaded.S.tolist() == reference.S.tolist()
+
+    def test_cluster_count_above_the_table_is_rejected(self, tmp_path):
+        table, path, lines = saved_clustering(tmp_path)
+        lines[lines.index("#n_states\t3")] = f"#n_states\t{table.n_contexts + 1}"
+        path.write_text("\n".join(without_criterion(lines)) + "\n")
+        with pytest.raises(ValueError, match="n_states in"):
+            load_clustering(path, table)
+
+    def test_truncation_at_every_line_is_rejected(self, tmp_path):
+        table, path, lines = saved_clustering(tmp_path, offsets=(-2, -1))
+        cut = tmp_path / "cut.tsv"
+        for k in range(len(lines)):
+            head = "".join(line + "\n" for line in lines[:k])
+            for text in (head, head + lines[k][: len(lines[k]) // 2]):
+                cut.write_text(text)
+                with pytest.raises(ValueError):
+                    load_clustering(cut, table)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_byte_damage_never_escapes_as_another_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            table, path, _ = saved_clustering(Path(tmp), offsets=(-2, -1))
+            raw = bytearray(path.read_bytes())
+            for _ in range(data.draw(st.integers(1, 3))):
+                at = data.draw(st.integers(0, len(raw) - 1))
+                if data.draw(st.booleans()):
+                    raw[at] = data.draw(st.sampled_from(b"0123456789 \t\n#-x"))
+                else:
+                    del raw[at]
+            path.write_bytes(bytes(raw))
+            try:
+                loaded = load_clustering(path, table)
+            except ValueError:
+                return
+            assert loaded.G.shape == (table.n_words,)
+            assert loaded.S.shape == (table.n_contexts,)

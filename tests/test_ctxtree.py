@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from clusterlm.ctxtree import build_suffix_tree
 
-from conftest import build_table, random_event_table
+from conftest import build_table, marginals, random_event_table
 
 
 def check_levels(table, tree):
     """Structural invariants every level of a suffix tree must hold."""
-    contexts = sorted(table.counts)
+    ctx_marg, _ = marginals(table)
+    contexts = sorted(ctx_marg)
     depth = table.spec.depth
     assert tree.depth == depth and len(tree.levels) == depth + 1
     for lvl, level in enumerate(tree.levels):
@@ -31,7 +32,7 @@ def check_levels(table, tree):
             assert members.size > 0
             assert all(contexts[i][depth - lvl :] == key for i in members)
             assert all(level.group_of[i] == k for i in members)
-            assert level.counts[k] == sum(table.context_marginals[contexts[i]] for i in members)
+            assert level.counts[k] == sum(ctx_marg[contexts[i]] for i in members)
         if lvl:
             # a level-lvl key drops its farthest value to a level-(lvl-1) key,
             # and the children's counts sum to their parent's
@@ -67,7 +68,7 @@ class TestHandBuiltTree:
         contexts = sorted(table.counts)
         assert [leaves.key(k) for k in range(len(leaves))] == contexts
         for k, ctx in enumerate(contexts):
-            assert leaves.counts[k] == table.context_marginals[ctx]
+            assert leaves.counts[k] == sum(table.counts[ctx].values())
             assert list(leaves.group(k)) == [k]
 
     def test_node_counts_sum_children(self):

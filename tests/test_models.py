@@ -36,7 +36,7 @@ from clusterlm.models import (
     train_backoff,
 )
 
-from conftest import build_table, make_random_corpus, random_event_table, tiny_vocab
+from conftest import build_table, make_random_corpus, marginals, random_event_table, tiny_vocab
 
 
 def identity_clustering(table):
@@ -74,7 +74,7 @@ class TestClassLM:
         vocab, enc, table = build_table(sents, offsets=(-1,))
         lm = ClassLM(identity_clustering(table), vocab, discount=0.0)
         for ctx, row in table.counts.items():
-            n_c = table.context_marginals[ctx]
+            n_c = sum(row.values())
             for w, n in row.items():
                 assert lm.prob_given_context(w, ctx) == n / n_c
 
@@ -108,8 +108,10 @@ class TestClassLM:
         vocab, enc, table = build_table(sents, offsets=(-1,))
         clu = run_flat(table, ClusterParams(n_categories=3, n_states=3, min_count=1))
         lm = ClassLM(clu, vocab, discount=0.5)
-        for ctx in table.counts:
-            for w, n in table.word_marginals.items():
+        counts = table.counts
+        word_marg = marginals(table)[1]
+        for ctx in counts:
+            for w, n in word_marg.items():
                 if n > 0:
                     assert lm.prob_given_context(w, ctx) > 0.0
 
@@ -274,7 +276,8 @@ class TestClassLMFile:
         clu = Clustering(table, 2, n_states, G, S)
         # event-weighted majority state per proper suffix, ties to the lower id
         weights = {}
-        for c, s, n in zip(clu.contexts, S, clu.ctx_counts.tolist()):
+        for (c, row), s in zip(sorted(table.counts.items()), S):
+            n = sum(row.values())
             for keep in (1, 2):
                 row = weights.setdefault(c[3 - keep :], {})
                 row[s] = row.get(s, 0) + n
