@@ -74,7 +74,10 @@ class Clustering:
     with the count statistics needed for O(nonzero) move deltas.
 
     ``S[i]`` is the state of the table's ``contexts[i]`` and ``G[w]`` the
-    category of word ``w``.
+    category of word ``w``.  ``f_joint``, ``f_state`` and ``f_cat`` hold
+    f(x) = x ln x of ``joint``, ``state_totals`` and ``cat_totals``
+    entry by entry, so a move delta need not recompute the cells the
+    move leaves alone.
     """
 
     def __init__(
@@ -124,10 +127,19 @@ class Clustering:
         np.cumsum(np.bincount(table.words, minlength=self.n_words), out=self.w_ptr[1:])
 
     def _build_stats(self) -> None:
-        self.joint = np.zeros((self.n_states, self.n_categories), dtype=np.int64)
-        np.add.at(self.joint, (self.S[self.ctx_of], self.G[self.table.words]), self.table.freqs)
+        # float64 bincount sums are exact for counts below 2**53
+        cells = self.S[self.ctx_of].astype(np.int64) * self.n_categories + self.G[self.table.words]
+        joint = np.bincount(
+            cells, weights=self.table.freqs, minlength=self.n_states * self.n_categories
+        )
+        self.joint = joint.astype(np.int64).reshape(self.n_states, self.n_categories)
         self.state_totals = self.joint.sum(axis=1)
         self.cat_totals = self.joint.sum(axis=0)
+        # f(x) = x ln x of every table entry, for the move deltas; the
+        # apply_* moves refresh the entries they change
+        self.f_joint = _kernels.xlogx(self.joint)
+        self.f_state = _kernels.xlogx(self.state_totals)
+        self.f_cat = _kernels.xlogx(self.cat_totals)
 
     # -- statistics ------------------------------------------------------
 
@@ -150,9 +162,10 @@ class Clustering:
     def word_profile(self, w: int) -> np.ndarray:
         """Event counts of word ``w`` per state, summing to N(w)."""
         lo, hi = self.w_ptr[w], self.w_ptr[w + 1]
-        prof = np.zeros(self.n_states, dtype=np.int64)
-        np.add.at(prof, self.S[self.w_ctxs[lo:hi]], self.w_ccounts[lo:hi])
-        return prof
+        prof = np.bincount(
+            self.S[self.w_ctxs[lo:hi]], weights=self.w_ccounts[lo:hi], minlength=self.n_states
+        )
+        return prof.astype(np.int64)
 
     def group_profile(self, leaf_indices: np.ndarray) -> np.ndarray:
         """Event counts of a set of contexts per category."""
@@ -160,9 +173,10 @@ class Clustering:
         lo = table.ptr[leaf_indices]
         n = table.ptr[leaf_indices + 1] - lo
         pos = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
-        prof = np.zeros(self.n_categories, dtype=np.int64)
-        np.add.at(prof, self.G[table.words[pos]], table.freqs[pos])
-        return prof
+        prof = np.bincount(
+            self.G[table.words[pos]], weights=table.freqs[pos], minlength=self.n_categories
+        )
+        return prof.astype(np.int64)
 
     # -- moves -----------------------------------------------------------
 
@@ -173,7 +187,13 @@ class Clustering:
             raise ValueError("word id out of range")
         prof = self.word_profile(w)
         return _kernels.word_move_deltas(
-            self.joint, self.cat_totals, prof, int(self.G[w]), int(self.word_counts[w])
+            self.joint,
+            self.cat_totals,
+            prof,
+            int(self.G[w]),
+            int(self.word_counts[w]),
+            self.f_joint,
+            self.f_cat,
         )
 
     def group_move_deltas(self, leaf_indices: np.ndarray) -> np.ndarray:
@@ -182,7 +202,9 @@ class Clustering:
         s_cur = self._group_state(leaf_indices)
         prof = self.group_profile(leaf_indices)
         n = int(self.ctx_counts[leaf_indices].sum())
-        return _kernels.group_move_deltas(self.joint, self.state_totals, prof, s_cur, n)
+        return _kernels.group_move_deltas(
+            self.joint, self.state_totals, prof, s_cur, n, self.f_joint, self.f_state
+        )
 
     def _group_state(self, leaf_indices: np.ndarray) -> int:
         states = self.S[leaf_indices]
@@ -205,6 +227,9 @@ class Clustering:
         n = self.word_counts[w]
         self.cat_totals[g] -= n
         self.cat_totals[target] += n
+        pair = [g, target]
+        self.f_joint[:, pair] = _kernels.xlogx(self.joint[:, pair])
+        self.f_cat[pair] = _kernels.xlogx(self.cat_totals[pair])
         self.G[w] = target
 
     def apply_group_move(self, leaf_indices: np.ndarray, target: int) -> None:
@@ -219,6 +244,9 @@ class Clustering:
         n = self.ctx_counts[leaf_indices].sum()
         self.state_totals[s] -= n
         self.state_totals[target] += n
+        pair = [s, target]
+        self.f_joint[pair, :] = _kernels.xlogx(self.joint[pair, :])
+        self.f_state[pair] = _kernels.xlogx(self.state_totals[pair])
         self.S[leaf_indices] = target
 
 
@@ -239,11 +267,13 @@ def delta_move_context_group(
 ) -> float:
     """Exact change of F if a coherent group of contexts moved to state
     ``target``.  All context tuples in ``group`` must currently share
-    one state."""
+    one state, and none may repeat."""
     if not 0 <= target < clustering.n_states:
         raise ValueError("state id out of range")
-    idx = [clustering.table.index_of(c) for c in group]
-    return float(clustering.group_move_deltas(np.asarray(idx, dtype=np.int64))[target])
+    idx = np.asarray([clustering.table.index_of(c) for c in group], dtype=np.int64)
+    if np.unique(idx).size != idx.size:
+        raise ValueError("a context appears more than once in the group")
+    return float(clustering.group_move_deltas(idx)[target])
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ All trained models are immutable and their queries are pure.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -572,11 +573,16 @@ def train_backoff(
     return model
 
 
+_BACKOFF_VERSION = "#clusterlm-backoff v1"
+_BACKOFF_CORRUPT = "corrupt backoff model file"
+_BACKOFF_HEADERS = ("#order", "#discount", "#n_words", "#bos")
+
+
 def save_backoff(model: BackoffModel, path: str | Path) -> None:
     """Versioned text dump: sorted ``history<TAB>word<TAB>logprob``
     lines per order plus per-history backoff weight sections."""
     lines = [
-        "#clusterlm-backoff v1",
+        _BACKOFF_VERSION,
         f"#order\t{model.order}",
         f"#discount\t{model.discount!r}",
         f"#n_words\t{model.n_words}",
@@ -597,62 +603,116 @@ def save_backoff(model: BackoffModel, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _backoff_section(
+    chunk: str, n_ids: int, is_bow: bool, n_words: int, what: str
+) -> dict[tuple[int, ...], float]:
+    """Key -> exp(value) of the lines after the header line of a section's
+    ``chunk``.  An n-gram line is ``history<TAB>word<TAB>log p``, a bow
+    line ``history<TAB>log bow``, with the history's word ids separated
+    by spaces; every key must have ``n_ids`` word ids in ``[0,
+    n_words)``, no key may repeat and every value must be positive and
+    finite."""
+    table: dict[tuple[int, ...], float] = {}
+    try:
+        if is_bow:
+            for line in chunk.split("\n")[1:]:
+                h, v = line.split("\t")
+                table[tuple(map(int, h.split()))] = math.exp(float(v))
+        else:
+            for line in chunk.split("\n")[1:]:
+                h, w, v = line.split("\t")
+                table[(*map(int, h.split()), int(w))] = math.exp(float(v))
+    except (ValueError, OverflowError):
+        raise ValueError(f"{_BACKOFF_CORRUPT}: malformed {what} line") from None
+    if len(table) != chunk.count("\n"):
+        raise ValueError(f"{_BACKOFF_CORRUPT}: a {what} key repeats")
+    if set(map(len, table)) - {n_ids}:
+        raise ValueError(f"{_BACKOFF_CORRUPT}: a {what} key is not {n_ids} word id(s)")
+    try:
+        ids = np.fromiter(chain.from_iterable(table), dtype=np.int64, count=n_ids * len(table))
+    except OverflowError:
+        raise ValueError(f"{_BACKOFF_CORRUPT}: {what} word id out of range") from None
+    check_range(ids, 0, n_words, f"{_BACKOFF_CORRUPT}: {what} word ids")
+    vals = np.fromiter(table.values(), dtype=np.float64, count=len(table))
+    if not (np.isfinite(vals) & (vals > 0.0)).all():
+        raise ValueError(f"{_BACKOFF_CORRUPT}: a {what} value is not a finite log")
+    return table
+
+
 def load_backoff(path: str | Path) -> BackoffModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != "#clusterlm-backoff v1":
+    """Read a backoff model file written by ``save_backoff``.
+
+    Each header appears once before the sections; there must be exactly
+    one n-gram section per order and one bow section per order from 2,
+    one unigram line per word, and a bow for the history of every
+    n-gram.  Word ids, history lengths and values are checked; any
+    inconsistency, a cut-off last line included, raises ``ValueError``.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    # one chunk per "#" line: the line, then the body lines up to the next one
+    first, *chunks = text[:-1].split("\n#")
+    if first.strip() != _BACKOFF_VERSION:
+        if first.partition("\n")[0].strip() == _BACKOFF_VERSION:
+            raise ValueError(f"{_BACKOFF_CORRUPT}: body lines precede the headers")
         raise ValueError("not a backoff model file")
-    order = discount = n_words = None
-    bos_id: int | None = None
-    uni: np.ndarray | None = None
+    if not text.endswith("\n"):
+        raise ValueError(f"{_BACKOFF_CORRUPT}: the last line is cut off")
+    del text  # the chunks hold the file from here on
+    header: dict[str, str] = {}
+    sections: dict[tuple[str, int], str] = {}
+    for chunk in chunks:
+        end = chunk.find("\n")
+        line = "#" + (chunk if end < 0 else chunk[:end])
+        key, _, value = line.partition("\t")
+        if key in _BACKOFF_HEADERS:
+            if sections or key in header or end >= 0:
+                raise ValueError(f"{_BACKOFF_CORRUPT}: misplaced or repeated {key} line")
+            header[key] = value
+            continue
+        if key == "#bow":
+            kind, k = "bow", value
+        elif key.endswith("-grams") and not value:
+            kind, k = "grams", key[1 : -len("-grams")]
+        else:
+            raise ValueError(f"unknown backoff header line: {line!r}")
+        if not k.isdecimal() or (kind, int(k)) in sections:
+            raise ValueError(f"{_BACKOFF_CORRUPT}: bad or repeated section line {line!r}")
+        sections[kind, int(k)] = chunk
+    if not {"#order", "#discount", "#n_words"} <= header.keys():
+        raise ValueError("backoff model file missing required headers")
+    try:
+        order = int(header["#order"])
+        discount = float(header["#discount"])
+        n_words = int(header["#n_words"])
+        bos = header.get("#bos", "none")
+        bos_id = None if bos == "none" else int(bos)
+    except ValueError:
+        raise ValueError(f"{_BACKOFF_CORRUPT}: a header value does not parse") from None
+    if order < 1 or n_words < 1:
+        raise ValueError(f"{_BACKOFF_CORRUPT}: order and n_words must be at least 1")
+    if bos_id is not None and not 0 <= bos_id < n_words:
+        raise ValueError(f"{_BACKOFF_CORRUPT}: begin id outside [0, n_words)")
+    if len(sections) != 2 * order - 1 or not all(
+        ("grams", k) in sections and (k == 1 or ("bow", k) in sections)
+        for k in range(1, order + 1)
+    ):
+        raise ValueError(
+            f"{_BACKOFF_CORRUPT}: expected one n-gram section per order 1 to {order} "
+            f"and one bow section per order 2 to {order}"
+        )
+    unigrams = _backoff_section(sections["grams", 1], 1, False, n_words, "1-gram")
+    if len(unigrams) != n_words:
+        raise ValueError(f"{_BACKOFF_CORRUPT}: {len(unigrams)} unigram lines for {n_words} words")
+    uni = np.empty(n_words, dtype=np.float64)
+    for (w,), p in unigrams.items():
+        uni[w] = p
     probs: dict[int, dict[tuple[int, ...], float]] = {}
     bows: dict[int, dict[tuple[int, ...], float]] = {}
-    section: tuple[str, int] | None = None
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            parts = line.split("\t")
-            key = parts[0]
-            if key == "#order":
-                order = int(parts[1])
-            elif key == "#discount":
-                discount = float(parts[1])
-            elif key == "#n_words":
-                n_words = int(parts[1])
-                uni = np.zeros(n_words, dtype=np.float64)
-            elif key == "#bos":
-                bos_id = None if parts[1] == "none" else int(parts[1])
-            elif key == "#bow":
-                k = int(parts[1])
-                section = ("bow", k)
-                bows.setdefault(k, {})
-            elif key.endswith("-grams"):
-                k = int(key[1:].split("-")[0])
-                section = ("grams", k)
-                if k > 1:
-                    probs.setdefault(k, {})
-            else:
-                raise ValueError(f"unknown backoff header line: {line!r}")
-            continue
-        if section is None or uni is None:
-            raise ValueError("backoff model body precedes its headers")
-        what, k = section
-        if what == "grams":
-            h_str, w_str, lp_str = line.split("\t")
-            if k == 1:
-                uni[int(w_str)] = math.exp(float(lp_str))
-            else:
-                h = tuple(int(v) for v in h_str.split())
-                probs[k][h + (int(w_str),)] = math.exp(float(lp_str))
-        else:
-            h_str, lb_str = line.split("\t")
-            h = tuple(int(v) for v in h_str.split())
-            bows[k][h] = math.exp(float(lb_str))
-    if order is None or discount is None or n_words is None or uni is None:
-        raise ValueError("backoff model file missing required headers")
     for k in range(2, order + 1):
-        probs.setdefault(k, {})
-        bows.setdefault(k, {})
+        probs[k] = _backoff_section(sections["grams", k], k, False, n_words, f"{k}-gram")
+        bows[k] = _backoff_section(sections["bow", k], k - 1, True, n_words, f"order-{k} bow")
+        if not bows[k].keys() >= {ng[:-1] for ng in probs[k]}:
+            raise ValueError(f"{_BACKOFF_CORRUPT}: a {k}-gram history has no bow")
     return BackoffModel(order, n_words, discount, uni, probs, bows, bos_id=bos_id)
 
 
@@ -707,21 +767,30 @@ def save_interpolated(
 
 
 def load_interpolated(path: str | Path) -> InterpolatedModel:
+    """Read a mixture file written by ``save_interpolated`` and load its
+    components.  One ``#weights`` line and then ``#component`` lines are
+    required; any other line, or a cut-off last line, raises
+    ``ValueError``."""
     base = Path(path).parent
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != "#clusterlm-interp v1":
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.split("\n")
+    if lines[0].strip() != "#clusterlm-interp v1":
         raise ValueError("not an interpolated model file")
-    weights: list[float] = []
+    if lines.pop() != "":
+        raise ValueError("corrupt interpolated model file: the last line is cut off")
+    if len(lines) < 2 or not lines[1].startswith("#weights\t"):
+        raise ValueError("corrupt interpolated model file: expected a #weights line")
+    try:
+        weights = [float(x) for x in lines[1].partition("\t")[2].split()]
+    except ValueError:
+        raise ValueError("corrupt interpolated model file: a weight is not a number") from None
     comp_paths: list[Path] = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if parts[0] == "#weights":
-            weights = [float(x) for x in parts[1].split()]
-        elif parts[0] == "#component":
-            q = Path(parts[1])
-            comp_paths.append(q if q.is_absolute() else base / q)
+    for line in lines[2:]:
+        key, _, value = line.partition("\t")
+        if key != "#component" or not value:
+            raise ValueError(f"corrupt interpolated model file: unexpected line {line!r}")
+        q = Path(value)
+        comp_paths.append(q if q.is_absolute() else base / q)
     components = [load_model(p) for p in comp_paths]
     return InterpolatedModel(components, weights)
 
@@ -730,7 +799,7 @@ def load_model(path: str | Path):
     """Open any saved model, dispatching on its version line."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().strip()
-    if first == "#clusterlm-backoff v1":
+    if first == _BACKOFF_VERSION:
         return load_backoff(path)
     if first.startswith("#clusterlm-classlm "):
         return load_classlm(path)

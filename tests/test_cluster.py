@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterlm import _kernels as K
 from clusterlm.cluster import (
     Clustering,
     ClusterParams,
@@ -304,6 +305,47 @@ class TestMoveDeltas:
             delta_move_context_group(cl, [(99, 99)], 0)
         with pytest.raises(ValueError, match="empty context group"):
             delta_move_context_group(cl, [], 0)
+
+    def test_repeated_context_is_rejected(self):
+        rng = random.Random(12)
+        table, cl = random_clustering(rng)
+        ctx = min(table.counts)
+        t = (int(cl.S[table.index_of(ctx)]) + 1) % cl.n_states
+        delta_move_context_group(cl, [ctx], t)
+        with pytest.raises(ValueError, match="more than once"):
+            delta_move_context_group(cl, [ctx, ctx], t)
+
+
+class TestCachedF:
+    """The f = x ln x tables a Clustering keeps across moves cannot drift
+    from the tables they cache."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_moves_leave_caches_and_deltas_as_a_fresh_build(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="table seed"))
+        table, cl = random_clustering(rng)
+        for _ in range(data.draw(st.integers(0, 25), label="moves")):
+            if data.draw(st.booleans(), label="word move"):
+                w = data.draw(st.integers(0, cl.n_words - 1))
+                cl.apply_word_move(w, data.draw(st.integers(0, cl.n_categories - 1)))
+            else:
+                i = data.draw(st.integers(0, table.n_contexts - 1))
+                mates = np.flatnonzero(cl.S == cl.S[i])
+                mates = data.draw(st.lists(st.sampled_from(mates.tolist())))
+                group = np.union1d([i], np.asarray(mates, dtype=np.int64))
+                cl.apply_group_move(group, data.draw(st.integers(0, cl.n_states - 1)))
+        fresh = Clustering(table, cl.n_categories, cl.n_states, cl.G, cl.S)
+        np.testing.assert_array_equal(cl.joint, fresh.joint)
+        for cached, table_ in (
+            (cl.f_joint, cl.joint), (cl.f_state, cl.state_totals), (cl.f_cat, cl.cat_totals)
+        ):
+            assert cached.tobytes() == K.xlogx(table_).tobytes()
+        for w in range(cl.n_words):
+            assert cl.word_move_deltas(w).tobytes() == fresh.word_move_deltas(w).tobytes()
+        for i in range(table.n_contexts):
+            one = np.array([i])
+            assert cl.group_move_deltas(one).tobytes() == fresh.group_move_deltas(one).tobytes()
 
 
 class TestClusteringConstruction:

@@ -30,10 +30,26 @@ def random_instance(rng, n_states=4, n_cats=5):
     return joint
 
 
+def word_deltas(joint, profile, g):
+    """The word kernel with its f caches built from scratch."""
+    cat_totals = joint.sum(axis=0)
+    return K.word_move_deltas(
+        joint, cat_totals, profile, g, int(profile.sum()), K.xlogx(joint), K.xlogx(cat_totals)
+    )
+
+
+def group_deltas(joint, profile, s):
+    """The group kernel with its f caches built from scratch."""
+    state_totals = joint.sum(axis=1)
+    return K.group_move_deltas(
+        joint, state_totals, profile, s, int(profile.sum()), K.xlogx(joint), K.xlogx(state_totals)
+    )
+
+
 def check_word_deltas(joint, profile, g):
     """``profile`` (events per state) is a word inside category ``g`` of
     ``joint``; every delta must equal F(after) - F(before)."""
-    deltas = K.word_move_deltas(joint, joint.sum(axis=0), profile, g, int(profile.sum()))
+    deltas = word_deltas(joint, profile, g)
     assert deltas[g] == 0.0
     before = scratch_F(joint)
     for t in range(joint.shape[1]):
@@ -46,7 +62,7 @@ def check_word_deltas(joint, profile, g):
 def check_group_deltas(joint, profile, s):
     """``profile`` (events per category) is a context group inside state
     ``s`` of ``joint``; every delta must equal F(after) - F(before)."""
-    deltas = K.group_move_deltas(joint, joint.sum(axis=1), profile, s, int(profile.sum()))
+    deltas = group_deltas(joint, profile, s)
     assert deltas[s] == 0.0
     before = scratch_F(joint)
     for t in range(joint.shape[0]):
@@ -75,7 +91,7 @@ class TestPathsAgree:
         start, total = scratch_F(joint), 0.0
         for entry in profiles * 2:
             prof, g = entry
-            deltas = K.word_move_deltas(joint, joint.sum(axis=0), prof, g, int(prof.sum()))
+            deltas = word_deltas(joint, prof, g)
             t = int(np.argmax(deltas))
             total += float(deltas[t])
             joint[:, g] -= prof
@@ -150,5 +166,5 @@ class TestDispatch:
         # moving an element without events changes nothing
         joint = np.zeros((2, 3), dtype=np.int64)
         zeros = np.zeros(2, dtype=np.int64)
-        assert not K.word_move_deltas(joint, joint.sum(axis=0), zeros, 0, 0).any()
-        assert not K.group_move_deltas(joint.T, joint.T.sum(axis=1), zeros, 1, 0).any()
+        assert not word_deltas(joint, zeros, 0).any()
+        assert not group_deltas(joint.T, zeros, 1).any()

@@ -608,6 +608,159 @@ class TestBackoffModel:
             load_backoff(p)
 
 
+def backoff_lines(tmp_path):
+    """A saved order-3 model with kept n-grams of every order, and its lines."""
+    rng = random.Random(21)
+    sents = [[rng.randrange(4) for _ in range(rng.randint(2, 6))] for _ in range(40)]
+    m = train_backoff(ngram_counts(sents, 3, bos_id=5, eos_id=4), 6, discount=0.5, bos_id=5)
+    assert m.probs[3] and m.bows[3]
+    path = tmp_path / "backoff.model"
+    save_backoff(m, path)
+    return path, path.read_text().splitlines()
+
+
+def in_section(header, fn, offset=0):
+    """An edit replacing line ``offset`` of ``header``'s section by the
+    lines ``fn`` returns for it."""
+    def edit(lines):
+        at = lines.index(header) + 1 + offset
+        return lines[:at] + fn(lines[at]) + lines[at + 1 :]
+    return edit
+
+
+def header_as(key, line):
+    """An edit replacing every ``key`` header line by ``line``."""
+    return lambda lines: [line if x.split("\t")[0] == key else x for x in lines]
+
+
+def with_word(line, word):
+    h, _, lp = line.split("\t")
+    return [f"{h}\t{word}\t{lp}"]
+
+
+def with_log(line, value):
+    return [line.rpartition("\t")[0] + "\t" + value]
+
+
+class TestBackoffFileCorruption:
+    """A damaged backoff model file raises ValueError, never another error."""
+
+    def test_truncation_at_every_line_and_mid_line_is_rejected(self, tmp_path):
+        path, lines = backoff_lines(tmp_path)
+        cut = tmp_path / "cut.model"
+        for k in range(len(lines)):
+            head = "".join(line + "\n" for line in lines[:k])
+            cut.write_text(head)
+            with pytest.raises(ValueError):
+                load_backoff(cut)
+            cut.write_text(head + lines[k][: len(lines[k]) // 2])
+            with pytest.raises(ValueError):
+                load_backoff(cut)
+
+    @pytest.mark.parametrize("name, edit", [
+        ("unigram id past the vocabulary",
+         in_section("#1-grams", lambda x: [x.replace("\t0\t", "\t99999\t", 1)])),
+        ("unigram id -1", in_section("#1-grams", lambda x: [x.replace("\t0\t", "\t-1\t", 1)])),
+        ("repeated unigram", in_section("#1-grams", lambda x: [x.replace("\t1\t", "\t0\t", 1)], 1)),
+        ("bare #order", header_as("#order", "#order")),
+        ("bare #bow", header_as("#bow", "#bow")),
+        ("order text", header_as("#order", "#order\tthree")),
+        ("order beyond its sections", header_as("#order", "#order\t4")),
+        ("huge order", header_as("#order", "#order\t" + "9" * 18)),
+        ("begin id past the vocabulary", header_as("#bos", "#bos\t6")),
+        ("n-gram word id past the vocab", in_section("#2-grams", lambda x: with_word(x, "99999"))),
+        ("huge n-gram word id", in_section("#2-grams", lambda x: with_word(x, "9" * 25))),
+        ("history too long", in_section("#2-grams", lambda x: ["0 " + x])),
+        ("history too short", in_section("#3-grams", lambda x: [x.split(" ", 1)[1]])),
+        ("bow history too long", in_section("#bow\t2", lambda x: ["0 " + x])),
+        ("n-gram without its bow", in_section("#bow\t2", lambda x: [])),
+        ("missing field", in_section("#2-grams", lambda x: [x.rpartition("\t")[0]])),
+        ("extra field", in_section("#2-grams", lambda x: [x + "\t1"])),
+        ("space for tab", in_section("#2-grams", lambda x: [x.replace("\t", " ")])),
+        ("log text", in_section("#2-grams", lambda x: with_log(x, "x"))),
+        ("log nan", in_section("#2-grams", lambda x: with_log(x, "nan"))),
+        ("log overflow", in_section("#2-grams", lambda x: with_log(x, "1e300"))),
+        ("repeated n-gram", in_section("#2-grams", lambda x: [x, x])),
+        ("repeated section", lambda L: L + ["#bow\t2"]),
+        ("unknown section", lambda L: L + ["#4-gramz"]),
+        ("blank line", lambda L: L[:-1] + ["", L[-1]]),
+        ("trailing header", lambda L: L + ["#n_words\t6"]),
+        ("body before the headers", lambda L: [L[0], "\t0\t-1.0"] + L[1:]),
+    ])
+    def test_corruption_is_rejected(self, tmp_path, name, edit):
+        path, lines = backoff_lines(tmp_path)
+        load_backoff(path)
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ValueError):
+            load_backoff(path)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_byte_damage_never_escapes_as_another_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, _ = backoff_lines(Path(tmp))
+            raw = bytearray(path.read_bytes())
+            for _ in range(data.draw(st.integers(1, 3))):
+                at = data.draw(st.integers(0, len(raw) - 1))
+                if data.draw(st.booleans()):
+                    raw[at] = data.draw(st.sampled_from(b"0123456789 \t\n#-.ex"))
+                else:
+                    del raw[at]
+            path.write_bytes(bytes(raw))
+            try:
+                loaded = load_backoff(path)
+            except ValueError:
+                return
+            assert np.isfinite(loaded.uni).all() and (loaded.uni > 0).all()
+            assert loaded.prob(0, [1, 2]) > 0.0
+
+
+def mixture_lines(tmp_path):
+    """A saved two-component mixture of backoff models, and its lines."""
+    for name, order in (("a.model", 1), ("b.model", 2)):
+        counts = ngram_counts([[0, 1, 2], [1, 2]], order, bos_id=4, eos_id=3)
+        save_backoff(train_backoff(counts, 5, discount=0.5, bos_id=4), tmp_path / name)
+    components = [load_backoff(tmp_path / n) for n in ("a.model", "b.model")]
+    mix = InterpolatedModel(components, [0.25, 0.75])
+    path = tmp_path / "mix.model"
+    save_interpolated(mix, path, ["a.model", "b.model"])
+    return path, path.read_text().splitlines()
+
+
+class TestInterpolatedFileCorruption:
+    """A damaged mixture file raises ValueError, never another error."""
+
+    def test_truncation_at_every_line_and_mid_line_is_rejected(self, tmp_path):
+        path, lines = mixture_lines(tmp_path)
+        cut = tmp_path / "cut.model"
+        for k in range(len(lines)):
+            head = "".join(line + "\n" for line in lines[:k])
+            cut.write_text(head)
+            with pytest.raises(ValueError):
+                load_interpolated(cut)
+            cut.write_text(head + lines[k][: len(lines[k]) // 2])
+            with pytest.raises(ValueError):
+                load_interpolated(cut)
+
+    @pytest.mark.parametrize("name, edit", [
+        ("bare #weights", lambda L: [L[0], "#weights"] + L[2:]),
+        ("no #weights", lambda L: [L[0]] + L[2:]),
+        ("weights after the components", lambda L: [L[0]] + L[2:] + [L[1]]),
+        ("weight text", lambda L: [L[0], "#weights\t0.25 x"] + L[2:]),
+        ("weights not summing to one", lambda L: [L[0], "#weights\t0.25 0.5"] + L[2:]),
+        ("one weight too many", lambda L: [L[0], L[1] + " 0.0"] + L[2:]),
+        ("bare #component", lambda L: L[:-1] + ["#component"]),
+        ("unknown line", lambda L: L + ["#note\tx"]),
+        ("blank line", lambda L: L[:-1] + ["", L[-1]]),
+    ])
+    def test_corruption_is_rejected(self, tmp_path, name, edit):
+        path, lines = mixture_lines(tmp_path)
+        load_interpolated(path)
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ValueError):
+            load_interpolated(path)
+
+
 class Fixed:
     """Stub component with hand-set probabilities."""
 
