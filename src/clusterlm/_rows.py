@@ -1,5 +1,5 @@
-"""Integer row sections: the text codec of the counts, clustering and
-class model files.
+"""Integer row sections: the text codec of the counts, clustering,
+class model and backoff model files, and the row grouping they share.
 
 A section is a run of lines, one per row of an integer matrix: the
 row's key fields separated by spaces, then each value field after a
@@ -79,6 +79,14 @@ class Reader:
         """The integer of the next line, ``key<TAB>n``."""
         return self.int(self.line(key, 1)[0], key[1:])
 
+    def float_line(self, key: str) -> float:
+        """The number of the next line, ``key<TAB>x``."""
+        text = self.line(key, 1)[0]
+        try:
+            return float(text)
+        except ValueError:
+            raise self.error(f"{key[1:]} is not a number: {text!r}") from None
+
     def rows(self, what: str, n_key: int, n_value: int, n_rows: int | None = None) -> np.ndarray:
         """The integer rows up to the next ``#`` line or the end, each
         ``n_key`` space-separated fields and ``n_value`` more after tabs,
@@ -147,6 +155,31 @@ def row_starts(rows: np.ndarray) -> np.ndarray:
     out = np.ones(len(rows), dtype=bool)
     out[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     return out
+
+
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the stable permutation that sorts ``rows``
+    lexicographically, and the positions in that order where a new
+    distinct row begins.  Rows without columns form one group."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    return order, np.flatnonzero(row_starts(rows[order]))
+
+
+def find_rows(table: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(at, found): for each query row, the index of the last row of the
+    strictly sorted ``table`` that sorts at or before it (-1 if none),
+    and whether that row equals the query.  Rows are compared column by
+    column, so any width and any integer values work."""
+    n = len(table)
+    order = np.lexsort(np.concatenate([table, queries]).T[::-1])
+    # stable: a table row sorts before an equal query
+    last = np.maximum.accumulate(np.where(order < n, order, -1))
+    is_query = order >= n
+    at = np.empty(len(queries), dtype=np.int64)
+    at[order[is_query] - n] = last[is_query]
+    found = at >= 0
+    found[found] = (table[at[found]] == queries[found]).all(axis=1)
+    return at, found
 
 
 def tuples(rows: np.ndarray) -> Iterator[tuple[int, ...]]:

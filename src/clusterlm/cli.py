@@ -255,12 +255,16 @@ def cmd_classes_export(args) -> int:
 
 
 def cmd_ngram_train(args) -> int:
+    cutoffs = {k: 1 for k in range(3, args.order + 1)}
+    if args.cutoff3 is not None:
+        if args.order < 3:
+            raise ValueError("--cutoff3 needs --order 3 or more")
+        if args.cutoff3 < 0:
+            raise ValueError("--cutoff3 must not be negative")
+        cutoffs[3] = args.cutoff3
     vocab = Vocabulary.load(args.vocab)
     sentences = encode_corpus(read_corpus_lines(args.corpus), vocab)
     counts = ngram_counts(sentences, args.order, bos_id=vocab.bos_id, eos_id=vocab.eos_id)
-    cutoffs = {k: 1 for k in range(3, args.order + 1)}
-    if args.order >= 3:
-        cutoffs[3] = args.cutoff3
     model = train_backoff(
         counts, len(vocab), discount=args.discount, cutoffs=cutoffs, bos_id=vocab.bos_id
     )
@@ -397,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     nt.add_argument("--corpus", required=True)
     nt.add_argument("--vocab", required=True)
     nt.add_argument("--order", type=int, default=3)
-    nt.add_argument("--cutoff3", type=int, default=1, help="discard order-3 grams seen at most this often")
+    nt.add_argument("--cutoff3", type=int, help="discard order-3 grams seen at most this often (default 1)")
     nt.add_argument("--discount", type=float, default=0.5)
     nt.add_argument("--out", required=True)
     nt.set_defaults(func=cmd_ngram_train)

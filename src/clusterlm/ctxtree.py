@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from clusterlm._rows import group_rows
 from clusterlm.events import ContextTuple, EventTable
 
 
@@ -51,13 +52,18 @@ class ContextTree:
 def suffix_level(mat: np.ndarray, level: int, ctx_counts: np.ndarray) -> Level:
     """Group the rows of the sorted context matrix ``mat`` by their last
     ``level`` columns; ``ctx_counts[i]`` is the event count of row ``i``."""
-    keys, group_of = np.unique(mat[:, mat.shape[1] - level :], axis=0, return_inverse=True)
-    group_of = group_of.reshape(-1)
-    members = np.argsort(group_of, kind="stable")
-    bounds = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(group_of, minlength=len(keys)), out=bounds[1:])
-    counts = np.add.reduceat(ctx_counts[members], bounds[:-1])
-    return Level(keys=keys, counts=counts, group_of=group_of, members=members, bounds=bounds)
+    suffix = mat[:, mat.shape[1] - level :]
+    members, starts = group_rows(suffix)
+    sizes = np.diff(starts, append=len(mat))
+    group_of = np.empty(len(mat), dtype=np.int64)
+    group_of[members] = np.repeat(np.arange(len(starts)), sizes)
+    return Level(
+        keys=suffix[members[starts]],
+        counts=np.add.reduceat(ctx_counts[members], starts),
+        group_of=group_of,
+        members=members,
+        bounds=np.append(starts, len(mat)),
+    )
 
 
 def build_suffix_tree(table: EventTable) -> ContextTree:

@@ -19,7 +19,8 @@ class EvalReport:
 
     ``perplexity == exp(-logprob_sum / token_count)`` by construction;
     ``per_sentence`` optionally holds (event count, logprob sum) per
-    test sentence.
+    test sentence, in input order, with (0, 0.0) for a sentence none of
+    whose events was scored.
     """
 
     model_id: str
@@ -69,7 +70,7 @@ def perplexity(
     if skip_unknown and unk_id is None:
         raise ValueError("unk_id is required when unknown words are skipped")
     logs: list[float] = []
-    by_sentence: dict[int, list[float]] = {}
+    by_sentence: list[list[float]] = [[] for _ in sentences] if per_sentence else []
     for si, pos, w, hist in _events(sentences, eos_id, include_eos):
         if skip_unknown and w == unk_id:
             continue
@@ -81,7 +82,7 @@ def perplexity(
         lp = math.log(p)
         logs.append(lp)
         if per_sentence:
-            by_sentence.setdefault(si, []).append(lp)
+            by_sentence[si].append(lp)
     if not logs:
         raise ValueError("no events to evaluate")
     total = math.fsum(logs)
@@ -93,9 +94,7 @@ def perplexity(
         perplexity=math.exp(-total / count),
     )
     if per_sentence:
-        report.per_sentence = [
-            (len(by_sentence[si]), math.fsum(by_sentence[si])) for si in sorted(by_sentence)
-        ]
+        report.per_sentence = [(len(lps), math.fsum(lps)) for lps in by_sentence]
     return report
 
 

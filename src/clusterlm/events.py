@@ -20,6 +20,7 @@ from clusterlm._rows import (
     Reader,
     check_range,
     check_strictly_sorted,
+    group_rows,
     row_starts,
     tuples,
     write_rows,
@@ -139,47 +140,62 @@ class EventTable:
         return i
 
 
-def extract_events(
-    sentences: Iterable[Sequence[int]], spec: ContextSpec, vocab: Vocabulary
-) -> EventTable:
-    """Accumulate N(c, w) over every prediction position of the corpus.
+def event_rows(
+    sentences: Iterable[Sequence[int]], offsets: Sequence[int], bos_id: int, eos_id: int
+) -> np.ndarray:
+    """One int64 row per prediction event of the corpus: the word ids at
+    the negative ``offsets`` (farthest first) from the predicted
+    position, then the predicted word.
 
     Each sentence contributes one event per token plus one for the
-    sentence-end token.  Positions before the sentence start take the
-    mapped sentence-begin value; sentence-end never appears inside a
-    context.
+    sentence-end token.  Positions before the sentence start hold the
+    begin token; the end token never appears at an offset.
     """
-    for slot in spec.slots:
-        if slot.mapper.table.size != len(vocab):
-            raise ValueError(
-                f"mapper arity mismatch: slot {slot.offset} maps {slot.mapper.table.size} "
-                f"words, vocabulary has {len(vocab)}"
-            )
     sentences = list(sentences)
     if not sentences:
         raise ValueError("empty corpus")
     # The corpus becomes one stream of blocks: `pad` begin tokens, the
     # sentence and its end token.  Every position after a block's padding
-    # is predicted, and no context reaches back past that padding.
-    pad = -spec.slots[0].offset
+    # is predicted, and no offset reaches back past that padding.
+    pad = -offsets[0] if len(offsets) else 0
     lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
     block_ends = np.cumsum(lengths + pad + 1) - 1
-    stream = np.full(int(block_ends[-1]) + 1, vocab.bos_id, dtype=np.int64)
+    stream = np.full(int(block_ends[-1]) + 1, bos_id, dtype=np.int64)
     is_word = np.ones(len(stream), dtype=bool)
     is_word[(block_ends - lengths - pad)[:, None] + np.arange(pad)] = False
     is_word[block_ends] = False
     stream[is_word] = np.fromiter(
         itertools.chain.from_iterable(sentences), dtype=np.int64, count=int(lengths.sum())
     )
-    stream[block_ends] = vocab.eos_id
+    stream[block_ends] = eos_id
     is_word[block_ends] = True  # the end token is predicted too
     at = np.flatnonzero(is_word)
-    keys = np.column_stack(
-        [slot.mapper.table[stream[at + slot.offset]] for slot in spec.slots] + [stream[at]]
-    )
-    keys = keys[np.lexsort(keys.T[::-1])]
-    first = np.flatnonzero(row_starts(keys))
-    return EventTable(spec, len(vocab), keys[first], np.diff(first, append=len(keys)))
+    return np.column_stack([stream[at + off] for off in offsets] + [stream[at]])
+
+
+def count_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``rows`` in sorted order, and how often each
+    occurs."""
+    order, starts = group_rows(rows)
+    return rows[order[starts]], np.diff(starts, append=len(rows))
+
+
+def extract_events(
+    sentences: Iterable[Sequence[int]], spec: ContextSpec, vocab: Vocabulary
+) -> EventTable:
+    """Accumulate N(c, w) over every prediction position of the corpus
+    (see ``event_rows``), each context position mapped by its slot's
+    feature mapper."""
+    for slot in spec.slots:
+        if slot.mapper.table.size != len(vocab):
+            raise ValueError(
+                f"mapper arity mismatch: slot {slot.offset} maps {slot.mapper.table.size} "
+                f"words, vocabulary has {len(vocab)}"
+            )
+    rows = event_rows(sentences, [s.offset for s in spec.slots], vocab.bos_id, vocab.eos_id)
+    for k, slot in enumerate(spec.slots):
+        rows[:, k] = slot.mapper.table[rows[:, k]]
+    return EventTable(spec, len(vocab), *count_rows(rows))
 
 
 def save_counts(table: EventTable, path: str | Path) -> None:

@@ -18,8 +18,6 @@ All trained models are immutable and their queries are pure.
 
 from __future__ import annotations
 
-import math
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -29,6 +27,8 @@ from clusterlm._rows import (
     Reader,
     check_range,
     check_strictly_sorted,
+    find_rows,
+    group_rows,
     row_starts,
     tuples,
     write_rows,
@@ -38,7 +38,7 @@ from clusterlm._rows import (
 # the benchmark tracer patches them in this module's namespace.
 from clusterlm.cluster import Clustering, load_clustering  # noqa: F401
 from clusterlm.corpus import Vocabulary
-from clusterlm.events import ContextTuple, load_counts  # noqa: F401
+from clusterlm.events import ContextTuple, count_rows, event_rows, load_counts  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +236,9 @@ def _suffix_states(
     context rows, sorted, with the state holding most of its events
     (ties to the lower state id)."""
     suffix = contexts[:, contexts.shape[1] - keep :]
-    order = np.lexsort((states, *suffix.T[::-1]))
-    suffix, states, counts = suffix[order], states[order], counts[order]
-    new_pair = row_starts(suffix)
-    new_pair[1:] |= states[1:] != states[:-1]
-    starts = np.flatnonzero(new_pair)
-    suffix, states, weight = suffix[starts], states[starts], np.add.reduceat(counts, starts)
+    order, starts = group_rows(np.column_stack([suffix, states]))
+    first = order[starts]
+    suffix, states, weight = suffix[first], states[first], np.add.reduceat(counts[order], starts)
     # heaviest state first within each suffix, the lower id among equals
     order = np.lexsort((states, -weight, *suffix.T[::-1]))
     suffix, states = suffix[order], states[order]
@@ -306,11 +303,7 @@ def load_classlm(path: str | Path) -> ClassLM:
     if first != CLASSLM_VERSION.encode():
         raise ValueError(f"not a class model file: {path}")
     r = Reader(data, len(first) + 1, _CORRUPT)
-    discount_s = r.line("#discount", 1)[0]
-    try:
-        discount = float(discount_s)
-    except ValueError:
-        raise ValueError(f"{_CORRUPT}: discount is not a number: {discount_s!r}") from None
+    discount = r.float_line("#discount")
     _check_discount(discount)
     n_words = r.int_line("#n_words")
     n_categories = r.int_line("#n_categories")
@@ -419,33 +412,60 @@ class BackoffModel:
 
         p_1(w) = (max(c(w) - D, 0) + D * n+ / |V|) / N.
 
-    ``probs`` stores the full interpolated p_k for every kept k-gram;
-    ``bows`` stores bow(h) per seen history.
+    The model is defined by its kept counts: ``grams[k-1]`` holds the
+    kept k-grams as strictly sorted rows of word ids and ``counts[k-1]``
+    their counts, as ``train_backoff`` checks and cuts them.  From them
+    it derives ``uni``, and per order k >= 2 the scalar query index:
+    ``probs[k]`` maps every kept k-gram to its full interpolated p_k and
+    ``bows[k]`` every seen history to bow(h).
     """
 
     def __init__(
         self,
-        order: int,
         n_words: int,
         discount: float,
-        uni: np.ndarray,
-        probs: dict[int, dict[tuple[int, ...], float]],
-        bows: dict[int, dict[tuple[int, ...], float]],
+        counts: Sequence[tuple[np.ndarray, np.ndarray]],
         bos_id: int | None = None,
     ):
-        if order < 1:
-            raise ValueError("order must be at least 1")
         if not 0.0 < discount < 1.0:
             raise ValueError("discount must lie in (0, 1)")
-        self.order = int(order)
+        if not counts:
+            raise ValueError("counts for at least one order required")
+        if bos_id is not None and not 0 <= bos_id < n_words:
+            raise ValueError("begin id outside [0, n_words)")
+        self.order = len(counts)
         self.n_words = int(n_words)
-        self.discount = float(discount)
-        self.bos_id = bos_id
-        self.uni = np.asarray(uni, dtype=np.float64)
-        if self.uni.shape != (self.n_words,):
-            raise ValueError("unigram table length does not match vocabulary")
-        self.probs = probs
-        self.bows = bows
+        self.discount = d = float(discount)
+        self.bos_id = None if bos_id is None else int(bos_id)
+        self.grams = [g for g, _ in counts]
+        self.counts = [c for _, c in counts]
+
+        words, uni_counts = self.grams[0][:, 0], self.counts[0]
+        total = int(uni_counts.sum())
+        if total == 0:
+            raise ValueError("no unigrams survive the cutoffs")
+        floor = d * len(uni_counts) / self.n_words
+        self.uni = np.full(self.n_words, floor / total, dtype=np.float64)
+        self.uni[words] = (np.maximum(uni_counts - d, 0.0) + floor) / total
+
+        tables: list[tuple[np.ndarray, ...]] = []
+        # the keys share one int object per word id rather than one per entry
+        ids = np.arange(self.n_words).astype(object)
+        self.probs: dict[int, dict[tuple[int, ...], float]] = {}
+        self.bows: dict[int, dict[tuple[int, ...], float]] = {}
+        for k in range(2, self.order + 1):
+            grams, c = self.grams[k - 1], self.counts[k - 1]
+            starts = np.flatnonzero(row_starts(grams[:, :-1]))
+            hists = grams[starts, :-1]
+            hist_tot = np.add.reduceat(c, starts)
+            nplus = np.diff(starts, append=len(grams))
+            bows = d * nplus / hist_tot
+            h = np.repeat(np.arange(len(starts)), nplus)
+            lower = _interpolated(self.uni, tables, k - 1, grams[:, 1:])
+            probs = (c - d) / hist_tot[h] + bows[h] * lower
+            tables.append((grams, probs, hists, bows))
+            self.probs[k] = dict(zip(tuples(ids[grams]), probs.tolist()))
+            self.bows[k] = dict(zip(tuples(ids[hists]), bows.tolist()))
 
     def _padded(self, history: Sequence[int]) -> tuple[int, ...]:
         if self.order == 1:
@@ -484,32 +504,55 @@ class BackoffModel:
         )
 
 
+def _interpolated(
+    uni: np.ndarray, tables: Sequence[tuple[np.ndarray, ...]], k: int, rows: np.ndarray
+) -> np.ndarray:
+    """p_k(w | h) of each row (h, w) of k word ids, by the recursion of
+    ``BackoffModel._p``; ``tables[j-2]`` holds the kept grams, their
+    probabilities, the seen histories and their bows of order j."""
+    if k == 1:
+        return uni[rows[:, 0]]
+    grams, probs, hists, bows = tables[k - 2]
+    at, kept = find_rows(grams, rows)
+    out = np.empty(len(rows), dtype=np.float64)
+    out[kept] = probs[at[kept]]
+    rest = _interpolated(uni, tables, k - 1, rows[~kept, 1:])
+    at, seen = find_rows(hists, rows[~kept, :-1])
+    rest[seen] = bows[at[seen]] * rest[seen]
+    out[~kept] = rest
+    return out
+
+
 def ngram_counts(
     sentences: Iterable[Sequence[int]],
     order: int,
     *,
     bos_id: int,
     eos_id: int,
-) -> list[dict[tuple[int, ...], int]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-order n-gram counts with one k-gram of every order per
     prediction event: histories are padded with the begin token and the
-    end token is predicted once per sentence."""
+    end token is predicted once per sentence.
+
+    Entry k-1 is the pair (grams, counts): the distinct k-grams as
+    strictly sorted rows of k word ids, and their int64 counts.  The
+    order-``order`` rows come from ``event_rows``, as the context counts
+    do; each lower order is the suffix marginal of the order above.
+    """
     if order < 1:
         raise ValueError("order must be at least 1")
-    counts: list[dict[tuple[int, ...], int]] = [{} for _ in range(order)]
-    for sent in sentences:
-        seq = [bos_id] * (order - 1) + [int(x) for x in sent] + [eos_id]
-        for i in range(order - 1, len(seq)):
-            for k in range(1, order + 1):
-                ng = tuple(seq[i - k + 1 : i + 1])
-                counts[k - 1][ng] = counts[k - 1].get(ng, 0) + 1
-    if not counts[0]:
-        raise ValueError("empty corpus")
-    return counts
+    grams, counts = count_rows(event_rows(sentences, range(1 - order, 0), bos_id, eos_id))
+    out = [(grams, counts)]
+    for _ in range(order - 1):
+        suffix = grams[:, 1:]
+        perm, starts = group_rows(suffix)
+        grams, counts = suffix[perm[starts]], np.add.reduceat(counts[perm], starts)
+        out.append((grams, counts))
+    return out[::-1]
 
 
 def train_backoff(
-    counts: Sequence[dict[tuple[int, ...], int]],
+    counts: Sequence[tuple[np.ndarray, np.ndarray]],
     n_words: int,
     *,
     discount: float = 0.5,
@@ -518,202 +561,94 @@ def train_backoff(
 ) -> BackoffModel:
     """Build a BackoffModel from per-order n-gram counts.
 
-    ``counts[k-1]`` holds the k-gram counts.  ``cutoffs`` maps an order
-    to the count at or below which its n-grams are discarded; by default
-    every order >= 3 discards singletons.  A history whose k-grams are
-    all discarded becomes unseen and backs off fully.
+    ``counts[k-1]`` is the order-k pair (grams, counts) that
+    ``ngram_counts`` returns: strictly sorted rows of k word ids in
+    ``[0, n_words)`` and positive counts; anything else raises
+    ``ValueError``.  ``cutoffs`` maps an order to the count at or below
+    which its n-grams are discarded; by default every order >= 3
+    discards singletons.  A history whose k-grams are all discarded
+    becomes unseen and backs off fully.
     """
-    if not 0.0 < discount < 1.0:
-        raise ValueError("discount must lie in (0, 1)")
-    order = len(counts)
-    if order < 1:
-        raise ValueError("counts for at least one order required")
     if cutoffs is None:
-        cutoffs = {k: 1 for k in range(3, order + 1)}
-    kept: list[dict[tuple[int, ...], int]] = []
-    for k in range(1, order + 1):
-        cut = cutoffs.get(k, 0)
-        table = {}
-        for ng, c in counts[k - 1].items():
-            if len(ng) != k:
-                raise ValueError(f"order-{k} table contains a length-{len(ng)} entry")
-            if c > cut:
-                table[ng] = c
-        kept.append(table)
-
-    uni_counts = kept[0]
-    total = sum(uni_counts.values())
-    if total == 0:
-        raise ValueError("no unigrams survive the cutoffs")
-    nplus = len(uni_counts)
-    floor = discount * nplus / n_words
-    uni = np.full(n_words, floor / total, dtype=np.float64)
-    for (w,), c in uni_counts.items():
-        uni[w] = (max(c - discount, 0.0) + floor) / total
-
-    model = BackoffModel(order, n_words, discount, uni, {}, {}, bos_id=bos_id)
-    for k in range(2, order + 1):
-        hist_tot: dict[tuple[int, ...], int] = {}
-        hist_np: dict[tuple[int, ...], int] = {}
-        for ng, c in kept[k - 1].items():
-            h = ng[:-1]
-            hist_tot[h] = hist_tot.get(h, 0) + c
-            hist_np[h] = hist_np.get(h, 0) + 1
-        bows = {
-            h: discount * hist_np[h] / hist_tot[h] for h in hist_tot
-        }
-        probs = {}
-        model.bows[k] = bows
-        for ng, c in kept[k - 1].items():
-            h = ng[:-1]
-            probs[ng] = (c - discount) / hist_tot[h] + bows[h] * model._p(
-                k - 1, h[1:], ng[-1]
-            )
-        model.probs[k] = probs
-    return model
+        cutoffs = {k: 1 for k in range(3, len(counts) + 1)}
+    kept = []
+    for k, (grams, c) in enumerate(counts, 1):
+        grams, c = np.asarray(grams, dtype=np.int64), np.asarray(c, dtype=np.int64)
+        if grams.ndim != 2 or grams.shape[1] != k or c.shape != (len(grams),):
+            raise ValueError(f"order-{k} rows must have length {k} and one count each")
+        check_range(grams, 0, n_words, f"order-{k} word ids")
+        check_strictly_sorted(grams, f"order-{k}")
+        check_range(c, 1, 2**62, f"order-{k} counts")
+        if c.sum(dtype=np.float64) >= 2.0**62:
+            raise ValueError(f"order-{k} counts must add up to less than 2**62")
+        keep = c > cutoffs.get(k, 0)
+        kept.append((grams[keep], c[keep]))
+    return BackoffModel(n_words, discount, kept, bos_id=bos_id)
 
 
-_BACKOFF_VERSION = "#clusterlm-backoff v1"
+_BACKOFF_VERSION = "#clusterlm-backoff v2"
 _BACKOFF_CORRUPT = "corrupt backoff model file"
-_BACKOFF_HEADERS = ("#order", "#discount", "#n_words", "#bos")
 
 
 def save_backoff(model: BackoffModel, path: str | Path) -> None:
-    """Versioned text dump: sorted ``history<TAB>word<TAB>logprob``
-    lines per order plus per-history backoff weight sections."""
-    lines = [
+    """Write the model's kept counts as one text file.
+
+    After the version line come ``#order``, ``#discount``, ``#n_words``
+    and ``#bos`` (a word id or ``none``), then per order k one
+    ``#k-grams<TAB>rows`` section of ``w_1 ... w_k<TAB>count`` lines in
+    sorted order, so equal models give equal bytes.
+    """
+    header = [
         _BACKOFF_VERSION,
         f"#order\t{model.order}",
         f"#discount\t{model.discount!r}",
         f"#n_words\t{model.n_words}",
         f"#bos\t{'none' if model.bos_id is None else model.bos_id}",
-        "#1-grams",
     ]
-    for w in range(model.n_words):
-        lines.append(f"\t{w}\t{math.log(model.uni[w])!r}")
-    for k in range(2, model.order + 1):
-        lines.append(f"#{k}-grams")
-        for ng in sorted(model.probs.get(k, {})):
-            h = " ".join(str(v) for v in ng[:-1])
-            lines.append(f"{h}\t{ng[-1]}\t{math.log(model.probs[k][ng])!r}")
-        lines.append(f"#bow\t{k}")
-        for h in sorted(model.bows.get(k, {})):
-            hs = " ".join(str(v) for v in h)
-            lines.append(f"{hs}\t{math.log(model.bows[k][h])!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _backoff_section(
-    chunk: str, n_ids: int, is_bow: bool, n_words: int, what: str
-) -> dict[tuple[int, ...], float]:
-    """Key -> exp(value) of the lines after the header line of a section's
-    ``chunk``.  An n-gram line is ``history<TAB>word<TAB>log p``, a bow
-    line ``history<TAB>log bow``, with the history's word ids separated
-    by spaces; every key must have ``n_ids`` word ids in ``[0,
-    n_words)``, no key may repeat and every value must be positive and
-    finite."""
-    table: dict[tuple[int, ...], float] = {}
-    try:
-        if is_bow:
-            for line in chunk.split("\n")[1:]:
-                h, v = line.split("\t")
-                table[tuple(map(int, h.split()))] = math.exp(float(v))
-        else:
-            for line in chunk.split("\n")[1:]:
-                h, w, v = line.split("\t")
-                table[(*map(int, h.split()), int(w))] = math.exp(float(v))
-    except (ValueError, OverflowError):
-        raise ValueError(f"{_BACKOFF_CORRUPT}: malformed {what} line") from None
-    if len(table) != chunk.count("\n"):
-        raise ValueError(f"{_BACKOFF_CORRUPT}: a {what} key repeats")
-    if set(map(len, table)) - {n_ids}:
-        raise ValueError(f"{_BACKOFF_CORRUPT}: a {what} key is not {n_ids} word id(s)")
-    try:
-        ids = np.fromiter(chain.from_iterable(table), dtype=np.int64, count=n_ids * len(table))
-    except OverflowError:
-        raise ValueError(f"{_BACKOFF_CORRUPT}: {what} word id out of range") from None
-    check_range(ids, 0, n_words, f"{_BACKOFF_CORRUPT}: {what} word ids")
-    vals = np.fromiter(table.values(), dtype=np.float64, count=len(table))
-    if not (np.isfinite(vals) & (vals > 0.0)).all():
-        raise ValueError(f"{_BACKOFF_CORRUPT}: a {what} value is not a finite log")
-    return table
+    with open(path, "wb") as fh:
+        fh.write("\n".join(header).encode("utf-8") + b"\n")
+        for k, (grams, counts) in enumerate(zip(model.grams, model.counts), 1):
+            fh.write(f"#{k}-grams\t{len(grams)}\n".encode("ascii"))
+            write_rows(fh, grams, counts)
 
 
 def load_backoff(path: str | Path) -> BackoffModel:
     """Read a backoff model file written by ``save_backoff``.
 
-    Each header appears once before the sections; there must be exactly
-    one n-gram section per order and one bow section per order from 2,
-    one unigram line per word, and a bow for the history of every
-    n-gram.  Word ids, history lengths and values are checked; any
-    inconsistency, a cut-off last line included, raises ``ValueError``.
+    The sections are parsed in one numpy pass each, then handed to
+    ``train_backoff`` without cutoffs, so the loaded model equals the
+    saved one bit for bit.  A damaged file (bad header, row count, id,
+    sort order or count, or a cut-off last line) raises ``ValueError``.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    # one chunk per "#" line: the line, then the body lines up to the next one
-    first, *chunks = text[:-1].split("\n#")
-    if first.strip() != _BACKOFF_VERSION:
-        if first.partition("\n")[0].strip() == _BACKOFF_VERSION:
-            raise ValueError(f"{_BACKOFF_CORRUPT}: body lines precede the headers")
-        raise ValueError("not a backoff model file")
-    if not text.endswith("\n"):
-        raise ValueError(f"{_BACKOFF_CORRUPT}: the last line is cut off")
-    del text  # the chunks hold the file from here on
-    header: dict[str, str] = {}
-    sections: dict[tuple[str, int], str] = {}
-    for chunk in chunks:
-        end = chunk.find("\n")
-        line = "#" + (chunk if end < 0 else chunk[:end])
-        key, _, value = line.partition("\t")
-        if key in _BACKOFF_HEADERS:
-            if sections or key in header or end >= 0:
-                raise ValueError(f"{_BACKOFF_CORRUPT}: misplaced or repeated {key} line")
-            header[key] = value
-            continue
-        if key == "#bow":
-            kind, k = "bow", value
-        elif key.endswith("-grams") and not value:
-            kind, k = "grams", key[1 : -len("-grams")]
-        else:
-            raise ValueError(f"unknown backoff header line: {line!r}")
-        if not k.isdecimal() or (kind, int(k)) in sections:
-            raise ValueError(f"{_BACKOFF_CORRUPT}: bad or repeated section line {line!r}")
-        sections[kind, int(k)] = chunk
-    if not {"#order", "#discount", "#n_words"} <= header.keys():
-        raise ValueError("backoff model file missing required headers")
-    try:
-        order = int(header["#order"])
-        discount = float(header["#discount"])
-        n_words = int(header["#n_words"])
-        bos = header.get("#bos", "none")
-        bos_id = None if bos == "none" else int(bos)
-    except ValueError:
-        raise ValueError(f"{_BACKOFF_CORRUPT}: a header value does not parse") from None
-    if order < 1 or n_words < 1:
-        raise ValueError(f"{_BACKOFF_CORRUPT}: order and n_words must be at least 1")
-    if bos_id is not None and not 0 <= bos_id < n_words:
-        raise ValueError(f"{_BACKOFF_CORRUPT}: begin id outside [0, n_words)")
-    if len(sections) != 2 * order - 1 or not all(
-        ("grams", k) in sections and (k == 1 or ("bow", k) in sections)
-        for k in range(1, order + 1)
-    ):
+    data = Path(path).read_bytes()
+    first, _, _ = data.partition(b"\n")
+    if first == b"#clusterlm-backoff v1":
         raise ValueError(
-            f"{_BACKOFF_CORRUPT}: expected one n-gram section per order 1 to {order} "
-            f"and one bow section per order 2 to {order}"
+            f"{path} is a v1 backoff model, which stored rounded log probabilities; "
+            "re-run `clusterlm ngram train` to write a v2 model"
         )
-    unigrams = _backoff_section(sections["grams", 1], 1, False, n_words, "1-gram")
-    if len(unigrams) != n_words:
-        raise ValueError(f"{_BACKOFF_CORRUPT}: {len(unigrams)} unigram lines for {n_words} words")
-    uni = np.empty(n_words, dtype=np.float64)
-    for (w,), p in unigrams.items():
-        uni[w] = p
-    probs: dict[int, dict[tuple[int, ...], float]] = {}
-    bows: dict[int, dict[tuple[int, ...], float]] = {}
-    for k in range(2, order + 1):
-        probs[k] = _backoff_section(sections["grams", k], k, False, n_words, f"{k}-gram")
-        bows[k] = _backoff_section(sections["bow", k], k - 1, True, n_words, f"order-{k} bow")
-        if not bows[k].keys() >= {ng[:-1] for ng in probs[k]}:
-            raise ValueError(f"{_BACKOFF_CORRUPT}: a {k}-gram history has no bow")
-    return BackoffModel(order, n_words, discount, uni, probs, bows, bos_id=bos_id)
+    if first != _BACKOFF_VERSION.encode():
+        raise ValueError(f"not a backoff model file: {path}")
+    r = Reader(data, len(first) + 1, _BACKOFF_CORRUPT)
+    order = r.int_line("#order")
+    discount = r.float_line("#discount")
+    n_words = r.int_line("#n_words")
+    bos = r.line("#bos", 1)[0]
+    bos_id = None if bos == "none" else r.int(bos, "begin id")
+    if order < 1:
+        raise r.error("order must be at least 1")
+    if not 0 < n_words < 2**31:
+        raise r.error("n_words outside [1, 2**31)")
+    counts = []
+    for k in range(1, order + 1):
+        key = f"#{k}-grams"
+        rows = r.rows(key, k, 1, r.int(r.line(key, 1)[0], f"{key} row count"))
+        counts.append((rows[:, :-1], rows[:, -1]))
+    r.end(f"#{order}-grams")
+    try:
+        return train_backoff(counts, n_words, discount=discount, cutoffs={}, bos_id=bos_id)
+    except ValueError as exc:
+        raise r.error(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +734,7 @@ def load_model(path: str | Path):
     """Open any saved model, dispatching on its version line."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().strip()
-    if first == _BACKOFF_VERSION:
+    if first.startswith("#clusterlm-backoff "):
         return load_backoff(path)
     if first.startswith("#clusterlm-classlm "):
         return load_classlm(path)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 
+from clusterlm._rows import tuples
 from clusterlm.cluster import _ranked_init
 from clusterlm.corpus import Vocabulary, build_vocabulary, encode_corpus, identity_mapper
 from clusterlm.events import ContextSpec, EventTable, Slot, extract_events
@@ -122,8 +124,6 @@ def grouped_states(table: EventTable, n_states: int) -> list[int]:
 
 
 def _placeholder_spec(n_words: int, depth: int) -> ContextSpec:
-    import numpy as np
-
     from clusterlm.corpus import FeatureMapper
 
     mapper = FeatureMapper(
@@ -134,6 +134,78 @@ def _placeholder_spec(n_words: int, depth: int) -> ContextSpec:
         value_names=[f"w{i}" for i in range(n_words)],
     )
     return ContextSpec(tuple(Slot(-(depth - k), mapper) for k in range(depth)))
+
+
+def count_arrays(tables: list[dict[tuple[int, ...], int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-order dict counts, ``tables[k-1][k-gram] = n``, as the sorted
+    (grams, counts) pairs that ``ngram_counts`` returns."""
+    out = []
+    for k, table in enumerate(tables, 1):
+        keys = sorted(table)
+        grams = np.array(keys, dtype=np.int64).reshape(len(keys), len(keys[0]) if keys else k)
+        out.append((grams, np.array([table[g] for g in keys], dtype=np.int64)))
+    return out
+
+
+def count_dicts(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[dict[tuple[int, ...], int]]:
+    """The inverse of ``count_arrays``."""
+    return [dict(zip(tuples(grams), counts.tolist())) for grams, counts in pairs]
+
+
+def oracle_ngram_counts(sentences, order: int, *, bos_id: int, eos_id: int):
+    """Per-order n-gram counts as dicts, one k-gram of every order per
+    prediction event, by a plain loop over every position."""
+    counts: list[dict[tuple[int, ...], int]] = [{} for _ in range(order)]
+    for sent in sentences:
+        seq = [bos_id] * (order - 1) + [int(x) for x in sent] + [eos_id]
+        for i in range(order - 1, len(seq)):
+            for k in range(1, order + 1):
+                ng = tuple(seq[i - k + 1 : i + 1])
+                counts[k - 1][ng] = counts[k - 1].get(ng, 0) + 1
+    return counts
+
+
+def oracle_backoff(counts, n_words: int, *, discount: float, cutoffs: dict[int, int]):
+    """(uni, probs, bows) of the interpolated absolute-discounting model,
+    trained from dict counts by scalar recursion over dicts.  Raises
+    ``ValueError`` when no unigram survives the cutoffs."""
+    order = len(counts)
+    kept = [
+        {ng: c for ng, c in counts[k - 1].items() if c > cutoffs.get(k, 0)}
+        for k in range(1, order + 1)
+    ]
+    total = sum(kept[0].values())
+    if total == 0:
+        raise ValueError("no unigrams survive the cutoffs")
+    floor = discount * len(kept[0]) / n_words
+    uni = np.full(n_words, floor / total, dtype=np.float64)
+    for (w,), c in kept[0].items():
+        uni[w] = (max(c - discount, 0.0) + floor) / total
+    probs: dict[int, dict] = {}
+    bows: dict[int, dict] = {}
+
+    def p(k, h, w):
+        if k == 1:
+            return float(uni[w])
+        bow = bows[k].get(h)
+        if bow is None:
+            return p(k - 1, h[1:], w)
+        if h + (w,) in probs[k]:
+            return probs[k][h + (w,)]
+        return bow * p(k - 1, h[1:], w)
+
+    for k in range(2, order + 1):
+        hist_tot: dict[tuple[int, ...], int] = {}
+        hist_np: dict[tuple[int, ...], int] = {}
+        for ng, c in kept[k - 1].items():
+            hist_tot[ng[:-1]] = hist_tot.get(ng[:-1], 0) + c
+            hist_np[ng[:-1]] = hist_np.get(ng[:-1], 0) + 1
+        bows[k] = {h: discount * hist_np[h] / hist_tot[h] for h in hist_tot}
+        probs[k] = {
+            ng: (c - discount) / hist_tot[ng[:-1]] + bows[k][ng[:-1]] * p(k - 1, ng[1:-1], ng[-1])
+            for ng, c in kept[k - 1].items()
+        }
+    return uni, probs, bows
 
 
 def tiny_vocab(tokens: list[str]) -> Vocabulary:

@@ -33,6 +33,7 @@ from clusterlm.models import (
 
 from conftest import (
     build_table,
+    count_arrays,
     grouped_states,
     make_class_corpus,
     marginals,
@@ -291,7 +292,7 @@ class TestChecklist:
         """Counts a:3 b:2, aa:2 ab:1 with discount 0.5 give p(a|a)=0.7
         and p(b|a)=0.3 exactly; an unseen history falls through to the
         lower-order distribution bitwise."""
-        model = train_backoff([{(0,): 3, (1,): 2}, {(0, 0): 2, (0, 1): 1}],
+        model = train_backoff(count_arrays([{(0,): 3, (1,): 2}, {(0, 0): 2, (0, 1): 1}]),
                               n_words=2, discount=0.5)
         assert model.prob(0, [0]) == 0.7
         assert model.prob(1, [0]) == 0.3

@@ -147,6 +147,26 @@ class TestPipeline:
         assert "perplexity" in out
 
 
+class TestPerSentence:
+    def test_sentences_are_numbered_by_input_line(self, tmp_path, capsys):
+        d = tmp_path
+        (d / "train.txt").write_text("a b\na b a\n")
+        (d / "test.txt").write_text("a b\nzzz yyy\nb a\n")
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        run_ok(["ngram", "train", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--order", "2", "--out", d / "ngram.model"], capsys)
+        out = run_ok(["eval", "ppl", "--model", d / "ngram.model", "--test", d / "test.txt",
+                      "--vocab", d / "v.txt", "--skip-unknown", "--no-eos", "--per-sentence",
+                      "--report", d / "r.tsv"], capsys)
+        lines = [x for x in out.splitlines() if x.startswith("sentence")]
+        assert [x.split(":")[0] for x in lines] == ["sentence 0", "sentence 1", "sentence 2"]
+        assert lines[1] == "sentence 1: events 0, logprob 0.000000"
+        assert lines[2].startswith("sentence 2: events 2,")
+        report = [x.split("\t") for x in (d / "r.tsv").read_text().splitlines()]
+        rows = [x[1:] for x in report if x[0] == "sentence"]
+        assert [r[:2] for r in rows] == [["0", "2"], ["1", "0"], ["2", "2"]]
+
+
 class TestTagAndClassSlots:
     def test_tag_slots_need_tagmap(self, workdir, capsys):
         d = workdir
@@ -202,6 +222,18 @@ class TestFailureModes:
         rc = main(["vocab", "build"])
         capsys.readouterr()
         assert rc == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--order", "2", "--cutoff3", "7"], "--cutoff3 needs --order 3"),
+        (["--order", "3", "--cutoff3", "-1"], "--cutoff3 must not be negative"),
+    ])
+    def test_ngram_cutoff3_is_checked(self, workdir, capsys, flags, message):
+        d = workdir
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        err = run_fail(["ngram", "train", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                        *flags, "--out", d / "ngram.model"], capsys)
+        assert err.startswith("error:") and message in err
+        assert not (d / "ngram.model").exists()
 
     def test_out_of_range_word_ids_are_errors(self, workdir, capsys):
         d = workdir

@@ -104,6 +104,14 @@ class TestPerplexity:
             rep.logprob_sum, abs=1e-9
         )
 
+    def test_per_sentence_keeps_input_positions_when_a_sentence_is_skipped(self):
+        unk = 6
+        sents = [[0, 1], [unk, unk], [2]]
+        rep = perplexity(Uniform(8), sents, include_eos=False, skip_unknown=True,
+                         unk_id=unk, per_sentence=True)
+        assert rep.per_sentence == [(2, 2 * math.log(1 / 8)), (0, 0.0), (1, math.log(1 / 8))]
+        assert rep.token_count == 3
+
     def test_eos_events_scored_by_default(self):
         model = DictModel({((), 0): 0.5, ((0,), EOS): 0.25})
         rep = perplexity(model, [[0]], eos_id=EOS)

@@ -36,7 +36,17 @@ from clusterlm.models import (
     train_backoff,
 )
 
-from conftest import build_table, make_random_corpus, marginals, random_event_table, tiny_vocab
+from conftest import (
+    build_table,
+    count_arrays,
+    count_dicts,
+    make_random_corpus,
+    marginals,
+    oracle_backoff,
+    oracle_ngram_counts,
+    random_event_table,
+    tiny_vocab,
+)
 
 
 def identity_clustering(table):
@@ -461,7 +471,7 @@ def bump_last(lines, key, row):
 class TestNgramCounts:
     def test_hand_computed_trigram_counts(self):
         a, b, bos, eos = 0, 1, 9, 8
-        counts = ngram_counts([[a, b]], 3, bos_id=bos, eos_id=eos)
+        counts = count_dicts(ngram_counts([[a, b]], 3, bos_id=bos, eos_id=eos))
         assert counts[0] == {(a,): 1, (b,): 1, (eos,): 1}
         assert counts[1] == {(bos, a): 1, (a, b): 1, (b, eos): 1}
         assert counts[2] == {(bos, bos, a): 1, (bos, a, b): 1, (a, b, eos): 1}
@@ -471,13 +481,13 @@ class TestNgramCounts:
         sents = [[rng.randrange(4) for _ in range(rng.randint(1, 6))] for _ in range(25)]
         n_events = sum(len(s) + 1 for s in sents)
         for order in (1, 2, 3, 4):
-            counts = ngram_counts(sents, order, bos_id=5, eos_id=6)
+            counts = count_dicts(ngram_counts(sents, order, bos_id=5, eos_id=6))
             assert len(counts) == order
             for k in range(order):
                 assert sum(counts[k].values()) == n_events
 
     def test_unigram_order_has_no_padding(self):
-        counts = ngram_counts([[0, 1]], 1, bos_id=5, eos_id=6)
+        counts = count_dicts(ngram_counts([[0, 1]], 1, bos_id=5, eos_id=6))
         assert counts[0] == {(0,): 1, (1,): 1, (6,): 1}
 
     def test_validation(self):
@@ -487,10 +497,54 @@ class TestNgramCounts:
             ngram_counts([], 2, bos_id=1, eos_id=2)
 
 
+def hexed(tables):
+    """Per-order tables of floats with every value as its exact hex form."""
+    return {k: {key: v.hex() for key, v in t.items()} for k, t in tables.items()}
+
+
+class TestBackoffOracle:
+    """The array counting and training paths against the dict oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        order=st.integers(1, 4),
+        sents=st.lists(st.lists(st.integers(0, 5), max_size=8), min_size=1, max_size=25),
+        cutoffs=st.none() | st.dictionaries(st.integers(1, 4), st.integers(0, 3)),
+        discount=st.floats(0.01, 0.99),
+        with_bos=st.booleans(),
+    )
+    def test_arrays_equal_the_dict_oracle_bit_for_bit(
+        self, order, sents, cutoffs, discount, with_bos
+    ):
+        eos, bos, n_words = 6, 7, 8
+        counts = ngram_counts(sents, order, bos_id=bos, eos_id=eos)
+        oracle = oracle_ngram_counts(sents, order, bos_id=bos, eos_id=eos)
+        assert count_dicts(counts) == oracle
+        for k, (grams, c) in enumerate(counts, 1):
+            assert grams.shape == (len(c), k) and c.dtype == np.int64
+            assert [tuple(g) for g in grams.tolist()] == sorted(oracle[k - 1])
+
+        cuts = {k: 1 for k in range(3, order + 1)} if cutoffs is None else cutoffs
+        bos_id = bos if with_bos else None
+        try:
+            uni, probs, bows = oracle_backoff(oracle, n_words, discount=discount, cutoffs=cuts)
+        except ValueError:
+            with pytest.raises(ValueError, match="survive"):
+                train_backoff(counts, n_words, discount=discount, cutoffs=cutoffs, bos_id=bos_id)
+            return
+        m = train_backoff(counts, n_words, discount=discount, cutoffs=cutoffs, bos_id=bos_id)
+        assert m.uni.tobytes() == uni.tobytes()
+        assert hexed(m.probs) == hexed(probs)
+        assert hexed(m.bows) == hexed(bows)
+        # unseen histories included: every word id at every position
+        for h in ([], [0], [eos], [bos, 2], [5, 4, 3], [0, 1, 2, 3, 4]):
+            assert math.fsum(m.prob(w, h) for w in range(n_words)) == pytest.approx(1.0, abs=1e-9)
+
+
 class TestBackoffModel:
     def _hand_model(self):
         # unigrams a:3 b:2; bigrams aa:2 ab:1; D = 0.5
-        counts = [{(0,): 3, (1,): 2}, {(0, 0): 2, (0, 1): 1}]
+        counts = count_arrays([{(0,): 3, (1,): 2}, {(0, 0): 2, (0, 1): 1}])
         return train_backoff(counts, 2, discount=0.5, cutoffs={})
 
     def test_hand_computed_bigram_probabilities(self):
@@ -507,7 +561,7 @@ class TestBackoffModel:
         assert m.prob(1, [1]) == float(m.uni[1])
 
     def test_unigram_floor_covers_unseen_words(self):
-        counts = [{(0,): 3, (1,): 2}]
+        counts = count_arrays([{(0,): 3, (1,): 2}])
         m = train_backoff(counts, 4, discount=0.5, cutoffs={})
         # words 2 and 3 share the uniform floor mass
         assert m.uni[2] == m.uni[3] > 0.0
@@ -536,10 +590,10 @@ class TestBackoffModel:
         assert s == pytest.approx(1.0, abs=1e-9)
 
     def test_fully_cut_history_backs_off_with_weight_one(self):
-        counts = [
+        counts = count_arrays([
             {(0,): 4, (1,): 4},
             {(0, 1): 1, (1, 0): 4},
-        ]
+        ])
         m = train_backoff(counts, 2, discount=0.5, cutoffs={2: 1})
         # (0, 1) was the only bigram for history (0,): cutting it makes the
         # history unseen, so prediction drops straight to the unigram
@@ -555,21 +609,21 @@ class TestBackoffModel:
         assert (4,) in m.bows[2]
 
     def test_without_begin_id_short_history_uses_lower_order(self):
-        counts = [{(0,): 3, (1,): 2}, {(0, 0): 2, (0, 1): 1}]
+        counts = count_arrays([{(0,): 3, (1,): 2}, {(0, 0): 2, (0, 1): 1}])
         m = train_backoff(counts, 2, discount=0.5, cutoffs={})
         assert m.prob(0, []) == float(m.uni[0])
 
     def test_validation(self):
-        counts = [{(0,): 1}]
+        counts = count_arrays([{(0,): 1}])
         for bad in (0.0, 1.0, -1.0):
             with pytest.raises(ValueError, match="discount"):
                 train_backoff(counts, 1, discount=bad)
         with pytest.raises(ValueError, match="at least one order"):
             train_backoff([], 1)
         with pytest.raises(ValueError, match="length"):
-            train_backoff([{(0, 1): 1}], 2)
+            train_backoff(count_arrays([{(0, 1): 1}]), 2)
         with pytest.raises(ValueError, match="survive"):
-            train_backoff([{(0,): 1}], 1, cutoffs={1: 1})
+            train_backoff(count_arrays([{(0,): 1}]), 1, cutoffs={1: 1})
         m = self._hand_model()
         with pytest.raises(ValueError, match="word id"):
             m.prob(2, [0])
@@ -582,17 +636,20 @@ class TestBackoffModel:
         rng = random.Random(77)
         sents = [[rng.randrange(5) for _ in range(rng.randint(1, 6))] for _ in range(30)]
         counts = ngram_counts(sents, 3, bos_id=6, eos_id=5)
-        m = train_backoff(counts, 7, discount=0.5, bos_id=6)
-        path = tmp_path / "model.arpa"
-        save_backoff(m, path)
-        loaded = load_backoff(path)
-        assert loaded.order == m.order
-        assert loaded.discount == m.discount
-        assert loaded.bos_id == m.bos_id
-        for _ in range(100):
-            w = rng.randrange(7)
-            h = [rng.randrange(5) for _ in range(rng.randint(0, 3))]
-            assert loaded.prob(w, h) == pytest.approx(m.prob(w, h), rel=1e-12)
+        for cutoffs in (None, {3: 5}):
+            m = train_backoff(counts, 7, discount=0.5, bos_id=6, cutoffs=cutoffs)
+            path = tmp_path / "model.arpa"
+            save_backoff(m, path)
+            loaded = load_backoff(path)
+            assert loaded.order == m.order
+            assert loaded.discount == m.discount
+            assert loaded.bos_id == m.bos_id
+            assert loaded.uni.tobytes() == m.uni.tobytes()
+            assert loaded.probs == m.probs and loaded.bows == m.bows
+            for _ in range(100):
+                w = rng.randrange(7)
+                h = [rng.randrange(5) for _ in range(rng.randint(0, 3))]
+                assert loaded.prob(w, h) == m.prob(w, h)
 
     def test_save_is_deterministic(self, tmp_path):
         m = self._hand_model()
@@ -619,12 +676,16 @@ def backoff_lines(tmp_path):
     return path, path.read_text().splitlines()
 
 
-def in_section(header, fn, offset=0):
-    """An edit replacing line ``offset`` of ``header``'s section by the
-    lines ``fn`` returns for it."""
+def in_section(key, fn, offset=0):
+    """An edit replacing row ``offset`` of ``key``'s section by the rows
+    ``fn`` returns for it, keeping the section's declared row count in
+    step so that the damage itself is what gets rejected."""
     def edit(lines):
-        at = lines.index(header) + 1 + offset
-        return lines[:at] + fn(lines[at]) + lines[at + 1 :]
+        head = find(lines, key)
+        at = head + 1 + offset
+        new = fn(lines[at])
+        n = int(lines[head].split("\t")[1]) + len(new) - 1
+        return lines[:head] + [f"{key}\t{n}"] + lines[head + 1 : at] + new + lines[at + 1 :]
     return edit
 
 
@@ -633,13 +694,36 @@ def header_as(key, line):
     return lambda lines: [line if x.split("\t")[0] == key else x for x in lines]
 
 
-def with_word(line, word):
-    h, _, lp = line.split("\t")
-    return [f"{h}\t{word}\t{lp}"]
+def with_word(row, word):
+    """The row with its last word id replaced."""
+    ids, _, count = row.partition("\t")
+    return [" ".join(ids.split()[:-1] + [word]) + "\t" + count]
 
 
-def with_log(line, value):
-    return [line.rpartition("\t")[0] + "\t" + value]
+def with_count(row, count):
+    return [row.partition("\t")[0] + "\t" + count]
+
+
+def every_count(key, count):
+    """An edit setting every count of ``key``'s section to ``count``."""
+    def edit(lines):
+        head = find(lines, key)
+        end = head + 1 + int(lines[head].split("\t")[1])
+        return lines[: head + 1] + [with_count(x, count)[0] for x in lines[head + 1 : end]] + lines[end:]
+    return edit
+
+
+def declared(key, change):
+    """An edit changing the declared row count of ``key``'s section."""
+    def edit(lines):
+        n = int(lines[find(lines, key)].split("\t")[1])
+        return set_line(lines, key, f"{key}\t{n + change}")
+    return edit
+
+
+def before(key, extra):
+    """An edit inserting the line ``extra`` before the ``key`` line."""
+    return lambda lines: lines[: find(lines, key)] + [extra] + lines[find(lines, key) :]
 
 
 class TestBackoffFileCorruption:
@@ -659,33 +743,43 @@ class TestBackoffFileCorruption:
 
     @pytest.mark.parametrize("name, edit", [
         ("unigram id past the vocabulary",
-         in_section("#1-grams", lambda x: [x.replace("\t0\t", "\t99999\t", 1)])),
-        ("unigram id -1", in_section("#1-grams", lambda x: [x.replace("\t0\t", "\t-1\t", 1)])),
-        ("repeated unigram", in_section("#1-grams", lambda x: [x.replace("\t1\t", "\t0\t", 1)], 1)),
+         in_section("#1-grams", lambda x: ["99999\t" + x.split("\t")[1]], 4)),
+        ("unigram id -1", in_section("#1-grams", lambda x: ["-1\t" + x.split("\t")[1]])),
+        ("repeated unigram", in_section("#1-grams", lambda x: ["0\t" + x.split("\t")[1]], 1)),
         ("bare #order", header_as("#order", "#order")),
-        ("bare #bow", header_as("#bow", "#bow")),
+        ("bare #bow", header_as("#2-grams", "#bow")),
         ("order text", header_as("#order", "#order\tthree")),
         ("order beyond its sections", header_as("#order", "#order\t4")),
+        ("order 0", header_as("#order", "#order\t0")),
         ("huge order", header_as("#order", "#order\t" + "9" * 18)),
+        ("discount 1", header_as("#discount", "#discount\t1.0")),
+        ("discount text", header_as("#discount", "#discount\thalf")),
+        ("huge n_words", header_as("#n_words", "#n_words\t" + "9" * 18)),
         ("begin id past the vocabulary", header_as("#bos", "#bos\t6")),
+        ("begin id -1", header_as("#bos", "#bos\t-1")),
         ("n-gram word id past the vocab", in_section("#2-grams", lambda x: with_word(x, "99999"))),
+        ("n-gram word id -1", in_section("#2-grams", lambda x: with_word(x, "-1"))),
         ("huge n-gram word id", in_section("#2-grams", lambda x: with_word(x, "9" * 25))),
         ("history too long", in_section("#2-grams", lambda x: ["0 " + x])),
         ("history too short", in_section("#3-grams", lambda x: [x.split(" ", 1)[1]])),
-        ("bow history too long", in_section("#bow\t2", lambda x: ["0 " + x])),
-        ("n-gram without its bow", in_section("#bow\t2", lambda x: [])),
         ("missing field", in_section("#2-grams", lambda x: [x.rpartition("\t")[0]])),
         ("extra field", in_section("#2-grams", lambda x: [x + "\t1"])),
         ("space for tab", in_section("#2-grams", lambda x: [x.replace("\t", " ")])),
-        ("log text", in_section("#2-grams", lambda x: with_log(x, "x"))),
-        ("log nan", in_section("#2-grams", lambda x: with_log(x, "nan"))),
-        ("log overflow", in_section("#2-grams", lambda x: with_log(x, "1e300"))),
+        ("count text", in_section("#2-grams", lambda x: with_count(x, "x"))),
+        ("zero count", in_section("#2-grams", lambda x: with_count(x, "0"))),
+        ("negative count", in_section("#3-grams", lambda x: with_count(x, "-3"))),
+        ("counts past 2**62", every_count("#1-grams", "9" * 18)),
         ("repeated n-gram", in_section("#2-grams", lambda x: [x, x])),
-        ("repeated section", lambda L: L + ["#bow\t2"]),
+        ("unsorted n-grams", in_section("#2-grams", lambda x: [x.replace("0 0", "0 3")])),
+        ("row count too high", declared("#2-grams", 1)),
+        ("row count too low", declared("#3-grams", -1)),
+        ("row count text", header_as("#2-grams", "#2-grams\tmany")),
+        ("repeated section", before("#3-grams", "#2-grams\t0")),
         ("unknown section", lambda L: L + ["#4-gramz"]),
         ("blank line", lambda L: L[:-1] + ["", L[-1]]),
         ("trailing header", lambda L: L + ["#n_words\t6"]),
-        ("body before the headers", lambda L: [L[0], "\t0\t-1.0"] + L[1:]),
+        ("row after the last section", lambda L: L + ["0 0 0\t1"]),
+        ("body before the headers", lambda L: [L[0], "0\t1"] + L[1:]),
     ])
     def test_corruption_is_rejected(self, tmp_path, name, edit):
         path, lines = backoff_lines(tmp_path)
@@ -693,6 +787,13 @@ class TestBackoffFileCorruption:
         path.write_text("\n".join(edit(lines)) + "\n")
         with pytest.raises(ValueError):
             load_backoff(path)
+
+    def test_v1_file_is_rejected_with_a_rerun_hint(self, tmp_path):
+        path = tmp_path / "old.model"
+        path.write_text("#clusterlm-backoff v1\n#order\t1\n#1-grams\n\t0\t-0.5\n")
+        for load in (load_backoff, load_model):
+            with pytest.raises(ValueError, match="re-run `clusterlm ngram train`"):
+                load(path)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -834,7 +935,7 @@ class TestInterpolatedModel:
             assert loaded.prob(w, [a]) == pytest.approx(mix.prob(w, [a]), rel=1e-12)
 
     def test_load_model_dispatch(self, tmp_path):
-        m = train_backoff([{(0,): 2, (1,): 1}], 2, discount=0.5)
+        m = train_backoff(count_arrays([{(0,): 2, (1,): 1}]), 2, discount=0.5)
         save_backoff(m, tmp_path / "any.model")
         assert isinstance(load_model(tmp_path / "any.model"), BackoffModel)
         bad = tmp_path / "bad.model"

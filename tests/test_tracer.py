@@ -45,3 +45,5 @@ def test_tracer_instruments_a_pipeline_and_restores(tmp_path, monkeypatch, capsy
     metrics = tracer.layers()["metrics"]
     assert metrics["models.load_classlm_s"] > 0 and metrics["models.prob_calls"] > 0
     assert metrics["cluster.sweeps"] > 0 and metrics["events.contexts"] > 0
+    for name in ("ngram_counts", "train_backoff", "load_backoff"):
+        assert metrics[f"models.{name}_s"] > 0, name
