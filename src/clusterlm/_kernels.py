@@ -1,6 +1,7 @@
 """Hot numeric kernels for the exchange clustering inner loop.
 
-Everything here operates on dense integer count arrays: the joint table
+Everything here operates on dense float64 count arrays holding exact
+integers (``Clustering`` keeps its totals below 2**53): the joint table
 N(state, category), its two marginals, and an element's count profile
 over the counterpart axis.  The criterion is
 
@@ -8,18 +9,20 @@ over the counterpart axis.  The criterion is
 
 and a move delta is F(after) - F(before) assembled from the cells the
 move touches, evaluated for every candidate target cluster at once with
-numpy.
+numpy.  The arrays are gathered as they are, with no casts, and the
+terms are built in place in the gathered temporaries.
 
 The "before" terms are not recomputed: the caller keeps f of every
 table entry in three float64 caches, ``f_joint = f(joint)`` and
 ``f(state_totals)``, ``f(cat_totals)`` (see ``Clustering``), built with
-``xlogx`` and refreshed for the two rows or columns a move changes.
-The "after" terms of the target cells, ``N + profile`` and
-``N(margin) + n``, are positive whenever the element has events, so
-they take a plain ``v * log(v)``; only the source-cell terms, which can
-fall to 0, go through the masked ``xlogx``.  Every value is computed by
-the same elementwise expression whether it comes from a cache or not,
-so the deltas are bit-identical to recomputing f over the touched cells.
+``xlogx`` and refreshed at the cells a move changes, which are the
+cells where the moved element's profile is nonzero.  The "after" terms
+of the target cells, ``N + profile`` and ``N(margin) + n``, are
+positive whenever the element has events, so they take a plain
+``v * log(v)``; only the source-cell terms, which can fall to 0, go
+through ``xlogx``.  Every value is computed by the same elementwise
+expression whether it comes from a cache or not, so the deltas are
+bit-identical to recomputing f over the touched cells.
 """
 
 from __future__ import annotations
@@ -34,11 +37,17 @@ _HAVE_NUMBA = False
 
 
 def xlogx(a: np.ndarray) -> np.ndarray:
-    """f(a) = a ln a elementwise as float64, with f(0) = 0."""
-    out = np.zeros(a.shape, dtype=np.float64)
-    mask = a > 0
-    vals = a[mask].astype(np.float64)
-    out[mask] = vals * np.log(vals)
+    """f(a) = a ln a elementwise as float64, with f(0) = 0.
+
+    The domain is nonnegative integer counts, held as integers or as
+    exact float64 values.  There ``a * log(max(a, 1))`` is the same
+    value, bit for bit, as ``a * log(a)`` masked to 0 at a = 0: it
+    differs only at a = 0, where it is 0 * log(1) = 0.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    out = np.maximum(a, 1.0)
+    np.log(out, out=out)
+    out *= a
     return out
 
 
@@ -57,21 +66,30 @@ def word_move_deltas(joint, cat_totals, profile, g_cur, n_elem, f_joint, f_cat):
     if n_elem == 0:
         return np.zeros(joint.shape[1], dtype=np.float64)
     nz = np.nonzero(profile)[0]
-    p = profile[nz].astype(np.float64)[:, None]
-    after = joint[nz, :].astype(np.float64) + p
-    deltas = (after * np.log(after) - f_joint[nz, :]).sum(axis=0)
+    p = profile[nz]
+    after = joint[nz, :]
+    after += p[:, None]
+    deltas = np.log(after)
+    deltas *= after
+    deltas -= f_joint[nz, :]
+    deltas = deltas.sum(axis=0)
 
-    jg = joint[nz, g_cur].astype(np.float64)
-    src_joint = float((xlogx(jg - p[:, 0]) - f_joint[nz, g_cur]).sum())
+    jg = joint[nz, g_cur]
+    jg -= p
+    src_joint = float((xlogx(jg) - f_joint[nz, g_cur]).sum())
 
-    m = cat_totals.astype(np.float64) + float(n_elem)
-    gain = m * np.log(m) - f_cat
+    m = cat_totals + float(n_elem)
+    gain = np.log(m)
+    gain *= m
+    gain -= f_cat
     src_margin = _xlogx_scalar(float(cat_totals[g_cur]) - n_elem) - _xlogx_scalar(
         float(cat_totals[g_cur])
     )
-    out = deltas + src_joint - gain - src_margin
-    out[g_cur] = 0.0
-    return out
+    deltas += src_joint
+    deltas -= gain
+    deltas -= src_margin
+    deltas[g_cur] = 0.0
+    return deltas
 
 
 def group_move_deltas(joint, state_totals, profile, s_cur, n_elem, f_joint, f_state):
@@ -82,18 +100,27 @@ def group_move_deltas(joint, state_totals, profile, s_cur, n_elem, f_joint, f_st
     if n_elem == 0:
         return np.zeros(joint.shape[0], dtype=np.float64)
     nz = np.nonzero(profile)[0]
-    q = profile[nz].astype(np.float64)[None, :]
-    after = joint[:, nz].astype(np.float64) + q
-    deltas = (after * np.log(after) - f_joint[:, nz]).sum(axis=1)
+    q = profile[nz]
+    after = joint[:, nz]
+    after += q[None, :]
+    deltas = np.log(after)
+    deltas *= after
+    deltas -= f_joint[:, nz]
+    deltas = deltas.sum(axis=1)
 
-    js = joint[s_cur, nz].astype(np.float64)
-    src_joint = float((xlogx(js - q[0, :]) - f_joint[s_cur, nz]).sum())
+    js = joint[s_cur, nz]
+    js -= q
+    src_joint = float((xlogx(js) - f_joint[s_cur, nz]).sum())
 
-    m = state_totals.astype(np.float64) + float(n_elem)
-    gain = m * np.log(m) - f_state
+    m = state_totals + float(n_elem)
+    gain = np.log(m)
+    gain *= m
+    gain -= f_state
     src_margin = _xlogx_scalar(float(state_totals[s_cur]) - n_elem) - _xlogx_scalar(
         float(state_totals[s_cur])
     )
-    out = deltas + src_joint - gain - src_margin
-    out[s_cur] = 0.0
-    return out
+    deltas += src_joint
+    deltas -= gain
+    deltas -= src_margin
+    deltas[s_cur] = 0.0
+    return deltas

@@ -74,10 +74,15 @@ class Clustering:
     with the count statistics needed for O(nonzero) move deltas.
 
     ``S[i]`` is the state of the table's ``contexts[i]`` and ``G[w]`` the
-    category of word ``w``.  ``f_joint``, ``f_state`` and ``f_cat`` hold
-    f(x) = x ln x of ``joint``, ``state_totals`` and ``cat_totals``
-    entry by entry, so a move delta need not recompute the cells the
-    move leaves alone.
+    category of word ``w``.  ``joint``, ``state_totals``, ``cat_totals``
+    and the profiles are float64 arrays of exact integer counts (the
+    table's total must lie below 2**53), so the kernels read them
+    without casts.  ``f_joint``, ``f_state`` and ``f_cat`` hold
+    f(x) = x ln x of those tables entry by entry, so a move delta need
+    not recompute the cells the move leaves alone; a move refreshes
+    them only at the cells it changes, where the moved unit's profile
+    is nonzero.  A profile computed for a delta can be handed on to
+    the move that follows it, so each visited unit is profiled once.
     """
 
     def __init__(
@@ -88,6 +93,10 @@ class Clustering:
         G: Sequence[int],
         S: Sequence[int],
     ):
+        if table.total >= 2**53:
+            raise ValueError(
+                "counts must add up to less than 2**53 for clustering (float64 is exact below it)"
+            )
         self.table = table
         self.n_categories = int(n_categories)
         self.n_states = int(n_states)
@@ -127,12 +136,13 @@ class Clustering:
         np.cumsum(np.bincount(table.words, minlength=self.n_words), out=self.w_ptr[1:])
 
     def _build_stats(self) -> None:
-        # float64 bincount sums are exact for counts below 2**53
+        # float64 bincount sums are exact for counts below 2**53, and so
+        # are the table sums below, whose partial sums are all integers
         cells = self.S[self.ctx_of].astype(np.int64) * self.n_categories + self.G[self.table.words]
         joint = np.bincount(
             cells, weights=self.table.freqs, minlength=self.n_states * self.n_categories
         )
-        self.joint = joint.astype(np.int64).reshape(self.n_states, self.n_categories)
+        self.joint = joint.reshape(self.n_states, self.n_categories)
         self.state_totals = self.joint.sum(axis=1)
         self.cat_totals = self.joint.sum(axis=0)
         # f(x) = x ln x of every table entry, for the move deltas; the
@@ -146,106 +156,138 @@ class Clustering:
     def criterion(self) -> float:
         """Exact value of F from the current tables (order-independent
         correctly rounded sum)."""
-        terms = []
         flat = self.joint.ravel()
-        for v in flat[flat > 0]:
-            x = float(v)
-            terms.append(x * math.log(x))
-        for v in self.state_totals[self.state_totals > 0]:
-            x = float(v)
-            terms.append(-x * math.log(x))
-        for v in self.cat_totals[self.cat_totals > 0]:
-            x = float(v)
-            terms.append(-x * math.log(x))
+        terms = [x * math.log(x) for x in flat[flat > 0].tolist()]
+        for margin in (self.state_totals, self.cat_totals):
+            terms += [-x * math.log(x) for x in margin[margin > 0].tolist()]
         return math.fsum(terms)
 
     def word_profile(self, w: int) -> np.ndarray:
         """Event counts of word ``w`` per state, summing to N(w)."""
         lo, hi = self.w_ptr[w], self.w_ptr[w + 1]
-        prof = np.bincount(
+        return np.bincount(
             self.S[self.w_ctxs[lo:hi]], weights=self.w_ccounts[lo:hi], minlength=self.n_states
         )
-        return prof.astype(np.int64)
 
     def group_profile(self, leaf_indices: np.ndarray) -> np.ndarray:
         """Event counts of a set of contexts per category."""
         table = self.table
-        lo = table.ptr[leaf_indices]
-        n = table.ptr[leaf_indices + 1] - lo
-        pos = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
-        prof = np.bincount(
+        if len(leaf_indices) == 1:
+            # one context, as every unit of the leaf level: its CSR row
+            i = leaf_indices[0]
+            pos = slice(table.ptr[i], table.ptr[i + 1])
+        else:
+            lo = table.ptr[leaf_indices]
+            n = table.ptr[leaf_indices + 1] - lo
+            pos = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        return np.bincount(
             self.G[table.words[pos]], weights=table.freqs[pos], minlength=self.n_categories
         )
-        return prof.astype(np.int64)
 
     # -- moves -----------------------------------------------------------
 
-    def word_move_deltas(self, w: int) -> np.ndarray:
+    def word_move_deltas(self, w: int, profile: np.ndarray | None = None) -> np.ndarray:
         """Criterion change for moving word ``w`` into every category
-        (entry for its current category is exactly 0)."""
-        if not 0 <= w < self.n_words:
-            raise ValueError("word id out of range")
-        prof = self.word_profile(w)
+        (entry for its current category is exactly 0).  ``profile`` is
+        ``word_profile(w)`` when the caller already has it."""
+        self._check_word(w)
+        if profile is None:
+            profile = self.word_profile(w)
         return _kernels.word_move_deltas(
             self.joint,
             self.cat_totals,
-            prof,
+            profile,
             int(self.G[w]),
             int(self.word_counts[w]),
             self.f_joint,
             self.f_cat,
         )
 
-    def group_move_deltas(self, leaf_indices: np.ndarray) -> np.ndarray:
+    def group_move_deltas(
+        self, leaf_indices: np.ndarray, profile: np.ndarray | None = None
+    ) -> np.ndarray:
         """Criterion change for moving a coherent context group into
-        every state (entry for its current state is exactly 0)."""
+        every state (entry for its current state is exactly 0).
+        ``profile`` is ``group_profile(leaf_indices)`` when the caller
+        already has it."""
         s_cur = self._group_state(leaf_indices)
-        prof = self.group_profile(leaf_indices)
+        if profile is None:
+            profile = self.group_profile(leaf_indices)
         n = int(self.ctx_counts[leaf_indices].sum())
         return _kernels.group_move_deltas(
-            self.joint, self.state_totals, prof, s_cur, n, self.f_joint, self.f_state
+            self.joint, self.state_totals, profile, s_cur, n, self.f_joint, self.f_state
         )
 
+    def _check_word(self, w: int) -> None:
+        if not 0 <= w < self.n_words:
+            raise ValueError("word id out of range")
+
     def _group_state(self, leaf_indices: np.ndarray) -> int:
-        states = self.S[leaf_indices]
-        if states.size == 0:
+        idx = np.asarray(leaf_indices)
+        if idx.size == 1:
+            i = int(idx[0])
+            if not 0 <= i < self.table.n_contexts:
+                raise ValueError("context index out of range")
+            return int(self.S[i])
+        if idx.size == 0:
             raise ValueError("empty context group")
+        if idx.min() < 0 or idx.max() >= self.table.n_contexts:
+            raise ValueError("context index out of range")
+        states = self.S[idx]
         s = int(states[0])
         if (states != s).any():
             raise ValueError("fragmented node: member contexts span multiple states")
         return s
 
-    def apply_word_move(self, w: int, target: int) -> None:
+    def apply_word_move(self, w: int, target: int, profile: np.ndarray | None = None) -> None:
+        """Move word ``w`` into category ``target``.  ``profile`` is
+        ``word_profile(w)`` when the caller already has it."""
+        self._check_word(w)
         if not 0 <= target < self.n_categories:
             raise ValueError("category id out of range")
         g = int(self.G[w])
         if target == g:
             return
-        prof = self.word_profile(w)
-        self.joint[:, g] -= prof
-        self.joint[:, target] += prof
+        if profile is None:
+            profile = self.word_profile(w)
+        nz = profile.nonzero()[0]
+        p = profile[nz]
+        src, dst = self.joint[:, g], self.joint[:, target]
+        src[nz] -= p
+        dst[nz] += p
+        self.f_joint[nz, g] = _kernels.xlogx(src[nz])
+        self.f_joint[nz, target] = _kernels.xlogx(dst[nz])
         n = self.word_counts[w]
         self.cat_totals[g] -= n
         self.cat_totals[target] += n
         pair = [g, target]
-        self.f_joint[:, pair] = _kernels.xlogx(self.joint[:, pair])
         self.f_cat[pair] = _kernels.xlogx(self.cat_totals[pair])
         self.G[w] = target
 
-    def apply_group_move(self, leaf_indices: np.ndarray, target: int) -> None:
+    def apply_group_move(
+        self, leaf_indices: np.ndarray, target: int, profile: np.ndarray | None = None
+    ) -> None:
+        """Move a coherent context group into state ``target``.
+        ``profile`` is ``group_profile(leaf_indices)`` when the caller
+        already has it."""
         if not 0 <= target < self.n_states:
             raise ValueError("state id out of range")
         s = self._group_state(leaf_indices)
         if target == s:
             return
-        prof = self.group_profile(leaf_indices)
-        self.joint[s, :] -= prof
-        self.joint[target, :] += prof
+        if profile is None:
+            profile = self.group_profile(leaf_indices)
+        nz = profile.nonzero()[0]
+        q = profile[nz]
+        src, dst = self.joint[s], self.joint[target]
+        src[nz] -= q
+        dst[nz] += q
+        self.f_joint[s, nz] = _kernels.xlogx(src[nz])
+        self.f_joint[target, nz] = _kernels.xlogx(dst[nz])
         n = self.ctx_counts[leaf_indices].sum()
         self.state_totals[s] -= n
         self.state_totals[target] += n
         pair = [s, target]
-        self.f_joint[pair, :] = _kernels.xlogx(self.joint[pair, :])
         self.f_state[pair] = _kernels.xlogx(self.state_totals[pair])
         self.S[leaf_indices] = target
 
@@ -346,11 +388,12 @@ def _sweep(
         iterations += 1
         for _, _, element, kind, level in units:
             if kind == "word":
-                deltas = clustering.word_move_deltas(element)
-                target = int(np.argmax(deltas))
+                prof = clustering.word_profile(element)
+                deltas = clustering.word_move_deltas(element, prof)
+                target = int(deltas.argmax())
                 if deltas[target] > 0.0:
                     source = int(clustering.G[element])
-                    clustering.apply_word_move(element, target)
+                    clustering.apply_word_move(element, target, prof)
                     if on_move is not None:
                         on_move(
                             clustering,
@@ -358,11 +401,12 @@ def _sweep(
                         )
             else:
                 idx = level.group(element)
-                deltas = clustering.group_move_deltas(idx)
-                target = int(np.argmax(deltas))
+                prof = clustering.group_profile(idx)
+                deltas = clustering.group_move_deltas(idx, prof)
+                target = int(deltas.argmax())
                 if deltas[target] > 0.0:
                     source = int(clustering.S[idx[0]])
-                    clustering.apply_group_move(idx, target)
+                    clustering.apply_group_move(idx, target, prof)
                     if on_move is not None:
                         key = level.key(element)
                         on_move(

@@ -110,7 +110,7 @@ class ClassLM:
             np.stack([sl.mapper.table[:n_words] for sl in slots], axis=1),
             clustering.G.copy(),
             clustering.word_counts.copy(),
-            np.stack([s, g, clustering.joint[s, g]], axis=1),
+            np.stack([s, g, clustering.joint[s, g].astype(np.int64)], axis=1),
             clustering.n_categories,
             clustering.n_states,
             table.contexts,

@@ -72,6 +72,8 @@ def build_table(sentences: list[str], offsets: tuple[int, ...] = (-2, -1)):
 def random_event_table(rng: random.Random, n_words: int, n_contexts: int,
                        depth: int = 2, max_count: int = 5) -> EventTable:
     """Synthetic sparse counts without going through a corpus."""
+    if n_contexts > n_words**depth:
+        raise ValueError("more contexts asked for than there are distinct tuples")
     counts = {}
     while len(counts) < n_contexts:
         ctx = tuple(rng.randrange(n_words) for _ in range(depth))

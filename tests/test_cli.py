@@ -257,6 +257,22 @@ class TestFailureModes:
                         "--out", d / "classes.tsv"], capsys)
         assert err.startswith("error:") and "word id" in err
 
+    def test_counts_float64_cannot_hold_are_errors(self, workdir, capsys):
+        d = workdir
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--context", "w:-1", "--out", d / "c.tsv"], capsys)
+        lines = (d / "c.tsv").read_text().splitlines()
+        rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
+        for i in rows[:2]:
+            ctx, word, _ = lines[i].split("\t")
+            lines[i] = f"{ctx}\t{word}\t{2**53 + 1}"
+        (d / "big_c.tsv").write_text("\n".join(lines) + "\n")
+        err = run_fail(["cluster", "run", "--counts", d / "big_c.tsv", "--states", "4",
+                        "--categories", "4", "--out", d / "cl.tsv"], capsys)
+        assert err.startswith("error:") and "2**53" in err
+        assert not (d / "cl.tsv").exists()
+
     def test_non_model_file_rejected_by_interp(self, tmp_path, capsys):
         d = tmp_path
         (d / "train.txt").write_text("a b\n")

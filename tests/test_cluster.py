@@ -33,6 +33,7 @@ from clusterlm.cluster import (
     save_clustering,
 )
 from clusterlm.ctxtree import build_suffix_tree
+from clusterlm.events import EventTable
 
 from conftest import (
     build_table,
@@ -346,6 +347,128 @@ class TestCachedF:
         for i in range(table.n_contexts):
             one = np.array([i])
             assert cl.group_move_deltas(one).tobytes() == fresh.group_move_deltas(one).tobytes()
+
+
+class TestMoveIdValidation:
+    """The moves check their ids as the deltas do, and a rejected move
+    leaves the state as it was."""
+
+    def test_out_of_range_ids_are_rejected_without_a_change(self):
+        rng = random.Random(14)
+        table, cl = random_clustering(rng)
+        before = [a.copy() for a in (cl.joint, cl.state_totals, cl.cat_totals, cl.G, cl.S)]
+        for w in (-2, -1, cl.n_words, cl.n_words + 3):
+            for call in (lambda: cl.apply_word_move(w, 0), lambda: cl.word_move_deltas(w)):
+                with pytest.raises(ValueError, match="word id out of range"):
+                    call()
+        n = table.n_contexts
+        for idx in ([-1], [n], [0, -1], [0, n], [n + 5, 1]):
+            for call in (
+                lambda: cl.apply_group_move(np.asarray(idx), 0),
+                lambda: cl.group_move_deltas(np.asarray(idx)),
+            ):
+                with pytest.raises(ValueError, match="context index out of range"):
+                    call()
+        with pytest.raises(ValueError, match="context index out of range"):
+            cl.apply_group_move([-1], 0)
+        after = (cl.joint, cl.state_totals, cl.cat_totals, cl.G, cl.S)
+        for a, b in zip(before, after):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestSweepPath:
+    """The sweep hands each unit's profile from its delta to its move and
+    refreshes the f caches at the touched cells only; neither may leave
+    the state apart from a fresh build of the same assignment."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_swept_state_equals_a_fresh_build(self, data, tree):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="table seed"))
+        n_words = rng.randint(3, 12)
+        table = random_event_table(
+            rng, n_words=n_words, n_contexts=rng.randint(3, min(16, n_words**2)), max_count=9
+        )
+        params = ClusterParams(
+            n_categories=data.draw(st.integers(1, table.n_words), label="categories"),
+            n_states=data.draw(st.integers(1, table.n_contexts), label="states"),
+            min_count=data.draw(st.integers(1, 3), label="min count"),
+            max_iterations=data.draw(st.integers(1, 4), label="iterations"),
+            convergence=0.0,
+        )
+        if tree:
+            cl = run_tree(table, build_suffix_tree(table), params)
+        else:
+            cl = run_flat(table, params)
+        fresh = Clustering(table, cl.n_categories, cl.n_states, cl.G, cl.S)
+        for got, want in (
+            (cl.joint, fresh.joint),
+            (cl.state_totals, fresh.state_totals),
+            (cl.cat_totals, fresh.cat_totals),
+        ):
+            assert got.tobytes() == want.tobytes()
+        for cached, table_ in (
+            (cl.f_joint, cl.joint), (cl.f_state, cl.state_totals), (cl.f_cat, cl.cat_totals)
+        ):
+            assert cached.tobytes() == K.xlogx(table_).tobytes()
+
+    @pytest.mark.parametrize("tree", [False, True])
+    def test_each_visit_computes_one_profile(self, tree, monkeypatch):
+        sents = make_random_corpus(31, n_sentences=60, n_words=12)
+        vocab, enc, table = build_table(sents, offsets=(-2, -1))
+        calls = {"profile": 0, "delta": 0, "move": 0}
+
+        def counted(name, key):
+            raw = getattr(Clustering, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return raw(*args, **kwargs)
+
+            monkeypatch.setattr(Clustering, name, wrapper)
+
+        for name in ("word_profile", "group_profile"):
+            counted(name, "profile")
+        for name in ("word_move_deltas", "group_move_deltas"):
+            counted(name, "delta")
+        for name in ("apply_word_move", "apply_group_move"):
+            counted(name, "move")
+        params = ClusterParams(n_categories=4, n_states=5, min_count=1, max_iterations=4)
+        if tree:
+            run_tree(table, build_suffix_tree(table), params)
+        else:
+            run_flat(table, params)
+        assert calls["move"] > 0
+        assert calls["profile"] == calls["delta"]
+
+
+class TestFloatRange:
+    """The tables are float64, exact only below 2**53."""
+
+    @staticmethod
+    def _table_with_total(total):
+        vocab, enc, small = build_table(["a b a", "b b c"], offsets=(-1,))
+        ctx_of = np.repeat(np.arange(small.n_contexts), np.diff(small.ptr))
+        keys = np.column_stack([small.contexts[ctx_of], small.words])
+        freqs = np.ones(len(keys), dtype=np.int64)
+        freqs[0] = total - (len(keys) - 1)
+        return EventTable(small.spec, small.n_words, keys, freqs)
+
+    def test_total_of_2_53_is_rejected(self):
+        for total in (2**53, 2**53 + 7, 2**60):
+            table = self._table_with_total(total)
+            with pytest.raises(ValueError, match="2\\*\\*53"):
+                init_clustering(table, ClusterParams(n_categories=2, n_states=2))
+
+    def test_largest_exact_total_is_kept_exactly(self):
+        table = self._table_with_total(2**53 - 1)
+        cl = init_clustering(table, ClusterParams(n_categories=2, n_states=2))
+        assert int(cl.joint.sum()) == table.total
+        np.testing.assert_array_equal(cl.cat_totals, cl.joint.sum(axis=0))
+        assert [int(cl.word_profile(w).sum()) for w in range(cl.n_words)] == (
+            table.word_counts.tolist()
+        )
+        assert math.isfinite(cl.criterion())
 
 
 class TestClusteringConstruction:

@@ -157,6 +157,41 @@ class TestDeltaProperty:
         check_group_deltas(joint, profile, s)
 
 
+class TestXlogx:
+    """``xlogx`` on its domain, nonnegative integer counts, against the
+    masked form ``where(a > 0, a * log(a), 0)``, bit for bit."""
+
+    @staticmethod
+    def masked(a):
+        a = np.asarray(a, dtype=np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(a > 0, a * np.log(a), 0.0)
+
+    def test_integer_counts_match_the_masked_form(self):
+        rng = np.random.default_rng(53)
+        top = 2**53 - 1
+        a = np.concatenate(
+            [
+                [0, 1, 2, 3],
+                rng.integers(0, 50, 300),
+                rng.integers(0, 2**31, 300),
+                rng.integers(0, 2**53, 300),
+                np.arange(top - 64, top + 1),
+            ]
+        )
+        for counts in (a, a.astype(np.float64), a.reshape(-1, 3)[:, ::-1].T):
+            got = K.xlogx(counts)
+            want = self.masked(counts)
+            assert got.dtype == np.float64 and got.shape == counts.shape
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=40))
+    def test_property_on_integer_counts(self, values):
+        a = np.asarray(values, dtype=np.int64)
+        assert K.xlogx(a).tobytes() == self.masked(a).tobytes()
+
+
 class TestDispatch:
     def test_active_path_is_bound(self):
         # one kernel path: run reports read these flags
