@@ -38,6 +38,7 @@ from clusterlm.events import ContextSpec, Slot, extract_events, load_counts, sav
 from clusterlm.models import (
     ClassLM,
     InterpolatedModel,
+    _check_discount,
     load_model,
     ngram_counts,
     save_backoff,
@@ -142,7 +143,11 @@ def _peek_slot_names(counts_path: str | Path) -> list[str]:
 
 
 def _mappers_for(names: Sequence[str], vocab: Vocabulary, tagmap, classmap) -> dict:
-    """Feature mapper for each slot name (w, t or g)."""
+    """Feature mapper for each slot name (w, t or g); a map that no slot
+    uses is rejected."""
+    for flag, path, name in (("--tagmap", tagmap, "t"), ("--classmap", classmap, "g")):
+        if path and name not in names:
+            raise ValueError(f"{flag} is given but the context has no {name}: slot")
     mappers = {}
     for name in names:
         if name in mappers:
@@ -203,8 +208,14 @@ def cmd_cluster_run(args) -> int:
     if args.model_out:
         if not args.vocab:
             raise ValueError("--model-out requires --vocab")
+        discount = 0.5 if args.discount is None else args.discount
+        _check_discount(discount)
         vocab = Vocabulary.load(args.vocab)
         mappers = _mappers_for(_peek_slot_names(args.counts), vocab, args.tagmap, args.classmap)
+    else:
+        for flag in ("vocab", "tagmap", "classmap", "discount"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} is used only with --model-out")
     table = load_counts(args.counts, mappers=mappers)
     params = ClusterParams(
         n_categories=args.categories,
@@ -223,7 +234,7 @@ def cmd_cluster_run(args) -> int:
         f"iterations {clustering.iterations_per_level} -> {args.out}"
     )
     if args.model_out:
-        model = ClassLM(clustering, vocab, discount=args.discount)
+        model = ClassLM(clustering, vocab, discount=discount)
         _atomic_write(args.model_out, lambda p: save_classlm(model, p))
         print(f"class model -> {args.model_out}")
     _maybe_manifest(
@@ -237,6 +248,8 @@ def cmd_cluster_run(args) -> int:
 
 
 def cmd_classes_export(args) -> int:
+    if args.show < 0:
+        raise ValueError("--show must not be negative")
     vocab = Vocabulary.load(args.vocab)
     table = load_counts(args.counts)
     clustering = load_clustering(args.clustering, table)
@@ -275,6 +288,8 @@ def cmd_ngram_train(args) -> int:
 
 
 def cmd_interp_tune(args) -> int:
+    if args.max_iters < 1:
+        raise ValueError("--max-iters must be at least 1")
     vocab = Vocabulary.load(args.vocab)
     components = [load_model(p) for p in args.models]
     heldout = encode_corpus(read_corpus_lines(args.heldout), vocab)
@@ -382,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--vocab", default=None, help="vocabulary (required with --model-out)")
     cr.add_argument("--tagmap", default=None, help="tag map the counts were collected with")
     cr.add_argument("--classmap", default=None, help="class map the counts were collected with")
-    cr.add_argument("--discount", type=float, default=0.5, help="class model smoothing discount")
+    cr.add_argument("--discount", type=float, help="class model smoothing discount (default 0.5)")
     cr.set_defaults(func=cmd_cluster_run)
 
     classes = groups.add_parser("classes", help="word category inspection/export")

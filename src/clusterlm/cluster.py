@@ -10,10 +10,11 @@ which equals the log-likelihood of the two-step model
 p(w | c) = p(G(w) | S(c)) * p(w | G(w)) up to the constant sum_w f(N(w)).
 Optimization is hill climbing: elements are visited by decreasing count
 and moved to whichever cluster improves F the most, using exact
-incremental deltas.  ``run_flat`` treats every distinct context as its
-own movable unit; ``run_tree`` coarsens context moves level by level
-along a suffix-grouping tree so sparse contexts ride along with their
-siblings until enough structure is fixed.
+incremental deltas.  One driver sweeps a schedule of suffix levels:
+``run_tree`` coarsens context moves level by level along a suffix-grouping
+tree so sparse contexts ride along with their siblings until enough
+structure is fixed; ``run_flat`` is the leaf-only schedule, where every
+distinct context is its own movable unit.
 """
 
 from __future__ import annotations
@@ -120,8 +121,12 @@ class Clustering:
 
         self._build_transpose()
         self._build_stats()
-        self.iterations_run = 0
         self.iterations_per_level: list[int] = []
+
+    @property
+    def iterations_run(self) -> int:
+        """Exchange passes over all levels."""
+        return sum(self.iterations_per_level)
 
     # -- construction ----------------------------------------------------
 
@@ -164,13 +169,17 @@ class Clustering:
 
     def word_profile(self, w: int) -> np.ndarray:
         """Event counts of word ``w`` per state, summing to N(w)."""
+        self._check_word(w)
         lo, hi = self.w_ptr[w], self.w_ptr[w + 1]
+        if lo == hi:  # np.bincount of no values is int64
+            return np.zeros(self.n_states)
         return np.bincount(
             self.S[self.w_ctxs[lo:hi]], weights=self.w_ccounts[lo:hi], minlength=self.n_states
         )
 
     def group_profile(self, leaf_indices: np.ndarray) -> np.ndarray:
         """Event counts of a set of contexts per category."""
+        self._check_group(leaf_indices)
         table = self.table
         if len(leaf_indices) == 1:
             # one context, as every unit of the leaf level: its CSR row
@@ -222,20 +231,20 @@ class Clustering:
         if not 0 <= w < self.n_words:
             raise ValueError("word id out of range")
 
-    def _group_state(self, leaf_indices: np.ndarray) -> int:
+    def _check_group(self, leaf_indices: np.ndarray) -> None:
         idx = np.asarray(leaf_indices)
-        if idx.size == 1:
-            i = int(idx[0])
-            if not 0 <= i < self.table.n_contexts:
-                raise ValueError("context index out of range")
-            return int(self.S[i])
         if idx.size == 0:
             raise ValueError("empty context group")
-        if idx.min() < 0 or idx.max() >= self.table.n_contexts:
+        # a single context, as every leaf-level unit is, needs no reductions
+        lo, hi = (idx[0], idx[0]) if idx.size == 1 else (idx.min(), idx.max())
+        if lo < 0 or hi >= self.table.n_contexts:
             raise ValueError("context index out of range")
-        states = self.S[idx]
+
+    def _group_state(self, leaf_indices: np.ndarray) -> int:
+        self._check_group(leaf_indices)
+        states = self.S[leaf_indices]
         s = int(states[0])
-        if (states != s).any():
+        if len(states) > 1 and (states != s).any():
             raise ValueError("fragmented node: member contexts span multiple states")
         return s
 
@@ -250,18 +259,8 @@ class Clustering:
             return
         if profile is None:
             profile = self.word_profile(w)
-        nz = profile.nonzero()[0]
-        p = profile[nz]
-        src, dst = self.joint[:, g], self.joint[:, target]
-        src[nz] -= p
-        dst[nz] += p
-        self.f_joint[nz, g] = _kernels.xlogx(src[nz])
-        self.f_joint[nz, target] = _kernels.xlogx(dst[nz])
         n = self.word_counts[w]
-        self.cat_totals[g] -= n
-        self.cat_totals[target] += n
-        pair = [g, target]
-        self.f_cat[pair] = _kernels.xlogx(self.cat_totals[pair])
+        _move(self.joint.T, self.f_joint.T, self.cat_totals, self.f_cat, g, target, profile, n)
         self.G[w] = target
 
     def apply_group_move(
@@ -277,19 +276,26 @@ class Clustering:
             return
         if profile is None:
             profile = self.group_profile(leaf_indices)
-        nz = profile.nonzero()[0]
-        q = profile[nz]
-        src, dst = self.joint[s], self.joint[target]
-        src[nz] -= q
-        dst[nz] += q
-        self.f_joint[s, nz] = _kernels.xlogx(src[nz])
-        self.f_joint[target, nz] = _kernels.xlogx(dst[nz])
         n = self.ctx_counts[leaf_indices].sum()
-        self.state_totals[s] -= n
-        self.state_totals[target] += n
-        pair = [s, target]
-        self.f_state[pair] = _kernels.xlogx(self.state_totals[pair])
+        _move(self.joint, self.f_joint, self.state_totals, self.f_state, s, target, profile, n)
         self.S[leaf_indices] = target
+
+
+def _move(joint, f_joint, totals, f_totals, source, target, profile, n) -> None:
+    """Move ``profile`` from row ``source`` of ``joint`` to row ``target``
+    and ``n`` events between those ``totals``, refreshing ``f_joint`` and
+    ``f_totals`` where they change (a word move passes ``joint.T``)."""
+    nz = profile.nonzero()[0]
+    p = profile[nz]
+    src, dst = joint[source], joint[target]
+    src[nz] -= p
+    dst[nz] += p
+    f_joint[source, nz] = _kernels.xlogx(src[nz])
+    f_joint[target, nz] = _kernels.xlogx(dst[nz])
+    totals[source] -= n
+    totals[target] += n
+    pair = [source, target]
+    f_totals[pair] = _kernels.xlogx(totals[pair])
 
 
 def criterion(clustering: Clustering) -> float:
@@ -332,29 +338,22 @@ def _ranked_init(counts: Sequence[int], n_clusters: int) -> np.ndarray:
     return out
 
 
+def _start(table: EventTable, params: ClusterParams, level: Level) -> Clustering:
+    """Frequency-ranked singletons plus one shared remainder cluster, for
+    the words and for the groups of ``level``, whose contexts share a state."""
+    if params.n_categories > table.n_words:
+        raise ValueError("n_categories exceeds vocabulary size")
+    if params.n_states > table.n_contexts:
+        raise ValueError("n_states exceeds distinct context count")
+    G = _ranked_init(table.word_counts, params.n_categories)
+    S = _ranked_init(level.counts, min(params.n_states, len(level)))[level.group_of]
+    return Clustering(table, params.n_categories, params.n_states, G, S)
+
+
 def init_clustering(table: EventTable, params: ClusterParams) -> Clustering:
     """Starting point for the flat optimization: frequency-ranked
     singleton clusters plus one shared remainder cluster, on both axes."""
-    if params.n_categories > table.n_words:
-        raise ValueError("n_categories exceeds vocabulary size")
-    if params.n_states > table.n_contexts:
-        raise ValueError("n_states exceeds distinct context count")
-    G = _ranked_init(table.word_counts, params.n_categories)
-    S = _ranked_init(table.ctx_counts, params.n_states)
-    return Clustering(table, params.n_categories, params.n_states, G, S)
-
-
-def _grouped_init(table: EventTable, tree: ContextTree, params: ClusterParams) -> Clustering:
-    """Starting point for the tree optimization: states are assigned to
-    whole level-1 groups so every group is coherent from the start."""
-    if params.n_categories > table.n_words:
-        raise ValueError("n_categories exceeds vocabulary size")
-    if params.n_states > table.n_contexts:
-        raise ValueError("n_states exceeds distinct context count")
-    level1 = tree.levels[1]
-    S = _ranked_init(level1.counts, min(params.n_states, len(level1)))[level1.group_of]
-    G = _ranked_init(table.word_counts, params.n_categories)
-    return Clustering(table, params.n_categories, params.n_states, G, S)
+    return _start(table, params, suffix_level(table.contexts, table.spec.depth, table.ctx_counts))
 
 
 # ---------------------------------------------------------------------------
@@ -383,43 +382,45 @@ def _sweep(
     """Iterate best-improvement exchange passes until the relative gain
     of a full pass drops below the convergence threshold."""
     f_prev = clustering.criterion()
-    iterations = 0
-    for _ in range(params.max_iterations):
-        iterations += 1
+    for iterations in range(1, params.max_iterations + 1):
         for _, _, element, kind, level in units:
-            if kind == "word":
+            word = kind == "word"
+            if word:
                 prof = clustering.word_profile(element)
                 deltas = clustering.word_move_deltas(element, prof)
-                target = int(deltas.argmax())
-                if deltas[target] > 0.0:
-                    source = int(clustering.G[element])
-                    clustering.apply_word_move(element, target, prof)
-                    if on_move is not None:
-                        on_move(
-                            clustering,
-                            MoveDelta("word", element, source, target, float(deltas[target])),
-                        )
             else:
                 idx = level.group(element)
                 prof = clustering.group_profile(idx)
                 deltas = clustering.group_move_deltas(idx, prof)
-                target = int(deltas.argmax())
-                if deltas[target] > 0.0:
-                    source = int(clustering.S[idx[0]])
-                    clustering.apply_group_move(idx, target, prof)
-                    if on_move is not None:
-                        key = level.key(element)
-                        on_move(
-                            clustering,
-                            MoveDelta("group", key, source, target, float(deltas[target])),
-                        )
+            target = int(deltas.argmax())
+            if not deltas[target] > 0.0:
+                continue
+            if word:
+                source = int(clustering.G[element])
+                clustering.apply_word_move(element, target, prof)
+            else:
+                source = int(clustering.S[idx[0]])
+                clustering.apply_group_move(idx, target, prof)
+            if on_move is not None:
+                key = element if word else level.key(element)
+                on_move(clustering, MoveDelta(kind, key, source, target, float(deltas[target])))
         f_now = clustering.criterion()
-        gain = f_now - f_prev
-        rel = gain / abs(f_prev) if f_prev != 0.0 else 0.0
+        rel = (f_now - f_prev) / abs(f_prev) if f_prev != 0.0 else 0.0
         f_prev = f_now
         if rel < params.convergence:
             break
     return iterations
+
+
+def _run(
+    table: EventTable, levels: Sequence[Level], params: ClusterParams, on_move: OnMove | None
+) -> Clustering:
+    """Sweep each of ``levels`` in turn, from a start on the first one's groups."""
+    clustering = _start(table, params, levels[0])
+    for level in levels:
+        units = _visit_units(clustering, level, params.min_count)
+        clustering.iterations_per_level.append(_sweep(clustering, units, params, on_move))
+    return clustering
 
 
 def run_flat(
@@ -427,13 +428,8 @@ def run_flat(
 ) -> Clustering:
     """Exchange clustering with every distinct context as its own
     movable unit."""
-    clustering = init_clustering(table, params)
     leaves = suffix_level(table.contexts, table.spec.depth, table.ctx_counts)
-    units = _visit_units(clustering, leaves, params.min_count)
-    n_iter = _sweep(clustering, units, params, on_move)
-    clustering.iterations_run = n_iter
-    clustering.iterations_per_level = [n_iter]
-    return clustering
+    return _run(table, [leaves], params, on_move)
 
 
 def run_tree(
@@ -456,13 +452,7 @@ def run_tree(
         raise ValueError("tree depth does not match context spec depth")
     if tree.levels[0].group_of.size != table.n_contexts:
         raise ValueError("tree context count does not match the event table")
-    clustering = _grouped_init(table, tree, params)
-    clustering.iterations_per_level = []
-    for level in tree.levels[1:]:
-        units = _visit_units(clustering, level, params.min_count)
-        clustering.iterations_per_level.append(_sweep(clustering, units, params, on_move))
-    clustering.iterations_run = sum(clustering.iterations_per_level)
-    return clustering
+    return _run(table, tree.levels[1:], params, on_move)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,8 @@ def em_mixture_weights(
     the held-out log-likelihood before each update; the sequence is
     checked to be non-decreasing (EM guarantee) to 1e-9.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     P = np.asarray(probs, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] == 0:
         raise ValueError("probability matrix must have at least one event row")

@@ -235,6 +235,75 @@ class TestFailureModes:
         assert err.startswith("error:") and message in err
         assert not (d / "ngram.model").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--discount", "0.3"],
+        ["--vocab", "v.txt"],
+        ["--tagmap", "no-such-tags.tsv"],
+        ["--classmap", "no-such-classes.tsv"],
+    ])
+    def test_cluster_model_flags_need_model_out(self, workdir, capsys, flags):
+        d = workdir
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--context", "w:-1", "--out", d / "c.tsv"], capsys)
+        err = run_fail(["cluster", "run", "--counts", d / "c.tsv", "--states", "4",
+                        "--categories", "4", *flags, "--out", d / "cl.tsv"], capsys)
+        assert err.startswith("error:") and f"{flags[0]} is used only with --model-out" in err
+        assert not (d / "cl.tsv").exists()
+
+    def test_cluster_discount_is_checked_before_clustering(self, workdir, capsys):
+        d = workdir
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--context", "w:-1", "--out", d / "c.tsv"], capsys)
+        err = run_fail(["cluster", "run", "--counts", d / "c.tsv", "--states", "4",
+                        "--categories", "4", "--discount", "7", "--out", d / "cl.tsv",
+                        "--model-out", d / "m.model", "--vocab", d / "v.txt"], capsys)
+        assert err.startswith("error:") and "discount must lie in [0, 1)" in err
+        assert not (d / "cl.tsv").exists() and not (d / "m.model").exists()
+
+    def test_map_without_its_slot_is_rejected(self, workdir, capsys):
+        d = workdir
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        (d / "tags.tsv").write_text("")
+        err = run_fail(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                        "--context", "w:-1", "--tagmap", d / "tags.tsv",
+                        "--out", d / "c.tsv"], capsys)
+        assert err.startswith("error:") and "--tagmap is given but the context has no t:" in err
+        assert not (d / "c.tsv").exists()
+        run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--context", "w:-1", "--out", d / "c.tsv"], capsys)
+        err = run_fail(["cluster", "run", "--counts", d / "c.tsv", "--states", "4",
+                        "--categories", "4", "--classmap", d / "tags.tsv", "--out", d / "cl.tsv",
+                        "--model-out", d / "m.model", "--vocab", d / "v.txt"], capsys)
+        assert err.startswith("error:") and "--classmap is given but the context has no g:" in err
+        assert not (d / "cl.tsv").exists()
+
+    def test_negative_show_is_rejected(self, workdir, capsys):
+        d = workdir
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--context", "w:-1", "--out", d / "c.tsv"], capsys)
+        run_ok(["cluster", "run", "--counts", d / "c.tsv", "--states", "4",
+                "--categories", "4", "--out", d / "cl.tsv"], capsys)
+        err = run_fail(["classes", "export", "--clustering", d / "cl.tsv", "--counts", d / "c.tsv",
+                        "--vocab", d / "v.txt", "--out", d / "classes.tsv",
+                        "--show", "-4847"], capsys)
+        assert err.startswith("error:") and "--show must not be negative" in err
+        assert not (d / "classes.tsv").exists()
+
+    def test_interp_max_iters_is_checked(self, workdir, capsys):
+        d = workdir
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        for order in (2, 3):
+            run_ok(["ngram", "train", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                    "--order", order, "--out", d / f"ngram{order}.model"], capsys)
+        err = run_fail(["interp", "tune", "--models", d / "ngram2.model", d / "ngram3.model",
+                        "--heldout", d / "held.txt", "--vocab", d / "v.txt",
+                        "--max-iters", "-3", "--out", d / "mix.model"], capsys)
+        assert err.startswith("error:") and "--max-iters must be at least 1" in err
+        assert not (d / "mix.model").exists()
+
     def test_out_of_range_word_ids_are_errors(self, workdir, capsys):
         d = workdir
         run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)

@@ -350,15 +350,19 @@ class TestCachedF:
 
 
 class TestMoveIdValidation:
-    """The moves check their ids as the deltas do, and a rejected move
-    leaves the state as it was."""
+    """The moves and profiles check their ids as the deltas do, and a
+    rejected call leaves the state as it was."""
 
     def test_out_of_range_ids_are_rejected_without_a_change(self):
         rng = random.Random(14)
         table, cl = random_clustering(rng)
         before = [a.copy() for a in (cl.joint, cl.state_totals, cl.cat_totals, cl.G, cl.S)]
         for w in (-2, -1, cl.n_words, cl.n_words + 3):
-            for call in (lambda: cl.apply_word_move(w, 0), lambda: cl.word_move_deltas(w)):
+            for call in (
+                lambda: cl.apply_word_move(w, 0),
+                lambda: cl.word_move_deltas(w),
+                lambda: cl.word_profile(w),
+            ):
                 with pytest.raises(ValueError, match="word id out of range"):
                     call()
         n = table.n_contexts
@@ -366,14 +370,31 @@ class TestMoveIdValidation:
             for call in (
                 lambda: cl.apply_group_move(np.asarray(idx), 0),
                 lambda: cl.group_move_deltas(np.asarray(idx)),
+                lambda: cl.group_profile(np.asarray(idx)),
             ):
                 with pytest.raises(ValueError, match="context index out of range"):
                     call()
+        none = np.array([], dtype=np.int64)
+        for call in (
+            lambda: cl.apply_group_move(none, 0),
+            lambda: cl.group_move_deltas(none),
+            lambda: cl.group_profile(none),
+        ):
+            with pytest.raises(ValueError, match="empty context group"):
+                call()
         with pytest.raises(ValueError, match="context index out of range"):
             cl.apply_group_move([-1], 0)
         after = (cl.joint, cl.state_totals, cl.cat_totals, cl.G, cl.S)
         for a, b in zip(before, after):
             assert a.tobytes() == b.tobytes()
+
+    def test_profiles_are_float64_also_for_a_word_without_events(self):
+        table, cl = random_clustering(random.Random(2), n_words=6, n_contexts=3)
+        assert cl.word_counts[0] == 0
+        for w in range(cl.n_words):
+            assert cl.word_profile(w).dtype == np.float64
+        for i in range(table.n_contexts):
+            assert cl.group_profile(np.array([i])).dtype == np.float64
 
 
 class TestSweepPath:

@@ -229,6 +229,9 @@ class TestEMWeights:
             em_mixture_weights(P, init=[1.0])
         with pytest.raises(ValueError, match="at least one event"):
             em_mixture_weights(np.zeros((0, 2)))
+        for iters in (0, -3):
+            with pytest.raises(ValueError, match="max_iters must be at least 1"):
+                em_mixture_weights(P, max_iters=iters)
 
     def test_zero_mixture_event_rejected(self):
         P = np.asarray([[0.5, 0.5], [0.0, 0.0]])

@@ -1,6 +1,7 @@
 """Class-factored, backoff and interpolated language models."""
 
 import functools
+import itertools
 import math
 import random
 import tempfile
@@ -942,3 +943,62 @@ class TestInterpolatedModel:
         bad.write_text("#mystery v9\n")
         with pytest.raises(ValueError, match="unrecognized model file"):
             load_model(bad)
+
+
+class TestNormalisation:
+    """The class model, its saved copy, and its mixture with a backoff
+    model sum to one over the vocabulary however a history resolves: to
+    a training context, through each suffix-fallback length, or to the
+    default state."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_every_resolution_sums_to_one(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        vocab = tiny_vocab(["a", "b", "c", "d"])
+        n_words = len(vocab)
+        depth = data.draw(st.integers(1, 3), label="depth")
+        # fewer contexts than words leave, after every seen suffix, a value
+        # that extends it to an unseen one, so every resolution occurs
+        table = random_event_table(
+            rng, n_words, rng.randint(1, n_words - 1), depth=depth, max_count=6
+        )
+        params = ClusterParams(
+            n_categories=data.draw(st.integers(1, n_words), label="categories"),
+            n_states=data.draw(st.integers(1, table.n_contexts), label="states"),
+            min_count=data.draw(st.integers(1, 3), label="min count"),
+        )
+        if data.draw(st.booleans(), label="tree"):
+            clu = run_tree(table, build_suffix_tree(table), params)
+        else:
+            clu = run_flat(table, params)
+        discount = data.draw(st.floats(0.0, 1.0, exclude_max=True), label="discount")
+        lm = ClassLM(clu, vocab, discount=discount)
+        with tempfile.TemporaryDirectory() as d:
+            save_classlm(lm, Path(d) / "m.classlm")
+            loaded = load_classlm(Path(d) / "m.classlm")
+        words = [vocab.id_of(t) for t in "abcd"]
+        sents = [[rng.choice(words) for _ in range(rng.randint(1, 6))] for _ in range(20)]
+        backoff = train_backoff(
+            ngram_counts(sents, 3, bos_id=vocab.bos_id, eos_id=vocab.eos_id),
+            n_words,
+            discount=data.draw(st.floats(0.01, 0.99), label="backoff discount"),
+            bos_id=vocab.bos_id,
+        )
+        weight = data.draw(st.floats(0.0, 1.0), label="class weight")
+        mix = InterpolatedModel([lm, backoff], [weight, 1.0 - weight])
+
+        seen = {tuple(c) for c in table.contexts.tolist()}
+        resolutions = set()
+        for ctx in itertools.product(range(n_words), repeat=depth):
+            # longest suffix shared with a training context: depth is an
+            # exact hit, 0 the default state
+            resolutions.add(max(
+                k for k in range(depth + 1) for c in seen if c[depth - k :] == ctx[depth - k :]
+            ))
+            for model in (lm, loaded):
+                total = math.fsum(model.prob_given_context(w, ctx) for w in range(n_words))
+                assert total == pytest.approx(1.0, abs=1e-9)
+            total = math.fsum(mix.prob(w, list(ctx)) for w in range(n_words))
+            assert total == pytest.approx(1.0, abs=1e-9)
+        assert resolutions == set(range(depth + 1))
