@@ -23,6 +23,14 @@ positive whenever the element has events, so they take a plain
 through ``xlogx``.  Every value is computed by the same elementwise
 expression whether it comes from a cache or not, so the deltas are
 bit-identical to recomputing f over the touched cells.
+
+The word kernel's (states x categories) temporaries go into
+``scratch``, a float64 array of at least twice their size that the
+caller keeps, when one is given.  The command line has glibc map every
+array of 128 KiB or more afresh (``cli._fix_mmap_threshold``), so a
+temporary of that size would cost new pages on every call.  The group
+kernel gathers columns, which ``np.take`` into a buffer copies at
+about half the speed of fancy indexing, so it allocates.
 """
 
 from __future__ import annotations
@@ -51,11 +59,20 @@ def xlogx(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _two(scratch, shape) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Two C-ordered views of ``shape`` into ``scratch``, to pass as
+    ``out``; without ``scratch``, two Nones, so numpy allocates."""
+    if scratch is None:
+        return None, None
+    n = shape[0] * shape[1]
+    return scratch[:n].reshape(shape), scratch[n : 2 * n].reshape(shape)
+
+
 def _xlogx_scalar(x: float) -> float:
     return x * math.log(x) if x > 0 else 0.0
 
 
-def word_move_deltas(joint, cat_totals, profile, g_cur, n_elem, f_joint, f_cat):
+def word_move_deltas(joint, cat_totals, profile, g_cur, n_elem, f_joint, f_cat, scratch=None):
     """Criterion deltas for moving one word to every category.
 
     ``profile[s]`` is the word's event count within state ``s`` and
@@ -67,11 +84,12 @@ def word_move_deltas(joint, cat_totals, profile, g_cur, n_elem, f_joint, f_cat):
         return np.zeros(joint.shape[1], dtype=np.float64)
     nz = np.nonzero(profile)[0]
     p = profile[nz]
-    after = joint[nz, :]
+    a, b = _two(scratch, (len(nz), joint.shape[1]))
+    after = np.take(joint, nz, axis=0, out=a, mode="clip")
     after += p[:, None]
-    deltas = np.log(after)
+    deltas = np.log(after, out=b)
     deltas *= after
-    deltas -= f_joint[nz, :]
+    deltas -= np.take(f_joint, nz, axis=0, out=a, mode="clip")
     deltas = deltas.sum(axis=0)
 
     jg = joint[nz, g_cur]

@@ -10,6 +10,7 @@ artifacts; identical inputs and flags produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import os
 import sys
@@ -448,7 +449,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_M_MMAP_THRESHOLD = -3  # mallopt parameter number in glibc's <malloc.h>
+
+
+def _fix_mmap_threshold() -> None:
+    """Have glibc give every block of 128 KiB or more its own mapping,
+    which goes back to the system when the block is freed (a no-op on
+    other C libraries).
+
+    By default glibc raises this threshold whenever a mapped block is
+    freed, and from then on large arrays come from the heap, where a
+    live block above a freed one keeps it resident and numpy's huge-page
+    advice for large arrays outlives the array.  A process's peak memory
+    then depends on the heap layout, which shifts with input and path
+    lengths; with the threshold fixed it does not.  The price is that
+    each large temporary is a fresh mapping, paged in anew.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        libc = ""
+    if libc.startswith("glibc"):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 128 * 1024)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    _fix_mmap_threshold()
     parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:

@@ -155,6 +155,7 @@ class Clustering:
         self.f_joint = _kernels.xlogx(self.joint)
         self.f_state = _kernels.xlogx(self.state_totals)
         self.f_cat = _kernels.xlogx(self.cat_totals)
+        self._scratch = np.empty(2 * self.joint.size)  # the word kernel's temporaries
 
     # -- statistics ------------------------------------------------------
 
@@ -210,6 +211,7 @@ class Clustering:
             int(self.word_counts[w]),
             self.f_joint,
             self.f_cat,
+            self._scratch,
         )
 
     def group_move_deltas(

@@ -148,15 +148,17 @@ def em_mixture_weights(
         if w.shape != (k,) or (w < 0).any() or abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValueError("initial weights must lie on the simplex")
     history: list[float] = []
+    # event-length buffers, reused by every iteration
+    mix, scratch, weighted = np.empty(n), np.empty(n), np.empty_like(P)
     for _ in range(max_iters):
-        mix = P @ w
+        np.matmul(P, w, out=mix)
         if (mix <= 0.0).any():
             raise ValueError("mixture assigns zero probability to a held-out event")
-        ll = math.fsum(np.log(mix).tolist())
+        ll = math.fsum(np.log(mix, out=scratch).tolist())
         if history and ll < history[-1] - 1e-9:
             raise RuntimeError("EM log-likelihood decreased")
         history.append(ll)
-        new_w = (P * w).T @ (1.0 / mix) / n
+        new_w = np.multiply(P, w, out=weighted).T @ np.divide(1.0, mix, out=scratch) / n
         delta = float(np.max(np.abs(new_w - w)))
         w = new_w
         if delta < tol:

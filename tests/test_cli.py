@@ -1,7 +1,9 @@
 """Command-line interface: spec parsing, subcommands, atomicity."""
 
+import os
 import random
 
+import numpy as np
 import pytest
 
 from clusterlm.cli import _atomic_write, format_context_spec, main, parse_context_spec
@@ -433,3 +435,32 @@ class TestAtomicWrite:
         (tmp_path / "plain.txt").write_text("x")
         _atomic_write(tmp_path / "atomic.txt", lambda p: p.write_text("x"))
         assert (tmp_path / "atomic.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+
+def _in_heap(address: int) -> bool:
+    """Whether ``address`` lies in the process's brk heap."""
+    with open("/proc/self/maps") as fh:
+        for line in fh:
+            if line.rstrip().endswith("[heap]"):
+                lo, hi = (int(x, 16) for x in line.split()[0].split("-"))
+                if lo <= address < hi:
+                    return True
+    return False
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the mmap threshold is a glibc setting")
+class TestAllocator:
+    def test_large_arrays_keep_their_own_mapping_after_a_command(self, capsys):
+        assert main(["--help"]) == 0
+        # freeing a mapped block is what raises glibc's default threshold
+        big = np.ones(8 << 20, dtype=np.uint8)
+        del big
+        arr = np.ones(1 << 20, dtype=np.uint8)
+        assert not _in_heap(arr.ctypes.data)
