@@ -143,6 +143,16 @@ def _peek_slot_names(counts_path: str | Path) -> list[str]:
     return names
 
 
+def _check_model_vocab(model, model_path, vocab: Vocabulary, vocab_path) -> None:
+    """A model scores ids of the vocabulary it was trained with; with
+    another vocabulary the ids name other words."""
+    if model.n_words != len(vocab):
+        raise ValueError(
+            f"model {model_path} covers {model.n_words} words but vocabulary "
+            f"{vocab_path} has {len(vocab)}"
+        )
+
+
 def _mappers_for(names: Sequence[str], vocab: Vocabulary, tagmap, classmap) -> dict:
     """Feature mapper for each slot name (w, t or g); a map that no slot
     uses is rejected."""
@@ -293,6 +303,8 @@ def cmd_interp_tune(args) -> int:
         raise ValueError("--max-iters must be at least 1")
     vocab = Vocabulary.load(args.vocab)
     components = [load_model(p) for p in args.models]
+    for comp, path in zip(components, args.models):
+        _check_model_vocab(comp, path, vocab, args.vocab)
     heldout = encode_corpus(read_corpus_lines(args.heldout), vocab)
     weights, report = tune_weights_em(
         components,
@@ -314,6 +326,7 @@ def cmd_interp_tune(args) -> int:
 def cmd_eval_ppl(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     model = load_model(args.model)
+    _check_model_vocab(model, args.model, vocab, args.vocab)
     test = encode_corpus(read_corpus_lines(args.test), vocab)
     report = perplexity(
         model,

@@ -68,12 +68,20 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
+        """Read a file written by ``save``.  A damaged file (a cut-off
+        last line, a malformed ``#special`` line, a special role or
+        token missing, a duplicate token) raises ``ValueError``."""
+        text = Path(path).read_text(encoding="utf-8")
+        if text and not text.endswith("\n"):
+            raise ValueError("vocabulary file: the last line is cut off")
         specials: dict[str, str] = {}
         tokens: list[str] = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for line in text.splitlines():
             if line.startswith("#special "):
-                _, role, token = line.split(" ", 2)
-                specials[role] = token
+                fields = line.split(" ", 2)
+                if len(fields) != 3 or fields[1] not in _SPECIAL_ROLES:
+                    raise ValueError(f"vocabulary file: malformed special line {line!r}")
+                specials[fields[1]] = fields[2]
                 continue
             tokens.append(line)
         missing = [r for r in _SPECIAL_ROLES if r not in specials]
@@ -82,6 +90,11 @@ class Vocabulary:
         ids = {t: i for i, t in enumerate(tokens)}
         if len(ids) != len(tokens):
             raise ValueError("vocabulary file contains duplicate tokens")
+        for role in _SPECIAL_ROLES:
+            if specials[role] not in ids:
+                raise ValueError(
+                    f"vocabulary file lacks the {role} special token {specials[role]!r}"
+                )
         return cls(
             tokens=tokens,
             ids=ids,

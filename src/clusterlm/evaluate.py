@@ -2,6 +2,11 @@
 
 All log-probability accumulation uses exactly rounded compensated
 summation, so totals are independent of sentence order to the last bit.
+
+``tune_weights_em`` scores the held-out events with one ``prob_array``
+call per component.  ``perplexity`` still makes one scalar ``prob`` call
+per event, so it is what builds a model's dict indexes (see
+``clusterlm.models``), on its first query.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from clusterlm.events import event_rows
 
 
 @dataclass
@@ -178,22 +185,28 @@ def tune_weights_em(
 ) -> tuple[np.ndarray, EvalReport]:
     """Tune mixture weights for ``components`` on held-out sentences.
 
-    Component probabilities per event are computed once; the EM fixed
-    point then runs on the fixed matrix.  Returns the weights and the
-    held-out report of the tuned mixture, scored from the same matrix
-    with the arithmetic of ``InterpolatedModel.prob``, so it equals
-    ``perplexity`` of that mixture to the last bit.
+    The event rows are built once (``events.event_rows``, -1 before the
+    sentence start) and each component scores them in one
+    ``prob_array`` call; the EM fixed point then runs on that fixed
+    matrix.  Returns the weights and the held-out report of the tuned
+    mixture, scored from the same matrix with the arithmetic of
+    ``InterpolatedModel.prob``, so it equals ``perplexity`` of that
+    mixture to the last bit.
     """
     if len(components) < 2:
         raise ValueError("at least two components required")
     if include_eos and eos_id is None:
         raise ValueError("eos_id is required when sentence ends are scored")
-    rows = []
-    for _, _, w, hist in _events(sentences, eos_id, include_eos):
-        rows.append([comp.prob(w, hist) for comp in components])
-    if not rows:
+    sentences = list(sentences)
+    if sum(map(len, sentences)) + (len(sentences) if include_eos else 0) == 0:
         raise ValueError("degenerate held-out corpus: no events")
-    probs = np.asarray(rows, dtype=np.float64)
+    width = max(comp.history_width for comp in components)
+    # with ends not scored the end token's id is never read
+    rows = event_rows(sentences, range(-width, 0), -1, -1 if eos_id is None else eos_id)
+    if not include_eos:
+        ends = np.cumsum([len(s) + 1 for s in sentences]) - 1
+        rows = np.delete(rows, ends, axis=0)
+    probs = np.column_stack([comp.prob_array(rows) for comp in components])
     weights, _ = em_mixture_weights(probs, init=init, max_iters=max_iters, tol=tol)
     # per event: total += lam * p over the nonzero weights, in component
     # order; elementwise float64 numpy rounds exactly as the scalar loop

@@ -5,6 +5,16 @@ with ``history`` the tuple of word ids preceding ``w`` in its sentence;
 each model derives the conditioning view it needs (mapped context tuple
 or padded n-gram history) from that common input.
 
+``model.prob_array(rows)`` answers many queries in one call, bit for bit
+as ``prob`` does.  A query row holds the history at offsets -W..-1, then
+the word, with -1 at the positions before the sentence start (the rows
+``events.event_rows`` builds with -1 as the begin token); W must be at
+least the model's ``history_width``.  The array path reads the model's
+sorted tables.  ``prob`` reads dict indexes (``BackoffModel.probs`` and
+``bows``, ``ClassLM.state_of`` and friends) that are built from those
+tables on the first scalar query, so training or loading a model that
+is only scored in batches, or only saved, never builds them.
+
 * ``ClassLM``: the two-step clustered model
   p(w | c) = p(G(w) | S(c)) * p(w | G(w)), with the category-given-state
   distribution smoothed by absolute discounting toward the category
@@ -18,6 +28,7 @@ All trained models are immutable and their queries are pure.
 
 from __future__ import annotations
 
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -135,7 +146,7 @@ class ClassLM:
         states: np.ndarray,
         suffix_tables: list[tuple[np.ndarray, np.ndarray]],
     ) -> None:
-        """Keep the tables; derive the marginals and the suffix lookup."""
+        """Keep the tables and derive the marginals."""
         self.discount = float(discount)
         self.slots = tuple(slots)
         self.depth = len(self.slots)
@@ -153,17 +164,36 @@ class ClassLM:
         self.cat_totals = _sums(g, n, self.n_categories)
         self.total = int(word_counts.sum())
         self._nplus = np.bincount(s, minlength=self.n_states).astype(np.int64)
-        self._joint = dict(zip(zip(s.tolist(), g.tolist()), n.tolist()))
         self.contexts = contexts
         self.states = states
-        self.state_of = dict(zip(tuples(contexts), states.tolist()))
-        self._fallback = {
-            key: st for keys, sts in suffix_tables for key, st in zip(tuples(keys), sts.tolist())
-        }
         self._default_state = int(np.argmax(self.state_totals))
         self._offsets = [sl.offset for sl in self.slots]
         self._tables = list(maps.T)
         self._bos_values = tuple(sl.bos for sl in self.slots)
+
+    # The dict indexes of the scalar queries, built on the first one.
+
+    @cached_property
+    def _joint(self) -> dict[tuple[int, int], int]:
+        s, g, n = self.joint_cells.T
+        return dict(zip(zip(s.tolist(), g.tolist()), n.tolist()))
+
+    @cached_property
+    def state_of(self) -> dict[ContextTuple, int]:
+        return dict(zip(tuples(self.contexts), self.states.tolist()))
+
+    @cached_property
+    def _fallback(self) -> dict[ContextTuple, int]:
+        return {
+            key: st
+            for keys, sts in self.suffix_tables
+            for key, st in zip(tuples(keys), sts.tolist())
+        }
+
+    @property
+    def history_width(self) -> int:
+        """How many preceding words a query reads."""
+        return -self.slots[0].offset
 
     def resolve_state(self, context: ContextTuple) -> int:
         """State of a context tuple, through the suffix fallback when
@@ -210,11 +240,72 @@ class ClassLM:
     def prob(self, w: int, history: Sequence[int]) -> float:
         return self.prob_given_context(w, self.context_of(history))
 
+    def prob_array(self, rows: np.ndarray) -> np.ndarray:
+        """``prob`` of every query row (see the module docstring).
+
+        States resolve by row lookups in ``contexts``, then in each
+        suffix table from the longest, then to the default state; the
+        probability is evaluated in the operation order of
+        ``prob_given_context``."""
+        rows = _query_rows(rows, self.n_words, self.history_width)
+        words = rows[:, -1]
+        ctx = np.empty((len(rows), self.depth), dtype=np.int64)
+        for k, sl in enumerate(self.slots):
+            h = rows[:, rows.shape[1] - 1 + sl.offset]
+            ctx[:, k] = np.where(h >= 0, self.maps[np.maximum(h, 0), k], sl.bos)
+        s = self._resolve_states(ctx)
+
+        out = np.zeros(len(rows), dtype=np.float64)
+        g = self.G[words]
+        live = np.flatnonzero(self.cat_totals[g] > 0)  # an empty category gives 0.0
+        s, g, words = s[live], g[live], words[live]
+        at, seen = find_rows(self.joint_cells[:, :2], np.column_stack([s, g]))
+        joint = np.zeros(len(live), dtype=np.float64)
+        joint[seen] = self.joint_cells[at[seen], 2]
+        # N(g)/N as Python divides the two exact integers
+        share = np.array([n / self.total for n in self.cat_totals.tolist()], dtype=np.float64)
+        n_s = self.state_totals[s].astype(np.float64)
+        n_g = self.cat_totals[g].astype(np.float64)
+        d = self.discount
+        nplus = self._nplus[s].astype(np.float64)
+        p_g = np.maximum(joint - d, 0.0) / n_s + (d * nplus / n_s) * share[g]
+        out[live] = p_g * (self.word_counts[words].astype(np.float64) / n_g)
+        return out
+
+    def _resolve_states(self, ctx: np.ndarray) -> np.ndarray:
+        """``resolve_state`` of every row of mapped context values."""
+        at, found = find_rows(self.contexts, ctx)
+        out = np.full(len(ctx), self._default_state, dtype=np.int64)
+        out[found] = self.states[at[found]]
+        todo = np.flatnonzero(~found)
+        for keep in range(self.depth - 1, 0, -1):
+            keys, states = self.suffix_tables[keep - 1]
+            at, found = find_rows(keys, ctx[todo, self.depth - keep :])
+            out[todo[found]] = states[at[found]]
+            todo = todo[~found]
+        return out
+
     @property
     def n_parameters(self) -> int:
         """Raw stored-entry count: nonzero joint cells, word counts, and
         the context-to-state map."""
-        return len(self.joint_cells) + self.n_words + len(self.state_of)
+        return len(self.joint_cells) + self.n_words + len(self.contexts)
+
+
+def _query_rows(rows: np.ndarray, n_words: int, width: int) -> np.ndarray:
+    """``rows`` as int64 query rows, checked where a model of
+    ``history_width`` ``width`` reads them: the word in ``[0, n_words)``,
+    and each history position a word id or, before the sentence start,
+    -1.  Anything else raises ``ValueError``."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] < width + 1:
+        raise ValueError(f"query rows need at least {width} history columns and the word")
+    check_range(rows[:, -1], 0, n_words, "query word ids")
+    hist = rows[:, rows.shape[1] - 1 - width : -1]
+    check_range(hist, -1, n_words, "query history ids")
+    if ((hist[:, :-1] >= 0) & (hist[:, 1:] < 0)).any():
+        raise ValueError("query history holds a word before the sentence start")
+    return rows
 
 
 def _check_discount(discount: float) -> None:
@@ -415,9 +506,11 @@ class BackoffModel:
     The model is defined by its kept counts: ``grams[k-1]`` holds the
     kept k-grams as strictly sorted rows of word ids and ``counts[k-1]``
     their counts, as ``train_backoff`` checks and cuts them.  From them
-    it derives ``uni``, and per order k >= 2 the scalar query index:
-    ``probs[k]`` maps every kept k-gram to its full interpolated p_k and
-    ``bows[k]`` every seen history to bow(h).
+    it derives ``uni`` and, per order k >= 2, the sorted tables of the
+    kept k-grams with their full interpolated p_k and of the seen
+    histories with their bow(h).  The scalar query index, ``probs[k]``
+    (k-gram to p_k) and ``bows[k]`` (history to bow(h)), is built from
+    those tables on the first scalar query.
     """
 
     def __init__(
@@ -448,11 +541,8 @@ class BackoffModel:
         self.uni = np.full(self.n_words, floor / total, dtype=np.float64)
         self.uni[words] = (np.maximum(uni_counts - d, 0.0) + floor) / total
 
+        # per order k >= 2: kept k-grams, their p_k, seen histories, their bows
         tables: list[tuple[np.ndarray, ...]] = []
-        # the keys share one int object per word id rather than one per entry
-        ids = np.arange(self.n_words).astype(object)
-        self.probs: dict[int, dict[tuple[int, ...], float]] = {}
-        self.bows: dict[int, dict[tuple[int, ...], float]] = {}
         for k in range(2, self.order + 1):
             grams, c = self.grams[k - 1], self.counts[k - 1]
             starts = np.flatnonzero(row_starts(grams[:, :-1]))
@@ -464,8 +554,29 @@ class BackoffModel:
             lower = _interpolated(self.uni, tables, k - 1, grams[:, 1:])
             probs = (c - d) / hist_tot[h] + bows[h] * lower
             tables.append((grams, probs, hists, bows))
-            self.probs[k] = dict(zip(tuples(ids[grams]), probs.tolist()))
-            self.bows[k] = dict(zip(tuples(ids[hists]), bows.tolist()))
+        self._tables = tables
+
+    @cached_property
+    def probs(self) -> dict[int, dict[tuple[int, ...], float]]:
+        return self._index([(grams, probs) for grams, probs, _, _ in self._tables])
+
+    @cached_property
+    def bows(self) -> dict[int, dict[tuple[int, ...], float]]:
+        return self._index([(hists, bows) for _, _, hists, bows in self._tables])
+
+    def _index(self, tables) -> dict[int, dict[tuple[int, ...], float]]:
+        """``tables[k-2]`` = (rows, values) of order k as a dict per order."""
+        # the keys share one int object per word id rather than one per entry
+        ids = np.arange(self.n_words).astype(object)
+        return {
+            k: dict(zip(tuples(ids[keys]), values.tolist()))
+            for k, (keys, values) in enumerate(tables, 2)
+        }
+
+    @property
+    def history_width(self) -> int:
+        """How many preceding words a query reads."""
+        return self.order - 1
 
     def _padded(self, history: Sequence[int]) -> tuple[int, ...]:
         if self.order == 1:
@@ -493,15 +604,27 @@ class BackoffModel:
             raise ValueError("word id out of range")
         return self._p(self.order, self._padded(history), w)
 
+    def prob_array(self, rows: np.ndarray) -> np.ndarray:
+        """``prob`` of every query row (see the module docstring).
+        Positions before the sentence start take the begin id; without
+        one, a row backs off to the order its known history reaches, as
+        ``_p`` does."""
+        grams = _query_rows(rows, self.n_words, self.history_width)[:, -self.order :]
+        if self.bos_id is not None:
+            grams = np.where(grams < 0, self.bos_id, grams)
+            return _interpolated(self.uni, self._tables, self.order, grams)
+        known = (grams[:, :-1] >= 0).sum(axis=1)
+        out = np.empty(len(grams), dtype=np.float64)
+        for j in range(self.order):
+            at = np.flatnonzero(known == j)
+            out[at] = _interpolated(self.uni, self._tables, j + 1, grams[at, self.order - 1 - j :])
+        return out
+
     @property
     def n_parameters(self) -> int:
         """Raw stored-entry count: unigram row plus every kept n-gram
         probability and history weight."""
-        return (
-            self.n_words
-            + sum(len(t) for t in self.probs.values())
-            + sum(len(t) for t in self.bows.values())
-        )
+        return self.n_words + sum(len(grams) + len(hists) for grams, _, hists, _ in self._tables)
 
 
 def _interpolated(
@@ -675,11 +798,25 @@ class InterpolatedModel:
         self.weights = w
         self.n_words = sizes.pop()
 
+    @property
+    def history_width(self) -> int:
+        """How many preceding words a query reads."""
+        return max(c.history_width for c in self.components)
+
     def prob(self, w: int, history: Sequence[int]) -> float:
         total = 0.0
         for lam, comp in zip(self.weights, self.components):
             if lam != 0.0:
                 total += float(lam) * comp.prob(w, history)
+        return total
+
+    def prob_array(self, rows: np.ndarray) -> np.ndarray:
+        """``prob`` of every query row: ``lam * p_k`` added in component
+        order over the nonzero weights, as ``prob`` does."""
+        total = np.zeros(len(rows), dtype=np.float64)
+        for lam, comp in zip(self.weights, self.components):
+            if lam != 0.0:
+                total += float(lam) * comp.prob_array(rows)
         return total
 
     @property

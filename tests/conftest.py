@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ import numpy as np
 from clusterlm._rows import tuples
 from clusterlm.cluster import _ranked_init
 from clusterlm.corpus import Vocabulary, build_vocabulary, encode_corpus, identity_mapper
+from clusterlm.evaluate import EvalReport, _events, em_mixture_weights
 from clusterlm.events import ContextSpec, EventTable, Slot, extract_events
 
 
@@ -70,17 +72,21 @@ def build_table(sentences: list[str], offsets: tuple[int, ...] = (-2, -1)):
 
 
 def random_event_table(rng: random.Random, n_words: int, n_contexts: int,
-                       depth: int = 2, max_count: int = 5) -> EventTable:
-    """Synthetic sparse counts without going through a corpus."""
+                       depth: int = 2, max_count: int = 5,
+                       n_predicted: int | None = None) -> EventTable:
+    """Synthetic sparse counts without going through a corpus.  The
+    predicted words are drawn from the first ``n_predicted`` ids (all
+    by default), so the others occur only in contexts."""
     if n_contexts > n_words**depth:
         raise ValueError("more contexts asked for than there are distinct tuples")
+    n_predicted = n_words if n_predicted is None else n_predicted
     counts = {}
     while len(counts) < n_contexts:
         ctx = tuple(rng.randrange(n_words) for _ in range(depth))
         if ctx in counts:
             continue
         row = {}
-        for w in rng.sample(range(n_words), rng.randint(1, min(4, n_words))):
+        for w in rng.sample(range(n_predicted), rng.randint(1, min(4, n_predicted))):
             row[w] = rng.randint(1, max_count)
         counts[ctx] = row
     mapper_holder = _placeholder_spec(n_words, depth)
@@ -208,6 +214,41 @@ def oracle_backoff(counts, n_words: int, *, discount: float, cutoffs: dict[int, 
             for ng, c in kept[k - 1].items()
         }
     return uni, probs, bows
+
+
+def oracle_tune_weights_em(components, sentences, *, eos_id=None, include_eos=True,
+                           init=None, max_iters=100, tol=1e-6):
+    """``tune_weights_em`` by a per-event loop: one scalar ``prob`` call
+    per event and component fills the matrix, then the same EM and the
+    same scoring of the tuned mixture."""
+    rows = [
+        [comp.prob(w, hist) for comp in components]
+        for _, _, w, hist in _events(sentences, eos_id, include_eos)
+    ]
+    probs = np.asarray(rows, dtype=np.float64)
+    weights, _ = em_mixture_weights(probs, init=init, max_iters=max_iters, tol=tol)
+    mix = np.zeros(len(probs), dtype=np.float64)
+    for k, lam in enumerate(weights):
+        if lam != 0.0:
+            mix += float(lam) * probs[:, k]
+    total = math.fsum(math.log(p) for p in mix.tolist())
+    report = EvalReport("interp", len(mix), total, math.exp(-total / len(mix)))
+    return weights, report
+
+
+def assert_array_matches_scalar(model, histories, extra_width: int = 0) -> None:
+    """``prob_array`` equals the scalar ``prob`` bit for bit on every
+    word after every history.  The rows hold ``extra_width`` more
+    history columns than the model reads, -1 before the sentence start."""
+    width = model.history_width + extra_width
+    rows, want = [], []
+    for h in map(list, histories):
+        kept = h[max(len(h) - width, 0):]
+        for w in range(model.n_words):
+            rows.append([-1] * (width - len(kept)) + kept + [w])
+            want.append(float.hex(model.prob(w, h)))
+    got = model.prob_array(np.array(rows, dtype=np.int64).reshape(len(rows), width + 1))
+    assert [float.hex(p) for p in got.tolist()] == want
 
 
 def tiny_vocab(tokens: list[str]) -> Vocabulary:

@@ -306,6 +306,32 @@ class TestFailureModes:
         assert err.startswith("error:") and "--max-iters must be at least 1" in err
         assert not (d / "mix.model").exists()
 
+    def test_vocabulary_of_another_size_is_rejected(self, workdir, capsys):
+        d = workdir
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--max-size", "4",
+                "--out", d / "small.txt"], capsys)
+        for order in (2, 3):
+            run_ok(["ngram", "train", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                    "--order", order, "--out", d / f"ngram{order}.model"], capsys)
+        n_words = len((d / "v.txt").read_text().splitlines()) - 3  # specials header
+        n_small = len((d / "small.txt").read_text().splitlines()) - 3
+        # the model is checked before the text is read
+        err = run_fail(["interp", "tune", "--models", d / "ngram2.model", d / "ngram3.model",
+                        "--heldout", d / "no-such-heldout.txt", "--vocab", d / "small.txt",
+                        "--out", d / "mix.model"], capsys)
+        assert err.startswith("error:") and f"{n_words} words" in err and f"has {n_small}" in err
+        assert not (d / "mix.model").exists()
+        run_ok(["interp", "tune", "--models", d / "ngram2.model", d / "ngram3.model",
+                "--heldout", d / "held.txt", "--vocab", d / "v.txt", "--out", d / "mix.model"],
+               capsys)
+        for model in ("ngram3.model", "mix.model"):
+            err = run_fail(["eval", "ppl", "--model", d / model, "--test", d / "no-such-test.txt",
+                            "--vocab", d / "small.txt", "--report", d / "r.tsv"], capsys)
+            assert err.startswith("error:") and f"{n_words} words" in err
+            assert f"has {n_small}" in err
+        assert not (d / "r.tsv").exists()
+
     def test_out_of_range_word_ids_are_errors(self, workdir, capsys):
         d = workdir
         run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)

@@ -77,6 +77,29 @@ class TestVocabularyRoundTrip:
         with pytest.raises(ValueError, match="special"):
             Vocabulary.load(path)
 
+    def test_truncation_at_every_line_and_mid_line_is_rejected(self, tmp_path):
+        vocab = build_vocabulary("the cat sat on the mat".split())
+        path = tmp_path / "vocab.txt"
+        vocab.save(path)
+        data = path.read_bytes()
+        line_ends = [i + 1 for i, b in enumerate(data) if b == ord("\n")]
+        cuts = sorted(set(line_ends[:-1]) | {end - 2 for end in line_ends} | {0, len(data) - 1})
+        for cut in cuts:
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError):
+                Vocabulary.load(path)
+        # a cut after the tokens names the special whose token is gone
+        path.write_bytes(data[: line_ends[-2]])
+        with pytest.raises(ValueError, match=r"unk special token '<unk>'"):
+            Vocabulary.load(path)
+
+    def test_load_rejects_malformed_special_line(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        for line in ("#special bos", "#special tab <t>"):
+            path.write_text(f"{line}\n#special eos </s>\n#special unk <unk>\n</s>\n<unk>\n")
+            with pytest.raises(ValueError, match="malformed special line"):
+                Vocabulary.load(path)
+
     def test_load_rejects_duplicates(self, tmp_path):
         vocab = build_vocabulary("a b".split())
         path = tmp_path / "vocab.txt"

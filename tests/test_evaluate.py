@@ -14,7 +14,10 @@ from clusterlm.evaluate import (
     report_lines,
     tune_weights_em,
 )
-from clusterlm.models import InterpolatedModel, ngram_counts, train_backoff
+from clusterlm.cluster import ClusterParams, run_flat
+from clusterlm.models import ClassLM, InterpolatedModel, ngram_counts, train_backoff
+
+from conftest import build_table, make_random_corpus, oracle_tune_weights_em
 
 
 class DictModel:
@@ -31,11 +34,16 @@ class DictModel:
 
 
 class Uniform:
+    history_width = 0
+
     def __init__(self, n_words):
         self.n_words = n_words
 
     def prob(self, w, history):
         return 1.0 / self.n_words
+
+    def prob_array(self, rows):
+        return np.full(len(rows), 1.0 / self.n_words)
 
 
 EOS = 7
@@ -261,6 +269,25 @@ class TestTuneWeights:
             perplexity(m, held, eos_id=5).perplexity for m in (m2, m3)
         )
         assert pp_mix <= pp_best * (1 + 1e-6)
+
+    @pytest.mark.parametrize("include_eos", [True, False])
+    def test_array_matrix_equals_the_per_event_oracle(self, include_eos):
+        sents = make_random_corpus(13, n_sentences=60, n_words=9)
+        vocab, enc, table = build_table(sents, offsets=(-2, -1))
+        lm = ClassLM(run_flat(table, ClusterParams(n_categories=3, n_states=4, min_count=2)),
+                     vocab, discount=0.5)
+        bo = train_backoff(ngram_counts(enc, 3, bos_id=vocab.bos_id, eos_id=vocab.eos_id),
+                           len(vocab), discount=0.5, bos_id=vocab.bos_id)
+        uni = train_backoff(ngram_counts(enc, 1, bos_id=vocab.bos_id, eos_id=vocab.eos_id),
+                            len(vocab), discount=0.5)
+        # sentences of length 0 and 1 among longer ones
+        held = [[], [enc[0][0]], *enc[1:15], [], [enc[1][0]]]
+        for components in ([lm, bo], [bo, uni, lm], [uni, bo]):
+            got = tune_weights_em(components, held, eos_id=vocab.eos_id, include_eos=include_eos)
+            want = oracle_tune_weights_em(components, held, eos_id=vocab.eos_id,
+                                          include_eos=include_eos)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1] == want[1]
 
     def test_validation(self):
         m = Uniform(4)

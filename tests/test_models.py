@@ -38,6 +38,7 @@ from clusterlm.models import (
 )
 
 from conftest import (
+    assert_array_matches_scalar,
     build_table,
     count_arrays,
     count_dicts,
@@ -1002,3 +1003,117 @@ class TestNormalisation:
             total = math.fsum(mix.prob(w, list(ctx)) for w in range(n_words))
             assert total == pytest.approx(1.0, abs=1e-9)
         assert resolutions == set(range(depth + 1))
+
+
+class TestProbArray:
+    """``prob_array`` equals the scalar ``prob`` bit for bit for every
+    model type, and rejects ids outside the vocabulary."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_backoff_matches_scalar(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        order = data.draw(st.integers(1, 4), label="order")
+        n_words = 7
+        bos = data.draw(st.sampled_from([None, 5]), label="bos")
+        sents = [[rng.randrange(5) for _ in range(rng.randint(0, 6))] for _ in range(25)]
+        cutoffs = {
+            k: data.draw(st.integers(0, 2), label=f"cutoff {k}") for k in range(2, order + 1)
+        }
+        counts = ngram_counts(sents, order, bos_id=5, eos_id=6)
+        try:
+            m = train_backoff(counts, n_words, cutoffs=cutoffs, bos_id=bos,
+                              discount=data.draw(st.floats(0.01, 0.99), label="discount"))
+        except ValueError:
+            return  # no unigram survives the cutoffs
+        # every history of the corpus, also the empty one and one of one word
+        histories = {tuple(s[:i]) for s in sents for i in range(len(s) + 1)} | {(), (4,)}
+        assert_array_matches_scalar(m, sorted(histories), data.draw(st.integers(0, 2)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_class_model_and_mixture_match_scalar(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        vocab = tiny_vocab(["a", "b", "c", "d"])
+        n_words = len(vocab)
+        depth = data.draw(st.integers(1, 3), label="depth")
+        # <unk>, the last id, is never predicted, so its category can be empty
+        table = random_event_table(rng, n_words, rng.randint(1, n_words - 1), depth=depth,
+                                   max_count=6, n_predicted=n_words - 1)
+        params = ClusterParams(
+            n_categories=data.draw(st.integers(1, n_words - 1), label="categories"),
+            n_states=data.draw(st.integers(1, table.n_contexts), label="states"),
+            min_count=data.draw(st.integers(1, 3), label="min count"),
+        )
+        if data.draw(st.booleans(), label="tree"):
+            clu = run_tree(table, build_suffix_tree(table), params)
+        else:
+            clu = run_flat(table, params)
+        if data.draw(st.booleans(), label="empty category"):
+            G = clu.G.copy()
+            G[vocab.unk_id] = clu.n_categories
+            clu = Clustering(table, clu.n_categories + 1, clu.n_states, G, clu.S)
+        lm = ClassLM(clu, vocab, discount=data.draw(st.floats(0.0, 0.99), label="discount"))
+        with tempfile.TemporaryDirectory() as d:
+            save_classlm(lm, Path(d) / "m.classlm")
+            loaded = load_classlm(Path(d) / "m.classlm")
+        # every history up to the model's width: exact contexts, each
+        # suffix fallback, the default state and the sentence start
+        histories = [
+            h for k in range(depth + 1) for h in itertools.product(range(n_words), repeat=k)
+        ]
+        extra = data.draw(st.integers(0, 1), label="extra width")
+        for model in (lm, loaded):
+            assert_array_matches_scalar(model, histories, extra)
+        sents = [[rng.randrange(n_words) for _ in range(rng.randint(0, 4))] for _ in range(10)]
+        backoff = train_backoff(ngram_counts(sents, 3, bos_id=vocab.bos_id, eos_id=vocab.eos_id),
+                                n_words, discount=0.5, bos_id=vocab.bos_id)
+        weight = data.draw(st.sampled_from([0.0, 1.0, 0.25]), label="class weight")
+        mix = InterpolatedModel([loaded, backoff], [weight, 1.0 - weight])
+        assert_array_matches_scalar(mix, histories, extra)
+
+    def test_class_model_dicts_are_built_by_the_first_scalar_query(self, tmp_path):
+        lm, vocab, enc = TestClassLMFile.model(2)
+        save_classlm(lm, tmp_path / "m.classlm")
+        loaded = load_classlm(tmp_path / "m.classlm")
+        dicts = {"state_of", "_fallback", "_joint"}
+        loaded.prob_array(np.array([[-1, -1, 0], [0, 1, 2]]))
+        assert loaded.n_parameters == lm.n_parameters
+        assert not dicts & set(loaded.__dict__)
+        loaded.prob(0, [vocab.eos_id, vocab.eos_id])  # an unseen context
+        assert dicts <= set(loaded.__dict__)
+
+    def test_backoff_dicts_are_built_by_the_first_scalar_query(self):
+        m = train_backoff(ngram_counts([[0, 1, 2], [1, 2]], 3, bos_id=3, eos_id=4), 5,
+                          discount=0.5, cutoffs={}, bos_id=3)
+        m.prob_array(np.array([[-1, -1, 0], [0, 1, 2]]))
+        n = m.n_parameters
+        assert not {"probs", "bows"} & set(m.__dict__)
+        m.prob(2, [0, 1])
+        assert {"probs", "bows"} <= set(m.__dict__)
+        assert n == m.n_words + sum(len(t) for t in m.probs.values()) + sum(
+            len(t) for t in m.bows.values()
+        )
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 5]], "query word ids"),
+        ([[0, -1]], "query word ids"),
+        ([[5, 0]], "query history ids"),
+        ([[-2, 0]], "query history ids"),
+        ([[0]], "at least 1 history column"),
+    ])
+    def test_ids_outside_the_vocabulary_are_rejected(self, rows, message):
+        vocab, enc, table = build_table(["a b a", "b a"], offsets=(-1,))
+        lm = ClassLM(identity_clustering(table), vocab)
+        bo = train_backoff(ngram_counts(enc, 2, bos_id=vocab.bos_id, eos_id=vocab.eos_id),
+                           len(vocab), bos_id=vocab.bos_id)
+        mix = InterpolatedModel([lm, bo], [0.5, 0.5])
+        rows = np.where(np.array(rows) == 5, len(vocab), rows)
+        for model in (lm, bo, mix):
+            with pytest.raises(ValueError, match=message):
+                model.prob_array(rows)
+
+    def test_a_word_before_the_sentence_start_is_rejected(self):
+        m = train_backoff(ngram_counts([[0, 1, 2]], 3, bos_id=3, eos_id=4), 5, bos_id=3)
+        with pytest.raises(ValueError, match="before the sentence start"):
+            m.prob_array(np.array([[0, -1, 1]]))
