@@ -28,7 +28,6 @@ from clusterlm.cluster import (
     ClusterParams,
     Clustering,
     MoveDelta,
-    criterion,
     delta_move_word,
     delta_move_context_group,
     init_clustering,
@@ -83,7 +82,6 @@ __all__ = [
     "ClusterParams",
     "Clustering",
     "MoveDelta",
-    "criterion",
     "delta_move_word",
     "delta_move_context_group",
     "init_clustering",

@@ -26,9 +26,9 @@ bit-identical to recomputing f over the touched cells.
 
 The word kernel's (states x categories) temporaries go into
 ``scratch``, a float64 array of at least twice their size that the
-caller keeps, when one is given.  The command line has glibc map every
-array of 128 KiB or more afresh (``cli._fix_mmap_threshold``), so a
-temporary of that size would cost new pages on every call.  The group
+caller keeps.  The command line has glibc map every array of 128 KiB
+or more afresh (``cli._fix_mmap_threshold``), so a temporary of that
+size would cost new pages on every call.  The group
 kernel gathers columns, which ``np.take`` into a buffer copies at
 about half the speed of fancy indexing, so it allocates.
 """
@@ -59,32 +59,26 @@ def xlogx(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _two(scratch, shape) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Two C-ordered views of ``shape`` into ``scratch``, to pass as
-    ``out``; without ``scratch``, two Nones, so numpy allocates."""
-    if scratch is None:
-        return None, None
-    n = shape[0] * shape[1]
-    return scratch[:n].reshape(shape), scratch[n : 2 * n].reshape(shape)
-
-
 def _xlogx_scalar(x: float) -> float:
     return x * math.log(x) if x > 0 else 0.0
 
 
-def word_move_deltas(joint, cat_totals, profile, g_cur, n_elem, f_joint, f_cat, scratch=None):
+def word_move_deltas(joint, cat_totals, profile, g_cur, n_elem, f_joint, f_cat, scratch):
     """Criterion deltas for moving one word to every category.
 
     ``profile[s]`` is the word's event count within state ``s`` and
     sums to ``n_elem``; ``f_joint`` and ``f_cat`` are ``xlogx`` of
-    ``joint`` and ``cat_totals``.  Entry ``g_cur`` of the result is
-    exactly 0, and so is every entry when the word has no events.
+    ``joint`` and ``cat_totals``; ``scratch`` holds the temporaries.
+    Entry ``g_cur`` of the result is exactly 0, and so is every entry
+    when the word has no events.
     """
     if n_elem == 0:
         return np.zeros(joint.shape[1], dtype=np.float64)
     nz = np.nonzero(profile)[0]
     p = profile[nz]
-    a, b = _two(scratch, (len(nz), joint.shape[1]))
+    shape = (len(nz), joint.shape[1])
+    size = shape[0] * shape[1]
+    a, b = scratch[:size].reshape(shape), scratch[size : 2 * size].reshape(shape)
     after = np.take(joint, nz, axis=0, out=a, mode="clip")
     after += p[:, None]
     deltas = np.log(after, out=b)

@@ -1,11 +1,16 @@
 """Integer row sections: the text codec of the counts, clustering,
-class model and backoff model files, and the row grouping they share.
+class model and backoff model files, and the row operations they share.
 
 A section is a run of lines, one per row of an integer matrix: the
 row's key fields separated by spaces, then each value field after a
 tab, as in ``3 17<TAB>5<TAB>2``.  Rows are formatted and parsed a whole
 array at a time with numpy, and formatting a parsed section gives back
 its bytes.
+
+Rows are compared lexicographically.  ``find_rows`` is the one row
+lookup: it searches a strictly sorted table without sorting it.
+``sum_rows`` is the one count: the distinct rows of an unsorted array,
+sorted, with how often each occurs or the sum of its weights.
 """
 
 from __future__ import annotations
@@ -165,20 +170,43 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(row_starts(rows[order]))
 
 
+def sum_rows(rows: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``rows`` in sorted order, and the sum of
+    ``weights`` over each (how often each occurs without ``weights``)."""
+    order, starts = group_rows(rows)
+    if weights is None:
+        return rows[order[starts]], np.diff(starts, append=len(rows))
+    return rows[order[starts]], np.add.reduceat(weights[order], starts)
+
+
 def find_rows(table: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(at, found): for each query row, the index of the last row of the
-    strictly sorted ``table`` that sorts at or before it (-1 if none),
-    and whether that row equals the query.  Rows are compared column by
-    column, so any width and any integer values work."""
+    """(at, found): for each query row, the index of the equal row of
+    the strictly sorted ``table`` (-1 if there is none), and whether
+    there is one.
+
+    The table's values must lie in [0, 2**32).  Column by column, a
+    table row's key is the index of the first row sharing its earlier
+    columns, shifted left by 32 bits, plus its value in that column.
+    The keys ascend, so one ``np.searchsorted`` per column narrows each
+    query to the first row sharing its columns so far.  A query value
+    outside the table's range can only narrow to a wrong row, which the
+    final comparison turns into not found, so any int64 query works."""
+    queries = np.asarray(queries, dtype=np.int64)
     n = len(table)
-    order = np.lexsort(np.concatenate([table, queries]).T[::-1])
-    # stable: a table row sorts before an equal query
-    last = np.maximum.accumulate(np.where(order < n, order, -1))
-    is_query = order >= n
-    at = np.empty(len(queries), dtype=np.int64)
-    at[order[is_query] - n] = last[is_query]
-    found = at >= 0
+    at = np.zeros(len(queries), dtype=np.int64)
+    found = np.full(len(queries), n > 0)
+    first = np.zeros(n, dtype=np.int64)  # first row sharing the columns so far
+    for j in range(table.shape[1] if n else 0):
+        keys = (first << 32) + table[:, j]
+        want = (at << 32) + queries[:, j]
+        at = np.minimum(np.searchsorted(keys, want), n - 1)
+        found &= keys[at] == want
+        if j + 1 < table.shape[1]:
+            new = np.ones(n, dtype=bool)
+            new[1:] = keys[1:] != keys[:-1]
+            first = np.maximum.accumulate(np.where(new, np.arange(n), 0))
     found[found] = (table[at[found]] == queries[found]).all(axis=1)
+    at[~found] = -1
     return at, found
 
 

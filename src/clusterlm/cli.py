@@ -168,11 +168,11 @@ def _mappers_for(names: Sequence[str], vocab: Vocabulary, tagmap, classmap) -> d
         elif name == "t":
             if not tagmap:
                 raise ValueError("t: slots need a tag map; pass --tagmap")
-            mappers[name] = load_feature_map(tagmap, vocab, "tag-map", "t")
+            mappers[name] = load_feature_map(tagmap, vocab, "t")
         elif name == "g":
             if not classmap:
                 raise ValueError("g: slots need a class map; pass --classmap")
-            mappers[name] = load_feature_map(classmap, vocab, "class-map", "g")
+            mappers[name] = load_feature_map(classmap, vocab, "g")
         else:
             raise ValueError(f"counts reference an unknown mapper {name!r}")
     return mappers
@@ -214,6 +214,13 @@ def cmd_counts_collect(args) -> int:
 
 
 def cmd_cluster_run(args) -> int:
+    params = ClusterParams(
+        n_categories=args.categories,
+        n_states=args.states,
+        min_count=args.min_count,
+        max_iterations=args.max_iterations,
+        convergence=args.conv,
+    )
     mappers = None
     vocab = None
     if args.model_out:
@@ -228,13 +235,6 @@ def cmd_cluster_run(args) -> int:
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag} is used only with --model-out")
     table = load_counts(args.counts, mappers=mappers)
-    params = ClusterParams(
-        n_categories=args.categories,
-        n_states=args.states,
-        min_count=args.min_count,
-        max_iterations=args.max_iterations,
-        convergence=args.conv,
-    )
     if args.tree:
         clustering = run_tree(table, build_suffix_tree(table), params)
     else:
@@ -301,6 +301,8 @@ def cmd_ngram_train(args) -> int:
 def cmd_interp_tune(args) -> int:
     if args.max_iters < 1:
         raise ValueError("--max-iters must be at least 1")
+    if not args.tol >= 0.0:
+        raise ValueError("--tol must be a non-negative number")
     vocab = Vocabulary.load(args.vocab)
     components = [load_model(p) for p in args.models]
     for comp, path in zip(components, args.models):

@@ -52,8 +52,8 @@ class ClusterParams:
             raise ValueError("min_count must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.convergence < 0:
-            raise ValueError("convergence threshold must be non-negative")
+        if not 0.0 <= self.convergence < math.inf:
+            raise ValueError("convergence threshold must be a finite non-negative number")
 
 
 @dataclass(frozen=True)
@@ -298,11 +298,6 @@ def _move(joint, f_joint, totals, f_totals, source, target, profile, n) -> None:
     totals[target] += n
     pair = [source, target]
     f_totals[pair] = _kernels.xlogx(totals[pair])
-
-
-def criterion(clustering: Clustering) -> float:
-    """Maximum likelihood clustering criterion F of the current tables."""
-    return clustering.criterion()
 
 
 def delta_move_word(clustering: Clustering, w: int, target: int) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -22,26 +22,20 @@ _SPECIAL_ROLES = ("bos", "eos", "unk")
 
 @dataclass
 class Vocabulary:
-    """Token/id bijection with counts and boundary/unknown specials.
+    """Token/id bijection with boundary/unknown specials.
 
-    Ids are dense and 0-based; ``tokens[i]`` is the token with id ``i``.
-    ``freq[i]`` is the occurrence count observed when the vocabulary was
-    built (mass of truncated out-of-vocabulary tokens is folded into the
-    unknown entry).  Vocabularies loaded from disk carry zero counts.
+    Ids are dense and 0-based; ``tokens[i]`` is the token with id ``i``
+    and ``ids`` the inverse map.
     """
 
     tokens: list[str]
     ids: dict[str, int] = field(repr=False)
-    freq: list[int] = field(repr=False)
     bos_id: int
     eos_id: int
     unk_id: int
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.ids
 
     @property
     def specials(self) -> tuple[int, int, int]:
@@ -51,13 +45,9 @@ class Vocabulary:
         """Id of ``token``, mapping out-of-vocabulary tokens to unknown."""
         return self.ids.get(token, self.unk_id)
 
-    def decode(self, word_ids: Iterable[int]) -> list[str]:
-        return [self.tokens[i] for i in word_ids]
-
     def save(self, path: str | Path) -> None:
         """One token per line; the 0-based line number (headers excluded)
-        is the id.  Specials are recorded in a ``#special`` header block.
-        Frequencies are not persisted."""
+        is the id.  Specials are recorded in a ``#special`` header block."""
         lines = [
             f"#special bos {self.tokens[self.bos_id]}",
             f"#special eos {self.tokens[self.eos_id]}",
@@ -98,7 +88,6 @@ class Vocabulary:
         return cls(
             tokens=tokens,
             ids=ids,
-            freq=[0] * len(tokens),
             bos_id=ids[specials["bos"]],
             eos_id=ids[specials["eos"]],
             unk_id=ids[specials["unk"]],
@@ -110,34 +99,23 @@ def build_vocabulary(token_stream: Iterable[str], max_size: int | None = None) -
     (all of them when ``max_size`` is None).
 
     Ties are broken by first occurrence in the stream.  The boundary and
-    unknown specials are appended if absent; the counts of all truncated
-    tokens are folded into the unknown entry so that the frequency total
-    over non-boundary entries equals the stream length.
+    unknown specials are appended if absent from the kept tokens.
     """
     if max_size is not None and max_size < 1:
         raise ValueError("max_size must be >= 1")
-    counts: Counter[str] = Counter()
-    for token in token_stream:
-        counts[token] += 1
+    counts = Counter(token_stream)
     if not counts:
         raise ValueError("empty corpus")
 
     # Counter preserves first-insertion order, so a stable sort on count
     # alone realizes the first-occurrence tie-break.
     ranked = sorted(counts, key=lambda t: -counts[t])
-    kept = ranked[:max_size]
-    tokens = list(kept)
-    for special in (BOS, EOS, UNK):
-        if special not in counts or special not in kept:
-            tokens.append(special)
+    tokens = ranked[:max_size]
+    tokens += [special for special in (BOS, EOS, UNK) if special not in tokens]
     ids = {t: i for i, t in enumerate(tokens)}
-    freq = [counts.get(t, 0) for t in tokens]
-    oov_mass = sum(counts[t] for t in ranked[max_size:] if t not in ids)
-    freq[ids[UNK]] += oov_mass
     return Vocabulary(
         tokens=tokens,
         ids=ids,
-        freq=freq,
         bos_id=ids[BOS],
         eos_id=ids[EOS],
         unk_id=ids[UNK],
@@ -170,44 +148,33 @@ def encode_corpus(lines: Iterable[str], vocab: Vocabulary) -> list[list[int]]:
     return sentences
 
 
-def decode_corpus(sentences: Iterable[Sequence[int]], vocab: Vocabulary) -> list[str]:
-    return [" ".join(vocab.decode(s)) for s in sentences]
-
-
 @dataclass
 class FeatureMapper:
     """Total map from word ids to dense feature-value ids.
 
-    ``kind`` is one of ``identity`` (value = word id), ``tag-map``
-    (values loaded from a word/tag file) or ``class-map`` (values are
-    learned word categories).  ``value_names`` gives a printable name
+    ``table[w]`` is the value of word ``w``: the word id itself for an
+    identity mapper, or a value loaded from a word/value file (a tag map
+    or an exported class map).  ``value_names`` gives a printable name
     per value id and has length ``arity``.
     """
 
     name: str
-    kind: str
     table: np.ndarray
     arity: int
     value_names: list[str] = field(repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("identity", "tag-map", "class-map"):
-            raise ValueError(f"unknown mapper kind: {self.kind}")
         self.table = np.asarray(self.table, dtype=np.int32)
         if self.table.ndim != 1:
             raise ValueError("mapper table must be one-dimensional")
         if self.table.size and not (0 <= self.table.min() and self.table.max() < self.arity):
             raise ValueError("mapper values outside [0, arity)")
 
-    def value_of(self, word_id: int) -> int:
-        return int(self.table[word_id])
-
 
 def identity_mapper(vocab: Vocabulary, name: str = "w") -> FeatureMapper:
     n = len(vocab)
     return FeatureMapper(
         name=name,
-        kind="identity",
         table=np.arange(n, dtype=np.int32),
         arity=n,
         value_names=list(vocab.tokens),
@@ -223,8 +190,9 @@ def _value_order(values: set[str]) -> list[str]:
         return sorted(values)
 
 
-def load_feature_map(path: str | Path, vocab: Vocabulary, kind: str, name: str | None = None) -> FeatureMapper:
-    """Load a ``word<TAB>value`` file as a feature mapper over ``vocab``.
+def load_feature_map(path: str | Path, vocab: Vocabulary, name: str) -> FeatureMapper:
+    """Load a ``word<TAB>value`` file as a feature mapper ``name`` over
+    ``vocab``.
 
     An optional ``#default<TAB>value`` line supplies the value for words
     missing from the file.  A word listed twice with conflicting values
@@ -269,7 +237,7 @@ def load_feature_map(path: str | Path, vocab: Vocabulary, kind: str, name: str |
             table[wid] = value_id[default]
         else:
             raise ValueError("incomplete feature map")
-    return FeatureMapper(name=name or kind, kind=kind, table=table, arity=len(names), value_names=names)
+    return FeatureMapper(name=name, table=table, arity=len(names), value_names=names)
 
 
 def save_feature_map(mapper: FeatureMapper, vocab: Vocabulary, path: str | Path) -> None:

@@ -129,31 +129,27 @@ def report_lines(report: EvalReport) -> list[str]:
 
 
 def em_mixture_weights(
-    probs: np.ndarray,
-    init: Sequence[float] | None = None,
-    max_iters: int = 100,
-    tol: float = 1e-6,
+    probs: np.ndarray, max_iters: int = 100, tol: float = 1e-6
 ) -> tuple[np.ndarray, list[float]]:
     """EM fixed point for mixture weights on a fixed event/component
     probability matrix (one row per held-out event).
 
-    Update: w_k <- (1/N) sum_i w_k p_ik / sum_j w_j p_ij.  Stops when
-    max |delta w| < tol or after ``max_iters``.  Returns the weights and
-    the held-out log-likelihood before each update; the sequence is
-    checked to be non-decreasing (EM guarantee) to 1e-9.
+    Starting from uniform weights, the update is
+    w_k <- (1/N) sum_i w_k p_ik / sum_j w_j p_ij.  Stops when
+    max |delta w| < tol (a non-negative number) or after ``max_iters``.
+    Returns the weights and the held-out log-likelihood before each
+    update; the sequence is checked to be non-decreasing (EM guarantee)
+    to 1e-9.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    if not tol >= 0.0:
+        raise ValueError("tol must be a non-negative number")
     P = np.asarray(probs, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] == 0:
         raise ValueError("probability matrix must have at least one event row")
     n, k = P.shape
-    if init is None:
-        w = np.full(k, 1.0 / k, dtype=np.float64)
-    else:
-        w = np.asarray(init, dtype=np.float64)
-        if w.shape != (k,) or (w < 0).any() or abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValueError("initial weights must lie on the simplex")
+    w = np.full(k, 1.0 / k, dtype=np.float64)
     history: list[float] = []
     # event-length buffers, reused by every iteration
     mix, scratch, weighted = np.empty(n), np.empty(n), np.empty_like(P)
@@ -179,7 +175,6 @@ def tune_weights_em(
     *,
     eos_id: int | None = None,
     include_eos: bool = True,
-    init: Sequence[float] | None = None,
     max_iters: int = 100,
     tol: float = 1e-6,
 ) -> tuple[np.ndarray, EvalReport]:
@@ -207,7 +202,7 @@ def tune_weights_em(
         ends = np.cumsum([len(s) + 1 for s in sentences]) - 1
         rows = np.delete(rows, ends, axis=0)
     probs = np.column_stack([comp.prob_array(rows) for comp in components])
-    weights, _ = em_mixture_weights(probs, init=init, max_iters=max_iters, tol=tol)
+    weights, _ = em_mixture_weights(probs, max_iters=max_iters, tol=tol)
     # per event: total += lam * p over the nonzero weights, in component
     # order; elementwise float64 numpy rounds exactly as the scalar loop
     mix = np.zeros(len(probs), dtype=np.float64)

@@ -8,7 +8,6 @@ offsets from the predicted position.  Tuples are stored farthest-first,
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,8 +19,9 @@ from clusterlm._rows import (
     Reader,
     check_range,
     check_strictly_sorted,
-    group_rows,
+    find_rows,
     row_starts,
+    sum_rows,
     tuples,
     write_rows,
 )
@@ -59,10 +59,6 @@ class ContextSpec:
     @property
     def depth(self) -> int:
         return len(self.slots)
-
-    @property
-    def arities(self) -> tuple[int, ...]:
-        return tuple(s.mapper.arity for s in self.slots)
 
 
 class EventTable:
@@ -133,11 +129,13 @@ class EventTable:
 
     def index_of(self, context: ContextTuple) -> int:
         """Row of ``context`` in ``contexts``; ValueError if never seen."""
-        rows, key = self.contexts, tuple(context)
-        i = bisect.bisect_left(range(len(rows)), key, key=lambda k: tuple(rows[k].tolist()))
-        if i == len(rows) or tuple(rows[i].tolist()) != key:
-            raise ValueError(f"unknown context {key!r}")
-        return i
+        key = tuple(context)
+        # contexts hold int32 values, so any other tuple is unknown
+        if len(key) == self.spec.depth and all(0 <= v < 2**31 for v in key):
+            at, found = find_rows(self.contexts, np.array([key], dtype=np.int64))
+            if found[0]:
+                return int(at[0])
+        raise ValueError(f"unknown context {key!r}")
 
 
 def event_rows(
@@ -173,13 +171,6 @@ def event_rows(
     return np.column_stack([stream[at + off] for off in offsets] + [stream[at]])
 
 
-def count_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``rows`` in sorted order, and how often each
-    occurs."""
-    order, starts = group_rows(rows)
-    return rows[order[starts]], np.diff(starts, append=len(rows))
-
-
 def extract_events(
     sentences: Iterable[Sequence[int]], spec: ContextSpec, vocab: Vocabulary
 ) -> EventTable:
@@ -195,7 +186,7 @@ def extract_events(
     rows = event_rows(sentences, [s.offset for s in spec.slots], vocab.bos_id, vocab.eos_id)
     for k, slot in enumerate(spec.slots):
         rows[:, k] = slot.mapper.table[rows[:, k]]
-    return EventTable(spec, len(vocab), *count_rows(rows))
+    return EventTable(spec, len(vocab), *sum_rows(rows))
 
 
 def save_counts(table: EventTable, path: str | Path) -> None:
@@ -214,9 +205,9 @@ def load_counts(path: str | Path, mappers: dict[str, FeatureMapper] | None = Non
     """Read a counts file back into an EventTable.
 
     When ``mappers`` is given, slot names are resolved against it and
-    arities are checked; otherwise placeholder identity-kind mappers of
-    the recorded arity are synthesized (sufficient for clustering, which
-    only consumes value ids).  The event lines are parsed in one numpy
+    arities are checked; otherwise placeholder mappers of the recorded
+    arity with empty tables are synthesized (sufficient for clustering,
+    which only consumes value ids).  The event lines are parsed in one numpy
     pass; they must be sorted and unique, with every word id and slot
     value in range, or ``ValueError`` is raised.
     """
@@ -239,13 +230,7 @@ def load_counts(path: str | Path, mappers: dict[str, FeatureMapper] | None = Non
                     f"mapper arity mismatch for {name!r}: file says {arity}, got {mapper.arity}"
                 )
         else:
-            mapper = FeatureMapper(
-                name=name,
-                kind="identity",
-                table=np.zeros(0, dtype=np.int32),
-                arity=arity,
-                value_names=[],
-            )
+            mapper = FeatureMapper(name, np.zeros(0, dtype=np.int32), arity, [])
         slots.append(Slot(offset=off, mapper=mapper))
     spec = ContextSpec(slots=tuple(slots))
     rows = r.rows("event", spec.depth, 2)

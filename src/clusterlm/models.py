@@ -39,8 +39,8 @@ from clusterlm._rows import (
     check_range,
     check_strictly_sorted,
     find_rows,
-    group_rows,
     row_starts,
+    sum_rows,
     tuples,
     write_rows,
 )
@@ -49,7 +49,7 @@ from clusterlm._rows import (
 # the benchmark tracer patches them in this module's namespace.
 from clusterlm.cluster import Clustering, load_clustering  # noqa: F401
 from clusterlm.corpus import Vocabulary
-from clusterlm.events import ContextTuple, count_rows, event_rows, load_counts  # noqa: F401
+from clusterlm.events import ContextTuple, event_rows, load_counts  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +327,8 @@ def _suffix_states(
     context rows, sorted, with the state holding most of its events
     (ties to the lower state id)."""
     suffix = contexts[:, contexts.shape[1] - keep :]
-    order, starts = group_rows(np.column_stack([suffix, states]))
-    first = order[starts]
-    suffix, states, weight = suffix[first], states[first], np.add.reduceat(counts[order], starts)
+    pairs, weight = sum_rows(np.column_stack([suffix, states]), counts)
+    suffix, states = pairs[:, :-1], pairs[:, -1]
     # heaviest state first within each suffix, the lower id among equals
     order = np.lexsort((states, -weight, *suffix.T[::-1]))
     suffix, states = suffix[order], states[order]
@@ -664,13 +663,10 @@ def ngram_counts(
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    grams, counts = count_rows(event_rows(sentences, range(1 - order, 0), bos_id, eos_id))
-    out = [(grams, counts)]
+    out = [sum_rows(event_rows(sentences, range(1 - order, 0), bos_id, eos_id))]
     for _ in range(order - 1):
-        suffix = grams[:, 1:]
-        perm, starts = group_rows(suffix)
-        grams, counts = suffix[perm[starts]], np.add.reduceat(counts[perm], starts)
-        out.append((grams, counts))
+        grams, counts = out[-1]
+        out.append(sum_rows(grams[:, 1:], counts))
     return out[::-1]
 
 

@@ -136,7 +136,6 @@ def _placeholder_spec(n_words: int, depth: int) -> ContextSpec:
 
     mapper = FeatureMapper(
         name="w",
-        kind="identity",
         table=np.arange(n_words, dtype=np.int32),
         arity=n_words,
         value_names=[f"w{i}" for i in range(n_words)],
@@ -217,7 +216,7 @@ def oracle_backoff(counts, n_words: int, *, discount: float, cutoffs: dict[int, 
 
 
 def oracle_tune_weights_em(components, sentences, *, eos_id=None, include_eos=True,
-                           init=None, max_iters=100, tol=1e-6):
+                           max_iters=100, tol=1e-6):
     """``tune_weights_em`` by a per-event loop: one scalar ``prob`` call
     per event and component fills the matrix, then the same EM and the
     same scoring of the tuned mixture."""
@@ -226,7 +225,7 @@ def oracle_tune_weights_em(components, sentences, *, eos_id=None, include_eos=Tr
         for _, _, w, hist in _events(sentences, eos_id, include_eos)
     ]
     probs = np.asarray(rows, dtype=np.float64)
-    weights, _ = em_mixture_weights(probs, init=init, max_iters=max_iters, tol=tol)
+    weights, _ = em_mixture_weights(probs, max_iters=max_iters, tol=tol)
     mix = np.zeros(len(probs), dtype=np.float64)
     for k, lam in enumerate(weights):
         if lam != 0.0:

@@ -306,6 +306,28 @@ class TestFailureModes:
         assert err.startswith("error:") and "--max-iters must be at least 1" in err
         assert not (d / "mix.model").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_interp_tol_is_checked_before_loading(self, tmp_path, capsys, tol):
+        d = tmp_path
+        # the model files do not exist: the flag is checked first
+        err = run_fail(["interp", "tune", "--models", d / "a.model", d / "b.model",
+                        "--heldout", d / "held.txt", "--vocab", d / "v.txt",
+                        "--tol", tol, "--out", d / "mix.model"], capsys)
+        assert err.startswith("error:") and "--tol must be a non-negative number" in err
+        assert not (d / "mix.model").exists()
+
+    @pytest.mark.parametrize("conv", ["nan", "inf", "-0.5"])
+    def test_cluster_conv_is_checked(self, workdir, capsys, conv):
+        d = workdir
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--context", "w:-1", "--out", d / "c.tsv"], capsys)
+        err = run_fail(["cluster", "run", "--counts", d / "c.tsv", "--states", "4",
+                        "--categories", "4", "--conv", conv, "--out", d / "cl.tsv"], capsys)
+        assert err.startswith("error:")
+        assert "convergence threshold must be a finite non-negative number" in err
+        assert not (d / "cl.tsv").exists()
+
     def test_vocabulary_of_another_size_is_rejected(self, workdir, capsys):
         d = workdir
         run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)

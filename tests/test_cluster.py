@@ -22,7 +22,6 @@ from clusterlm.cluster import (
     ClusterParams,
     _ranked_init,
     _sweep,
-    criterion,
     delta_move_context_group,
     delta_move_word,
     export_categories,
@@ -225,7 +224,7 @@ class TestCriterion:
         rng = random.Random(seed)
         table, cl = random_clustering(rng)
         sh = Shadow(table, cl.n_categories, cl.n_states, cl.G, cl.S)
-        assert criterion(cl) == pytest.approx(sh.criterion(), abs=1e-9)
+        assert cl.criterion() == pytest.approx(sh.criterion(), abs=1e-9)
 
     def test_single_cluster_criterion_is_minus_total_entropy_term(self):
         vocab, enc, table = build_table(["a b a", "b b"], offsets=(-1,))
@@ -234,7 +233,7 @@ class TestCriterion:
             table, 1, 1, np.zeros(table.n_words, dtype=np.int32), np.zeros(n, dtype=np.int32)
         )
         # one cell: F = f(N) - f(N) - f(N) = -f(N)
-        assert criterion(cl) == pytest.approx(-f(table.total), abs=1e-12)
+        assert cl.criterion() == pytest.approx(-f(table.total), abs=1e-12)
 
 
 class TestMoveDeltas:
@@ -535,8 +534,9 @@ class TestClusteringConstruction:
             ClusterParams(n_categories=1, n_states=1, min_count=0)
         with pytest.raises(ValueError):
             ClusterParams(n_categories=1, n_states=1, max_iterations=0)
-        with pytest.raises(ValueError):
-            ClusterParams(n_categories=1, n_states=1, convergence=-0.1)
+        for conv in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite non-negative"):
+                ClusterParams(n_categories=1, n_states=1, convergence=conv)
 
 
 class TestGreedyAgainstShadow:
@@ -562,7 +562,7 @@ class TestGreedyAgainstShadow:
         assert trace == strace
         assert list(cl.G) == sh.G
         assert list(cl.S) == sh.S
-        assert criterion(cl) == pytest.approx(sh.criterion(), abs=1e-9)
+        assert cl.criterion() == pytest.approx(sh.criterion(), abs=1e-9)
 
     # seeds picked to avoid exact criterion ties between two target states,
     # where the winner depends on float summation order rather than logic;

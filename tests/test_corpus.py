@@ -12,7 +12,6 @@ from clusterlm.corpus import (
     FeatureMapper,
     Vocabulary,
     build_vocabulary,
-    decode_corpus,
     encode_corpus,
     identity_mapper,
     iter_tokens,
@@ -27,30 +26,25 @@ class TestBuildVocabulary:
         vocab = build_vocabulary("b a a c b".split())
         # a and b both occur twice; b appeared first
         assert vocab.tokens[:3] == ["b", "a", "c"]
-        assert vocab.freq[:3] == [2, 2, 1]
 
     def test_specials_appended_when_absent(self):
         vocab = build_vocabulary("x y".split())
-        for tok in (BOS, EOS, UNK):
-            assert tok in vocab
+        assert vocab.tokens == ["x", "y", BOS, EOS, UNK]
         assert vocab.tokens[vocab.bos_id] == BOS
-        assert vocab.freq[vocab.unk_id] == 0
+        assert vocab.ids == {t: i for i, t in enumerate(vocab.tokens)}
 
-    def test_truncation_folds_oov_mass_into_unk(self):
-        stream = "a a a b b c d".split()
-        vocab = build_vocabulary(stream, max_size=2)
-        assert vocab.tokens[:2] == ["a", "b"]
-        assert "c" not in vocab and "d" not in vocab
-        assert vocab.freq[vocab.unk_id] == 2
-        # total over non-boundary entries equals the stream length
-        assert sum(vocab.freq) == len(stream)
+    def test_truncation_keeps_the_most_frequent_tokens(self):
+        vocab = build_vocabulary("a a a b b c d".split(), max_size=2)
+        assert vocab.tokens == ["a", "b", BOS, EOS, UNK]
+        assert "c" not in vocab.ids and "d" not in vocab.ids
+        assert vocab.id_of("c") == vocab.unk_id
 
-    def test_special_seen_in_stream_keeps_single_count(self):
-        stream = f"a a {UNK} b".split()
-        vocab = build_vocabulary(stream, max_size=1)
-        # unk itself was truncated out of the top slice but is re-added;
-        # its own occurrence must not be double counted
-        assert vocab.freq[vocab.unk_id] == 1 + 1  # own occurrence + truncated b
+    def test_truncated_special_is_appended_once(self):
+        vocab = build_vocabulary(f"a a {UNK} b {UNK}".split(), max_size=1)
+        # unk was seen in the stream but truncated out of the top slice
+        assert vocab.tokens == ["a", BOS, EOS, UNK]
+        kept = build_vocabulary(f"{UNK} {UNK} a".split(), max_size=1)
+        assert kept.tokens == [UNK, BOS, EOS]
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
@@ -69,7 +63,7 @@ class TestVocabularyRoundTrip:
         loaded = Vocabulary.load(path)
         assert loaded.tokens == vocab.tokens
         assert loaded.specials == vocab.specials
-        assert all(f == 0 for f in loaded.freq)
+        assert loaded.ids == vocab.ids
 
     def test_load_rejects_missing_specials(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -126,7 +120,9 @@ class TestEncoding:
             for _ in range(20)
         ]
         vocab = build_vocabulary(t for s in sents for t in s.split())
-        assert decode_corpus(encode_corpus(sents, vocab), vocab) == sents
+        encoded = encode_corpus(sents, vocab)
+        assert encoded == [[vocab.ids[t] for t in s.split()] for s in sents]
+        assert [" ".join(vocab.tokens[i] for i in s) for s in encoded] == sents
 
     def test_corpus_file_reading(self, tmp_path):
         p = tmp_path / "c.txt"
@@ -151,65 +147,65 @@ class TestFeatureMaps:
         vocab = self._vocab()
         p = tmp_path / "tags.tsv"
         p.write_text("dog\tN\ncat\tN\nruns\tV\njumps\tV\n")
-        m = load_feature_map(p, vocab, "tag-map", "t")
-        assert m.kind == "tag-map"
+        m = load_feature_map(p, vocab, "t")
+        assert m.name == "t"
         # lexicographic value order for non-numeric tags
         assert m.value_names[:2] == ["N", "V"]
-        assert m.value_of(vocab.id_of("dog")) == m.value_of(vocab.id_of("cat"))
-        assert m.value_of(vocab.id_of("runs")) != m.value_of(vocab.id_of("dog"))
+        assert m.table[vocab.id_of("dog")] == m.table[vocab.id_of("cat")]
+        assert m.table[vocab.id_of("runs")] != m.table[vocab.id_of("dog")]
 
     def test_specials_get_dedicated_fresh_values(self, tmp_path):
         vocab = self._vocab()
         p = tmp_path / "tags.tsv"
         p.write_text("dog\tN\ncat\tN\nruns\tV\njumps\tV\n")
-        m = load_feature_map(p, vocab, "tag-map")
-        vals = {m.value_of(w) for w in vocab.specials}
+        m = load_feature_map(p, vocab, "t")
+        vals = {int(m.table[w]) for w in vocab.specials}
         assert len(vals) == 3
-        assert vals.isdisjoint({m.value_of(vocab.id_of("dog")), m.value_of(vocab.id_of("runs"))})
+        assert vals.isdisjoint({m.table[vocab.id_of("dog")], m.table[vocab.id_of("runs")]})
         assert m.arity == 2 + 3
 
     def test_default_value_fills_gaps(self, tmp_path):
         vocab = self._vocab()
         p = tmp_path / "tags.tsv"
         p.write_text("#default\tX\ndog\tN\n")
-        m = load_feature_map(p, vocab, "tag-map")
-        assert m.value_names[m.value_of(vocab.id_of("cat"))] == "X"
-        assert m.value_names[m.value_of(vocab.id_of("dog"))] == "N"
+        m = load_feature_map(p, vocab, "t")
+        assert m.value_names[m.table[vocab.id_of("cat")]] == "X"
+        assert m.value_names[m.table[vocab.id_of("dog")]] == "N"
 
     def test_missing_word_without_default_rejected(self, tmp_path):
         vocab = self._vocab()
         p = tmp_path / "tags.tsv"
         p.write_text("dog\tN\n")
         with pytest.raises(ValueError, match="incomplete feature map"):
-            load_feature_map(p, vocab, "tag-map")
+            load_feature_map(p, vocab, "t")
 
     def test_conflicting_duplicate_rejected(self, tmp_path):
         vocab = self._vocab()
         p = tmp_path / "tags.tsv"
         p.write_text("dog\tN\ndog\tV\n")
         with pytest.raises(ValueError, match="ambiguous feature map"):
-            load_feature_map(p, vocab, "tag-map")
+            load_feature_map(p, vocab, "t")
 
     def test_numeric_values_sorted_numerically(self, tmp_path):
         vocab = self._vocab()
         p = tmp_path / "classes.tsv"
         p.write_text("dog\t10\ncat\t2\nruns\t2\njumps\t10\n")
-        m = load_feature_map(p, vocab, "class-map", "g")
+        m = load_feature_map(p, vocab, "g")
         assert m.value_names[:2] == ["2", "10"]
 
     def test_save_load_round_trip(self, tmp_path):
         vocab = self._vocab()
         p = tmp_path / "tags.tsv"
         p.write_text("dog\tN\ncat\tN\nruns\tV\njumps\tV\n")
-        m = load_feature_map(p, vocab, "tag-map", "t")
+        m = load_feature_map(p, vocab, "t")
         q = tmp_path / "saved.tsv"
         save_feature_map(m, vocab, q)
-        m2 = load_feature_map(q, vocab, "tag-map", "t")
+        m2 = load_feature_map(q, vocab, "t")
         assert list(m2.table) == list(m.table)
         assert m2.value_names == m.value_names
 
     def test_mapper_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            FeatureMapper("x", "nope", np.zeros(1, dtype=np.int32), 1, ["a"])
         with pytest.raises(ValueError, match="arity"):
-            FeatureMapper("x", "identity", np.asarray([3], dtype=np.int32), 2, ["a", "b"])
+            FeatureMapper("x", np.asarray([3], dtype=np.int32), 2, ["a", "b"])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            FeatureMapper("x", np.zeros((1, 1), dtype=np.int32), 1, ["a"])

@@ -227,19 +227,23 @@ class TestEMWeights:
             ll_k = float(np.log(P[:, k]).sum())
             assert ll_mix >= ll_k - 1e-9
 
-    def test_init_validation(self):
+    def test_input_validation(self):
         P = np.asarray([[0.5, 0.5]])
-        with pytest.raises(ValueError, match="simplex"):
-            em_mixture_weights(P, init=[0.7, 0.7])
-        with pytest.raises(ValueError, match="simplex"):
-            em_mixture_weights(P, init=[1.5, -0.5])
-        with pytest.raises(ValueError, match="simplex"):
-            em_mixture_weights(P, init=[1.0])
         with pytest.raises(ValueError, match="at least one event"):
             em_mixture_weights(np.zeros((0, 2)))
         for iters in (0, -3):
             with pytest.raises(ValueError, match="max_iters must be at least 1"):
                 em_mixture_weights(P, max_iters=iters)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300])
+    def test_nan_or_negative_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be a non-negative number"):
+            em_mixture_weights(np.asarray([[0.5, 0.25], [0.25, 0.5]]), tol=tol)
+
+    def test_zero_tol_runs_every_iteration(self):
+        P = np.asarray([[0.9, 0.1], [0.2, 0.6], [0.3, 0.3]])
+        _, hist = em_mixture_weights(P, max_iters=7, tol=0.0)
+        assert len(hist) == 7
 
     def test_zero_mixture_event_rejected(self):
         P = np.asarray([[0.5, 0.5], [0.0, 0.0]])

@@ -72,7 +72,7 @@ class TestSpecValidation:
         vocab = build_vocabulary("a b".split())
         spec = word_spec(vocab, (-3, -1))
         assert spec.depth == 2
-        assert spec.arities == (len(vocab), len(vocab))
+        assert [s.mapper.arity for s in spec.slots] == [len(vocab), len(vocab)]
 
 
 class TestExtractEvents:
@@ -187,6 +187,22 @@ class TestFromCounts:
                 a[0] = 0
 
 
+class TestIndexOf:
+    def test_every_context_is_found_at_its_row(self):
+        vocab, enc, table = build_table(["a b c a", "c b", "a b"], offsets=(-2, -1))
+        for i, ctx in enumerate(table.contexts.tolist()):
+            assert table.index_of(tuple(ctx)) == i
+
+    @pytest.mark.parametrize(
+        "context", [(0, 0), (0,), (0, 1, 2), (-1, 0), (0, 2**31), (2**32, 0), (2**70, 1)]
+    )
+    def test_unknown_wrong_length_and_out_of_range_contexts_raise(self, context):
+        vocab, enc, table = build_table(["a b c a", "c b", "a b"], offsets=(-2, -1))
+        assert tuple(table.contexts[0].tolist()) != (0, 0)  # (0, 0) would sort first
+        with pytest.raises(ValueError, match="unknown context"):
+            table.index_of(context)
+
+
 class TestArrayOracle:
     """extract_events against a plain-dict count of every prediction."""
 
@@ -197,7 +213,7 @@ class TestArrayOracle:
         vocab = build_vocabulary(f"w{i}" for i in range(rng.randint(1, 8)))
         n = len(vocab)
         classes = FeatureMapper(
-            name="g", kind="class-map", arity=3, value_names=["0", "1", "2"],
+            name="g", arity=3, value_names=["0", "1", "2"],
             table=np.array([rng.randrange(3) for _ in range(n)], dtype=np.int32),
         )
         mappers = {"w": identity_mapper(vocab), "g": classes}
@@ -270,7 +286,8 @@ class TestCountsRoundTrip:
         save_counts(table, path)
         loaded = load_counts(path)
         assert loaded.counts == table.counts
-        assert loaded.spec.arities == table.spec.arities
+        arities = [[s.mapper.arity for s in t.spec.slots] for t in (loaded, table)]
+        assert arities[0] == arities[1]
 
     def test_load_rejects_arity_mismatch(self, tmp_path):
         vocab, enc, table = build_table(["a b a"], offsets=(-1,))

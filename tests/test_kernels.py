@@ -31,10 +31,14 @@ def random_instance(rng, n_states=4, n_cats=5):
 
 
 def word_deltas(joint, profile, g):
-    """The word kernel with its f caches built from scratch."""
+    """The word kernel on float64 counts, as ``Clustering`` keeps them,
+    with its f caches and scratch built from scratch."""
+    joint = joint.astype(np.float64)
     cat_totals = joint.sum(axis=0)
+    f_joint, f_cat = K.xlogx(joint), K.xlogx(cat_totals)
+    scratch = np.empty(2 * joint.size)
     return K.word_move_deltas(
-        joint, cat_totals, profile, g, int(profile.sum()), K.xlogx(joint), K.xlogx(cat_totals)
+        joint, cat_totals, profile, g, int(profile.sum()), f_joint, f_cat, scratch
     )
 
 

@@ -60,7 +60,7 @@ def identity_clustering(table):
 
 def hand_table(vocab, counts, depth=1, arity=16):
     mapper = FeatureMapper(
-        "w", "identity", np.arange(arity, dtype=np.int32), arity, [str(i) for i in range(arity)]
+        "w", np.arange(arity, dtype=np.int32), arity, [str(i) for i in range(arity)]
     )
     spec = ContextSpec(slots=tuple(Slot(offset=o, mapper=mapper) for o in range(-depth, 0)))
     return EventTable.from_counts(spec, len(vocab), counts)
@@ -321,7 +321,7 @@ class TestClassLMFile:
 
         vocab = Vocabulary.load(d / "v.txt")
         mappers = {"w": identity_mapper(vocab),
-                   "g": load_feature_map(d / "classes.tsv", vocab, "class-map", "g")}
+                   "g": load_feature_map(d / "classes.tsv", vocab, "g")}
         table = load_counts(d / "c2.tsv", mappers=mappers)
         built = ClassLM(load_clustering(d / "cl2.tsv", table), vocab, discount=0.5)
         assert built.slots[0].name == "g" and built.slots[0].bos != vocab.bos_id
