@@ -15,6 +15,13 @@ incremental deltas.  One driver sweeps a schedule of suffix levels:
 tree so sparse contexts ride along with their siblings until enough
 structure is fixed; ``run_flat`` is the leaf-only schedule, where every
 distinct context is its own movable unit.
+
+Each level is swept on rows of its own: one (group, word) row of summed
+counts per context group, its (word, group) transpose and one state per
+group, built once when the level starts.  Every unit's profile is then a
+single ``bincount`` over one contiguous row.  At the leaf level, where
+each group is one context in table order, those rows are the event table
+and the clustering's transpose themselves.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from clusterlm import _kernels
-from clusterlm._rows import Reader, write_rows
+from clusterlm._rows import Reader, sum_rows, write_rows
 from clusterlm.corpus import Vocabulary
 from clusterlm.ctxtree import ContextTree, Level, suffix_level
 from clusterlm.events import ContextTuple, EventTable
@@ -69,6 +76,8 @@ class MoveDelta:
 
 OnMove = Callable[["Clustering", MoveDelta], None]
 
+_FRAGMENTED = "fragmented node: member contexts span multiple states"
+
 
 class Clustering:
     """Joint assignment of words to categories and contexts to states,
@@ -84,6 +93,11 @@ class Clustering:
     them only at the cells it changes, where the moved unit's profile
     is nonzero.  A profile computed for a delta can be handed on to
     the move that follows it, so each visited unit is profiled once.
+
+    The methods check every id and that a context group shares one
+    state.  The exchange sweep does not go through them: it profiles
+    each unit from its level's rows and calls the kernels and the
+    table update directly (see ``_LevelRows``).
     """
 
     def __init__(
@@ -137,8 +151,7 @@ class Clustering:
         self.ctx_of = np.repeat(np.arange(table.n_contexts, dtype=np.int32), np.diff(table.ptr))
         self.w_ctxs = self.ctx_of[order]
         self.w_ccounts = table.freqs[order]
-        self.w_ptr = np.zeros(self.n_words + 1, dtype=np.int64)
-        np.cumsum(np.bincount(table.words, minlength=self.n_words), out=self.w_ptr[1:])
+        self.w_ptr = _ptr(table.words, self.n_words)
 
     def _build_stats(self) -> None:
         # float64 bincount sums are exact for counts below 2**53, and so
@@ -182,14 +195,9 @@ class Clustering:
         """Event counts of a set of contexts per category."""
         self._check_group(leaf_indices)
         table = self.table
-        if len(leaf_indices) == 1:
-            # one context, as every unit of the leaf level: its CSR row
-            i = leaf_indices[0]
-            pos = slice(table.ptr[i], table.ptr[i + 1])
-        else:
-            lo = table.ptr[leaf_indices]
-            n = table.ptr[leaf_indices + 1] - lo
-            pos = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        lo = table.ptr[leaf_indices]
+        n = table.ptr[leaf_indices + 1] - lo
+        pos = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
         return np.bincount(
             self.G[table.words[pos]], weights=table.freqs[pos], minlength=self.n_categories
         )
@@ -237,17 +245,15 @@ class Clustering:
         idx = np.asarray(leaf_indices)
         if idx.size == 0:
             raise ValueError("empty context group")
-        # a single context, as every leaf-level unit is, needs no reductions
-        lo, hi = (idx[0], idx[0]) if idx.size == 1 else (idx.min(), idx.max())
-        if lo < 0 or hi >= self.table.n_contexts:
+        if idx.min() < 0 or idx.max() >= self.table.n_contexts:
             raise ValueError("context index out of range")
 
     def _group_state(self, leaf_indices: np.ndarray) -> int:
         self._check_group(leaf_indices)
         states = self.S[leaf_indices]
         s = int(states[0])
-        if len(states) > 1 and (states != s).any():
-            raise ValueError("fragmented node: member contexts span multiple states")
+        if (states != s).any():
+            raise ValueError(_FRAGMENTED)
         return s
 
     def apply_word_move(self, w: int, target: int, profile: np.ndarray | None = None) -> None:
@@ -358,14 +364,72 @@ def init_clustering(table: EventTable, params: ClusterParams) -> Clustering:
 # ---------------------------------------------------------------------------
 
 
-def _visit_units(clustering: Clustering, level: Level, min_count: int) -> list[tuple]:
+@dataclass(frozen=True)
+class _Rows:
+    """Compressed rows: row ``k`` holds the ids ``idx[ptr[k]:ptr[k + 1]]``
+    with their counts ``freqs`` at the same positions."""
+
+    ptr: np.ndarray
+    idx: np.ndarray
+    freqs: np.ndarray
+
+    def profile(self, k: int, label: np.ndarray, n_labels: int) -> np.ndarray:
+        """Row ``k``'s counts summed by ``label`` of their ids, as float64."""
+        lo, hi = self.ptr[k], self.ptr[k + 1]
+        return np.bincount(label[self.idx[lo:hi]], weights=self.freqs[lo:hi], minlength=n_labels)
+
+
+@dataclass(frozen=True)
+class _LevelRows:
+    """One level's movable units as rows: ``groups`` holds each context
+    group's counts per word, ``words`` each word's counts per group, and
+    ``state[k]`` is group ``k``'s state."""
+
+    level: Level
+    groups: _Rows
+    words: _Rows
+    state: np.ndarray
+
+
+def _level_rows(clustering: Clustering, level: Level) -> _LevelRows:
+    """The rows of ``level``'s units, after checking that each of its
+    groups lies in one state.  The leaf level, whose groups are the
+    contexts in table order, shares the table's rows, the clustering's
+    transpose and ``S``; a coarser level sums them by group."""
+    table = clustering.table
+    if np.array_equal(level.group_of, np.arange(table.n_contexts)):
+        groups = _Rows(table.ptr, table.words, table.freqs)
+        words = _Rows(clustering.w_ptr, clustering.w_ctxs, clustering.w_ccounts)
+        return _LevelRows(level, groups, words, clustering.S)
+    state = clustering.S[level.members[level.bounds[:-1]]]
+    if (clustering.S != state[level.group_of]).any():
+        raise ValueError(_FRAGMENTED)
+    group_of = level.group_of.astype(np.int32)  # int32 pairs halve the grouped sum's temporaries
+    keys, freqs = sum_rows(np.column_stack((group_of[clustering.ctx_of], table.words)), table.freqs)
+    group, word = keys.T
+    order = np.argsort(word, kind="stable")
+    groups = _Rows(_ptr(group, len(level)), word, freqs)
+    words = _Rows(_ptr(word, clustering.n_words), group[order], freqs[order])
+    return _LevelRows(level, groups, words, state)
+
+
+def _ptr(ids: np.ndarray, n: int) -> np.ndarray:
+    """Pointers of ``n`` compressed rows, row ``k`` as long as the
+    count of ``k`` in ``ids``."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def _visit_units(clustering: Clustering, rows: _LevelRows, min_count: int) -> list[tuple]:
     """Merged visit order: words and the level's context groups by
     decreasing count, ties preferring words, then lower id.  Units below
     ``min_count`` are left wherever initialization put them."""
+    counts = rows.level.counts
     words = np.flatnonzero(clustering.word_counts >= min_count)
-    groups = np.flatnonzero(level.counts >= min_count)
-    units = [(-int(clustering.word_counts[w]), 0, int(w), "word", None) for w in words]
-    units += [(-int(level.counts[k]), 1, int(k), "group", level) for k in groups]
+    groups = np.flatnonzero(counts >= min_count)
+    units = [(-int(clustering.word_counts[w]), 0, int(w), "word", rows) for w in words]
+    units += [(-int(counts[k]), 1, int(k), "group", rows) for k in groups]
     units.sort(key=lambda u: u[:3])
     return units
 
@@ -377,31 +441,41 @@ def _sweep(
     on_move: OnMove | None,
 ) -> int:
     """Iterate best-improvement exchange passes until the relative gain
-    of a full pass drops below the convergence threshold."""
-    f_prev = clustering.criterion()
+    of a full pass drops below the convergence threshold.  Each visit
+    profiles its unit from one row, calls its kernel once, and moves
+    the unit if the best target raises the criterion."""
+    cl = clustering
+    f_prev = cl.criterion()
     for iterations in range(1, params.max_iterations + 1):
-        for _, _, element, kind, level in units:
+        for _, _, element, kind, rows in units:
             word = kind == "word"
             if word:
-                prof = clustering.word_profile(element)
-                deltas = clustering.word_move_deltas(element, prof)
+                prof = rows.words.profile(element, rows.state, cl.n_states)
+                source, n = int(cl.G[element]), cl.word_counts[element]
+                deltas = _kernels.word_move_deltas(
+                    cl.joint, cl.cat_totals, prof, source, int(n), cl.f_joint, cl.f_cat,
+                    cl._scratch,
+                )
             else:
-                idx = level.group(element)
-                prof = clustering.group_profile(idx)
-                deltas = clustering.group_move_deltas(idx, prof)
+                prof = rows.groups.profile(element, cl.G, cl.n_categories)
+                source, n = int(rows.state[element]), rows.level.counts[element]
+                deltas = _kernels.group_move_deltas(
+                    cl.joint, cl.state_totals, prof, source, int(n), cl.f_joint, cl.f_state
+                )
             target = int(deltas.argmax())
             if not deltas[target] > 0.0:
                 continue
             if word:
-                source = int(clustering.G[element])
-                clustering.apply_word_move(element, target, prof)
+                _move(cl.joint.T, cl.f_joint.T, cl.cat_totals, cl.f_cat, source, target, prof, n)
+                cl.G[element] = target
             else:
-                source = int(clustering.S[idx[0]])
-                clustering.apply_group_move(idx, target, prof)
+                _move(cl.joint, cl.f_joint, cl.state_totals, cl.f_state, source, target, prof, n)
+                rows.state[element] = target
+                cl.S[rows.level.group(element)] = target
             if on_move is not None:
-                key = element if word else level.key(element)
-                on_move(clustering, MoveDelta(kind, key, source, target, float(deltas[target])))
-        f_now = clustering.criterion()
+                key = element if word else rows.level.key(element)
+                on_move(cl, MoveDelta(kind, key, source, target, float(deltas[target])))
+        f_now = cl.criterion()
         rel = (f_now - f_prev) / abs(f_prev) if f_prev != 0.0 else 0.0
         f_prev = f_now
         if rel < params.convergence:
@@ -415,7 +489,7 @@ def _run(
     """Sweep each of ``levels`` in turn, from a start on the first one's groups."""
     clustering = _start(table, params, levels[0])
     for level in levels:
-        units = _visit_units(clustering, level, params.min_count)
+        units = _visit_units(clustering, _level_rows(clustering, level), params.min_count)
         clustering.iterations_per_level.append(_sweep(clustering, units, params, on_move))
     return clustering
 

@@ -70,7 +70,9 @@ def perplexity(
 
     A zero probability raises an error naming the event: smoothed models
     must cover the vocabulary, so a zero is a model defect rather than a
-    data problem.
+    data problem.  The one expected zero is the unknown word under a
+    class model built from a vocabulary that never saw it in training;
+    the error says so when ``unk_id`` is given.
     """
     if include_eos and eos_id is None:
         raise ValueError("eos_id is required when sentence ends are scored")
@@ -83,9 +85,14 @@ def perplexity(
             continue
         p = model.prob(w, hist)
         if p <= 0.0:
-            raise ValueError(
-                f"zero probability for word id {w} (sentence {si}, position {pos})"
-            )
+            msg = f"zero probability for word id {w} (sentence {si}, position {pos})"
+            if w == unk_id:
+                msg += (
+                    "; that is the unknown word, to which a class model gives probability 0"
+                    " when it had no training count; skipping unknown words (--skip-unknown)"
+                    " leaves such events out"
+                )
+            raise ValueError(msg)
         lp = math.log(p)
         logs.append(lp)
         if per_sentence:

@@ -8,7 +8,7 @@ import random
 import numpy as np
 
 from clusterlm._rows import tuples
-from clusterlm.cluster import _ranked_init
+from clusterlm.cluster import MoveDelta, _ranked_init, _start
 from clusterlm.corpus import Vocabulary, build_vocabulary, encode_corpus, identity_mapper
 from clusterlm.evaluate import EvalReport, _events, em_mixture_weights
 from clusterlm.events import ContextSpec, EventTable, Slot, extract_events
@@ -233,6 +233,52 @@ def oracle_tune_weights_em(components, sentences, *, eos_id=None, include_eos=Tr
     total = math.fsum(math.log(p) for p in mix.tolist())
     report = EvalReport("interp", len(mix), total, math.exp(-total / len(mix)))
     return weights, report
+
+
+def oracle_run(table, levels, params, on_move=None):
+    """``cluster._run`` on the public ``Clustering`` methods: each
+    visit profiles its unit with ``word_profile`` or ``group_profile``
+    (which gathers every member context's row), takes the deltas from
+    ``word_move_deltas`` or ``group_move_deltas`` and moves with
+    ``apply_word_move`` or ``apply_group_move``, all of which check
+    their ids and that a group lies in one state."""
+    cl = _start(table, params, levels[0])
+    for level in levels:
+        units = [(-int(n), 0, w, "word") for w, n in enumerate(cl.word_counts.tolist())
+                 if n >= params.min_count]
+        units += [(-int(n), 1, k, "group") for k, n in enumerate(level.counts.tolist())
+                  if n >= params.min_count]
+        units.sort()
+        f_prev = cl.criterion()
+        for iterations in range(1, params.max_iterations + 1):
+            for _, _, element, kind in units:
+                if kind == "word":
+                    prof = cl.word_profile(element)
+                    deltas = cl.word_move_deltas(element, prof)
+                    source = int(cl.G[element])
+                else:
+                    idx = level.group(element)
+                    prof = cl.group_profile(idx)
+                    deltas = cl.group_move_deltas(idx, prof)
+                    source = int(cl.S[idx[0]])
+                target = int(deltas.argmax())
+                if not deltas[target] > 0.0:
+                    continue
+                if kind == "word":
+                    cl.apply_word_move(element, target, prof)
+                    key = element
+                else:
+                    cl.apply_group_move(idx, target, prof)
+                    key = level.key(element)
+                if on_move is not None:
+                    on_move(cl, MoveDelta(kind, key, source, target, float(deltas[target])))
+            f_now = cl.criterion()
+            rel = (f_now - f_prev) / abs(f_prev) if f_prev != 0.0 else 0.0
+            f_prev = f_now
+            if rel < params.convergence:
+                break
+        cl.iterations_per_level.append(iterations)
+    return cl
 
 
 def assert_array_matches_scalar(model, histories, extra_width: int = 0) -> None:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from clusterlm.cli import _atomic_write, format_context_spec, main, parse_context_spec
+from clusterlm.corpus import Vocabulary
 
 from conftest import make_random_corpus
 
@@ -144,6 +145,27 @@ class TestPipeline:
         err = run_fail(["eval", "ppl", "--model", d / "m.model",
                         "--test", d / "test.txt", "--vocab", d / "v.txt"], capsys)
         assert err.startswith("error:") and "zero probability" in err
+        out = run_ok(["eval", "ppl", "--model", d / "m.model", "--test", d / "test.txt",
+                      "--vocab", d / "v.txt", "--skip-unknown"], capsys)
+        assert "perplexity" in out
+
+    def test_zero_probability_for_the_unknown_word_says_so(self, tmp_path, capsys):
+        # a vocabulary built from the training text gives <unk> no
+        # training count, so the class model gives it probability 0
+        d = tmp_path
+        (d / "train.txt").write_text("a b c\nb c a\nc a b\n")
+        (d / "test.txt").write_text("a b\nb zzz\n")
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--context", "w:-1", "--out", d / "c.tsv"], capsys)
+        run_ok(["cluster", "run", "--counts", d / "c.tsv", "--states", "2",
+                "--categories", "2", "--out", d / "cl.tsv", "--model-out", d / "m.model",
+                "--vocab", d / "v.txt"], capsys)
+        unk = Vocabulary.load(d / "v.txt").unk_id
+        err = run_fail(["eval", "ppl", "--model", d / "m.model",
+                        "--test", d / "test.txt", "--vocab", d / "v.txt"], capsys)
+        assert err.startswith(f"error: zero probability for word id {unk} (sentence 1, position 1)")
+        assert "unknown word" in err and "--skip-unknown" in err
         out = run_ok(["eval", "ppl", "--model", d / "m.model", "--test", d / "test.txt",
                       "--vocab", d / "v.txt", "--skip-unknown"], capsys)
         assert "perplexity" in out

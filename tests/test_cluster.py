@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterlm import _kernels as K
+from clusterlm import cluster
 from clusterlm.cluster import (
     Clustering,
     ClusterParams,
@@ -31,14 +32,16 @@ from clusterlm.cluster import (
     run_tree,
     save_clustering,
 )
-from clusterlm.ctxtree import build_suffix_tree
+from clusterlm.ctxtree import build_suffix_tree, suffix_level
 from clusterlm.events import EventTable
 
 from conftest import (
+    _placeholder_spec,
     build_table,
     grouped_states,
     make_random_corpus,
     marginals,
+    oracle_run,
     random_event_table,
     suffix_groups,
 )
@@ -438,28 +441,117 @@ class TestSweepPath:
         vocab, enc, table = build_table(sents, offsets=(-2, -1))
         calls = {"profile": 0, "delta": 0, "move": 0}
 
-        def counted(name, key):
-            raw = getattr(Clustering, name)
+        def counted(owner, name, key):
+            raw = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[key] += 1
                 return raw(*args, **kwargs)
 
-            monkeypatch.setattr(Clustering, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("word_profile", "group_profile"):
-            counted(name, "profile")
+        counted(cluster._Rows, "profile", "profile")
         for name in ("word_move_deltas", "group_move_deltas"):
-            counted(name, "delta")
-        for name in ("apply_word_move", "apply_group_move"):
-            counted(name, "move")
+            counted(K, name, "delta")
+        counted(cluster, "_move", "move")
         params = ClusterParams(n_categories=4, n_states=5, min_count=1, max_iterations=4)
         if tree:
-            run_tree(table, build_suffix_tree(table), params)
+            suffix_tree = build_suffix_tree(table)
+            levels = suffix_tree.levels[1:]
+            cl = run_tree(table, suffix_tree, params)
         else:
-            run_flat(table, params)
-        assert calls["move"] > 0
-        assert calls["profile"] == calls["delta"]
+            levels = [suffix_level(table.contexts, table.spec.depth, table.ctx_counts)]
+            cl = run_flat(table, params)
+        n_words = int((table.word_counts >= params.min_count).sum())
+        visits = sum(
+            passes * (n_words + int((level.counts >= params.min_count).sum()))
+            for passes, level in zip(cl.iterations_per_level, levels, strict=True)
+        )
+        assert 0 < calls["move"] <= visits
+        assert calls["profile"] == calls["delta"] == visits
+
+
+def one_context_per_suffix(rng, n_words, depth):
+    """A table whose contexts all end in different values: every
+    level-1 group is one context, the groups in suffix order and the
+    contexts in tuple order."""
+    counts = {}
+    for v in rng.sample(range(n_words), rng.randint(2, n_words)):
+        ctx = tuple(rng.randrange(n_words) for _ in range(depth - 1)) + (v,)
+        words = rng.sample(range(n_words), rng.randint(1, min(4, n_words)))
+        counts[ctx] = {w: rng.randint(1, 9) for w in words}
+    return EventTable.from_counts(_placeholder_spec(n_words, depth), n_words, counts)
+
+
+class TestLevelRows:
+    """The sweep profiles each unit from its level's rows and calls the
+    kernels directly; it must make the moves the public methods make."""
+
+    @staticmethod
+    def _compare(table, params, tree):
+        got, want = [], []
+        record = lambda trace: lambda c, m: trace.append(
+            (m.kind, m.element, m.source, m.target, m.delta.hex()))
+        if tree:
+            suffix_tree = build_suffix_tree(table)
+            levels = suffix_tree.levels[1:]
+            cl = run_tree(table, suffix_tree, params, on_move=record(got))
+        else:
+            cl = run_flat(table, params, on_move=record(got))
+            levels = [suffix_level(table.contexts, table.spec.depth, table.ctx_counts)]
+        ref = oracle_run(table, levels, params, on_move=record(want))
+        assert got == want
+        assert cl.G.tobytes() == ref.G.tobytes()
+        assert cl.S.tobytes() == ref.S.tobytes()
+        assert cl.iterations_per_level == ref.iterations_per_level
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_runs_equal_the_driver_on_the_public_methods(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="table seed"))
+        depth = data.draw(st.integers(1, 3), label="depth")
+        n_words = rng.randint(3, 10)
+        if depth > 1 and data.draw(st.booleans(), label="one context per suffix"):
+            table = one_context_per_suffix(rng, n_words, depth)
+        else:
+            n_contexts = rng.randint(2, min(18, n_words**depth))
+            table = random_event_table(rng, n_words, n_contexts, depth=depth, max_count=9)
+        params = ClusterParams(
+            n_categories=data.draw(st.integers(1, table.n_words), label="categories"),
+            n_states=data.draw(st.integers(1, table.n_contexts), label="states"),
+            min_count=data.draw(st.integers(1, 4), label="min count"),
+            max_iterations=data.draw(st.integers(1, 5), label="iterations"),
+            convergence=data.draw(st.sampled_from([0.0, 0.001, 0.01]), label="convergence"),
+        )
+        self._compare(table, params, data.draw(st.booleans(), label="tree"))
+
+    def test_singleton_groups_out_of_table_order(self):
+        counts = {(1, 0): {0: 3, 1: 2}, (0, 1): {2: 4}, (3, 2): {1: 2, 3: 5}, (2, 3): {0: 1, 2: 6}}
+        table = EventTable.from_counts(_placeholder_spec(4, 2), 4, counts)
+        level1 = build_suffix_tree(table).levels[1]
+        assert len(level1) == table.n_contexts
+        assert level1.group_of.tolist() == [1, 0, 3, 2]
+        for n_states in (2, 3):
+            params = ClusterParams(n_categories=2, n_states=n_states, min_count=1)
+            self._compare(table, params, tree=True)
+
+    def test_a_fragmented_level_is_rejected_when_it_is_swept(self):
+        sents = make_random_corpus(41, n_sentences=60, n_words=8)
+        vocab, enc, table = build_table(sents, offsets=(-2, -1))
+        level1 = build_suffix_tree(table).levels[1]
+        k = int(np.argmax(np.diff(level1.bounds)))
+        members = level1.group(k)
+        assert len(members) > 1
+        S = np.zeros(table.n_contexts, dtype=np.int32)
+        S[members[0]] = 1
+        cl = Clustering(table, 2, 2, np.zeros(table.n_words, dtype=np.int32), S)
+        with pytest.raises(ValueError, match="fragmented"):
+            cluster._level_rows(cl, level1)
+        S[members] = 1
+        cl = Clustering(table, 2, 2, np.zeros(table.n_words, dtype=np.int32), S)
+        assert cluster._level_rows(cl, level1).state.tolist() == [
+            int(S[level1.group(j)[0]]) for j in range(len(level1))
+        ]
 
 
 class TestFloatRange:

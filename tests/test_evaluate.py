@@ -148,6 +148,14 @@ class TestPerplexity:
         with pytest.raises(ValueError, match=r"word id 5 \(sentence 1, position 1\)"):
             perplexity(model, [[0], [0, 5]], include_eos=False)
 
+    def test_zero_probability_for_the_unknown_word_says_so(self):
+        model = DictModel({((), 0): 1.0, ((0,), 0): 1.0})
+        with pytest.raises(ValueError, match=r"word id 5 .*unknown word.*--skip-unknown"):
+            perplexity(model, [[0], [0, 5]], include_eos=False, unk_id=5)
+        with pytest.raises(ValueError, match="word id 4") as known:
+            perplexity(model, [[0, 4]], include_eos=False, unk_id=5)
+        assert "unknown" not in str(known.value)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="eos_id is required"):
             perplexity(Uniform(4), [[0]])
