@@ -12,7 +12,6 @@ from clusterlm.corpus import (
     build_vocabulary,
     encode_corpus,
     load_feature_map,
-    save_feature_map,
     identity_mapper,
 )
 from clusterlm.events import (
@@ -28,9 +27,6 @@ from clusterlm.cluster import (
     ClusterParams,
     Clustering,
     MoveDelta,
-    delta_move_word,
-    delta_move_context_group,
-    init_clustering,
     run_flat,
     run_tree,
     export_categories,
@@ -68,7 +64,6 @@ __all__ = [
     "build_vocabulary",
     "encode_corpus",
     "load_feature_map",
-    "save_feature_map",
     "identity_mapper",
     "ContextSpec",
     "Slot",
@@ -82,9 +77,6 @@ __all__ = [
     "ClusterParams",
     "Clustering",
     "MoveDelta",
-    "delta_move_word",
-    "delta_move_context_group",
-    "init_clustering",
     "run_flat",
     "run_tree",
     "export_categories",

@@ -111,11 +111,13 @@ def _write_lines(path: str | Path, lines: Sequence[str]) -> None:
     _atomic_write(path, lambda p: p.write_text("\n".join(lines) + "\n", encoding="utf-8"))
 
 
-def _maybe_manifest(args, inputs: Sequence[str | Path]) -> None:
+def _maybe_manifest(args, inputs: Sequence[str | Path | None]) -> None:
+    """Write the run's manifest when ``--manifest`` is given: the argv
+    and a digest of each input file; unset inputs are left out."""
     if not getattr(args, "manifest", None):
         return
     lines = ["#clusterlm-manifest v1", "#argv\t" + " ".join(args._argv)]
-    for p in sorted({str(p) for p in inputs}):
+    for p in sorted({str(p) for p in inputs if p}):
         digest = hashlib.sha256(Path(p).read_bytes()).hexdigest()
         lines.append(f"{digest}\t{p}")
     _write_lines(args.manifest, lines)
@@ -204,12 +206,7 @@ def cmd_counts_collect(args) -> int:
         f"counts [{format_context_spec(slot_kinds)}]: {table.n_contexts} distinct contexts, "
         f"{table.total} events -> {args.out}"
     )
-    _maybe_manifest(
-        args,
-        [args.corpus, args.vocab]
-        + ([args.tagmap] if args.tagmap else [])
-        + ([args.classmap] if args.classmap else []),
-    )
+    _maybe_manifest(args, [args.corpus, args.vocab, args.tagmap, args.classmap])
     return 0
 
 
@@ -248,13 +245,7 @@ def cmd_cluster_run(args) -> int:
         model = ClassLM(clustering, vocab, discount=discount)
         _atomic_write(args.model_out, lambda p: save_classlm(model, p))
         print(f"class model -> {args.model_out}")
-    _maybe_manifest(
-        args,
-        [args.counts]
-        + ([args.vocab] if args.vocab else [])
-        + ([args.tagmap] if args.tagmap else [])
-        + ([args.classmap] if args.classmap else []),
-    )
+    _maybe_manifest(args, [args.counts, args.vocab, args.tagmap, args.classmap])
     return 0
 
 

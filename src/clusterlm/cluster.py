@@ -27,9 +27,9 @@ and the clustering's transpose themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from clusterlm import _kernels
 from clusterlm._rows import Reader, sum_rows, write_rows
 from clusterlm.corpus import Vocabulary
 from clusterlm.ctxtree import ContextTree, Level, suffix_level
-from clusterlm.events import ContextTuple, EventTable
+from clusterlm.events import EventTable
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,13 @@ class Clustering:
     f(x) = x ln x of those tables entry by entry, so a move delta need
     not recompute the cells the move leaves alone; a move refreshes
     them only at the cells it changes, where the moved unit's profile
-    is nonzero.  A profile computed for a delta can be handed on to
-    the move that follows it, so each visited unit is profiled once.
+    is nonzero.
 
     The methods check every id and that a context group shares one
-    state.  The exchange sweep does not go through them: it profiles
-    each unit from its level's rows and calls the kernels and the
-    table update directly (see ``_LevelRows``).
+    state, and each computes the profile it needs.  The exchange sweep
+    does not go through them: it profiles each unit once from its
+    level's rows and hands that profile from the kernel call to the
+    table update (see ``_LevelRows``).
     """
 
     def __init__(
@@ -204,17 +204,13 @@ class Clustering:
 
     # -- moves -----------------------------------------------------------
 
-    def word_move_deltas(self, w: int, profile: np.ndarray | None = None) -> np.ndarray:
+    def word_move_deltas(self, w: int) -> np.ndarray:
         """Criterion change for moving word ``w`` into every category
-        (entry for its current category is exactly 0).  ``profile`` is
-        ``word_profile(w)`` when the caller already has it."""
-        self._check_word(w)
-        if profile is None:
-            profile = self.word_profile(w)
+        (entry for its current category is exactly 0)."""
         return _kernels.word_move_deltas(
             self.joint,
             self.cat_totals,
-            profile,
+            self.word_profile(w),
             int(self.G[w]),
             int(self.word_counts[w]),
             self.f_joint,
@@ -222,16 +218,11 @@ class Clustering:
             self._scratch,
         )
 
-    def group_move_deltas(
-        self, leaf_indices: np.ndarray, profile: np.ndarray | None = None
-    ) -> np.ndarray:
+    def group_move_deltas(self, leaf_indices: np.ndarray) -> np.ndarray:
         """Criterion change for moving a coherent context group into
-        every state (entry for its current state is exactly 0).
-        ``profile`` is ``group_profile(leaf_indices)`` when the caller
-        already has it."""
+        every state (entry for its current state is exactly 0)."""
         s_cur = self._group_state(leaf_indices)
-        if profile is None:
-            profile = self.group_profile(leaf_indices)
+        profile = self.group_profile(leaf_indices)
         n = int(self.ctx_counts[leaf_indices].sum())
         return _kernels.group_move_deltas(
             self.joint, self.state_totals, profile, s_cur, n, self.f_joint, self.f_state
@@ -256,34 +247,27 @@ class Clustering:
             raise ValueError(_FRAGMENTED)
         return s
 
-    def apply_word_move(self, w: int, target: int, profile: np.ndarray | None = None) -> None:
-        """Move word ``w`` into category ``target``.  ``profile`` is
-        ``word_profile(w)`` when the caller already has it."""
+    def apply_word_move(self, w: int, target: int) -> None:
+        """Move word ``w`` into category ``target``."""
         self._check_word(w)
         if not 0 <= target < self.n_categories:
             raise ValueError("category id out of range")
         g = int(self.G[w])
         if target == g:
             return
-        if profile is None:
-            profile = self.word_profile(w)
+        profile = self.word_profile(w)
         n = self.word_counts[w]
         _move(self.joint.T, self.f_joint.T, self.cat_totals, self.f_cat, g, target, profile, n)
         self.G[w] = target
 
-    def apply_group_move(
-        self, leaf_indices: np.ndarray, target: int, profile: np.ndarray | None = None
-    ) -> None:
-        """Move a coherent context group into state ``target``.
-        ``profile`` is ``group_profile(leaf_indices)`` when the caller
-        already has it."""
+    def apply_group_move(self, leaf_indices: np.ndarray, target: int) -> None:
+        """Move a coherent context group into state ``target``."""
         if not 0 <= target < self.n_states:
             raise ValueError("state id out of range")
         s = self._group_state(leaf_indices)
         if target == s:
             return
-        if profile is None:
-            profile = self.group_profile(leaf_indices)
+        profile = self.group_profile(leaf_indices)
         n = self.ctx_counts[leaf_indices].sum()
         _move(self.joint, self.f_joint, self.state_totals, self.f_state, s, target, profile, n)
         self.S[leaf_indices] = target
@@ -304,27 +288,6 @@ def _move(joint, f_joint, totals, f_totals, source, target, profile, n) -> None:
     totals[target] += n
     pair = [source, target]
     f_totals[pair] = _kernels.xlogx(totals[pair])
-
-
-def delta_move_word(clustering: Clustering, w: int, target: int) -> float:
-    """Exact change of F if word ``w`` moved to category ``target``."""
-    if not 0 <= target < clustering.n_categories:
-        raise ValueError("category id out of range")
-    return float(clustering.word_move_deltas(w)[target])
-
-
-def delta_move_context_group(
-    clustering: Clustering, group: Iterable[ContextTuple], target: int
-) -> float:
-    """Exact change of F if a coherent group of contexts moved to state
-    ``target``.  All context tuples in ``group`` must currently share
-    one state, and none may repeat."""
-    if not 0 <= target < clustering.n_states:
-        raise ValueError("state id out of range")
-    idx = np.asarray([clustering.table.index_of(c) for c in group], dtype=np.int64)
-    if np.unique(idx).size != idx.size:
-        raise ValueError("a context appears more than once in the group")
-    return float(clustering.group_move_deltas(idx)[target])
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +314,6 @@ def _start(table: EventTable, params: ClusterParams, level: Level) -> Clustering
     G = _ranked_init(table.word_counts, params.n_categories)
     S = _ranked_init(level.counts, min(params.n_states, len(level)))[level.group_of]
     return Clustering(table, params.n_categories, params.n_states, G, S)
-
-
-def init_clustering(table: EventTable, params: ClusterParams) -> Clustering:
-    """Starting point for the flat optimization: frequency-ranked
-    singleton clusters plus one shared remainder cluster, on both axes."""
-    return _start(table, params, suffix_level(table.contexts, table.spec.depth, table.ctx_counts))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +476,7 @@ def run_tree(
     (all member contexts in one state); the final level moves individual
     contexts and a depth-1 tree therefore reduces to the flat run.
     """
-    if tree.depth != table.spec.depth:
+    if len(tree.levels) != table.spec.depth + 1:
         raise ValueError("tree depth does not match context spec depth")
     if tree.levels[0].group_of.size != table.n_contexts:
         raise ValueError("tree context count does not match the event table")
@@ -579,13 +536,15 @@ def load_clustering(path: str | Path, table: EventTable) -> Clustering:
         raise ValueError("clustering does not match counts: context depth differs")
     if not (1 <= n_categories <= n_words and 1 <= n_states <= table.n_contexts):
         raise r.error("n_categories must lie in [1, n_words], n_states in [1, n_contexts]")
-    stored = math.nan
+    stored = None
     if r.at("#criterion"):
         text = r.line("#criterion", 1)[0]
         try:
             stored = float(text)
         except ValueError:
             raise r.error(f"criterion is not a number: {text!r}") from None
+        if not math.isfinite(stored):
+            raise r.error(f"criterion is not finite: {text!r}")
     r.line("#G", 0)
     words = r.rows("#G", 1, 1, n_words)
     if not np.array_equal(words[:, 0], np.arange(n_words)):
@@ -596,7 +555,7 @@ def load_clustering(path: str | Path, table: EventTable) -> Clustering:
     if not np.array_equal(contexts[:, :-1], table.contexts):
         raise ValueError("clustering does not match counts: the #S rows are not its contexts")
     clustering = Clustering(table, n_categories, n_states, words[:, 1], contexts[:, -1])
-    if math.isfinite(stored):
+    if stored is not None:
         got = clustering.criterion()
         if abs(got - stored) > 1e-6 * max(1.0, abs(stored)):
             raise r.error("criterion mismatch")

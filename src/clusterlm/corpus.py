@@ -154,14 +154,12 @@ class FeatureMapper:
 
     ``table[w]`` is the value of word ``w``: the word id itself for an
     identity mapper, or a value loaded from a word/value file (a tag map
-    or an exported class map).  ``value_names`` gives a printable name
-    per value id and has length ``arity``.
+    or an exported class map).  Values lie in ``[0, arity)``.
     """
 
     name: str
     table: np.ndarray
     arity: int
-    value_names: list[str] = field(repr=False)
 
     def __post_init__(self):
         self.table = np.asarray(self.table, dtype=np.int32)
@@ -173,12 +171,7 @@ class FeatureMapper:
 
 def identity_mapper(vocab: Vocabulary, name: str = "w") -> FeatureMapper:
     n = len(vocab)
-    return FeatureMapper(
-        name=name,
-        table=np.arange(n, dtype=np.int32),
-        arity=n,
-        value_names=list(vocab.tokens),
-    )
+    return FeatureMapper(name=name, table=np.arange(n, dtype=np.int32), arity=n)
 
 
 def _value_order(values: set[str]) -> list[str]:
@@ -194,26 +187,26 @@ def load_feature_map(path: str | Path, vocab: Vocabulary, name: str) -> FeatureM
     """Load a ``word<TAB>value`` file as a feature mapper ``name`` over
     ``vocab``.
 
-    An optional ``#default<TAB>value`` line supplies the value for words
-    missing from the file.  A word listed twice with conflicting values
-    is an error.  The boundary and unknown specials, when not listed
-    explicitly, each receive a dedicated fresh value so that padding
-    stays distinguishable from real-word features.
+    Every line with one tab is a ``word<TAB>value`` entry, even when the
+    word starts with ``#``, except that a ``#default<TAB>value`` line
+    supplies the value for words missing from the file.  A ``#`` line
+    with no tab is a comment.  A word listed twice with conflicting
+    values is an error.  The boundary and unknown specials, when not
+    listed explicitly, each receive a dedicated fresh value so that
+    padding stays distinguishable from real-word features.
     """
     raw: dict[str, str] = {}
     default: str | None = None
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        if line.startswith("#default\t"):
-            default = line.split("\t", 1)[1]
-            continue
-        if line.startswith("#"):
+        if not line.strip() or (line.startswith("#") and "\t" not in line):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"malformed feature-map line {lineno}: {line!r}")
         word, value = parts
+        if word == "#default":
+            default = value
+            continue
         if word in raw and raw[word] != value:
             raise ValueError("ambiguous feature map")
         raw[word] = value
@@ -221,9 +214,8 @@ def load_feature_map(path: str | Path, vocab: Vocabulary, name: str) -> FeatureM
     values = {raw[t] for t in vocab.tokens if t in raw}
     if default is not None:
         values.add(default)
-    ordered = _value_order(values)
-    value_id = {v: i for i, v in enumerate(ordered)}
-    names = list(ordered)
+    value_id = {v: i for i, v in enumerate(_value_order(values))}
+    arity = len(value_id)
 
     table = np.empty(len(vocab), dtype=np.int32)
     special_ids = set(vocab.specials)
@@ -231,28 +223,10 @@ def load_feature_map(path: str | Path, vocab: Vocabulary, name: str) -> FeatureM
         if token in raw:
             table[wid] = value_id[raw[token]]
         elif wid in special_ids:
-            table[wid] = len(names)
-            names.append(token)
+            table[wid] = arity
+            arity += 1
         elif default is not None:
             table[wid] = value_id[default]
         else:
             raise ValueError("incomplete feature map")
-    return FeatureMapper(name=name, table=table, arity=len(names), value_names=names)
-
-
-def save_feature_map(mapper: FeatureMapper, vocab: Vocabulary, path: str | Path) -> None:
-    """Write ``word<TAB>value`` lines for every vocabulary word.
-
-    Specials carrying their auto-generated fresh value are omitted so a
-    reload regenerates the identical mapper.
-    """
-    if len(vocab) != mapper.table.size:
-        raise ValueError("mapper/vocabulary size mismatch")
-    special_ids = set(vocab.specials)
-    lines = []
-    for wid, tok in enumerate(vocab.tokens):
-        value = mapper.value_names[mapper.table[wid]]
-        if wid in special_ids and value == tok:
-            continue
-        lines.append(f"{tok}\t{value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return FeatureMapper(name=name, table=table, arity=arity)

@@ -45,7 +45,6 @@ class Level:
 
 @dataclass(frozen=True)
 class ContextTree:
-    depth: int
     levels: list[Level]
 
 
@@ -68,8 +67,9 @@ def suffix_level(mat: np.ndarray, level: int, ctx_counts: np.ndarray) -> Level:
 
 def build_suffix_tree(table: EventTable) -> ContextTree:
     """Group the table's contexts by shared suffixes of every length."""
-    depth = table.spec.depth
     return ContextTree(
-        depth=depth,
-        levels=[suffix_level(table.contexts, lvl, table.ctx_counts) for lvl in range(depth + 1)],
+        [
+            suffix_level(table.contexts, lvl, table.ctx_counts)
+            for lvl in range(table.spec.depth + 1)
+        ]
     )

@@ -19,7 +19,6 @@ from clusterlm._rows import (
     Reader,
     check_range,
     check_strictly_sorted,
-    find_rows,
     row_starts,
     sum_rows,
     tuples,
@@ -105,15 +104,6 @@ class EventTable:
         for name in ("contexts", "ptr", "words", "freqs", "ctx_counts", "word_counts"):
             getattr(self, name).flags.writeable = False
 
-    @classmethod
-    def from_counts(
-        cls, spec: ContextSpec, n_words: int, counts: dict[ContextTuple, dict[int, int]]
-    ) -> "EventTable":
-        """A table from nested dicts, ``counts[context][word] = n``."""
-        rows = [(*ctx, w, n) for ctx in sorted(counts) for w, n in sorted(counts[ctx].items())]
-        table = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
-        return cls(spec, n_words, table[:, :-1], table[:, -1])
-
     @property
     def n_contexts(self) -> int:
         return len(self.contexts)
@@ -126,16 +116,6 @@ class EventTable:
             ctx: dict(zip(words[lo:hi], freqs[lo:hi]))
             for ctx, lo, hi in zip(tuples(self.contexts), ptr, ptr[1:])
         }
-
-    def index_of(self, context: ContextTuple) -> int:
-        """Row of ``context`` in ``contexts``; ValueError if never seen."""
-        key = tuple(context)
-        # contexts hold int32 values, so any other tuple is unknown
-        if len(key) == self.spec.depth and all(0 <= v < 2**31 for v in key):
-            at, found = find_rows(self.contexts, np.array([key], dtype=np.int64))
-            if found[0]:
-                return int(at[0])
-        raise ValueError(f"unknown context {key!r}")
 
 
 def event_rows(
@@ -230,7 +210,7 @@ def load_counts(path: str | Path, mappers: dict[str, FeatureMapper] | None = Non
                     f"mapper arity mismatch for {name!r}: file says {arity}, got {mapper.arity}"
                 )
         else:
-            mapper = FeatureMapper(name, np.zeros(0, dtype=np.int32), arity, [])
+            mapper = FeatureMapper(name, np.zeros(0, dtype=np.int32), arity)
         slots.append(Slot(offset=off, mapper=mapper))
     spec = ContextSpec(slots=tuple(slots))
     rows = r.rows("event", spec.depth, 2)

@@ -285,12 +285,6 @@ class ClassLM:
             todo = todo[~found]
         return out
 
-    @property
-    def n_parameters(self) -> int:
-        """Raw stored-entry count: nonzero joint cells, word counts, and
-        the context-to-state map."""
-        return len(self.joint_cells) + self.n_words + len(self.contexts)
-
 
 def _query_rows(rows: np.ndarray, n_words: int, width: int) -> np.ndarray:
     """``rows`` as int64 query rows, checked where a model of
@@ -785,8 +779,8 @@ class InterpolatedModel:
         if not components:
             raise ValueError("at least one component required")
         w = np.asarray(weights, dtype=np.float64)
-        if (w < 0).any() or abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must be non-negative and sum to 1")
+        if not np.isfinite(w).all() or (w < 0).any() or abs(float(w.sum()) - 1.0) > 1e-9:
+            raise ValueError("weights must be finite, non-negative and sum to 1")
         sizes = {getattr(c, "n_words") for c in components}
         if len(sizes) != 1:
             raise ValueError("components must share one vocabulary")
@@ -814,10 +808,6 @@ class InterpolatedModel:
             if lam != 0.0:
                 total += float(lam) * comp.prob_array(rows)
         return total
-
-    @property
-    def n_parameters(self) -> int:
-        return len(self.weights) + sum(c.n_parameters for c in self.components)
 
 
 def save_interpolated(

@@ -7,9 +7,16 @@ import random
 
 import numpy as np
 
-from clusterlm._rows import tuples
-from clusterlm.cluster import MoveDelta, _ranked_init, _start
-from clusterlm.corpus import Vocabulary, build_vocabulary, encode_corpus, identity_mapper
+from clusterlm._rows import find_rows, tuples
+from clusterlm.cluster import Clustering, ClusterParams, MoveDelta, _ranked_init, _start
+from clusterlm.corpus import (
+    FeatureMapper,
+    Vocabulary,
+    build_vocabulary,
+    encode_corpus,
+    identity_mapper,
+)
+from clusterlm.ctxtree import suffix_level
 from clusterlm.evaluate import EvalReport, _events, em_mixture_weights
 from clusterlm.events import ContextSpec, EventTable, Slot, extract_events
 
@@ -89,8 +96,51 @@ def random_event_table(rng: random.Random, n_words: int, n_contexts: int,
         for w in rng.sample(range(n_predicted), rng.randint(1, min(4, n_predicted))):
             row[w] = rng.randint(1, max_count)
         counts[ctx] = row
-    mapper_holder = _placeholder_spec(n_words, depth)
-    return EventTable.from_counts(mapper_holder, n_words, counts)
+    return table_from_counts(_placeholder_spec(n_words, depth), n_words, counts)
+
+
+def table_from_counts(spec: ContextSpec, n_words: int,
+                      counts: dict[tuple[int, ...], dict[int, int]]) -> EventTable:
+    """A table from nested dicts, ``counts[context][word] = n``."""
+    rows = [(*ctx, w, n) for ctx in sorted(counts) for w, n in sorted(counts[ctx].items())]
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+    return EventTable(spec, n_words, table[:, :-1], table[:, -1])
+
+
+def index_of(table: EventTable, context: tuple[int, ...]) -> int:
+    """Row of ``context`` in ``table.contexts``; ValueError if never seen."""
+    key = tuple(context)
+    # contexts hold int32 values, so any other tuple is unknown
+    if len(key) == table.spec.depth and all(0 <= v < 2**31 for v in key):
+        at, found = find_rows(table.contexts, np.array([key], dtype=np.int64))
+        if found[0]:
+            return int(at[0])
+    raise ValueError(f"unknown context {key!r}")
+
+
+def init_clustering(table: EventTable, params: ClusterParams) -> Clustering:
+    """The flat run's starting point: frequency-ranked singleton
+    clusters plus one shared remainder cluster, on both axes."""
+    return _start(table, params, suffix_level(table.contexts, table.spec.depth, table.ctx_counts))
+
+
+def delta_move_word(clustering: Clustering, w: int, target: int) -> float:
+    """Exact change of F if word ``w`` moved to category ``target``."""
+    if not 0 <= target < clustering.n_categories:
+        raise ValueError("category id out of range")
+    return float(clustering.word_move_deltas(w)[target])
+
+
+def delta_move_context_group(clustering: Clustering, group, target: int) -> float:
+    """Exact change of F if a coherent group of context tuples moved to
+    state ``target``.  The contexts must share one state, and none may
+    repeat."""
+    if not 0 <= target < clustering.n_states:
+        raise ValueError("state id out of range")
+    idx = np.asarray([index_of(clustering.table, c) for c in group], dtype=np.int64)
+    if np.unique(idx).size != idx.size:
+        raise ValueError("a context appears more than once in the group")
+    return float(clustering.group_move_deltas(idx)[target])
 
 
 def marginals(table: EventTable) -> tuple[dict[tuple, int], dict[int, int]]:
@@ -132,14 +182,7 @@ def grouped_states(table: EventTable, n_states: int) -> list[int]:
 
 
 def _placeholder_spec(n_words: int, depth: int) -> ContextSpec:
-    from clusterlm.corpus import FeatureMapper
-
-    mapper = FeatureMapper(
-        name="w",
-        table=np.arange(n_words, dtype=np.int32),
-        arity=n_words,
-        value_names=[f"w{i}" for i in range(n_words)],
-    )
+    mapper = FeatureMapper(name="w", table=np.arange(n_words, dtype=np.int32), arity=n_words)
     return ContextSpec(tuple(Slot(-(depth - k), mapper) for k in range(depth)))
 
 
@@ -237,11 +280,11 @@ def oracle_tune_weights_em(components, sentences, *, eos_id=None, include_eos=Tr
 
 def oracle_run(table, levels, params, on_move=None):
     """``cluster._run`` on the public ``Clustering`` methods: each
-    visit profiles its unit with ``word_profile`` or ``group_profile``
-    (which gathers every member context's row), takes the deltas from
-    ``word_move_deltas`` or ``group_move_deltas`` and moves with
-    ``apply_word_move`` or ``apply_group_move``, all of which check
-    their ids and that a group lies in one state."""
+    visit takes the deltas from ``word_move_deltas`` or
+    ``group_move_deltas`` and moves with ``apply_word_move`` or
+    ``apply_group_move``, each of which checks its ids and that a group
+    lies in one state, and profiles the unit itself (a group profile
+    gathers every member context's row)."""
     cl = _start(table, params, levels[0])
     for level in levels:
         units = [(-int(n), 0, w, "word") for w, n in enumerate(cl.word_counts.tolist())
@@ -253,22 +296,20 @@ def oracle_run(table, levels, params, on_move=None):
         for iterations in range(1, params.max_iterations + 1):
             for _, _, element, kind in units:
                 if kind == "word":
-                    prof = cl.word_profile(element)
-                    deltas = cl.word_move_deltas(element, prof)
+                    deltas = cl.word_move_deltas(element)
                     source = int(cl.G[element])
                 else:
                     idx = level.group(element)
-                    prof = cl.group_profile(idx)
-                    deltas = cl.group_move_deltas(idx, prof)
+                    deltas = cl.group_move_deltas(idx)
                     source = int(cl.S[idx[0]])
                 target = int(deltas.argmax())
                 if not deltas[target] > 0.0:
                     continue
                 if kind == "word":
-                    cl.apply_word_move(element, target, prof)
+                    cl.apply_word_move(element, target)
                     key = element
                 else:
-                    cl.apply_group_move(idx, target, prof)
+                    cl.apply_group_move(idx, target)
                     key = level.key(element)
                 if on_move is not None:
                     on_move(cl, MoveDelta(kind, key, source, target, float(deltas[target])))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from clusterlm.cli import _atomic_write, format_context_spec, main, parse_context_spec
-from clusterlm.corpus import Vocabulary
+from clusterlm.corpus import Vocabulary, load_feature_map
 
 from conftest import make_random_corpus
 
@@ -218,6 +218,32 @@ class TestTagAndClassSlots:
         head = (d / "c2.tsv").read_text().splitlines()[:6]
         assert any(line.startswith("#slot\t-2\tg") for line in head)
 
+    @pytest.mark.parametrize("lines", [
+        ["#x a b #x", "a #default b a", "#x b a #x", "b a #default c"],
+        ["#x a b #x", "a b a", "#x b a #x", "b a c"],
+    ])
+    def test_exported_class_map_keeps_words_that_start_with_a_hash(self, tmp_path, capsys,
+                                                                    lines):
+        d = tmp_path
+        (d / "train.txt").write_text("\n".join(lines) + "\n")
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--context", "w:-1", "--out", d / "c1.tsv"], capsys)
+        run_ok(["cluster", "run", "--counts", d / "c1.tsv", "--states", "3",
+                "--categories", "3", "--min-count", "1", "--out", d / "cl1.tsv"], capsys)
+        run_ok(["classes", "export", "--clustering", d / "cl1.tsv", "--counts", d / "c1.tsv",
+                "--vocab", d / "v.txt", "--out", d / "classes.tsv"], capsys)
+        exported = dict(line.split("\t") for line in (d / "classes.tsv").read_text().splitlines())
+        vocab = Vocabulary.load(d / "v.txt")
+        assert "#x" in exported and set(exported) == set(vocab.tokens)
+        # every word, those starting with # included, loads with its exported class
+        mapper = load_feature_map(d / "classes.tsv", vocab, "g")
+        values = sorted(set(exported.values()), key=int)
+        assert {t: values[mapper.table[w]] for w, t in enumerate(vocab.tokens)} == exported
+        run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--context", "g:-1", "--classmap", d / "classes.tsv",
+                "--out", d / "c2.tsv"], capsys)
+
     def test_cluster_model_out_requires_vocab(self, workdir, capsys):
         d = workdir
         run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
@@ -413,6 +439,20 @@ class TestFailureModes:
                         "--categories", "4", "--out", d / "cl.tsv"], capsys)
         assert err.startswith("error:") and "2**53" in err
         assert not (d / "cl.tsv").exists()
+
+    @pytest.mark.parametrize("weights", ["nan 1.0", "1.0 nan"])
+    def test_mixture_with_a_nan_weight_is_rejected(self, workdir, capsys, weights):
+        d = workdir
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        run_ok(["ngram", "train", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--order", "2", "--out", d / "b.model"], capsys)
+        (d / "mix.model").write_text(
+            f"#clusterlm-interp v1\n#weights\t{weights}\n#component\tb.model\n"
+            "#component\tb.model\n"
+        )
+        err = run_fail(["eval", "ppl", "--model", d / "mix.model", "--test", d / "held.txt",
+                        "--vocab", d / "v.txt"], capsys)
+        assert err.startswith("error:") and "non-negative and sum to 1" in err
 
     def test_non_model_file_rejected_by_interp(self, tmp_path, capsys):
         d = tmp_path

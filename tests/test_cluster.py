@@ -23,10 +23,7 @@ from clusterlm.cluster import (
     ClusterParams,
     _ranked_init,
     _sweep,
-    delta_move_context_group,
-    delta_move_word,
     export_categories,
-    init_clustering,
     load_clustering,
     run_flat,
     run_tree,
@@ -38,12 +35,17 @@ from clusterlm.events import EventTable
 from conftest import (
     _placeholder_spec,
     build_table,
+    delta_move_context_group,
+    delta_move_word,
     grouped_states,
+    index_of,
+    init_clustering,
     make_random_corpus,
     marginals,
     oracle_run,
     random_event_table,
     suffix_groups,
+    table_from_counts,
 )
 
 
@@ -313,7 +315,7 @@ class TestMoveDeltas:
         rng = random.Random(12)
         table, cl = random_clustering(rng)
         ctx = min(table.counts)
-        t = (int(cl.S[table.index_of(ctx)]) + 1) % cl.n_states
+        t = (int(cl.S[index_of(table, ctx)]) + 1) % cl.n_states
         delta_move_context_group(cl, [ctx], t)
         with pytest.raises(ValueError, match="more than once"):
             delta_move_context_group(cl, [ctx, ctx], t)
@@ -480,7 +482,7 @@ def one_context_per_suffix(rng, n_words, depth):
         ctx = tuple(rng.randrange(n_words) for _ in range(depth - 1)) + (v,)
         words = rng.sample(range(n_words), rng.randint(1, min(4, n_words)))
         counts[ctx] = {w: rng.randint(1, 9) for w in words}
-    return EventTable.from_counts(_placeholder_spec(n_words, depth), n_words, counts)
+    return table_from_counts(_placeholder_spec(n_words, depth), n_words, counts)
 
 
 class TestLevelRows:
@@ -527,7 +529,7 @@ class TestLevelRows:
 
     def test_singleton_groups_out_of_table_order(self):
         counts = {(1, 0): {0: 3, 1: 2}, (0, 1): {2: 4}, (3, 2): {1: 2, 3: 5}, (2, 3): {0: 1, 2: 6}}
-        table = EventTable.from_counts(_placeholder_spec(4, 2), 4, counts)
+        table = table_from_counts(_placeholder_spec(4, 2), 4, counts)
         level1 = build_suffix_tree(table).levels[1]
         assert len(level1) == table.n_contexts
         assert level1.group_of.tolist() == [1, 0, 3, 2]
@@ -974,6 +976,15 @@ class TestClusteringFile:
         lines[i], lines[i + 1] = lines[i + 1], lines[i]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="not its contexts"):
+            load_clustering(path, table)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_criterion_is_rejected(self, tmp_path, value):
+        table, path, lines = saved_clustering(tmp_path)
+        i = next(i for i, x in enumerate(lines) if x.startswith("#criterion\t"))
+        lines[i] = f"#criterion\t{value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="corrupt clustering file: criterion is not finite"):
             load_clustering(path, table)
 
     def test_loads_without_a_criterion(self, tmp_path):

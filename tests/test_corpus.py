@@ -17,7 +17,6 @@ from clusterlm.corpus import (
     iter_tokens,
     load_feature_map,
     read_corpus_lines,
-    save_feature_map,
 )
 
 
@@ -141,7 +140,6 @@ class TestFeatureMaps:
         m = identity_mapper(vocab)
         assert m.arity == len(vocab)
         assert list(m.table) == list(range(len(vocab)))
-        assert m.value_names == vocab.tokens
 
     def test_tag_map_with_explicit_coverage(self, tmp_path):
         vocab = self._vocab()
@@ -149,8 +147,8 @@ class TestFeatureMaps:
         p.write_text("dog\tN\ncat\tN\nruns\tV\njumps\tV\n")
         m = load_feature_map(p, vocab, "t")
         assert m.name == "t"
-        # lexicographic value order for non-numeric tags
-        assert m.value_names[:2] == ["N", "V"]
+        # lexicographic value order for non-numeric tags: N is 0, V is 1
+        assert m.table[vocab.id_of("dog")] == 0 and m.table[vocab.id_of("runs")] == 1
         assert m.table[vocab.id_of("dog")] == m.table[vocab.id_of("cat")]
         assert m.table[vocab.id_of("runs")] != m.table[vocab.id_of("dog")]
 
@@ -169,8 +167,10 @@ class TestFeatureMaps:
         p = tmp_path / "tags.tsv"
         p.write_text("#default\tX\ndog\tN\n")
         m = load_feature_map(p, vocab, "t")
-        assert m.value_names[m.table[vocab.id_of("cat")]] == "X"
-        assert m.value_names[m.table[vocab.id_of("dog")]] == "N"
+        # values N and X, in that order, then the three specials
+        assert m.table[vocab.id_of("cat")] == 1
+        assert m.table[vocab.id_of("dog")] == 0
+        assert m.arity == 2 + 3
 
     def test_missing_word_without_default_rejected(self, tmp_path):
         vocab = self._vocab()
@@ -191,21 +191,11 @@ class TestFeatureMaps:
         p = tmp_path / "classes.tsv"
         p.write_text("dog\t10\ncat\t2\nruns\t2\njumps\t10\n")
         m = load_feature_map(p, vocab, "g")
-        assert m.value_names[:2] == ["2", "10"]
-
-    def test_save_load_round_trip(self, tmp_path):
-        vocab = self._vocab()
-        p = tmp_path / "tags.tsv"
-        p.write_text("dog\tN\ncat\tN\nruns\tV\njumps\tV\n")
-        m = load_feature_map(p, vocab, "t")
-        q = tmp_path / "saved.tsv"
-        save_feature_map(m, vocab, q)
-        m2 = load_feature_map(q, vocab, "t")
-        assert list(m2.table) == list(m.table)
-        assert m2.value_names == m.value_names
+        # 2 is value 0, 10 is value 1
+        assert m.table[vocab.id_of("cat")] == 0 and m.table[vocab.id_of("dog")] == 1
 
     def test_mapper_validation(self):
         with pytest.raises(ValueError, match="arity"):
-            FeatureMapper("x", np.asarray([3], dtype=np.int32), 2, ["a", "b"])
+            FeatureMapper("x", np.asarray([3], dtype=np.int32), 2)
         with pytest.raises(ValueError, match="one-dimensional"):
-            FeatureMapper("x", np.zeros((1, 1), dtype=np.int32), 1, ["a"])
+            FeatureMapper("x", np.zeros((1, 1), dtype=np.int32), 1)

@@ -17,7 +17,7 @@ def check_levels(table, tree):
     ctx_marg, _ = marginals(table)
     contexts = sorted(ctx_marg)
     depth = table.spec.depth
-    assert tree.depth == depth and len(tree.levels) == depth + 1
+    assert len(tree.levels) == depth + 1
     for lvl, level in enumerate(tree.levels):
         keys = [level.key(k) for k in range(len(level))]
         # unique, sorted, suffixes of length lvl
@@ -55,7 +55,7 @@ class TestHandBuiltTree:
     def test_depth_and_level_keys(self):
         vocab, table = self._table()
         tree = build_suffix_tree(table)
-        assert tree.depth == 2
+        assert len(tree.levels) == 3
         lvl1 = tree.levels[1]
         # level-1 keys are the distinct nearest-slot values
         expected = sorted({ctx[-1:] for ctx in table.counts})
@@ -139,6 +139,6 @@ class TestRandomTrees:
         rng = random.Random(42)
         table = random_event_table(rng, n_words=5, n_contexts=4, depth=1)
         tree = build_suffix_tree(table)
-        assert tree.depth == 1
+        assert len(tree.levels) == 2
         lvl1 = tree.levels[1]
         assert [lvl1.key(k) for k in range(len(lvl1))] == sorted(table.counts)

@@ -21,7 +21,7 @@ from clusterlm.corpus import (
     load_feature_map,
 )
 from clusterlm.ctxtree import build_suffix_tree
-from clusterlm.events import ContextSpec, EventTable, Slot, load_counts, save_counts
+from clusterlm.events import ContextSpec, Slot, load_counts, save_counts
 from clusterlm.models import (
     BackoffModel,
     ClassLM,
@@ -47,6 +47,7 @@ from conftest import (
     oracle_backoff,
     oracle_ngram_counts,
     random_event_table,
+    table_from_counts,
     tiny_vocab,
 )
 
@@ -59,11 +60,9 @@ def identity_clustering(table):
 
 
 def hand_table(vocab, counts, depth=1, arity=16):
-    mapper = FeatureMapper(
-        "w", np.arange(arity, dtype=np.int32), arity, [str(i) for i in range(arity)]
-    )
+    mapper = FeatureMapper("w", np.arange(arity, dtype=np.int32), arity)
     spec = ContextSpec(slots=tuple(Slot(offset=o, mapper=mapper) for o in range(-depth, 0)))
-    return EventTable.from_counts(spec, len(vocab), counts)
+    return table_from_counts(spec, len(vocab), counts)
 
 
 class TestClassLM:
@@ -180,13 +179,6 @@ class TestClassLM:
             with pytest.raises(ValueError, match="discount"):
                 ClassLM(identity_clustering(table), vocab, discount=bad)
 
-    def test_parameter_count(self):
-        vocab, enc, table = build_table(["a b a b"], offsets=(-1,))
-        cl = identity_clustering(table)
-        lm = ClassLM(cl, vocab)
-        expected = int(np.count_nonzero(cl.joint)) + table.n_words + table.n_contexts
-        assert lm.n_parameters == expected
-
     def test_save_load_round_trip(self, tmp_path):
         sents = make_random_corpus(41, n_sentences=40, n_words=9)
         vocab, enc, table = build_table(sents, offsets=(-2, -1))
@@ -197,7 +189,8 @@ class TestClassLM:
         save_classlm(lm, tmp_path / "model.classlm")
         loaded = load_classlm(tmp_path / "model.classlm")
         assert loaded.discount == lm.discount
-        assert loaded.n_parameters == lm.n_parameters
+        assert np.array_equal(loaded.joint_cells, lm.joint_cells)
+        assert np.array_equal(loaded.contexts, lm.contexts)
         assert_same_probs(lm, loaded, probe_contexts(lm, vocab))
         rng = random.Random(1)
         a, b = vocab.id_of("w0"), vocab.id_of("w1")
@@ -851,6 +844,7 @@ class TestInterpolatedFileCorruption:
         ("weights after the components", lambda L: [L[0]] + L[2:] + [L[1]]),
         ("weight text", lambda L: [L[0], "#weights\t0.25 x"] + L[2:]),
         ("weights not summing to one", lambda L: [L[0], "#weights\t0.25 0.5"] + L[2:]),
+        ("nan weight", lambda L: [L[0], "#weights\tnan 1.0"] + L[2:]),
         ("one weight too many", lambda L: [L[0], L[1] + " 0.0"] + L[2:]),
         ("bare #component", lambda L: L[:-1] + ["#component"]),
         ("unknown line", lambda L: L + ["#note\tx"]),
@@ -870,7 +864,6 @@ class Fixed:
     def __init__(self, table, n_words=4):
         self.table = table
         self.n_words = n_words
-        self.n_parameters = 0
 
     def prob(self, w, history):
         return self.table[w]
@@ -887,6 +880,9 @@ class TestInterpolatedModel:
             InterpolatedModel([c, c], [0.5, 0.6])
         with pytest.raises(ValueError, match="non-negative"):
             InterpolatedModel([c, c], [1.5, -0.5])
+        for weights in ([math.nan, 1.0], [1.0, math.nan], [math.inf, 0.0]):
+            with pytest.raises(ValueError, match="non-negative and sum to 1"):
+                InterpolatedModel([c, c], weights)
         with pytest.raises(ValueError, match="share one vocabulary"):
             InterpolatedModel([Fixed({}, 3), Fixed({}, 4)], [0.5, 0.5])
 
@@ -911,10 +907,6 @@ class TestInterpolatedModel:
             m = InterpolatedModel([Fixed({0: pa}), Fixed({0: pb})], [lam, 1.0 - lam])
             p = m.prob(0, [])
             assert min(pa, pb) - 1e-15 <= p <= max(pa, pb) + 1e-15
-
-    def test_parameter_count_sums_components(self):
-        m = InterpolatedModel([Fixed({}), Fixed({})], [0.5, 0.5])
-        assert m.n_parameters == 2
 
     def test_save_load_round_trip_with_relative_paths(self, tmp_path):
         rng = random.Random(55)
@@ -1078,7 +1070,7 @@ class TestProbArray:
         loaded = load_classlm(tmp_path / "m.classlm")
         dicts = {"state_of", "_fallback", "_joint"}
         loaded.prob_array(np.array([[-1, -1, 0], [0, 1, 2]]))
-        assert loaded.n_parameters == lm.n_parameters
+        assert np.array_equal(loaded.joint_cells, lm.joint_cells)
         assert not dicts & set(loaded.__dict__)
         loaded.prob(0, [vocab.eos_id, vocab.eos_id])  # an unseen context
         assert dicts <= set(loaded.__dict__)
