@@ -270,6 +270,10 @@ def cmd_classes_export(args) -> int:
 
 
 def cmd_ngram_train(args) -> int:
+    if args.order < 1:
+        raise ValueError("--order must be at least 1")
+    if not 0.0 < args.discount < 1.0:
+        raise ValueError("--discount must lie in (0, 1)")
     cutoffs = {k: 1 for k in range(3, args.order + 1)}
     if args.cutoff3 is not None:
         if args.order < 3:
@@ -304,6 +308,7 @@ def cmd_interp_tune(args) -> int:
         heldout,
         eos_id=vocab.eos_id,
         include_eos=not args.no_eos,
+        unk_id=vocab.unk_id,
         max_iters=args.max_iters,
         tol=args.tol,
     )

@@ -1,23 +1,23 @@
 """Perplexity over a test stream and EM tuning of mixture weights.
 
-All log-probability accumulation uses exactly rounded compensated
-summation, so totals are independent of sentence order to the last bit.
-
-``tune_weights_em`` scores the held-out events with one ``prob_array``
-call per component.  ``perplexity`` still makes one scalar ``prob`` call
-per event, so it is what builds a model's dict indexes (see
-``clusterlm.models``), on its first query.
+Both score a corpus through the models' one query, ``model.prob(rows)``
+(see ``clusterlm.models``): the event rows are built once, with -1
+before the sentence start, and each model scores all of them in one
+call.  Each log is taken with ``math.log`` and every log-probability sum
+is exactly rounded compensated summation, so totals are independent of
+sentence order to the last bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from clusterlm.events import event_rows
+from clusterlm.models import _mix
 
 
 @dataclass
@@ -37,20 +37,53 @@ class EvalReport:
     per_sentence: list[tuple[int, float]] | None = None
 
 
-def _events(
-    sentences: Iterable[Sequence[int]],
-    eos_id: int | None,
-    include_eos: bool,
-) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
-    """(sentence index, position, word, history) for every prediction
-    event; the history is the tuple of earlier words in the sentence."""
-    for si, sent in enumerate(sentences):
-        hist: tuple[int, ...] = ()
-        for pos, w in enumerate(sent):
-            yield si, pos, int(w), hist
-            hist = hist + (int(w),)
-        if include_eos:
-            yield si, len(sent), int(eos_id), hist
+def _query_events(
+    sentences: Sequence[Sequence[int]], width: int, eos_id: int | None, include_eos: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, sentence, position) of every prediction event, in corpus
+    order: the query rows with ``width`` history columns, and each row's
+    sentence index and position in it (a sentence end is at the
+    sentence's length).  Sentence ends are left out unless
+    ``include_eos``."""
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    # with ends not scored the end token's id is never read
+    rows = event_rows(sentences, range(-width, 0), -1, -1 if eos_id is None else eos_id)
+    sentence = np.repeat(np.arange(len(sentences)), lengths + 1)
+    position = np.arange(len(rows)) - np.repeat(np.cumsum(lengths + 1) - lengths - 1, lengths + 1)
+    if not include_eos:
+        keep = position < lengths[sentence]
+        rows, sentence, position = rows[keep], sentence[keep], position[keep]
+    return rows, sentence, position
+
+
+def _check_nonzero(
+    probs: np.ndarray,
+    words: np.ndarray,
+    sentence: np.ndarray,
+    position: np.ndarray,
+    unk_id: int | None,
+    advice: str = "",
+) -> None:
+    """Raise ``ValueError`` naming the first event of probability 0.
+    When its word is ``unk_id`` the message says why a class model gives
+    the unknown word 0, followed by ``advice``."""
+    zero = np.flatnonzero(probs <= 0.0)
+    if zero.size:
+        i = zero[0]
+        w = int(words[i])
+        msg = f"zero probability for word id {w} (sentence {sentence[i]}, position {position[i]})"
+        if w == unk_id:
+            msg += (
+                "; that is the unknown word, to which a class model gives probability 0"
+                " when it had no training count" + advice
+            )
+        raise ValueError(msg)
+
+
+def _report(model_id: str, logs: list[float]) -> EvalReport:
+    """The report of events with log probabilities ``logs``."""
+    total = math.fsum(logs)
+    return EvalReport(model_id, len(logs), total, math.exp(-total / len(logs)))
 
 
 def perplexity(
@@ -78,37 +111,29 @@ def perplexity(
         raise ValueError("eos_id is required when sentence ends are scored")
     if skip_unknown and unk_id is None:
         raise ValueError("unk_id is required when unknown words are skipped")
-    logs: list[float] = []
-    by_sentence: list[list[float]] = [[] for _ in sentences] if per_sentence else []
-    for si, pos, w, hist in _events(sentences, eos_id, include_eos):
-        if skip_unknown and w == unk_id:
-            continue
-        p = model.prob(w, hist)
-        if p <= 0.0:
-            msg = f"zero probability for word id {w} (sentence {si}, position {pos})"
-            if w == unk_id:
-                msg += (
-                    "; that is the unknown word, to which a class model gives probability 0"
-                    " when it had no training count; skipping unknown words (--skip-unknown)"
-                    " leaves such events out"
-                )
-            raise ValueError(msg)
-        lp = math.log(p)
-        logs.append(lp)
-        if per_sentence:
-            by_sentence[si].append(lp)
-    if not logs:
+    sentences = list(sentences)
+    if not sentences:
         raise ValueError("no events to evaluate")
-    total = math.fsum(logs)
-    count = len(logs)
-    report = EvalReport(
-        model_id=model_id,
-        token_count=count,
-        logprob_sum=total,
-        perplexity=math.exp(-total / count),
+    rows, sentence, position = _query_events(
+        sentences, model.history_width, eos_id, include_eos
     )
+    if skip_unknown:
+        keep = rows[:, -1] != unk_id
+        rows, sentence, position = rows[keep], sentence[keep], position[keep]
+    if not len(rows):
+        raise ValueError("no events to evaluate")
+    probs = model.prob(rows)
+    _check_nonzero(
+        probs, rows[:, -1], sentence, position, unk_id,
+        "; skipping unknown words (--skip-unknown) leaves such events out",
+    )
+    logs = [math.log(p) for p in probs.tolist()]
+    report = _report(model_id, logs)
     if per_sentence:
-        report.per_sentence = [(len(lps), math.fsum(lps)) for lps in by_sentence]
+        bounds = np.searchsorted(sentence, np.arange(len(sentences) + 1)).tolist()
+        report.per_sentence = [
+            (hi - lo, math.fsum(logs[lo:hi])) for lo, hi in zip(bounds, bounds[1:])
+        ]
     return report
 
 
@@ -182,18 +207,19 @@ def tune_weights_em(
     *,
     eos_id: int | None = None,
     include_eos: bool = True,
+    unk_id: int | None = None,
     max_iters: int = 100,
     tol: float = 1e-6,
 ) -> tuple[np.ndarray, EvalReport]:
     """Tune mixture weights for ``components`` on held-out sentences.
 
-    The event rows are built once (``events.event_rows``, -1 before the
-    sentence start) and each component scores them in one
-    ``prob_array`` call; the EM fixed point then runs on that fixed
-    matrix.  Returns the weights and the held-out report of the tuned
-    mixture, scored from the same matrix with the arithmetic of
-    ``InterpolatedModel.prob``, so it equals ``perplexity`` of that
-    mixture to the last bit.
+    The event rows are built once, as ``perplexity`` builds them, and
+    each component scores them in one ``prob`` call; an event that every
+    component scores 0 raises ``ValueError`` naming it (and saying so
+    when its word is ``unk_id``).  The EM fixed point then runs on that
+    fixed matrix.  Returns the weights and the held-out report of the
+    tuned mixture, mixed from the same matrix as ``InterpolatedModel.prob``
+    mixes, so it equals ``perplexity`` of that mixture to the last bit.
     """
     if len(components) < 2:
         raise ValueError("at least two components required")
@@ -203,28 +229,10 @@ def tune_weights_em(
     if sum(map(len, sentences)) + (len(sentences) if include_eos else 0) == 0:
         raise ValueError("degenerate held-out corpus: no events")
     width = max(comp.history_width for comp in components)
-    # with ends not scored the end token's id is never read
-    rows = event_rows(sentences, range(-width, 0), -1, -1 if eos_id is None else eos_id)
-    if not include_eos:
-        ends = np.cumsum([len(s) + 1 for s in sentences]) - 1
-        rows = np.delete(rows, ends, axis=0)
-    probs = np.column_stack([comp.prob_array(rows) for comp in components])
+    rows, sentence, position = _query_events(sentences, width, eos_id, include_eos)
+    probs = np.column_stack([comp.prob(rows) for comp in components])
+    _check_nonzero(probs.max(axis=1), rows[:, -1], sentence, position, unk_id)
     weights, _ = em_mixture_weights(probs, max_iters=max_iters, tol=tol)
-    # per event: total += lam * p over the nonzero weights, in component
-    # order; elementwise float64 numpy rounds exactly as the scalar loop
-    mix = np.zeros(len(probs), dtype=np.float64)
-    for k, lam in enumerate(weights):
-        if lam != 0.0:
-            mix += float(lam) * probs[:, k]
-    zero = np.flatnonzero(mix <= 0.0)
-    if zero.size:
-        raise ValueError(f"tuned mixture gives zero probability to held-out event {zero[0]}")
-    total = math.fsum(math.log(p) for p in mix.tolist())
-    count = len(mix)
-    report = EvalReport(
-        model_id="interp",
-        token_count=count,
-        logprob_sum=total,
-        perplexity=math.exp(-total / count),
-    )
-    return weights, report
+    mix = _mix(weights, lambda k: probs[:, k], len(probs))
+    _check_nonzero(mix, rows[:, -1], sentence, position, unk_id)
+    return weights, _report("interp", [math.log(p) for p in mix.tolist()])

@@ -1,19 +1,15 @@
 """Probability models over the vocabulary.
 
-Three model families share one query protocol, ``model.prob(w, history)``
-with ``history`` the tuple of word ids preceding ``w`` in its sentence;
-each model derives the conditioning view it needs (mapped context tuple
-or padded n-gram history) from that common input.
-
-``model.prob_array(rows)`` answers many queries in one call, bit for bit
-as ``prob`` does.  A query row holds the history at offsets -W..-1, then
-the word, with -1 at the positions before the sentence start (the rows
-``events.event_rows`` builds with -1 as the begin token); W must be at
-least the model's ``history_width``.  The array path reads the model's
-sorted tables.  ``prob`` reads dict indexes (``BackoffModel.probs`` and
-``bows``, ``ClassLM.state_of`` and friends) that are built from those
-tables on the first scalar query, so training or loading a model that
-is only scored in batches, or only saved, never builds them.
+Three model families share one query protocol: ``model.prob(rows)``
+returns the probability of every query row.  A row holds the history at
+offsets -W..-1, then the predicted word, with -1 at the positions before
+the sentence start (the rows ``events.event_rows`` builds with -1 as the
+begin token); W must be at least the model's ``history_width``.  Each
+model derives the conditioning view it needs (mapped context values or
+a padded n-gram history) from those columns and answers by lookups in
+its sorted tables.  One word after one history is a one-row query:
+``model.prob(np.array([[-1, a, w]]))`` scores ``w`` after the sentence
+start and ``a``, for a model of ``history_width`` 2.
 
 * ``ClassLM``: the two-step clustered model
   p(w | c) = p(G(w) | S(c)) * p(w | G(w)), with the category-given-state
@@ -28,9 +24,8 @@ All trained models are immutable and their queries are pure.
 
 from __future__ import annotations
 
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,7 +36,6 @@ from clusterlm._rows import (
     find_rows,
     row_starts,
     sum_rows,
-    tuples,
     write_rows,
 )
 
@@ -49,7 +43,7 @@ from clusterlm._rows import (
 # the benchmark tracer patches them in this module's namespace.
 from clusterlm.cluster import Clustering, load_clustering  # noqa: F401
 from clusterlm.corpus import Vocabulary
-from clusterlm.events import ContextTuple, event_rows, load_counts  # noqa: F401
+from clusterlm.events import event_rows, load_counts  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -167,86 +161,19 @@ class ClassLM:
         self.contexts = contexts
         self.states = states
         self._default_state = int(np.argmax(self.state_totals))
-        self._offsets = [sl.offset for sl in self.slots]
-        self._tables = list(maps.T)
-        self._bos_values = tuple(sl.bos for sl in self.slots)
-
-    # The dict indexes of the scalar queries, built on the first one.
-
-    @cached_property
-    def _joint(self) -> dict[tuple[int, int], int]:
-        s, g, n = self.joint_cells.T
-        return dict(zip(zip(s.tolist(), g.tolist()), n.tolist()))
-
-    @cached_property
-    def state_of(self) -> dict[ContextTuple, int]:
-        return dict(zip(tuples(self.contexts), self.states.tolist()))
-
-    @cached_property
-    def _fallback(self) -> dict[ContextTuple, int]:
-        return {
-            key: st
-            for keys, sts in self.suffix_tables
-            for key, st in zip(tuples(keys), sts.tolist())
-        }
 
     @property
     def history_width(self) -> int:
         """How many preceding words a query reads."""
         return -self.slots[0].offset
 
-    def resolve_state(self, context: ContextTuple) -> int:
-        """State of a context tuple, through the suffix fallback when
-        the exact tuple was never seen."""
-        if len(context) != self.depth:
-            raise ValueError("context tuple length does not match the model's slots")
-        s = self.state_of.get(tuple(context))
-        if s is not None:
-            return s
-        depth = self.depth
-        for keep in range(depth - 1, 0, -1):
-            s = self._fallback.get(tuple(context[depth - keep :]))
-            if s is not None:
-                return s
-        return self._default_state
+    def prob(self, rows: np.ndarray) -> np.ndarray:
+        """Probability of every query row (see the module docstring).
 
-    def prob_given_context(self, w: int, context: ContextTuple) -> float:
-        """p(w | context) per the two-step factorization."""
-        if not 0 <= w < self.n_words:
-            raise ValueError("word id out of range")
-        s = self.resolve_state(context)
-        g = int(self.G[w])
-        n_g = int(self.cat_totals[g])
-        if n_g == 0:
-            return 0.0
-        n_s = float(self.state_totals[s])
-        d = self.discount
-        p_g = (
-            max(float(self._joint.get((s, g), 0)) - d, 0.0) / n_s
-            + (d * float(self._nplus[s]) / n_s) * (n_g / self.total)
-        )
-        p_w = float(self.word_counts[w]) / n_g
-        return p_g * p_w
-
-    def context_of(self, history: Sequence[int]) -> ContextTuple:
-        """Mapped context tuple for a prediction following ``history``
-        (positions before the sentence start take the begin token)."""
-        n = len(history)
-        return tuple(
-            int(table[history[n + off]]) if n + off >= 0 else bos
-            for off, table, bos in zip(self._offsets, self._tables, self._bos_values)
-        )
-
-    def prob(self, w: int, history: Sequence[int]) -> float:
-        return self.prob_given_context(w, self.context_of(history))
-
-    def prob_array(self, rows: np.ndarray) -> np.ndarray:
-        """``prob`` of every query row (see the module docstring).
-
-        States resolve by row lookups in ``contexts``, then in each
-        suffix table from the longest, then to the default state; the
-        probability is evaluated in the operation order of
-        ``prob_given_context``."""
+        Each row's history maps to context values, with a slot's begin
+        value before the sentence start.  Its state is that of the exact
+        training context, else of its longest seen proper suffix, else
+        the default state.  A word of an empty category gets 0."""
         rows = _query_rows(rows, self.n_words, self.history_width)
         words = rows[:, -1]
         ctx = np.empty((len(rows), self.depth), dtype=np.int64)
@@ -273,7 +200,9 @@ class ClassLM:
         return out
 
     def _resolve_states(self, ctx: np.ndarray) -> np.ndarray:
-        """``resolve_state`` of every row of mapped context values."""
+        """State of every row of mapped context values: row lookups in
+        ``contexts``, then in each suffix table from the longest, then
+        the default state."""
         at, found = find_rows(self.contexts, ctx)
         out = np.full(len(ctx), self._default_state, dtype=np.int64)
         out[found] = self.states[at[found]]
@@ -501,9 +430,7 @@ class BackoffModel:
     their counts, as ``train_backoff`` checks and cuts them.  From them
     it derives ``uni`` and, per order k >= 2, the sorted tables of the
     kept k-grams with their full interpolated p_k and of the seen
-    histories with their bow(h).  The scalar query index, ``probs[k]``
-    (k-gram to p_k) and ``bows[k]`` (history to bow(h)), is built from
-    those tables on the first scalar query.
+    histories with their bow(h).
     """
 
     def __init__(
@@ -549,59 +476,15 @@ class BackoffModel:
             tables.append((grams, probs, hists, bows))
         self._tables = tables
 
-    @cached_property
-    def probs(self) -> dict[int, dict[tuple[int, ...], float]]:
-        return self._index([(grams, probs) for grams, probs, _, _ in self._tables])
-
-    @cached_property
-    def bows(self) -> dict[int, dict[tuple[int, ...], float]]:
-        return self._index([(hists, bows) for _, _, hists, bows in self._tables])
-
-    def _index(self, tables) -> dict[int, dict[tuple[int, ...], float]]:
-        """``tables[k-2]`` = (rows, values) of order k as a dict per order."""
-        # the keys share one int object per word id rather than one per entry
-        ids = np.arange(self.n_words).astype(object)
-        return {
-            k: dict(zip(tuples(ids[keys]), values.tolist()))
-            for k, (keys, values) in enumerate(tables, 2)
-        }
-
     @property
     def history_width(self) -> int:
         """How many preceding words a query reads."""
         return self.order - 1
 
-    def _padded(self, history: Sequence[int]) -> tuple[int, ...]:
-        if self.order == 1:
-            return ()
-        h = tuple(int(x) for x in history[-(self.order - 1) :])
-        if self.bos_id is not None and len(h) < self.order - 1:
-            h = (self.bos_id,) * (self.order - 1 - len(h)) + h
-        return h
-
-    def _p(self, k: int, h: tuple[int, ...], w: int) -> float:
-        if k == 1:
-            return float(self.uni[w])
-        if len(h) < k - 1:
-            return self._p(k - 1, h, w)
-        bow = self.bows[k].get(h)
-        if bow is None:
-            return self._p(k - 1, h[1:], w)
-        p = self.probs[k].get(h + (w,))
-        if p is not None:
-            return p
-        return bow * self._p(k - 1, h[1:], w)
-
-    def prob(self, w: int, history: Sequence[int]) -> float:
-        if not 0 <= w < self.n_words:
-            raise ValueError("word id out of range")
-        return self._p(self.order, self._padded(history), w)
-
-    def prob_array(self, rows: np.ndarray) -> np.ndarray:
-        """``prob`` of every query row (see the module docstring).
+    def prob(self, rows: np.ndarray) -> np.ndarray:
+        """Probability of every query row (see the module docstring).
         Positions before the sentence start take the begin id; without
-        one, a row backs off to the order its known history reaches, as
-        ``_p`` does."""
+        one, a row backs off to the order its known history reaches."""
         grams = _query_rows(rows, self.n_words, self.history_width)[:, -self.order :]
         if self.bos_id is not None:
             grams = np.where(grams < 0, self.bos_id, grams)
@@ -623,9 +506,11 @@ class BackoffModel:
 def _interpolated(
     uni: np.ndarray, tables: Sequence[tuple[np.ndarray, ...]], k: int, rows: np.ndarray
 ) -> np.ndarray:
-    """p_k(w | h) of each row (h, w) of k word ids, by the recursion of
-    ``BackoffModel._p``; ``tables[j-2]`` holds the kept grams, their
-    probabilities, the seen histories and their bows of order j."""
+    """p_k(w | h) of each row (h, w) of k word ids: the stored p_k of a
+    kept k-gram, else bow(h) * p_{k-1}(w | h') for a seen history h and
+    p_{k-1}(w | h') for an unseen one.  ``tables[j-2]`` holds the kept
+    grams, their probabilities, the seen histories and their bows of
+    order j."""
     if k == 1:
         return uni[rows[:, 0]]
     grams, probs, hists, bows = tables[k - 2]
@@ -793,21 +678,22 @@ class InterpolatedModel:
         """How many preceding words a query reads."""
         return max(c.history_width for c in self.components)
 
-    def prob(self, w: int, history: Sequence[int]) -> float:
-        total = 0.0
-        for lam, comp in zip(self.weights, self.components):
-            if lam != 0.0:
-                total += float(lam) * comp.prob(w, history)
-        return total
+    def prob(self, rows: np.ndarray) -> np.ndarray:
+        """Probability of every query row (see the module docstring);
+        only the components of nonzero weight are queried."""
+        return _mix(self.weights, lambda k: self.components[k].prob(rows), len(rows))
 
-    def prob_array(self, rows: np.ndarray) -> np.ndarray:
-        """``prob`` of every query row: ``lam * p_k`` added in component
-        order over the nonzero weights, as ``prob`` does."""
-        total = np.zeros(len(rows), dtype=np.float64)
-        for lam, comp in zip(self.weights, self.components):
-            if lam != 0.0:
-                total += float(lam) * comp.prob_array(rows)
-        return total
+
+def _mix(weights: np.ndarray, column: Callable[[int], np.ndarray], n: int) -> np.ndarray:
+    """``lam * column(k)`` summed over the nonzero weights ``lam`` in
+    component order ``k``, for ``n`` events.  ``column`` is called only
+    for a nonzero weight.  ``InterpolatedModel.prob`` and the tuning
+    report both mix this way, so the two agree to the last bit."""
+    total = np.zeros(n, dtype=np.float64)
+    for k, lam in enumerate(weights):
+        if lam != 0.0:
+            total += float(lam) * column(k)
+    return total
 
 
 def save_interpolated(

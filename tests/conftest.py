@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +19,9 @@ from clusterlm.corpus import (
     identity_mapper,
 )
 from clusterlm.ctxtree import suffix_level
-from clusterlm.evaluate import EvalReport, _events, em_mixture_weights
+from clusterlm.evaluate import EvalReport, em_mixture_weights
 from clusterlm.events import ContextSpec, EventTable, Slot, extract_events
+from clusterlm.models import BackoffModel, InterpolatedModel
 
 
 def make_random_corpus(seed: int, n_sentences: int, n_words: int = 12,
@@ -258,13 +261,209 @@ def oracle_backoff(counts, n_words: int, *, discount: float, cutoffs: dict[int, 
     return uni, probs, bows
 
 
+def _events(sentences, eos_id, include_eos):
+    """(sentence index, position, word, history) for every prediction
+    event; the history is the tuple of earlier words in the sentence."""
+    for si, sent in enumerate(sentences):
+        hist: tuple[int, ...] = ()
+        for pos, w in enumerate(sent):
+            yield si, pos, int(w), hist
+            hist = hist + (int(w),)
+        if include_eos:
+            yield si, len(sent), int(eos_id), hist
+
+
+class ClassDicts(NamedTuple):
+    """A class model's tables as dicts: N(s, g) by (s, g), the state of
+    each training context, and the fallback state of each proper suffix."""
+
+    joint: dict
+    state_of: dict
+    fallback: dict
+
+
+class BackoffDicts(NamedTuple):
+    """A backoff model's tables as dicts, per order k >= 2: p_k by kept
+    k-gram, and bow(h) by seen history."""
+
+    probs: dict
+    bows: dict
+
+
+_DICTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def class_dicts(lm) -> ClassDicts:
+    """``ClassDicts`` of a class model, built once per model."""
+    if lm not in _DICTS:
+        s, g, n = lm.joint_cells.T
+        _DICTS[lm] = ClassDicts(
+            dict(zip(zip(s.tolist(), g.tolist()), n.tolist())),
+            dict(zip(tuples(lm.contexts), lm.states.tolist())),
+            {key: st for keys, sts in lm.suffix_tables for key, st in zip(tuples(keys), sts.tolist())},
+        )
+    return _DICTS[lm]
+
+
+def backoff_dicts(m: BackoffModel) -> BackoffDicts:
+    """``BackoffDicts`` of a backoff model, built once per model."""
+    if m not in _DICTS:
+        _DICTS[m] = BackoffDicts(
+            {k: dict(zip(tuples(grams), p.tolist())) for k, (grams, p, _, _) in enumerate(m._tables, 2)},
+            {k: dict(zip(tuples(hists), b.tolist())) for k, (_, _, hists, b) in enumerate(m._tables, 2)},
+        )
+    return _DICTS[m]
+
+
+def oracle_state(lm, context: tuple[int, ...]) -> int:
+    """State of a context tuple, through the suffix fallback when the
+    exact tuple was never seen."""
+    if len(context) != lm.depth:
+        raise ValueError("context tuple length does not match the model's slots")
+    dicts = class_dicts(lm)
+    s = dicts.state_of.get(tuple(context))
+    if s is not None:
+        return s
+    for keep in range(lm.depth - 1, 0, -1):
+        s = dicts.fallback.get(tuple(context[lm.depth - keep :]))
+        if s is not None:
+            return s
+    return int(np.argmax(lm.state_totals))
+
+
+def oracle_class_prob(lm, w: int, context: tuple[int, ...]) -> float:
+    """p(w | context) of a class model per the two-step factorization."""
+    if not 0 <= w < lm.n_words:
+        raise ValueError("word id out of range")
+    s = oracle_state(lm, context)
+    g = int(lm.G[w])
+    n_g = int(lm.cat_totals[g])
+    if n_g == 0:
+        return 0.0
+    n_s = float(lm.state_totals[s])
+    d = lm.discount
+    p_g = (
+        max(float(class_dicts(lm).joint.get((s, g), 0)) - d, 0.0) / n_s
+        + (d * float(lm._nplus[s]) / n_s) * (n_g / lm.total)
+    )
+    return p_g * (float(lm.word_counts[w]) / n_g)
+
+
+def oracle_context(lm, history) -> tuple[int, ...]:
+    """Mapped context tuple of a class model for a prediction following
+    ``history`` (positions before the sentence start take the begin
+    value)."""
+    n = len(history)
+    return tuple(
+        int(lm.maps[history[n + sl.offset], k]) if n + sl.offset >= 0 else sl.bos
+        for k, sl in enumerate(lm.slots)
+    )
+
+
+def oracle_backoff_prob(m: BackoffModel, w: int, history) -> float:
+    """p(w | history) of a backoff model by scalar recursion over its
+    dicts.  A short history is padded with the begin id; without one it
+    backs off to the order it reaches."""
+    if not 0 <= w < m.n_words:
+        raise ValueError("word id out of range")
+    probs, bows = backoff_dicts(m)
+    h = () if m.order == 1 else tuple(int(x) for x in history[-(m.order - 1) :])
+    if m.bos_id is not None and len(h) < m.order - 1:
+        h = (m.bos_id,) * (m.order - 1 - len(h)) + h
+
+    def p(k: int, h: tuple[int, ...]) -> float:
+        if k == 1:
+            return float(m.uni[w])
+        if len(h) < k - 1:
+            return p(k - 1, h)
+        bow = bows[k].get(h)
+        if bow is None:
+            return p(k - 1, h[1:])
+        got = probs[k].get(h + (w,))
+        if got is not None:
+            return got
+        return bow * p(k - 1, h[1:])
+
+    return p(m.order, h)
+
+
+def oracle_prob(model, w: int, history) -> float:
+    """p(w | history), ``history`` the word ids preceding ``w`` in its
+    sentence, by the scalar dict path of each model type: a mixture adds
+    ``lam * p`` over its nonzero weights in component order."""
+    if isinstance(model, InterpolatedModel):
+        total = 0.0
+        for lam, comp in zip(model.weights, model.components):
+            if lam != 0.0:
+                total += float(lam) * oracle_prob(comp, w, history)
+        return total
+    if isinstance(model, BackoffModel):
+        return oracle_backoff_prob(model, w, history)
+    return oracle_class_prob(model, w, oracle_context(model, history))
+
+
+def history_row(model, history) -> list[int]:
+    """``history`` right-aligned into the model's ``history_width``
+    columns, with -1 before the sentence start."""
+    width = model.history_width
+    kept = [int(x) for x in history][max(len(history) - width, 0) :]
+    return [-1] * (width - len(kept)) + kept
+
+
+def query(model, w: int, history) -> float:
+    """``model.prob`` of word ``w`` after ``history``, as a one-row query."""
+    return float(model.prob(np.array([history_row(model, history) + [w]], dtype=np.int64))[0])
+
+
+def query_words(model, history) -> list[float]:
+    """``query`` of every word of the vocabulary after ``history``, in
+    one ``prob`` call."""
+    h = history_row(model, history)
+    return model.prob(np.array([h + [w] for w in range(model.n_words)], dtype=np.int64)).tolist()
+
+
+def oracle_perplexity(model, sentences, *, eos_id=None, include_eos=True, skip_unknown=False,
+                      unk_id=None, model_id="model", per_sentence=False) -> EvalReport:
+    """``perplexity`` by a per-event loop: one ``oracle_prob`` call per
+    event, the logs summed with ``math.fsum``, and a zero probability
+    raising the error that names the first such event."""
+    if include_eos and eos_id is None:
+        raise ValueError("eos_id is required when sentence ends are scored")
+    if skip_unknown and unk_id is None:
+        raise ValueError("unk_id is required when unknown words are skipped")
+    logs: list[float] = []
+    by_sentence: list[list[float]] = [[] for _ in sentences]
+    for si, pos, w, hist in _events(sentences, eos_id, include_eos):
+        if skip_unknown and w == unk_id:
+            continue
+        p = oracle_prob(model, w, hist)
+        if p <= 0.0:
+            msg = f"zero probability for word id {w} (sentence {si}, position {pos})"
+            if w == unk_id:
+                msg += (
+                    "; that is the unknown word, to which a class model gives probability 0"
+                    " when it had no training count; skipping unknown words (--skip-unknown)"
+                    " leaves such events out"
+                )
+            raise ValueError(msg)
+        logs.append(math.log(p))
+        by_sentence[si].append(logs[-1])
+    if not logs:
+        raise ValueError("no events to evaluate")
+    total = math.fsum(logs)
+    report = EvalReport(model_id, len(logs), total, math.exp(-total / len(logs)))
+    if per_sentence:
+        report.per_sentence = [(len(lps), math.fsum(lps)) for lps in by_sentence]
+    return report
+
+
 def oracle_tune_weights_em(components, sentences, *, eos_id=None, include_eos=True,
                            max_iters=100, tol=1e-6):
-    """``tune_weights_em`` by a per-event loop: one scalar ``prob`` call
+    """``tune_weights_em`` by a per-event loop: one ``oracle_prob`` call
     per event and component fills the matrix, then the same EM and the
     same scoring of the tuned mixture."""
     rows = [
-        [comp.prob(w, hist) for comp in components]
+        [oracle_prob(comp, w, hist) for comp in components]
         for _, _, w, hist in _events(sentences, eos_id, include_eos)
     ]
     probs = np.asarray(rows, dtype=np.float64)
@@ -322,18 +521,18 @@ def oracle_run(table, levels, params, on_move=None):
     return cl
 
 
-def assert_array_matches_scalar(model, histories, extra_width: int = 0) -> None:
-    """``prob_array`` equals the scalar ``prob`` bit for bit on every
-    word after every history.  The rows hold ``extra_width`` more
-    history columns than the model reads, -1 before the sentence start."""
+def assert_prob_matches_oracle(model, histories, extra_width: int = 0) -> None:
+    """``model.prob`` equals ``oracle_prob`` bit for bit on every word
+    after every history.  The rows hold ``extra_width`` more history
+    columns than the model reads, -1 before the sentence start."""
     width = model.history_width + extra_width
     rows, want = [], []
     for h in map(list, histories):
         kept = h[max(len(h) - width, 0):]
         for w in range(model.n_words):
             rows.append([-1] * (width - len(kept)) + kept + [w])
-            want.append(float.hex(model.prob(w, h)))
-    got = model.prob_array(np.array(rows, dtype=np.int64).reshape(len(rows), width + 1))
+            want.append(float.hex(oracle_prob(model, w, h)))
+    got = model.prob(np.array(rows, dtype=np.int64).reshape(len(rows), width + 1))
     assert [float.hex(p) for p in got.tolist()] == want
 
 

@@ -22,7 +22,7 @@ from clusterlm.cluster import (
 )
 from clusterlm.corpus import encode_corpus
 from clusterlm.ctxtree import build_suffix_tree
-from clusterlm.evaluate import _events, em_mixture_weights, perplexity
+from clusterlm.evaluate import em_mixture_weights, perplexity
 from clusterlm.models import (
     BackoffModel,
     ClassLM,
@@ -32,12 +32,17 @@ from clusterlm.models import (
 )
 
 from conftest import (
+    _events,
+    backoff_dicts,
     build_table,
     count_arrays,
     grouped_states,
     make_class_corpus,
     marginals,
     make_random_corpus,
+    oracle_context,
+    query,
+    query_words,
     random_event_table,
     suffix_groups,
 )
@@ -258,7 +263,7 @@ class TestChecklist:
         ]
         for model in models:
             for hist in histories:
-                total = math.fsum(model.prob(w, hist) for w in range(n))
+                total = math.fsum(query_words(model, hist))
                 assert abs(total - 1.0) <= 1e-6
         assert time.monotonic() - t0 < 30.0
 
@@ -278,10 +283,11 @@ class TestChecklist:
         for c, row in counts.items():
             total = ctx_marg[c]
             for w, n in row.items():
-                assert model.prob_given_context(w, c) == n / total
+                # the mapper is the identity, so the context is a history
+                assert query(model, w, c) == n / total
         logs = []
         for _, _, w, hist in _events(enc, vocab.eos_id, True):
-            c = model.context_of(hist)
+            c = oracle_context(model, hist)
             logs.append(math.log(counts[c][w] / ctx_marg[c]))
         pp_ml = math.exp(-math.fsum(logs) / len(logs))
         report = perplexity(model, enc, eos_id=vocab.eos_id)
@@ -294,10 +300,10 @@ class TestChecklist:
         lower-order distribution bitwise."""
         model = train_backoff(count_arrays([{(0,): 3, (1,): 2}, {(0, 0): 2, (0, 1): 1}]),
                               n_words=2, discount=0.5)
-        assert model.prob(0, [0]) == 0.7
-        assert model.prob(1, [0]) == 0.3
+        assert query(model, 0, [0]) == 0.7
+        assert query(model, 1, [0]) == 0.3
         for w in range(2):
-            assert model.prob(w, [1]) == model.uni[w]
+            assert query(model, w, [1]) == model.uni[w]
 
         sents = make_random_corpus(13, n_sentences=50, n_words=8)
         vocab, enc, _ = build_table(sents)
@@ -305,11 +311,11 @@ class TestChecklist:
         tri = train_backoff(counts, len(vocab), bos_id=vocab.bos_id)
         bi = train_backoff(counts[:2], len(vocab), bos_id=vocab.bos_id)
         unseen = [h for a in range(len(vocab)) for b in range(len(vocab))
-                  if (h := (a, b)) not in tri.bows[3]][:40]
+                  if (h := (a, b)) not in backoff_dicts(tri).bows[3]][:40]
         assert unseen
         for h in unseen:
             for w in range(len(vocab)):
-                assert tri.prob(w, h) == bi.prob(w, [h[1]])
+                assert query(tri, w, h) == query(bi, w, [h[1]])
 
     def test_09_tuned_mixture_beats_components(self, directional):
         """EM weights tuned on held-out data: the mixture's held-out
@@ -323,7 +329,7 @@ class TestChecklist:
             len(vocab), bos_id=vocab.bos_id)
         components = [class_tree, tri]
         rows = np.array([
-            [m.prob(w, hist) for m in components]
+            [query(m, w, hist) for m in components]
             for _, _, w, hist in _events(d["enc_held"], vocab.eos_id, True)
         ])
         weights, history = em_mixture_weights(rows, max_iters=200)

@@ -40,3 +40,32 @@ def test_every_exported_name_is_used_outside_the_tests():
     )
     used = set().union(*(references(p) for p in files if p.name != "__init__.py"))
     assert sorted(set(clusterlm.__all__) - used) == []
+
+
+# the benchmark tracer patches these in the models module's namespace
+PATCHED_IMPORTS = {("models", "load_counts"), ("models", "load_clustering")}
+
+
+def unused_imports(path: Path) -> set[str]:
+    """Names that ``path`` imports (``__future__`` aside) and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported: set[str] = set()
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+    return imported - read
+
+
+def test_every_import_is_used_in_its_module():
+    found = {
+        (path.stem, name)
+        for path in sorted((ROOT / "src" / "clusterlm").glob("*.py"))
+        if path.name != "__init__.py"
+        for name in unused_imports(path)
+    }
+    assert sorted(found - PATCHED_IMPORTS) == []

@@ -170,6 +170,27 @@ class TestPipeline:
                       "--vocab", d / "v.txt", "--skip-unknown"], capsys)
         assert "perplexity" in out
 
+    def test_tuning_names_an_event_that_every_component_scores_zero(self, tmp_path, capsys):
+        # two class models both give <unk> probability 0 (see above)
+        d = tmp_path
+        (d / "train.txt").write_text("a b c\nb c a\nc a b\n")
+        (d / "held.txt").write_text("a b\nb zzz\n")
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        for k, spec in ((1, "w:-1"), (2, "w:-2,w:-1")):
+            run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                    "--context", spec, "--out", d / f"c{k}.tsv"], capsys)
+            run_ok(["cluster", "run", "--counts", d / f"c{k}.tsv", "--states", "2",
+                    "--categories", "2", "--out", d / f"cl{k}.tsv",
+                    "--model-out", d / f"m{k}.model", "--vocab", d / "v.txt"], capsys)
+        unk = Vocabulary.load(d / "v.txt").unk_id
+        err = run_fail(["interp", "tune", "--models", d / "m1.model", d / "m2.model",
+                        "--heldout", d / "held.txt", "--vocab", d / "v.txt",
+                        "--out", d / "mix.model"], capsys)
+        assert err.startswith(f"error: zero probability for word id {unk} (sentence 1, position 1)")
+        # interp tune has no --skip-unknown to advise
+        assert "unknown word" in err and "--skip-unknown" not in err
+        assert not (d / "mix.model").exists()
+
 
 class TestPerSentence:
     def test_sentences_are_numbered_by_input_line(self, tmp_path, capsys):
@@ -280,6 +301,21 @@ class TestFailureModes:
     def test_ngram_cutoff3_is_checked(self, workdir, capsys, flags, message):
         d = workdir
         run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        err = run_fail(["ngram", "train", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                        *flags, "--out", d / "ngram.model"], capsys)
+        assert err.startswith("error:") and message in err
+        assert not (d / "ngram.model").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--order", "0"], "--order must be at least 1"),
+        (["--discount", "1"], "--discount must lie in (0, 1)"),
+        (["--discount", "nan"], "--discount must lie in (0, 1)"),
+    ])
+    def test_ngram_order_and_discount_are_checked_before_reading(
+        self, tmp_path, capsys, flags, message
+    ):
+        d = tmp_path
+        # the corpus and vocabulary do not exist: the flags are checked first
         err = run_fail(["ngram", "train", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
                         *flags, "--out", d / "ngram.model"], capsys)
         assert err.startswith("error:") and message in err

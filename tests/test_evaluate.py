@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterlm.evaluate import (
     EvalReport,
@@ -14,23 +16,36 @@ from clusterlm.evaluate import (
     report_lines,
     tune_weights_em,
 )
-from clusterlm.cluster import ClusterParams, run_flat
+from clusterlm.cluster import ClusterParams, run_flat, run_tree
+from clusterlm.corpus import identity_mapper
+from clusterlm.ctxtree import build_suffix_tree
+from clusterlm.events import ContextSpec, Slot, extract_events
 from clusterlm.models import ClassLM, InterpolatedModel, ngram_counts, train_backoff
 
-from conftest import build_table, make_random_corpus, oracle_tune_weights_em
+from conftest import (
+    build_table,
+    make_random_corpus,
+    oracle_perplexity,
+    oracle_tune_weights_em,
+    tiny_vocab,
+)
 
 
 class DictModel:
-    """Probabilities looked up by (word, truncated history)."""
+    """Probabilities looked up by (truncated history, word); the history
+    holds the known words of the row's last ``order - 1`` positions."""
 
     def __init__(self, table, order=2, n_words=8):
         self.table = table
         self.order = order
         self.n_words = n_words
+        self.history_width = order - 1
 
-    def prob(self, w, history):
-        h = tuple(history[-(self.order - 1):]) if self.order > 1 else ()
-        return self.table.get((h, w), 0.0)
+    def prob(self, rows):
+        return np.array([
+            self.table.get((tuple(x for x in r[-self.order : -1] if x >= 0), r[-1]), 0.0)
+            for r in np.asarray(rows).tolist()
+        ])
 
 
 class Uniform:
@@ -39,10 +54,7 @@ class Uniform:
     def __init__(self, n_words):
         self.n_words = n_words
 
-    def prob(self, w, history):
-        return 1.0 / self.n_words
-
-    def prob_array(self, rows):
+    def prob(self, rows):
         return np.full(len(rows), 1.0 / self.n_words)
 
 
@@ -144,9 +156,19 @@ class TestPerplexity:
         )
 
     def test_zero_probability_names_the_event(self):
-        model = DictModel({((), 0): 1.0})
+        model = DictModel({((), 0): 1.0, ((6,), 0): 1.0})
         with pytest.raises(ValueError, match=r"word id 5 \(sentence 1, position 1\)"):
             perplexity(model, [[0], [0, 5]], include_eos=False)
+        # the position counts the skipped unknown word before it
+        with pytest.raises(ValueError, match=r"word id 5 \(sentence 1, position 2\)"):
+            perplexity(model, [[0], [6, 0, 5]], include_eos=False, skip_unknown=True, unk_id=6)
+
+    def test_each_log_is_taken_with_math_log(self):
+        # np.log(p) is one ulp above math.log(p) for this p (numpy 2.4, x86-64)
+        p = 0.9833347065534214
+        rep = perplexity(DictModel({((), 0): p}), [[0]], include_eos=False, per_sentence=True)
+        assert rep.logprob_sum.hex() == math.log(p).hex()
+        assert rep.per_sentence == [(1, math.log(p))]
 
     def test_zero_probability_for_the_unknown_word_says_so(self):
         model = DictModel({((), 0): 1.0, ((0,), 0): 1.0})
@@ -163,6 +185,81 @@ class TestPerplexity:
             perplexity(Uniform(4), [[0]], include_eos=False, skip_unknown=True)
         with pytest.raises(ValueError, match="no events"):
             perplexity(Uniform(4), [[], []], include_eos=False)
+
+
+class TestPerplexityOracle:
+    """``perplexity`` scores all events in one ``prob`` call; it equals
+    the per-event loop over ``oracle_prob`` bit for bit, errors included."""
+
+    @staticmethod
+    def class_model(data, vocab, train):
+        depth = data.draw(st.integers(1, 2), label="depth")
+        spec = ContextSpec(tuple(Slot(o, identity_mapper(vocab)) for o in range(-depth, 0)))
+        table = extract_events(train, spec, vocab)
+        params = ClusterParams(
+            n_categories=data.draw(st.integers(1, 4), label="categories"),
+            n_states=data.draw(st.integers(1, table.n_contexts), label="states"),
+            min_count=data.draw(st.integers(1, 3), label="min count"),
+        )
+        if depth > 1 and data.draw(st.booleans(), label="tree"):
+            clu = run_tree(table, build_suffix_tree(table), params)
+        else:
+            clu = run_flat(table, params)
+        return ClassLM(clu, vocab, discount=data.draw(st.sampled_from([0.0, 0.5]), label="D"))
+
+    @staticmethod
+    def backoff_model(data, vocab, train):
+        order = data.draw(st.integers(1, 3), label="order")
+        bos = data.draw(st.sampled_from([None, vocab.bos_id]), label="bos")
+        counts = ngram_counts(train, order, bos_id=vocab.bos_id, eos_id=vocab.eos_id)
+        return train_backoff(counts, len(vocab), discount=0.5, bos_id=bos)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_perplexity_equals_the_oracle_bit_for_bit(self, data):
+        vocab = tiny_vocab(["a", "b", "c", "d"])
+        words = [vocab.id_of(t) for t in "abcd"]
+        unk = vocab.unk_id
+        # a word left out of training gets probability 0 from a class model
+        trained = words[: data.draw(st.integers(3, 4), label="trained words")]
+        train = data.draw(st.lists(st.lists(st.sampled_from(trained), min_size=1, max_size=6),
+                                   min_size=2, max_size=10), label="train")
+        kind = data.draw(st.sampled_from(["class", "backoff", "mixture"]), label="model")
+        if kind == "class":
+            model = self.class_model(data, vocab, train)
+        elif kind == "backoff":
+            model = self.backoff_model(data, vocab, train)
+        else:
+            weight = data.draw(st.sampled_from([0.0, 0.25, 1.0]), label="class weight")
+            model = InterpolatedModel(
+                [self.class_model(data, vocab, train), self.backoff_model(data, vocab, train)],
+                [weight, 1.0 - weight],
+            )
+        pool = words + [unk] if data.draw(st.booleans(), label="unknown words") else trained
+        test = data.draw(st.lists(st.lists(st.sampled_from(pool), max_size=6),
+                                  min_size=1, max_size=8), label="test")
+        # an empty sentence, and one made only of unknown words
+        test += [[], [unk, unk]] if unk in pool else [[]]
+        kwargs = dict(
+            eos_id=vocab.eos_id,
+            unk_id=unk,
+            include_eos=data.draw(st.booleans(), label="include eos"),
+            skip_unknown=data.draw(st.booleans(), label="skip unknown"),
+            per_sentence=data.draw(st.booleans(), label="per sentence"),
+        )
+        try:
+            want = oracle_perplexity(model, test, **kwargs)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                perplexity(model, test, **kwargs)
+            assert str(got.value) == str(exc)
+            return
+        got = perplexity(model, test, **kwargs)
+        assert got.token_count == want.token_count
+        assert got.logprob_sum.hex() == want.logprob_sum.hex()
+        assert got.perplexity.hex() == want.perplexity.hex()
+        hexed = lambda rep: rep.per_sentence and [(n, lp.hex()) for n, lp in rep.per_sentence]
+        assert hexed(got) == hexed(want)
 
 
 class TestReports:

@@ -38,14 +38,22 @@ from clusterlm.models import (
 )
 
 from conftest import (
-    assert_array_matches_scalar,
+    assert_prob_matches_oracle,
+    backoff_dicts,
     build_table,
+    class_dicts,
     count_arrays,
     count_dicts,
     make_random_corpus,
     marginals,
     oracle_backoff,
+    oracle_class_prob,
+    oracle_context,
     oracle_ngram_counts,
+    oracle_prob,
+    oracle_state,
+    query,
+    query_words,
     random_event_table,
     table_from_counts,
     tiny_vocab,
@@ -76,9 +84,10 @@ class TestClassLM:
         G[vocab.bos_id] = G[vocab.eos_id] = G[vocab.unk_id] = 2
         cl = Clustering(table, 3, 2, G, np.asarray([0, 1], dtype=np.int32))
         lm = ClassLM(cl, vocab, discount=0.0)
-        assert lm.prob_given_context(a, (0,)) == 2.0 / 3.0
-        assert lm.prob_given_context(b, (0,)) == 1.0 / 3.0
-        assert lm.prob_given_context(a, (1,)) == 1.0 / 3.0
+        # the mapper is the identity, so a one-word history is its context
+        assert query(lm, a, [0]) == 2.0 / 3.0
+        assert query(lm, b, [0]) == 1.0 / 3.0
+        assert query(lm, a, [1]) == 1.0 / 3.0
 
     def test_identity_collapse_matches_relative_frequencies_bitwise(self):
         sents = make_random_corpus(21, n_sentences=40, n_words=10)
@@ -87,7 +96,7 @@ class TestClassLM:
         for ctx, row in table.counts.items():
             n_c = sum(row.values())
             for w, n in row.items():
-                assert lm.prob_given_context(w, ctx) == n / n_c
+                assert query(lm, w, ctx) == n / n_c
 
     def test_zero_count_category_probability_is_zero(self):
         vocab = build_vocabulary("a b".split())
@@ -98,7 +107,7 @@ class TestClassLM:
         G[vocab.unk_id] = 2  # never observed
         cl = Clustering(table, 3, 1, G, np.zeros(1, dtype=np.int32))
         lm = ClassLM(cl, vocab, discount=0.5)
-        assert lm.prob_given_context(vocab.unk_id, (0,)) == 0.0
+        assert query(lm, vocab.unk_id, [0]) == 0.0
 
     @pytest.mark.parametrize("discount", [0.0, 0.25, 0.5, 0.9])
     def test_distribution_normalizes_over_vocabulary(self, discount):
@@ -109,9 +118,12 @@ class TestClassLM:
         clu = run_tree(table, tree, ClusterParams(n_categories=4, n_states=5, min_count=2))
         lm = ClassLM(clu, vocab, discount=discount)
         contexts = list(table.counts)[:5]
-        contexts += [(15, 15), (contexts[0][0], 15)]  # unseen tuples
+        # unseen: the end token never occurs inside a context, so these
+        # resolve through the suffix (contexts[0][1],) and to the default
+        eos = vocab.eos_id
+        contexts += [(eos, contexts[0][1]), (eos, eos)]
         for ctx in contexts:
-            s = math.fsum(lm.prob_given_context(w, ctx) for w in range(table.n_words))
+            s = math.fsum(query_words(lm, ctx))
             assert s == pytest.approx(1.0, abs=1e-9)
 
     def test_probabilities_positive_for_observed_words(self):
@@ -122,9 +134,10 @@ class TestClassLM:
         counts = table.counts
         word_marg = marginals(table)[1]
         for ctx in counts:
+            probs = query_words(lm, ctx)
             for w, n in word_marg.items():
                 if n > 0:
-                    assert lm.prob_given_context(w, ctx) > 0.0
+                    assert probs[w] > 0.0
 
     def test_suffix_fallback_prefers_heaviest_state(self):
         vocab = build_vocabulary("a".split())
@@ -137,10 +150,14 @@ class TestClassLM:
         G = np.zeros(len(vocab), dtype=np.int32)
         cl = Clustering(table, 1, 2, G, np.asarray([0, 0, 1], dtype=np.int32))
         lm = ClassLM(cl, vocab, discount=0.0)
-        assert lm.resolve_state((0, 5)) == 0  # seen exactly
-        assert lm.resolve_state((3, 5)) == 0  # suffix (5,) lives in state 0
-        assert lm.resolve_state((3, 6)) == 1  # suffix (6,) lives in state 1
-        assert lm.resolve_state((9, 9)) == 1  # nothing seen: heaviest state
+        probes = {
+            (0, 5): 0,  # seen exactly
+            (3, 5): 0,  # suffix (5,) lives in state 0
+            (3, 6): 1,  # suffix (6,) lives in state 1
+            (9, 9): 1,  # nothing seen: heaviest state
+        }
+        assert states_of(lm, list(probes)) == list(probes.values())
+        assert [oracle_state(lm, c) for c in probes] == list(probes.values())
 
     def test_suffix_fallback_tie_takes_lower_state(self):
         vocab = build_vocabulary("a".split())
@@ -150,31 +167,34 @@ class TestClassLM:
         cl = Clustering(table, 1, 2, G, np.asarray([1, 0], dtype=np.int32))
         lm = ClassLM(cl, vocab, discount=0.0)
         # suffix (5,) is split 4/4 between states 1 and 0
-        assert lm.resolve_state((3, 5)) == 0
+        assert states_of(lm, [(3, 5)]) == [oracle_state(lm, (3, 5))] == [0]
 
     def test_context_tuple_length_checked(self):
         vocab, enc, table = build_table(["a b a"], offsets=(-1,))
         lm = ClassLM(identity_clustering(table), vocab)
         with pytest.raises(ValueError, match="length"):
-            lm.resolve_state((0, 0))
+            oracle_state(lm, (0, 0))
+        # a query row without the one history column the model reads
+        with pytest.raises(ValueError, match="at least 1 history column"):
+            lm.prob(np.array([[0]]))
 
     def test_history_mapping_pads_with_begin_token(self):
         vocab, enc, table = build_table(["a b a", "b a"], offsets=(-2, -1))
         a, b = vocab.id_of("a"), vocab.id_of("b")
         lm = ClassLM(identity_clustering(table), vocab)
         bos = vocab.bos_id
-        assert lm.context_of([]) == (bos, bos)
-        assert lm.context_of([a]) == (bos, a)
-        assert lm.context_of([a, b]) == (a, b)
-        assert lm.context_of([b, a, b]) == (a, b)
-        # prob() routes through the same mapping
-        assert lm.prob(a, [b, a, b]) == lm.prob_given_context(a, (a, b))
+        for history, context in (([], (bos, bos)), ([a], (bos, a)), ([a, b], (a, b)),
+                                 ([b, a, b], (a, b))):
+            assert oracle_context(lm, history) == context
+            # the identity mapper maps a history of begin tokens as the padding
+            assert query_words(lm, history) == query_words(lm, list(context))
+        assert query(lm, a, [b, a, b]) == oracle_class_prob(lm, a, (a, b))
 
     def test_word_range_and_discount_validation(self):
         vocab, enc, table = build_table(["a b"], offsets=(-1,))
         lm = ClassLM(identity_clustering(table), vocab)
         with pytest.raises(ValueError, match="word id"):
-            lm.prob_given_context(table.n_words, list(table.counts)[0])
+            query(lm, table.n_words, [])
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError, match="discount"):
                 ClassLM(identity_clustering(table), vocab, discount=bad)
@@ -197,7 +217,7 @@ class TestClassLM:
         for _ in range(50):
             w = rng.randrange(table.n_words)
             hist = [rng.choice([a, b]) for _ in range(rng.randint(0, 3))]
-            assert loaded.prob(w, hist) == lm.prob(w, hist)
+            assert query(loaded, w, hist) == query(lm, w, hist)
 
     def test_load_rejects_v1_file(self, tmp_path):
         p = tmp_path / "model.classlm"
@@ -218,11 +238,16 @@ class TestClassLM:
             ClassLM(clu, vocab)
 
 
+def states_of(lm, contexts):
+    """The class model's state of each mapped context tuple."""
+    return lm._resolve_states(np.array(contexts, dtype=np.int64)).tolist()
+
+
 def probe_contexts(lm, vocab):
     """Seen contexts, contexts resolved through each suffix length, and
     fully unseen ones.  The end token never occurs inside a context."""
     eos = vocab.eos_id
-    seen = sorted(lm.state_of)
+    seen = [tuple(c) for c in lm.contexts.tolist()]
     probes = list(seen)
     for keep in range(1, lm.depth):
         probes += [(eos,) * (lm.depth - keep) + c[lm.depth - keep :] for c in seen[::3]]
@@ -231,11 +256,13 @@ def probe_contexts(lm, vocab):
 
 
 def assert_same_probs(a, b, contexts):
-    """Bit-identical state and probability of every word in every context."""
+    """Bit-identical state and probability of every word in every
+    context, and the states equal the oracle's."""
+    states = states_of(a, contexts)
+    assert states == states_of(b, contexts) == [oracle_state(a, c) for c in contexts]
     for ctx in contexts:
-        assert a.resolve_state(ctx) == b.resolve_state(ctx)
         for w in range(a.n_words):
-            assert a.prob_given_context(w, ctx) == b.prob_given_context(w, ctx)
+            assert oracle_class_prob(a, w, ctx) == oracle_class_prob(b, w, ctx)
 
 
 class TestClassLMFile:
@@ -260,12 +287,11 @@ class TestClassLMFile:
         save_classlm(lm, path)
         loaded = load_classlm(path)
         probes = probe_contexts(lm, vocab)
-        assert any(lm.state_of.get(c) is None for c in probes)
+        assert any(c not in class_dicts(lm).state_of for c in probes)
         assert_same_probs(lm, loaded, probes)
         for sent in enc[:10]:
             for i in range(len(sent) + 1):
-                for w in range(lm.n_words):
-                    assert loaded.prob(w, sent[:i]) == lm.prob(w, sent[:i])
+                assert query_words(loaded, sent[:i]) == query_words(lm, sent[:i])
         # a reloaded model writes the same bytes
         save_classlm(loaded, tmp_path / "again.classlm")
         assert (tmp_path / "again.classlm").read_bytes() == path.read_bytes()
@@ -287,7 +313,7 @@ class TestClassLMFile:
                 row = weights.setdefault(c[3 - keep :], {})
                 row[s] = row.get(s, 0) + n
         expected = {suf: min(row, key=lambda s: (-row[s], s)) for suf, row in weights.items()}
-        assert ClassLM(clu, vocab)._fallback == expected
+        assert class_dicts(ClassLM(clu, vocab)).fallback == expected
 
     def test_cli_model_loads_without_its_training_files(self, tmp_path, capsys):
         from clusterlm.cli import main
@@ -324,8 +350,7 @@ class TestClassLMFile:
         assert_same_probs(built, loaded, probe_contexts(built, vocab))
         hist = [vocab.id_of("w3"), vocab.id_of("w1")]
         for i in range(3):
-            for w in range(len(vocab)):
-                assert loaded.prob(w, hist[:i]) == built.prob(w, hist[:i])
+            assert query_words(loaded, hist[:i]) == query_words(built, hist[:i])
 
     def test_truncation_at_every_line_is_rejected(self, tmp_path):
         lm, vocab, enc = self.model(2)
@@ -417,7 +442,10 @@ class TestClassLMFile:
                 return
             for ctx in probe_contexts(loaded, vocab)[:20]:
                 for w in range(loaded.n_words):
-                    assert 0.0 <= loaded.prob_given_context(w, ctx) <= 1.0 + 1e-12
+                    assert 0.0 <= oracle_class_prob(loaded, w, ctx) <= 1.0 + 1e-12
+            for sent in enc[:3]:
+                for i in range(len(sent) + 1):
+                    assert all(0.0 <= p <= 1.0 + 1e-12 for p in query_words(loaded, sent[:i]))
 
 
 def find(lines, key):
@@ -529,11 +557,11 @@ class TestBackoffOracle:
             return
         m = train_backoff(counts, n_words, discount=discount, cutoffs=cutoffs, bos_id=bos_id)
         assert m.uni.tobytes() == uni.tobytes()
-        assert hexed(m.probs) == hexed(probs)
-        assert hexed(m.bows) == hexed(bows)
+        assert hexed(backoff_dicts(m).probs) == hexed(probs)
+        assert hexed(backoff_dicts(m).bows) == hexed(bows)
         # unseen histories included: every word id at every position
         for h in ([], [0], [eos], [bos, 2], [5, 4, 3], [0, 1, 2, 3, 4]):
-            assert math.fsum(m.prob(w, h) for w in range(n_words)) == pytest.approx(1.0, abs=1e-9)
+            assert math.fsum(query_words(m, h)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestBackoffModel:
@@ -546,14 +574,14 @@ class TestBackoffModel:
         m = self._hand_model()
         assert m.uni[0] == pytest.approx(0.6, abs=1e-15)
         assert m.uni[1] == pytest.approx(0.4, abs=1e-15)
-        assert m.prob(0, [0]) == pytest.approx(0.7, abs=1e-12)
-        assert m.prob(1, [0]) == pytest.approx(0.3, abs=1e-12)
+        assert query(m, 0, [0]) == pytest.approx(0.7, abs=1e-12)
+        assert query(m, 1, [0]) == pytest.approx(0.3, abs=1e-12)
 
     def test_unseen_history_equals_lower_order_exactly(self):
         m = self._hand_model()
         # history b never observed: the bigram level contributes nothing
-        assert m.prob(0, [1]) == float(m.uni[0])
-        assert m.prob(1, [1]) == float(m.uni[1])
+        assert query(m, 0, [1]) == float(m.uni[0])
+        assert query(m, 1, [1]) == float(m.uni[1])
 
     def test_unigram_floor_covers_unseen_words(self):
         counts = count_arrays([{(0,): 3, (1,): 2}])
@@ -570,7 +598,7 @@ class TestBackoffModel:
         m = train_backoff(counts, 8, discount=0.4, bos_id=7)
         histories = [[], [0], [1, 2], [5, 5, 5], [3, 0]]
         for h in histories:
-            s = math.fsum(m.prob(w, h) for w in range(8))
+            s = math.fsum(query_words(m, h))
             assert s == pytest.approx(1.0, abs=1e-9)
 
     def test_cutoff_discards_rare_ngrams(self):
@@ -578,10 +606,10 @@ class TestBackoffModel:
         counts = ngram_counts(sents, 3, bos_id=5, eos_id=4)
         m_all = train_backoff(counts, 6, discount=0.5, cutoffs={})
         m_cut = train_backoff(counts, 6, discount=0.5, cutoffs={3: 1})
-        assert (0, 1, 3) in m_all.probs[3]
-        assert (0, 1, 3) not in m_cut.probs[3]
+        assert (0, 1, 3) in backoff_dicts(m_all).probs[3]
+        assert (0, 1, 3) not in backoff_dicts(m_cut).probs[3]
         # surviving mass still normalizes
-        s = math.fsum(m_cut.prob(w, [0, 1]) for w in range(6))
+        s = math.fsum(query_words(m_cut, [0, 1]))
         assert s == pytest.approx(1.0, abs=1e-9)
 
     def test_fully_cut_history_backs_off_with_weight_one(self):
@@ -592,21 +620,21 @@ class TestBackoffModel:
         m = train_backoff(counts, 2, discount=0.5, cutoffs={2: 1})
         # (0, 1) was the only bigram for history (0,): cutting it makes the
         # history unseen, so prediction drops straight to the unigram
-        assert (0,) not in m.bows[2]
-        assert m.prob(1, [0]) == float(m.uni[1])
+        assert (0,) not in backoff_dicts(m).bows[2]
+        assert query(m, 1, [0]) == float(m.uni[1])
 
     def test_history_padding_uses_begin_token(self):
         sents = [[0, 1], [0, 2]]
         counts = ngram_counts(sents, 2, bos_id=4, eos_id=3)
         m = train_backoff(counts, 5, discount=0.5, bos_id=4, cutoffs={})
         # empty history behaves as if preceded by the begin token
-        assert m.prob(0, []) == m.prob(0, [4])
-        assert (4,) in m.bows[2]
+        assert query(m, 0, []) == query(m, 0, [4])
+        assert (4,) in backoff_dicts(m).bows[2]
 
     def test_without_begin_id_short_history_uses_lower_order(self):
         counts = count_arrays([{(0,): 3, (1,): 2}, {(0, 0): 2, (0, 1): 1}])
         m = train_backoff(counts, 2, discount=0.5, cutoffs={})
-        assert m.prob(0, []) == float(m.uni[0])
+        assert query(m, 0, []) == float(m.uni[0])
 
     def test_validation(self):
         counts = count_arrays([{(0,): 1}])
@@ -621,11 +649,17 @@ class TestBackoffModel:
             train_backoff(count_arrays([{(0,): 1}]), 1, cutoffs={1: 1})
         m = self._hand_model()
         with pytest.raises(ValueError, match="word id"):
-            m.prob(2, [0])
+            query(m, 2, [0])
 
     def test_parameter_count(self):
         m = self._hand_model()
         assert m.n_parameters == 2 + 2 + 1  # unigram row, two bigrams, one bow
+        m = train_backoff(ngram_counts([[0, 1, 2], [1, 2]], 3, bos_id=3, eos_id=4), 5,
+                          discount=0.5, cutoffs={}, bos_id=3)
+        probs, bows = backoff_dicts(m)
+        assert m.n_parameters == m.n_words + sum(len(t) for t in probs.values()) + sum(
+            len(t) for t in bows.values()
+        )
 
     def test_save_load_round_trip(self, tmp_path):
         rng = random.Random(77)
@@ -640,11 +674,11 @@ class TestBackoffModel:
             assert loaded.discount == m.discount
             assert loaded.bos_id == m.bos_id
             assert loaded.uni.tobytes() == m.uni.tobytes()
-            assert loaded.probs == m.probs and loaded.bows == m.bows
+            assert backoff_dicts(loaded) == backoff_dicts(m)
             for _ in range(100):
                 w = rng.randrange(7)
                 h = [rng.randrange(5) for _ in range(rng.randint(0, 3))]
-                assert loaded.prob(w, h) == m.prob(w, h)
+                assert query(loaded, w, h) == query(m, w, h)
 
     def test_save_is_deterministic(self, tmp_path):
         m = self._hand_model()
@@ -665,7 +699,7 @@ def backoff_lines(tmp_path):
     rng = random.Random(21)
     sents = [[rng.randrange(4) for _ in range(rng.randint(2, 6))] for _ in range(40)]
     m = train_backoff(ngram_counts(sents, 3, bos_id=5, eos_id=4), 6, discount=0.5, bos_id=5)
-    assert m.probs[3] and m.bows[3]
+    assert backoff_dicts(m).probs[3] and backoff_dicts(m).bows[3]
     path = tmp_path / "backoff.model"
     save_backoff(m, path)
     return path, path.read_text().splitlines()
@@ -808,7 +842,7 @@ class TestBackoffFileCorruption:
             except ValueError:
                 return
             assert np.isfinite(loaded.uni).all() and (loaded.uni > 0).all()
-            assert loaded.prob(0, [1, 2]) > 0.0
+            assert query(loaded, 0, [1, 2]) > 0.0
 
 
 def mixture_lines(tmp_path):
@@ -859,14 +893,17 @@ class TestInterpolatedFileCorruption:
 
 
 class Fixed:
-    """Stub component with hand-set probabilities."""
+    """Stub component with hand-set probabilities, which reads no
+    history."""
+
+    history_width = 0
 
     def __init__(self, table, n_words=4):
         self.table = table
         self.n_words = n_words
 
-    def prob(self, w, history):
-        return self.table[w]
+    def prob(self, rows):
+        return np.array([self.table[w] for w in np.asarray(rows)[:, -1].tolist()])
 
 
 class TestInterpolatedModel:
@@ -890,14 +927,14 @@ class TestInterpolatedModel:
         a = Fixed({0: 0.123456789, 1: 0.876543211})
         b = Fixed({0: 0.999, 1: 0.001})
         m = InterpolatedModel([a, b], [1.0, 0.0])
-        assert m.prob(0, []) == a.prob(0, [])
-        assert m.prob(1, []) == a.prob(1, [])
+        assert query(m, 0, []) == query(a, 0, [])
+        assert query(m, 1, []) == query(a, 1, [])
 
     def test_hand_mixture_arithmetic(self):
         a = Fixed({0: 0.5})
         b = Fixed({0: 0.25})
         m = InterpolatedModel([a, b], [0.3, 0.7])
-        assert m.prob(0, []) == 0.3 * 0.5 + 0.7 * 0.25
+        assert query(m, 0, []) == 0.3 * 0.5 + 0.7 * 0.25
 
     def test_mixture_lies_between_components(self):
         rng = random.Random(3)
@@ -905,7 +942,7 @@ class TestInterpolatedModel:
             pa, pb = rng.random(), rng.random()
             lam = rng.random()
             m = InterpolatedModel([Fixed({0: pa}), Fixed({0: pb})], [lam, 1.0 - lam])
-            p = m.prob(0, [])
+            p = query(m, 0, [])
             assert min(pa, pb) - 1e-15 <= p <= max(pa, pb) + 1e-15
 
     def test_save_load_round_trip_with_relative_paths(self, tmp_path):
@@ -925,8 +962,7 @@ class TestInterpolatedModel:
         loaded = load_interpolated(tmp_path / "mix.model")
         assert list(loaded.weights) == [0.4, 0.6]
         a = vocab.id_of("w0")
-        for w in range(len(vocab)):
-            assert loaded.prob(w, [a]) == pytest.approx(mix.prob(w, [a]), rel=1e-12)
+        assert query_words(loaded, [a]) == pytest.approx(query_words(mix, [a]), rel=1e-12)
 
     def test_load_model_dispatch(self, tmp_path):
         m = train_backoff(count_arrays([{(0,): 2, (1,): 1}]), 2, discount=0.5)
@@ -942,7 +978,7 @@ class TestNormalisation:
     """The class model, its saved copy, and its mixture with a backoff
     model sum to one over the vocabulary however a history resolves: to
     a training context, through each suffix-fallback length, or to the
-    default state."""
+    default state; and each probability equals the oracle's."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -989,17 +1025,17 @@ class TestNormalisation:
             resolutions.add(max(
                 k for k in range(depth + 1) for c in seen if c[depth - k :] == ctx[depth - k :]
             ))
-            for model in (lm, loaded):
-                total = math.fsum(model.prob_given_context(w, ctx) for w in range(n_words))
-                assert total == pytest.approx(1.0, abs=1e-9)
-            total = math.fsum(mix.prob(w, list(ctx)) for w in range(n_words))
-            assert total == pytest.approx(1.0, abs=1e-9)
+            # the mapper is the identity, so each context is also a history
+            for model in (lm, loaded, mix):
+                probs = query_words(model, list(ctx))
+                assert math.fsum(probs) == pytest.approx(1.0, abs=1e-9)
+                assert probs == [oracle_prob(model, w, list(ctx)) for w in range(n_words)]
         assert resolutions == set(range(depth + 1))
 
 
 class TestProbArray:
-    """``prob_array`` equals the scalar ``prob`` bit for bit for every
-    model type, and rejects ids outside the vocabulary."""
+    """``prob(rows)`` equals the scalar oracle ``oracle_prob`` bit for
+    bit for every model type, and rejects ids outside the vocabulary."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -1020,7 +1056,7 @@ class TestProbArray:
             return  # no unigram survives the cutoffs
         # every history of the corpus, also the empty one and one of one word
         histories = {tuple(s[:i]) for s in sents for i in range(len(s) + 1)} | {(), (4,)}
-        assert_array_matches_scalar(m, sorted(histories), data.draw(st.integers(0, 2)))
+        assert_prob_matches_oracle(m, sorted(histories), data.draw(st.integers(0, 2)))
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -1056,36 +1092,13 @@ class TestProbArray:
         ]
         extra = data.draw(st.integers(0, 1), label="extra width")
         for model in (lm, loaded):
-            assert_array_matches_scalar(model, histories, extra)
+            assert_prob_matches_oracle(model, histories, extra)
         sents = [[rng.randrange(n_words) for _ in range(rng.randint(0, 4))] for _ in range(10)]
         backoff = train_backoff(ngram_counts(sents, 3, bos_id=vocab.bos_id, eos_id=vocab.eos_id),
                                 n_words, discount=0.5, bos_id=vocab.bos_id)
         weight = data.draw(st.sampled_from([0.0, 1.0, 0.25]), label="class weight")
         mix = InterpolatedModel([loaded, backoff], [weight, 1.0 - weight])
-        assert_array_matches_scalar(mix, histories, extra)
-
-    def test_class_model_dicts_are_built_by_the_first_scalar_query(self, tmp_path):
-        lm, vocab, enc = TestClassLMFile.model(2)
-        save_classlm(lm, tmp_path / "m.classlm")
-        loaded = load_classlm(tmp_path / "m.classlm")
-        dicts = {"state_of", "_fallback", "_joint"}
-        loaded.prob_array(np.array([[-1, -1, 0], [0, 1, 2]]))
-        assert np.array_equal(loaded.joint_cells, lm.joint_cells)
-        assert not dicts & set(loaded.__dict__)
-        loaded.prob(0, [vocab.eos_id, vocab.eos_id])  # an unseen context
-        assert dicts <= set(loaded.__dict__)
-
-    def test_backoff_dicts_are_built_by_the_first_scalar_query(self):
-        m = train_backoff(ngram_counts([[0, 1, 2], [1, 2]], 3, bos_id=3, eos_id=4), 5,
-                          discount=0.5, cutoffs={}, bos_id=3)
-        m.prob_array(np.array([[-1, -1, 0], [0, 1, 2]]))
-        n = m.n_parameters
-        assert not {"probs", "bows"} & set(m.__dict__)
-        m.prob(2, [0, 1])
-        assert {"probs", "bows"} <= set(m.__dict__)
-        assert n == m.n_words + sum(len(t) for t in m.probs.values()) + sum(
-            len(t) for t in m.bows.values()
-        )
+        assert_prob_matches_oracle(mix, histories, extra)
 
     @pytest.mark.parametrize("rows, message", [
         ([[0, 5]], "query word ids"),
@@ -1103,9 +1116,9 @@ class TestProbArray:
         rows = np.where(np.array(rows) == 5, len(vocab), rows)
         for model in (lm, bo, mix):
             with pytest.raises(ValueError, match=message):
-                model.prob_array(rows)
+                model.prob(rows)
 
     def test_a_word_before_the_sentence_start_is_rejected(self):
         m = train_backoff(ngram_counts([[0, 1, 2]], 3, bos_id=3, eos_id=4), 5, bos_id=3)
         with pytest.raises(ValueError, match="before the sentence start"):
-            m.prob_array(np.array([[0, -1, 1]]))
+            m.prob(np.array([[0, -1, 1]]))
