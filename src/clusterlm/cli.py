@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 from clusterlm.cluster import (
     ClusterParams,
+    export_categories,
     load_clustering,
     run_flat,
     run_tree,
@@ -35,7 +36,14 @@ from clusterlm.corpus import (
 )
 from clusterlm.ctxtree import build_suffix_tree
 from clusterlm.evaluate import format_report, perplexity, report_lines, tune_weights_em
-from clusterlm.events import ContextSpec, Slot, extract_events, load_counts, save_counts
+from clusterlm.events import (
+    ContextSpec,
+    Slot,
+    _counts_header,
+    extract_events,
+    load_counts,
+    save_counts,
+)
 from clusterlm.models import (
     ClassLM,
     InterpolatedModel,
@@ -134,17 +142,6 @@ def _relative_to(path: str | Path, anchor_file: str | Path) -> str:
         return str(target.resolve())
 
 
-def _peek_slot_names(counts_path: str | Path) -> list[str]:
-    names = []
-    with open(counts_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            if line.startswith("#slot\t"):
-                names.append(line.rstrip("\n").split("\t")[2])
-    return names
-
-
 def _check_model_vocab(model, model_path, vocab: Vocabulary, vocab_path) -> None:
     """A model scores ids of the vocabulary it was trained with; with
     another vocabulary the ids name other words."""
@@ -156,8 +153,8 @@ def _check_model_vocab(model, model_path, vocab: Vocabulary, vocab_path) -> None
 
 
 def _mappers_for(names: Sequence[str], vocab: Vocabulary, tagmap, classmap) -> dict:
-    """Feature mapper for each slot name (w, t or g); a map that no slot
-    uses is rejected."""
+    """Feature mapper for each slot name w, t or g (``load_counts``
+    rejects any other name); a map that no slot uses is rejected."""
     for flag, path, name in (("--tagmap", tagmap, "t"), ("--classmap", classmap, "g")):
         if path and name not in names:
             raise ValueError(f"{flag} is given but the context has no {name}: slot")
@@ -175,8 +172,6 @@ def _mappers_for(names: Sequence[str], vocab: Vocabulary, tagmap, classmap) -> d
             if not classmap:
                 raise ValueError("g: slots need a class map; pass --classmap")
             mappers[name] = load_feature_map(classmap, vocab, "g")
-        else:
-            raise ValueError(f"counts reference an unknown mapper {name!r}")
     return mappers
 
 
@@ -219,14 +214,14 @@ def cmd_cluster_run(args) -> int:
         convergence=args.conv,
     )
     mappers = None
-    vocab = None
     if args.model_out:
         if not args.vocab:
             raise ValueError("--model-out requires --vocab")
         discount = 0.5 if args.discount is None else args.discount
         _check_discount(discount)
         vocab = Vocabulary.load(args.vocab)
-        mappers = _mappers_for(_peek_slot_names(args.counts), vocab, args.tagmap, args.classmap)
+        names = [name for _, name, _ in _counts_header(args.counts)[2]]
+        mappers = _mappers_for(names, vocab, args.tagmap, args.classmap)
     else:
         for flag in ("vocab", "tagmap", "classmap", "discount"):
             if getattr(args, flag) is not None:
@@ -255,12 +250,11 @@ def cmd_classes_export(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     table = load_counts(args.counts)
     clustering = load_clustering(args.clustering, table)
+    _check_model_vocab(clustering, args.clustering, vocab, args.vocab)
     lines = [f"{vocab.tokens[w]}\t{int(clustering.G[w])}" for w in range(clustering.n_words)]
     _write_lines(args.out, lines)
     print(f"classes: {clustering.n_categories} categories over {clustering.n_words} words -> {args.out}")
     if args.show:
-        from clusterlm.cluster import export_categories
-
         members = export_categories(clustering, vocab)
         for g in sorted(members):
             head = " ".join(members[g][: args.show])

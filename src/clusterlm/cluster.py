@@ -536,15 +536,9 @@ def load_clustering(path: str | Path, table: EventTable) -> Clustering:
         raise ValueError("clustering does not match counts: context depth differs")
     if not (1 <= n_categories <= n_words and 1 <= n_states <= table.n_contexts):
         raise r.error("n_categories must lie in [1, n_words], n_states in [1, n_contexts]")
-    stored = None
-    if r.at("#criterion"):
-        text = r.line("#criterion", 1)[0]
-        try:
-            stored = float(text)
-        except ValueError:
-            raise r.error(f"criterion is not a number: {text!r}") from None
-        if not math.isfinite(stored):
-            raise r.error(f"criterion is not finite: {text!r}")
+    stored = r.float_line("#criterion") if r.at("#criterion") else None
+    if stored is not None and not math.isfinite(stored):
+        raise r.error(f"criterion is not finite: {stored!r}")
     r.line("#G", 0)
     words = r.rows("#G", 1, 1, n_words)
     if not np.array_equal(words[:, 0], np.arange(n_words)):

@@ -181,6 +181,27 @@ def save_counts(table: EventTable, path: str | Path) -> None:
         write_rows(fh, rows, table.words, table.freqs)
 
 
+def _counts_header(
+    path: str | Path, data: bytes | None = None
+) -> tuple[Reader, int, list[tuple[int, str, int]]]:
+    """A ``Reader`` after the header lines of the counts file ``path``,
+    the vocabulary size, and each slot's (offset, mapper name, arity).
+    ``data`` is the file's bytes; without it only the header is read."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = b"".join(itertools.takewhile(lambda line: line.startswith(b"#"), fh))
+    first, _, _ = data.partition(b"\n")
+    if first != b"#clusterlm-counts v1":
+        raise ValueError(f"not a counts file: {path}")
+    r = Reader(data, len(first) + 1, "corrupt counts file")
+    n_words = r.int_line("#vocab")
+    slots = []
+    while r.at("#slot"):
+        off, name, arity = r.line("#slot", 3)
+        slots.append((r.int(off, "slot offset"), name, r.int(arity, "slot arity")))
+    return r, n_words, slots
+
+
 def load_counts(path: str | Path, mappers: dict[str, FeatureMapper] | None = None) -> EventTable:
     """Read a counts file back into an EventTable.
 
@@ -191,16 +212,9 @@ def load_counts(path: str | Path, mappers: dict[str, FeatureMapper] | None = Non
     pass; they must be sorted and unique, with every word id and slot
     value in range, or ``ValueError`` is raised.
     """
-    data = Path(path).read_bytes()
-    first, _, _ = data.partition(b"\n")
-    if first != b"#clusterlm-counts v1":
-        raise ValueError(f"not a counts file: {path}")
-    r = Reader(data, len(first) + 1, "corrupt counts file")
-    n_words = r.int_line("#vocab")
+    r, n_words, header = _counts_header(path, Path(path).read_bytes())
     slots: list[Slot] = []
-    while r.at("#slot"):
-        off, name, arity = r.line("#slot", 3)
-        off, arity = r.int(off, "slot offset"), r.int(arity, "slot arity")
+    for off, name, arity in header:
         if mappers is not None:
             if name not in mappers:
                 raise ValueError(f"counts file references unknown mapper {name!r}")

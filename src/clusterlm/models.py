@@ -82,11 +82,11 @@ class ClassLM:
 
     The model is a handful of tables: ``maps`` (the value of every word
     at every slot), ``G`` and ``word_counts`` per word, the nonzero joint
-    cells ``joint_cells`` (rows s, g, N(s,g), sorted), the training
-    ``contexts`` (sorted rows) with their ``states``, and per proper
-    suffix length k the sorted ``suffix_tables[k-1]`` = (keys, states).
-    ``save_classlm`` writes exactly these, so a saved model loads on its
-    own.
+    cells ``joint_cells`` (rows s, g, N(s,g), sorted), and per suffix
+    length k = 1..depth ``tables[k-1]`` = (keys, states), sorted: the
+    training contexts and their states for k = depth, else their distinct
+    length-k suffixes, each with the state holding most of its events.
+    ``save_classlm`` writes exactly these, so a saved model loads on its own.
     """
 
     def __init__(self, clustering: Clustering, vocab: Vocabulary, discount: float = 0.5):
@@ -118,12 +118,11 @@ class ClassLM:
             np.stack([s, g, clustering.joint[s, g].astype(np.int64)], axis=1),
             clustering.n_categories,
             clustering.n_states,
-            table.contexts,
-            clustering.S.copy(),
             [
                 _suffix_states(table.contexts, clustering.S, table.ctx_counts, keep)
                 for keep in range(1, table.spec.depth)
-            ],
+            ]
+            + [(table.contexts, clustering.S.copy())],
         )
 
     def _setup(
@@ -136,9 +135,7 @@ class ClassLM:
         joint_cells: np.ndarray,
         n_categories: int,
         n_states: int,
-        contexts: np.ndarray,
-        states: np.ndarray,
-        suffix_tables: list[tuple[np.ndarray, np.ndarray]],
+        tables: list[tuple[np.ndarray, np.ndarray]],
     ) -> None:
         """Keep the tables and derive the marginals."""
         self.discount = float(discount)
@@ -148,7 +145,7 @@ class ClassLM:
         self.G = G
         self.word_counts = word_counts
         self.joint_cells = joint_cells
-        self.suffix_tables = suffix_tables
+        self.tables = tables
         self.n_words = len(G)
         self.n_categories = int(n_categories)
         self.n_states = int(n_states)
@@ -158,8 +155,6 @@ class ClassLM:
         self.cat_totals = _sums(g, n, self.n_categories)
         self.total = int(word_counts.sum())
         self._nplus = np.bincount(s, minlength=self.n_states).astype(np.int64)
-        self.contexts = contexts
-        self.states = states
         self._default_state = int(np.argmax(self.state_totals))
 
     @property
@@ -200,15 +195,12 @@ class ClassLM:
         return out
 
     def _resolve_states(self, ctx: np.ndarray) -> np.ndarray:
-        """State of every row of mapped context values: row lookups in
-        ``contexts``, then in each suffix table from the longest, then
-        the default state."""
-        at, found = find_rows(self.contexts, ctx)
+        """State of every row of mapped context values: that of its
+        longest suffix found in ``tables``, else the default state."""
         out = np.full(len(ctx), self._default_state, dtype=np.int64)
-        out[found] = self.states[at[found]]
-        todo = np.flatnonzero(~found)
-        for keep in range(self.depth - 1, 0, -1):
-            keys, states = self.suffix_tables[keep - 1]
+        todo = np.arange(len(ctx))
+        for keep in range(self.depth, 0, -1):
+            keys, states = self.tables[keep - 1]
             at, found = find_rows(keys, ctx[todo, self.depth - keep :])
             out[todo[found]] = states[at[found]]
             todo = todo[~found]
@@ -287,10 +279,9 @@ def save_classlm(model: ClassLM, path: str | Path) -> None:
         ("#joint", model.joint_cells[:, :2], (model.joint_cells[:, 2],)),
     ]
     sections += [
-        (f"#suffix\t{keep}", keys, (states,))
-        for keep, (keys, states) in enumerate(model.suffix_tables, 1)
+        (f"#suffix\t{keep}" if keep < model.depth else "#contexts", keys, (states,))
+        for keep, (keys, states) in enumerate(model.tables, 1)
     ]
-    sections.append(("#contexts", model.contexts, (model.states,)))
     with open(path, "wb") as fh:
         fh.write("\n".join(header).encode("utf-8") + b"\n")
         for key, keys, values in sections:
@@ -347,18 +338,18 @@ def load_classlm(path: str | Path) -> ClassLM:
     maps = section("#maps", depth, 0, n_words)
     words = section("#words", 1, 1, n_words)
     cells = section("#joint", 2, 1)
-    suffix_rows = []
+    table_rows = []
     for keep in range(1, depth):
         got, declared = r.line("#suffix", 2)
         if r.int(got, "suffix length") != keep:
             raise ValueError(f"{_CORRUPT}: expected the #suffix table of length {keep}")
-        suffix_rows.append(r.rows("#suffix", keep, 1, r.int(declared, "#suffix row count")))
-    ctx_rows = section("#contexts", depth, 1)
+        table_rows.append(r.rows("#suffix", keep, 1, r.int(declared, "#suffix row count")))
+    table_rows.append(section("#contexts", depth, 1))
     r.end("#contexts")
 
     if not 1 <= n_categories <= n_words:
         raise ValueError(f"{_CORRUPT}: n_categories must lie in [1, n_words]")
-    if not 1 <= n_states <= len(ctx_rows):
+    if not 1 <= n_states <= len(table_rows[-1]):
         raise ValueError(f"{_CORRUPT}: n_states must lie in [1, number of contexts]")
     for k, sl in enumerate(slots):
         check_range(maps[:, k], 0, sl.arity, f"{_CORRUPT}: slot {sl.offset} values")
@@ -388,7 +379,6 @@ def load_classlm(path: str | Path) -> ClassLM:
             raise ValueError(f"{_CORRUPT}: {what} maps to a state without events")
         return keys.astype(np.int32), states.astype(np.int32)
 
-    contexts, states = table(ctx_rows, "#contexts")
     model = ClassLM.__new__(ClassLM)
     model._setup(
         discount,
@@ -399,9 +389,10 @@ def load_classlm(path: str | Path) -> ClassLM:
         cells,
         n_categories,
         n_states,
-        contexts,
-        states,
-        [table(rows, f"#suffix {keep}") for keep, rows in enumerate(suffix_rows, 1)],
+        [
+            table(rows, f"#suffix {keep}" if keep < depth else "#contexts")
+            for keep, rows in enumerate(table_rows, 1)
+        ],
     )
     return model
 
@@ -419,9 +410,10 @@ class BackoffModel:
         p_k(w|h) = max(c(hw) - D, 0)/c(h) + bow(h) * p_{k-1}(w|h'),
         bow(h)   = D * n+(h) / c(h),
 
-    where h' drops the farthest word.  An unseen history backs off with
-    weight 1.  The unigram adds a uniform floor over the whole
-    vocabulary, so every word has positive probability:
+    where h' drops the farthest word and a history is padded with the
+    begin id ``bos_id``.  An unseen history backs off with weight 1.  The
+    unigram adds a uniform floor over the whole vocabulary, so every word
+    has positive probability:
 
         p_1(w) = (max(c(w) - D, 0) + D * n+ / |V|) / N.
 
@@ -438,18 +430,18 @@ class BackoffModel:
         n_words: int,
         discount: float,
         counts: Sequence[tuple[np.ndarray, np.ndarray]],
-        bos_id: int | None = None,
+        bos_id: int,
     ):
         if not 0.0 < discount < 1.0:
             raise ValueError("discount must lie in (0, 1)")
         if not counts:
             raise ValueError("counts for at least one order required")
-        if bos_id is not None and not 0 <= bos_id < n_words:
+        if not 0 <= bos_id < n_words:
             raise ValueError("begin id outside [0, n_words)")
         self.order = len(counts)
         self.n_words = int(n_words)
         self.discount = d = float(discount)
-        self.bos_id = None if bos_id is None else int(bos_id)
+        self.bos_id = int(bos_id)
         self.grams = [g for g, _ in counts]
         self.counts = [c for _, c in counts]
 
@@ -482,19 +474,11 @@ class BackoffModel:
         return self.order - 1
 
     def prob(self, rows: np.ndarray) -> np.ndarray:
-        """Probability of every query row (see the module docstring).
-        Positions before the sentence start take the begin id; without
-        one, a row backs off to the order its known history reaches."""
+        """Probability of every query row (see the module docstring);
+        positions before the sentence start take the begin id."""
         grams = _query_rows(rows, self.n_words, self.history_width)[:, -self.order :]
-        if self.bos_id is not None:
-            grams = np.where(grams < 0, self.bos_id, grams)
-            return _interpolated(self.uni, self._tables, self.order, grams)
-        known = (grams[:, :-1] >= 0).sum(axis=1)
-        out = np.empty(len(grams), dtype=np.float64)
-        for j in range(self.order):
-            at = np.flatnonzero(known == j)
-            out[at] = _interpolated(self.uni, self._tables, j + 1, grams[at, self.order - 1 - j :])
-        return out
+        grams = np.where(grams < 0, self.bos_id, grams)
+        return _interpolated(self.uni, self._tables, self.order, grams)
 
     @property
     def n_parameters(self) -> int:
@@ -555,7 +539,7 @@ def train_backoff(
     *,
     discount: float = 0.5,
     cutoffs: dict[int, int] | None = None,
-    bos_id: int | None = None,
+    bos_id: int,
 ) -> BackoffModel:
     """Build a BackoffModel from per-order n-gram counts.
 
@@ -592,7 +576,7 @@ def save_backoff(model: BackoffModel, path: str | Path) -> None:
     """Write the model's kept counts as one text file.
 
     After the version line come ``#order``, ``#discount``, ``#n_words``
-    and ``#bos`` (a word id or ``none``), then per order k one
+    and ``#bos`` (the begin word id), then per order k one
     ``#k-grams<TAB>rows`` section of ``w_1 ... w_k<TAB>count`` lines in
     sorted order, so equal models give equal bytes.
     """
@@ -601,7 +585,7 @@ def save_backoff(model: BackoffModel, path: str | Path) -> None:
         f"#order\t{model.order}",
         f"#discount\t{model.discount!r}",
         f"#n_words\t{model.n_words}",
-        f"#bos\t{'none' if model.bos_id is None else model.bos_id}",
+        f"#bos\t{model.bos_id}",
     ]
     with open(path, "wb") as fh:
         fh.write("\n".join(header).encode("utf-8") + b"\n")
@@ -631,8 +615,7 @@ def load_backoff(path: str | Path) -> BackoffModel:
     order = r.int_line("#order")
     discount = r.float_line("#discount")
     n_words = r.int_line("#n_words")
-    bos = r.line("#bos", 1)[0]
-    bos_id = None if bos == "none" else r.int(bos, "begin id")
+    bos_id = r.int(r.line("#bos", 1)[0], "begin id")
     if order < 1:
         raise r.error("order must be at least 1")
     if not 0 < n_words < 2**31:

@@ -299,8 +299,8 @@ def class_dicts(lm) -> ClassDicts:
         s, g, n = lm.joint_cells.T
         _DICTS[lm] = ClassDicts(
             dict(zip(zip(s.tolist(), g.tolist()), n.tolist())),
-            dict(zip(tuples(lm.contexts), lm.states.tolist())),
-            {key: st for keys, sts in lm.suffix_tables for key, st in zip(tuples(keys), sts.tolist())},
+            dict(zip(tuples(lm.tables[-1][0]), lm.tables[-1][1].tolist())),
+            {key: st for keys, sts in lm.tables[:-1] for key, st in zip(tuples(keys), sts.tolist())},
         )
     return _DICTS[lm]
 
@@ -362,20 +362,16 @@ def oracle_context(lm, history) -> tuple[int, ...]:
 
 def oracle_backoff_prob(m: BackoffModel, w: int, history) -> float:
     """p(w | history) of a backoff model by scalar recursion over its
-    dicts.  A short history is padded with the begin id; without one it
-    backs off to the order it reaches."""
+    dicts.  A short history is padded with the begin id."""
     if not 0 <= w < m.n_words:
         raise ValueError("word id out of range")
     probs, bows = backoff_dicts(m)
     h = () if m.order == 1 else tuple(int(x) for x in history[-(m.order - 1) :])
-    if m.bos_id is not None and len(h) < m.order - 1:
-        h = (m.bos_id,) * (m.order - 1 - len(h)) + h
+    h = (m.bos_id,) * (m.order - 1 - len(h)) + h
 
     def p(k: int, h: tuple[int, ...]) -> float:
         if k == 1:
             return float(m.uni[w])
-        if len(h) < k - 1:
-            return p(k - 1, h)
         bow = bows[k].get(h)
         if bow is None:
             return p(k - 1, h[1:])

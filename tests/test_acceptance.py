@@ -298,8 +298,9 @@ class TestChecklist:
         """Counts a:3 b:2, aa:2 ab:1 with discount 0.5 give p(a|a)=0.7
         and p(b|a)=0.3 exactly; an unseen history falls through to the
         lower-order distribution bitwise."""
+        # every query below gives a full history, so the begin id is never read
         model = train_backoff(count_arrays([{(0,): 3, (1,): 2}, {(0, 0): 2, (0, 1): 1}]),
-                              n_words=2, discount=0.5)
+                              n_words=2, discount=0.5, bos_id=1)
         assert query(model, 0, [0]) == 0.7
         assert query(model, 1, [0]) == 0.3
         for w in range(2):

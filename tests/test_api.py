@@ -1,9 +1,13 @@
 """The package exports only what its own code or the benchmark uses."""
 
 import ast
+import sys
 from pathlib import Path
 
 import clusterlm
+from clusterlm.cli import main
+
+from conftest import make_random_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,3 +73,101 @@ def test_every_import_is_used_in_its_module():
         for name in unused_imports(path)
     }
     assert sorted(found - PATCHED_IMPORTS) == []
+
+
+# Functions that no stage of a valid pipeline calls, and why each stays.
+UNCALLED = {
+    **dict.fromkeys(
+        [
+            "cluster.Clustering.word_profile",
+            "cluster.Clustering.group_profile",
+            "cluster.Clustering.word_move_deltas",
+            "cluster.Clustering.group_move_deltas",
+            "cluster.Clustering._check_word",
+            "cluster.Clustering._check_group",
+            "cluster.Clustering._group_state",
+            "cluster.Clustering.apply_word_move",
+            "cluster.Clustering.apply_group_move",
+        ],
+        "per-unit moves: the oracle and the benchmark tracer use them; the sweep calls "
+        "the kernels itself",
+    ),
+    "cluster.Clustering.iterations_run": "the benchmark tracer reads it",
+    "events.EventTable.counts": "the benchmark tracer reads it",
+    "_rows.tuples": "the benchmark tracer reads it, through EventTable.counts",
+    "ctxtree.Level.key": "only an on_move callback reaches it",
+    "_rows.Reader.error": "only damaged files reach it",
+}
+
+
+def defined_functions() -> dict[tuple[str, int], str]:
+    """``module.qualname`` of every function defined in the imported
+    package, keyed by its resolved file and the first line of its code
+    object (the first decorator's, for a decorated function)."""
+    found = {}
+
+    def visit(node: ast.AST, path: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if isinstance(child, ast.FunctionDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[(path, first)] = name
+                visit(child, path, name)
+
+    for path in sorted(Path(clusterlm.__file__).resolve().parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), str(path), path.stem)
+    return found
+
+
+def run_pipeline() -> None:
+    """Every CLI stage, in the working directory, on a tiny corpus: word,
+    tag and class contexts, flat and tree clusterings, a three-component
+    mixture and each scoring flag."""
+    for name, seed, lines in (("train", 3, 60), ("held", 4, 15), ("test", 5, 15)):
+        sents = make_random_corpus(seed, lines, n_words=8)
+        Path(f"{name}.txt").write_text("\n".join(sents) + "\n")
+    with open("test.txt", "a") as fh:
+        fh.write("w0 zzz w1\n")  # an unknown word
+    Path("tags.txt").write_text("w0\tA\nw1\tB\nw2\tA\n#default\tC\n")
+    stages = [
+        "vocab build --corpus train.txt --out v.txt",
+        "counts collect --corpus train.txt --vocab v.txt --context w:-2,w:-1 --out c.tsv",
+        "cluster run --counts c.tsv --states 4 --categories 3 --min-count 1 --out cl.tsv"
+        " --model-out flat.model --vocab v.txt",
+        "classes export --clustering cl.tsv --counts c.tsv --vocab v.txt --out g.txt --show 2",
+        "counts collect --corpus train.txt --vocab v.txt --context t:-2,g:-1 --tagmap tags.txt"
+        " --classmap g.txt --out tg.tsv",
+        "cluster run --counts tg.tsv --states 4 --categories 3 --min-count 1 --tree --out tgcl.tsv"
+        " --model-out tree.model --vocab v.txt --tagmap tags.txt --classmap g.txt",
+        "ngram train --corpus train.txt --vocab v.txt --cutoff3 0 --out ngram.model",
+        "interp tune --models flat.model tree.model ngram.model --heldout held.txt --vocab v.txt"
+        " --out mix.model",
+        "eval ppl --model mix.model --test test.txt --vocab v.txt --per-sentence --report r.tsv",
+        "eval ppl --model mix.model --test test.txt --vocab v.txt --skip-unknown --no-eos",
+    ]
+    for stage in stages:
+        assert main(stage.split()) == 0, stage
+
+
+def test_every_function_in_the_package_is_called(tmp_path, monkeypatch, capsys):
+    """A pipeline run calls every function in ``src/clusterlm`` but those
+    of ``UNCALLED``, so code that no stage needs shows up here."""
+    defined = defined_functions()
+    called: set[tuple[str, int]] = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    monkeypatch.chdir(tmp_path)
+    sys.setprofile(profile)
+    try:
+        run_pipeline()
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    called = {(str(Path(file).resolve()), line) for file, line in called}
+    uncalled = {name for key, name in defined.items() if key not in called}
+    assert uncalled - UNCALLED.keys() == set(), "functions no stage calls"
+    assert UNCALLED.keys() - uncalled == set(), "listed as uncalled, but called"

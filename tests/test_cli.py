@@ -277,6 +277,9 @@ class TestTagAndClassSlots:
         assert not (d / "m.model").exists()
 
 
+CUT_SLOT = "corrupt counts file: expected a #slot line with 3 field(s)"
+
+
 class TestFailureModes:
     def test_missing_input_file(self, tmp_path, capsys):
         err = run_fail(["vocab", "build", "--corpus", tmp_path / "nope.txt",
@@ -437,6 +440,40 @@ class TestFailureModes:
             assert err.startswith("error:") and f"{n_words} words" in err
             assert f"has {n_small}" in err
         assert not (d / "r.tsv").exists()
+        # a class map is written for the words of the clustering's vocabulary
+        (d / "more.txt").write_text((d / "train.txt").read_text() + "x1 x2\n")
+        run_ok(["vocab", "build", "--corpus", d / "more.txt", "--out", d / "big.txt"], capsys)
+        n_big = len((d / "big.txt").read_text().splitlines()) - 3
+        run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--context", "w:-1", "--out", d / "c.tsv"], capsys)
+        run_ok(["cluster", "run", "--counts", d / "c.tsv", "--states", "4",
+                "--categories", "4", "--out", d / "cl.tsv"], capsys)
+        for vocab, n in (("small.txt", n_small), ("big.txt", n_big)):
+            err = run_fail(["classes", "export", "--clustering", d / "cl.tsv", "--counts",
+                            d / "c.tsv", "--vocab", d / vocab, "--out", d / "g.txt"], capsys)
+            assert err.startswith("error:") and f"{n_words} words" in err and f"has {n}" in err
+        assert not (d / "g.txt").exists()
+
+    @pytest.mark.parametrize("model_out, damage, message", [
+        (False, lambda line: "#slot\t-2", CUT_SLOT),
+        (True, lambda line: "#slot\t-2", CUT_SLOT),
+        (True, lambda line: line.replace("\tw\t", "\tx\t"), "unknown mapper 'x'"),
+    ], ids=["cut-off", "cut-off-model-out", "unknown-name-model-out"])
+    def test_damaged_slot_line_is_a_counts_error(self, workdir, capsys, model_out, damage, message):
+        # with --model-out the slot names are read before the counts
+        d = workdir
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--context", "w:-2,w:-1", "--out", d / "c.tsv"], capsys)
+        lines = (d / "c.tsv").read_text().splitlines()
+        (d / "bad.tsv").write_text("\n".join(
+            damage(line) if line.startswith("#slot\t-2\t") else line for line in lines
+        ) + "\n")
+        flags = ["--model-out", d / "m.model", "--vocab", d / "v.txt"] if model_out else []
+        err = run_fail(["cluster", "run", "--counts", d / "bad.tsv", "--states", "4",
+                        "--categories", "4", "--out", d / "cl.tsv", *flags], capsys)
+        assert err.startswith("error:") and message in err
+        assert not (d / "cl.tsv").exists() and not (d / "m.model").exists()
 
     def test_out_of_range_word_ids_are_errors(self, workdir, capsys):
         d = workdir

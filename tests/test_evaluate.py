@@ -210,9 +210,8 @@ class TestPerplexityOracle:
     @staticmethod
     def backoff_model(data, vocab, train):
         order = data.draw(st.integers(1, 3), label="order")
-        bos = data.draw(st.sampled_from([None, vocab.bos_id]), label="bos")
         counts = ngram_counts(train, order, bos_id=vocab.bos_id, eos_id=vocab.eos_id)
-        return train_backoff(counts, len(vocab), discount=0.5, bos_id=bos)
+        return train_backoff(counts, len(vocab), discount=0.5, bos_id=vocab.bos_id)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -388,7 +387,7 @@ class TestTuneWeights:
         bo = train_backoff(ngram_counts(enc, 3, bos_id=vocab.bos_id, eos_id=vocab.eos_id),
                            len(vocab), discount=0.5, bos_id=vocab.bos_id)
         uni = train_backoff(ngram_counts(enc, 1, bos_id=vocab.bos_id, eos_id=vocab.eos_id),
-                            len(vocab), discount=0.5)
+                            len(vocab), discount=0.5, bos_id=vocab.bos_id)
         # sentences of length 0 and 1 among longer ones
         held = [[], [enc[0][0]], *enc[1:15], [], [enc[1][0]]]
         for components in ([lm, bo], [bo, uni, lm], [uni, bo]):

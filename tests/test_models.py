@@ -210,7 +210,9 @@ class TestClassLM:
         loaded = load_classlm(tmp_path / "model.classlm")
         assert loaded.discount == lm.discount
         assert np.array_equal(loaded.joint_cells, lm.joint_cells)
-        assert np.array_equal(loaded.contexts, lm.contexts)
+        assert len(loaded.tables) == len(lm.tables) == lm.depth
+        for (keys, states), (keys_lm, states_lm) in zip(loaded.tables, lm.tables):
+            assert np.array_equal(keys, keys_lm) and np.array_equal(states, states_lm)
         assert_same_probs(lm, loaded, probe_contexts(lm, vocab))
         rng = random.Random(1)
         a, b = vocab.id_of("w0"), vocab.id_of("w1")
@@ -247,7 +249,7 @@ def probe_contexts(lm, vocab):
     """Seen contexts, contexts resolved through each suffix length, and
     fully unseen ones.  The end token never occurs inside a context."""
     eos = vocab.eos_id
-    seen = [tuple(c) for c in lm.contexts.tolist()]
+    seen = [tuple(c) for c in lm.tables[-1][0].tolist()]
     probes = list(seen)
     for keep in range(1, lm.depth):
         probes += [(eos,) * (lm.depth - keep) + c[lm.depth - keep :] for c in seen[::3]]
@@ -534,11 +536,8 @@ class TestBackoffOracle:
         sents=st.lists(st.lists(st.integers(0, 5), max_size=8), min_size=1, max_size=25),
         cutoffs=st.none() | st.dictionaries(st.integers(1, 4), st.integers(0, 3)),
         discount=st.floats(0.01, 0.99),
-        with_bos=st.booleans(),
     )
-    def test_arrays_equal_the_dict_oracle_bit_for_bit(
-        self, order, sents, cutoffs, discount, with_bos
-    ):
+    def test_arrays_equal_the_dict_oracle_bit_for_bit(self, order, sents, cutoffs, discount):
         eos, bos, n_words = 6, 7, 8
         counts = ngram_counts(sents, order, bos_id=bos, eos_id=eos)
         oracle = oracle_ngram_counts(sents, order, bos_id=bos, eos_id=eos)
@@ -548,14 +547,13 @@ class TestBackoffOracle:
             assert [tuple(g) for g in grams.tolist()] == sorted(oracle[k - 1])
 
         cuts = {k: 1 for k in range(3, order + 1)} if cutoffs is None else cutoffs
-        bos_id = bos if with_bos else None
         try:
             uni, probs, bows = oracle_backoff(oracle, n_words, discount=discount, cutoffs=cuts)
         except ValueError:
             with pytest.raises(ValueError, match="survive"):
-                train_backoff(counts, n_words, discount=discount, cutoffs=cutoffs, bos_id=bos_id)
+                train_backoff(counts, n_words, discount=discount, cutoffs=cutoffs, bos_id=bos)
             return
-        m = train_backoff(counts, n_words, discount=discount, cutoffs=cutoffs, bos_id=bos_id)
+        m = train_backoff(counts, n_words, discount=discount, cutoffs=cutoffs, bos_id=bos)
         assert m.uni.tobytes() == uni.tobytes()
         assert hexed(backoff_dicts(m).probs) == hexed(probs)
         assert hexed(backoff_dicts(m).bows) == hexed(bows)
@@ -566,9 +564,10 @@ class TestBackoffOracle:
 
 class TestBackoffModel:
     def _hand_model(self):
-        # unigrams a:3 b:2; bigrams aa:2 ab:1; D = 0.5
+        # unigrams a:3 b:2; bigrams aa:2 ab:1; D = 0.5.  Every query of this
+        # model gives a full history, so the begin id is never read.
         counts = count_arrays([{(0,): 3, (1,): 2}, {(0, 0): 2, (0, 1): 1}])
-        return train_backoff(counts, 2, discount=0.5, cutoffs={})
+        return train_backoff(counts, 2, discount=0.5, cutoffs={}, bos_id=1)
 
     def test_hand_computed_bigram_probabilities(self):
         m = self._hand_model()
@@ -585,7 +584,7 @@ class TestBackoffModel:
 
     def test_unigram_floor_covers_unseen_words(self):
         counts = count_arrays([{(0,): 3, (1,): 2}])
-        m = train_backoff(counts, 4, discount=0.5, cutoffs={})
+        m = train_backoff(counts, 4, discount=0.5, cutoffs={}, bos_id=3)
         # words 2 and 3 share the uniform floor mass
         assert m.uni[2] == m.uni[3] > 0.0
         assert math.fsum(m.uni) == pytest.approx(1.0, abs=1e-12)
@@ -604,8 +603,8 @@ class TestBackoffModel:
     def test_cutoff_discards_rare_ngrams(self):
         sents = [[0, 1, 2], [0, 1, 3], [0, 1, 2]]
         counts = ngram_counts(sents, 3, bos_id=5, eos_id=4)
-        m_all = train_backoff(counts, 6, discount=0.5, cutoffs={})
-        m_cut = train_backoff(counts, 6, discount=0.5, cutoffs={3: 1})
+        m_all = train_backoff(counts, 6, discount=0.5, cutoffs={}, bos_id=5)
+        m_cut = train_backoff(counts, 6, discount=0.5, cutoffs={3: 1}, bos_id=5)
         assert (0, 1, 3) in backoff_dicts(m_all).probs[3]
         assert (0, 1, 3) not in backoff_dicts(m_cut).probs[3]
         # surviving mass still normalizes
@@ -617,7 +616,7 @@ class TestBackoffModel:
             {(0,): 4, (1,): 4},
             {(0, 1): 1, (1, 0): 4},
         ])
-        m = train_backoff(counts, 2, discount=0.5, cutoffs={2: 1})
+        m = train_backoff(counts, 2, discount=0.5, cutoffs={2: 1}, bos_id=1)
         # (0, 1) was the only bigram for history (0,): cutting it makes the
         # history unseen, so prediction drops straight to the unigram
         assert (0,) not in backoff_dicts(m).bows[2]
@@ -631,22 +630,17 @@ class TestBackoffModel:
         assert query(m, 0, []) == query(m, 0, [4])
         assert (4,) in backoff_dicts(m).bows[2]
 
-    def test_without_begin_id_short_history_uses_lower_order(self):
-        counts = count_arrays([{(0,): 3, (1,): 2}, {(0, 0): 2, (0, 1): 1}])
-        m = train_backoff(counts, 2, discount=0.5, cutoffs={})
-        assert query(m, 0, []) == float(m.uni[0])
-
     def test_validation(self):
         counts = count_arrays([{(0,): 1}])
         for bad in (0.0, 1.0, -1.0):
             with pytest.raises(ValueError, match="discount"):
-                train_backoff(counts, 1, discount=bad)
+                train_backoff(counts, 1, discount=bad, bos_id=0)
         with pytest.raises(ValueError, match="at least one order"):
-            train_backoff([], 1)
+            train_backoff([], 1, bos_id=0)
         with pytest.raises(ValueError, match="length"):
-            train_backoff(count_arrays([{(0, 1): 1}]), 2)
+            train_backoff(count_arrays([{(0, 1): 1}]), 2, bos_id=0)
         with pytest.raises(ValueError, match="survive"):
-            train_backoff(count_arrays([{(0,): 1}]), 1, cutoffs={1: 1})
+            train_backoff(count_arrays([{(0,): 1}]), 1, cutoffs={1: 1}, bos_id=0)
         m = self._hand_model()
         with pytest.raises(ValueError, match="word id"):
             query(m, 2, [0])
@@ -786,6 +780,7 @@ class TestBackoffFileCorruption:
         ("huge n_words", header_as("#n_words", "#n_words\t" + "9" * 18)),
         ("begin id past the vocabulary", header_as("#bos", "#bos\t6")),
         ("begin id -1", header_as("#bos", "#bos\t-1")),
+        ("begin id none", header_as("#bos", "#bos\tnone")),
         ("n-gram word id past the vocab", in_section("#2-grams", lambda x: with_word(x, "99999"))),
         ("n-gram word id -1", in_section("#2-grams", lambda x: with_word(x, "-1"))),
         ("huge n-gram word id", in_section("#2-grams", lambda x: with_word(x, "9" * 25))),
@@ -965,7 +960,7 @@ class TestInterpolatedModel:
         assert query_words(loaded, [a]) == pytest.approx(query_words(mix, [a]), rel=1e-12)
 
     def test_load_model_dispatch(self, tmp_path):
-        m = train_backoff(count_arrays([{(0,): 2, (1,): 1}]), 2, discount=0.5)
+        m = train_backoff(count_arrays([{(0,): 2, (1,): 1}]), 2, discount=0.5, bos_id=1)
         save_backoff(m, tmp_path / "any.model")
         assert isinstance(load_model(tmp_path / "any.model"), BackoffModel)
         bad = tmp_path / "bad.model"
@@ -1043,14 +1038,13 @@ class TestProbArray:
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         order = data.draw(st.integers(1, 4), label="order")
         n_words = 7
-        bos = data.draw(st.sampled_from([None, 5]), label="bos")
         sents = [[rng.randrange(5) for _ in range(rng.randint(0, 6))] for _ in range(25)]
         cutoffs = {
             k: data.draw(st.integers(0, 2), label=f"cutoff {k}") for k in range(2, order + 1)
         }
         counts = ngram_counts(sents, order, bos_id=5, eos_id=6)
         try:
-            m = train_backoff(counts, n_words, cutoffs=cutoffs, bos_id=bos,
+            m = train_backoff(counts, n_words, cutoffs=cutoffs, bos_id=5,
                               discount=data.draw(st.floats(0.01, 0.99), label="discount"))
         except ValueError:
             return  # no unigram survives the cutoffs
