@@ -1,5 +1,7 @@
 """Integer row sections: the text codec of the counts, clustering,
 class model and backoff model files, and the row operations they share.
+``Reader`` opens each of these files, and the mixture file, and is the
+one check of their version lines.
 
 A section is a run of lines, one per row of an integer matrix: the
 row's key fields separated by spaces, then each value field after a
@@ -15,11 +17,20 @@ sorted, with how often each occurs or the sum of its weights.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import BinaryIO, Iterator
 
 import numpy as np
 
 _ROWS_PER_WRITE = 1 << 12
+
+# version lines of formats no loader reads any more, and how to replace such a file
+_RETIRED = {
+    b"#clusterlm-classlm v1": "is a v1 class model, which only referenced its training "
+    "files; re-run `clusterlm cluster run --model-out` to write a self-contained model",
+    b"#clusterlm-backoff v1": "is a v1 backoff model, which stored rounded log "
+    "probabilities; re-run `clusterlm ngram train` to write a v2 model",
+}
 
 
 def write_rows(fh: BinaryIO, keys: np.ndarray, *values: np.ndarray) -> None:
@@ -47,13 +58,22 @@ def write_rows(fh: BinaryIO, keys: np.ndarray, *values: np.ndarray) -> None:
 
 
 class Reader:
-    """Cursor over the bytes of a file of header lines and row sections.
-    Every error is a ``ValueError`` opened by ``corrupt``."""
+    """Cursor over the bytes of a file of header lines and row sections,
+    after its version line.  Every error is a ``ValueError`` opened by
+    ``corrupt``."""
 
-    def __init__(self, data: bytes, pos: int, corrupt: str):
-        self.data = data
-        self.pos = pos
-        self.corrupt = corrupt
+    def __init__(self, path: str | Path, version: str, what: str, data: bytes | None = None):
+        """Open the ``what`` file ``path``, whose bytes are ``data`` (all of
+        the file's by default).  A first line other than ``version`` raises
+        ``ValueError``, with a re-run hint for a retired version."""
+        self.data = Path(path).read_bytes() if data is None else data
+        first, _, _ = self.data.partition(b"\n")
+        if first in _RETIRED:
+            raise ValueError(f"{path} {_RETIRED[first]}")
+        if first != version.encode():
+            raise ValueError(f"not a {what} file: {path}")
+        self.pos = len(first) + 1
+        self.corrupt = f"corrupt {what} file"
 
     def error(self, message: str) -> ValueError:
         return ValueError(f"{self.corrupt}: {message}")

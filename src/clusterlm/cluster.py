@@ -521,11 +521,7 @@ def load_clustering(path: str | Path, table: EventTable) -> Clustering:
     was trained on.  The rows must be those ``save_clustering`` writes:
     words 0 to n-1, then the table's contexts in order.  A stored
     criterion is checked against the rebuilt tables."""
-    data = Path(path).read_bytes()
-    first, _, _ = data.partition(b"\n")
-    if first.strip() != b"#clusterlm-clustering v1":
-        raise ValueError("not a clustering file")
-    r = Reader(data, len(first) + 1, "corrupt clustering file")
+    r = Reader(path, "#clusterlm-clustering v1", "clustering")
     n_categories = r.int_line("#n_categories")
     n_states = r.int_line("#n_states")
     n_words = r.int_line("#n_words")

@@ -59,8 +59,9 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         """Read a file written by ``save``.  A damaged file (a cut-off
-        last line, a malformed ``#special`` line, a special role or
-        token missing, a duplicate token) raises ``ValueError``."""
+        last line, a malformed ``#special`` line, a special role missing
+        or given two tokens, a special token missing, a duplicate token)
+        raises ``ValueError``."""
         text = Path(path).read_text(encoding="utf-8")
         if text and not text.endswith("\n"):
             raise ValueError("vocabulary file: the last line is cut off")
@@ -71,7 +72,8 @@ class Vocabulary:
                 fields = line.split(" ", 2)
                 if len(fields) != 3 or fields[1] not in _SPECIAL_ROLES:
                     raise ValueError(f"vocabulary file: malformed special line {line!r}")
-                specials[fields[1]] = fields[2]
+                if specials.setdefault(fields[1], fields[2]) != fields[2]:
+                    raise ValueError(f"vocabulary file gives two {fields[1]} special tokens")
                 continue
             tokens.append(line)
         missing = [r for r in _SPECIAL_ROLES if r not in specials]
@@ -190,10 +192,10 @@ def load_feature_map(path: str | Path, vocab: Vocabulary, name: str) -> FeatureM
     Every line with one tab is a ``word<TAB>value`` entry, even when the
     word starts with ``#``, except that a ``#default<TAB>value`` line
     supplies the value for words missing from the file.  A ``#`` line
-    with no tab is a comment.  A word listed twice with conflicting
-    values is an error.  The boundary and unknown specials, when not
-    listed explicitly, each receive a dedicated fresh value so that
-    padding stays distinguishable from real-word features.
+    with no tab is a comment.  A word, or ``#default``, listed twice
+    with conflicting values is an error.  The boundary and unknown
+    specials, when not listed explicitly, each receive a dedicated fresh
+    value so that padding stays distinguishable from real-word features.
     """
     raw: dict[str, str] = {}
     default: str | None = None
@@ -205,6 +207,8 @@ def load_feature_map(path: str | Path, vocab: Vocabulary, name: str) -> FeatureM
             raise ValueError(f"malformed feature-map line {lineno}: {line!r}")
         word, value = parts
         if word == "#default":
+            if default not in (None, value):
+                raise ValueError("ambiguous feature map")
             default = value
             continue
         if word in raw and raw[word] != value:

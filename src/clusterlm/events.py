@@ -190,10 +190,7 @@ def _counts_header(
     if data is None:
         with open(path, "rb") as fh:
             data = b"".join(itertools.takewhile(lambda line: line.startswith(b"#"), fh))
-    first, _, _ = data.partition(b"\n")
-    if first != b"#clusterlm-counts v1":
-        raise ValueError(f"not a counts file: {path}")
-    r = Reader(data, len(first) + 1, "corrupt counts file")
+    r = Reader(path, "#clusterlm-counts v1", "counts", data)
     n_words = r.int_line("#vocab")
     slots = []
     while r.at("#slot"):

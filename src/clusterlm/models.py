@@ -50,9 +50,6 @@ from clusterlm.events import event_rows, load_counts  # noqa: F401
 # clustered class model
 # ---------------------------------------------------------------------------
 
-CLASSLM_VERSION = "#clusterlm-classlm v2"
-_CORRUPT = "corrupt class model file"
-
 
 class ClassSlot(NamedTuple):
     """One context position of a class model: its negative offset, the
@@ -265,7 +262,7 @@ def save_classlm(model: ClassLM, path: str | Path) -> None:
     models give equal bytes.
     """
     header = [
-        CLASSLM_VERSION,
+        "#clusterlm-classlm v2",
         f"#discount\t{model.discount!r}",
         f"#n_words\t{model.n_words}",
         f"#n_categories\t{model.n_categories}",
@@ -297,16 +294,7 @@ def load_classlm(path: str | Path) -> ClassLM:
     column sums (they must equal the per-category word counts) are
     checked; any inconsistency raises ``ValueError``.
     """
-    data = Path(path).read_bytes()
-    first, _, _ = data.partition(b"\n")
-    if first == b"#clusterlm-classlm v1":
-        raise ValueError(
-            f"{path} is a v1 class model, which only referenced its training files; "
-            "re-run `clusterlm cluster run --model-out` to write a self-contained model"
-        )
-    if first != CLASSLM_VERSION.encode():
-        raise ValueError(f"not a class model file: {path}")
-    r = Reader(data, len(first) + 1, _CORRUPT)
+    r = Reader(path, "#clusterlm-classlm v2", "class model")
     discount = r.float_line("#discount")
     _check_discount(discount)
     n_words = r.int_line("#n_words")
@@ -314,7 +302,7 @@ def load_classlm(path: str | Path) -> ClassLM:
     n_states = r.int_line("#n_states")
     depth = r.int_line("#depth")
     if depth < 1:
-        raise ValueError(f"{_CORRUPT}: depth must be at least 1")
+        raise r.error("depth must be at least 1")
     slots = []
     for _ in range(depth):
         off, name, arity, bos = r.line("#slot", 4)
@@ -322,17 +310,17 @@ def load_classlm(path: str | Path) -> ClassLM:
         slots.append(ClassSlot(off, name, arity, bos))
     offsets = [sl.offset for sl in slots]
     if offsets[-1] >= 0 or any(b <= a for a, b in zip(offsets, offsets[1:])):
-        raise ValueError(f"{_CORRUPT}: slot offsets must be negative and increasing")
+        raise r.error("slot offsets must be negative and increasing")
     for sl in slots:
         if not 0 < sl.arity < 2**31:
-            raise ValueError(f"{_CORRUPT}: slot {sl.offset} arity outside [1, 2**31)")
+            raise r.error(f"slot {sl.offset} arity outside [1, 2**31)")
         if not 0 <= sl.bos < sl.arity:
-            raise ValueError(f"{_CORRUPT}: slot {sl.offset} begin value outside [0, {sl.arity})")
+            raise r.error(f"slot {sl.offset} begin value outside [0, {sl.arity})")
 
     def section(key: str, n_key: int, n_value: int, n_rows: int | None = None) -> np.ndarray:
         declared = r.int(r.line(key, 1)[0], f"{key} row count")
         if n_rows is not None and declared != n_rows:
-            raise ValueError(f"{_CORRUPT}: {key} declares {declared} rows, expected {n_rows}")
+            raise r.error(f"{key} declares {declared} rows, expected {n_rows}")
         return r.rows(key, n_key, n_value, declared)
 
     maps = section("#maps", depth, 0, n_words)
@@ -342,41 +330,41 @@ def load_classlm(path: str | Path) -> ClassLM:
     for keep in range(1, depth):
         got, declared = r.line("#suffix", 2)
         if r.int(got, "suffix length") != keep:
-            raise ValueError(f"{_CORRUPT}: expected the #suffix table of length {keep}")
+            raise r.error(f"expected the #suffix table of length {keep}")
         table_rows.append(r.rows("#suffix", keep, 1, r.int(declared, "#suffix row count")))
     table_rows.append(section("#contexts", depth, 1))
     r.end("#contexts")
 
     if not 1 <= n_categories <= n_words:
-        raise ValueError(f"{_CORRUPT}: n_categories must lie in [1, n_words]")
+        raise r.error("n_categories must lie in [1, n_words]")
     if not 1 <= n_states <= len(table_rows[-1]):
-        raise ValueError(f"{_CORRUPT}: n_states must lie in [1, number of contexts]")
+        raise r.error("n_states must lie in [1, number of contexts]")
     for k, sl in enumerate(slots):
-        check_range(maps[:, k], 0, sl.arity, f"{_CORRUPT}: slot {sl.offset} values")
+        check_range(maps[:, k], 0, sl.arity, f"{r.corrupt}: slot {sl.offset} values")
     G, word_counts = words[:, 0], words[:, 1]
-    check_range(G, 0, n_categories, f"{_CORRUPT}: word categories")
-    check_range(word_counts, 0, 2**62, f"{_CORRUPT}: word counts")
+    check_range(G, 0, n_categories, f"{r.corrupt}: word categories")
+    check_range(word_counts, 0, 2**62, f"{r.corrupt}: word counts")
     G = G.astype(np.int32)
     if not 0 < sum(word_counts.tolist()) < 2**62:
-        raise ValueError(f"{_CORRUPT}: word counts must add up to a total in (0, 2**62)")
-    check_range(cells[:, 0], 0, n_states, f"{_CORRUPT}: joint states")
-    check_range(cells[:, 1], 0, n_categories, f"{_CORRUPT}: joint categories")
-    check_range(cells[:, 2], 1, 2**62, f"{_CORRUPT}: joint counts")
-    check_strictly_sorted(cells[:, :2], f"{_CORRUPT}: #joint")
+        raise r.error("word counts must add up to a total in (0, 2**62)")
+    check_range(cells[:, 0], 0, n_states, f"{r.corrupt}: joint states")
+    check_range(cells[:, 1], 0, n_categories, f"{r.corrupt}: joint categories")
+    check_range(cells[:, 2], 1, 2**62, f"{r.corrupt}: joint counts")
+    check_strictly_sorted(cells[:, :2], f"{r.corrupt}: #joint")
     if not np.array_equal(
         _sums(cells[:, 1], cells[:, 2], n_categories), _sums(G, word_counts, n_categories)
     ):
-        raise ValueError(f"{_CORRUPT}: joint column sums differ from the category word counts")
+        raise r.error("joint column sums differ from the category word counts")
     state_totals = _sums(cells[:, 0], cells[:, 2], n_states)
 
     def table(rows: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
         keys, states = rows[:, :-1], rows[:, -1]
         for k, sl in enumerate(slots[depth - keys.shape[1] :]):
-            check_range(keys[:, k], 0, sl.arity, f"{_CORRUPT}: {what} slot {sl.offset} values")
-        check_strictly_sorted(keys, f"{_CORRUPT}: {what}")
-        check_range(states, 0, n_states, f"{_CORRUPT}: {what} states")
+            check_range(keys[:, k], 0, sl.arity, f"{r.corrupt}: {what} slot {sl.offset} values")
+        check_strictly_sorted(keys, f"{r.corrupt}: {what}")
+        check_range(states, 0, n_states, f"{r.corrupt}: {what} states")
         if (state_totals[states] == 0).any():
-            raise ValueError(f"{_CORRUPT}: {what} maps to a state without events")
+            raise r.error(f"{what} maps to a state without events")
         return keys.astype(np.int32), states.astype(np.int32)
 
     model = ClassLM.__new__(ClassLM)
@@ -568,10 +556,6 @@ def train_backoff(
     return BackoffModel(n_words, discount, kept, bos_id=bos_id)
 
 
-_BACKOFF_VERSION = "#clusterlm-backoff v2"
-_BACKOFF_CORRUPT = "corrupt backoff model file"
-
-
 def save_backoff(model: BackoffModel, path: str | Path) -> None:
     """Write the model's kept counts as one text file.
 
@@ -581,7 +565,7 @@ def save_backoff(model: BackoffModel, path: str | Path) -> None:
     sorted order, so equal models give equal bytes.
     """
     header = [
-        _BACKOFF_VERSION,
+        "#clusterlm-backoff v2",
         f"#order\t{model.order}",
         f"#discount\t{model.discount!r}",
         f"#n_words\t{model.n_words}",
@@ -602,16 +586,7 @@ def load_backoff(path: str | Path) -> BackoffModel:
     saved one bit for bit.  A damaged file (bad header, row count, id,
     sort order or count, or a cut-off last line) raises ``ValueError``.
     """
-    data = Path(path).read_bytes()
-    first, _, _ = data.partition(b"\n")
-    if first == b"#clusterlm-backoff v1":
-        raise ValueError(
-            f"{path} is a v1 backoff model, which stored rounded log probabilities; "
-            "re-run `clusterlm ngram train` to write a v2 model"
-        )
-    if first != _BACKOFF_VERSION.encode():
-        raise ValueError(f"not a backoff model file: {path}")
-    r = Reader(data, len(first) + 1, _BACKOFF_CORRUPT)
+    r = Reader(path, "#clusterlm-backoff v2", "backoff model")
     order = r.int_line("#order")
     discount = r.float_line("#discount")
     n_words = r.int_line("#n_words")
@@ -694,42 +669,44 @@ def save_interpolated(
 
 
 def load_interpolated(path: str | Path) -> InterpolatedModel:
-    """Read a mixture file written by ``save_interpolated`` and load its
-    components.  One ``#weights`` line and then ``#component`` lines are
-    required; any other line, or a cut-off last line, raises
-    ``ValueError``."""
-    base = Path(path).parent
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines[0].strip() != "#clusterlm-interp v1":
-        raise ValueError("not an interpolated model file")
-    if lines.pop() != "":
-        raise ValueError("corrupt interpolated model file: the last line is cut off")
-    if len(lines) < 2 or not lines[1].startswith("#weights\t"):
-        raise ValueError("corrupt interpolated model file: expected a #weights line")
+    """Read a mixture file written by ``save_interpolated`` and load its components.
+    One ``#weights`` line and then ``#component`` lines are required; any other line,
+    a cut-off last line, or a component that contains the mixture raises ``ValueError``."""
+    return _load_interpolated(path, ())
+
+
+def _load_interpolated(path: str | Path, opened: tuple[Path, ...]) -> InterpolatedModel:
+    """``load_interpolated`` inside the mixture files ``opened``."""
+    r = Reader(path, "#clusterlm-interp v1", "mixture")
+    text = r.line("#weights", 1)[0]
+    names = []
+    while r.pos < len(r.data):
+        names.append(r.line("#component", 1)[0])
+    if "" in names:
+        raise r.error("a #component line names no file")
     try:
-        weights = [float(x) for x in lines[1].partition("\t")[2].split()]
+        weights = [float(x) for x in text.split()]
     except ValueError:
-        raise ValueError("corrupt interpolated model file: a weight is not a number") from None
-    comp_paths: list[Path] = []
-    for line in lines[2:]:
-        key, _, value = line.partition("\t")
-        if key != "#component" or not value:
-            raise ValueError(f"corrupt interpolated model file: unexpected line {line!r}")
-        q = Path(value)
-        comp_paths.append(q if q.is_absolute() else base / q)
-    components = [load_model(p) for p in comp_paths]
-    return InterpolatedModel(components, weights)
+        raise r.error(f"a weight is not a number: {text!r}") from None
+    opened += (Path(path).resolve(),)
+    if opened[-1] in opened[:-1]:
+        raise ValueError(f"mixture file {path} contains itself")
+    return InterpolatedModel([_load_model(Path(path).parent / q, opened) for q in names], weights)
 
 
 def load_model(path: str | Path):
     """Open any saved model, dispatching on its version line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    if first.startswith("#clusterlm-backoff "):
+    return _load_model(path, ())
+
+
+def _load_model(path: str | Path, opened: tuple[Path, ...]):
+    """``load_model`` inside the mixture files ``opened``."""
+    with open(path, "rb") as fh:
+        kind = fh.readline().partition(b" ")[0]
+    if kind == b"#clusterlm-backoff":
         return load_backoff(path)
-    if first.startswith("#clusterlm-classlm "):
+    if kind == b"#clusterlm-classlm":
         return load_classlm(path)
-    if first == "#clusterlm-interp v1":
-        return load_interpolated(path)
+    if kind == b"#clusterlm-interp":
+        return _load_interpolated(path, opened)
     raise ValueError(f"unrecognized model file: {path}")

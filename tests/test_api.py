@@ -75,6 +75,22 @@ def test_every_import_is_used_in_its_module():
     assert sorted(found - PATCHED_IMPORTS) == []
 
 
+def test_only_the_row_codec_reads_a_version_line():
+    """A loader opens its file through ``_rows.Reader``, which checks the
+    version line, rather than slicing that line off with ``partition``."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "clusterlm").glob("*.py"))
+        if path.name != "_rows.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "partition"
+        and [ast.dump(a) for a in node.args] == [ast.dump(ast.Constant(b"\n"))]
+    ]
+    assert found == []
+
+
 # Functions that no stage of a valid pipeline calls, and why each stays.
 UNCALLED = {
     **dict.fromkeys(
@@ -97,6 +113,8 @@ UNCALLED = {
     "_rows.tuples": "the benchmark tracer reads it, through EventTable.counts",
     "ctxtree.Level.key": "only an on_move callback reaches it",
     "_rows.Reader.error": "only damaged files reach it",
+    "models.load_interpolated": "public loader of a mixture file alone; the CLI opens a "
+    "mixture through load_model, which shares its parser",
 }
 
 

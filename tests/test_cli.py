@@ -527,6 +527,19 @@ class TestFailureModes:
                         "--vocab", d / "v.txt"], capsys)
         assert err.startswith("error:") and "non-negative and sum to 1" in err
 
+    def test_mixture_that_contains_itself_is_rejected(self, workdir, capsys):
+        d = workdir
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        run_ok(["ngram", "train", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--order", "2", "--out", d / "b.model"], capsys)
+        (d / "mix.model").write_text(
+            "#clusterlm-interp v1\n#weights\t0.5 0.5\n#component\tb.model\n"
+            "#component\tmix.model\n"
+        )
+        err = run_fail(["eval", "ppl", "--model", d / "mix.model", "--test", d / "held.txt",
+                        "--vocab", d / "v.txt"], capsys)
+        assert err == f"error: mixture file {d / 'mix.model'} contains itself\n"
+
     def test_non_model_file_rejected_by_interp(self, tmp_path, capsys):
         d = tmp_path
         (d / "train.txt").write_text("a b\n")

@@ -93,6 +93,16 @@ class TestVocabularyRoundTrip:
             with pytest.raises(ValueError, match="malformed special line"):
                 Vocabulary.load(path)
 
+    def test_load_rejects_a_special_role_given_two_tokens(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        header = "#special bos <s>\n#special eos </s>\n#special unk <unk>\n"
+        tokens = "a\nb\nc\n<s>\n</s>\n<unk>\n"
+        path.write_text(header + "#special bos <s>\n" + tokens)
+        assert Vocabulary.load(path).bos_id == 3  # the same token twice is no conflict
+        path.write_text(header + "#special bos a\n" + tokens)
+        with pytest.raises(ValueError, match="two bos special tokens"):
+            Vocabulary.load(path)
+
     def test_load_rejects_duplicates(self, tmp_path):
         vocab = build_vocabulary("a b".split())
         path = tmp_path / "vocab.txt"
@@ -183,6 +193,15 @@ class TestFeatureMaps:
         vocab = self._vocab()
         p = tmp_path / "tags.tsv"
         p.write_text("dog\tN\ndog\tV\n")
+        with pytest.raises(ValueError, match="ambiguous feature map"):
+            load_feature_map(p, vocab, "t")
+
+    def test_conflicting_default_rejected(self, tmp_path):
+        vocab = self._vocab()
+        p = tmp_path / "tags.tsv"
+        p.write_text("dog\tX\n#default\tY\n#default\tY\n")
+        assert load_feature_map(p, vocab, "t").arity == 2 + 3  # a repeat agrees
+        p.write_text("dog\tX\n#default\tY\n#default\tZ\n")
         with pytest.raises(ValueError, match="ambiguous feature map"):
             load_feature_map(p, vocab, "t")
 

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -224,10 +225,9 @@ class TestClassLM:
     def test_load_rejects_v1_file(self, tmp_path):
         p = tmp_path / "model.classlm"
         p.write_text("#clusterlm-classlm v1\n#discount\t0.5\n#vocab\tvocab.txt\n")
-        with pytest.raises(ValueError, match="re-run"):
-            load_classlm(p)
-        with pytest.raises(ValueError, match="re-run"):
-            load_model(p)
+        for load in (load_classlm, load_model):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(p))} is a v1 .* re-run"):
+                load(p)
 
     def test_mapper_table_must_cover_vocabulary(self, tmp_path):
         # counts reloaded without their mappers carry empty placeholder tables
@@ -816,7 +816,8 @@ class TestBackoffFileCorruption:
         path = tmp_path / "old.model"
         path.write_text("#clusterlm-backoff v1\n#order\t1\n#1-grams\n\t0\t-0.5\n")
         for load in (load_backoff, load_model):
-            with pytest.raises(ValueError, match="re-run `clusterlm ngram train`"):
+            hint = f"^{re.escape(str(path))} is a v1 .* re-run `clusterlm ngram train`"
+            with pytest.raises(ValueError, match=hint):
                 load(path)
 
     @settings(max_examples=80, deadline=None)
@@ -885,6 +886,73 @@ class TestInterpolatedFileCorruption:
         path.write_text("\n".join(edit(lines)) + "\n")
         with pytest.raises(ValueError):
             load_interpolated(path)
+
+
+    @pytest.mark.parametrize("load", [load_interpolated, load_model])
+    def test_a_mixture_that_lists_itself_is_rejected(self, tmp_path, load):
+        path, lines = mixture_lines(tmp_path)
+        path.write_text("\n".join(lines[:-1] + ["#component\t./mix.model"]) + "\n")
+        with pytest.raises(ValueError, match=r"mixture file .*mix\.model contains itself"):
+            load(path)
+
+    @pytest.mark.parametrize("load", [load_interpolated, load_model])
+    def test_two_mixtures_that_list_each_other_are_rejected(self, tmp_path, load):
+        path, lines = mixture_lines(tmp_path)
+        (tmp_path / "sub").mkdir()
+        path.write_text("\n".join(lines[:-1] + ["#component\tsub/other.model"]) + "\n")
+        (tmp_path / "sub" / "other.model").write_text(
+            f"{lines[0]}\n#weights\t1.0\n#component\t../mix.model\n"
+        )
+        with pytest.raises(ValueError, match=r"mixture file .*mix\.model contains itself"):
+            load(path)
+        with pytest.raises(ValueError, match=r"mixture file .*other\.model contains itself"):
+            load(tmp_path / "sub" / "other.model")
+
+    def test_a_component_shared_without_a_cycle_is_loaded(self, tmp_path):
+        path, lines = mixture_lines(tmp_path)
+        shared = tmp_path / "shared.model"
+        shared.write_text(f"{lines[0]}\n#weights\t0.5 0.5\n{lines[2]}\n{lines[2]}\n")
+        top = tmp_path / "top.model"
+        top.write_text(
+            f"{lines[0]}\n#weights\t0.5 0.5\n#component\tshared.model\n#component\tmix.model\n"
+        )
+        path.write_text("\n".join(lines[:-1] + ["#component\tshared.model"]) + "\n")
+        loaded = load_model(top)
+        assert [type(c) for c in loaded.components] == [InterpolatedModel] * 2
+        assert type(loaded.components[1].components[1]) is InterpolatedModel
+
+
+class TestLoaderContract:
+    """Every loader rejects a file of another type, an empty file and a
+    first line that is not UTF-8 with a ValueError that names the file.
+    The retired v1 files are checked by the class and backoff file tests."""
+
+    LOADERS = {
+        "load_counts": lambda path, table: load_counts(path),
+        "load_clustering": load_clustering,
+        "load_classlm": lambda path, table: load_classlm(path),
+        "load_backoff": lambda path, table: load_backoff(path),
+        "load_interpolated": lambda path, table: load_interpolated(path),
+        "load_model": lambda path, table: load_model(path),
+    }
+
+    @pytest.mark.parametrize("loader", list(LOADERS))
+    @pytest.mark.parametrize("content", ["another format", "empty", "invalid utf-8"])
+    def test_a_file_of_another_type_is_rejected_by_name(self, tmp_path, loader, content):
+        table = build_table(["a b a", "b a b"], offsets=(-1,))[2]
+        path = tmp_path / "input.txt"
+        if content == "empty":
+            path.write_bytes(b"")
+        elif content == "invalid utf-8":
+            path.write_bytes(b"\xff\xfe#clusterlm\n#vocab\t5\n")
+        elif loader == "load_counts":
+            backoff = train_backoff(count_arrays([{(0,): 2, (1,): 1}]), 2, discount=0.5, bos_id=1)
+            save_backoff(backoff, path)
+        else:
+            save_counts(table, path)
+        with pytest.raises(ValueError) as err:
+            self.LOADERS[loader](str(path), table)
+        assert str(path) in str(err.value)
 
 
 class Fixed:
