@@ -9,10 +9,18 @@ tab, as in ``3 17<TAB>5<TAB>2``.  Rows are formatted and parsed a whole
 array at a time with numpy, and formatting a parsed section gives back
 its bytes.
 
-Rows are compared lexicographically.  ``find_rows`` is the one row
-lookup: it searches a strictly sorted table without sorting it.
-``sum_rows`` is the one count: the distinct rows of an unsorted array,
-sorted, with how often each occurs or the sum of its weights.
+Rows are compared lexicographically, through ``Keys``: each row packed
+into one int64 key, its number in mixed radix (each column shifted by
+its minimum and scaled by the later columns' spans), so that sorting,
+comparing and searching keys does so to rows.  Where the spans multiply
+to 2**62 or more, the columns are packed into as few int64 chunks as
+needed, and the same functions compare the chunks in turn.
+``group_rows`` and ``sum_rows`` pack the rows they are given;
+``find_rows``, the one row lookup, searches a table packed once by its
+owner, and ``check_strictly_sorted`` checks that table's order on the
+same keys.  ``sum_rows`` is the one count: the distinct rows of an
+unsorted array, sorted, with how often each occurs or the sum of its
+weights.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 _ROWS_PER_WRITE = 1 << 12
+_KEY_LIMIT = 1 << 62  # the spans of one key chunk multiply to less
 
 # version lines of formats no loader reads any more, and how to replace such a file
 _RETIRED = {
@@ -60,7 +69,7 @@ def write_rows(fh: BinaryIO, keys: np.ndarray, *values: np.ndarray) -> None:
 class Reader:
     """Cursor over the bytes of a file of header lines and row sections,
     after its version line.  Every error is a ``ValueError`` opened by
-    ``corrupt``."""
+    ``corrupt``, which names the file."""
 
     def __init__(self, path: str | Path, version: str, what: str, data: bytes | None = None):
         """Open the ``what`` file ``path``, whose bytes are ``data`` (all of
@@ -73,7 +82,7 @@ class Reader:
         if first != version.encode():
             raise ValueError(f"not a {what} file: {path}")
         self.pos = len(first) + 1
-        self.corrupt = f"corrupt {what} file"
+        self.corrupt = f"corrupt {what} file {path}"
 
     def error(self, message: str) -> ValueError:
         return ValueError(f"{self.corrupt}: {message}")
@@ -88,7 +97,11 @@ class Reader:
         end = self.data.find(b"\n", self.pos)
         if end < 0:
             raise self.error(f"missing {key} line")
-        fields = self.data[self.pos : end].decode("utf-8").split("\t")
+        try:
+            fields = self.data[self.pos : end].decode("utf-8").split("\t")
+        except UnicodeDecodeError:
+            line = self.data.count(b"\n", 0, self.pos) + 1
+            raise self.error(f"line {line} is not UTF-8") from None
         if fields[0] != key or len(fields) != n_fields + 1:
             raise self.error(f"expected a {key} line with {n_fields} field(s)")
         self.pos = end + 1
@@ -158,27 +171,73 @@ class Reader:
             raise self.error(f"unexpected content after {after}")
 
 
+class Keys:
+    """The rows of an integer matrix packed into sortable int64 keys.
+
+    Each column is shifted by its minimum and scaled by the product of
+    the later columns' spans (maximum - minimum + 1), and the row's key
+    is the sum: its number in mixed radix, so keys order as the rows do
+    and equal keys are equal rows.  While the spans multiply to less than
+    2**62 that is one int64 per row; beyond, consecutive columns are
+    packed into as few int64 chunks as needed, compared in turn.  A
+    column spanning 2**62 or more is a chunk of its own, unshifted.
+
+    ``key`` holds one row of chunks per packed row; ``lo`` and ``hi``
+    are each column's range, which ``pack`` requires of its rows.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        n = len(rows)
+        self.lo = [int(rows[:, j].min()) if n else 0 for j in range(rows.shape[1])]
+        self.hi = [int(rows[:, j].max()) if n else 0 for j in range(rows.shape[1])]
+        self.chunks: list[list[tuple[int, int, int]]] = []  # (column, shift, scale)
+        product = _KEY_LIMIT
+        for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            span = hi - lo + 1
+            if product * span >= _KEY_LIMIT:
+                self.chunks.append([])
+                product = 1
+            product *= span
+            chunk = [(col, shift, scale * span) for col, shift, scale in self.chunks[-1]]
+            self.chunks[-1] = chunk + [(j, lo if span < _KEY_LIMIT else 0, 1)]
+        self.key = self.pack(rows)
+
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        """The (len(rows), chunks) int64 keys of ``rows``, whose values
+        must lie in the columns' ranges (one zero chunk for no columns)."""
+        out = np.zeros((len(rows), max(len(self.chunks), 1)), dtype=np.int64)
+        for c, chunk in enumerate(self.chunks):
+            for j, shift, scale in chunk:
+                col = rows[:, j] - np.int64(shift)
+                col *= np.int64(scale)
+                out[:, c] += col
+        return out
+
+
 def check_range(values: np.ndarray, lo: int, hi: int, what: str) -> None:
     if values.size and (int(values.min()) < lo or int(values.max()) >= hi):
         raise ValueError(f"{what} outside [{lo}, {hi})")
 
 
-def check_strictly_sorted(rows: np.ndarray, what: str) -> None:
-    """Rows must increase strictly in lexicographic order."""
-    if len(rows) < 2:
+def check_strictly_sorted(key: np.ndarray, what: str) -> None:
+    """Key rows (``Keys.key``) must increase strictly: each row is larger
+    than the one before it in the first chunk where the two differ."""
+    if len(key) < 2:
         return
-    before, after = rows[:-1], rows[1:]
-    differ = before != after
-    first = differ.argmax(axis=1)
-    at = np.arange(len(first))
-    if not (differ.any(axis=1) & (after[at, first] > before[at, first])).all():
+    before, after = key[:-1], key[1:]
+    ok = after[:, -1] > before[:, -1]
+    for c in range(key.shape[1] - 2, -1, -1):  # an earlier chunk decides where it differs
+        ok = (after[:, c] > before[:, c]) | ((after[:, c] == before[:, c]) & ok)
+    if not ok.all():
         raise ValueError(f"{what} rows are not strictly sorted")
 
 
-def row_starts(rows: np.ndarray) -> np.ndarray:
-    """Mask of the rows that differ from the row before them."""
-    out = np.ones(len(rows), dtype=bool)
-    out[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+def row_starts(key: np.ndarray) -> np.ndarray:
+    """Mask of the sorted key rows (``Keys.key``) that differ from the
+    row before them."""
+    flat = _searchable(key)
+    out = np.ones(len(key), dtype=bool)
+    out[1:] = flat[1:] != flat[:-1]
     return out
 
 
@@ -186,48 +245,62 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, starts): the stable permutation that sorts ``rows``
     lexicographically, and the positions in that order where a new
     distinct row begins.  Rows without columns form one group."""
-    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
-    return order, np.flatnonzero(row_starts(rows[order]))
+    key = Keys(rows).key
+    order = _order(key, "stable")
+    return order, np.flatnonzero(row_starts(key[order]))
 
 
 def sum_rows(rows: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``rows`` in sorted order, and the sum of
-    ``weights`` over each (how often each occurs without ``weights``)."""
-    order, starts = group_rows(rows)
+    ``weights`` over each (how often each occurs without ``weights``).
+    Equal keys are equal rows, so the order within a tie changes no sum
+    and the sort need not be stable."""
+    key = Keys(rows).key
+    order = _order(key, None)
+    starts = np.flatnonzero(row_starts(key[order]))
+    distinct = rows.take(order[starts], axis=0)  # a row gather, many times faster than rows[...]
     if weights is None:
-        return rows[order[starts]], np.diff(starts, append=len(rows))
-    return rows[order[starts]], np.add.reduceat(weights[order], starts)
+        return distinct, np.diff(starts, append=len(rows))
+    return distinct, np.add.reduceat(weights[order], starts)
 
 
-def find_rows(table: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def find_rows(table: Keys, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(at, found): for each query row, the index of the equal row of
-    the strictly sorted ``table`` (-1 if there is none), and whether
-    there is one.
+    the strictly sorted packed ``table`` (-1 if there is none), and
+    whether there is one.
 
-    The table's values must lie in [0, 2**32).  Column by column, a
-    table row's key is the index of the first row sharing its earlier
-    columns, shifted left by 32 bits, plus its value in that column.
-    The keys ascend, so one ``np.searchsorted`` per column narrows each
-    query to the first row sharing its columns so far.  A query value
-    outside the table's range can only narrow to a wrong row, which the
-    final comparison turns into not found, so any int64 query works."""
+    A query with a value outside its column's range in the table is not
+    found and never packed, so any int64 query works; the others are
+    packed as the table was and searched for with one
+    ``np.searchsorted``."""
     queries = np.asarray(queries, dtype=np.int64)
-    n = len(table)
-    at = np.zeros(len(queries), dtype=np.int64)
-    found = np.full(len(queries), n > 0)
-    first = np.zeros(n, dtype=np.int64)  # first row sharing the columns so far
-    for j in range(table.shape[1] if n else 0):
-        keys = (first << 32) + table[:, j]
-        want = (at << 32) + queries[:, j]
-        at = np.minimum(np.searchsorted(keys, want), n - 1)
-        found &= keys[at] == want
-        if j + 1 < table.shape[1]:
-            new = np.ones(n, dtype=bool)
-            new[1:] = keys[1:] != keys[:-1]
-            first = np.maximum.accumulate(np.where(new, np.arange(n), 0))
-    found[found] = (table[at[found]] == queries[found]).all(axis=1)
-    at[~found] = -1
-    return at, found
+    live = np.full(len(queries), len(table.key) > 0)
+    for j, (lo, hi) in enumerate(zip(table.lo, table.hi)):
+        live &= (queries[:, j] >= lo) & (queries[:, j] <= hi)
+    keys, want = _searchable(table.key), _searchable(table.pack(queries[live]))
+    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    hit = keys[at] == want
+    found = live.copy()
+    found[live] = hit
+    out = np.full(len(queries), -1, dtype=np.int64)
+    out[found] = at[hit]
+    return out, found
+
+
+def _order(key: np.ndarray, kind: str | None) -> np.ndarray:
+    """The permutation that sorts the key rows: ``np.argsort`` of the
+    one chunk with ``kind``, else a (stable) ``np.lexsort`` of the
+    chunks."""
+    return np.argsort(key[:, 0], kind=kind) if key.shape[1] == 1 else np.lexsort(key.T[::-1])
+
+
+def _searchable(key: np.ndarray) -> np.ndarray:
+    """The key rows as one array that ``==`` and ``np.searchsorted``
+    take in row order: the one chunk, else a record of the chunks."""
+    if key.shape[1] == 1:
+        return key[:, 0]
+    fields = np.dtype([(f"c{c}", np.int64) for c in range(key.shape[1])])
+    return np.ascontiguousarray(key).view(fields)[:, 0]
 
 
 def tuples(rows: np.ndarray) -> Iterator[tuple[int, ...]]:

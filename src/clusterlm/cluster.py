@@ -361,7 +361,7 @@ def _level_rows(clustering: Clustering, level: Level) -> _LevelRows:
     state = clustering.S[level.members[level.bounds[:-1]]]
     if (clustering.S != state[level.group_of]).any():
         raise ValueError(_FRAGMENTED)
-    group_of = level.group_of.astype(np.int32)  # int32 pairs halve the grouped sum's temporaries
+    group_of = level.group_of.astype(np.int32)  # int32 pairs halve the stacked and summed rows
     keys, freqs = sum_rows(np.column_stack((group_of[clustering.ctx_of], table.words)), table.freqs)
     group, word = keys.T
     order = np.argsort(word, kind="stable")

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from clusterlm._rows import (
+    Keys,
     Reader,
     check_range,
     check_strictly_sorted,
@@ -88,9 +89,9 @@ class EventTable:
         total = sum(freqs.tolist())  # exact, so the int64 sums below cannot wrap
         if total >= 2**62:
             raise ValueError("stored counts must add up to less than 2**62")
-        check_strictly_sorted(keys, "(context, word)")
+        check_strictly_sorted(Keys(keys).key, "(context, word)")
 
-        first = np.flatnonzero(row_starts(keys[:, :-1]))
+        first = np.flatnonzero(row_starts(Keys(keys[:, :-1]).key))
         self.spec = spec
         self.n_words = int(n_words)
         self.contexts = keys[first, :-1].astype(np.int32)

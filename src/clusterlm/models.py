@@ -30,6 +30,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from clusterlm._rows import (
+    Keys,
     Reader,
     check_range,
     check_strictly_sorted,
@@ -143,6 +144,9 @@ class ClassLM:
         self.word_counts = word_counts
         self.joint_cells = joint_cells
         self.tables = tables
+        # each lookup table packed once, for every query and the loader's sort check
+        self._joint_keys = Keys(joint_cells[:, :2])
+        self._table_keys = [Keys(keys) for keys, _ in tables]
         self.n_words = len(G)
         self.n_categories = int(n_categories)
         self.n_states = int(n_states)
@@ -178,7 +182,7 @@ class ClassLM:
         g = self.G[words]
         live = np.flatnonzero(self.cat_totals[g] > 0)  # an empty category gives 0.0
         s, g, words = s[live], g[live], words[live]
-        at, seen = find_rows(self.joint_cells[:, :2], np.column_stack([s, g]))
+        at, seen = find_rows(self._joint_keys, np.column_stack([s, g]))
         joint = np.zeros(len(live), dtype=np.float64)
         joint[seen] = self.joint_cells[at[seen], 2]
         # N(g)/N as Python divides the two exact integers
@@ -197,9 +201,8 @@ class ClassLM:
         out = np.full(len(ctx), self._default_state, dtype=np.int64)
         todo = np.arange(len(ctx))
         for keep in range(self.depth, 0, -1):
-            keys, states = self.tables[keep - 1]
-            at, found = find_rows(keys, ctx[todo, self.depth - keep :])
-            out[todo[found]] = states[at[found]]
+            at, found = find_rows(self._table_keys[keep - 1], ctx[todo, self.depth - keep :])
+            out[todo[found]] = self.tables[keep - 1][1][at[found]]
             todo = todo[~found]
         return out
 
@@ -241,11 +244,11 @@ def _suffix_states(
     suffix = contexts[:, contexts.shape[1] - keep :]
     pairs, weight = sum_rows(np.column_stack([suffix, states]), counts)
     suffix, states = pairs[:, :-1], pairs[:, -1]
+    key = Keys(suffix).key
     # heaviest state first within each suffix, the lower id among equals
-    order = np.lexsort((states, -weight, *suffix.T[::-1]))
-    suffix, states = suffix[order], states[order]
-    first = row_starts(suffix)
-    return suffix[first], states[first].astype(np.int32)
+    order = np.lexsort((states, -weight, *key.T[::-1]))
+    first = row_starts(key[order])
+    return suffix[order[first]], states[order[first]].astype(np.int32)
 
 
 def save_classlm(model: ClassLM, path: str | Path) -> None:
@@ -350,7 +353,6 @@ def load_classlm(path: str | Path) -> ClassLM:
     check_range(cells[:, 0], 0, n_states, f"{r.corrupt}: joint states")
     check_range(cells[:, 1], 0, n_categories, f"{r.corrupt}: joint categories")
     check_range(cells[:, 2], 1, 2**62, f"{r.corrupt}: joint counts")
-    check_strictly_sorted(cells[:, :2], f"{r.corrupt}: #joint")
     if not np.array_equal(
         _sums(cells[:, 1], cells[:, 2], n_categories), _sums(G, word_counts, n_categories)
     ):
@@ -361,12 +363,12 @@ def load_classlm(path: str | Path) -> ClassLM:
         keys, states = rows[:, :-1], rows[:, -1]
         for k, sl in enumerate(slots[depth - keys.shape[1] :]):
             check_range(keys[:, k], 0, sl.arity, f"{r.corrupt}: {what} slot {sl.offset} values")
-        check_strictly_sorted(keys, f"{r.corrupt}: {what}")
         check_range(states, 0, n_states, f"{r.corrupt}: {what} states")
         if (state_totals[states] == 0).any():
             raise r.error(f"{what} maps to a state without events")
         return keys.astype(np.int32), states.astype(np.int32)
 
+    names = [f"#suffix {keep}" for keep in range(1, depth)] + ["#contexts"]
     model = ClassLM.__new__(ClassLM)
     model._setup(
         discount,
@@ -377,11 +379,11 @@ def load_classlm(path: str | Path) -> ClassLM:
         cells,
         n_categories,
         n_states,
-        [
-            table(rows, f"#suffix {keep}" if keep < depth else "#contexts")
-            for keep, rows in enumerate(table_rows, 1)
-        ],
+        [table(rows, what) for rows, what in zip(table_rows, names)],
     )
+    # the sort checks read the keys the model looks its tables up by
+    for keys, what in zip([model._joint_keys, *model._table_keys], ["#joint", *names]):
+        check_strictly_sorted(keys.key, f"{r.corrupt}: {what}")
     return model
 
 
@@ -406,11 +408,12 @@ class BackoffModel:
         p_1(w) = (max(c(w) - D, 0) + D * n+ / |V|) / N.
 
     The model is defined by its kept counts: ``grams[k-1]`` holds the
-    kept k-grams as strictly sorted rows of word ids and ``counts[k-1]``
-    their counts, as ``train_backoff`` checks and cuts them.  From them
-    it derives ``uni`` and, per order k >= 2, the sorted tables of the
-    kept k-grams with their full interpolated p_k and of the seen
-    histories with their bow(h).
+    kept k-grams as strictly sorted rows of word ids (else ``ValueError``)
+    and ``counts[k-1]`` their counts, as ``train_backoff`` checks and cuts
+    them.  From them it derives ``uni`` and, per order k >= 2, the sorted
+    tables of the kept k-grams with their full interpolated p_k and of
+    the seen histories with their bow(h), each packed once into
+    ``_rows.Keys`` for its lookups.
     """
 
     def __init__(
@@ -441,19 +444,24 @@ class BackoffModel:
         self.uni = np.full(self.n_words, floor / total, dtype=np.float64)
         self.uni[words] = (np.maximum(uni_counts - d, 0.0) + floor) / total
 
-        # per order k >= 2: kept k-grams, their p_k, seen histories, their bows
-        tables: list[tuple[np.ndarray, ...]] = []
+        # per order k >= 2: kept k-grams, their p_k, seen histories, their
+        # bows; each table packed once, and the k-grams' keys checked sorted
+        check_strictly_sorted(Keys(self.grams[0]).key, "order-1")
+        tables: list[tuple] = []
         for k in range(2, self.order + 1):
             grams, c = self.grams[k - 1], self.counts[k - 1]
-            starts = np.flatnonzero(row_starts(grams[:, :-1]))
-            hists = grams[starts, :-1]
+            gram_keys = Keys(grams)
+            check_strictly_sorted(gram_keys.key, f"order-{k}")
+            hists = Keys(grams[:, :-1])
+            starts = np.flatnonzero(row_starts(hists.key))
+            hists.key = hists.key[starts]  # the distinct histories span what all of them do
             hist_tot = np.add.reduceat(c, starts)
             nplus = np.diff(starts, append=len(grams))
             bows = d * nplus / hist_tot
             h = np.repeat(np.arange(len(starts)), nplus)
             lower = _interpolated(self.uni, tables, k - 1, grams[:, 1:])
             probs = (c - d) / hist_tot[h] + bows[h] * lower
-            tables.append((grams, probs, hists, bows))
+            tables.append((gram_keys, probs, hists, bows))
         self._tables = tables
 
     @property
@@ -472,7 +480,7 @@ class BackoffModel:
     def n_parameters(self) -> int:
         """Raw stored-entry count: unigram row plus every kept n-gram
         probability and history weight."""
-        return self.n_words + sum(len(grams) + len(hists) for grams, _, hists, _ in self._tables)
+        return self.n_words + sum(len(probs) + len(bows) for _, probs, _, bows in self._tables)
 
 
 def _interpolated(
@@ -547,11 +555,12 @@ def train_backoff(
         if grams.ndim != 2 or grams.shape[1] != k or c.shape != (len(grams),):
             raise ValueError(f"order-{k} rows must have length {k} and one count each")
         check_range(grams, 0, n_words, f"order-{k} word ids")
-        check_strictly_sorted(grams, f"order-{k}")
         check_range(c, 1, 2**62, f"order-{k} counts")
         if c.sum(dtype=np.float64) >= 2.0**62:
             raise ValueError(f"order-{k} counts must add up to less than 2**62")
         keep = c > cutoffs.get(k, 0)
+        if not keep.all():  # the model checks the order of the rows it keeps
+            check_strictly_sorted(Keys(grams).key, f"order-{k}")
         kept.append((grams[keep], c[keep]))
     return BackoffModel(n_words, discount, kept, bos_id=bos_id)
 

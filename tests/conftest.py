@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from clusterlm._rows import find_rows, tuples
+from clusterlm._rows import Keys, find_rows, tuples
 from clusterlm.cluster import Clustering, ClusterParams, MoveDelta, _ranked_init, _start
 from clusterlm.corpus import (
     FeatureMapper,
@@ -115,7 +115,7 @@ def index_of(table: EventTable, context: tuple[int, ...]) -> int:
     key = tuple(context)
     # contexts hold int32 values, so any other tuple is unknown
     if len(key) == table.spec.depth and all(0 <= v < 2**31 for v in key):
-        at, found = find_rows(table.contexts, np.array([key], dtype=np.int64))
+        at, found = find_rows(Keys(table.contexts), np.array([key], dtype=np.int64))
         if found[0]:
             return int(at[0])
     raise ValueError(f"unknown context {key!r}")
@@ -309,8 +309,13 @@ def backoff_dicts(m: BackoffModel) -> BackoffDicts:
     """``BackoffDicts`` of a backoff model, built once per model."""
     if m not in _DICTS:
         _DICTS[m] = BackoffDicts(
-            {k: dict(zip(tuples(grams), p.tolist())) for k, (grams, p, _, _) in enumerate(m._tables, 2)},
-            {k: dict(zip(tuples(hists), b.tolist())) for k, (_, _, hists, b) in enumerate(m._tables, 2)},
+            # the model keeps its tables as packed keys: the rows are its
+            # kept k-grams and, in sorted order, their distinct histories
+            {k: dict(zip(tuples(m.grams[k - 1]), p.tolist())) for k, (_, p, _, _) in enumerate(m._tables, 2)},
+            {
+                k: dict(zip(tuples(np.unique(m.grams[k - 1][:, :-1], axis=0)), b.tolist()))
+                for k, (_, _, _, b) in enumerate(m._tables, 2)
+            },
         )
     return _DICTS[m]
 

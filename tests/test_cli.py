@@ -277,7 +277,7 @@ class TestTagAndClassSlots:
         assert not (d / "m.model").exists()
 
 
-CUT_SLOT = "corrupt counts file: expected a #slot line with 3 field(s)"
+CUT_SLOT = "corrupt counts file {bad}: expected a #slot line with 3 field(s)"
 
 
 class TestFailureModes:
@@ -472,7 +472,7 @@ class TestFailureModes:
         flags = ["--model-out", d / "m.model", "--vocab", d / "v.txt"] if model_out else []
         err = run_fail(["cluster", "run", "--counts", d / "bad.tsv", "--states", "4",
                         "--categories", "4", "--out", d / "cl.tsv", *flags], capsys)
-        assert err.startswith("error:") and message in err
+        assert err.startswith("error:") and message.format(bad=d / "bad.tsv") in err
         assert not (d / "cl.tsv").exists() and not (d / "m.model").exists()
 
     def test_out_of_range_word_ids_are_errors(self, workdir, capsys):

@@ -8,6 +8,7 @@ and stopping can be compared against the optimized implementation.
 
 import math
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -984,7 +985,8 @@ class TestClusteringFile:
         i = next(i for i, x in enumerate(lines) if x.startswith("#criterion\t"))
         lines[i] = f"#criterion\t{value}"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="corrupt clustering file: criterion is not finite"):
+        want = f"corrupt clustering file {path}: criterion is not finite"
+        with pytest.raises(ValueError, match=re.escape(want)):
             load_clustering(path, table)
 
     def test_loads_without_a_criterion(self, tmp_path):

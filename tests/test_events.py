@@ -1,6 +1,7 @@
 """Context specs and prediction-event count tables."""
 
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -403,6 +404,16 @@ class TestCountsFileCorruption:
         path, lines = counts_lines(tmp_path)
         path.write_text("\n".join(edit(lines)) + "\n")
         with pytest.raises(ValueError):
+            load_counts(path)
+
+    def test_a_slot_name_that_is_not_utf8_names_the_file_and_line(self, tmp_path):
+        path, lines = counts_lines(tmp_path)
+        at = next(i for i, line in enumerate(lines) if line.startswith("#slot\t"))
+        raw = [line.encode() for line in lines]
+        raw[at] = raw[at].replace(b"\tw\t", b"\t\xff\t")
+        path.write_bytes(b"\n".join(raw) + b"\n")
+        want = f"corrupt counts file {path}: line {at + 1} is not UTF-8"
+        with pytest.raises(ValueError, match=re.escape(want)):
             load_counts(path)
 
     @settings(max_examples=80, deadline=None)

@@ -18,11 +18,12 @@ from clusterlm.corpus import (
     FeatureMapper,
     Vocabulary,
     build_vocabulary,
+    encode_corpus,
     identity_mapper,
     load_feature_map,
 )
 from clusterlm.ctxtree import build_suffix_tree
-from clusterlm.events import ContextSpec, Slot, load_counts, save_counts
+from clusterlm.events import ContextSpec, Slot, event_rows, load_counts, save_counts
 from clusterlm.models import (
     BackoffModel,
     ClassLM,
@@ -48,6 +49,7 @@ from conftest import (
     make_random_corpus,
     marginals,
     oracle_backoff,
+    oracle_backoff_prob,
     oracle_class_prob,
     oracle_context,
     oracle_ngram_counts,
@@ -562,6 +564,49 @@ class TestBackoffOracle:
             assert math.fsum(query_words(m, h)) == pytest.approx(1.0, abs=1e-9)
 
 
+    def test_an_order_8_model_packs_its_n_grams_in_two_key_chunks(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Eight columns over more than about 215 word ids span 2**62 or
+        more, so the 8-gram table of ``ngram train --order 8`` is packed
+        in two int64 chunks; counting, training, loading and scoring
+        still agree with the oracles."""
+        from clusterlm.cli import main
+
+        lines = make_random_corpus(8, 150, n_words=260, min_len=6, max_len=12) * 2
+        held = make_random_corpus(9, 40, n_words=270, min_len=6, max_len=12)
+        monkeypatch.chdir(tmp_path)
+        Path("train.txt").write_text("\n".join(lines) + "\n")
+        for stage in (
+            "vocab build --corpus train.txt --out v.txt",
+            "ngram train --corpus train.txt --vocab v.txt --order 8 --out m.txt",
+        ):
+            assert main(stage.split()) == 0, capsys.readouterr()
+        vocab = Vocabulary.load("v.txt")
+        assert len(vocab) > 215
+        enc = encode_corpus(lines, vocab)
+        oracle = oracle_ngram_counts(enc, 8, bos_id=vocab.bos_id, eos_id=vocab.eos_id)
+        assert count_dicts(ngram_counts(enc, 8, bos_id=vocab.bos_id, eos_id=vocab.eos_id)) == oracle
+
+        m = load_backoff("m.txt")
+        gram_keys, _, hist_keys, _ = m._tables[-1]
+        assert gram_keys.key.shape == (len(m.grams[-1]), 2) and len(m.grams[-1]) > 0
+        assert hist_keys.key.shape[1] == 1
+        uni, probs, bows = oracle_backoff(
+            oracle, len(vocab), discount=0.5, cutoffs={k: 1 for k in range(3, 9)}
+        )
+        assert m.uni.tobytes() == uni.tobytes()
+        assert hexed(backoff_dicts(m).probs) == hexed(probs)
+        assert hexed(backoff_dicts(m).bows) == hexed(bows)
+        # the training events find their 8-grams; held-out ones mostly back off
+        rows = event_rows(enc + encode_corpus(held, vocab), range(-7, 0), -1, vocab.eos_id)
+        want = [
+            float.hex(oracle_backoff_prob(m, row[-1], [h for h in row[:-1] if h >= 0]))
+            for row in rows.tolist()
+        ]
+        assert [float.hex(p) for p in m.prob(rows).tolist()] == want
+
+
 class TestBackoffModel:
     def _hand_model(self):
         # unigrams a:3 b:2; bigrams aa:2 ab:1; D = 0.5.  Every query of this
@@ -887,6 +932,15 @@ class TestInterpolatedFileCorruption:
         with pytest.raises(ValueError):
             load_interpolated(path)
 
+
+    @pytest.mark.parametrize("load", [load_interpolated, load_model])
+    def test_a_component_path_that_is_not_utf8_names_the_file_and_line(self, tmp_path, load):
+        path, lines = mixture_lines(tmp_path)
+        raw = "\n".join(lines).encode() + b"\n#component\tb\xff.model\n"
+        path.write_bytes(raw)
+        want = f"corrupt mixture file {path}: line {len(lines) + 1} is not UTF-8"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            load(path)
 
     @pytest.mark.parametrize("load", [load_interpolated, load_model])
     def test_a_mixture_that_lists_itself_is_rejected(self, tmp_path, load):

@@ -1,4 +1,5 @@
-"""The shared row lookup and row count against dict and Counter oracles."""
+"""The shared row operations on packed keys (lookup, count, grouping and
+the sort check) against dict, Counter, lexsort and tuple-order oracles."""
 
 from collections import Counter
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterlm._rows import find_rows, sum_rows
+from clusterlm._rows import Keys, check_strictly_sorted, find_rows, group_rows, sum_rows
 
 # table values: a few small ones, so queries hit and share prefixes,
 # and the largest int32
@@ -55,14 +56,14 @@ class TestFindRows:
     @given(tables_and_queries())
     def test_matches_a_dict_lookup(self, case):
         table, queries = case
-        at, found = find_rows(table, queries)
+        at, found = find_rows(Keys(table), queries)
         assert at.tolist() == lookup_oracle(table, queries)
         assert found.tolist() == (at >= 0).tolist()
 
     def test_empty_table_and_empty_queries(self):
-        at, found = find_rows(np.zeros((0, 2), dtype=np.int64), np.array([[0, 0], [1, 2]]))
+        at, found = find_rows(Keys(np.zeros((0, 2), dtype=np.int64)), np.array([[0, 0], [1, 2]]))
         assert at.tolist() == [-1, -1] and found.tolist() == [False, False]
-        at, found = find_rows(np.array([[0, 1]]), np.zeros((0, 2), dtype=np.int64))
+        at, found = find_rows(Keys(np.array([[0, 1]])), np.zeros((0, 2), dtype=np.int64))
         assert at.shape == found.shape == (0,)
 
     def test_values_outside_the_table_range_are_not_found(self):
@@ -70,21 +71,32 @@ class TestFindRows:
         queries = np.array(
             [[-1, 0], [0, -1], [2**31 - 1, 0], [0, 2**31 - 1], [2**32, 0], [0, 2**32], [1, 5]]
         )
-        at, found = find_rows(table, queries)
+        at, found = find_rows(Keys(table), queries)
         assert at.tolist() == [-1] * 6 + [3]
 
     def test_a_key_collision_is_not_a_match(self):
-        # (0, 2**32) narrows to the key of row (1, 0), and (1, -1) to the
-        # key of row (0, 2**32 - 1); the final comparison rejects both
+        # packed as the table is, x0 * 2**32 + x1, (0, 2**32) would get the
+        # key of row (1, 0) and (1, -1) that of row (0, 2**32 - 1); each has
+        # a value outside its column's range, so neither is packed or found
         table = np.array([[0, 2**32 - 1], [1, 0]], dtype=np.int64)
-        at, found = find_rows(table, np.array([[0, 2**32], [1, -1], [1, 0]]))
+        at, found = find_rows(Keys(table), np.array([[0, 2**32], [1, -1], [1, 0]]))
         assert at.tolist() == [-1, -1, 1]
+
+
+# row values: a few small ones, so rows repeat, negative ones, the ends
+# of int32, whose columns span 2**32 so that two of them need a second
+# key chunk, and the ends of int64, whose column is a chunk of its own
+ROW_VALUES = st.one_of(
+    st.integers(0, 3),
+    st.integers(-3, 3),
+    st.sampled_from([2**31 - 1, -(2**31), 2**62, -(2**63), 2**63 - 1]),
+)
 
 
 @st.composite
 def rows_and_weights(draw):
-    width = draw(st.integers(1, 3))
-    rows = draw(st.lists(st.tuples(*[st.integers(0, 3)] * width), max_size=40))
+    width = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[ROW_VALUES] * width), max_size=40))
     weights = draw(
         st.none() | st.lists(st.integers(0, 2**40), min_size=len(rows), max_size=len(rows))
     )
@@ -92,8 +104,29 @@ def rows_and_weights(draw):
     return rows, None if weights is None else np.array(weights, dtype=np.int64)
 
 
+@st.composite
+def maybe_sorted_rows(draw):
+    """Rows in any order, or strictly sorted, or sorted with repeats."""
+    rows, _ = draw(rows_and_weights())
+    order = draw(st.sampled_from(["any", "sorted", "unique"]))
+    rows = rows.tolist()
+    if order != "any":
+        rows = sorted(set(map(tuple, rows)) if order == "unique" else map(tuple, rows))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), -1 if rows else 1)
+
+
+def test_wide_columns_take_more_than_one_chunk():
+    rows = np.array([[2**31 - 1, -(2**31), 0], [-(2**31), 2**31 - 1, 1]])
+    assert Keys(rows).key.shape == (2, 2)
+    assert Keys(rows[:, 1:]).key.shape == (2, 1)
+    assert Keys(np.array([[-(2**63), 0], [2**63 - 1, 5]])).key.tolist() == [
+        [-(2**63), 0],
+        [2**63 - 1, 5],
+    ]
+
+
 class TestSumRows:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(rows_and_weights())
     def test_matches_a_counter(self, case):
         rows, weights = case
@@ -110,3 +143,28 @@ class TestSumRows:
         rows = np.zeros((0, 2), dtype=np.int64)
         keys, sums = sum_rows(rows, np.zeros(0, dtype=np.int64) if weighted else None)
         assert keys.shape == (0, 2) and sums.shape == (0,)
+
+
+class TestGroupRows:
+    @settings(max_examples=300, deadline=None)
+    @given(rows_and_weights())
+    def test_order_is_a_stable_lexsort(self, case):
+        rows, _ = case
+        order, starts = group_rows(rows)
+        assert order.tolist() == np.lexsort(rows.T[::-1]).tolist()
+        ordered = list(map(tuple, rows[order].tolist()))
+        assert starts.tolist() == [
+            i for i, row in enumerate(ordered) if i == 0 or row != ordered[i - 1]
+        ]
+
+
+class TestCheckStrictlySorted:
+    @settings(max_examples=300, deadline=None)
+    @given(maybe_sorted_rows())
+    def test_matches_tuple_order(self, rows):
+        tuples = list(map(tuple, rows.tolist()))
+        if all(a < b for a, b in zip(tuples, tuples[1:])):
+            check_strictly_sorted(Keys(rows).key, "drawn")
+        else:
+            with pytest.raises(ValueError, match="drawn rows are not strictly sorted"):
+                check_strictly_sorted(Keys(rows).key, "drawn")
