@@ -13,8 +13,9 @@ numpy.  The arrays are gathered as they are, with no casts, and the
 terms are built in place in the gathered temporaries.
 
 The "before" terms are not recomputed: the caller keeps f of every
-table entry in three float64 caches, ``f_joint = f(joint)`` and
-``f(state_totals)``, ``f(cat_totals)`` (see ``Clustering``), built with
+table entry in float64 caches, ``f_joint = f(joint)`` (and its
+transpose ``f_joint_t``), ``f(state_totals)`` and ``f(cat_totals)`` (see
+``Clustering``), built with
 ``xlogx`` and refreshed at the cells a move changes, which are the
 cells where the moved element's profile is nonzero.  The "after" terms
 of the target cells, ``N + profile`` and ``N(margin) + n``, are
@@ -24,13 +25,31 @@ through ``xlogx``.  Every value is computed by the same elementwise
 expression whether it comes from a cache or not, so the deltas are
 bit-identical to recomputing f over the touched cells.
 
-The word kernel's (states x categories) temporaries go into
-``scratch``, a float64 array of at least twice their size that the
-caller keeps.  The command line has glibc map every array of 128 KiB
-or more afresh (``cli._fix_mmap_threshold``), so a temporary of that
-size would cost new pages on every call.  The group
-kernel gathers columns, which ``np.take`` into a buffer copies at
-about half the speed of fancy indexing, so it allocates.
+There is one kernel, ``move_deltas``, over the rows of a table: the
+element's profile runs along the rows and the candidate targets are the
+columns.  A word move on ``joint`` (states x categories) is that kernel
+as it stands.  A group move changes states, the rows of ``joint``; on
+``joint_t``, the row-major transpose ``Clustering`` keeps beside it
+(categories x states, with its f cache ``f_joint_t``), it is the same
+computation, so ``word_move_deltas`` and ``group_move_deltas`` are one
+call each of ``move_deltas``.  Either way the kernel gathers the rows of
+the profile's nonzero entries, which are contiguous.
+
+A group delta read from the transpose is bit-identical to one read from
+the columns of ``joint``.  Fancy indexing of the ``nz`` columns of
+``joint`` gives a Fortran-ordered (states x k) array, whose per-state
+sum over its k columns adds the terms one after another in ``nz``
+order; the row gather of ``joint_t`` is a C-ordered (k x states) array,
+whose per-state sum down its k rows adds the same terms in the same
+order.  The source cells' N - p is read off the gathered rows as
+(N + p) - 2p, which is exact for integers below 2**53, and every other
+value is the same elementwise expression on the same numbers.
+
+The (k x columns) temporaries go into ``scratch``, a float64 array of at
+least twice the table's size that the caller keeps: the command line
+has glibc map every array of 128 KiB or more afresh
+(``cli._fix_mmap_threshold``), so a temporary of that size would cost
+new pages on every call.
 """
 
 from __future__ import annotations
@@ -64,75 +83,53 @@ def _xlogx_scalar(x: float) -> float:
 
 
 def word_move_deltas(joint, cat_totals, profile, g_cur, n_elem, f_joint, f_cat, scratch):
-    """Criterion deltas for moving one word to every category.
+    """Criterion deltas for moving one word to every category: the row
+    kernel on ``joint`` (states x categories), ``profile[s]`` being the
+    word's event count within state ``s``."""
+    return move_deltas(joint, cat_totals, profile, g_cur, n_elem, f_joint, f_cat, scratch)
 
-    ``profile[s]`` is the word's event count within state ``s`` and
-    sums to ``n_elem``; ``f_joint`` and ``f_cat`` are ``xlogx`` of
-    ``joint`` and ``cat_totals``; ``scratch`` holds the temporaries.
-    Entry ``g_cur`` of the result is exactly 0, and so is every entry
-    when the word has no events.
+
+def group_move_deltas(joint_t, state_totals, profile, s_cur, n_elem, f_joint_t, f_state, scratch):
+    """Criterion deltas for moving a coherent context group to every
+    state: the row kernel on ``joint_t`` (categories x states),
+    ``profile[g]`` being the group's event count within category ``g``."""
+    return move_deltas(joint_t, state_totals, profile, s_cur, n_elem, f_joint_t, f_state, scratch)
+
+
+def move_deltas(table, totals, profile, cur, n_elem, f_table, f_totals, scratch):
+    """Criterion deltas for moving one element, whose counts over the
+    rows of ``table`` are ``profile`` (summing to ``n_elem``), from column
+    ``cur`` to every column.  ``totals`` are the column sums of
+    ``table``; ``f_table`` and ``f_totals`` are ``xlogx`` of ``table`` and
+    ``totals``; ``scratch`` holds the temporaries.  Entry ``cur`` of the
+    result is exactly 0, and so is every entry when the element has no
+    events.
     """
     if n_elem == 0:
-        return np.zeros(joint.shape[1], dtype=np.float64)
-    nz = np.nonzero(profile)[0]
+        return np.zeros(table.shape[1], dtype=np.float64)
+    nz = profile.nonzero()[0]
     p = profile[nz]
-    shape = (len(nz), joint.shape[1])
+    shape = (len(nz), table.shape[1])
     size = shape[0] * shape[1]
     a, b = scratch[:size].reshape(shape), scratch[size : 2 * size].reshape(shape)
-    after = np.take(joint, nz, axis=0, out=a, mode="clip")
+    after = table.take(nz, 0, a, "clip")
     after += p[:, None]
+    # N - p at the source cells: exact, as every value is an integer below 2**53
+    src = after[:, cur] - 2.0 * p
     deltas = np.log(after, out=b)
     deltas *= after
-    deltas -= np.take(f_joint, nz, axis=0, out=a, mode="clip")
-    deltas = deltas.sum(axis=0)
+    f_rows = f_table.take(nz, 0, a, "clip")
+    src_joint = float(np.add.reduce(xlogx(src) - f_rows[:, cur]))
+    deltas -= f_rows
+    deltas = np.add.reduce(deltas, 0)
 
-    jg = joint[nz, g_cur]
-    jg -= p
-    src_joint = float((xlogx(jg) - f_joint[nz, g_cur]).sum())
-
-    m = cat_totals + float(n_elem)
+    m = totals + float(n_elem)
     gain = np.log(m)
     gain *= m
-    gain -= f_cat
-    src_margin = _xlogx_scalar(float(cat_totals[g_cur]) - n_elem) - _xlogx_scalar(
-        float(cat_totals[g_cur])
-    )
+    gain -= f_totals
+    src_margin = _xlogx_scalar(float(totals[cur]) - n_elem) - _xlogx_scalar(float(totals[cur]))
     deltas += src_joint
     deltas -= gain
     deltas -= src_margin
-    deltas[g_cur] = 0.0
-    return deltas
-
-
-def group_move_deltas(joint, state_totals, profile, s_cur, n_elem, f_joint, f_state):
-    """Criterion deltas for moving a coherent context group to every
-    state.  ``profile[g]`` is the group's event count within category
-    ``g``; ``f_joint`` and ``f_state`` are ``xlogx`` of ``joint`` and
-    ``state_totals``."""
-    if n_elem == 0:
-        return np.zeros(joint.shape[0], dtype=np.float64)
-    nz = np.nonzero(profile)[0]
-    q = profile[nz]
-    after = joint[:, nz]
-    after += q[None, :]
-    deltas = np.log(after)
-    deltas *= after
-    deltas -= f_joint[:, nz]
-    deltas = deltas.sum(axis=1)
-
-    js = joint[s_cur, nz]
-    js -= q
-    src_joint = float((xlogx(js) - f_joint[s_cur, nz]).sum())
-
-    m = state_totals + float(n_elem)
-    gain = np.log(m)
-    gain *= m
-    gain -= f_state
-    src_margin = _xlogx_scalar(float(state_totals[s_cur]) - n_elem) - _xlogx_scalar(
-        float(state_totals[s_cur])
-    )
-    deltas += src_joint
-    deltas -= gain
-    deltas -= src_margin
-    deltas[s_cur] = 0.0
+    deltas[cur] = 0.0
     return deltas

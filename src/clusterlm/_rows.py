@@ -277,7 +277,8 @@ def find_rows(table: Keys, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     live = np.full(len(queries), len(table.key) > 0)
     for j, (lo, hi) in enumerate(zip(table.lo, table.hi)):
         live &= (queries[:, j] >= lo) & (queries[:, j] <= hi)
-    keys, want = _searchable(table.key), _searchable(table.pack(queries[live]))
+    keys = _searchable(table.key)
+    want = _searchable(table.pack(queries.take(np.flatnonzero(live), axis=0)))
     at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
     hit = keys[at] == want
     found = live.copy()

@@ -91,7 +91,10 @@ class Clustering:
     f(x) = x ln x of those tables entry by entry, so a move delta need
     not recompute the cells the move leaves alone; a move refreshes
     them only at the cells it changes, where the moved unit's profile
-    is nonzero.
+    is nonzero.  ``joint_t`` and ``f_joint_t`` are row-major copies of
+    ``joint.T`` and ``f_joint.T``, kept equal to them, so that a group
+    move reads the rows of its categories as a word move reads the rows
+    of its states (see ``_kernels``).
 
     The methods check every id and that a context group shares one
     state, and each computes the profile it needs.  The exchange sweep
@@ -168,7 +171,10 @@ class Clustering:
         self.f_joint = _kernels.xlogx(self.joint)
         self.f_state = _kernels.xlogx(self.state_totals)
         self.f_cat = _kernels.xlogx(self.cat_totals)
-        self._scratch = np.empty(2 * self.joint.size)  # the word kernel's temporaries
+        # the group moves' rows: (category, state) tables
+        self.joint_t = np.ascontiguousarray(self.joint.T)
+        self.f_joint_t = np.ascontiguousarray(self.f_joint.T)
+        self._scratch = np.empty(2 * self.joint.size)  # the kernels' temporaries
 
     # -- statistics ------------------------------------------------------
 
@@ -225,7 +231,8 @@ class Clustering:
         profile = self.group_profile(leaf_indices)
         n = int(self.ctx_counts[leaf_indices].sum())
         return _kernels.group_move_deltas(
-            self.joint, self.state_totals, profile, s_cur, n, self.f_joint, self.f_state
+            self.joint_t, self.state_totals, profile, s_cur, n, self.f_joint_t, self.f_state,
+            self._scratch,
         )
 
     def _check_word(self, w: int) -> None:
@@ -255,9 +262,7 @@ class Clustering:
         g = int(self.G[w])
         if target == g:
             return
-        profile = self.word_profile(w)
-        n = self.word_counts[w]
-        _move(self.joint.T, self.f_joint.T, self.cat_totals, self.f_cat, g, target, profile, n)
+        self._move(True, g, target, self.word_profile(w), self.word_counts[w])
         self.G[w] = target
 
     def apply_group_move(self, leaf_indices: np.ndarray, target: int) -> None:
@@ -268,26 +273,32 @@ class Clustering:
         if target == s:
             return
         profile = self.group_profile(leaf_indices)
-        n = self.ctx_counts[leaf_indices].sum()
-        _move(self.joint, self.f_joint, self.state_totals, self.f_state, s, target, profile, n)
+        self._move(False, s, target, profile, self.ctx_counts[leaf_indices].sum())
         self.S[leaf_indices] = target
 
-
-def _move(joint, f_joint, totals, f_totals, source, target, profile, n) -> None:
-    """Move ``profile`` from row ``source`` of ``joint`` to row ``target``
-    and ``n`` events between those ``totals``, refreshing ``f_joint`` and
-    ``f_totals`` where they change (a word move passes ``joint.T``)."""
-    nz = profile.nonzero()[0]
-    p = profile[nz]
-    src, dst = joint[source], joint[target]
-    src[nz] -= p
-    dst[nz] += p
-    f_joint[source, nz] = _kernels.xlogx(src[nz])
-    f_joint[target, nz] = _kernels.xlogx(dst[nz])
-    totals[source] -= n
-    totals[target] += n
-    pair = [source, target]
-    f_totals[pair] = _kernels.xlogx(totals[pair])
+    def _move(self, word: bool, source: int, target: int, profile: np.ndarray, n) -> None:
+        """Move ``profile`` and ``n`` events from category (``word``) or
+        state ``source`` to ``target``.  The two rows change in the layout
+        whose rows are those clusters, ``joint_t`` for a word and
+        ``joint`` for a group, the same values go into the matching
+        columns of the other, and every f cache is refreshed where it
+        changes."""
+        if word:
+            rows, f_rows, cols, f_cols = self.joint_t, self.f_joint_t, self.joint, self.f_joint
+            totals, f_totals = self.cat_totals, self.f_cat
+        else:
+            rows, f_rows, cols, f_cols = self.joint, self.f_joint, self.joint_t, self.f_joint_t
+            totals, f_totals = self.state_totals, self.f_state
+        nz = profile.nonzero()[0]
+        p = profile[nz]
+        # a row view indexed by nz costs a third of a two-index gather
+        for row, counts in ((source, rows[source][nz] - p), (target, rows[target][nz] + p)):
+            rows[row][nz] = cols[:, row][nz] = counts
+            f_rows[row][nz] = f_cols[:, row][nz] = _kernels.xlogx(counts)
+        totals[source] -= n
+        totals[target] += n
+        pair = [source, target]
+        f_totals[pair] = _kernels.xlogx(totals[pair])
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +428,16 @@ def _sweep(
                 prof = rows.groups.profile(element, cl.G, cl.n_categories)
                 source, n = int(rows.state[element]), rows.level.counts[element]
                 deltas = _kernels.group_move_deltas(
-                    cl.joint, cl.state_totals, prof, source, int(n), cl.f_joint, cl.f_state
+                    cl.joint_t, cl.state_totals, prof, source, int(n), cl.f_joint_t, cl.f_state,
+                    cl._scratch,
                 )
             target = int(deltas.argmax())
             if not deltas[target] > 0.0:
                 continue
+            cl._move(word, source, target, prof, n)
             if word:
-                _move(cl.joint.T, cl.f_joint.T, cl.cat_totals, cl.f_cat, source, target, prof, n)
                 cl.G[element] = target
             else:
-                _move(cl.joint, cl.f_joint, cl.state_totals, cl.f_state, source, target, prof, n)
                 rows.state[element] = target
                 cl.S[rows.level.group(element)] = target
             if on_move is not None:

@@ -58,35 +58,34 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        """Read a file written by ``save``.  A damaged file (a cut-off
-        last line, a malformed ``#special`` line, a special role missing
-        or given two tokens, a special token missing, a duplicate token)
-        raises ``ValueError``."""
-        text = Path(path).read_text(encoding="utf-8")
+        """Read a file written by ``save``.  A damaged file (not UTF-8, a
+        cut-off last line, a malformed ``#special`` line, a special role
+        missing or given two tokens, a special token missing, a duplicate
+        token) raises ``ValueError`` naming the file."""
+        what = f"vocabulary file {path}"
+        text = _read_text(path, what)
         if text and not text.endswith("\n"):
-            raise ValueError("vocabulary file: the last line is cut off")
+            raise ValueError(f"{what}: the last line is cut off")
         specials: dict[str, str] = {}
         tokens: list[str] = []
         for line in text.splitlines():
             if line.startswith("#special "):
                 fields = line.split(" ", 2)
                 if len(fields) != 3 or fields[1] not in _SPECIAL_ROLES:
-                    raise ValueError(f"vocabulary file: malformed special line {line!r}")
+                    raise ValueError(f"{what}: malformed special line {line!r}")
                 if specials.setdefault(fields[1], fields[2]) != fields[2]:
-                    raise ValueError(f"vocabulary file gives two {fields[1]} special tokens")
+                    raise ValueError(f"{what} gives two {fields[1]} special tokens")
                 continue
             tokens.append(line)
         missing = [r for r in _SPECIAL_ROLES if r not in specials]
         if missing:
-            raise ValueError(f"vocabulary file lacks special tokens: {missing}")
+            raise ValueError(f"{what} lacks special tokens: {missing}")
         ids = {t: i for i, t in enumerate(tokens)}
         if len(ids) != len(tokens):
-            raise ValueError("vocabulary file contains duplicate tokens")
+            raise ValueError(f"{what} contains duplicate tokens")
         for role in _SPECIAL_ROLES:
             if specials[role] not in ids:
-                raise ValueError(
-                    f"vocabulary file lacks the {role} special token {specials[role]!r}"
-                )
+                raise ValueError(f"{what} lacks the {role} special token {specials[role]!r}")
         return cls(
             tokens=tokens,
             ids=ids,
@@ -124,9 +123,17 @@ def build_vocabulary(token_stream: Iterable[str], max_size: int | None = None) -
     )
 
 
+def _read_text(path: str | Path, what: str) -> str:
+    """The text of a UTF-8 file; ``what`` names the file in the error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} is not UTF-8 at byte {exc.start}") from None
+
+
 def read_corpus_lines(path: str | Path) -> list[str]:
     """Non-blank lines of a one-sentence-per-line UTF-8 corpus file."""
-    return [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    return [ln for ln in _read_text(path, f"corpus file {path}").splitlines() if ln.strip()]
 
 
 def iter_tokens(lines: Iterable[str]) -> Iterable[str]:
@@ -193,27 +200,30 @@ def load_feature_map(path: str | Path, vocab: Vocabulary, name: str) -> FeatureM
     word starts with ``#``, except that a ``#default<TAB>value`` line
     supplies the value for words missing from the file.  A ``#`` line
     with no tab is a comment.  A word, or ``#default``, listed twice
-    with conflicting values is an error.  The boundary and unknown
-    specials, when not listed explicitly, each receive a dedicated fresh
-    value so that padding stays distinguishable from real-word features.
+    with conflicting values is an error, and so is a word of ``vocab``
+    the file gives no value when there is no ``#default``; each error
+    names the file.  The boundary and unknown specials, when not listed
+    explicitly, each receive a dedicated fresh value so that padding
+    stays distinguishable from real-word features.
     """
     raw: dict[str, str] = {}
     default: str | None = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path, f"feature map {path}").splitlines(), 1):
         if not line.strip() or (line.startswith("#") and "\t" not in line):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(f"malformed feature-map line {lineno}: {line!r}")
+            raise ValueError(f"feature map {path}: malformed line {lineno}: {line!r}")
         word, value = parts
+        known = default if word == "#default" else raw.get(word)
+        if known not in (None, value):
+            raise ValueError(
+                f"ambiguous feature map {path}: {word!r} is given {known!r} and {value!r}"
+            )
         if word == "#default":
-            if default not in (None, value):
-                raise ValueError("ambiguous feature map")
             default = value
-            continue
-        if word in raw and raw[word] != value:
-            raise ValueError("ambiguous feature map")
-        raw[word] = value
+        else:
+            raw[word] = value
 
     values = {raw[t] for t in vocab.tokens if t in raw}
     if default is not None:
@@ -232,5 +242,7 @@ def load_feature_map(path: str | Path, vocab: Vocabulary, name: str) -> FeatureM
         elif default is not None:
             table[wid] = value_id[default]
         else:
-            raise ValueError("incomplete feature map")
+            raise ValueError(
+                f"incomplete feature map {path}: no value for {token!r} and no #default line"
+            )
     return FeatureMapper(name=name, table=table, arity=arity)

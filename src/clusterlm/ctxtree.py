@@ -57,7 +57,7 @@ def suffix_level(mat: np.ndarray, level: int, ctx_counts: np.ndarray) -> Level:
     group_of = np.empty(len(mat), dtype=np.int64)
     group_of[members] = np.repeat(np.arange(len(starts)), sizes)
     return Level(
-        keys=suffix[members[starts]],
+        keys=suffix.take(members[starts], axis=0),
         counts=np.add.reduceat(ctx_counts[members], starts),
         group_of=group_of,
         members=members,

@@ -94,7 +94,7 @@ class EventTable:
         first = np.flatnonzero(row_starts(Keys(keys[:, :-1]).key))
         self.spec = spec
         self.n_words = int(n_words)
-        self.contexts = keys[first, :-1].astype(np.int32)
+        self.contexts = keys.take(first, axis=0)[:, :-1].astype(np.int32)
         self.ptr = np.append(first, len(keys))
         self.words = keys[:, -1].astype(np.int32)
         self.freqs = freqs

@@ -201,7 +201,8 @@ class ClassLM:
         out = np.full(len(ctx), self._default_state, dtype=np.int64)
         todo = np.arange(len(ctx))
         for keep in range(self.depth, 0, -1):
-            at, found = find_rows(self._table_keys[keep - 1], ctx[todo, self.depth - keep :])
+            rows = ctx.take(todo, axis=0)[:, self.depth - keep :]
+            at, found = find_rows(self._table_keys[keep - 1], rows)
             out[todo[found]] = self.tables[keep - 1][1][at[found]]
             todo = todo[~found]
         return out
@@ -247,8 +248,8 @@ def _suffix_states(
     key = Keys(suffix).key
     # heaviest state first within each suffix, the lower id among equals
     order = np.lexsort((states, -weight, *key.T[::-1]))
-    first = row_starts(key[order])
-    return suffix[order[first]], states[order[first]].astype(np.int32)
+    pick = order[row_starts(key.take(order, axis=0))]
+    return suffix.take(pick, axis=0), states[pick].astype(np.int32)
 
 
 def save_classlm(model: ClassLM, path: str | Path) -> None:
@@ -497,8 +498,9 @@ def _interpolated(
     at, kept = find_rows(grams, rows)
     out = np.empty(len(rows), dtype=np.float64)
     out[kept] = probs[at[kept]]
-    rest = _interpolated(uni, tables, k - 1, rows[~kept, 1:])
-    at, seen = find_rows(hists, rows[~kept, :-1])
+    missed = rows.take(np.flatnonzero(~kept), axis=0)
+    rest = _interpolated(uni, tables, k - 1, missed[:, 1:])
+    at, seen = find_rows(hists, missed[:, :-1])
     rest[seen] = bows[at[seen]] * rest[seen]
     out[~kept] = rest
     return out

@@ -9,6 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from clusterlm._kernels import xlogx
 from clusterlm._rows import Keys, find_rows, tuples
 from clusterlm.cluster import Clustering, ClusterParams, MoveDelta, _ranked_init, _start
 from clusterlm.corpus import (
@@ -476,6 +477,42 @@ def oracle_tune_weights_em(components, sentences, *, eos_id=None, include_eos=Tr
     total = math.fsum(math.log(p) for p in mix.tolist())
     report = EvalReport("interp", len(mix), total, math.exp(-total / len(mix)))
     return weights, report
+
+
+def oracle_group_move_deltas(joint, state_totals, profile, s_cur, n_elem, f_joint, f_state):
+    """Group move deltas from column gathers of ``joint`` (states x
+    categories), the layout the package's row kernel on ``joint_t``
+    must match bit for bit.  ``joint[:, nz]`` is Fortran-ordered, so
+    ``sum(axis=1)`` adds each state's terms in ``nz`` order."""
+    if n_elem == 0:
+        return np.zeros(joint.shape[0], dtype=np.float64)
+    nz = np.nonzero(profile)[0]
+    q = profile[nz]
+    after = joint[:, nz]
+    after += q[None, :]
+    deltas = np.log(after)
+    deltas *= after
+    deltas -= f_joint[:, nz]
+    deltas = deltas.sum(axis=1)
+
+    js = joint[s_cur, nz]
+    js -= q
+    src_joint = float((xlogx(js) - f_joint[s_cur, nz]).sum())
+
+    m = state_totals + float(n_elem)
+    gain = np.log(m)
+    gain *= m
+    gain -= f_state
+
+    def f(x):
+        return x * math.log(x) if x > 0 else 0.0
+
+    src_margin = f(float(state_totals[s_cur]) - n_elem) - f(float(state_totals[s_cur]))
+    deltas += src_joint
+    deltas -= gain
+    deltas -= src_margin
+    deltas[s_cur] = 0.0
+    return deltas
 
 
 def oracle_run(table, levels, params, on_move=None):

@@ -347,6 +347,10 @@ class TestCachedF:
             (cl.f_joint, cl.joint), (cl.f_state, cl.state_totals), (cl.f_cat, cl.cat_totals)
         ):
             assert cached.tobytes() == K.xlogx(table_).tobytes()
+        # the row-major transposes the group kernel reads stay in step
+        for t, table_ in ((cl.joint_t, cl.joint), (cl.f_joint_t, cl.f_joint)):
+            assert t.flags.c_contiguous
+            assert t.tobytes() == np.ascontiguousarray(table_.T).tobytes()
         for w in range(cl.n_words):
             assert cl.word_move_deltas(w).tobytes() == fresh.word_move_deltas(w).tobytes()
         for i in range(table.n_contexts):
@@ -361,7 +365,8 @@ class TestMoveIdValidation:
     def test_out_of_range_ids_are_rejected_without_a_change(self):
         rng = random.Random(14)
         table, cl = random_clustering(rng)
-        before = [a.copy() for a in (cl.joint, cl.state_totals, cl.cat_totals, cl.G, cl.S)]
+        state = (cl.joint, cl.joint_t, cl.state_totals, cl.cat_totals, cl.G, cl.S)
+        before = [a.copy() for a in state]
         for w in (-2, -1, cl.n_words, cl.n_words + 3):
             for call in (
                 lambda: cl.apply_word_move(w, 0),
@@ -389,8 +394,7 @@ class TestMoveIdValidation:
                 call()
         with pytest.raises(ValueError, match="context index out of range"):
             cl.apply_group_move([-1], 0)
-        after = (cl.joint, cl.state_totals, cl.cat_totals, cl.G, cl.S)
-        for a, b in zip(before, after):
+        for a, b in zip(before, state):
             assert a.tobytes() == b.tobytes()
 
     def test_profiles_are_float64_also_for_a_word_without_events(self):
@@ -437,6 +441,8 @@ class TestSweepPath:
             (cl.f_joint, cl.joint), (cl.f_state, cl.state_totals), (cl.f_cat, cl.cat_totals)
         ):
             assert cached.tobytes() == K.xlogx(table_).tobytes()
+        for t, table_ in ((cl.joint_t, cl.joint), (cl.f_joint_t, cl.f_joint)):
+            assert t.tobytes() == np.ascontiguousarray(table_.T).tobytes()
 
     @pytest.mark.parametrize("tree", [False, True])
     def test_each_visit_computes_one_profile(self, tree, monkeypatch):
@@ -456,7 +462,7 @@ class TestSweepPath:
         counted(cluster._Rows, "profile", "profile")
         for name in ("word_move_deltas", "group_move_deltas"):
             counted(K, name, "delta")
-        counted(cluster, "_move", "move")
+        counted(cluster.Clustering, "_move", "move")
         params = ClusterParams(n_categories=4, n_states=5, min_count=1, max_iterations=4)
         if tree:
             suffix_tree = build_suffix_tree(table)

@@ -1,6 +1,7 @@
 """Vocabulary construction, corpus encoding and feature maps."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ class TestVocabularyRoundTrip:
         cuts = sorted(set(line_ends[:-1]) | {end - 2 for end in line_ends} | {0, len(data) - 1})
         for cut in cuts:
             path.write_bytes(data[:cut])
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^vocabulary file {re.escape(str(path))}"):
                 Vocabulary.load(path)
         # a cut after the tokens names the special whose token is gone
         path.write_bytes(data[: line_ends[-2]])
@@ -102,6 +103,23 @@ class TestVocabularyRoundTrip:
         path.write_text(header + "#special bos a\n" + tokens)
         with pytest.raises(ValueError, match="two bos special tokens"):
             Vocabulary.load(path)
+
+    def test_every_error_names_the_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        specials = "#special bos <s>\n#special eos </s>\n#special unk <unk>\n"
+        for data, detail in [
+            (b"a\nb", ": the last line is cut off"),
+            (b"#special bos\n", ": malformed special line '#special bos'"),
+            (b"#special bos <s>\n#special bos a\n", " gives two bos special tokens"),
+            (b"a\n", " lacks special tokens: ['bos', 'eos', 'unk']"),
+            (specials.encode() + b"<s>\n</s>\n", " lacks the unk special token '<unk>'"),
+            (specials.encode() + b"<s>\n</s>\n<unk>\n<s>\n", " contains duplicate tokens"),
+            (specials.encode() + b"<s>\n</s>\n\xff<unk>\n", " is not UTF-8 at byte 63"),
+        ]:
+            path.write_bytes(data)
+            with pytest.raises(ValueError) as err:
+                Vocabulary.load(path)
+            assert str(err.value) == f"vocabulary file {path}{detail}"
 
     def test_load_rejects_duplicates(self, tmp_path):
         vocab = build_vocabulary("a b".split())
@@ -139,6 +157,13 @@ class TestEncoding:
         lines = read_corpus_lines(p)
         assert lines == ["a b", "c"]
         assert list(iter_tokens(lines)) == ["a", "b", "c"]
+
+    def test_corpus_that_is_not_utf8_names_the_file(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_bytes(b"a b\nc \xe9\n")
+        with pytest.raises(ValueError) as err:
+            read_corpus_lines(p)
+        assert str(err.value) == f"corpus file {p} is not UTF-8 at byte 6"
 
 
 class TestFeatureMaps:
@@ -186,14 +211,17 @@ class TestFeatureMaps:
         vocab = self._vocab()
         p = tmp_path / "tags.tsv"
         p.write_text("dog\tN\n")
-        with pytest.raises(ValueError, match="incomplete feature map"):
+        # the first word of the vocabulary, in id order, that the map misses
+        want = f"incomplete feature map {p}: no value for 'cat' and no #default line"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_feature_map(p, vocab, "t")
 
     def test_conflicting_duplicate_rejected(self, tmp_path):
         vocab = self._vocab()
         p = tmp_path / "tags.tsv"
         p.write_text("dog\tN\ndog\tV\n")
-        with pytest.raises(ValueError, match="ambiguous feature map"):
+        want = f"ambiguous feature map {p}: 'dog' is given 'N' and 'V'"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_feature_map(p, vocab, "t")
 
     def test_conflicting_default_rejected(self, tmp_path):
@@ -202,8 +230,21 @@ class TestFeatureMaps:
         p.write_text("dog\tX\n#default\tY\n#default\tY\n")
         assert load_feature_map(p, vocab, "t").arity == 2 + 3  # a repeat agrees
         p.write_text("dog\tX\n#default\tY\n#default\tZ\n")
-        with pytest.raises(ValueError, match="ambiguous feature map"):
+        want = f"ambiguous feature map {p}: '#default' is given 'Y' and 'Z'"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_feature_map(p, vocab, "t")
+
+    def test_malformed_or_undecodable_map_names_the_file(self, tmp_path):
+        vocab = self._vocab()
+        p = tmp_path / "tags.tsv"
+        for data, want in [
+            (b"dog\tN\ncat\tN\tV\n", f"feature map {p}: malformed line 2: 'cat\\tN\\tV'"),
+            (b"dog\tN\ncat\t\xff\n", f"feature map {p} is not UTF-8 at byte 10"),
+        ]:
+            p.write_bytes(data)
+            with pytest.raises(ValueError) as err:
+                load_feature_map(p, vocab, "t")
+            assert str(err.value) == want
 
     def test_numeric_values_sorted_numerically(self, tmp_path):
         vocab = self._vocab()

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from clusterlm import _kernels as K
 
+from conftest import oracle_group_move_deltas
+
 
 def f(x):
     return x * math.log(x) if x > 0 else 0.0
@@ -43,10 +45,15 @@ def word_deltas(joint, profile, g):
 
 
 def group_deltas(joint, profile, s):
-    """The group kernel with its f caches built from scratch."""
-    state_totals = joint.sum(axis=1)
+    """The group kernel on the float64 transpose ``joint_t``, as
+    ``Clustering`` keeps it, with its f caches and scratch built from
+    scratch."""
+    joint_t = np.ascontiguousarray(joint.T, dtype=np.float64)
+    state_totals = joint_t.sum(axis=0)
+    scratch = np.empty(2 * joint_t.size)
     return K.group_move_deltas(
-        joint, state_totals, profile, s, int(profile.sum()), K.xlogx(joint), K.xlogx(state_totals)
+        joint_t, state_totals, profile, s, int(profile.sum()), K.xlogx(joint_t),
+        K.xlogx(state_totals), scratch,
     )
 
 
@@ -159,6 +166,39 @@ class TestDeltaProperty:
         s = data.draw(st.integers(0, joint.shape[0] - 1))
         joint[s, :] += profile
         check_group_deltas(joint, profile, s)
+
+
+class TestRowKernelOnTheTranspose:
+    """The group kernel reads rows of ``joint_t``; its deltas equal the
+    column gathers of ``joint`` bit for bit, at every profile width."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_equals_the_column_oracle_bit_for_bit(self, data):
+        n_states = data.draw(st.integers(1, 40), label="states")
+        n_cats = data.draw(st.integers(1, 300), label="categories")
+        k = data.draw(st.integers(1, n_cats), label="nonzero categories")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        top = data.draw(st.sampled_from([3, 60, 10**6]), label="largest count")
+        # about half the cells are 0, and the profile is 0 off its k categories
+        joint = rng.integers(0, top, size=(n_states, n_cats)) * rng.integers(0, 2, (n_states, n_cats))
+        profile = np.zeros(n_cats, dtype=np.int64)
+        profile[rng.choice(n_cats, size=k, replace=False)] = rng.integers(1, top + 1, size=k)
+        s = int(rng.integers(n_states))
+        joint[s] += profile
+        joint = joint.astype(np.float64)
+        profile = profile.astype(np.float64)
+        state_totals = joint.sum(axis=1)
+        n = int(profile.sum())
+        want = oracle_group_move_deltas(
+            joint.copy(), state_totals, profile, s, n, K.xlogx(joint), K.xlogx(state_totals)
+        )
+        joint_t = np.ascontiguousarray(joint.T)
+        got = K.group_move_deltas(
+            joint_t, state_totals, profile, s, n, K.xlogx(joint_t), K.xlogx(state_totals),
+            np.empty(2 * joint.size),
+        )
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestXlogx:
