@@ -25,6 +25,7 @@ weights.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -69,7 +70,8 @@ def write_rows(fh: BinaryIO, keys: np.ndarray, *values: np.ndarray) -> None:
 class Reader:
     """Cursor over the bytes of a file of header lines and row sections,
     after its version line.  Every error is a ``ValueError`` opened by
-    ``corrupt``, which names the file."""
+    ``corrupt``, which names the file; an error at a place in the file
+    also names its 1-based line."""
 
     def __init__(self, path: str | Path, version: str, what: str, data: bytes | None = None):
         """Open the ``what`` file ``path``, whose bytes are ``data`` (all of
@@ -84,8 +86,13 @@ class Reader:
         self.pos = len(first) + 1
         self.corrupt = f"corrupt {what} file {path}"
 
-    def error(self, message: str) -> ValueError:
-        return ValueError(f"{self.corrupt}: {message}")
+    def error(self, message: str, ahead: int | None = None) -> ValueError:
+        """``message`` about the file, or about its line ``ahead`` lines
+        past the line read last (0 for that line itself)."""
+        if ahead is None:
+            return ValueError(f"{self.corrupt}: {message}")
+        line = self.data.count(b"\n", 0, self.pos) + ahead
+        return ValueError(f"{self.corrupt}: line {line}: {message}")
 
     def at(self, key: str) -> bool:
         """Whether the next line is a ``key`` line with fields."""
@@ -96,22 +103,24 @@ class Reader:
         ``n_fields`` tab-separated fields."""
         end = self.data.find(b"\n", self.pos)
         if end < 0:
-            raise self.error(f"missing {key} line")
+            cut = self.pos < len(self.data)  # a last line without its newline
+            raise self.error(f"cut-off {key} line" if cut else f"missing {key} line", 1)
         try:
             fields = self.data[self.pos : end].decode("utf-8").split("\t")
         except UnicodeDecodeError:
             line = self.data.count(b"\n", 0, self.pos) + 1
             raise self.error(f"line {line} is not UTF-8") from None
         if fields[0] != key or len(fields) != n_fields + 1:
-            raise self.error(f"expected a {key} line with {n_fields} field(s)")
+            raise self.error(f"expected a {key} line with {n_fields} field(s)", 1)
         self.pos = end + 1
         return fields[1:]
 
     def int(self, text: str, what: str) -> int:
+        """``text``, a field of the line read last, as an integer."""
         try:
             return int(text)
         except ValueError:
-            raise self.error(f"{what} is not an integer: {text!r}") from None
+            raise self.error(f"{what} is not an integer: {text!r}", 0) from None
 
     def int_line(self, key: str) -> int:
         """The integer of the next line, ``key<TAB>n``."""
@@ -123,14 +132,15 @@ class Reader:
         try:
             return float(text)
         except ValueError:
-            raise self.error(f"{key[1:]} is not a number: {text!r}") from None
+            raise self.error(f"{key[1:]} is not a number: {text!r}", 0) from None
 
     def rows(self, what: str, n_key: int, n_value: int, n_rows: int | None = None) -> np.ndarray:
         """The integer rows up to the next ``#`` line or the end, each
         ``n_key`` space-separated fields and ``n_value`` more after tabs,
         parsed in one pass.  A field is an optionally negative integer
         of 1 to 18 digits.  When ``n_rows`` is given there must be
-        exactly that many rows."""
+        exactly that many rows, as the section's ``#`` line, read last,
+        declares.  A malformed row is named by its line."""
         data, pos = self.data, self.pos
         if pos >= len(data) or data.startswith(b"#", pos):
             end = pos
@@ -138,37 +148,46 @@ class Reader:
             nxt = data.find(b"\n#", pos)
             end = len(data) if nxt < 0 else nxt + 1
         body = data[pos:end]
+
+        def bad(message: str) -> ValueError:
+            """``message`` at the first line of ``body`` that is not a row,
+            found by a scan that runs only once a check has failed."""
+            field = rb"-?[0-9]{1,18}"
+            row = re.compile(field + (b" " + field) * (n_key - 1) + (b"\t" + field) * n_value)
+            lines = body.split(b"\n")  # the last item is what follows the last newline
+            at = next((i for i, x in enumerate(lines[:-1]) if not row.fullmatch(x)), len(lines) - 1)
+            return self.error(message, 1 + at)
+
+        if body and not body.endswith(b"\n"):  # a last line without its newline
+            raise bad(f"malformed {what} rows")
         found = body.count(b"\n")
         if n_rows is not None and found != n_rows:
-            raise self.error(f"{what} declares {n_rows} rows, {found} found")
+            raise self.error(f"{what} declares {n_rows} rows, {found} found", 0)
         n_cols = n_key + n_value
         buf = np.frombuffer(body, dtype=np.uint8)
         is_sep = (buf == 32) | (buf == 9) | (buf == 10)
         sep_at = np.flatnonzero(is_sep)
         pattern = np.array([32] * (n_key - 1) + [9] * n_value + [10], dtype=np.uint8)
-        cut = body and not body.endswith(b"\n")  # a last line without its newline
-        if cut or sep_at.size != found * n_cols or (
-            buf[sep_at].reshape(found, n_cols) != pattern
-        ).any():
-            raise self.error(f"malformed {what} rows")
+        if sep_at.size != found * n_cols or (buf[sep_at].reshape(found, n_cols) != pattern).any():
+            raise bad(f"malformed {what} rows")
         is_minus = buf == 45
         if not (is_sep | is_minus | ((buf >= 48) & (buf <= 57))).all():
-            raise self.error(f"{what} holds a field that is not an integer")
+            raise bad(f"{what} holds a field that is not an integer")
         widths = np.diff(sep_at, prepend=-1) - 1
         signed = is_minus[sep_at - widths]
         if int(signed.sum()) != int(is_minus.sum()):
-            raise self.error(f"{what} holds a minus sign inside a field")
+            raise bad(f"{what} holds a minus sign inside a field")
         # every field is 1 to 18 digits, so the parse below is exact
         widths -= signed
         if widths.size and (widths.min() < 1 or widths.max() > 18):
-            raise self.error(f"{what} holds an empty or oversized field")
+            raise bad(f"{what} holds an empty or oversized field")
         values = np.fromstring(body, dtype=np.int64, sep=" ")
         self.pos = end
         return values.reshape(found, n_cols)
 
     def end(self, after: str) -> None:
         if self.pos != len(self.data):
-            raise self.error(f"unexpected content after {after}")
+            raise self.error(f"unexpected content after {after}", 1)
 
 
 class Keys:

@@ -16,12 +16,13 @@ tree so sparse contexts ride along with their siblings until enough
 structure is fixed; ``run_flat`` is the leaf-only schedule, where every
 distinct context is its own movable unit.
 
-Each level is swept on rows of its own: one (group, word) row of summed
-counts per context group, its (word, group) transpose and one state per
-group, built once when the level starts.  Every unit's profile is then a
-single ``bincount`` over one contiguous row.  At the leaf level, where
-each group is one context in table order, those rows are the event table
-and the clustering's transpose themselves.
+A word move and a group move are one exchange step on two layouts of
+the joint table, so the sweep has one visit body, one kernel dispatch
+and one table update for both.  Each level is swept on rows of its own:
+one (group, word) row of summed counts per context group, its (word,
+group) transpose and one state per group, built once when the level
+starts.  Every unit's profile is then a single ``bincount`` over one
+contiguous row.
 """
 
 from __future__ import annotations
@@ -94,13 +95,15 @@ class Clustering:
     is nonzero.  ``joint_t`` and ``f_joint_t`` are row-major copies of
     ``joint.T`` and ``f_joint.T``, kept equal to them, so that a group
     move reads the rows of its categories as a word move reads the rows
-    of its states (see ``_kernels``).
+    of its states (see ``_kernels``).  One table, ``_layouts``, names for
+    each kind of unit which of the two layouts it reads and which totals
+    it changes; ``_deltas`` and ``_move`` read it.
 
-    The methods check every id and that a context group shares one
-    state, and each computes the profile it needs.  The exchange sweep
-    does not go through them: it profiles each unit once from its
-    level's rows and hands that profile from the kernel call to the
-    table update (see ``_LevelRows``).
+    The public methods check every id and that a context group shares
+    one state, and each computes the profile it needs.  The exchange
+    sweep does not go through them: it profiles each unit once from its
+    level's rows and hands that profile to the same kernel dispatch and
+    table update, ``_deltas`` and ``_move`` (see ``_LevelRows``).
     """
 
     def __init__(
@@ -136,7 +139,8 @@ class Clustering:
         self.word_counts = table.word_counts
         self.ctx_counts = table.ctx_counts
 
-        self._build_transpose()
+        # the context index of each of the table's (context, word) rows
+        self.ctx_of = np.repeat(np.arange(table.n_contexts, dtype=np.int32), np.diff(table.ptr))
         self._build_stats()
         self.iterations_per_level: list[int] = []
 
@@ -146,15 +150,6 @@ class Clustering:
         return sum(self.iterations_per_level)
 
     # -- construction ----------------------------------------------------
-
-    def _build_transpose(self) -> None:
-        """Per-word lists of (context index, count)."""
-        table = self.table
-        order = np.argsort(table.words, kind="stable")
-        self.ctx_of = np.repeat(np.arange(table.n_contexts, dtype=np.int32), np.diff(table.ptr))
-        self.w_ctxs = self.ctx_of[order]
-        self.w_ccounts = table.freqs[order]
-        self.w_ptr = _ptr(table.words, self.n_words)
 
     def _build_stats(self) -> None:
         # float64 bincount sums are exact for counts below 2**53, and so
@@ -174,6 +169,14 @@ class Clustering:
         # the group moves' rows: (category, state) tables
         self.joint_t = np.ascontiguousarray(self.joint.T)
         self.f_joint_t = np.ascontiguousarray(self.f_joint.T)
+        # per kind of unit, a word (True) or a group (False): the layout
+        # whose columns are its clusters, their totals, and the layout
+        # whose rows they are, each with its f cache
+        joint, f_joint, joint_t, f_joint_t = self.joint, self.f_joint, self.joint_t, self.f_joint_t
+        self._layouts = {
+            True: (joint, f_joint, self.cat_totals, self.f_cat, joint_t, f_joint_t),
+            False: (joint_t, f_joint_t, self.state_totals, self.f_state, joint, f_joint),
+        }
         self._scratch = np.empty(2 * self.joint.size)  # the kernels' temporaries
 
     # -- statistics ------------------------------------------------------
@@ -190,19 +193,19 @@ class Clustering:
     def word_profile(self, w: int) -> np.ndarray:
         """Event counts of word ``w`` per state, summing to N(w)."""
         self._check_word(w)
-        lo, hi = self.w_ptr[w], self.w_ptr[w + 1]
-        if lo == hi:  # np.bincount of no values is int64
+        at = self.table.words == w
+        if not at.any():  # np.bincount of no values is int64
             return np.zeros(self.n_states)
         return np.bincount(
-            self.S[self.w_ctxs[lo:hi]], weights=self.w_ccounts[lo:hi], minlength=self.n_states
+            self.S[self.ctx_of[at]], weights=self.table.freqs[at], minlength=self.n_states
         )
 
     def group_profile(self, leaf_indices: np.ndarray) -> np.ndarray:
         """Event counts of a set of contexts per category."""
-        self._check_group(leaf_indices)
+        idx = self._check_group(leaf_indices)
         table = self.table
-        lo = table.ptr[leaf_indices]
-        n = table.ptr[leaf_indices + 1] - lo
+        lo = table.ptr[idx]
+        n = table.ptr[idx + 1] - lo
         pos = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
         return np.bincount(
             self.G[table.words[pos]], weights=table.freqs[pos], minlength=self.n_categories
@@ -213,46 +216,47 @@ class Clustering:
     def word_move_deltas(self, w: int) -> np.ndarray:
         """Criterion change for moving word ``w`` into every category
         (entry for its current category is exactly 0)."""
-        return _kernels.word_move_deltas(
-            self.joint,
-            self.cat_totals,
-            self.word_profile(w),
-            int(self.G[w]),
-            int(self.word_counts[w]),
-            self.f_joint,
-            self.f_cat,
-            self._scratch,
-        )
+        return self._deltas(True, self.word_profile(w), int(self.G[w]), self.word_counts[w])
 
     def group_move_deltas(self, leaf_indices: np.ndarray) -> np.ndarray:
         """Criterion change for moving a coherent context group into
         every state (entry for its current state is exactly 0)."""
-        s_cur = self._group_state(leaf_indices)
-        profile = self.group_profile(leaf_indices)
-        n = int(self.ctx_counts[leaf_indices].sum())
-        return _kernels.group_move_deltas(
-            self.joint_t, self.state_totals, profile, s_cur, n, self.f_joint_t, self.f_state,
-            self._scratch,
-        )
+        idx, s_cur = self._group_state(leaf_indices)
+        return self._deltas(False, self.group_profile(idx), s_cur, self.ctx_counts[idx].sum())
+
+    def _deltas(self, word: bool, profile: np.ndarray, source: int, n) -> np.ndarray:
+        """Criterion change for moving ``profile`` and ``n`` events from
+        category (``word``) or state ``source`` into every one."""
+        table, f_table, totals, f_totals, _, _ = self._layouts[word]
+        # looked up at each call, so that a patched kernel is the one run
+        kernel = _kernels.word_move_deltas if word else _kernels.group_move_deltas
+        return kernel(table, totals, profile, source, int(n), f_table, f_totals, self._scratch)
 
     def _check_word(self, w: int) -> None:
         if not 0 <= w < self.n_words:
             raise ValueError("word id out of range")
 
-    def _check_group(self, leaf_indices: np.ndarray) -> None:
+    def _check_group(self, leaf_indices: np.ndarray) -> np.ndarray:
+        """The group's context indices as one integer array."""
         idx = np.asarray(leaf_indices)
         if idx.size == 0:
             raise ValueError("empty context group")
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise ValueError("a context group must be a flat list of integer indices")
         if idx.min() < 0 or idx.max() >= self.table.n_contexts:
             raise ValueError("context index out of range")
+        if np.unique(idx).size != idx.size:
+            raise ValueError("context index listed twice in a group")
+        return idx
 
-    def _group_state(self, leaf_indices: np.ndarray) -> int:
-        self._check_group(leaf_indices)
-        states = self.S[leaf_indices]
+    def _group_state(self, leaf_indices: np.ndarray) -> tuple[np.ndarray, int]:
+        """The group's context indices and the one state they share."""
+        idx = self._check_group(leaf_indices)
+        states = self.S[idx]
         s = int(states[0])
         if (states != s).any():
             raise ValueError(_FRAGMENTED)
-        return s
+        return idx, s
 
     def apply_word_move(self, w: int, target: int) -> None:
         """Move word ``w`` into category ``target``."""
@@ -269,26 +273,19 @@ class Clustering:
         """Move a coherent context group into state ``target``."""
         if not 0 <= target < self.n_states:
             raise ValueError("state id out of range")
-        s = self._group_state(leaf_indices)
+        idx, s = self._group_state(leaf_indices)
         if target == s:
             return
-        profile = self.group_profile(leaf_indices)
-        self._move(False, s, target, profile, self.ctx_counts[leaf_indices].sum())
-        self.S[leaf_indices] = target
+        self._move(False, s, target, self.group_profile(idx), self.ctx_counts[idx].sum())
+        self.S[idx] = target
 
     def _move(self, word: bool, source: int, target: int, profile: np.ndarray, n) -> None:
         """Move ``profile`` and ``n`` events from category (``word``) or
         state ``source`` to ``target``.  The two rows change in the layout
-        whose rows are those clusters, ``joint_t`` for a word and
-        ``joint`` for a group, the same values go into the matching
-        columns of the other, and every f cache is refreshed where it
-        changes."""
-        if word:
-            rows, f_rows, cols, f_cols = self.joint_t, self.f_joint_t, self.joint, self.f_joint
-            totals, f_totals = self.cat_totals, self.f_cat
-        else:
-            rows, f_rows, cols, f_cols = self.joint, self.f_joint, self.joint_t, self.f_joint_t
-            totals, f_totals = self.state_totals, self.f_state
+        whose rows are those clusters, the same values go into the
+        matching columns of the other, and every f cache is refreshed
+        where it changes."""
+        cols, f_cols, totals, f_totals, rows, f_rows = self._layouts[word]
         nz = profile.nonzero()[0]
         p = profile[nz]
         # a row view indexed by nz costs a third of a two-index gather
@@ -361,20 +358,20 @@ class _LevelRows:
 
 def _level_rows(clustering: Clustering, level: Level) -> _LevelRows:
     """The rows of ``level``'s units, after checking that each of its
-    groups lies in one state.  The leaf level, whose groups are the
-    contexts in table order, shares the table's rows, the clustering's
-    transpose and ``S``; a coarser level sums them by group."""
+    groups lies in one state.  The (group, word) rows are the table's
+    rows summed by group, except at the leaf level, whose groups are the
+    contexts in table order and whose rows are the table's as they
+    stand; the (word, group) rows are those sorted by word."""
     table = clustering.table
-    if np.array_equal(level.group_of, np.arange(table.n_contexts)):
-        groups = _Rows(table.ptr, table.words, table.freqs)
-        words = _Rows(clustering.w_ptr, clustering.w_ctxs, clustering.w_ccounts)
-        return _LevelRows(level, groups, words, clustering.S)
     state = clustering.S[level.members[level.bounds[:-1]]]
     if (clustering.S != state[level.group_of]).any():
         raise ValueError(_FRAGMENTED)
-    group_of = level.group_of.astype(np.int32)  # int32 pairs halve the stacked and summed rows
-    keys, freqs = sum_rows(np.column_stack((group_of[clustering.ctx_of], table.words)), table.freqs)
-    group, word = keys.T
+    if np.array_equal(level.group_of, np.arange(table.n_contexts)):
+        group, word, freqs = clustering.ctx_of, table.words, table.freqs
+    else:  # int32 pairs halve the stacked and summed rows
+        pairs = (level.group_of.astype(np.int32)[clustering.ctx_of], table.words)
+        keys, freqs = sum_rows(np.column_stack(pairs), table.freqs)
+        group, word = keys.T
     order = np.argsort(word, kind="stable")
     groups = _Rows(_ptr(group, len(level)), word, freqs)
     words = _Rows(_ptr(word, clustering.n_words), group[order], freqs[order])
@@ -392,12 +389,18 @@ def _ptr(ids: np.ndarray, n: int) -> np.ndarray:
 def _visit_units(clustering: Clustering, rows: _LevelRows, min_count: int) -> list[tuple]:
     """Merged visit order: words and the level's context groups by
     decreasing count, ties preferring words, then lower id.  Units below
-    ``min_count`` are left wherever initialization put them."""
-    counts = rows.level.counts
-    words = np.flatnonzero(clustering.word_counts >= min_count)
-    groups = np.flatnonzero(counts >= min_count)
-    units = [(-int(clustering.word_counts[w]), 0, int(w), "word", rows) for w in words]
-    units += [(-int(counts[k]), 1, int(k), "group", rows) for k in groups]
+    ``min_count`` are left wherever initialization put them.  Each unit
+    is (-count, kind order, id, kind), and its kind holds what a visit
+    reads: whether it is a word, its rows, its counterpart's labels and
+    their number, its own assignment array, and the level."""
+    cl, level = clustering, rows.level
+    word = (True, rows.words, rows.state, cl.n_states, cl.G, level)
+    group = (False, rows.groups, cl.G, cl.n_categories, rows.state, level)
+    units = [
+        (-int(counts[k]), order, int(k), kind)
+        for order, (kind, counts) in enumerate(((word, cl.word_counts), (group, level.counts)))
+        for k in np.flatnonzero(counts >= min_count)
+    ]
     units.sort(key=lambda u: u[:3])
     return units
 
@@ -415,33 +418,19 @@ def _sweep(
     cl = clustering
     f_prev = cl.criterion()
     for iterations in range(1, params.max_iterations + 1):
-        for _, _, element, kind, rows in units:
-            word = kind == "word"
-            if word:
-                prof = rows.words.profile(element, rows.state, cl.n_states)
-                source, n = int(cl.G[element]), cl.word_counts[element]
-                deltas = _kernels.word_move_deltas(
-                    cl.joint, cl.cat_totals, prof, source, int(n), cl.f_joint, cl.f_cat,
-                    cl._scratch,
-                )
-            else:
-                prof = rows.groups.profile(element, cl.G, cl.n_categories)
-                source, n = int(rows.state[element]), rows.level.counts[element]
-                deltas = _kernels.group_move_deltas(
-                    cl.joint_t, cl.state_totals, prof, source, int(n), cl.f_joint_t, cl.f_state,
-                    cl._scratch,
-                )
+        for neg_n, _, element, (word, rows, labels, n_labels, assign, level) in units:
+            prof = rows.profile(element, labels, n_labels)
+            source, n = int(assign[element]), -neg_n
+            deltas = cl._deltas(word, prof, source, n)
             target = int(deltas.argmax())
             if not deltas[target] > 0.0:
                 continue
             cl._move(word, source, target, prof, n)
-            if word:
-                cl.G[element] = target
-            else:
-                rows.state[element] = target
-                cl.S[rows.level.group(element)] = target
+            assign[element] = target
+            if not word:
+                cl.S[level.group(element)] = target
             if on_move is not None:
-                key = element if word else rows.level.key(element)
+                kind, key = ("word", element) if word else ("group", level.key(element))
                 on_move(cl, MoveDelta(kind, key, source, target, float(deltas[target])))
         f_now = cl.criterion()
         rel = (f_now - f_prev) / abs(f_prev) if f_prev != 0.0 else 0.0

@@ -324,7 +324,7 @@ def load_classlm(path: str | Path) -> ClassLM:
     def section(key: str, n_key: int, n_value: int, n_rows: int | None = None) -> np.ndarray:
         declared = r.int(r.line(key, 1)[0], f"{key} row count")
         if n_rows is not None and declared != n_rows:
-            raise r.error(f"{key} declares {declared} rows, expected {n_rows}")
+            raise r.error(f"{key} declares {declared} rows, expected {n_rows}", 0)
         return r.rows(key, n_key, n_value, declared)
 
     maps = section("#maps", depth, 0, n_words)
@@ -682,27 +682,37 @@ def save_interpolated(
 def load_interpolated(path: str | Path) -> InterpolatedModel:
     """Read a mixture file written by ``save_interpolated`` and load its components.
     One ``#weights`` line and then ``#component`` lines are required; any other line,
-    a cut-off last line, or a component that contains the mixture raises ``ValueError``."""
+    a cut-off last line, a component that cannot be opened or that contains the
+    mixture, or weights that do not fit the components raise ``ValueError``, which
+    names the mixture file."""
     return _load_interpolated(path, ())
 
 
 def _load_interpolated(path: str | Path, opened: tuple[Path, ...]) -> InterpolatedModel:
-    """``load_interpolated`` inside the mixture files ``opened``."""
+    """``load_interpolated`` inside the mixture files ``opened``.  A component's
+    own loader names the component's file in its errors."""
     r = Reader(path, "#clusterlm-interp v1", "mixture")
     text = r.line("#weights", 1)[0]
-    names = []
-    while r.pos < len(r.data):
-        names.append(r.line("#component", 1)[0])
-    if "" in names:
-        raise r.error("a #component line names no file")
     try:
         weights = [float(x) for x in text.split()]
     except ValueError:
-        raise r.error(f"a weight is not a number: {text!r}") from None
+        raise r.error(f"a weight is not a number: {text!r}", 0) from None
     opened += (Path(path).resolve(),)
     if opened[-1] in opened[:-1]:
         raise ValueError(f"mixture file {path} contains itself")
-    return InterpolatedModel([_load_model(Path(path).parent / q, opened) for q in names], weights)
+    components = []
+    while r.pos < len(r.data):
+        name = r.line("#component", 1)[0]
+        if not name:
+            raise r.error("a #component line names no file", 0)
+        try:
+            components.append(_load_model(Path(path).parent / name, opened))
+        except OSError as exc:
+            raise r.error(f"cannot open component {name}: {exc.strerror}", 0) from None
+    try:
+        return InterpolatedModel(components, weights)
+    except ValueError as exc:
+        raise r.error(str(exc)) from None
 
 
 def load_model(path: str | Path):

@@ -91,6 +91,45 @@ def test_only_the_row_codec_reads_a_version_line():
     assert found == []
 
 
+def kernel_callers(name: str) -> set[str]:
+    """``module.qualname`` of every function in ``src/clusterlm`` whose
+    own body reads ``_kernels.<name>``, or ``<module>`` for a module body
+    or an import of the name."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == name
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "_kernels"
+            ) or (
+                isinstance(child, ast.ImportFrom)
+                and (child.module or "").endswith("_kernels")
+                and name in {a.name for a in child.names}
+            ):
+                found.add(where)
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "clusterlm").glob("*.py")):
+        if path.name != "_kernels.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_each_move_kernel_is_called_from_one_function():
+    """Word and group moves reach their kernels through one dispatch, so
+    a second move path cannot come back; the shared row kernel is
+    reached only through the two."""
+    word, group = kernel_callers("word_move_deltas"), kernel_callers("group_move_deltas")
+    assert len(word) == 1 and word == group, (word, group)
+    assert kernel_callers("move_deltas") == set()
+
+
 # Functions that no stage of a valid pipeline calls, and why each stays.
 UNCALLED = {
     **dict.fromkeys(
@@ -105,14 +144,15 @@ UNCALLED = {
             "cluster.Clustering.apply_word_move",
             "cluster.Clustering.apply_group_move",
         ],
-        "per-unit moves: the oracle and the benchmark tracer use them; the sweep calls "
-        "the kernels itself",
+        "per-unit moves: the oracle and the benchmark tracer use them; the sweep "
+        "profiles its units from level rows and calls the dispatch, Clustering._deltas",
     ),
     "cluster.Clustering.iterations_run": "the benchmark tracer reads it",
     "events.EventTable.counts": "the benchmark tracer reads it",
     "_rows.tuples": "the benchmark tracer reads it, through EventTable.counts",
     "ctxtree.Level.key": "only an on_move callback reaches it",
     "_rows.Reader.error": "only damaged files reach it",
+    "_rows.Reader.rows.bad": "only a damaged row section reaches it",
     "models.load_interpolated": "public loader of a mixture file alone; the CLI opens a "
     "mixture through load_model, which shares its parser",
 }

@@ -277,7 +277,7 @@ class TestTagAndClassSlots:
         assert not (d / "m.model").exists()
 
 
-CUT_SLOT = "corrupt counts file {bad}: expected a #slot line with 3 field(s)"
+CUT_SLOT = "corrupt counts file {bad}: line 3: expected a #slot line with 3 field(s)"
 
 
 class TestFailureModes:
@@ -474,6 +474,28 @@ class TestFailureModes:
                         "--categories", "4", "--out", d / "cl.tsv", *flags], capsys)
         assert err.startswith("error:") and message.format(bad=d / "bad.tsv") in err
         assert not (d / "cl.tsv").exists() and not (d / "m.model").exists()
+
+    @pytest.mark.parametrize("weights, second, message", [
+        ("0.5 0.6", "n3.model", "weights must be finite, non-negative and sum to 1"),
+        ("1.0", "n3.model", "one weight per component required"),
+        ("0.5 0.5", "xcm2.txt", "line 4: cannot open component xcm2.txt: "
+         "No such file or directory"),
+    ], ids=["weights-sum", "weight-count", "missing-component"])
+    def test_a_mixture_error_names_the_mixture_file(
+        self, workdir, capsys, weights, second, message
+    ):
+        d = workdir
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        for order in (2, 3):
+            run_ok(["ngram", "train", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                    "--order", order, "--out", d / f"n{order}.model"], capsys)
+        (d / "m.model").write_text(
+            f"#clusterlm-interp v1\n#weights\t{weights}\n"
+            f"#component\tn2.model\n#component\t{second}\n"
+        )
+        err = run_fail(["eval", "ppl", "--model", d / "m.model", "--test", d / "held.txt",
+                        "--vocab", d / "v.txt"], capsys)
+        assert err == f"error: corrupt mixture file {d / 'm.model'}: {message}\n"
 
     def test_out_of_range_word_ids_are_errors(self, workdir, capsys):
         d = workdir

@@ -397,6 +397,57 @@ class TestMoveIdValidation:
         for a, b in zip(before, state):
             assert a.tobytes() == b.tobytes()
 
+    @staticmethod
+    def _flat_w1():
+        """A 30-sentence one-word-context table, every context in state 0."""
+        vocab, enc, table = build_table(make_random_corpus(3, n_sentences=30), offsets=(-1,))
+        G = np.arange(table.n_words, dtype=np.int32) % 3
+        return table, Clustering(table, 3, 2, G, np.zeros(table.n_contexts, dtype=np.int32))
+
+    def test_a_context_listed_twice_is_rejected_without_a_change(self):
+        table, cl = self._flat_w1()
+        state = (cl.joint, cl.joint_t, cl.state_totals, cl.cat_totals, cl.G, cl.S)
+        before = [a.copy() for a in state]
+        for group in ([0, 0], np.array([0, 0]), np.array([2, 1, 2])):
+            for call in (
+                lambda: cl.apply_group_move(group, 1),
+                lambda: cl.group_move_deltas(group),
+                lambda: cl.group_profile(group),
+            ):
+                with pytest.raises(ValueError, match="context index listed twice"):
+                    call()
+        for a, b in zip(before, state):
+            assert a.tobytes() == b.tobytes()
+        assert cl.joint.min() >= 0 and cl.state_totals.min() >= 0
+
+    @pytest.mark.parametrize("group", [
+        np.array([0.0]), np.array([True]), np.array(["0"]), np.array([[0, 1]])
+    ])
+    def test_a_group_other_than_flat_integers_is_rejected(self, group):
+        table, cl = self._flat_w1()
+        for call in (
+            lambda: cl.apply_group_move(group, 1),
+            lambda: cl.group_move_deltas(group),
+            lambda: cl.group_profile(group),
+        ):
+            with pytest.raises(ValueError, match="flat list of integer indices"):
+                call()
+
+    def test_a_group_given_as_a_list_acts_as_the_array(self):
+        table, cl = self._flat_w1()
+        twin = Clustering(table, cl.n_categories, cl.n_states, cl.G, cl.S)
+        group = [3, 0, 5]
+        assert cl.group_profile(group).tobytes() == twin.group_profile(np.array(group)).tobytes()
+        got, want = cl.group_move_deltas(group), twin.group_move_deltas(np.array(group))
+        assert got.tobytes() == want.tobytes()
+        cl.apply_group_move(group, 1)
+        twin.apply_group_move(np.array(group), 1)
+        assert cl.S.tolist() == twin.S.tolist() and sorted(np.flatnonzero(cl.S)) == sorted(group)
+        for a, b in ((cl.joint, twin.joint), (cl.f_joint_t, twin.f_joint_t)):
+            assert a.tobytes() == b.tobytes()
+        fresh = Clustering(table, cl.n_categories, cl.n_states, cl.G, cl.S)
+        assert cl.joint.tobytes() == fresh.joint.tobytes()
+
     def test_profiles_are_float64_also_for_a_word_without_events(self):
         table, cl = random_clustering(random.Random(2), n_words=6, n_contexts=3)
         assert cl.word_counts[0] == 0

@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterlm.cluster import Clustering, ClusterParams, load_clustering, run_flat, run_tree
+from clusterlm.cluster import (
+    Clustering,
+    ClusterParams,
+    load_clustering,
+    run_flat,
+    run_tree,
+    save_clustering,
+)
 from clusterlm.corpus import (
     FeatureMapper,
     Vocabulary,
@@ -962,6 +969,50 @@ class TestInterpolatedFileCorruption:
         with pytest.raises(ValueError, match=r"mixture file .*other\.model contains itself"):
             load(tmp_path / "sub" / "other.model")
 
+    @pytest.mark.parametrize("weights, message", [
+        ("0.5 0.6", "weights must be finite, non-negative and sum to 1"),
+        ("1.0", "one weight per component required"),
+    ])
+    def test_weights_that_do_not_fit_name_the_mixture(self, tmp_path, weights, message):
+        path, lines = mixture_lines(tmp_path)
+        path.write_text("\n".join([lines[0], f"#weights\t{weights}"] + lines[2:]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"corrupt mixture file {path}: {message}")):
+            load_model(path)
+
+    @pytest.mark.parametrize("load", [load_interpolated, load_model])
+    def test_a_component_that_cannot_be_opened_names_the_mixture_and_component(
+        self, tmp_path, load
+    ):
+        path, lines = mixture_lines(tmp_path)
+        path.write_text("\n".join(lines[:-1] + ["#component\tgone.model"]) + "\n")
+        want = (
+            f"corrupt mixture file {path}: line {len(lines)}: "
+            "cannot open component gone.model: No such file or directory"
+        )
+        with pytest.raises(ValueError, match=re.escape(want)):
+            load(path)
+        (tmp_path / "dir.model").mkdir()
+        path.write_text("\n".join(lines[:-1] + ["#component\tdir.model"]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {len(lines)}: cannot open")):
+            load(path)
+
+    def test_a_nested_component_error_is_not_wrapped_again(self, tmp_path):
+        path, lines = mixture_lines(tmp_path)
+        inner = tmp_path / "inner.model"
+        inner.write_text(f"{lines[0]}\n#weights\t1.0\n#component\tgone.model\n")
+        path.write_text("\n".join(lines[:-1] + ["#component\tinner.model"]) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == (
+            f"corrupt mixture file {inner}: line 3: "
+            "cannot open component gone.model: No such file or directory"
+        )
+        # a damaged backoff component is named by its own loader alone
+        inner.write_text((tmp_path / "a.model").read_text().replace("#order\t1", "#order\tx"))
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == f"corrupt backoff model file {inner}: line 2: order is not an integer: 'x'"
+
     def test_a_component_shared_without_a_cycle_is_loaded(self, tmp_path):
         path, lines = mixture_lines(tmp_path)
         shared = tmp_path / "shared.model"
@@ -1007,6 +1058,77 @@ class TestLoaderContract:
         with pytest.raises(ValueError) as err:
             self.LOADERS[loader](str(path), table)
         assert str(path) in str(err.value)
+
+
+def saved_files(tmp_path):
+    """The event table, and a path to each type of file ``Reader`` opens,
+    saved from it: counts, clustering, class model, backoff model and a
+    mixture of the two models."""
+    sents = make_random_corpus(61, n_sentences=40, n_words=8)
+    vocab, enc, table = build_table(sents, offsets=(-1,))
+    clu = run_flat(table, ClusterParams(n_categories=3, n_states=3, min_count=2))
+    lm = ClassLM(clu, vocab, discount=0.5)
+    counts = ngram_counts(enc, 2, bos_id=vocab.bos_id, eos_id=vocab.eos_id)
+    bo = train_backoff(counts, len(vocab), discount=0.5, bos_id=vocab.bos_id)
+    paths = {k: tmp_path / f"{k}.txt" for k in ("counts", "clustering", "classlm", "backoff")}
+    paths["mixture"] = tmp_path / "mix.txt"
+    save_counts(table, paths["counts"])
+    save_clustering(clu, paths["clustering"])
+    save_classlm(lm, paths["classlm"])
+    save_backoff(bo, paths["backoff"])
+    save_interpolated(
+        InterpolatedModel([lm, bo], [0.4, 0.6]), paths["mixture"], ["classlm.txt", "backoff.txt"]
+    )
+    return table, paths
+
+
+def cut_off(lines: list[bytes], k: int) -> list[bytes]:
+    """Line ``k``, the last, loses its second half and its newline."""
+    assert k == len(lines) - 1
+    return lines[:k] + [lines[k][: len(lines[k]) // 2]]
+
+
+def byte_ff(lines: list[bytes], k: int) -> list[bytes]:
+    line = lines[k]
+    return lines[:k] + [line[: len(line) // 2] + b"\xff" + line[len(line) // 2 :]] + lines[k + 1 :]
+
+
+def long_field(lines: list[bytes], k: int) -> list[bytes]:
+    """The last field of line ``k`` becomes a 19-digit number."""
+    head, _, _ = lines[k].rpartition(b"\t")
+    return lines[:k] + [head + b"\t" + b"9" * 19] + lines[k + 1 :]
+
+
+class TestDamagedBodyLine:
+    """Beside ``TestLoaderContract``: a damaged line in the body of a file
+    that ``Reader`` opens raises a ``ValueError`` naming the file and the
+    damaged line."""
+
+    LOADERS = {
+        "counts": lambda path, table: load_counts(path),
+        "clustering": load_clustering,
+        "classlm": lambda path, table: load_classlm(path),
+        "backoff": lambda path, table: load_backoff(path),
+        "mixture": lambda path, table: load_model(path),
+    }
+
+    @pytest.mark.parametrize("kind", list(LOADERS))
+    @pytest.mark.parametrize("damage, from_end", [
+        (cut_off, 1), (byte_ff, 1), (byte_ff, 2), (long_field, 1), (long_field, 2)
+    ])
+    def test_the_error_names_the_file_and_line(self, tmp_path, kind, damage, from_end):
+        table, paths = saved_files(tmp_path)
+        path = paths[kind]
+        self.LOADERS[kind](path, table)
+        lines = path.read_bytes().split(b"\n")[:-1]
+        k = len(lines) - from_end
+        damaged = damage(lines, k)
+        path.write_bytes(b"\n".join(damaged) + (b"" if damage is cut_off else b"\n"))
+        with pytest.raises(ValueError) as err:
+            self.LOADERS[kind](path, table)
+        message = str(err.value)
+        assert str(path) in message
+        assert re.search(rf"\bline {k + 1}\b", message), message
 
 
 class Fixed:

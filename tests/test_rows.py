@@ -1,6 +1,8 @@
 """The shared row operations on packed keys (lookup, count, grouping and
-the sort check) against dict, Counter, lexsort and tuple-order oracles."""
+the sort check) against dict, Counter, lexsort and tuple-order oracles,
+and the line numbers in ``Reader``'s errors."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterlm._rows import Keys, check_strictly_sorted, find_rows, group_rows, sum_rows
+from clusterlm._rows import (
+    Keys,
+    Reader,
+    check_strictly_sorted,
+    find_rows,
+    group_rows,
+    sum_rows,
+)
 
 # table values: a few small ones, so queries hit and share prefixes,
 # and the largest int32
@@ -168,3 +177,87 @@ class TestCheckStrictlySorted:
         else:
             with pytest.raises(ValueError, match="drawn rows are not strictly sorted"):
                 check_strictly_sorted(Keys(rows).key, "drawn")
+
+
+# one way to damage a row of two key fields and one value field, each
+# breaking another of the checks ``Reader.rows`` makes
+ROW_DAMAGE = {
+    "a tab for a space": lambda row: row.replace(b" ", b"\t"),
+    "a field missing": lambda row: row.rpartition(b"\t")[0],
+    "a letter": lambda row: row + b"x",
+    "a byte 0xff": lambda row: b"\xff" + row,
+    "a minus sign inside a field": lambda row: row + b"-1",
+    "an empty field": lambda row: b" " + row.partition(b" ")[2],
+    "a 19-digit field": lambda row: row + b"0" * 18,
+}
+
+
+def sectioned(rows: list[bytes]) -> bytes:
+    """A file of three header lines, then ``#rows`` (line 4) and the rows
+    from line 5 on."""
+    head = [b"#v", b"#n\t7", b"#x\t0.5", b"#rows\t%d" % len(rows)]
+    return b"\n".join(head + rows) + b"\n"
+
+
+def opened(data: bytes) -> Reader:
+    return Reader("f.txt", "#v", "test", data)
+
+
+def read(data: bytes) -> np.ndarray:
+    r = opened(data)
+    assert (r.int_line("#n"), r.float_line("#x")) == (7, 0.5)
+    rows = r.rows("#rows", 2, 1, r.int_line("#rows"))
+    r.end("the rows")
+    return rows
+
+
+class TestReaderLines:
+    """Every error at a place in a ``Reader`` file names its 1-based line."""
+
+    ROWS = [b"%d %d\t%d" % (i, i + 1, 10 * i) for i in range(6)]
+
+    def test_good_rows_are_read(self):
+        assert read(sectioned(self.ROWS)).tolist() == [[i, i + 1, 10 * i] for i in range(6)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_the_first_damaged_row_is_named(self, data):
+        rows = list(self.ROWS)
+        damaged = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1), label="rows")
+        for i in damaged:
+            rows[i] = ROW_DAMAGE[data.draw(st.sampled_from(sorted(ROW_DAMAGE)))](rows[i])
+        with pytest.raises(ValueError, match=rf"^corrupt test file f\.txt: line {5 + min(damaged)}: "):
+            read(sectioned(rows))
+
+    def test_a_cut_off_last_row_is_named(self):
+        data = sectioned(self.ROWS)
+        with pytest.raises(ValueError, match="line 10: malformed #rows rows"):
+            read(data[:-3])
+
+    @pytest.mark.parametrize("declared, found", [(5, 6), (7, 6)])
+    def test_a_row_count_mismatch_names_the_section_line(self, declared, found):
+        data = sectioned(self.ROWS).replace(b"#rows\t6", b"#rows\t%d" % declared)
+        with pytest.raises(ValueError, match=f"line 4: #rows declares {declared} rows, {found} found"):
+            read(data)
+
+    @pytest.mark.parametrize("old, new, message", [
+        (b"#n\t7", b"#n\tseven", "line 2: n is not an integer: 'seven'"),
+        (b"#x\t0.5", b"#x\thalf", "line 3: x is not a number: 'half'"),
+        (b"#x\t0.5", b"#y\t0.5", "line 3: expected a #x line with 1 field(s)"),
+        (b"#rows\t6", b"#rows\tsix", "line 4: #rows row count is not an integer: 'six'"),
+    ])
+    def test_a_bad_header_line_is_named(self, old, new, message):
+        data = sectioned(self.ROWS).replace(old, new)
+        r = opened(data)
+        with pytest.raises(ValueError, match=re.escape(f"corrupt test file f.txt: {message}")):
+            r.int_line("#n")
+            r.float_line("#x")
+            r.int(r.line("#rows", 1)[0], "#rows row count")
+
+    def test_missing_cut_off_and_extra_lines_are_named(self):
+        with pytest.raises(ValueError, match="line 2: missing #n line"):
+            opened(b"#v\n").int_line("#n")
+        with pytest.raises(ValueError, match="line 2: cut-off #n line"):
+            opened(b"#v\n#n\t7").int_line("#n")
+        with pytest.raises(ValueError, match="line 11: unexpected content after the rows"):
+            read(sectioned(self.ROWS) + b"#more\n")
