@@ -39,7 +39,6 @@ from clusterlm.evaluate import format_report, perplexity, report_lines, tune_wei
 from clusterlm.events import (
     ContextSpec,
     Slot,
-    _counts_header,
     extract_events,
     load_counts,
     save_counts,
@@ -153,25 +152,16 @@ def _check_model_vocab(model, model_path, vocab: Vocabulary, vocab_path) -> None
 
 
 def _mappers_for(names: Sequence[str], vocab: Vocabulary, tagmap, classmap) -> dict:
-    """Feature mapper for each slot name w, t or g (``load_counts``
-    rejects any other name); a map that no slot uses is rejected."""
-    for flag, path, name in (("--tagmap", tagmap, "t"), ("--classmap", classmap, "g")):
+    """Feature mapper for each slot name w, t or g; a slot without its map,
+    or a map no slot uses, is rejected."""
+    mappers = {"w": identity_mapper(vocab)}
+    for flag, path, name, what in (("--tagmap", tagmap, "t", "tag"), ("--classmap", classmap, "g", "class")):
         if path and name not in names:
             raise ValueError(f"{flag} is given but the context has no {name}: slot")
-    mappers = {}
-    for name in names:
-        if name in mappers:
-            continue
-        if name == "w":
-            mappers[name] = identity_mapper(vocab)
-        elif name == "t":
-            if not tagmap:
-                raise ValueError("t: slots need a tag map; pass --tagmap")
-            mappers[name] = load_feature_map(tagmap, vocab, "t")
-        elif name == "g":
-            if not classmap:
-                raise ValueError("g: slots need a class map; pass --classmap")
-            mappers[name] = load_feature_map(classmap, vocab, "g")
+        if name in names and not path:
+            raise ValueError(f"{name}: slots need a {what} map; pass {flag}")
+        if path:
+            mappers[name] = load_feature_map(path, vocab, name)
     return mappers
 
 
@@ -213,20 +203,17 @@ def cmd_cluster_run(args) -> int:
         max_iterations=args.max_iterations,
         convergence=args.conv,
     )
-    mappers = None
     if args.model_out:
         if not args.vocab:
             raise ValueError("--model-out requires --vocab")
         discount = 0.5 if args.discount is None else args.discount
         _check_discount(discount)
         vocab = Vocabulary.load(args.vocab)
-        names = [name for _, name, _ in _counts_header(args.counts)[2]]
-        mappers = _mappers_for(names, vocab, args.tagmap, args.classmap)
     else:
-        for flag in ("vocab", "tagmap", "classmap", "discount"):
+        for flag in ("vocab", "discount"):
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag} is used only with --model-out")
-    table = load_counts(args.counts, mappers=mappers)
+    table = load_counts(args.counts)
     if args.tree:
         clustering = run_tree(table, build_suffix_tree(table), params)
     else:
@@ -240,7 +227,7 @@ def cmd_cluster_run(args) -> int:
         model = ClassLM(clustering, vocab, discount=discount)
         _atomic_write(args.model_out, lambda p: save_classlm(model, p))
         print(f"class model -> {args.model_out}")
-    _maybe_manifest(args, [args.counts, args.vocab, args.tagmap, args.classmap])
+    _maybe_manifest(args, [args.counts, args.vocab])
     return 0
 
 
@@ -401,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--out", required=True, help="clustering file to write")
     cr.add_argument("--model-out", default=None, help="also write a ready-to-eval class model file")
     cr.add_argument("--vocab", default=None, help="vocabulary (required with --model-out)")
-    cr.add_argument("--tagmap", default=None, help="tag map the counts were collected with")
-    cr.add_argument("--classmap", default=None, help="class map the counts were collected with")
     cr.add_argument("--discount", type=float, help="class model smoothing discount (default 0.5)")
     cr.set_defaults(func=cmd_cluster_run)
 

@@ -171,60 +171,72 @@ def extract_events(
 
 
 def save_counts(table: EventTable, path: str | Path) -> None:
-    """Text dump: header with slot metadata, then one line per event,
-    ``v_L ... v_1<TAB>word-id<TAB>count`` sorted by tuple then word."""
+    """Text dump: header with slot metadata, a ``#map<TAB>name<TAB>v_0
+    ... v_{n-1}`` line of every word's value per slot mapper but the word
+    identity ``w``, then one ``v_L ... v_1<TAB>word-id<TAB>count`` line
+    per event, sorted by tuple then word.  ``ValueError`` unless each
+    mapper covers the vocabulary and slots of one name share one."""
     header = ["#clusterlm-counts v1", f"#vocab\t{table.n_words}"]
+    maps: dict[str, tuple[int, str]] = {}
     for slot in table.spec.slots:
-        header.append(f"#slot\t{slot.offset}\t{slot.mapper.name}\t{slot.mapper.arity}")
+        m = slot.mapper
+        header.append(f"#slot\t{slot.offset}\t{m.name}\t{m.arity}")
+        values = (m.arity, " ".join(map(str, m.table.tolist())))
+        if maps.setdefault(m.name, values) != values or m.table.size != table.n_words:
+            raise ValueError(f"slot {slot.offset}: mapper {m.name!r} differs from another "
+                             "slot's of that name or does not cover the vocabulary")
+    identity = (table.n_words, " ".join(map(str, range(table.n_words))))
+    header += [f"#map\t{name}\t{v[1]}" for name, v in maps.items() if (name, v) != ("w", identity)]
     with open(path, "wb") as fh:
         fh.write("\n".join(header).encode("utf-8") + b"\n")
         rows = np.repeat(table.contexts, np.diff(table.ptr), axis=0)
         write_rows(fh, rows, table.words, table.freqs)
 
 
-def _counts_header(
-    path: str | Path, data: bytes | None = None
-) -> tuple[Reader, int, list[tuple[int, str, int]]]:
-    """A ``Reader`` after the header lines of the counts file ``path``,
-    the vocabulary size, and each slot's (offset, mapper name, arity).
-    ``data`` is the file's bytes; without it only the header is read."""
-    if data is None:
-        with open(path, "rb") as fh:
-            data = b"".join(itertools.takewhile(lambda line: line.startswith(b"#"), fh))
-    r = Reader(path, "#clusterlm-counts v1", "counts", data)
+def load_counts(path: str | Path) -> EventTable:
+    """A counts file back as an EventTable, each slot mapper rebuilt from
+    its ``#map`` line (a ``w`` slot without one is the identity).  A
+    damaged file raises ``ValueError`` naming the file and, where it can,
+    the line: for event rows, the first row at fault."""
+    r = Reader(path, "#clusterlm-counts v1", "counts")
     n_words = r.int_line("#vocab")
-    slots = []
+    header = []
     while r.at("#slot"):
         off, name, arity = r.line("#slot", 3)
-        slots.append((r.int(off, "slot offset"), name, r.int(arity, "slot arity")))
-    return r, n_words, slots
-
-
-def load_counts(path: str | Path, mappers: dict[str, FeatureMapper] | None = None) -> EventTable:
-    """Read a counts file back into an EventTable.
-
-    When ``mappers`` is given, slot names are resolved against it and
-    arities are checked; otherwise placeholder mappers of the recorded
-    arity with empty tables are synthesized (sufficient for clustering,
-    which only consumes value ids).  The event lines are parsed in one numpy
-    pass; they must be sorted and unique, with every word id and slot
-    value in range, or ``ValueError`` is raised.
-    """
-    r, n_words, header = _counts_header(path, Path(path).read_bytes())
-    slots: list[Slot] = []
+        header.append((r.int(off, "slot offset"), name, r.int(arity, "slot arity")))
+    arity_of = {name: arity for _, name, arity in header}
+    tables = {}
+    while r.at("#map"):
+        name, text = r.line("#map", 2)
+        values = [r.int(v, f"#map {name} value") for v in text.split(" ")]
+        if name in tables or name not in arity_of:
+            raise r.error(f"#map line of a repeated name or one no slot has: {name!r}", 0)
+        top = min(arity_of[name], 2**31)  # so that every value fits the int32 table
+        if len(values) != n_words or not all(0 <= v < top for v in values):
+            raise r.error(f"#map {name} needs {n_words} values in [0, {top}), one per word", 0)
+        tables[name] = np.array(values)
+    if "w" not in tables and arity_of.get("w") == n_words:
+        tables["w"] = np.arange(n_words)
+    slots = []
     for off, name, arity in header:
-        if mappers is not None:
-            if name not in mappers:
-                raise ValueError(f"counts file references unknown mapper {name!r}")
-            mapper = mappers[name]
-            if mapper.arity != arity:
-                raise ValueError(
-                    f"mapper arity mismatch for {name!r}: file says {arity}, got {mapper.arity}"
-                )
-        else:
-            mapper = FeatureMapper(name, np.zeros(0, dtype=np.int32), arity)
-        slots.append(Slot(offset=off, mapper=mapper))
-    spec = ContextSpec(slots=tuple(slots))
-    rows = r.rows("event", spec.depth, 2)
+        if name not in tables:
+            raise r.error(f"slot {off} ({name}) has no #map line; re-run clusterlm counts collect", 1)
+        if arity != arity_of[name]:
+            raise r.error(f"slots named {name!r} differ in arity")
+        slots.append(Slot(off, FeatureMapper(name, tables[name], arity)))
+    rows = r.rows("event", len(slots), 2)
     r.end("the event lines")
-    return EventTable(spec, n_words, rows[:, :-1], rows[:, -1])
+    spec = ContextSpec(tuple(slots))
+    try:
+        return EventTable(spec, n_words, rows[:, :-1], rows[:, -1])
+    except ValueError as exc:
+        # a failing prefix of the rows fails when longer: bisect for the shortest
+        lo, hi, message = 0, len(rows), str(exc)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                EventTable(spec, n_words, rows[:mid, :-1], rows[:mid, -1])
+                lo = mid
+            except ValueError as short:
+                hi, message = mid, str(short)
+        raise r.error(message, hi - len(rows)) from None  # the rows end the file

@@ -97,8 +97,7 @@ class ClassLM:
             if slot.mapper.table.size < n_words:
                 raise ValueError(
                     f"slot {slot.offset} ({slot.mapper.name}): its mapper table covers "
-                    f"{slot.mapper.table.size} words but the vocabulary has {n_words}; "
-                    "load the counts with the feature maps they were collected with"
+                    f"{slot.mapper.table.size} words but the vocabulary has {n_words}"
                 )
         table = clustering.table
         s, g = np.nonzero(clustering.joint)
@@ -300,7 +299,8 @@ def load_classlm(path: str | Path) -> ClassLM:
     """
     r = Reader(path, "#clusterlm-classlm v2", "class model")
     discount = r.float_line("#discount")
-    _check_discount(discount)
+    if not 0.0 <= discount < 1.0:
+        raise r.error("discount must lie in [0, 1)", 0)
     n_words = r.int_line("#n_words")
     n_categories = r.int_line("#n_categories")
     n_states = r.int_line("#n_states")
@@ -600,6 +600,8 @@ def load_backoff(path: str | Path) -> BackoffModel:
     r = Reader(path, "#clusterlm-backoff v2", "backoff model")
     order = r.int_line("#order")
     discount = r.float_line("#discount")
+    if not 0.0 < discount < 1.0:
+        raise r.error("discount must lie in (0, 1)", 0)
     n_words = r.int_line("#n_words")
     bos_id = r.int(r.line("#bos", 1)[0], "begin id")
     if order < 1:

@@ -382,7 +382,7 @@ class TestChecklist:
             run(["cluster", "run", "--counts", "gcounts.tsv", "--tree",
                  "--states", "20", "--categories", "10", "--min-count", "6",
                  "--out", "gclusters.tsv", "--vocab", "vocab.txt",
-                 "--classmap", "classes.tsv", "--model-out", "classg.model",
+                 "--model-out", "classg.model",
                  "--manifest", "m6.tsv"])
             run(["ngram", "train", "--corpus", "train.txt", "--vocab", "vocab.txt",
                  "--order", "3", "--out", "backoff.model", "--manifest", "m7.tsv"])

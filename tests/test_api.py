@@ -1,11 +1,16 @@
 """The package exports only what its own code or the benchmark uses."""
 
+import argparse
 import ast
+import inspect
 import sys
+import textwrap
 from pathlib import Path
 
+import pytest
+
 import clusterlm
-from clusterlm.cli import main
+from clusterlm.cli import build_parser, main
 
 from conftest import make_random_corpus
 
@@ -197,7 +202,7 @@ def run_pipeline() -> None:
         "counts collect --corpus train.txt --vocab v.txt --context t:-2,g:-1 --tagmap tags.txt"
         " --classmap g.txt --out tg.tsv",
         "cluster run --counts tg.tsv --states 4 --categories 3 --min-count 1 --tree --out tgcl.tsv"
-        " --model-out tree.model --vocab v.txt --tagmap tags.txt --classmap g.txt",
+        " --model-out tree.model --vocab v.txt",
         "ngram train --corpus train.txt --vocab v.txt --cutoff3 0 --out ngram.model",
         "interp tune --models flat.model tree.model ngram.model --heldout held.txt --vocab v.txt"
         " --out mix.model",
@@ -229,3 +234,37 @@ def test_every_function_in_the_package_is_called(tmp_path, monkeypatch, capsys):
     uncalled = {name for key, name in defined.items() if key not in called}
     assert uncalled - UNCALLED.keys() == set(), "functions no stage calls"
     assert UNCALLED.keys() - uncalled == set(), "listed as uncalled, but called"
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand parser of the CLI, by its two words."""
+    found = {}
+
+    def children(parser):
+        actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return actions[0].choices.items() if actions else []
+
+    for group, group_parser in children(build_parser()):
+        for command, parser in children(group_parser):
+            found[f"{group} {command}"] = parser
+    return found
+
+
+@pytest.mark.parametrize("command", sorted(subcommands()))
+def test_every_flag_is_read_by_its_handler(command):
+    """A subcommand's handler reads every flag it accepts, as
+    ``args.<dest>`` or the string ``"<dest>"``, so that no flag is
+    accepted and then ignored; ``_maybe_manifest`` reads ``manifest``."""
+    parser = subcommands()[command]
+    handler = parser.get_default("func")
+    tree = ast.parse(textwrap.dedent(inspect.getsource(handler)))
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    } | {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    if "_maybe_manifest" in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}:
+        read.add("manifest")
+    flags = {a.dest for a in parser._actions if a.dest != "help"}
+    assert sorted(flags - read) == []

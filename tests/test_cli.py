@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from clusterlm.cli import _atomic_write, format_context_spec, main, parse_context_spec
-from clusterlm.corpus import Vocabulary, load_feature_map
+from clusterlm.cluster import load_clustering
+from clusterlm.corpus import Vocabulary, encode_corpus, load_feature_map, read_corpus_lines
+from clusterlm.events import ContextSpec, Slot, extract_events
+from clusterlm.models import ClassLM, save_classlm
 
 from conftest import make_random_corpus
 
@@ -239,6 +242,25 @@ class TestTagAndClassSlots:
         head = (d / "c2.tsv").read_text().splitlines()[:6]
         assert any(line.startswith("#slot\t-2\tg") for line in head)
 
+    def test_the_counts_file_carries_its_maps_to_the_class_model(self, workdir, capsys):
+        # the model equals one built from the maps themselves, without a file between
+        d = workdir
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        (d / "tags.tsv").write_text("w0\tA\nw1\tB\nw2\tA\nw3\tC\n#default\tD\n")
+        (d / "classes.tsv").write_text("w0\t1\nw1\t1\nw4\t2\n#default\t0\n")
+        run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--context", "t:-2,g:-1", "--tagmap", d / "tags.tsv",
+                "--classmap", d / "classes.tsv", "--out", d / "c.tsv"], capsys)
+        run_ok(["cluster", "run", "--counts", d / "c.tsv", "--tree", "--states", "6",
+                "--categories", "4", "--min-count", "2", "--out", d / "cl.tsv",
+                "--model-out", d / "m.model", "--vocab", d / "v.txt"], capsys)
+        vocab = Vocabulary.load(d / "v.txt")
+        spec = ContextSpec((Slot(-2, load_feature_map(d / "tags.tsv", vocab, "t")),
+                            Slot(-1, load_feature_map(d / "classes.tsv", vocab, "g"))))
+        table = extract_events(encode_corpus(read_corpus_lines(d / "train.txt"), vocab), spec, vocab)
+        save_classlm(ClassLM(load_clustering(d / "cl.tsv", table), vocab), d / "direct.model")
+        assert (d / "direct.model").read_bytes() == (d / "m.model").read_bytes()
+
     @pytest.mark.parametrize("lines", [
         ["#x a b #x", "a #default b a", "#x b a #x", "b a #default c"],
         ["#x a b #x", "a b a", "#x b a #x", "b a c"],
@@ -327,8 +349,6 @@ class TestFailureModes:
     @pytest.mark.parametrize("flags", [
         ["--discount", "0.3"],
         ["--vocab", "v.txt"],
-        ["--tagmap", "no-such-tags.tsv"],
-        ["--classmap", "no-such-classes.tsv"],
     ])
     def test_cluster_model_flags_need_model_out(self, workdir, capsys, flags):
         d = workdir
@@ -339,6 +359,16 @@ class TestFailureModes:
                         "--categories", "4", *flags, "--out", d / "cl.tsv"], capsys)
         assert err.startswith("error:") and f"{flags[0]} is used only with --model-out" in err
         assert not (d / "cl.tsv").exists()
+
+    @pytest.mark.parametrize("flag", ["--tagmap", "--classmap"])
+    def test_cluster_run_takes_no_feature_map(self, tmp_path, capsys, flag):
+        # the counts file carries the maps it was collected with
+        d = tmp_path
+        err = run_fail(["cluster", "run", "--counts", d / "c.tsv", flag, d / "map.tsv",
+                        "--out", d / "cl.tsv", "--model-out", d / "m.model", "--vocab", d / "v.txt"],
+                       capsys, expect_rc=2)
+        assert f"unrecognized arguments: {flag}" in err
+        assert not list(d.iterdir())
 
     def test_cluster_discount_is_checked_before_clustering(self, workdir, capsys):
         d = workdir
@@ -360,13 +390,6 @@ class TestFailureModes:
                         "--out", d / "c.tsv"], capsys)
         assert err.startswith("error:") and "--tagmap is given but the context has no t:" in err
         assert not (d / "c.tsv").exists()
-        run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
-                "--context", "w:-1", "--out", d / "c.tsv"], capsys)
-        err = run_fail(["cluster", "run", "--counts", d / "c.tsv", "--states", "4",
-                        "--categories", "4", "--classmap", d / "tags.tsv", "--out", d / "cl.tsv",
-                        "--model-out", d / "m.model", "--vocab", d / "v.txt"], capsys)
-        assert err.startswith("error:") and "--classmap is given but the context has no g:" in err
-        assert not (d / "cl.tsv").exists()
 
     def test_negative_show_is_rejected(self, workdir, capsys):
         d = workdir
@@ -457,10 +480,12 @@ class TestFailureModes:
     @pytest.mark.parametrize("model_out, damage, message", [
         (False, lambda line: "#slot\t-2", CUT_SLOT),
         (True, lambda line: "#slot\t-2", CUT_SLOT),
-        (True, lambda line: line.replace("\tw\t", "\tx\t"), "unknown mapper 'x'"),
+        (True, lambda line: line.replace("\tw\t", "\tx\t"),
+         "corrupt counts file {bad}: line 5: slot -2 (x) has no #map line; "
+         "re-run clusterlm counts collect"),
     ], ids=["cut-off", "cut-off-model-out", "unknown-name-model-out"])
     def test_damaged_slot_line_is_a_counts_error(self, workdir, capsys, model_out, damage, message):
-        # with --model-out the slot names are read before the counts
+        # a slot other than w is rebuilt from its #map line, which this file lacks
         d = workdir
         run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
         run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",

@@ -50,6 +50,13 @@ def n_header(lines):
     return sum(1 for line in lines if line.startswith("#"))
 
 
+def assert_same_mappers(loaded, table):
+    for got, want in zip(loaded.spec.slots, table.spec.slots, strict=True):
+        assert (got.offset, got.mapper.name, got.mapper.arity) == (
+            want.offset, want.mapper.name, want.mapper.arity)
+        np.testing.assert_array_equal(got.mapper.table, want.mapper.table)
+
+
 class TestSpecValidation:
     def test_nonnegative_offset_rejected(self):
         vocab = build_vocabulary("a".split())
@@ -255,11 +262,12 @@ class TestArrayOracle:
 
         out = tmp_path_factory.mktemp("rt")
         save_counts(table, out / "a.tsv")
-        loaded = load_counts(out / "a.tsv", mappers)
+        loaded = load_counts(out / "a.tsv")
         save_counts(loaded, out / "b.tsv")
         assert (out / "a.tsv").read_bytes() == (out / "b.tsv").read_bytes()
         for name in ("contexts", "ptr", "words", "freqs", "ctx_counts", "word_counts"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(table, name))
+        assert_same_mappers(loaded, table)
 
 
 class TestCountsRoundTrip:
@@ -267,12 +275,13 @@ class TestCountsRoundTrip:
         vocab, enc, table = build_table(["a b c a", "c b", "a"], offsets=(-2, -1))
         path = tmp_path / "counts.tsv"
         save_counts(table, path)
-        m = identity_mapper(vocab)
-        loaded = load_counts(path, {"w": m})
+        assert not [line for line in path.read_text().splitlines() if line.startswith("#map")]
+        loaded = load_counts(path)
         assert loaded.counts == table.counts
         assert loaded.total == table.total
         assert loaded.n_words == table.n_words
         assert [s.offset for s in loaded.spec.slots] == [-2, -1]
+        assert_same_mappers(loaded, table)
 
     def test_save_is_deterministic(self, tmp_path):
         vocab, enc, table = build_table(["b a", "a b a"], offsets=(-1,))
@@ -281,22 +290,14 @@ class TestCountsRoundTrip:
         save_counts(table, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_load_without_mappers_uses_placeholders(self, tmp_path):
-        vocab, enc, table = build_table(["a b a"], offsets=(-1,))
-        path = tmp_path / "counts.tsv"
-        save_counts(table, path)
-        loaded = load_counts(path)
-        assert loaded.counts == table.counts
-        arities = [[s.mapper.arity for s in t.spec.slots] for t in (loaded, table)]
-        assert arities[0] == arities[1]
-
     def test_load_rejects_arity_mismatch(self, tmp_path):
-        vocab, enc, table = build_table(["a b a"], offsets=(-1,))
-        path = tmp_path / "counts.tsv"
-        save_counts(table, path)
-        small = build_vocabulary("a".split())
-        with pytest.raises(ValueError, match="arity"):
-            load_counts(path, {"w": identity_mapper(small)})
+        # a w slot without a #map line is the identity, of the vocabulary's arity
+        path, lines = counts_lines(tmp_path, offsets=(-1,))
+        n = int(lines[1].split("\t")[1])
+        path.write_text("\n".join(lines).replace(f"\tw\t{n}\n", f"\tw\t{n - 1}\n") + "\n")
+        want = f"corrupt counts file {path}: line 4: slot -1 (w) has no #map line"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            load_counts(path)
 
     def test_load_rejects_unknown_mapper_name(self, tmp_path):
         vocab, enc, table = build_table(["a b a"], offsets=(-1,))
@@ -304,8 +305,8 @@ class TestCountsRoundTrip:
         save_counts(path=path, table=table)
         text = path.read_text().replace("\tw\t", "\tq\t")
         path.write_text(text)
-        with pytest.raises(ValueError, match="unknown mapper"):
-            load_counts(path, {"w": identity_mapper(vocab)})
+        with pytest.raises(ValueError, match=r"slot -1 \(q\) has no #map line"):
+            load_counts(path)
 
     @pytest.mark.parametrize("bad_id", [99, -1])
     def test_load_rejects_out_of_range_word_id(self, tmp_path, bad_id):
@@ -362,6 +363,84 @@ class TestCountsRoundTrip:
             load_counts(path)
 
 
+def mapped_lines(tmp_path):
+    """(table, path, lines) of a saved ``t:-2,g:-1`` counts file, its tag
+    map of arity 3 and its class map of arity 2."""
+    vocab = build_vocabulary("a b c a b".split())
+    n = len(vocab)
+    spec = ContextSpec((Slot(-2, FeatureMapper("t", np.arange(n) % 3, 3)),
+                        Slot(-1, FeatureMapper("g", np.arange(n) // 2 % 2, 2))))
+    enc = [[vocab.id_of(t) for t in s.split()] for s in ("a b c a", "c b", "a b")]
+    table = extract_events(enc, spec, vocab)
+    path = tmp_path / "counts.tsv"
+    save_counts(table, path)
+    return table, path, path.read_text().splitlines()
+
+
+class TestMapLines:
+    """Every slot mapper but the word identity is saved as a ``#map`` line
+    and rebuilt from it."""
+
+    def test_maps_round_trip(self, tmp_path):
+        table, path, lines = mapped_lines(tmp_path)
+        n = table.n_words
+        maps = [line.split("\t") for line in lines if line.startswith("#map")]
+        assert [m[1] for m in maps] == ["t", "g"] and [len(m[2].split()) for m in maps] == [n, n]
+        loaded = load_counts(path)
+        assert loaded.counts == table.counts
+        assert_same_mappers(loaded, table)
+        save_counts(loaded, tmp_path / "again.tsv")
+        assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("second", [
+        (np.ones, 2), (np.zeros, 3), None,
+    ], ids=["other table", "other arity", "short table alone"])
+    def test_save_rejects_a_mapper_unlike_its_namesake_or_the_vocabulary(self, tmp_path, second):
+        vocab = build_vocabulary("a b".split())
+        n = len(vocab)
+        if second is None:
+            slots = (Slot(-1, FeatureMapper("t", np.zeros(n - 1), 2)),)
+        else:
+            make, arity = second
+            slots = (Slot(-2, FeatureMapper("t", np.zeros(n), 2)),
+                     Slot(-1, FeatureMapper("t", make(n), arity)))
+        counts = {(0,) * len(slots): {2: 1}}
+        table = table_from_counts(ContextSpec(slots), n, counts)
+        with pytest.raises(ValueError, match="slot -1: mapper 't' differs from another slot's "
+                           "of that name or does not cover the vocabulary"):
+            save_counts(table, tmp_path / "c.tsv")
+
+    @pytest.mark.parametrize("damage, message", [
+        ("cut off", "cut-off #map line"),
+        ("one value too few", "#map t needs {n} values in [0, 3), one per word"),
+        ("value equal to the arity", "#map t needs {n} values in [0, 3), one per word"),
+        ("value not an integer", "#map t value is not an integer: 'x'"),
+        ("no #map lines", "slot -2 (t) has no #map line; re-run clusterlm counts collect"),
+    ])
+    def test_a_damaged_map_line_names_the_file_and_line(self, tmp_path, damage, message):
+        table, path, lines = mapped_lines(tmp_path)
+        k = next(i for i, line in enumerate(lines) if line.startswith("#map\tt\t"))
+        head, _, values = lines[k].rpartition("\t")
+        values = values.split()
+        if damage == "cut off":
+            lines, end = lines[:k] + [lines[k][: len(lines[k]) // 2]], ""
+        else:
+            end = "\n"
+            if damage == "one value too few":
+                lines[k] = head + "\t" + " ".join(values[:-1])
+            elif damage == "value equal to the arity":
+                lines[k] = head + "\t" + " ".join(["3"] + values[1:])
+            elif damage == "value not an integer":
+                lines[k] = head + "\t" + " ".join(["x"] + values[1:])
+            else:
+                lines = [line for line in lines if not line.startswith("#map")]
+        path.write_text("\n".join(lines) + end)
+        message = message.format(n=table.n_words)
+        want = f"corrupt counts file {path}: line {k + 1}: {message}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            load_counts(path)
+
+
 class TestCountsFileCorruption:
     """A damaged counts file loads as a valid table or raises ValueError."""
 
@@ -399,12 +478,49 @@ class TestCountsFileCorruption:
         ("inner minus", lambda L: L[:-1] + [L[-1] + "-1"]),
         ("blank line", lambda L: L[:-1] + ["", L[-1]]),
         ("trailing header", lambda L: L + ["#vocab\t3"]),
+        ("map of no slot", lambda L: L[:4] + ["#map\tq\t" + " ".join(["0"] * 6)] + L[4:]),
+        ("map twice", lambda L: L[:4] + ["#map\tw\t" + " ".join(["0"] * 6)] * 2 + L[4:]),
     ])
     def test_corruption_is_rejected(self, tmp_path, name, edit):
         path, lines = counts_lines(tmp_path)
         path.write_text("\n".join(edit(lines)) + "\n")
         with pytest.raises(ValueError):
             load_counts(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        ("zero count", "stored counts must be strictly positive"),
+        ("swapped rows", "(context, word) rows are not strictly sorted"),
+    ])
+    def test_a_bad_event_row_names_the_file_and_line(self, tmp_path, damage, message):
+        path, lines = counts_lines(tmp_path)
+        if damage == "zero count":
+            lines[-1] = lines[-1].rpartition("\t")[0] + "\t0"
+            k = len(lines) - 1
+        else:
+            k = n_header(lines) + 2  # the first row below the row before it
+            lines[k - 1], lines[k] = lines[k], lines[k - 1]
+        path.write_text("\n".join(lines) + "\n")
+        want = f"corrupt counts file {path}: line {k + 1}: {message}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            load_counts(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_the_first_bad_row_is_named(self, data):
+        vocab, enc, table = build_table(make_random_corpus(5, 30, n_words=6), offsets=(-2, -1))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "counts.tsv"
+            save_counts(table, path)
+            lines = path.read_text().splitlines()
+            head = n_header(lines)
+            bad = data.draw(st.sets(st.integers(head, len(lines) - 1), min_size=1, max_size=4))
+            for k in bad:
+                count = data.draw(st.sampled_from(["0", "-1"]))
+                lines[k] = lines[k].rpartition("\t")[0] + "\t" + count
+            path.write_text("\n".join(lines) + "\n")
+            want = f"corrupt counts file {path}: line {min(bad) + 1}: stored counts must be"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                load_counts(path)
 
     def test_a_slot_name_that_is_not_utf8_names_the_file_and_line(self, tmp_path):
         path, lines = counts_lines(tmp_path)

@@ -238,14 +238,15 @@ class TestClassLM:
             with pytest.raises(ValueError, match=f"^{re.escape(str(p))} is a v1 .* re-run"):
                 load(p)
 
-    def test_mapper_table_must_cover_vocabulary(self, tmp_path):
-        # counts reloaded without their mappers carry empty placeholder tables
+    def test_mapper_table_must_cover_vocabulary(self):
+        # a hand-built table whose mapper covers only the first few words
         sents = make_random_corpus(43, n_sentences=20, n_words=6)
         vocab, enc, table = build_table(sents, offsets=(-2, -1))
-        save_counts(table, tmp_path / "counts.tsv")
-        reloaded = load_counts(tmp_path / "counts.tsv")
-        clu = run_flat(reloaded, ClusterParams(n_categories=3, n_states=3, min_count=1))
-        with pytest.raises(ValueError, match=r"slot -2 \(w\).*covers 0 words"):
+        short = FeatureMapper("w", np.arange(3), len(vocab))
+        spec = ContextSpec((Slot(-2, short), Slot(-1, short)))
+        hand = table_from_counts(spec, table.n_words, table.counts)
+        clu = run_flat(hand, ClusterParams(n_categories=3, n_states=3, min_count=1))
+        with pytest.raises(ValueError, match=r"slot -2 \(w\).*covers 3 words but the vocabulary has"):
             ClassLM(clu, vocab)
 
 
@@ -346,13 +347,15 @@ class TestClassLMFile:
             "--context", "g:-2,w:-1", "--classmap", d / "classes.tsv", "--out", d / "c2.tsv")
         run("cluster", "run", "--counts", d / "c2.tsv", "--tree", "--states", "5",
             "--categories", "4", "--min-count", "2", "--out", d / "cl2.tsv",
-            "--vocab", d / "v.txt", "--classmap", d / "classes.tsv",
-            "--model-out", d / "m.classlm")
+            "--vocab", d / "v.txt", "--model-out", d / "m.classlm")
 
         vocab = Vocabulary.load(d / "v.txt")
         mappers = {"w": identity_mapper(vocab),
                    "g": load_feature_map(d / "classes.tsv", vocab, "g")}
-        table = load_counts(d / "c2.tsv", mappers=mappers)
+        table = load_counts(d / "c2.tsv")  # the counts carry the class map
+        for slot, name in zip(table.spec.slots, "gw"):
+            assert slot.mapper.name == name and slot.mapper.arity == mappers[name].arity
+            np.testing.assert_array_equal(slot.mapper.table, mappers[name].table)
         built = ClassLM(load_clustering(d / "cl2.tsv", table), vocab, discount=0.5)
         assert built.slots[0].name == "g" and built.slots[0].bos != vocab.bos_id
         for name in ("v.txt", "c1.tsv", "cl1.tsv", "classes.tsv", "c2.tsv", "cl2.tsv", "train.txt"):
@@ -1129,6 +1132,31 @@ class TestDamagedBodyLine:
         message = str(err.value)
         assert str(path) in message
         assert re.search(rf"\bline {k + 1}\b", message), message
+
+
+class TestDiscountLine:
+    """A ``#discount`` out of range is named by its file and line."""
+
+    @pytest.mark.parametrize("kind, value, message", [
+        ("classlm", "1.5", "discount must lie in [0, 1)"),
+        ("classlm", "-0.1", "discount must lie in [0, 1)"),
+        ("classlm", "nan", "discount must lie in [0, 1)"),
+        ("backoff", "1.0", "discount must lie in (0, 1)"),
+        ("backoff", "0.0", "discount must lie in (0, 1)"),
+        ("backoff", "nan", "discount must lie in (0, 1)"),
+    ])
+    def test_the_error_names_the_file_and_line(self, tmp_path, kind, value, message):
+        table, paths = saved_files(tmp_path)
+        path = paths[kind]
+        lines = path.read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith("#discount\t"))
+        lines[k] = f"#discount\t{value}"
+        path.write_text("\n".join(lines) + "\n")
+        what = {"classlm": "class model", "backoff": "backoff model"}[kind]
+        want = f"corrupt {what} file {path}: line {k + 1}: {message}"
+        for load in (load_classlm if kind == "classlm" else load_backoff, load_model):
+            with pytest.raises(ValueError, match=re.escape(want)):
+                load(path)
 
 
 class Fixed:
