@@ -5,9 +5,17 @@ one check of their version lines.
 
 A section is a run of lines, one per row of an integer matrix: the
 row's key fields separated by spaces, then each value field after a
-tab, as in ``3 17<TAB>5<TAB>2``.  Rows are formatted and parsed a whole
-array at a time with numpy, and formatting a parsed section gives back
-its bytes.
+tab, as in ``3 17<TAB>5<TAB>2``.  Rows are formatted and parsed with
+numpy, and formatting a parsed section gives back its bytes.
+
+Every pass over rows here but the sorts and ``write_rows`` works in
+blocks whose largest temporary array stays under ``_BLOCK_BYTES``: below
+glibc's 128 KiB mmap threshold, which ``cli`` fixes so that each larger
+array is a fresh mapping, paged in anew.  Block temporaries come from
+the heap and are reused; only a pass's output is allocated at full size.
+``write_rows`` keeps its blocks of ``_ROWS_PER_WRITE`` rows, whose widest
+temporaries are mapped: writing from heap blocks saved few page faults,
+but left the heap of a process that runs several commands larger.
 
 Rows are compared lexicographically, through ``Keys``: each row packed
 into one int64 key, its number in mixed radix (each column shifted by
@@ -32,6 +40,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 _ROWS_PER_WRITE = 1 << 12
+_BLOCK_BYTES = 1 << 16  # the largest temporary array of a blocked pass
 _KEY_LIMIT = 1 << 62  # the spans of one key chunk multiply to less
 
 # version lines of formats no loader reads any more, and how to replace such a file
@@ -41,6 +50,14 @@ _RETIRED = {
     b"#clusterlm-backoff v1": "is a v1 backoff model, which stored rounded log "
     "probabilities; re-run `clusterlm ngram train` to write a v2 model",
 }
+
+
+def _blocks(n: int, row_bytes: int) -> Iterator[tuple[int, int]]:
+    """Bounds (lo, hi) of consecutive blocks of ``n`` rows, sized so that
+    a temporary of ``row_bytes`` per row stays within ``_BLOCK_BYTES``."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    for lo in range(0, n, step):
+        yield lo, min(lo + step, n)
 
 
 def write_rows(fh: BinaryIO, keys: np.ndarray, *values: np.ndarray) -> None:
@@ -86,12 +103,13 @@ class Reader:
         self.pos = len(first) + 1
         self.corrupt = f"corrupt {what} file {path}"
 
-    def error(self, message: str, ahead: int | None = None) -> ValueError:
+    def error(self, message: str, ahead: int | None = None, pos: int | None = None) -> ValueError:
         """``message`` about the file, or about its line ``ahead`` lines
-        past the line read last (0 for that line itself)."""
+        past the line read last (0 for that line itself), or past the
+        line read last when the cursor stood at ``pos``."""
         if ahead is None:
             return ValueError(f"{self.corrupt}: {message}")
-        line = self.data.count(b"\n", 0, self.pos) + ahead
+        line = self.data.count(b"\n", 0, self.pos if pos is None else pos) + ahead
         return ValueError(f"{self.corrupt}: line {line}: {message}")
 
     def at(self, key: str) -> bool:
@@ -136,58 +154,78 @@ class Reader:
 
     def rows(self, what: str, n_key: int, n_value: int, n_rows: int | None = None) -> np.ndarray:
         """The integer rows up to the next ``#`` line or the end, each
-        ``n_key`` space-separated fields and ``n_value`` more after tabs,
-        parsed in one pass.  A field is an optionally negative integer
-        of 1 to 18 digits.  When ``n_rows`` is given there must be
-        exactly that many rows, as the section's ``#`` line, read last,
-        declares.  A malformed row is named by its line."""
+        ``n_key`` space-separated fields and ``n_value`` more after tabs.
+        A field is an optionally negative integer of 1 to 18 digits.
+        When ``n_rows`` is given there must be exactly that many rows, as
+        the section's ``#`` line, read last, declares.  The rows are
+        counted first, then checked and parsed in blocks of whole lines
+        into one array.  A malformed row is named by its line: the first
+        bad line of the first block that fails a check."""
         data, pos = self.data, self.pos
         if pos >= len(data) or data.startswith(b"#", pos):
             end = pos
         else:
             nxt = data.find(b"\n#", pos)
             end = len(data) if nxt < 0 else nxt + 1
-        body = data[pos:end]
 
-        def bad(message: str) -> ValueError:
-            """``message`` at the first line of ``body`` that is not a row,
-            found by a scan that runs only once a check has failed."""
+        def bad(message: str, lo: int, hi: int, row: int) -> ValueError:
+            """``message`` at the first line of ``data[lo:hi]``, which
+            starts at row ``row``, that is not a row, found by a scan that
+            runs only once a check has failed."""
             field = rb"-?[0-9]{1,18}"
-            row = re.compile(field + (b" " + field) * (n_key - 1) + (b"\t" + field) * n_value)
-            lines = body.split(b"\n")  # the last item is what follows the last newline
-            at = next((i for i, x in enumerate(lines[:-1]) if not row.fullmatch(x)), len(lines) - 1)
-            return self.error(message, 1 + at)
+            line = re.compile(field + (b" " + field) * (n_key - 1) + (b"\t" + field) * n_value)
+            lines = data[lo:hi].split(b"\n")  # the last item is what follows the last newline
+            at = next((i for i, x in enumerate(lines[:-1]) if not line.fullmatch(x)), len(lines) - 1)
+            return self.error(message, 1 + row + at)
 
-        if body and not body.endswith(b"\n"):  # a last line without its newline
-            raise bad(f"malformed {what} rows")
-        found = body.count(b"\n")
+        if end > pos and data[end - 1] != ord("\n"):  # a last line without its newline
+            raise bad(f"malformed {what} rows", pos, end, 0)
+        found = data.count(b"\n", pos, end)
         if n_rows is not None and found != n_rows:
             raise self.error(f"{what} declares {n_rows} rows, {found} found", 0)
-        n_cols = n_key + n_value
-        buf = np.frombuffer(body, dtype=np.uint8)
-        is_sep = (buf == 32) | (buf == 9) | (buf == 10)
-        sep_at = np.flatnonzero(is_sep)
         pattern = np.array([32] * (n_key - 1) + [9] * n_value + [10], dtype=np.uint8)
-        if sep_at.size != found * n_cols or (buf[sep_at].reshape(found, n_cols) != pattern).any():
-            raise bad(f"malformed {what} rows")
-        is_minus = buf == 45
-        if not (is_sep | is_minus | ((buf >= 48) & (buf <= 57))).all():
-            raise bad(f"{what} holds a field that is not an integer")
-        widths = np.diff(sep_at, prepend=-1) - 1
-        signed = is_minus[sep_at - widths]
-        if int(signed.sum()) != int(is_minus.sum()):
-            raise bad(f"{what} holds a minus sign inside a field")
-        # every field is 1 to 18 digits, so the parse below is exact
-        widths -= signed
-        if widths.size and (widths.min() < 1 or widths.max() > 18):
-            raise bad(f"{what} holds an empty or oversized field")
-        values = np.fromstring(body, dtype=np.int64, sep=" ")
+        out = np.empty((found, len(pattern)), dtype=np.int64)
+        lo, row = pos, 0
+        while lo < end:
+            # whole lines of at most a quarter of _BLOCK_BYTES, or one longer
+            # line: one-digit fields give an int64 separator per two bytes
+            cut = data.rfind(b"\n", lo, min(lo + _BLOCK_BYTES // 4, end))
+            hi = (cut if cut >= 0 else data.find(b"\n", lo, end)) + 1
+            block = data[lo:hi]
+            n = block.count(b"\n")
+            fault = _fault(np.frombuffer(block, dtype=np.uint8), n, pattern, what)
+            if fault:
+                raise bad(fault, lo, hi, row)
+            out[row : row + n] = np.fromstring(block, dtype=np.int64, sep=" ").reshape(n, -1)
+            lo, row = hi, row + n
         self.pos = end
-        return values.reshape(found, n_cols)
+        return out
 
     def end(self, after: str) -> None:
         if self.pos != len(self.data):
             raise self.error(f"unexpected content after {after}", 1)
+
+
+def _fault(buf: np.ndarray, n_rows: int, pattern: np.ndarray, what: str) -> str | None:
+    """The message of the first check that ``buf``, ``n_rows`` whole
+    lines, fails as rows whose separators are ``pattern``, else None:
+    every field is then 1 to 18 digits after an optional minus sign, so
+    that ``np.fromstring`` parses it exactly."""
+    is_sep = (buf == 32) | (buf == 9) | (buf == 10)
+    sep_at = np.flatnonzero(is_sep)
+    if sep_at.size != n_rows * len(pattern) or (buf[sep_at].reshape(n_rows, -1) != pattern).any():
+        return f"malformed {what} rows"
+    is_minus = buf == 45
+    if not (is_sep | is_minus | ((buf >= 48) & (buf <= 57))).all():
+        return f"{what} holds a field that is not an integer"
+    widths = np.diff(sep_at, prepend=-1) - 1
+    signed = is_minus[sep_at - widths]
+    if int(signed.sum()) != int(is_minus.sum()):
+        return f"{what} holds a minus sign inside a field"
+    widths -= signed
+    if widths.min() < 1 or widths.max() > 18:
+        return f"{what} holds an empty or oversized field"
+    return None
 
 
 class Keys:
@@ -202,14 +240,15 @@ class Keys:
     column spanning 2**62 or more is a chunk of its own, unshifted.
 
     ``key`` holds one row of chunks per packed row; ``lo`` and ``hi``
-    are each column's range, which ``pack`` requires of its rows.
+    are each column's range, which ``pack`` requires of its rows, and
+    ``chunks`` lists each chunk's (column, shift, span) in order.
     """
 
     def __init__(self, rows: np.ndarray):
         n = len(rows)
         self.lo = [int(rows[:, j].min()) if n else 0 for j in range(rows.shape[1])]
         self.hi = [int(rows[:, j].max()) if n else 0 for j in range(rows.shape[1])]
-        self.chunks: list[list[tuple[int, int, int]]] = []  # (column, shift, scale)
+        self.chunks: list[list[tuple[int, int, int]]] = []
         product = _KEY_LIMIT
         for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
             span = hi - lo + 1
@@ -217,19 +256,24 @@ class Keys:
                 self.chunks.append([])
                 product = 1
             product *= span
-            chunk = [(col, shift, scale * span) for col, shift, scale in self.chunks[-1]]
-            self.chunks[-1] = chunk + [(j, lo if span < _KEY_LIMIT else 0, 1)]
+            self.chunks[-1].append((j, lo if span < _KEY_LIMIT else 0, span))
         self.key = self.pack(rows)
 
     def pack(self, rows: np.ndarray) -> np.ndarray:
         """The (len(rows), chunks) int64 keys of ``rows``, whose values
-        must lie in the columns' ranges (one zero chunk for no columns)."""
-        out = np.zeros((len(rows), max(len(self.chunks), 1)), dtype=np.int64)
-        for c, chunk in enumerate(self.chunks):
-            for j, shift, scale in chunk:
-                col = rows[:, j] - np.int64(shift)
-                col *= np.int64(scale)
-                out[:, c] += col
+        must lie in the columns' ranges (one zero chunk for no columns).
+        Each chunk is packed in place by Horner's rule; a step may wrap
+        around int64, but the key it ends at fits, so the key is exact."""
+        if not self.chunks:
+            return np.zeros((len(rows), 1), dtype=np.int64)
+        out = np.empty((len(rows), len(self.chunks)), dtype=np.int64)
+        for c, ((j, shift, _), *rest) in enumerate(self.chunks):
+            key = out[:, c]
+            np.subtract(rows[:, j], np.int64(shift), out=key)
+            for j, shift, span in rest:
+                key *= np.int64(span)
+                key += rows[:, j]
+                key -= np.int64(shift)
         return out
 
 
@@ -241,22 +285,22 @@ def check_range(values: np.ndarray, lo: int, hi: int, what: str) -> None:
 def check_strictly_sorted(key: np.ndarray, what: str) -> None:
     """Key rows (``Keys.key``) must increase strictly: each row is larger
     than the one before it in the first chunk where the two differ."""
-    if len(key) < 2:
-        return
-    before, after = key[:-1], key[1:]
-    ok = after[:, -1] > before[:, -1]
-    for c in range(key.shape[1] - 2, -1, -1):  # an earlier chunk decides where it differs
-        ok = (after[:, c] > before[:, c]) | ((after[:, c] == before[:, c]) & ok)
-    if not ok.all():
-        raise ValueError(f"{what} rows are not strictly sorted")
+    for lo, hi in _blocks(len(key) - 1, 1):  # the pairs (i, i + 1) for lo <= i < hi
+        before, after = key[lo:hi], key[lo + 1 : hi + 1]
+        ok = after[:, -1] > before[:, -1]
+        for c in range(key.shape[1] - 2, -1, -1):  # an earlier chunk decides where it differs
+            ok = (after[:, c] > before[:, c]) | ((after[:, c] == before[:, c]) & ok)
+        if not ok.all():
+            raise ValueError(f"{what} rows are not strictly sorted")
 
 
 def row_starts(key: np.ndarray) -> np.ndarray:
     """Mask of the sorted key rows (``Keys.key``) that differ from the
     row before them."""
-    flat = _searchable(key)
     out = np.ones(len(key), dtype=bool)
-    out[1:] = flat[1:] != flat[:-1]
+    np.not_equal(key[1:, 0], key[:-1, 0], out=out[1:])
+    for c in range(1, key.shape[1]):
+        out[1:] |= key[1:, c] != key[:-1, c]
     return out
 
 
@@ -290,21 +334,23 @@ def find_rows(table: Keys, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     A query with a value outside its column's range in the table is not
     found and never packed, so any int64 query works; the others are
-    packed as the table was and searched for with one
-    ``np.searchsorted``."""
+    packed as the table was and searched for with ``np.searchsorted``,
+    a block of queries at a time."""
     queries = np.asarray(queries, dtype=np.int64)
-    live = np.full(len(queries), len(table.key) > 0)
-    for j, (lo, hi) in enumerate(zip(table.lo, table.hi)):
-        live &= (queries[:, j] >= lo) & (queries[:, j] <= hi)
     keys = _searchable(table.key)
-    want = _searchable(table.pack(queries.take(np.flatnonzero(live), axis=0)))
-    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    hit = keys[at] == want
-    found = live.copy()
-    found[live] = hit
     out = np.full(len(queries), -1, dtype=np.int64)
-    out[found] = at[hit]
-    return out, found
+    width = max(queries.shape[1], table.key.shape[1])
+    for lo, hi in _blocks(len(queries) if len(keys) else 0, 8 * width):
+        block = queries[lo:hi]
+        live = np.ones(hi - lo, dtype=bool)
+        for j, (first, last) in enumerate(zip(table.lo, table.hi)):
+            live &= (block[:, j] >= first) & (block[:, j] <= last)
+        live = np.flatnonzero(live)
+        want = _searchable(table.pack(block.take(live, axis=0)))
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        hit = keys[at] == want
+        out[lo + live[hit]] = at[hit]
+    return out, out >= 0
 
 
 def _order(key: np.ndarray, kind: str | None) -> np.ndarray:

@@ -189,7 +189,7 @@ def em_mixture_weights(
         np.matmul(P, w, out=mix)
         if (mix <= 0.0).any():
             raise ValueError("mixture assigns zero probability to a held-out event")
-        ll = math.fsum(np.log(mix, out=scratch).tolist())
+        ll = math.fsum(memoryview(np.log(mix, out=scratch)))
         if history and ll < history[-1] - 1e-9:
             raise RuntimeError("EM log-likelihood decreased")
         history.append(ll)

@@ -94,7 +94,7 @@ class EventTable:
         first = np.flatnonzero(row_starts(Keys(keys[:, :-1]).key))
         self.spec = spec
         self.n_words = int(n_words)
-        self.contexts = keys.take(first, axis=0)[:, :-1].astype(np.int32)
+        self.contexts = keys[:, :-1].take(first, axis=0).astype(np.int32)
         self.ptr = np.append(first, len(keys))
         self.words = keys[:, -1].astype(np.int32)
         self.freqs = freqs
@@ -203,8 +203,8 @@ def load_counts(path: str | Path) -> EventTable:
     header = []
     while r.at("#slot"):
         off, name, arity = r.line("#slot", 3)
-        header.append((r.int(off, "slot offset"), name, r.int(arity, "slot arity")))
-    arity_of = {name: arity for _, name, arity in header}
+        header.append((r.int(off, "slot offset"), name, r.int(arity, "slot arity"), r.pos))
+    arity_of = {name: arity for _, name, arity, _ in header}
     tables = {}
     while r.at("#map"):
         name, text = r.line("#map", 2)
@@ -218,15 +218,20 @@ def load_counts(path: str | Path) -> EventTable:
     if "w" not in tables and arity_of.get("w") == n_words:
         tables["w"] = np.arange(n_words)
     slots = []
-    for off, name, arity in header:
+    for off, name, arity, pos in header:
         if name not in tables:
             raise r.error(f"slot {off} ({name}) has no #map line; re-run clusterlm counts collect", 1)
         if arity != arity_of[name]:
             raise r.error(f"slots named {name!r} differ in arity")
-        slots.append(Slot(off, FeatureMapper(name, tables[name], arity)))
+        try:
+            slots.append(Slot(off, FeatureMapper(name, tables[name], arity)))
+            spec = ContextSpec(tuple(slots))  # each prefix, so that a fault names its line
+        except ValueError as exc:
+            raise r.error(str(exc), 0, pos) from None
+    if not slots:
+        raise r.error("expected a #slot line", 1)
     rows = r.rows("event", len(slots), 2)
     r.end("the event lines")
-    spec = ContextSpec(tuple(slots))
     try:
         return EventTable(spec, n_words, rows[:, :-1], rows[:, -1])
     except ValueError as exc:

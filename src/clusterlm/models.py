@@ -292,8 +292,8 @@ def save_classlm(model: ClassLM, path: str | Path) -> None:
 def load_classlm(path: str | Path) -> ClassLM:
     """Read a class model file written by ``save_classlm``.
 
-    The file alone defines the model.  Every section is parsed in one
-    numpy pass, and shapes, id ranges, sort orders and the joint's
+    The file alone defines the model.  Every section is parsed by
+    ``Reader.rows``, and shapes, id ranges, sort orders and the joint's
     column sums (they must equal the per-category word counts) are
     checked; any inconsistency raises ``ValueError``.
     """
@@ -321,11 +321,21 @@ def load_classlm(path: str | Path) -> ClassLM:
         if not 0 <= sl.bos < sl.arity:
             raise r.error(f"slot {sl.offset} begin value outside [0, {sl.arity})")
 
+    at: dict[str, int] = {}  # the cursor after each section's # line
+
     def section(key: str, n_key: int, n_value: int, n_rows: int | None = None) -> np.ndarray:
         declared = r.int(r.line(key, 1)[0], f"{key} row count")
         if n_rows is not None and declared != n_rows:
             raise r.error(f"{key} declares {declared} rows, expected {n_rows}", 0)
+        at[key] = r.pos
         return r.rows(key, n_key, n_value, declared)
+
+    def named(key: str, check: Callable[..., None], *args) -> None:
+        """``check(*args)``, its error naming the section's # line."""
+        try:
+            check(*args)
+        except ValueError as exc:
+            raise r.error(str(exc), 0, at[key]) from None
 
     maps = section("#maps", depth, 0, n_words)
     words = section("#words", 1, 1, n_words)
@@ -335,6 +345,7 @@ def load_classlm(path: str | Path) -> ClassLM:
         got, declared = r.line("#suffix", 2)
         if r.int(got, "suffix length") != keep:
             raise r.error(f"expected the #suffix table of length {keep}")
+        at[f"#suffix {keep}"] = r.pos
         table_rows.append(r.rows("#suffix", keep, 1, r.int(declared, "#suffix row count")))
     table_rows.append(section("#contexts", depth, 1))
     r.end("#contexts")
@@ -344,16 +355,16 @@ def load_classlm(path: str | Path) -> ClassLM:
     if not 1 <= n_states <= len(table_rows[-1]):
         raise r.error("n_states must lie in [1, number of contexts]")
     for k, sl in enumerate(slots):
-        check_range(maps[:, k], 0, sl.arity, f"{r.corrupt}: slot {sl.offset} values")
+        named("#maps", check_range, maps[:, k], 0, sl.arity, f"slot {sl.offset} values")
     G, word_counts = words[:, 0], words[:, 1]
-    check_range(G, 0, n_categories, f"{r.corrupt}: word categories")
-    check_range(word_counts, 0, 2**62, f"{r.corrupt}: word counts")
+    named("#words", check_range, G, 0, n_categories, "word categories")
+    named("#words", check_range, word_counts, 0, 2**62, "word counts")
     G = G.astype(np.int32)
     if not 0 < sum(word_counts.tolist()) < 2**62:
         raise r.error("word counts must add up to a total in (0, 2**62)")
-    check_range(cells[:, 0], 0, n_states, f"{r.corrupt}: joint states")
-    check_range(cells[:, 1], 0, n_categories, f"{r.corrupt}: joint categories")
-    check_range(cells[:, 2], 1, 2**62, f"{r.corrupt}: joint counts")
+    named("#joint", check_range, cells[:, 0], 0, n_states, "joint states")
+    named("#joint", check_range, cells[:, 1], 0, n_categories, "joint categories")
+    named("#joint", check_range, cells[:, 2], 1, 2**62, "joint counts")
     if not np.array_equal(
         _sums(cells[:, 1], cells[:, 2], n_categories), _sums(G, word_counts, n_categories)
     ):
@@ -363,10 +374,10 @@ def load_classlm(path: str | Path) -> ClassLM:
     def table(rows: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
         keys, states = rows[:, :-1], rows[:, -1]
         for k, sl in enumerate(slots[depth - keys.shape[1] :]):
-            check_range(keys[:, k], 0, sl.arity, f"{r.corrupt}: {what} slot {sl.offset} values")
-        check_range(states, 0, n_states, f"{r.corrupt}: {what} states")
+            named(what, check_range, keys[:, k], 0, sl.arity, f"{what} slot {sl.offset} values")
+        named(what, check_range, states, 0, n_states, f"{what} states")
         if (state_totals[states] == 0).any():
-            raise r.error(f"{what} maps to a state without events")
+            raise r.error(f"{what} maps to a state without events", 0, at[what])
         return keys.astype(np.int32), states.astype(np.int32)
 
     names = [f"#suffix {keep}" for keep in range(1, depth)] + ["#contexts"]
@@ -384,7 +395,7 @@ def load_classlm(path: str | Path) -> ClassLM:
     )
     # the sort checks read the keys the model looks its tables up by
     for keys, what in zip([model._joint_keys, *model._table_keys], ["#joint", *names]):
-        check_strictly_sorted(keys.key, f"{r.corrupt}: {what}")
+        named(what, check_strictly_sorted, keys.key, what)
     return model
 
 
@@ -563,7 +574,8 @@ def train_backoff(
         keep = c > cutoffs.get(k, 0)
         if not keep.all():  # the model checks the order of the rows it keeps
             check_strictly_sorted(Keys(grams).key, f"order-{k}")
-        kept.append((grams[keep], c[keep]))
+            grams, c = grams[keep], c[keep]
+        kept.append((grams, c))
     return BackoffModel(n_words, discount, kept, bos_id=bos_id)
 
 
@@ -592,7 +604,7 @@ def save_backoff(model: BackoffModel, path: str | Path) -> None:
 def load_backoff(path: str | Path) -> BackoffModel:
     """Read a backoff model file written by ``save_backoff``.
 
-    The sections are parsed in one numpy pass each, then handed to
+    The sections are parsed by ``Reader.rows``, then handed to
     ``train_backoff`` without cutoffs, so the loaded model equals the
     saved one bit for bit.  A damaged file (bad header, row count, id,
     sort order or count, or a cut-off last line) raises ``ValueError``.

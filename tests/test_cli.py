@@ -2,10 +2,14 @@
 
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clusterlm
 from clusterlm.cli import _atomic_write, format_context_spec, main, parse_context_spec
 from clusterlm.cluster import load_clustering
 from clusterlm.corpus import Vocabulary, encode_corpus, load_feature_map, read_corpus_lines
@@ -680,17 +684,6 @@ class TestAtomicWrite:
         assert (tmp_path / "atomic.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
 
 
-def _in_heap(address: int) -> bool:
-    """Whether ``address`` lies in the process's brk heap."""
-    with open("/proc/self/maps") as fh:
-        for line in fh:
-            if line.rstrip().endswith("[heap]"):
-                lo, hi = (int(x, 16) for x in line.split()[0].split("-"))
-                if lo <= address < hi:
-                    return True
-    return False
-
-
 def _glibc() -> bool:
     try:
         return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
@@ -700,10 +693,25 @@ def _glibc() -> bool:
 
 @pytest.mark.skipif(not _glibc(), reason="the mmap threshold is a glibc setting")
 class TestAllocator:
-    def test_large_arrays_keep_their_own_mapping_after_a_command(self, capsys):
-        assert main(["--help"]) == 0
-        # freeing a mapped block is what raises glibc's default threshold
-        big = np.ones(8 << 20, dtype=np.uint8)
-        del big
-        arr = np.ones(1 << 20, dtype=np.uint8)
-        assert not _in_heap(arr.ctypes.data)
+    # run in a fresh interpreter, so that no heap state left by other tests decides it
+    CHECK = """
+import numpy as np
+from clusterlm.cli import main
+
+assert main(["--help"]) == 0
+# freeing a mapped block is what raises glibc's default threshold
+big = np.ones(8 << 20, dtype=np.uint8)
+del big
+arr = np.ones(1 << 20, dtype=np.uint8)
+with open("/proc/self/maps") as fh:
+    heaps = [line.split()[0].split("-") for line in fh if line.rstrip().endswith("[heap]")]
+assert not any(int(lo, 16) <= arr.ctypes.data < int(hi, 16) for lo, hi in heaps)
+"""
+
+    def test_large_arrays_keep_their_own_mapping_after_a_command(self):
+        src = Path(clusterlm.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), *sys.path])}
+        done = subprocess.run(
+            [sys.executable, "-c", self.CHECK], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr

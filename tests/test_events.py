@@ -3,6 +3,7 @@
 import random
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,13 @@ from clusterlm.events import (
     save_counts,
 )
 
-from conftest import build_table, index_of, make_random_corpus, table_from_counts
+from conftest import (
+    build_table,
+    index_of,
+    make_random_corpus,
+    random_event_table,
+    table_from_counts,
+)
 
 
 def word_spec(vocab, offsets):
@@ -522,6 +529,21 @@ class TestCountsFileCorruption:
             with pytest.raises(ValueError, match=re.escape(want)):
                 load_counts(path)
 
+    @pytest.mark.parametrize("edit, k, message", [
+        (lambda L: [x.replace("#slot\t-1", "#slot\t0") for x in L], 3,
+         "slot offsets must be negative"),
+        (lambda L: L[:2] + [L[3], L[2]] + L[4:], 3,
+         "slot offsets must be strictly increasing (farthest first)"),
+        (lambda L: [x for x in L if not x.startswith("#slot")], 2, "expected a #slot line"),
+    ], ids=["offset zero", "slots out of order", "no slots"])
+    def test_a_rejected_slot_names_the_file_and_its_line(self, tmp_path, edit, k, message):
+        path, lines = counts_lines(tmp_path)
+        assert [x.split("\t")[:2] for x in lines[2:4]] == [["#slot", "-2"], ["#slot", "-1"]]
+        path.write_text("\n".join(edit(lines)) + "\n")
+        want = f"corrupt counts file {path}: line {k + 1}: {message}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            load_counts(path)
+
     def test_a_slot_name_that_is_not_utf8_names_the_file_and_line(self, tmp_path):
         path, lines = counts_lines(tmp_path)
         at = next(i for i, line in enumerate(lines) if line.startswith("#slot\t"))
@@ -553,3 +575,19 @@ class TestCountsFileCorruption:
                 return
             assert loaded.total == int(loaded.freqs.sum()) > 0
             assert int(loaded.word_counts.sum()) == loaded.total
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(), reason="the bound needs a tracemalloc of its own")
+def test_load_counts_peaks_near_what_it_keeps(tmp_path):
+    # the loader parses in blocks: beside the table it returns and the
+    # file's bytes it holds only temporaries of a fraction of the table
+    path = tmp_path / "counts.txt"
+    save_counts(random_event_table(random.Random(3), 300, 20000, max_count=9), path)
+    tracemalloc.start()
+    try:
+        table = load_counts(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.freqs) > 40000
+    assert peak <= kept + path.stat().st_size + kept // 2, (peak, kept)

@@ -462,6 +462,44 @@ class TestClassLMFile:
                     assert all(0.0 <= p <= 1.0 + 1e-12 for p in query_words(loaded, sent[:i]))
 
 
+class TestClassLMSectionLine:
+    """A section whose rows fail a range, state or order check is named
+    by the file and the section's # line."""
+
+    @pytest.mark.parametrize("name, key, message", [
+        ("map value out of range", "#maps", "slot -2 values outside"),
+        ("category out of range", "#words", "word categories outside"),
+        ("negative word count", "#words", "word counts outside"),
+        ("joint state out of range", "#joint", "joint states outside"),
+        ("joint count zero", "#joint", "joint counts outside"),
+        ("joint cells unsorted", "#joint", "#joint rows are not strictly sorted"),
+        ("suffix state out of range", "#suffix", "#suffix 1 states outside"),
+        ("suffix rows unsorted", "#suffix", "#suffix 1 rows are not strictly sorted"),
+        ("context value out of range", "#contexts", "#contexts slot -1 values outside"),
+        ("context state out of range", "#contexts", "#contexts states outside"),
+        ("context rows unsorted", "#contexts", "#contexts rows are not strictly sorted"),
+    ])
+    def test_the_error_names_the_section_line(self, tmp_path, name, key, message):
+        lm, vocab, enc = TestClassLMFile.model(2)
+        save_classlm(lm, tmp_path / "m.classlm")
+        lines = (tmp_path / "m.classlm").read_text().splitlines()
+        bad = tmp_path / "bad.classlm"
+        bad.write_text("\n".join(TestClassLMFile.CORRUPTIONS[name](lines)) + "\n")
+        want = f"corrupt class model file {bad}: line {find(lines, key) + 1}: {message}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            load_classlm(bad)
+
+    def test_a_first_maps_row_out_of_range_names_the_maps_line(self, tmp_path):
+        table, paths = saved_files(tmp_path)
+        path = paths["classlm"]
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit_row(lines, "#maps", 0, "99999")) + "\n")
+        k = find(lines, "#maps")
+        want = f"corrupt class model file {path}: line {k + 1}: slot -1 values outside [0, "
+        with pytest.raises(ValueError, match=re.escape(want)):
+            load_classlm(path)
+
+
 def find(lines, key):
     return next(i for i, x in enumerate(lines) if x.split("\t")[0] == key)
 

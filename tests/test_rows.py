@@ -1,15 +1,18 @@
 """The shared row operations on packed keys (lookup, count, grouping and
 the sort check) against dict, Counter, lexsort and tuple-order oracles,
-and the line numbers in ``Reader``'s errors."""
+the line numbers in ``Reader``'s errors, and the blocked passes against
+the same passes made in one block."""
 
 import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterlm import _rows
 from clusterlm._rows import (
     Keys,
     Reader,
@@ -18,6 +21,14 @@ from clusterlm._rows import (
     group_rows,
     sum_rows,
 )
+
+ONE_BLOCK = 1 << 40  # a block size no test input reaches
+
+
+def blocks_of(n_bytes: int):
+    """Run the blocked passes with ``n_bytes`` as their largest temporary."""
+    return mock.patch.object(_rows, "_BLOCK_BYTES", n_bytes)
+
 
 # table values: a few small ones, so queries hit and share prefixes,
 # and the largest int32
@@ -169,14 +180,17 @@ class TestGroupRows:
 
 class TestCheckStrictlySorted:
     @settings(max_examples=300, deadline=None)
-    @given(maybe_sorted_rows())
-    def test_matches_tuple_order(self, rows):
+    @given(maybe_sorted_rows(), st.sampled_from([1, 2, 5, ONE_BLOCK]))
+    def test_matches_tuple_order(self, rows, block):
+        # blocks of a few row pairs, which overlap by one row, or one block
         tuples = list(map(tuple, rows.tolist()))
-        if all(a < b for a, b in zip(tuples, tuples[1:])):
-            check_strictly_sorted(Keys(rows).key, "drawn")
-        else:
-            with pytest.raises(ValueError, match="drawn rows are not strictly sorted"):
-                check_strictly_sorted(Keys(rows).key, "drawn")
+        key = Keys(rows).key
+        with blocks_of(block):
+            if all(a < b for a, b in zip(tuples, tuples[1:])):
+                check_strictly_sorted(key, "drawn")
+            else:
+                with pytest.raises(ValueError, match="drawn rows are not strictly sorted"):
+                    check_strictly_sorted(key, "drawn")
 
 
 # one way to damage a row of two key fields and one value field, each
@@ -220,14 +234,17 @@ class TestReaderLines:
         assert read(sectioned(self.ROWS)).tolist() == [[i, i + 1, 10 * i] for i in range(6)]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_the_first_damaged_row_is_named(self, data):
+    @given(st.data(), st.sampled_from([4, 24, 64, ONE_BLOCK]))
+    def test_the_first_damaged_row_is_named(self, data, block):
+        # in blocks of one or a few lines, or in one block: the first
+        # damaged row lies in the first block that fails a check
         rows = list(self.ROWS)
         damaged = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1), label="rows")
         for i in damaged:
             rows[i] = ROW_DAMAGE[data.draw(st.sampled_from(sorted(ROW_DAMAGE)))](rows[i])
-        with pytest.raises(ValueError, match=rf"^corrupt test file f\.txt: line {5 + min(damaged)}: "):
-            read(sectioned(rows))
+        with blocks_of(block):
+            with pytest.raises(ValueError, match=rf"^corrupt test file f\.txt: line {5 + min(damaged)}: "):
+                read(sectioned(rows))
 
     def test_a_cut_off_last_row_is_named(self):
         data = sectioned(self.ROWS)
@@ -261,3 +278,71 @@ class TestReaderLines:
             opened(b"#v\n#n\t7").int_line("#n")
         with pytest.raises(ValueError, match="line 11: unexpected content after the rows"):
             read(sectioned(self.ROWS) + b"#more\n")
+
+
+# fields of 1 to 18 digits, either sign, and the ends of that range
+FIELDS = st.one_of(
+    st.integers(-3, 12), st.integers(-(10**18) + 1, 10**18 - 1), st.sampled_from([10**18 - 1])
+)
+
+
+@st.composite
+def sections(draw):
+    """(text, n_key, n_value, rows): a ``sectioned`` file of rows."""
+    n_key, n_value = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    rows = draw(st.lists(st.tuples(*[FIELDS] * (n_key + n_value)), max_size=30))
+    lines = [
+        b" ".join(b"%d" % v for v in row[:n_key]) + b"".join(b"\t%d" % v for v in row[n_key:])
+        for row in rows
+    ]
+    return sectioned(lines), n_key, n_value, rows
+
+
+def parse(data: bytes, n_key: int, n_value: int) -> np.ndarray:
+    r = opened(data)
+    r.int_line("#n"), r.float_line("#x")
+    return r.rows("#rows", n_key, n_value, r.int_line("#rows"))
+
+
+class TestBlockedPasses:
+    """Each blocked pass, run with blocks of a few bytes so that its input
+    spans many of them, gives what one block gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sections(), st.sampled_from([4, 8, 24, 64, 160]))
+    def test_rows_parse_as_in_one_block(self, case, block):
+        data, n_key, n_value, rows = case
+        with blocks_of(ONE_BLOCK):
+            whole = parse(data, n_key, n_value)
+        with blocks_of(block):
+            blocked = parse(data, n_key, n_value)
+        assert blocked.shape == whole.shape == (len(rows), n_key + n_value)
+        assert blocked.tolist() == whole.tolist() == [list(row) for row in rows]
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables_and_queries(), st.sampled_from([8, 16, 24, 64]))
+    def test_lookups_match_one_shot_lookups(self, case, block):
+        table, queries = case
+        keys = Keys(table)
+        with blocks_of(ONE_BLOCK):
+            whole = find_rows(keys, queries)
+        with blocks_of(block):
+            at, found = find_rows(keys, queries)
+        assert at.tolist() == whole[0].tolist() == lookup_oracle(table, queries)
+        assert found.tolist() == whole[1].tolist()
+
+    @pytest.mark.parametrize("damage", sorted(ROW_DAMAGE))
+    def test_a_damaged_row_in_a_later_block_is_named_by_its_line(self, damage):
+        # about 120 KB of rows: text blocks of the real size are a quarter
+        # of _BLOCK_BYTES, so row 7000 lies in the seventh of them
+        rows = [b"%d %d\t%d" % (i, i + 1, 10 * i) for i in range(8000)]
+        k = 7000
+        rows[k] = ROW_DAMAGE[damage](rows[k])
+        data = sectioned(rows)
+        assert data.index(rows[k]) > 6 * (_rows._BLOCK_BYTES // 4)
+        with pytest.raises(ValueError) as blocked:
+            read(data)
+        with blocks_of(ONE_BLOCK), pytest.raises(ValueError) as whole:
+            read(data)
+        assert str(blocked.value) == str(whole.value)
+        assert str(blocked.value).startswith(f"corrupt test file f.txt: line {5 + k}: ")
