@@ -5,8 +5,21 @@ one check of their version lines.
 
 A section is a run of lines, one per row of an integer matrix: the
 row's key fields separated by spaces, then each value field after a
-tab, as in ``3 17<TAB>5<TAB>2``.  Rows are formatted and parsed with
-numpy, and formatting a parsed section gives back its bytes.
+tab, as in ``3 17<TAB>5<TAB>2``.  Formatting a parsed section gives
+back its bytes.
+
+``Reader.rows`` parses a block of whole lines at a time with
+``np.fromstring``, once ``_fault`` has found every field to be 1 to 18
+digits after an optional minus sign, so that the parse is exact.  Its
+first step is a quick test of a few array passes, which every section
+the package writes passes: the bytes below ``b"0"`` are exactly the
+separators, tiled row by row, no byte is above ``b"9"``, and no field
+is empty or longer than 18 digits.  Only a block that fails it, as one
+with a signed field or damage, goes through the exact checks, which
+pick the message; a scan for the first line that is not a row then
+names the line.  ``write_rows`` formats a block of rows as a matrix of
+right-aligned digits, one floor division by 10 per digit position, and
+drops each field's leading zeros in one compaction.
 
 Every pass over rows here but the sorts and ``write_rows`` works in
 blocks whose largest temporary array stays under ``_BLOCK_BYTES``: below
@@ -63,25 +76,34 @@ def _blocks(n: int, row_bytes: int) -> Iterator[tuple[int, int]]:
 def write_rows(fh: BinaryIO, keys: np.ndarray, *values: np.ndarray) -> None:
     """Write one ASCII line per row of non-negative integers: the
     columns of ``keys`` separated by spaces, then a tab before the row's
-    entry of each of ``values``.  Formatted with numpy digit position by
-    digit position, a block of rows at a time so the temporaries stay
-    small."""
+    entry of each of ``values``.
+
+    A block of rows at a time becomes a matrix of one line per field:
+    its digits right-aligned in the width of the block's largest field,
+    then its separator.  Each digit position takes one floor division by
+    10, in the smallest unsigned type that holds the block's largest
+    field, whose division numpy vectorises; a field's leading zeros are
+    marked as its quotient reaches 0, and one compaction drops them."""
     n_cols = keys.shape[1] + len(values)
     seps = np.full(n_cols, ord(" "), dtype=np.uint8)
     seps[keys.shape[1] - 1 :] = ord("\t")
     seps[-1] = ord("\n")
     for lo in range(0, len(keys), _ROWS_PER_WRITE):
         hi = lo + _ROWS_PER_WRITE
-        flat = np.column_stack([keys[lo:hi], *(v[lo:hi] for v in values)]).astype(np.int64).ravel()
-        n_digits = np.searchsorted(10 ** np.arange(1, 19, dtype=np.int64), flat, side="right") + 1
-        ends = np.cumsum(n_digits + 1) - 1  # the separator after each field
-        out = np.empty(int(ends[-1]) + 1, dtype=np.uint8)
-        out[ends] = np.tile(seps, len(flat) // n_cols)
-        for j in range(int(n_digits.max())):
-            live = n_digits > j
-            out[(ends - 1 - j)[live]] = ord("0") + flat[live] % 10
-            flat //= 10
-        fh.write(out.tobytes())
+        q = np.column_stack([keys[lo:hi], *(v[lo:hi] for v in values)])
+        top = int(q.max())
+        q = q.astype(np.min_scalar_type(top)).ravel()
+        width = len(str(top))
+        text = np.empty((len(q), width + 1), dtype=np.uint8)
+        keep = np.ones((len(q), width + 1), dtype=bool)
+        text[:, width] = np.tile(seps, len(q) // n_cols)
+        for j in range(width - 1, 0, -1):
+            nxt = q // 10
+            text[:, j] = q - 10 * nxt + 48  # the digit, as a byte
+            np.greater(nxt, 0, out=keep[:, j - 1])  # digit j - 1 is no leading zero
+            q = nxt
+        text[:, 0] = q + 48
+        fh.write(text[keep].tobytes())
 
 
 class Reader:
@@ -95,7 +117,8 @@ class Reader:
         the file's by default).  A first line other than ``version`` raises
         ``ValueError``, with a re-run hint for a retired version."""
         self.data = Path(path).read_bytes() if data is None else data
-        first, _, _ = self.data.partition(b"\n")
+        cut = self.data.find(b"\n")
+        first = self.data if cut < 0 else self.data[:cut]
         if first in _RETIRED:
             raise ValueError(f"{path} {_RETIRED[first]}")
         if first != version.encode():
@@ -192,11 +215,12 @@ class Reader:
             cut = data.rfind(b"\n", lo, min(lo + _BLOCK_BYTES // 4, end))
             hi = (cut if cut >= 0 else data.find(b"\n", lo, end)) + 1
             block = data[lo:hi]
-            n = block.count(b"\n")
-            fault = _fault(np.frombuffer(block, dtype=np.uint8), n, pattern, what)
+            fault = _fault(np.frombuffer(block, dtype=np.uint8), pattern, what)
             if fault:
                 raise bad(fault, lo, hi, row)
-            out[row : row + n] = np.fromstring(block, dtype=np.int64, sep=" ").reshape(n, -1)
+            fields = np.fromstring(block, dtype=np.int64, sep=" ")
+            n = len(fields) // len(pattern)
+            out[row : row + n] = fields.reshape(n, -1)
             lo, row = hi, row + n
         self.pos = end
         return out
@@ -206,13 +230,27 @@ class Reader:
             raise self.error(f"unexpected content after {after}", 1)
 
 
-def _fault(buf: np.ndarray, n_rows: int, pattern: np.ndarray, what: str) -> str | None:
-    """The message of the first check that ``buf``, ``n_rows`` whole
-    lines, fails as rows whose separators are ``pattern``, else None:
-    every field is then 1 to 18 digits after an optional minus sign, so
-    that ``np.fromstring`` parses it exactly."""
+def _fault(buf: np.ndarray, pattern: np.ndarray, what: str) -> str | None:
+    """The message of the first check that ``buf``, whole lines, fails
+    as rows whose separators are ``pattern``, else None: every field is
+    then 1 to 18 digits after an optional minus sign, so that
+    ``np.fromstring`` parses it exactly.
+
+    A quick test accepts most blocks in a few passes: the bytes below
+    ``b"0"`` are exactly the separators, tiled as in ``pattern``, none
+    is above ``b"9"``, and each field has 1 to 18 digits.  Whatever it
+    accepts the exact checks accept too; a block it does not accept, as
+    one with a signed field, goes through the exact checks, which pick
+    the message."""
+    sep_at = np.flatnonzero(buf < 48)
+    tiled = pattern.tobytes() * (sep_at.size // len(pattern))
+    if buf[sep_at].tobytes() == tiled and buf.max() <= 57:
+        gaps = np.diff(sep_at)  # each field's width plus 1, but the first field's
+        if 0 < sep_at[0] <= 18 and gaps.min(initial=2) > 1 and gaps.max(initial=2) <= 19:
+            return None
     is_sep = (buf == 32) | (buf == 9) | (buf == 10)
     sep_at = np.flatnonzero(is_sep)
+    n_rows = int(np.count_nonzero(buf == 10))
     if sep_at.size != n_rows * len(pattern) or (buf[sep_at].reshape(n_rows, -1) != pattern).any():
         return f"malformed {what} rows"
     is_minus = buf == 45
@@ -275,6 +313,18 @@ class Keys:
                 key += rows[:, j]
                 key -= np.int64(shift)
         return out
+
+
+def exact_sum(values: np.ndarray) -> int:
+    """The sum of non-negative int64 ``values`` as an exact Python int:
+    the int64 sums of their high and low 31-bit halves, a block at a
+    time, joined.  A block's sum of either half cannot wrap."""
+    high = low = 0
+    for lo, hi in _blocks(len(values), 8):
+        block = values[lo:hi]
+        high += int(np.sum(block >> 31))
+        low += int(np.sum(block & (2**31 - 1)))
+    return (high << 31) + low
 
 
 def check_range(values: np.ndarray, lo: int, hi: int, what: str) -> None:

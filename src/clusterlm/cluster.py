@@ -412,12 +412,15 @@ def _sweep(
     on_move: OnMove | None,
 ) -> int:
     """Iterate best-improvement exchange passes until the relative gain
-    of a full pass drops below the convergence threshold.  Each visit
-    profiles its unit from one row, calls its kernel once, and moves
-    the unit if the best target raises the criterion."""
+    of a full pass drops below the convergence threshold, or a pass
+    moves nothing: it leaves the next pass the same tables, so that pass
+    could not move anything either.  Each visit profiles its unit from
+    one row, calls its kernel once, and moves the unit if the best
+    target raises the criterion."""
     cl = clustering
     f_prev = cl.criterion()
     for iterations in range(1, params.max_iterations + 1):
+        moved = False
         for neg_n, _, element, (word, rows, labels, n_labels, assign, level) in units:
             prof = rows.profile(element, labels, n_labels)
             source, n = int(assign[element]), -neg_n
@@ -427,11 +430,14 @@ def _sweep(
                 continue
             cl._move(word, source, target, prof, n)
             assign[element] = target
+            moved = True
             if not word:
                 cl.S[level.group(element)] = target
             if on_move is not None:
                 kind, key = ("word", element) if word else ("group", level.key(element))
                 on_move(cl, MoveDelta(kind, key, source, target, float(deltas[target])))
+        if not moved:
+            break
         f_now = cl.criterion()
         rel = (f_now - f_prev) / abs(f_prev) if f_prev != 0.0 else 0.0
         f_prev = f_now

@@ -41,10 +41,6 @@ class Vocabulary:
     def specials(self) -> tuple[int, int, int]:
         return (self.bos_id, self.eos_id, self.unk_id)
 
-    def id_of(self, token: str) -> int:
-        """Id of ``token``, mapping out-of-vocabulary tokens to unknown."""
-        return self.ids.get(token, self.unk_id)
-
     def save(self, path: str | Path) -> None:
         """One token per line; the 0-based line number (headers excluded)
         is the id.  Specials are recorded in a ``#special`` header block."""
@@ -61,14 +57,18 @@ class Vocabulary:
         """Read a file written by ``save``.  A damaged file (not UTF-8, a
         cut-off last line, a malformed ``#special`` line, a special role
         missing or given two tokens, a special token missing, a duplicate
-        token) raises ``ValueError`` naming the file."""
+        token) raises ``ValueError`` naming the file, and so does a token
+        line that is empty or holds whitespace, also naming its 1-based
+        line: no corpus token, split at whitespace, could be that token,
+        and ``vocab build`` never writes one."""
         what = f"vocabulary file {path}"
         text = _read_text(path, what)
         if text and not text.endswith("\n"):
             raise ValueError(f"{what}: the last line is cut off")
         specials: dict[str, str] = {}
         tokens: list[str] = []
-        for line in text.splitlines():
+        lines = text.split("\n")[:-1]
+        for line in lines:
             if line.startswith("#special "):
                 fields = line.split(" ", 2)
                 if len(fields) != 3 or fields[1] not in _SPECIAL_ROLES:
@@ -77,6 +77,13 @@ class Vocabulary:
                     raise ValueError(f"{what} gives two {fields[1]} special tokens")
                 continue
             tokens.append(line)
+        if "\n".join(tokens).split() != tokens:  # a token is empty or holds whitespace
+            number, line = next(
+                (n, t) for n, t in enumerate(lines, 1)
+                if not t.startswith("#special ") and t.split() != [t]
+            )
+            problem = f"token {line!r} holds whitespace" if line else "empty token line"
+            raise ValueError(f"{what}: line {number}: {problem}")
         missing = [r for r in _SPECIAL_ROLES if r not in specials]
         if missing:
             raise ValueError(f"{what} lacks special tokens: {missing}")
@@ -147,14 +154,11 @@ def encode_corpus(lines: Iterable[str], vocab: Vocabulary) -> list[list[int]]:
     Out-of-vocabulary tokens map to the unknown id.  Sentence framing
     (begin padding, end prediction) is not materialized here; it is
     applied by event extraction and evaluation, which know the context
-    width.  Blank lines are skipped.
+    width.  Blank lines are skipped.  Each token is one lookup in
+    ``vocab.ids``, through the dict's bound ``get``.
     """
-    sentences = []
-    for line in lines:
-        toks = line.split()
-        if toks:
-            sentences.append([vocab.id_of(t) for t in toks])
-    return sentences
+    get, unk = vocab.ids.get, vocab.unk_id
+    return [[get(t, unk) for t in toks] for toks in map(str.split, lines) if toks]
 
 
 @dataclass

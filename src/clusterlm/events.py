@@ -20,6 +20,7 @@ from clusterlm._rows import (
     Reader,
     check_range,
     check_strictly_sorted,
+    exact_sum,
     row_starts,
     sum_rows,
     tuples,
@@ -86,7 +87,7 @@ class EventTable:
             check_range(keys[:, k], 0, slot.mapper.arity, f"slot {slot.offset} values")
         if int(freqs.min()) <= 0:
             raise ValueError("stored counts must be strictly positive")
-        total = sum(freqs.tolist())  # exact, so the int64 sums below cannot wrap
+        total = exact_sum(freqs)  # so that the int64 sums below cannot wrap
         if total >= 2**62:
             raise ValueError("stored counts must add up to less than 2**62")
         check_strictly_sorted(Keys(keys).key, "(context, word)")

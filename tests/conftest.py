@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import weakref
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -531,6 +532,7 @@ def oracle_run(table, levels, params, on_move=None):
         units.sort()
         f_prev = cl.criterion()
         for iterations in range(1, params.max_iterations + 1):
+            moved = False
             for _, _, element, kind in units:
                 if kind == "word":
                     deltas = cl.word_move_deltas(element)
@@ -548,8 +550,11 @@ def oracle_run(table, levels, params, on_move=None):
                 else:
                     cl.apply_group_move(idx, target)
                     key = level.key(element)
+                moved = True
                 if on_move is not None:
                     on_move(cl, MoveDelta(kind, key, source, target, float(deltas[target])))
+            if not moved:
+                break  # the next pass would see the same tables and move nothing either
             f_now = cl.criterion()
             rel = (f_now - f_prev) / abs(f_prev) if f_prev != 0.0 else 0.0
             f_prev = f_now
@@ -557,6 +562,73 @@ def oracle_run(table, levels, params, on_move=None):
                 break
         cl.iterations_per_level.append(iterations)
     return cl
+
+
+class ScriptedClustering:
+    """Stands in for a Clustering in ``cluster._sweep``: its criterion
+    follows a script, and ``units()`` is one unit that moves in every
+    pass, so that only the relative gain or the pass cap ends a level."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def criterion(self):
+        return self.values.pop(0)
+
+    def _deltas(self, word, profile, source, n):
+        return np.array([1.0])
+
+    def _move(self, word, source, target, profile, n):
+        pass
+
+    @staticmethod
+    def units():
+        rows = SimpleNamespace(profile=lambda element, labels, n_labels: None)
+        return [(-1, 0, 0, (True, rows, None, 1, [0], None))]
+
+
+def oracle_write_rows(fh, keys: np.ndarray, *values: np.ndarray) -> None:
+    """``_rows.write_rows`` digit by digit: each field's digit count
+    found by ``np.searchsorted`` among the powers of 10, then one masked
+    store per digit position, 4,096 rows at a time."""
+    n_cols = keys.shape[1] + len(values)
+    seps = np.full(n_cols, ord(" "), dtype=np.uint8)
+    seps[keys.shape[1] - 1 :] = ord("\t")
+    seps[-1] = ord("\n")
+    for lo in range(0, len(keys), 1 << 12):
+        hi = lo + (1 << 12)
+        flat = np.column_stack([keys[lo:hi], *(v[lo:hi] for v in values)]).astype(np.int64).ravel()
+        n_digits = np.searchsorted(10 ** np.arange(1, 19, dtype=np.int64), flat, side="right") + 1
+        ends = np.cumsum(n_digits + 1) - 1  # the separator after each field
+        out = np.empty(int(ends[-1]) + 1, dtype=np.uint8)
+        out[ends] = np.tile(seps, len(flat) // n_cols)
+        for j in range(int(n_digits.max())):
+            live = n_digits > j
+            out[(ends - 1 - j)[live]] = ord("0") + flat[live] % 10
+            flat //= 10
+        fh.write(out.tobytes())
+
+
+def oracle_fault(buf: np.ndarray, pattern: np.ndarray, what: str) -> str | None:
+    """``_rows._fault`` by its exact checks alone, each over the whole
+    block: the message of the first that ``buf``, whole lines, fails as
+    rows whose separators are ``pattern``, else None."""
+    n_rows = int(np.count_nonzero(buf == 10))
+    is_sep = (buf == 32) | (buf == 9) | (buf == 10)
+    sep_at = np.flatnonzero(is_sep)
+    if sep_at.size != n_rows * len(pattern) or (buf[sep_at].reshape(n_rows, -1) != pattern).any():
+        return f"malformed {what} rows"
+    is_minus = buf == 45
+    if not (is_sep | is_minus | ((buf >= 48) & (buf <= 57))).all():
+        return f"{what} holds a field that is not an integer"
+    widths = np.diff(sep_at, prepend=-1) - 1
+    signed = is_minus[sep_at - widths]
+    if int(signed.sum()) != int(is_minus.sum()):
+        return f"{what} holds a minus sign inside a field"
+    widths -= signed
+    if widths.min() < 1 or widths.max() > 18:
+        return f"{what} holds an empty or oversized field"
+    return None
 
 
 def assert_prob_matches_oracle(model, histories, extra_width: int = 0) -> None:

@@ -32,6 +32,7 @@ from clusterlm.models import (
 )
 
 from conftest import (
+    ScriptedClustering,
     _events,
     backoff_dicts,
     build_table,
@@ -207,18 +208,14 @@ class TestChecklist:
             for (_, f1), (_, f2) in zip(values, values[1:]):
                 assert f2 >= f1 - 1e-9
 
-        class Scripted:
-            def __init__(self, seq):
-                self.seq = list(seq)
-
-            def criterion(self):
-                return self.seq.pop(0)
-
         stop_params = ClusterParams(n_categories=1, n_states=1,
                                     max_iterations=50, convergence=0.01)
         # 10% gain -> sweep again; then 5/900 < 1% -> stop after pass 2
-        assert _sweep(Scripted([-1000.0, -900.0, -895.0]), [], stop_params, None) == 2
-        assert _sweep(Scripted([-1000.0, -900.0, -891.0, -890.9]), [], stop_params, None) == 3
+        # (each pass moves the scripted clustering's one unit)
+        sc = ScriptedClustering([-1000.0, -900.0, -895.0])
+        assert _sweep(sc, sc.units(), stop_params, None) == 2
+        sc = ScriptedClustering([-1000.0, -900.0, -891.0, -890.9])
+        assert _sweep(sc, sc.units(), stop_params, None) == 3
 
         for label, iters in (("tree", directional["tree"].iterations_per_level),
                              ("flat", [directional["flat"].iterations_run])):

@@ -34,6 +34,7 @@ from clusterlm.ctxtree import build_suffix_tree, suffix_level
 from clusterlm.events import EventTable
 
 from conftest import (
+    ScriptedClustering,
     _placeholder_spec,
     build_table,
     delta_move_context_group,
@@ -807,16 +808,6 @@ class TestGreedyAgainstShadow:
 
 
 class TestSweepControl:
-    class Scripted:
-        """Stands in for a Clustering; only criterion() is consulted when
-        there are no movable units."""
-
-        def __init__(self, values):
-            self.values = list(values)
-
-        def criterion(self):
-            return self.values.pop(0)
-
     def _params(self, max_iterations=20):
         return ClusterParams(
             n_categories=1, n_states=1, max_iterations=max_iterations, convergence=0.01
@@ -824,21 +815,52 @@ class TestSweepControl:
 
     def test_stops_when_relative_gain_drops_below_threshold(self):
         # pass 1: gain 100/1000 = 10%; pass 2: gain 5/900 < 1% -> stop
-        sc = self.Scripted([-1000.0, -900.0, -895.0])
-        assert _sweep(sc, [], self._params(), None) == 2
+        sc = ScriptedClustering([-1000.0, -900.0, -895.0])
+        assert _sweep(sc, sc.units(), self._params(), None) == 2
 
     def test_boundary_gain_continues(self):
         # rel == threshold exactly: not an improvement shortfall yet
-        sc = self.Scripted([-1000.0, -990.0, -990.0])
-        assert _sweep(sc, [], self._params(), None) == 2
+        sc = ScriptedClustering([-1000.0, -990.0, -990.0])
+        assert _sweep(sc, sc.units(), self._params(), None) == 2
 
     def test_iteration_cap(self):
-        sc = self.Scripted([-1000.0 * 0.9**k for k in range(10)])
-        assert _sweep(sc, [], self._params(max_iterations=3), None) == 3
+        sc = ScriptedClustering([-1000.0 * 0.9**k for k in range(10)])
+        assert _sweep(sc, sc.units(), self._params(max_iterations=3), None) == 3
 
     def test_zero_start_stops_immediately(self):
-        sc = self.Scripted([0.0, 0.0])
-        assert _sweep(sc, [], self._params(), None) == 1
+        sc = ScriptedClustering([0.0, 0.0])
+        assert _sweep(sc, sc.units(), self._params(), None) == 1
+
+    @pytest.mark.parametrize("convergence", [0.0, 0.01])
+    def test_a_pass_without_moves_ends_the_level(self, convergence):
+        # the criterion is read before the first pass only: an idle pass
+        # leaves the tables as they were, so the next could not move either
+        sc = ScriptedClustering([-1000.0])
+        params = ClusterParams(n_categories=1, n_states=1, convergence=convergence)
+        assert _sweep(sc, [], params, None) == 1
+
+    @pytest.mark.parametrize("tree", [False, True])
+    def test_a_run_to_convergence_ends_at_its_first_idle_pass(self, tree):
+        sents = make_random_corpus(17, n_sentences=80, n_words=14)
+        vocab, enc, table = build_table(sents, offsets=(-2, -1))
+        suffix_tree = build_suffix_tree(table)
+
+        def run(max_iterations):
+            params = ClusterParams(n_categories=4, n_states=6, min_count=1, convergence=0.0,
+                                   max_iterations=max_iterations)
+            return run_tree(table, suffix_tree, params) if tree else run_flat(table, params)
+
+        full = run(20)
+        last = max(full.iterations_per_level)
+        assert last < 20
+        # capped at its longest level, the run is the same; one pass
+        # less still gives the same classes, so every level's last pass
+        # moved nothing
+        for cap in (last, last - 1):
+            capped = run(cap)
+            assert capped.G.tobytes() == full.G.tobytes()
+            assert capped.S.tobytes() == full.S.tobytes()
+        assert run(last).iterations_per_level == full.iterations_per_level
 
 
 class TestRunBehaviour:
@@ -901,7 +923,7 @@ class TestRunBehaviour:
 class TestExportAndPersistence:
     def test_export_orders_members_by_count_then_id(self):
         vocab, enc, table = build_table(["b a a c b a"], offsets=(-1,))
-        a, b, c = vocab.id_of("a"), vocab.id_of("b"), vocab.id_of("c")
+        a, b, c = vocab.ids["a"], vocab.ids["b"], vocab.ids["c"]
         G = np.zeros(table.n_words, dtype=np.int32)
         G[a] = G[b] = G[c] = 1
         cl = Clustering(table, 2, 1, G, np.zeros(table.n_contexts, dtype=np.int32))

@@ -37,7 +37,7 @@ class TestBuildVocabulary:
         vocab = build_vocabulary("a a a b b c d".split(), max_size=2)
         assert vocab.tokens == ["a", "b", BOS, EOS, UNK]
         assert "c" not in vocab.ids and "d" not in vocab.ids
-        assert vocab.id_of("c") == vocab.unk_id
+        assert encode_corpus(["c"], vocab) == [[vocab.unk_id]]
 
     def test_truncated_special_is_appended_once(self):
         vocab = build_vocabulary(f"a a {UNK} b {UNK}".split(), max_size=1)
@@ -121,6 +121,26 @@ class TestVocabularyRoundTrip:
                 Vocabulary.load(path)
             assert str(err.value) == f"vocabulary file {path}{detail}"
 
+    @pytest.mark.parametrize("line, problem", [
+        ("the\tx\ty", "token 'the\\tx\\ty' holds whitespace"),
+        ("a b", "token 'a b' holds whitespace"),
+        (" a", "token ' a' holds whitespace"),
+        ("a\x0bb", "token 'a\\x0bb' holds whitespace"),
+        ("a\xa0b", "token 'a\\xa0b' holds whitespace"),
+        ("", "empty token line"),
+    ])
+    def test_load_rejects_a_token_line_that_is_not_one_token(self, tmp_path, line, problem):
+        # a token line with whitespace would load as a token no corpus
+        # token can equal, and its words would silently become <unk>
+        path = tmp_path / "vocab.txt"
+        build_vocabulary("the cat sat".split()).save(path)
+        lines = path.read_text().split("\n")
+        lines.insert(5, line)  # after the three #special lines and two tokens
+        path.write_text("\n".join(lines), newline="")
+        with pytest.raises(ValueError) as err:
+            Vocabulary.load(path)
+        assert str(err.value) == f"vocabulary file {path}: line 6: {problem}"
+
     def test_load_rejects_duplicates(self, tmp_path):
         vocab = build_vocabulary("a b".split())
         path = tmp_path / "vocab.txt"
@@ -134,11 +154,11 @@ class TestEncoding:
     def test_oov_maps_to_unk(self):
         vocab = build_vocabulary("a b".split())
         enc = encode_corpus(["a z b"], vocab)
-        assert enc == [[vocab.id_of("a"), vocab.unk_id, vocab.id_of("b")]]
+        assert enc == [[vocab.ids["a"], vocab.unk_id, vocab.ids["b"]]]
 
     def test_blank_lines_skipped(self):
         vocab = build_vocabulary("a".split())
-        assert encode_corpus(["", "a", "   "], vocab) == [[vocab.id_of("a")]]
+        assert encode_corpus(["", "a", "   "], vocab) == [[vocab.ids["a"]]]
 
     def test_decode_inverts_encode_in_vocabulary(self):
         rng = random.Random(3)
@@ -183,9 +203,9 @@ class TestFeatureMaps:
         m = load_feature_map(p, vocab, "t")
         assert m.name == "t"
         # lexicographic value order for non-numeric tags: N is 0, V is 1
-        assert m.table[vocab.id_of("dog")] == 0 and m.table[vocab.id_of("runs")] == 1
-        assert m.table[vocab.id_of("dog")] == m.table[vocab.id_of("cat")]
-        assert m.table[vocab.id_of("runs")] != m.table[vocab.id_of("dog")]
+        assert m.table[vocab.ids["dog"]] == 0 and m.table[vocab.ids["runs"]] == 1
+        assert m.table[vocab.ids["dog"]] == m.table[vocab.ids["cat"]]
+        assert m.table[vocab.ids["runs"]] != m.table[vocab.ids["dog"]]
 
     def test_specials_get_dedicated_fresh_values(self, tmp_path):
         vocab = self._vocab()
@@ -194,7 +214,7 @@ class TestFeatureMaps:
         m = load_feature_map(p, vocab, "t")
         vals = {int(m.table[w]) for w in vocab.specials}
         assert len(vals) == 3
-        assert vals.isdisjoint({m.table[vocab.id_of("dog")], m.table[vocab.id_of("runs")]})
+        assert vals.isdisjoint({m.table[vocab.ids["dog"]], m.table[vocab.ids["runs"]]})
         assert m.arity == 2 + 3
 
     def test_default_value_fills_gaps(self, tmp_path):
@@ -203,8 +223,8 @@ class TestFeatureMaps:
         p.write_text("#default\tX\ndog\tN\n")
         m = load_feature_map(p, vocab, "t")
         # values N and X, in that order, then the three specials
-        assert m.table[vocab.id_of("cat")] == 1
-        assert m.table[vocab.id_of("dog")] == 0
+        assert m.table[vocab.ids["cat"]] == 1
+        assert m.table[vocab.ids["dog"]] == 0
         assert m.arity == 2 + 3
 
     def test_missing_word_without_default_rejected(self, tmp_path):
@@ -252,7 +272,7 @@ class TestFeatureMaps:
         p.write_text("dog\t10\ncat\t2\nruns\t2\njumps\t10\n")
         m = load_feature_map(p, vocab, "g")
         # 2 is value 0, 10 is value 1
-        assert m.table[vocab.id_of("cat")] == 0 and m.table[vocab.id_of("dog")] == 1
+        assert m.table[vocab.ids["cat"]] == 0 and m.table[vocab.ids["dog"]] == 1
 
     def test_mapper_validation(self):
         with pytest.raises(ValueError, match="arity"):

@@ -217,7 +217,7 @@ class TestPerplexityOracle:
     @given(st.data())
     def test_perplexity_equals_the_oracle_bit_for_bit(self, data):
         vocab = tiny_vocab(["a", "b", "c", "d"])
-        words = [vocab.id_of(t) for t in "abcd"]
+        words = [vocab.ids[t] for t in "abcd"]
         unk = vocab.unk_id
         # a word left out of training gets probability 0 from a class model
         trained = words[: data.draw(st.integers(3, 4), label="trained words")]

@@ -93,7 +93,7 @@ class TestSpecValidation:
 class TestExtractEvents:
     def test_hand_computed_bigram_counts(self):
         vocab = build_vocabulary("a b a a".split())
-        a, b = vocab.id_of("a"), vocab.id_of("b")
+        a, b = vocab.ids["a"], vocab.ids["b"]
         bos, eos = vocab.bos_id, vocab.eos_id
         spec = word_spec(vocab, (-1,))
         sents = [[a, b, a], [a]]
@@ -110,7 +110,7 @@ class TestExtractEvents:
 
     def test_trigram_padding_uses_begin_value_per_slot(self):
         vocab = build_vocabulary("a b".split())
-        a, b = vocab.id_of("a"), vocab.id_of("b")
+        a, b = vocab.ids["a"], vocab.ids["b"]
         bos, eos = vocab.bos_id, vocab.eos_id
         spec = word_spec(vocab, (-2, -1))
         table = extract_events([[a, b]], spec, vocab)
@@ -123,7 +123,7 @@ class TestExtractEvents:
     def test_end_token_never_inside_context(self):
         rng = random.Random(7)
         vocab = build_vocabulary("a b c".split())
-        ids = [vocab.id_of(t) for t in "abc"]
+        ids = [vocab.ids[t] for t in "abc"]
         sents = [[rng.choice(ids) for _ in range(rng.randint(1, 5))] for _ in range(30)]
         table = extract_events(sents, word_spec(vocab, (-2, -1)), vocab)
         for ctx in table.counts:
@@ -165,6 +165,33 @@ class TestFromCounts:
         huge = 4 * 10**18  # fits int64 alone, but not three of them summed
         with pytest.raises(ValueError, match="add up"):
             table_from_counts(spec, len(vocab), {(0,): {1: huge, 2: huge, 3: huge}})
+
+    @pytest.mark.parametrize("counts", [[2**62 - 1], [2**62 - 2, 1], [1, 2**61, 2**61 - 2]])
+    def test_a_total_just_below_2_62_is_kept(self, counts):
+        vocab = build_vocabulary("a b c".split())
+        spec = word_spec(vocab, (-1,))
+        table = table_from_counts(spec, len(vocab), {(0,): dict(enumerate(counts, 1))})
+        assert table.total == 2**62 - 1 and type(table.total) is int
+
+    @pytest.mark.parametrize("counts", [[2**62], [2**62 - 1, 1], [2**61, 2**61], [2**63 - 1]])
+    def test_a_total_of_2_62_or_more_is_rejected(self, counts):
+        vocab = build_vocabulary("a b".split())
+        spec = word_spec(vocab, (-1,))
+        with pytest.raises(ValueError, match=r"add up to less than 2\*\*62"):
+            table_from_counts(spec, len(vocab), {(0,): dict(enumerate(counts, 1))})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(1, 2**31), st.integers(1, 2**62), st.just(2**63 - 1)),
+                    min_size=1, max_size=12))
+    def test_the_total_is_the_exact_sum(self, counts):
+        vocab = build_vocabulary(" ".join(map(str, range(12))).split())
+        spec = word_spec(vocab, (-1,))
+        build = lambda: table_from_counts(spec, len(vocab), {(0,): dict(enumerate(counts))})
+        if sum(counts) < 2**62:
+            assert build().total == sum(counts)
+        else:
+            with pytest.raises(ValueError, match="add up"):
+                build()
 
     def test_marginals_derived_consistently(self):
         vocab = build_vocabulary("a b".split())
@@ -377,7 +404,7 @@ def mapped_lines(tmp_path):
     n = len(vocab)
     spec = ContextSpec((Slot(-2, FeatureMapper("t", np.arange(n) % 3, 3)),
                         Slot(-1, FeatureMapper("g", np.arange(n) // 2 % 2, 2))))
-    enc = [[vocab.id_of(t) for t in s.split()] for s in ("a b c a", "c b", "a b")]
+    enc = [[vocab.ids[t] for t in s.split()] for s in ("a b c a", "c b", "a b")]
     table = extract_events(enc, spec, vocab)
     path = tmp_path / "counts.tsv"
     save_counts(table, path)

@@ -87,7 +87,7 @@ class TestClassLM:
     def test_identity_clustering_gives_ml_conditional(self):
         # two contexts, two words: p(a | c1) must come out 2/3 exactly
         vocab = build_vocabulary("a b".split())
-        a, b = vocab.id_of("a"), vocab.id_of("b")
+        a, b = vocab.ids["a"], vocab.ids["b"]
         table = hand_table(vocab, {(0,): {a: 2, b: 1}, (1,): {a: 1, b: 2}})
         G = np.zeros(len(vocab), dtype=np.int32)
         G[a], G[b] = 0, 1
@@ -110,7 +110,7 @@ class TestClassLM:
 
     def test_zero_count_category_probability_is_zero(self):
         vocab = build_vocabulary("a b".split())
-        a, b = vocab.id_of("a"), vocab.id_of("b")
+        a, b = vocab.ids["a"], vocab.ids["b"]
         table = hand_table(vocab, {(0,): {a: 2, b: 1}})
         G = np.zeros(len(vocab), dtype=np.int32)
         G[b] = 1
@@ -151,7 +151,7 @@ class TestClassLM:
 
     def test_suffix_fallback_prefers_heaviest_state(self):
         vocab = build_vocabulary("a".split())
-        a = vocab.id_of("a")
+        a = vocab.ids["a"]
         table = hand_table(
             vocab,
             {(0, 5): {a: 4}, (1, 5): {a: 1}, (2, 6): {a: 9}},
@@ -171,7 +171,7 @@ class TestClassLM:
 
     def test_suffix_fallback_tie_takes_lower_state(self):
         vocab = build_vocabulary("a".split())
-        a = vocab.id_of("a")
+        a = vocab.ids["a"]
         table = hand_table(vocab, {(0, 5): {a: 4}, (1, 5): {a: 4}}, depth=2)
         G = np.zeros(len(vocab), dtype=np.int32)
         cl = Clustering(table, 1, 2, G, np.asarray([1, 0], dtype=np.int32))
@@ -190,7 +190,7 @@ class TestClassLM:
 
     def test_history_mapping_pads_with_begin_token(self):
         vocab, enc, table = build_table(["a b a", "b a"], offsets=(-2, -1))
-        a, b = vocab.id_of("a"), vocab.id_of("b")
+        a, b = vocab.ids["a"], vocab.ids["b"]
         lm = ClassLM(identity_clustering(table), vocab)
         bos = vocab.bos_id
         for history, context in (([], (bos, bos)), ([a], (bos, a)), ([a, b], (a, b)),
@@ -225,7 +225,7 @@ class TestClassLM:
             assert np.array_equal(keys, keys_lm) and np.array_equal(states, states_lm)
         assert_same_probs(lm, loaded, probe_contexts(lm, vocab))
         rng = random.Random(1)
-        a, b = vocab.id_of("w0"), vocab.id_of("w1")
+        a, b = vocab.ids["w0"], vocab.ids["w1"]
         for _ in range(50):
             w = rng.randrange(table.n_words)
             hist = [rng.choice([a, b]) for _ in range(rng.randint(0, 3))]
@@ -362,7 +362,7 @@ class TestClassLMFile:
             (d / name).unlink()
         loaded = load_model(d / "m.classlm")
         assert_same_probs(built, loaded, probe_contexts(built, vocab))
-        hist = [vocab.id_of("w3"), vocab.id_of("w1")]
+        hist = [vocab.ids["w3"], vocab.ids["w1"]]
         for i in range(3):
             assert query_words(loaded, hist[:i]) == query_words(built, hist[:i])
 
@@ -1266,7 +1266,7 @@ class TestInterpolatedModel:
 
         loaded = load_interpolated(tmp_path / "mix.model")
         assert list(loaded.weights) == [0.4, 0.6]
-        a = vocab.id_of("w0")
+        a = vocab.ids["w0"]
         assert query_words(loaded, [a]) == pytest.approx(query_words(mix, [a]), rel=1e-12)
 
     def test_load_model_dispatch(self, tmp_path):
@@ -1311,7 +1311,7 @@ class TestNormalisation:
         with tempfile.TemporaryDirectory() as d:
             save_classlm(lm, Path(d) / "m.classlm")
             loaded = load_classlm(Path(d) / "m.classlm")
-        words = [vocab.id_of(t) for t in "abcd"]
+        words = [vocab.ids[t] for t in "abcd"]
         sents = [[rng.choice(words) for _ in range(rng.randint(1, 6))] for _ in range(20)]
         backoff = train_backoff(
             ngram_counts(sents, 3, bos_id=vocab.bos_id, eos_id=vocab.eos_id),

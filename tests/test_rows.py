@@ -1,8 +1,10 @@
 """The shared row operations on packed keys (lookup, count, grouping and
 the sort check) against dict, Counter, lexsort and tuple-order oracles,
-the line numbers in ``Reader``'s errors, and the blocked passes against
-the same passes made in one block."""
+the line numbers in ``Reader``'s errors, the blocked passes against
+the same passes made in one block, and the text codec against its
+digit-by-digit writer and exact-check reader oracles."""
 
+import io
 import re
 from collections import Counter
 from unittest import mock
@@ -17,10 +19,14 @@ from clusterlm._rows import (
     Keys,
     Reader,
     check_strictly_sorted,
+    exact_sum,
     find_rows,
     group_rows,
     sum_rows,
+    write_rows,
 )
+
+from conftest import oracle_fault, oracle_write_rows
 
 ONE_BLOCK = 1 << 40  # a block size no test input reaches
 
@@ -346,3 +352,124 @@ class TestBlockedPasses:
             read(data)
         assert str(blocked.value) == str(whole.value)
         assert str(blocked.value).startswith(f"corrupt test file f.txt: line {5 + k}: ")
+
+
+class TestExactSum:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 2**31),
+                st.integers(0, 2**63 - 1),
+                st.sampled_from([2**31 - 1, 2**31, 2**62, 2**63 - 1]),
+            ),
+            max_size=40,
+        ),
+        st.sampled_from([8, 16, 64, ONE_BLOCK]),
+    )
+    def test_matches_a_python_sum(self, values, block):
+        # blocks of 1, 2 or 8 values, or one block
+        with blocks_of(block):
+            total = exact_sum(np.array(values, dtype=np.int64))
+        assert total == sum(values) and type(total) is int
+
+
+# field values at each digit count's edges: 0, 9, 10, 10**k - 1, 10**k
+# and 10**k + 1, up to the largest 18-digit value
+EDGE_VALUES = np.array(
+    sorted({0, 9, 10} | {10**k + d for k in range(1, 18) for d in (-1, 0, 1)} | {10**18 - 1}),
+    dtype=np.int64,
+)
+
+
+@st.composite
+def row_matrices(draw):
+    """(keys, values): 1-3 key columns and 0-2 value columns of 4,095 to
+    4,097 rows (about one write block), each column's values drawn from
+    the edge values below a drawn bound, keys as int32 where they fit."""
+    n_key, n_value = draw(st.integers(1, 3), label="keys"), draw(st.integers(0, 2), label="values")
+    n_rows = draw(st.sampled_from([1, 4095, 4096, 4097]), label="rows")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    cols = [
+        rng.choice(EDGE_VALUES[: draw(st.integers(1, len(EDGE_VALUES)), label="bound")], n_rows)
+        for _ in range(n_key + n_value)
+    ]
+    keys = np.column_stack(cols[:n_key])
+    if keys.max() < 2**31 and draw(st.booleans(), label="int32 keys"):
+        keys = keys.astype(np.int32)
+    return keys, cols[n_key:]
+
+
+def written(writer, keys, values) -> bytes:
+    fh = io.BytesIO()
+    writer(fh, keys, *values)
+    return fh.getvalue()
+
+
+class TestCodec:
+    """The digit-matrix writer against the digit-by-digit one, and the
+    reader's quick test against its exact checks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(row_matrices())
+    def test_rows_are_written_as_by_the_digit_by_digit_writer(self, case):
+        keys, values = case
+        text = written(write_rows, keys, values)
+        assert text == written(oracle_write_rows, keys, values)
+        section = b"#v\n#n\t7\n#x\t0.5\n#rows\t%d\n" % len(keys) + text
+        parsed = parse(section, keys.shape[1], len(values))
+        assert parsed.tolist() == np.column_stack([keys, *values]).tolist()
+
+    def test_fields_of_19_digits_are_written_as_by_the_digit_by_digit_writer(self):
+        keys = np.array([[10**18, 0], [2**63 - 1, 9], [10**18 - 1, 10**18]], dtype=np.int64)
+        values = [np.array([2**62, 1, 10**18 + 1])]
+        assert written(write_rows, keys, values) == written(oracle_write_rows, keys, values)
+
+    # each mutation at a drawn position of a section's text: ``at`` is
+    # a byte offset, ``sep_at`` the offset of a separator
+    MUTATIONS = {
+        "a minus sign": lambda text, at, sep_at: text[:at] + b"-" + text[at:],
+        "a carriage return": lambda text, at, sep_at: text[:at] + b"\r" + text[at:],
+        "a plus sign": lambda text, at, sep_at: text[:at] + b"+" + text[at:],
+        "a letter": lambda text, at, sep_at: text[:at] + b"e" + text[at:],
+        "a 19-digit field": lambda text, at, sep_at: text[:sep_at] + b"1" * 19 + text[sep_at:],
+        "a doubled separator": lambda text, at, sep_at: text[: sep_at + 1] + text[sep_at:],
+        "a deleted separator": lambda text, at, sep_at: text[:sep_at] + text[sep_at + 1 :],
+    }
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from([4, 24, 64, ONE_BLOCK]))
+    def test_mutated_rows_fail_as_under_the_exact_checks(self, data, block):
+        n_key, n_value = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+        field = st.one_of(st.integers(0, 999), st.integers(-99, 10**18 - 1))
+        rows = data.draw(st.lists(st.tuples(*[field] * (n_key + n_value)), min_size=1, max_size=12))
+        text = b"".join(
+            b" ".join(b"%d" % v for v in row[:n_key])
+            + b"".join(b"\t%d" % v for v in row[n_key:]) + b"\n"
+            for row in rows
+        )
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            seps = [i for i, b in enumerate(text) if b in b" \t\n"]
+            mutate = self.MUTATIONS[data.draw(st.sampled_from(sorted(self.MUTATIONS)))]
+            text = mutate(
+                text,
+                data.draw(st.integers(0, len(text)), label="at"),
+                data.draw(st.sampled_from(seps), label="separator") if seps else 0,
+            )
+        if text.endswith(b"\n"):  # whole lines, as Reader.rows passes them
+            pattern = np.array([32] * (n_key - 1) + [9] * n_value + [10], dtype=np.uint8)
+            buf = np.frombuffer(text, dtype=np.uint8)
+            assert _rows._fault(buf, pattern, "r") == oracle_fault(buf, pattern, "r")
+
+        section = b"#v\n#n\t7\n#x\t0.5\n#rows\t%d\n" % text.count(b"\n") + text
+
+        def outcome():
+            try:
+                return parse(section, n_key, n_value).tolist()
+            except ValueError as exc:
+                return str(exc)
+
+        with blocks_of(block):
+            got = outcome()
+            with mock.patch.object(_rows, "_fault", oracle_fault):
+                assert got == outcome()
