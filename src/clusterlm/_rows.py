@@ -8,18 +8,16 @@ row's key fields separated by spaces, then each value field after a
 tab, as in ``3 17<TAB>5<TAB>2``.  Formatting a parsed section gives
 back its bytes.
 
-``Reader.rows`` parses a block of whole lines at a time with
-``np.fromstring``, once ``_fault`` has found every field to be 1 to 18
-digits after an optional minus sign, so that the parse is exact.  Its
-first step is a quick test of a few array passes, which every section
-the package writes passes: the bytes below ``b"0"`` are exactly the
-separators, tiled row by row, no byte is above ``b"9"``, and no field
-is empty or longer than 18 digits.  Only a block that fails it, as one
-with a signed field or damage, goes through the exact checks, which
-pick the message; a scan for the first line that is not a row then
-names the line.  ``write_rows`` formats a block of rows as a matrix of
-right-aligned digits, one floor division by 10 per digit position, and
-drops each field's leading zeros in one compaction.
+A field is 1 to 18 ASCII digits, which ``np.fromstring`` parses
+exactly; no row holds a sign.  ``Reader.rows`` checks and parses a block
+of whole lines at a time, and its one check is ``_fault``'s few array
+passes: the bytes below ``b"0"`` are exactly the separators, tiled row
+by row, no byte is above ``b"9"``, and every field has 1 to 18 digits.
+A block that fails it is ``malformed <what> rows`` at its first line
+that is not a row.  ``Reader.int`` reads a header integer as the same
+field, with an optional minus sign.  ``write_rows`` formats a block of
+rows as a matrix of right-aligned digits, one floor division by 10 per
+digit position, and drops each field's leading zeros in one compaction.
 
 Every pass over rows here but the sorts and ``write_rows`` works in
 blocks whose largest temporary array stays under ``_BLOCK_BYTES``: below
@@ -55,6 +53,8 @@ import numpy as np
 _ROWS_PER_WRITE = 1 << 12
 _BLOCK_BYTES = 1 << 16  # the largest temporary array of a blocked pass
 _KEY_LIMIT = 1 << 62  # the spans of one key chunk multiply to less
+_FIELD = "[0-9]{1,18}"  # a row field; a header integer may have a minus sign before it
+_INT = re.compile("-?" + _FIELD)
 
 # version lines of formats no loader reads any more, and how to replace such a file
 _RETIRED = {
@@ -157,11 +157,11 @@ class Reader:
         return fields[1:]
 
     def int(self, text: str, what: str) -> int:
-        """``text``, a field of the line read last, as an integer."""
-        try:
-            return int(text)
-        except ValueError:
-            raise self.error(f"{what} is not an integer: {text!r}", 0) from None
+        """``text``, a field of the line read last, as an integer: a row
+        field with an optional minus sign."""
+        if not _INT.fullmatch(text):
+            raise self.error(f"{what} is not an integer: {text!r}", 0)
+        return int(text)
 
     def int_line(self, key: str) -> int:
         """The integer of the next line, ``key<TAB>n``."""
@@ -177,13 +177,13 @@ class Reader:
 
     def rows(self, what: str, n_key: int, n_value: int, n_rows: int | None = None) -> np.ndarray:
         """The integer rows up to the next ``#`` line or the end, each
-        ``n_key`` space-separated fields and ``n_value`` more after tabs.
-        A field is an optionally negative integer of 1 to 18 digits.
-        When ``n_rows`` is given there must be exactly that many rows, as
-        the section's ``#`` line, read last, declares.  The rows are
-        counted first, then checked and parsed in blocks of whole lines
-        into one array.  A malformed row is named by its line: the first
-        bad line of the first block that fails a check."""
+        ``n_key`` space-separated fields and ``n_value`` more after tabs,
+        each field 1 to 18 digits.  When ``n_rows`` is given there must be
+        exactly that many rows, as the section's ``#`` line, read last,
+        declares.  The rows are counted first, then checked by ``_fault``
+        and parsed in blocks of whole lines into one array.  Any fault is
+        ``malformed <what> rows`` at the first line of the first failing
+        block that is not a row."""
         data, pos = self.data, self.pos
         if pos >= len(data) or data.startswith(b"#", pos):
             end = pos
@@ -191,18 +191,18 @@ class Reader:
             nxt = data.find(b"\n#", pos)
             end = len(data) if nxt < 0 else nxt + 1
 
-        def bad(message: str, lo: int, hi: int, row: int) -> ValueError:
-            """``message`` at the first line of ``data[lo:hi]``, which
+        def bad(lo: int, hi: int, row: int) -> ValueError:
+            """The error at the first line of ``data[lo:hi]``, which
             starts at row ``row``, that is not a row, found by a scan that
-            runs only once a check has failed."""
-            field = rb"-?[0-9]{1,18}"
+            runs only once the check has failed."""
+            field = _FIELD.encode()
             line = re.compile(field + (b" " + field) * (n_key - 1) + (b"\t" + field) * n_value)
             lines = data[lo:hi].split(b"\n")  # the last item is what follows the last newline
             at = next((i for i, x in enumerate(lines[:-1]) if not line.fullmatch(x)), len(lines) - 1)
-            return self.error(message, 1 + row + at)
+            return self.error(f"malformed {what} rows", 1 + row + at)
 
         if end > pos and data[end - 1] != ord("\n"):  # a last line without its newline
-            raise bad(f"malformed {what} rows", pos, end, 0)
+            raise bad(pos, end, 0)
         found = data.count(b"\n", pos, end)
         if n_rows is not None and found != n_rows:
             raise self.error(f"{what} declares {n_rows} rows, {found} found", 0)
@@ -215,9 +215,8 @@ class Reader:
             cut = data.rfind(b"\n", lo, min(lo + _BLOCK_BYTES // 4, end))
             hi = (cut if cut >= 0 else data.find(b"\n", lo, end)) + 1
             block = data[lo:hi]
-            fault = _fault(np.frombuffer(block, dtype=np.uint8), pattern, what)
-            if fault:
-                raise bad(fault, lo, hi, row)
+            if _fault(np.frombuffer(block, dtype=np.uint8), pattern):
+                raise bad(lo, hi, row)
             fields = np.fromstring(block, dtype=np.int64, sep=" ")
             n = len(fields) // len(pattern)
             out[row : row + n] = fields.reshape(n, -1)
@@ -230,40 +229,18 @@ class Reader:
             raise self.error(f"unexpected content after {after}", 1)
 
 
-def _fault(buf: np.ndarray, pattern: np.ndarray, what: str) -> str | None:
-    """The message of the first check that ``buf``, whole lines, fails
-    as rows whose separators are ``pattern``, else None: every field is
-    then 1 to 18 digits after an optional minus sign, so that
-    ``np.fromstring`` parses it exactly.
-
-    A quick test accepts most blocks in a few passes: the bytes below
-    ``b"0"`` are exactly the separators, tiled as in ``pattern``, none
-    is above ``b"9"``, and each field has 1 to 18 digits.  Whatever it
-    accepts the exact checks accept too; a block it does not accept, as
-    one with a signed field, goes through the exact checks, which pick
-    the message."""
+def _fault(buf: np.ndarray, pattern: np.ndarray) -> bool:
+    """Whether ``buf``, whole lines, is not rows whose separators are
+    ``pattern``: rows are when the bytes below ``b"0"`` are exactly the
+    separators, tiled as in ``pattern``, none is above ``b"9"``, and
+    each field, between two separators or before the first, has 1 to
+    18 digits."""
     sep_at = np.flatnonzero(buf < 48)
     tiled = pattern.tobytes() * (sep_at.size // len(pattern))
-    if buf[sep_at].tobytes() == tiled and buf.max() <= 57:
-        gaps = np.diff(sep_at)  # each field's width plus 1, but the first field's
-        if 0 < sep_at[0] <= 18 and gaps.min(initial=2) > 1 and gaps.max(initial=2) <= 19:
-            return None
-    is_sep = (buf == 32) | (buf == 9) | (buf == 10)
-    sep_at = np.flatnonzero(is_sep)
-    n_rows = int(np.count_nonzero(buf == 10))
-    if sep_at.size != n_rows * len(pattern) or (buf[sep_at].reshape(n_rows, -1) != pattern).any():
-        return f"malformed {what} rows"
-    is_minus = buf == 45
-    if not (is_sep | is_minus | ((buf >= 48) & (buf <= 57))).all():
-        return f"{what} holds a field that is not an integer"
-    widths = np.diff(sep_at, prepend=-1) - 1
-    signed = is_minus[sep_at - widths]
-    if int(signed.sum()) != int(is_minus.sum()):
-        return f"{what} holds a minus sign inside a field"
-    widths -= signed
-    if widths.min() < 1 or widths.max() > 18:
-        return f"{what} holds an empty or oversized field"
-    return None
+    if buf[sep_at].tobytes() != tiled or buf.max() > 57:
+        return True
+    gaps = np.diff(sep_at)  # each field's width plus 1, but the first field's
+    return not (0 < sep_at[0] <= 18 and gaps.min(initial=2) > 1 and gaps.max(initial=2) <= 19)
 
 
 class Keys:

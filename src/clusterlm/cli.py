@@ -439,21 +439,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_M_MMAP_THRESHOLD = -3  # mallopt parameter number in glibc's <malloc.h>
+_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers in glibc's <malloc.h>
+_M_MMAP_THRESHOLD = -3
 
 
 def _fix_mmap_threshold() -> None:
     """Have glibc give every block of 128 KiB or more its own mapping,
-    which goes back to the system when the block is freed (a no-op on
-    other C libraries).
+    which goes back to the system when the block is freed, and give back
+    the free top of the heap once it reaches 128 KiB (a no-op on other C
+    libraries).
 
-    By default glibc raises this threshold whenever a mapped block is
+    By default glibc raises both thresholds whenever a mapped block is
     freed, and from then on large arrays come from the heap, where a
     live block above a freed one keeps it resident and numpy's huge-page
-    advice for large arrays outlives the array.  A process's peak memory
-    then depends on the heap layout, which shifts with input and path
-    lengths; with the threshold fixed it does not.  The price is that
-    each large temporary is a fresh mapping, paged in anew.
+    advice for large arrays outlives the array, and up to the raised
+    trim threshold of free heap top stays resident after each command.
+    A process's peak memory then depends on the heap layout, which
+    shifts with input and path lengths and with what the process freed
+    before its first command; with the thresholds fixed it does not.
+    The price is that each large temporary is a fresh mapping, paged in
+    anew.
     """
     try:
         libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
@@ -464,6 +469,7 @@ def _fix_mmap_threshold() -> None:
         mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
         mallopt.restype = ctypes.c_int
         mallopt(_M_MMAP_THRESHOLD, 128 * 1024)
+        mallopt(_M_TRIM_THRESHOLD, 128 * 1024)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

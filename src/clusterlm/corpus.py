@@ -54,13 +54,13 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        """Read a file written by ``save``.  A damaged file (not UTF-8, a
-        cut-off last line, a malformed ``#special`` line, a special role
-        missing or given two tokens, a special token missing, a duplicate
-        token) raises ``ValueError`` naming the file, and so does a token
-        line that is empty or holds whitespace, also naming its 1-based
-        line: no corpus token, split at whitespace, could be that token,
-        and ``vocab build`` never writes one."""
+        """Read a file written by ``save``.  A damaged file raises
+        ``ValueError`` naming the file: not UTF-8, a cut-off last line, a
+        special role missing, or a special token missing.  An error at a
+        line also names the 1-based line: a malformed ``#special`` line, a
+        second token for one special, a duplicate token, and a token line
+        that is empty or holds whitespace, which no corpus token, split
+        at whitespace, could be, and ``vocab build`` never writes."""
         what = f"vocabulary file {path}"
         text = _read_text(path, what)
         if text and not text.endswith("\n"):
@@ -68,13 +68,15 @@ class Vocabulary:
         specials: dict[str, str] = {}
         tokens: list[str] = []
         lines = text.split("\n")[:-1]
-        for line in lines:
+        for number, line in enumerate(lines, 1):
             if line.startswith("#special "):
                 fields = line.split(" ", 2)
                 if len(fields) != 3 or fields[1] not in _SPECIAL_ROLES:
-                    raise ValueError(f"{what}: malformed special line {line!r}")
+                    raise ValueError(f"{what}: line {number}: malformed special line {line!r}")
                 if specials.setdefault(fields[1], fields[2]) != fields[2]:
-                    raise ValueError(f"{what} gives two {fields[1]} special tokens")
+                    raise ValueError(
+                        f"{what}: line {number}: a second {fields[1]} special token {fields[2]!r}"
+                    )
                 continue
             tokens.append(line)
         if "\n".join(tokens).split() != tokens:  # a token is empty or holds whitespace
@@ -88,8 +90,11 @@ class Vocabulary:
         if missing:
             raise ValueError(f"{what} lacks special tokens: {missing}")
         ids = {t: i for i, t in enumerate(tokens)}
-        if len(ids) != len(tokens):
-            raise ValueError(f"{what} contains duplicate tokens")
+        if len(ids) != len(tokens):  # a scan names the first line that repeats a token
+            first: dict[str, int] = {}
+            for number, line in enumerate(lines, 1):
+                if not line.startswith("#special ") and first.setdefault(line, number) != number:
+                    raise ValueError(f"{what}: line {number}: duplicate token {line!r}")
         for role in _SPECIAL_ROLES:
             if specials[role] not in ids:
                 raise ValueError(f"{what} lacks the {role} special token {specials[role]!r}")
@@ -206,9 +211,12 @@ def load_feature_map(path: str | Path, vocab: Vocabulary, name: str) -> FeatureM
     with no tab is a comment.  A word, or ``#default``, listed twice
     with conflicting values is an error, and so is a word of ``vocab``
     the file gives no value when there is no ``#default``; each error
-    names the file.  The boundary and unknown specials, when not listed
-    explicitly, each receive a dedicated fresh value so that padding
-    stays distinguishable from real-word features.
+    names the file.  So does an entry whose word or value is empty or
+    holds whitespace, as a line cut off after its tab, which also names
+    its 1-based line: ``classes export`` never writes one.  The boundary
+    and unknown specials, when not listed explicitly, each receive a
+    dedicated fresh value so that padding stays distinguishable from
+    real-word features.
     """
     raw: dict[str, str] = {}
     default: str | None = None
@@ -219,6 +227,10 @@ def load_feature_map(path: str | Path, vocab: Vocabulary, name: str) -> FeatureM
         if len(parts) != 2:
             raise ValueError(f"feature map {path}: malformed line {lineno}: {line!r}")
         word, value = parts
+        for field, text in (("word", word), ("value", value)):
+            if text.split() != [text]:
+                problem = f"{field} {text!r} holds whitespace" if text else f"empty {field}"
+                raise ValueError(f"feature map {path}: line {lineno}: {problem}")
         known = default if word == "#default" else raw.get(word)
         if known not in (None, value):
             raise ValueError(

@@ -34,6 +34,7 @@ from clusterlm._rows import (
     Reader,
     check_range,
     check_strictly_sorted,
+    exact_sum,
     find_rows,
     row_starts,
     sum_rows,
@@ -358,9 +359,8 @@ def load_classlm(path: str | Path) -> ClassLM:
         named("#maps", check_range, maps[:, k], 0, sl.arity, f"slot {sl.offset} values")
     G, word_counts = words[:, 0], words[:, 1]
     named("#words", check_range, G, 0, n_categories, "word categories")
-    named("#words", check_range, word_counts, 0, 2**62, "word counts")
     G = G.astype(np.int32)
-    if not 0 < sum(word_counts.tolist()) < 2**62:
+    if not 0 < exact_sum(word_counts) < 2**62:
         raise r.error("word counts must add up to a total in (0, 2**62)")
     named("#joint", check_range, cells[:, 0], 0, n_states, "joint states")
     named("#joint", check_range, cells[:, 1], 0, n_categories, "joint categories")
@@ -569,7 +569,7 @@ def train_backoff(
             raise ValueError(f"order-{k} rows must have length {k} and one count each")
         check_range(grams, 0, n_words, f"order-{k} word ids")
         check_range(c, 1, 2**62, f"order-{k} counts")
-        if c.sum(dtype=np.float64) >= 2.0**62:
+        if exact_sum(c) >= 2**62:
             raise ValueError(f"order-{k} counts must add up to less than 2**62")
         keep = c > cutoffs.get(k, 0)
         if not keep.all():  # the model checks the order of the rows it keeps

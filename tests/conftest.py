@@ -609,28 +609,6 @@ def oracle_write_rows(fh, keys: np.ndarray, *values: np.ndarray) -> None:
         fh.write(out.tobytes())
 
 
-def oracle_fault(buf: np.ndarray, pattern: np.ndarray, what: str) -> str | None:
-    """``_rows._fault`` by its exact checks alone, each over the whole
-    block: the message of the first that ``buf``, whole lines, fails as
-    rows whose separators are ``pattern``, else None."""
-    n_rows = int(np.count_nonzero(buf == 10))
-    is_sep = (buf == 32) | (buf == 9) | (buf == 10)
-    sep_at = np.flatnonzero(is_sep)
-    if sep_at.size != n_rows * len(pattern) or (buf[sep_at].reshape(n_rows, -1) != pattern).any():
-        return f"malformed {what} rows"
-    is_minus = buf == 45
-    if not (is_sep | is_minus | ((buf >= 48) & (buf <= 57))).all():
-        return f"{what} holds a field that is not an integer"
-    widths = np.diff(sep_at, prepend=-1) - 1
-    signed = is_minus[sep_at - widths]
-    if int(signed.sum()) != int(is_minus.sum()):
-        return f"{what} holds a minus sign inside a field"
-    widths -= signed
-    if widths.min() < 1 or widths.max() > 18:
-        return f"{what} holds an empty or oversized field"
-    return None
-
-
 def assert_prob_matches_oracle(model, histories, extra_width: int = 0) -> None:
     """``model.prob`` equals ``oracle_prob`` bit for bit on every word
     after every history.  The rows hold ``extra_width`` more history

@@ -1,5 +1,6 @@
 """Command-line interface: spec parsing, subcommands, atomicity."""
 
+import ctypes
 import os
 import random
 import subprocess
@@ -708,10 +709,48 @@ with open("/proc/self/maps") as fh:
 assert not any(int(lo, 16) <= arr.ctypes.data < int(hi, 16) for lo, hi in heaps)
 """
 
-    def test_large_arrays_keep_their_own_mapping_after_a_command(self):
+    # glibc 2.33 or later: the free top of the heap after a command and
+    # many small blocks freed, which the trim threshold bounds
+    KEEPCOST = """
+import ctypes
+import numpy as np
+from clusterlm.cli import main
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.argtypes = ()
+mallinfo2.restype = Mallinfo2
+big = np.ones(8 << 20, dtype=np.uint8)
+del big
+assert main(["vocab", "build", "--corpus", "corpus.txt", "--out", "vocab.txt"]) == 0
+blocks = [bytes(2000) for _ in range(5000)]
+del blocks
+print(mallinfo2().keepcost)
+"""
+
+    @staticmethod
+    def run(check: str, cwd: Path | None = None) -> str:
         src = Path(clusterlm.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), *sys.path])}
         done = subprocess.run(
-            [sys.executable, "-c", self.CHECK], env=env, capture_output=True, text=True
+            [sys.executable, "-c", check], env=env, cwd=cwd, capture_output=True, text=True
         )
         assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_large_arrays_keep_their_own_mapping_after_a_command(self):
+        self.run(self.CHECK)
+
+    @pytest.mark.skipif(
+        _glibc() and not hasattr(ctypes.CDLL(None), "mallinfo2"), reason="glibc before 2.33"
+    )
+    def test_the_free_heap_top_is_given_back_after_a_command(self, tmp_path):
+        # the freed 8 MiB array raises glibc's default trim threshold to
+        # about 8 MiB, and so much free heap top would stay resident
+        (tmp_path / "corpus.txt").write_text("\n".join(make_random_corpus(3, 2000)) + "\n")
+        keepcost = int(self.run(self.KEEPCOST, tmp_path).split()[-1])
+        assert keepcost < 1 << 20

@@ -90,8 +90,9 @@ class TestVocabularyRoundTrip:
     def test_load_rejects_malformed_special_line(self, tmp_path):
         path = tmp_path / "vocab.txt"
         for line in ("#special bos", "#special tab <t>"):
-            path.write_text(f"{line}\n#special eos </s>\n#special unk <unk>\n</s>\n<unk>\n")
-            with pytest.raises(ValueError, match="malformed special line"):
+            path.write_text(f"#special eos </s>\n{line}\n#special unk <unk>\n</s>\n<unk>\n")
+            want = f"vocabulary file {path}: line 2: malformed special line {line!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
                 Vocabulary.load(path)
 
     def test_load_rejects_a_special_role_given_two_tokens(self, tmp_path):
@@ -101,7 +102,8 @@ class TestVocabularyRoundTrip:
         path.write_text(header + "#special bos <s>\n" + tokens)
         assert Vocabulary.load(path).bos_id == 3  # the same token twice is no conflict
         path.write_text(header + "#special bos a\n" + tokens)
-        with pytest.raises(ValueError, match="two bos special tokens"):
+        want = f"vocabulary file {path}: line 4: a second bos special token 'a'"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             Vocabulary.load(path)
 
     def test_every_error_names_the_file(self, tmp_path):
@@ -109,11 +111,11 @@ class TestVocabularyRoundTrip:
         specials = "#special bos <s>\n#special eos </s>\n#special unk <unk>\n"
         for data, detail in [
             (b"a\nb", ": the last line is cut off"),
-            (b"#special bos\n", ": malformed special line '#special bos'"),
-            (b"#special bos <s>\n#special bos a\n", " gives two bos special tokens"),
+            (b"#special bos\n", ": line 1: malformed special line '#special bos'"),
+            (b"#special bos <s>\n#special bos a\n", ": line 2: a second bos special token 'a'"),
             (b"a\n", " lacks special tokens: ['bos', 'eos', 'unk']"),
             (specials.encode() + b"<s>\n</s>\n", " lacks the unk special token '<unk>'"),
-            (specials.encode() + b"<s>\n</s>\n<unk>\n<s>\n", " contains duplicate tokens"),
+            (specials.encode() + b"<s>\n</s>\n<unk>\n<s>\n", ": line 7: duplicate token '<s>'"),
             (specials.encode() + b"<s>\n</s>\n\xff<unk>\n", " is not UTF-8 at byte 63"),
         ]:
             path.write_bytes(data)
@@ -265,6 +267,24 @@ class TestFeatureMaps:
             with pytest.raises(ValueError) as err:
                 load_feature_map(p, vocab, "t")
             assert str(err.value) == want
+
+    @pytest.mark.parametrize("line, problem", [
+        ("cat\t", "empty value"),
+        ("\tN", "empty word"),
+        ("cat\tN V", "value 'N V' holds whitespace"),
+        ("cat\t N", "value ' N' holds whitespace"),
+        ("c at\tN", "word 'c at' holds whitespace"),
+        ("#default\t", "empty value"),
+    ])
+    def test_an_empty_or_blank_field_names_its_line(self, tmp_path, line, problem):
+        # a line cut off after its tab among them; ``classes export``
+        # writes none of these
+        vocab = self._vocab()
+        p = tmp_path / "tags.tsv"
+        p.write_text(f"# tags\ndog\tN\n{line}\nruns\tV\n")
+        want = f"feature map {p}: line 3: {problem}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_feature_map(p, vocab, "t")
 
     def test_numeric_values_sorted_numerically(self, tmp_path):
         vocab = self._vocab()

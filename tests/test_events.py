@@ -53,6 +53,12 @@ def counts_lines(tmp_path, sentences=("a b c a", "c b", "a b"), offsets=(-2, -1)
     return path, path.read_text().splitlines()
 
 
+def malformed_row(path, line: int) -> str:
+    """The whole message, as a pattern, of a malformed event row at the
+    1-based ``line`` of the counts file ``path``."""
+    return f"^{re.escape(f'corrupt counts file {path}: line {line}: malformed event rows')}$"
+
+
 def n_header(lines):
     return sum(1 for line in lines if line.startswith("#"))
 
@@ -350,7 +356,9 @@ class TestCountsRoundTrip:
         lines = path.read_text().splitlines()
         ctx, _, n = lines[-1].split("\t")
         path.write_text("\n".join(lines + [f"{ctx}\t{bad_id}\t{n}"]) + "\n")
-        with pytest.raises(ValueError, match="word ids outside"):
+        # a signed field is no row field at all: a malformed row at its line
+        want = "word ids outside" if bad_id >= 0 else malformed_row(path, len(lines) + 1)
+        with pytest.raises(ValueError, match=want):
             load_counts(path)
 
     def test_load_rejects_non_counts_file(self, tmp_path):
@@ -366,7 +374,8 @@ class TestCountsRoundTrip:
         _, w, n = lines[at].split("\t")
         lines[at] = f"{value}\t{w}\t{n}"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="slot -1 values outside"):
+        want = "slot -1 values outside" if value >= 0 else malformed_row(path, at + 1)
+        with pytest.raises(ValueError, match=want):
             load_counts(path)
 
     def test_load_rejects_duplicate_line(self, tmp_path):
@@ -538,6 +547,16 @@ class TestCountsFileCorruption:
         with pytest.raises(ValueError, match=re.escape(want)):
             load_counts(path)
 
+    @pytest.mark.parametrize("text", ["3_3", "+33", " 33", "\u0663\u0663", "-0x1"])
+    def test_a_header_integer_is_read_as_a_row_field(self, tmp_path, text):
+        # int() takes all but the last; the vocabulary size is 6 words
+        path, lines = counts_lines(tmp_path)
+        assert lines[1] == "#vocab\t6"
+        path.write_text("\n".join([lines[0], f"#vocab\t{text}", *lines[2:]]) + "\n")
+        want = f"corrupt counts file {path}: line 2: vocab is not an integer: {text!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_counts(path)
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_the_first_bad_row_is_named(self, data):
@@ -548,12 +567,18 @@ class TestCountsFileCorruption:
             lines = path.read_text().splitlines()
             head = n_header(lines)
             bad = data.draw(st.sets(st.integers(head, len(lines) - 1), min_size=1, max_size=4))
-            for k in bad:
-                count = data.draw(st.sampled_from(["0", "-1"]))
+            counts = {k: data.draw(st.sampled_from(["0", "-1"])) for k in bad}
+            for k, count in counts.items():
                 lines[k] = lines[k].rpartition("\t")[0] + "\t" + count
             path.write_text("\n".join(lines) + "\n")
-            want = f"corrupt counts file {path}: line {min(bad) + 1}: stored counts must be"
-            with pytest.raises(ValueError, match=re.escape(want)):
+            # a signed count fails the row grammar, before any count check
+            signed = [k for k, count in counts.items() if count == "-1"]
+            if signed:
+                want = malformed_row(path, min(signed) + 1)
+            else:
+                zero = f"corrupt counts file {path}: line {min(bad) + 1}: stored counts must be"
+                want = f"^{re.escape(zero)} strictly positive$"
+            with pytest.raises(ValueError, match=want):
                 load_counts(path)
 
     @pytest.mark.parametrize("edit, k, message", [

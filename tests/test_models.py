@@ -408,7 +408,8 @@ class TestClassLMFile:
             L, "#suffix", "#suffix\t2\t" + L[find(L, "#suffix")].split("\t")[2]
         ),
         "context value out of range": lambda L: edit_row(L, "#contexts", 0, "0 99999\t0"),
-        "context state out of range": lambda L: edit_row(L, "#contexts", 0, "0 0\t-1"),
+        "context state out of range": lambda L: edit_row(L, "#contexts", 0, "0 0\t99999"),
+        "negative context state": lambda L: edit_row(L, "#contexts", 0, "0 0\t-1"),
         "context rows unsorted": lambda L: swap_rows(L, "#contexts", 0, 1),
         "duplicate context row": lambda L: edit_row(L, "#contexts", 1, L[find(L, "#contexts") + 1]),
         "context count short": lambda L: recount(L, "#contexts", -1),
@@ -434,6 +435,26 @@ class TestClassLMFile:
         bad.write_text("\n".join(self.CORRUPTIONS[name](lines)) + "\n")
         with pytest.raises(ValueError):
             load_classlm(bad)
+
+    @pytest.mark.parametrize("total", [2**62 - 1, 2**62])
+    def test_word_counts_may_add_up_to_just_below_2_62(self, tmp_path, total):
+        # five words, each its own category, seen in one context: four of
+        # the largest 18-digit counts and the rest of ``total``
+        counts = [10**18 - 1] * 4 + [total - 4 * (10**18 - 1)]
+        path = tmp_path / "big.classlm"
+        path.write_text("\n".join([
+            "#clusterlm-classlm v2", "#discount\t0.4", "#n_words\t5", "#n_categories\t5",
+            "#n_states\t1", "#depth\t1", "#slot\t-1\tw\t5\t0", "#maps\t5", *map(str, range(5)),
+            "#words\t5", *(f"{w}\t{c}" for w, c in enumerate(counts)),
+            "#joint\t5", *(f"0 {w}\t{c}" for w, c in enumerate(counts)),
+            "#contexts\t1", "0\t0",
+        ]) + "\n")
+        if total < 2**62:
+            assert int(load_classlm(path).word_counts.sum()) == total
+        else:
+            want = f"corrupt class model file {path}: word counts must add up to a total in (0, 2**62)"
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                load_classlm(path)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -469,7 +490,6 @@ class TestClassLMSectionLine:
     @pytest.mark.parametrize("name, key, message", [
         ("map value out of range", "#maps", "slot -2 values outside"),
         ("category out of range", "#words", "word categories outside"),
-        ("negative word count", "#words", "word counts outside"),
         ("joint state out of range", "#joint", "joint states outside"),
         ("joint count zero", "#joint", "joint counts outside"),
         ("joint cells unsorted", "#joint", "#joint rows are not strictly sorted"),
@@ -487,6 +507,22 @@ class TestClassLMSectionLine:
         bad.write_text("\n".join(TestClassLMFile.CORRUPTIONS[name](lines)) + "\n")
         want = f"corrupt class model file {bad}: line {find(lines, key) + 1}: {message}"
         with pytest.raises(ValueError, match=re.escape(want)):
+            load_classlm(bad)
+
+    @pytest.mark.parametrize("name, key", [
+        ("negative word count", "#words"),
+        ("negative context state", "#contexts"),
+    ])
+    def test_a_signed_field_is_a_malformed_row_at_its_line(self, tmp_path, name, key):
+        # a signed field is no row field at all, so the row, the first of
+        # its section, is named, not the section's # line
+        lm, vocab, enc = TestClassLMFile.model(2)
+        save_classlm(lm, tmp_path / "m.classlm")
+        lines = (tmp_path / "m.classlm").read_text().splitlines()
+        bad = tmp_path / "bad.classlm"
+        bad.write_text("\n".join(TestClassLMFile.CORRUPTIONS[name](lines)) + "\n")
+        want = f"corrupt class model file {bad}: line {find(lines, key) + 2}: malformed {key} rows"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_classlm(bad)
 
     def test_a_first_maps_row_out_of_range_names_the_maps_line(self, tmp_path):
@@ -779,6 +815,13 @@ class TestBackoffModel:
         p.write_text("not a model\n")
         with pytest.raises(ValueError, match="not a backoff model"):
             load_backoff(p)
+
+    def test_counts_may_add_up_to_just_below_2_62(self):
+        # a float64 sum rounds 2**62 - 1 up to 2**62; the bound is exact
+        m = train_backoff([(np.array([[0], [1]]), np.array([2**62 - 2, 1]))], 3, bos_id=2)
+        assert int(m.counts[0].sum()) == 2**62 - 1
+        with pytest.raises(ValueError, match=r"^order-1 counts must add up to less than 2\*\*62$"):
+            train_backoff([(np.array([[0], [1]]), np.array([2**62 - 1, 1]))], 3, bos_id=2)
 
 
 def backoff_lines(tmp_path):

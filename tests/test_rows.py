@@ -2,7 +2,7 @@
 the sort check) against dict, Counter, lexsort and tuple-order oracles,
 the line numbers in ``Reader``'s errors, the blocked passes against
 the same passes made in one block, and the text codec against its
-digit-by-digit writer and exact-check reader oracles."""
+digit-by-digit writer and a line-by-line reading of the row grammar."""
 
 import io
 import re
@@ -26,7 +26,7 @@ from clusterlm._rows import (
     write_rows,
 )
 
-from conftest import oracle_fault, oracle_write_rows
+from conftest import oracle_write_rows
 
 ONE_BLOCK = 1 << 40  # a block size no test input reaches
 
@@ -200,13 +200,14 @@ class TestCheckStrictlySorted:
 
 
 # one way to damage a row of two key fields and one value field, each
-# breaking another of the checks ``Reader.rows`` makes
+# breaking another part of the row grammar that ``Reader.rows`` checks
 ROW_DAMAGE = {
     "a tab for a space": lambda row: row.replace(b" ", b"\t"),
     "a field missing": lambda row: row.rpartition(b"\t")[0],
     "a letter": lambda row: row + b"x",
     "a byte 0xff": lambda row: b"\xff" + row,
     "a minus sign inside a field": lambda row: row + b"-1",
+    "a signed field": lambda row: b"-" + row,
     "an empty field": lambda row: b" " + row.partition(b" ")[2],
     "a 19-digit field": lambda row: row + b"0" * 18,
 }
@@ -248,8 +249,9 @@ class TestReaderLines:
         damaged = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1), label="rows")
         for i in damaged:
             rows[i] = ROW_DAMAGE[data.draw(st.sampled_from(sorted(ROW_DAMAGE)))](rows[i])
+        want = f"corrupt test file f.txt: line {5 + min(damaged)}: malformed #rows rows"
         with blocks_of(block):
-            with pytest.raises(ValueError, match=rf"^corrupt test file f\.txt: line {5 + min(damaged)}: "):
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
                 read(sectioned(rows))
 
     def test_a_cut_off_last_row_is_named(self):
@@ -268,6 +270,14 @@ class TestReaderLines:
         (b"#x\t0.5", b"#x\thalf", "line 3: x is not a number: 'half'"),
         (b"#x\t0.5", b"#y\t0.5", "line 3: expected a #x line with 1 field(s)"),
         (b"#rows\t6", b"#rows\tsix", "line 4: #rows row count is not an integer: 'six'"),
+        # what int() takes beyond the row grammar: underscores, a plus
+        # sign, blanks, non-ASCII digits, 19 digits
+        (b"#n\t7", b"#n\t3_3", "line 2: n is not an integer: '3_3'"),
+        (b"#n\t7", b"#n\t+33", "line 2: n is not an integer: '+33'"),
+        (b"#n\t7", b"#n\t 33", "line 2: n is not an integer: ' 33'"),
+        (b"#n\t7", "#n\t\u0663\u0663".encode(), "line 2: n is not an integer: '\u0663\u0663'"),
+        (b"#n\t7", b"#n\t" + b"1" * 19, f"line 2: n is not an integer: '{'1' * 19}'"),
+        (b"#rows\t6", b"#rows\t6 ", "line 4: #rows row count is not an integer: '6 '"),
     ])
     def test_a_bad_header_line_is_named(self, old, new, message):
         data = sectioned(self.ROWS).replace(old, new)
@@ -286,10 +296,8 @@ class TestReaderLines:
             read(sectioned(self.ROWS) + b"#more\n")
 
 
-# fields of 1 to 18 digits, either sign, and the ends of that range
-FIELDS = st.one_of(
-    st.integers(-3, 12), st.integers(-(10**18) + 1, 10**18 - 1), st.sampled_from([10**18 - 1])
-)
+# fields of 1 to 18 digits, and the ends of that range
+FIELDS = st.one_of(st.integers(0, 12), st.integers(0, 10**18 - 1), st.sampled_from([10**18 - 1]))
 
 
 @st.composite
@@ -351,7 +359,7 @@ class TestBlockedPasses:
         with blocks_of(ONE_BLOCK), pytest.raises(ValueError) as whole:
             read(data)
         assert str(blocked.value) == str(whole.value)
-        assert str(blocked.value).startswith(f"corrupt test file f.txt: line {5 + k}: ")
+        assert str(blocked.value) == f"corrupt test file f.txt: line {5 + k}: malformed #rows rows"
 
 
 class TestExactSum:
@@ -406,9 +414,27 @@ def written(writer, keys, values) -> bytes:
     return fh.getvalue()
 
 
+def grammar_rows(text: bytes, n_key: int, n_value: int) -> list[list[int]] | int:
+    """The rows of section ``text`` read a line at a time by the row
+    grammar, or the 0-based index of the first line it rejects: each line
+    ends in a newline and is ``n_key`` fields joined by spaces, then
+    ``n_value`` more after tabs, each field 1 to 18 ASCII digits."""
+    rows = []
+    for i, line in enumerate(text.split(b"\n")):
+        if i == text.count(b"\n"):  # what follows the last newline
+            return rows if line == b"" else i
+        keys, *values = line.split(b"\t")
+        fields = keys.split(b" ") + values
+        if len(fields) - len(values) != n_key or len(values) != n_value:
+            return i
+        if not all(1 <= len(f) <= 18 and all(48 <= c <= 57 for c in f) for f in fields):
+            return i
+        rows.append([int(f) for f in fields])
+
+
 class TestCodec:
     """The digit-matrix writer against the digit-by-digit one, and the
-    reader's quick test against its exact checks."""
+    reader and its header integers against the row grammar."""
 
     @settings(max_examples=60, deadline=None)
     @given(row_matrices())
@@ -431,6 +457,7 @@ class TestCodec:
         "a minus sign": lambda text, at, sep_at: text[:at] + b"-" + text[at:],
         "a carriage return": lambda text, at, sep_at: text[:at] + b"\r" + text[at:],
         "a plus sign": lambda text, at, sep_at: text[:at] + b"+" + text[at:],
+        "an underscore": lambda text, at, sep_at: text[:at] + b"_" + text[at:],
         "a letter": lambda text, at, sep_at: text[:at] + b"e" + text[at:],
         "a 19-digit field": lambda text, at, sep_at: text[:sep_at] + b"1" * 19 + text[sep_at:],
         "a doubled separator": lambda text, at, sep_at: text[: sep_at + 1] + text[sep_at:],
@@ -439,9 +466,11 @@ class TestCodec:
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.sampled_from([4, 24, 64, ONE_BLOCK]))
-    def test_mutated_rows_fail_as_under_the_exact_checks(self, data, block):
+    def test_mutated_rows_are_read_as_by_the_row_grammar(self, data, block):
+        # in blocks of a line or a few, or in one block: the rows, or
+        # malformed rows at the first line the grammar rejects
         n_key, n_value = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
-        field = st.one_of(st.integers(0, 999), st.integers(-99, 10**18 - 1))
+        field = st.one_of(st.integers(0, 999), st.integers(0, 10**18 - 1))
         rows = data.draw(st.lists(st.tuples(*[field] * (n_key + n_value)), min_size=1, max_size=12))
         text = b"".join(
             b" ".join(b"%d" % v for v in row[:n_key])
@@ -456,20 +485,40 @@ class TestCodec:
                 data.draw(st.integers(0, len(text)), label="at"),
                 data.draw(st.sampled_from(seps), label="separator") if seps else 0,
             )
+        want = grammar_rows(text, n_key, n_value)
         if text.endswith(b"\n"):  # whole lines, as Reader.rows passes them
             pattern = np.array([32] * (n_key - 1) + [9] * n_value + [10], dtype=np.uint8)
-            buf = np.frombuffer(text, dtype=np.uint8)
-            assert _rows._fault(buf, pattern, "r") == oracle_fault(buf, pattern, "r")
+            faulty = _rows._fault(np.frombuffer(text, dtype=np.uint8), pattern)
+            assert faulty == isinstance(want, int)
+        if isinstance(want, int):
+            want = f"corrupt test file f.txt: line {5 + want}: malformed #rows rows"
 
         section = b"#v\n#n\t7\n#x\t0.5\n#rows\t%d\n" % text.count(b"\n") + text
-
-        def outcome():
-            try:
-                return parse(section, n_key, n_value).tolist()
-            except ValueError as exc:
-                return str(exc)
-
         with blocks_of(block):
-            got = outcome()
-            with mock.patch.object(_rows, "_fault", oracle_fault):
-                assert got == outcome()
+            try:
+                got = parse(section, n_key, n_value).tolist()
+            except ValueError as exc:
+                got = str(exc)
+        assert got == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.integers(-(10**19), 10**19).map(str),
+        st.text(st.sampled_from("0123456789-+_ \t.ex\u0663\u00a0"), max_size=21),
+        st.text(max_size=4),
+    ))
+    def test_a_header_integer_is_a_row_field_with_an_optional_minus_sign(self, text):
+        field = text[1:] if text.startswith("-") else text
+        one_row = (field + "\n").encode()
+        pattern = np.array([10], dtype=np.uint8)
+        accepted = one_row.count(b"\n") == 1 and not _rows._fault(
+            np.frombuffer(one_row, dtype=np.uint8), pattern
+        )
+        r = opened(b"#v\n#n\t7\n")
+        r.int_line("#n")
+        if accepted:
+            assert r.int(text, "n") == int(text)
+        else:
+            want = f"corrupt test file f.txt: line 2: n is not an integer: {text!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                r.int(text, "n")
