@@ -85,19 +85,24 @@ class Clustering:
     with the count statistics needed for O(nonzero) move deltas.
 
     ``S[i]`` is the state of the table's ``contexts[i]`` and ``G[w]`` the
-    category of word ``w``.  ``joint``, ``state_totals``, ``cat_totals``
-    and the profiles are float64 arrays of exact integer counts (the
-    table's total must lie below 2**53), so the kernels read them
-    without casts.  ``f_joint``, ``f_state`` and ``f_cat`` hold
-    f(x) = x ln x of those tables entry by entry, so a move delta need
-    not recompute the cells the move leaves alone; a move refreshes
-    them only at the cells it changes, where the moved unit's profile
-    is nonzero.  ``joint_t`` and ``f_joint_t`` are row-major copies of
-    ``joint.T`` and ``f_joint.T``, kept equal to them, so that a group
-    move reads the rows of its categories as a word move reads the rows
-    of its states (see ``_kernels``).  One table, ``_layouts``, names for
-    each kind of unit which of the two layouts it reads and which totals
-    it changes; ``_deltas`` and ``_move`` read it.
+    category of word ``w``.  The counts are one bordered table
+    ``joint_b``, (n_states + 1) x (n_categories + 1) float64 of exact
+    integers (the table's total must lie below 2**53): the state totals
+    are its last column, the category totals its last row, and the
+    corner is the grand total.  ``f_joint_b`` holds f(x) = x ln x of
+    every entry, so a move delta need not recompute the cells the move
+    leaves alone.  ``joint_bt`` and ``f_joint_bt`` are row-major copies
+    of their transposes, so that a group move reads the rows of its
+    categories as a word move reads the rows of its states (see
+    ``_kernels``).  ``joint``, ``state_totals``, ``cat_totals``,
+    ``f_joint``, ``f_state``, ``f_cat``, ``joint_t`` and ``f_joint_t``
+    are views into these four arrays.
+
+    A unit's profile is sparse and bordered (``_sparse``), so a move's
+    writes at its ``nz`` update the totals too.  ``_layouts`` names for
+    each kind of unit the layout whose columns are its clusters, the
+    one whose rows they are, and a view of the kernels' scratch buffer;
+    ``_deltas`` and ``_move`` read it.
 
     The public methods check every id and that a context group shares
     one state, and each computes the profile it needs.  The exchange
@@ -154,30 +159,28 @@ class Clustering:
     def _build_stats(self) -> None:
         # float64 bincount sums are exact for counts below 2**53, and so
         # are the table sums below, whose partial sums are all integers
-        cells = self.S[self.ctx_of].astype(np.int64) * self.n_categories + self.G[self.table.words]
-        joint = np.bincount(
-            cells, weights=self.table.freqs, minlength=self.n_states * self.n_categories
-        )
-        self.joint = joint.reshape(self.n_states, self.n_categories)
-        self.state_totals = self.joint.sum(axis=1)
-        self.cat_totals = self.joint.sum(axis=0)
-        # f(x) = x ln x of every table entry, for the move deltas; the
-        # apply_* moves refresh the entries they change
-        self.f_joint = _kernels.xlogx(self.joint)
-        self.f_state = _kernels.xlogx(self.state_totals)
-        self.f_cat = _kernels.xlogx(self.cat_totals)
+        S, C = self.n_states, self.n_categories
+        cells = self.S[self.ctx_of].astype(np.int64) * C + self.G[self.table.words]
+        joint = np.bincount(cells, weights=self.table.freqs, minlength=S * C).reshape(S, C)
+        col, row = joint.sum(axis=1, keepdims=True), joint.sum(axis=0, keepdims=True)
+        self.joint_b = b = np.block([[joint, col], [row, row.sum()]])
+        # f(x) = x ln x of every entry, for the move deltas; the moves
+        # refresh the entries they change
+        self.f_joint_b = fb = _kernels.xlogx(b)
         # the group moves' rows: (category, state) tables
-        self.joint_t = np.ascontiguousarray(self.joint.T)
-        self.f_joint_t = np.ascontiguousarray(self.f_joint.T)
+        self.joint_bt = bt = np.ascontiguousarray(b.T)
+        self.f_joint_bt = fbt = np.ascontiguousarray(fb.T)
+        self.joint, self.state_totals, self.cat_totals = b[:S, :C], b[:S, C], b[S, :C]
+        self.f_joint, self.f_state, self.f_cat = fb[:S, :C], fb[:S, C], fb[S, :C]
+        self.joint_t, self.f_joint_t = bt[:C, :S], fbt[:C, :S]
         # per kind of unit, a word (True) or a group (False): the layout
-        # whose columns are its clusters, their totals, and the layout
-        # whose rows they are, each with its f cache
-        joint, f_joint, joint_t, f_joint_t = self.joint, self.f_joint, self.joint_t, self.f_joint_t
+        # whose columns are its clusters and the layout whose rows they
+        # are, each with its f cache, and the kernels' temporaries
+        scratch = np.empty(2 * b.size)
         self._layouts = {
-            True: (joint, f_joint, self.cat_totals, self.f_cat, joint_t, f_joint_t),
-            False: (joint_t, f_joint_t, self.state_totals, self.f_state, joint, f_joint),
+            True: (b, fb, bt, fbt, scratch.reshape(2, S + 1, C + 1)),
+            False: (bt, fbt, b, fb, scratch.reshape(2, C + 1, S + 1)),
         }
-        self._scratch = np.empty(2 * self.joint.size)  # the kernels' temporaries
 
     # -- statistics ------------------------------------------------------
 
@@ -216,21 +219,23 @@ class Clustering:
     def word_move_deltas(self, w: int) -> np.ndarray:
         """Criterion change for moving word ``w`` into every category
         (entry for its current category is exactly 0)."""
-        return self._deltas(True, self.word_profile(w), int(self.G[w]), self.word_counts[w])
+        profile = np.append(self.word_profile(w), self.word_counts[w])
+        return self._deltas(True, int(self.G[w]), *_sparse(profile))
 
     def group_move_deltas(self, leaf_indices: np.ndarray) -> np.ndarray:
         """Criterion change for moving a coherent context group into
         every state (entry for its current state is exactly 0)."""
         idx, s_cur = self._group_state(leaf_indices)
-        return self._deltas(False, self.group_profile(idx), s_cur, self.ctx_counts[idx].sum())
+        profile = np.append(self.group_profile(idx), self.ctx_counts[idx].sum())
+        return self._deltas(False, s_cur, *_sparse(profile))
 
-    def _deltas(self, word: bool, profile: np.ndarray, source: int, n) -> np.ndarray:
-        """Criterion change for moving ``profile`` and ``n`` events from
-        category (``word``) or state ``source`` into every one."""
-        table, f_table, totals, f_totals, _, _ = self._layouts[word]
+    def _deltas(self, word: bool, source: int, nz: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Criterion change for moving the sparse profile ``nz``, ``p``
+        from category (``word``) or state ``source`` into every one."""
+        table, f_table, _, _, scratch = self._layouts[word]
         # looked up at each call, so that a patched kernel is the one run
         kernel = _kernels.word_move_deltas if word else _kernels.group_move_deltas
-        return kernel(table, totals, profile, source, int(n), f_table, f_totals, self._scratch)
+        return kernel(table, f_table, p, nz, source, scratch)
 
     def _check_word(self, w: int) -> None:
         if not 0 <= w < self.n_words:
@@ -266,7 +271,7 @@ class Clustering:
         g = int(self.G[w])
         if target == g:
             return
-        self._move(True, g, target, self.word_profile(w), self.word_counts[w])
+        self._move(True, g, target, *_sparse(np.append(self.word_profile(w), self.word_counts[w])))
         self.G[w] = target
 
     def apply_group_move(self, leaf_indices: np.ndarray, target: int) -> None:
@@ -276,26 +281,28 @@ class Clustering:
         idx, s = self._group_state(leaf_indices)
         if target == s:
             return
-        self._move(False, s, target, self.group_profile(idx), self.ctx_counts[idx].sum())
+        profile = np.append(self.group_profile(idx), self.ctx_counts[idx].sum())
+        self._move(False, s, target, *_sparse(profile))
         self.S[idx] = target
 
-    def _move(self, word: bool, source: int, target: int, profile: np.ndarray, n) -> None:
-        """Move ``profile`` and ``n`` events from category (``word``) or
-        state ``source`` to ``target``.  The two rows change in the layout
-        whose rows are those clusters, the same values go into the
-        matching columns of the other, and every f cache is refreshed
-        where it changes."""
-        cols, f_cols, totals, f_totals, rows, f_rows = self._layouts[word]
-        nz = profile.nonzero()[0]
-        p = profile[nz]
+    def _move(self, word: bool, source: int, target: int, nz: np.ndarray, p: np.ndarray) -> None:
+        """Move the sparse profile ``nz``, ``p`` from category (``word``)
+        or state ``source`` to ``target``: two rows of the layout whose
+        rows are those clusters, the matching columns of the other, and
+        their f caches, totals included."""
+        cols, f_cols, rows, f_rows, _ = self._layouts[word]
         # a row view indexed by nz costs a third of a two-index gather
         for row, counts in ((source, rows[source][nz] - p), (target, rows[target][nz] + p)):
             rows[row][nz] = cols[:, row][nz] = counts
             f_rows[row][nz] = f_cols[:, row][nz] = _kernels.xlogx(counts)
-        totals[source] -= n
-        totals[target] += n
-        pair = [source, target]
-        f_totals[pair] = _kernels.xlogx(totals[pair])
+
+
+def _sparse(profile: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``nz`` and ``p``, the indices and the values of the nonzero
+    entries of ``profile``: a unit's counts per cluster of the other
+    axis, then, at the border, its own count."""
+    nz = profile.nonzero()[0]
+    return nz, profile[nz]
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +345,13 @@ class _Rows:
     idx: np.ndarray
     freqs: np.ndarray
 
-    def profile(self, k: int, label: np.ndarray, n_labels: int) -> np.ndarray:
-        """Row ``k``'s counts summed by ``label`` of their ids, as float64."""
-        lo, hi = self.ptr[k], self.ptr[k + 1]
-        return np.bincount(label[self.idx[lo:hi]], weights=self.freqs[lo:hi], minlength=n_labels)
+    def profile(self, k: int, label: np.ndarray, n_labels: int, n: int) -> tuple:
+        """Row ``k``'s counts summed by ``label`` of their ids, as float64,
+        then the row's total ``n``, as a sparse profile (``_sparse``)."""
+        lo, hi, m = self.ptr[k], self.ptr[k + 1], n_labels + 1
+        prof = np.bincount(label[self.idx[lo:hi]], weights=self.freqs[lo:hi], minlength=m)
+        prof[n_labels] = n
+        return _sparse(prof)
 
 
 @dataclass(frozen=True)
@@ -422,13 +432,13 @@ def _sweep(
     for iterations in range(1, params.max_iterations + 1):
         moved = False
         for neg_n, _, element, (word, rows, labels, n_labels, assign, level) in units:
-            prof = rows.profile(element, labels, n_labels)
-            source, n = int(assign[element]), -neg_n
-            deltas = cl._deltas(word, prof, source, n)
+            nz, p = rows.profile(element, labels, n_labels, -neg_n)
+            source = int(assign[element])
+            deltas = cl._deltas(word, source, nz, p)
             target = int(deltas.argmax())
             if not deltas[target] > 0.0:
                 continue
-            cl._move(word, source, target, prof, n)
+            cl._move(word, source, target, nz, p)
             assign[element] = target
             moved = True
             if not word:

@@ -136,11 +136,15 @@ def build_vocabulary(token_stream: Iterable[str], max_size: int | None = None) -
 
 
 def _read_text(path: str | Path, what: str) -> str:
-    """The text of a UTF-8 file; ``what`` names the file in the error."""
+    """The text of a UTF-8 file; ``what`` names the file in the error,
+    which gives the 1-based line and the byte offset of the first byte
+    that is not UTF-8."""
+    data = Path(path).read_bytes()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{what} is not UTF-8 at byte {exc.start}") from None
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{what} is not UTF-8 at line {line}, byte {exc.start}") from None
 
 
 def read_corpus_lines(path: str | Path) -> list[str]:
@@ -194,9 +198,11 @@ def identity_mapper(vocab: Vocabulary, name: str = "w") -> FeatureMapper:
 
 def _value_order(values: set[str]) -> list[str]:
     # Numeric sort when every value is an integer literal (class maps),
-    # lexicographic otherwise (tag sets).
+    # lexicographic otherwise (tag sets).  Literals of one integer, such
+    # as 10 and 010, are ordered as strings, so the order does not
+    # depend on the set's iteration order.
     try:
-        return sorted(values, key=lambda v: int(v))
+        return sorted(values, key=lambda v: (int(v), v))
     except ValueError:
         return sorted(values)
 
@@ -213,14 +219,19 @@ def load_feature_map(path: str | Path, vocab: Vocabulary, name: str) -> FeatureM
     the file gives no value when there is no ``#default``; each error
     names the file.  So does an entry whose word or value is empty or
     holds whitespace, as a line cut off after its tab, which also names
-    its 1-based line: ``classes export`` never writes one.  The boundary
-    and unknown specials, when not listed explicitly, each receive a
-    dedicated fresh value so that padding stays distinguishable from
-    real-word features.
+    its 1-based line: ``classes export`` never writes one.  A
+    conflicting entry names its line too.  Lines end at ``\n``, with
+    one ``\r`` before it dropped, so a CRLF file loads as its LF twin
+    and no other line break inside a comment moves the line numbers.
+    The boundary and unknown specials, when not listed explicitly, each
+    receive a dedicated fresh value so that padding stays
+    distinguishable from real-word features.
     """
     raw: dict[str, str] = {}
     default: str | None = None
-    for lineno, line in enumerate(_read_text(path, f"feature map {path}").splitlines(), 1):
+    text = _read_text(path, f"feature map {path}")
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.removesuffix("\r")
         if not line.strip() or (line.startswith("#") and "\t" not in line):
             continue
         parts = line.split("\t")
@@ -234,7 +245,8 @@ def load_feature_map(path: str | Path, vocab: Vocabulary, name: str) -> FeatureM
         known = default if word == "#default" else raw.get(word)
         if known not in (None, value):
             raise ValueError(
-                f"ambiguous feature map {path}: {word!r} is given {known!r} and {value!r}"
+                f"ambiguous feature map {path}: line {lineno}: "
+                f"{word!r} is given {known!r} and {value!r}"
             )
         if word == "#default":
             default = value

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from clusterlm._kernels import xlogx
+from clusterlm._kernels import _xlogx_scalar, xlogx
 from clusterlm._rows import Keys, find_rows, tuples
 from clusterlm.cluster import Clustering, ClusterParams, MoveDelta, _ranked_init, _start
 from clusterlm.corpus import (
@@ -480,6 +480,40 @@ def oracle_tune_weights_em(components, sentences, *, eos_id=None, include_eos=Tr
     return weights, report
 
 
+def oracle_move_deltas(table, totals, profile, cur, n_elem, f_table, f_totals, scratch):
+    """The row kernel as it stood before the tables were bordered, kept
+    verbatim: dense ``profile`` and separate ``totals`` with their f
+    cache ``f_totals``.  The bordered kernel must match it bit for bit."""
+    if n_elem == 0:
+        return np.zeros(table.shape[1], dtype=np.float64)
+    nz = profile.nonzero()[0]
+    p = profile[nz]
+    shape = (len(nz), table.shape[1])
+    size = shape[0] * shape[1]
+    a, b = scratch[:size].reshape(shape), scratch[size : 2 * size].reshape(shape)
+    after = table.take(nz, 0, a, "clip")
+    after += p[:, None]
+    # N - p at the source cells: exact, as every value is an integer below 2**53
+    src = after[:, cur] - 2.0 * p
+    deltas = np.log(after, out=b)
+    deltas *= after
+    f_rows = f_table.take(nz, 0, a, "clip")
+    src_joint = float(np.add.reduce(xlogx(src) - f_rows[:, cur]))
+    deltas -= f_rows
+    deltas = np.add.reduce(deltas, 0)
+
+    m = totals + float(n_elem)
+    gain = np.log(m)
+    gain *= m
+    gain -= f_totals
+    src_margin = _xlogx_scalar(float(totals[cur]) - n_elem) - _xlogx_scalar(float(totals[cur]))
+    deltas += src_joint
+    deltas -= gain
+    deltas -= src_margin
+    deltas[cur] = 0.0
+    return deltas
+
+
 def oracle_group_move_deltas(joint, state_totals, profile, s_cur, n_elem, f_joint, f_state):
     """Group move deltas from column gathers of ``joint`` (states x
     categories), the layout the package's row kernel on ``joint_t``
@@ -575,15 +609,15 @@ class ScriptedClustering:
     def criterion(self):
         return self.values.pop(0)
 
-    def _deltas(self, word, profile, source, n):
+    def _deltas(self, word, source, nz, p):
         return np.array([1.0])
 
-    def _move(self, word, source, target, profile, n):
+    def _move(self, word, source, target, nz, p):
         pass
 
     @staticmethod
     def units():
-        rows = SimpleNamespace(profile=lambda element, labels, n_labels: None)
+        rows = SimpleNamespace(profile=lambda element, labels, n_labels, n: (None, None))
         return [(-1, 0, 0, (True, rows, None, 1, [0], None))]
 
 

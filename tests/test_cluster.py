@@ -332,6 +332,8 @@ class TestCachedF:
     def test_moves_leave_caches_and_deltas_as_a_fresh_build(self, data):
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="table seed"))
         table, cl = random_clustering(rng)
+        S, C = cl.n_states, cl.n_categories
+        corner = cl.joint_b[S, C]
         for _ in range(data.draw(st.integers(0, 25), label="moves")):
             if data.draw(st.booleans(), label="word move"):
                 w = data.draw(st.integers(0, cl.n_words - 1))
@@ -348,10 +350,25 @@ class TestCachedF:
             (cl.f_joint, cl.joint), (cl.f_state, cl.state_totals), (cl.f_cat, cl.cat_totals)
         ):
             assert cached.tobytes() == K.xlogx(table_).tobytes()
-        # the row-major transposes the group kernel reads stay in step
-        for t, table_ in ((cl.joint_t, cl.joint), (cl.f_joint_t, cl.f_joint)):
-            assert t.flags.c_contiguous
+        # the border holds the interior's sums, and no move touches the
+        # corner, the total
+        border = cl.joint_b
+        assert border[S, :C].tobytes() == cl.joint.sum(axis=0).tobytes()
+        assert border[:S, C].tobytes() == cl.joint.sum(axis=1).tobytes()
+        assert border[S, C] == corner == table.total
+        for cached, table_ in ((cl.f_joint_b, cl.joint_b), (cl.f_joint_bt, cl.joint_bt)):
+            assert cached.tobytes() == K.xlogx(table_).tobytes()
+        # the bordered arrays and the row-major transposes the group
+        # kernel reads stay in step, and the named tables are their views
+        for t, table_ in ((cl.joint_bt, cl.joint_b), (cl.f_joint_bt, cl.f_joint_b)):
+            assert t.flags.c_contiguous and table_.flags.c_contiguous
             assert t.tobytes() == np.ascontiguousarray(table_.T).tobytes()
+        for view, base in (
+            (cl.joint, cl.joint_b), (cl.state_totals, cl.joint_b), (cl.cat_totals, cl.joint_b),
+            (cl.f_joint, cl.f_joint_b), (cl.f_state, cl.f_joint_b), (cl.f_cat, cl.f_joint_b),
+            (cl.joint_t, cl.joint_bt), (cl.f_joint_t, cl.f_joint_bt),
+        ):
+            assert view.base is base
         for w in range(cl.n_words):
             assert cl.word_move_deltas(w).tobytes() == fresh.word_move_deltas(w).tobytes()
         for i in range(table.n_contexts):

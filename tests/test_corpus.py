@@ -1,11 +1,16 @@
 """Vocabulary construction, corpus encoding and feature maps."""
 
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clusterlm
 from clusterlm.corpus import (
     BOS,
     EOS,
@@ -116,7 +121,7 @@ class TestVocabularyRoundTrip:
             (b"a\n", " lacks special tokens: ['bos', 'eos', 'unk']"),
             (specials.encode() + b"<s>\n</s>\n", " lacks the unk special token '<unk>'"),
             (specials.encode() + b"<s>\n</s>\n<unk>\n<s>\n", ": line 7: duplicate token '<s>'"),
-            (specials.encode() + b"<s>\n</s>\n\xff<unk>\n", " is not UTF-8 at byte 63"),
+            (specials.encode() + b"<s>\n</s>\n\xff<unk>\n", " is not UTF-8 at line 6, byte 63"),
         ]:
             path.write_bytes(data)
             with pytest.raises(ValueError) as err:
@@ -185,7 +190,7 @@ class TestEncoding:
         p.write_bytes(b"a b\nc \xe9\n")
         with pytest.raises(ValueError) as err:
             read_corpus_lines(p)
-        assert str(err.value) == f"corpus file {p} is not UTF-8 at byte 6"
+        assert str(err.value) == f"corpus file {p} is not UTF-8 at line 2, byte 6"
 
 
 class TestFeatureMaps:
@@ -242,7 +247,7 @@ class TestFeatureMaps:
         vocab = self._vocab()
         p = tmp_path / "tags.tsv"
         p.write_text("dog\tN\ndog\tV\n")
-        want = f"ambiguous feature map {p}: 'dog' is given 'N' and 'V'"
+        want = f"ambiguous feature map {p}: line 2: 'dog' is given 'N' and 'V'"
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_feature_map(p, vocab, "t")
 
@@ -252,7 +257,7 @@ class TestFeatureMaps:
         p.write_text("dog\tX\n#default\tY\n#default\tY\n")
         assert load_feature_map(p, vocab, "t").arity == 2 + 3  # a repeat agrees
         p.write_text("dog\tX\n#default\tY\n#default\tZ\n")
-        want = f"ambiguous feature map {p}: '#default' is given 'Y' and 'Z'"
+        want = f"ambiguous feature map {p}: line 3: '#default' is given 'Y' and 'Z'"
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_feature_map(p, vocab, "t")
 
@@ -261,7 +266,7 @@ class TestFeatureMaps:
         p = tmp_path / "tags.tsv"
         for data, want in [
             (b"dog\tN\ncat\tN\tV\n", f"feature map {p}: malformed line 2: 'cat\\tN\\tV'"),
-            (b"dog\tN\ncat\t\xff\n", f"feature map {p} is not UTF-8 at byte 10"),
+            (b"dog\tN\ncat\t\xff\n", f"feature map {p} is not UTF-8 at line 2, byte 10"),
         ]:
             p.write_bytes(data)
             with pytest.raises(ValueError) as err:
@@ -285,6 +290,59 @@ class TestFeatureMaps:
         want = f"feature map {p}: line 3: {problem}"
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_feature_map(p, vocab, "t")
+
+    @pytest.mark.parametrize("brk", ["\x85", "\u2028", "\x0c", "\r"])
+    def test_a_line_break_other_than_newline_keeps_the_line_numbers(self, tmp_path, brk):
+        # str.splitlines would split the comment in two and shift
+        # every later line number by one
+        vocab = self._vocab()
+        p = tmp_path / "tags.tsv"
+        p.write_bytes(f"# tags{brk}# more\ncat\t\nruns\tV\n".encode())
+        want = f"feature map {p}: line 2: empty value"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_feature_map(p, vocab, "t")
+
+    def test_a_crlf_map_loads_as_its_lf_twin(self, tmp_path):
+        vocab = self._vocab()
+        text = "# tags\ndog\tN\ncat\tN\nruns\tV\n#default\tX\n"
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        want, got = load_feature_map(lf, vocab, "t"), load_feature_map(crlf, vocab, "t")
+        assert got.table.tolist() == want.table.tolist() and got.arity == want.arity == 3 + 3
+        # one \r is dropped, a second is a value's whitespace
+        crlf.write_bytes(b"dog\tN\r\r\n")
+        want = f"feature map {crlf}: line 1: value 'N\\r' holds whitespace"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_feature_map(crlf, vocab, "t")
+
+    def test_value_order_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # 2 and 02, and 10 and 010, are one integer each; their ids must
+        # not follow the iteration order of a set of strings
+        p = tmp_path / "classes.tsv"
+        p.write_text("dog\t10\ncat\t010\nruns\t2\njumps\t02\n")
+        check = (
+            "import sys\n"
+            "from clusterlm.corpus import build_vocabulary, load_feature_map\n"
+            "vocab = build_vocabulary('dog cat runs jumps dog'.split())\n"
+            "print(load_feature_map(sys.argv[1], vocab, 'g').table.tolist())\n"
+        )
+        src = Path(clusterlm.__file__).resolve().parents[1]
+        path = os.pathsep.join([str(src), *sys.path])
+        tables = set()
+        for seed in ("1", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            done = subprocess.run(
+                [sys.executable, "-c", check, str(p)], env=env, capture_output=True, text=True
+            )
+            assert done.returncode == 0, done.stderr
+            tables.add(done.stdout)
+        vocab = self._vocab()
+        m = load_feature_map(p, vocab, "g")
+        assert tables == {f"{m.table.tolist()}\n"}
+        # 02 < 2 < 010 < 10
+        ids = {w: int(m.table[vocab.ids[w]]) for w in ("jumps", "runs", "cat", "dog")}
+        assert ids == {"jumps": 0, "runs": 1, "cat": 2, "dog": 3}
 
     def test_numeric_values_sorted_numerically(self, tmp_path):
         vocab = self._vocab()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from clusterlm import _kernels as K
 
-from conftest import oracle_group_move_deltas
+from conftest import oracle_group_move_deltas, oracle_move_deltas
 
 
 def f(x):
@@ -32,29 +32,42 @@ def random_instance(rng, n_states=4, n_cats=5):
     return joint
 
 
+def bordered(table):
+    """``table`` as float64 with its column sums as one more row, its
+    row sums as one more column and its total in the corner, as
+    ``Clustering`` keeps its tables."""
+    table = np.asarray(table, dtype=np.float64)
+    out = np.zeros((table.shape[0] + 1, table.shape[1] + 1))
+    out[:-1, :-1] = table
+    out[-1, :-1], out[:-1, -1], out[-1, -1] = table.sum(axis=0), table.sum(axis=1), table.sum()
+    return out
+
+
+def sparse(profile):
+    """(p, nz) of ``profile`` bordered by its sum: the values and the
+    indices of its nonzero entries, as the kernels take a profile."""
+    full = np.append(np.asarray(profile, dtype=np.float64), profile.sum())
+    nz = np.flatnonzero(full)
+    return full[nz], nz
+
+
+def run_kernel(kernel, table, profile, cur):
+    """``kernel`` on ``table`` bordered, with its f cache and scratch
+    built from scratch."""
+    table_b = bordered(table)
+    return kernel(table_b, K.xlogx(table_b), *sparse(profile), cur, np.empty((2, *table_b.shape)))
+
+
 def word_deltas(joint, profile, g):
-    """The word kernel on float64 counts, as ``Clustering`` keeps them,
-    with its f caches and scratch built from scratch."""
-    joint = joint.astype(np.float64)
-    cat_totals = joint.sum(axis=0)
-    f_joint, f_cat = K.xlogx(joint), K.xlogx(cat_totals)
-    scratch = np.empty(2 * joint.size)
-    return K.word_move_deltas(
-        joint, cat_totals, profile, g, int(profile.sum()), f_joint, f_cat, scratch
-    )
+    """The word kernel on the bordered ``joint``, as ``Clustering``
+    keeps it."""
+    return run_kernel(K.word_move_deltas, joint, profile, g)
 
 
 def group_deltas(joint, profile, s):
-    """The group kernel on the float64 transpose ``joint_t``, as
-    ``Clustering`` keeps it, with its f caches and scratch built from
-    scratch."""
-    joint_t = np.ascontiguousarray(joint.T, dtype=np.float64)
-    state_totals = joint_t.sum(axis=0)
-    scratch = np.empty(2 * joint_t.size)
-    return K.group_move_deltas(
-        joint_t, state_totals, profile, s, int(profile.sum()), K.xlogx(joint_t),
-        K.xlogx(state_totals), scratch,
-    )
+    """The group kernel on the bordered transpose of ``joint``, as
+    ``Clustering`` keeps it."""
+    return run_kernel(K.group_move_deltas, joint.T, profile, s)
 
 
 def check_word_deltas(joint, profile, g):
@@ -193,12 +206,40 @@ class TestRowKernelOnTheTranspose:
         want = oracle_group_move_deltas(
             joint.copy(), state_totals, profile, s, n, K.xlogx(joint), K.xlogx(state_totals)
         )
-        joint_t = np.ascontiguousarray(joint.T)
-        got = K.group_move_deltas(
-            joint_t, state_totals, profile, s, n, K.xlogx(joint_t), K.xlogx(state_totals),
-            np.empty(2 * joint.size),
-        )
+        got = group_deltas(joint, profile, s)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestBorderedKernel:
+    """The kernel on a bordered table and a sparse bordered profile
+    equals, bit for bit, the kernel as it stood before the tables were
+    bordered, which took the margins as separate arrays."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_the_frozen_kernel_bit_for_bit(self, data):
+        n_rows = data.draw(st.integers(1, 40), label="rows")
+        n_cols = data.draw(st.integers(1, 150), label="columns")
+        k = data.draw(st.integers(1, n_rows), label="nonzero rows")
+        word = data.draw(st.booleans(), label="word layout")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        top = data.draw(st.sampled_from([3, 60, 10**6]), label="largest count")
+        # a (states x categories) table; a group move reads the rows of
+        # its row-major transpose
+        shape = (n_rows, n_cols) if word else (n_cols, n_rows)
+        joint = rng.integers(0, top, size=shape) * rng.integers(0, 2, shape)
+        table = np.ascontiguousarray(joint if word else joint.T, dtype=np.float64)
+        profile = np.zeros(n_rows)
+        profile[rng.choice(n_rows, size=k, replace=False)] = rng.integers(1, top + 1, size=k)
+        cur = data.draw(st.integers(0, n_cols - 1), label="source")
+        table[:, cur] += profile
+        totals = table.sum(axis=0)
+        want = oracle_move_deltas(
+            table, totals, profile, cur, int(profile.sum()), K.xlogx(table), K.xlogx(totals),
+            np.empty(2 * table.size),
+        )
+        got = run_kernel(K.word_move_deltas if word else K.group_move_deltas, table, profile, cur)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestXlogx:
