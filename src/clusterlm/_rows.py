@@ -15,9 +15,11 @@ passes: the bytes below ``b"0"`` are exactly the separators, tiled row
 by row, no byte is above ``b"9"``, and every field has 1 to 18 digits.
 A block that fails it is ``malformed <what> rows`` at its first line
 that is not a row.  ``Reader.int`` reads a header integer as the same
-field, with an optional minus sign.  ``write_rows`` formats a block of
-rows as a matrix of right-aligned digits, one floor division by 10 per
-digit position, and drops each field's leading zeros in one compaction.
+field, with an optional minus sign, and ``Reader.float`` reads a header
+number only as ``repr`` writes a finite float.  ``write_rows`` formats
+a block of rows as a matrix of right-aligned digits, one floor division
+by 10 per digit position, and drops each field's leading zeros in one
+compaction.
 
 Every pass over rows here but the sorts and ``write_rows`` works in
 blocks whose largest temporary array stays under ``_BLOCK_BYTES``: below
@@ -44,6 +46,7 @@ weights.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -55,6 +58,7 @@ _BLOCK_BYTES = 1 << 16  # the largest temporary array of a blocked pass
 _KEY_LIMIT = 1 << 62  # the spans of one key chunk multiply to less
 _FIELD = "[0-9]{1,18}"  # a row field; a header integer may have a minus sign before it
 _INT = re.compile("-?" + _FIELD)
+_FLOAT = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?")  # as repr(float) writes one
 
 # version lines of formats no loader reads any more, and how to replace such a file
 _RETIRED = {
@@ -167,13 +171,16 @@ class Reader:
         """The integer of the next line, ``key<TAB>n``."""
         return self.int(self.line(key, 1)[0], key[1:])
 
+    def float(self, text: str, what: str) -> float:
+        """``text``, a field of the line read last, as a finite number
+        written as ``repr`` writes a float."""
+        if _FLOAT.fullmatch(text) and math.isfinite(value := float(text)):
+            return value
+        raise self.error(f"{what} is not a number: {text!r}", 0)
+
     def float_line(self, key: str) -> float:
         """The number of the next line, ``key<TAB>x``."""
-        text = self.line(key, 1)[0]
-        try:
-            return float(text)
-        except ValueError:
-            raise self.error(f"{key[1:]} is not a number: {text!r}", 0) from None
+        return self.float(self.line(key, 1)[0], key[1:])
 
     def rows(self, what: str, n_key: int, n_value: int, n_rows: int | None = None) -> np.ndarray:
         """The integer rows up to the next ``#`` line or the end, each

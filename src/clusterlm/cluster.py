@@ -549,8 +549,6 @@ def load_clustering(path: str | Path, table: EventTable) -> Clustering:
     if not (1 <= n_categories <= n_words and 1 <= n_states <= table.n_contexts):
         raise r.error("n_categories must lie in [1, n_words], n_states in [1, n_contexts]")
     stored = r.float_line("#criterion") if r.at("#criterion") else None
-    if stored is not None and not math.isfinite(stored):
-        raise r.error(f"criterion is not finite: {stored!r}")
     r.line("#G", 0)
     words = r.rows("#G", 1, 1, n_words)
     if not np.array_equal(words[:, 0], np.arange(n_words)):

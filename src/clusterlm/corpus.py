@@ -1,7 +1,10 @@
-"""Corpus ingestion: vocabularies, corpus encoding, per-word feature maps.
+r"""Corpus ingestion: vocabularies, corpus encoding, per-word feature maps.
 
 Input text is assumed pre-tokenized, one sentence per line, tokens
-separated by whitespace.  No normalization is applied.
+separated by whitespace.  No normalization is applied.  Every text
+input, vocabulary, feature map or corpus, is split into lines by
+``_read_lines``: a line ends at ``\n``, and one ``\r`` before it is
+dropped.
 """
 
 from __future__ import annotations
@@ -60,14 +63,15 @@ class Vocabulary:
         line also names the 1-based line: a malformed ``#special`` line, a
         second token for one special, a duplicate token, and a token line
         that is empty or holds whitespace, which no corpus token, split
-        at whitespace, could be, and ``vocab build`` never writes."""
+        at whitespace, could be, and ``vocab build`` never writes.  The
+        lines are those of ``_read_lines``, so a CRLF file loads as its
+        LF twin."""
         what = f"vocabulary file {path}"
-        text = _read_text(path, what)
-        if text and not text.endswith("\n"):
+        lines = _read_lines(path, what)
+        if lines.pop():
             raise ValueError(f"{what}: the last line is cut off")
         specials: dict[str, str] = {}
         tokens: list[str] = []
-        lines = text.split("\n")[:-1]
         for number, line in enumerate(lines, 1):
             if line.startswith("#special "):
                 fields = line.split(" ", 2)
@@ -135,21 +139,33 @@ def build_vocabulary(token_stream: Iterable[str], max_size: int | None = None) -
     )
 
 
-def _read_text(path: str | Path, what: str) -> str:
-    """The text of a UTF-8 file; ``what`` names the file in the error,
-    which gives the 1-based line and the byte offset of the first byte
-    that is not UTF-8."""
+def _read_lines(path: str | Path, what: str, reject_cr: bool = False) -> list[str]:
+    r"""The lines of a UTF-8 file.  Lines end at ``\n`` only, and one
+    ``\r`` before a ``\n`` is dropped, so a CRLF file reads as its LF
+    twin; the last item is what follows the last ``\n``, empty unless the
+    last line is cut off.  ``what`` names the file in the errors: the
+    1-based line and the byte offset of the first byte that is not
+    UTF-8, and, with ``reject_cr``, the line of the first ``\r`` left."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{what} is not UTF-8 at line {line}, byte {exc.start}") from None
+    if "\r" in text:  # a file without one pays this test alone
+        text = text.replace("\r\n", "\n")
+        if reject_cr and "\r" in text:
+            line = text.count("\n", 0, text.index("\r")) + 1
+            raise ValueError(f"{what}: line {line}: a \\r inside the line")
+    return text.split("\n")
 
 
 def read_corpus_lines(path: str | Path) -> list[str]:
-    """Non-blank lines of a one-sentence-per-line UTF-8 corpus file."""
-    return [ln for ln in _read_text(path, f"corpus file {path}").splitlines() if ln.strip()]
+    r"""Non-blank lines of a one-sentence-per-line UTF-8 corpus file, read
+    by ``_read_lines``: a ``\r`` left inside a line is an error, and any
+    other line break, such as ``\x85`` or ``\u2028``, separates two
+    tokens of one sentence, as ``str.split`` reads it."""
+    return [ln for ln in _read_lines(path, f"corpus file {path}", reject_cr=True) if ln.strip()]
 
 
 def iter_tokens(lines: Iterable[str]) -> Iterable[str]:
@@ -191,9 +207,10 @@ class FeatureMapper:
             raise ValueError("mapper values outside [0, arity)")
 
 
-def identity_mapper(vocab: Vocabulary, name: str = "w") -> FeatureMapper:
+def identity_mapper(vocab: Vocabulary) -> FeatureMapper:
+    """The word identity ``w``: each word id is its own value."""
     n = len(vocab)
-    return FeatureMapper(name=name, table=np.arange(n, dtype=np.int32), arity=n)
+    return FeatureMapper(name="w", table=np.arange(n, dtype=np.int32), arity=n)
 
 
 def _value_order(values: set[str]) -> list[str]:
@@ -220,18 +237,16 @@ def load_feature_map(path: str | Path, vocab: Vocabulary, name: str) -> FeatureM
     names the file.  So does an entry whose word or value is empty or
     holds whitespace, as a line cut off after its tab, which also names
     its 1-based line: ``classes export`` never writes one.  A
-    conflicting entry names its line too.  Lines end at ``\n``, with
-    one ``\r`` before it dropped, so a CRLF file loads as its LF twin
-    and no other line break inside a comment moves the line numbers.
-    The boundary and unknown specials, when not listed explicitly, each
-    receive a dedicated fresh value so that padding stays
-    distinguishable from real-word features.
+    conflicting entry names its line too.  The lines are those of
+    ``_read_lines``, so a CRLF file loads as its LF twin and no other
+    line break inside a comment moves the line numbers.  The boundary
+    and unknown specials, when not listed explicitly, each receive a
+    dedicated fresh value so that padding stays distinguishable from
+    real-word features.
     """
     raw: dict[str, str] = {}
     default: str | None = None
-    text = _read_text(path, f"feature map {path}")
-    for lineno, line in enumerate(text.split("\n"), 1):
-        line = line.removesuffix("\r")
+    for lineno, line in enumerate(_read_lines(path, f"feature map {path}"), 1):
         if not line.strip() or (line.startswith("#") and "\t" not in line):
             continue
         parts = line.split("\t")

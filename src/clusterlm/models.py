@@ -706,11 +706,7 @@ def _load_interpolated(path: str | Path, opened: tuple[Path, ...]) -> Interpolat
     """``load_interpolated`` inside the mixture files ``opened``.  A component's
     own loader names the component's file in its errors."""
     r = Reader(path, "#clusterlm-interp v1", "mixture")
-    text = r.line("#weights", 1)[0]
-    try:
-        weights = [float(x) for x in text.split()]
-    except ValueError:
-        raise r.error(f"a weight is not a number: {text!r}", 0) from None
+    weights = [r.float(x, "a weight") for x in r.line("#weights", 1)[0].split(" ")]
     opened += (Path(path).resolve(),)
     if opened[-1] in opened[:-1]:
         raise ValueError(f"mixture file {path} contains itself")

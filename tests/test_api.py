@@ -96,6 +96,19 @@ def test_only_the_row_codec_reads_a_version_line():
     assert found == []
 
 
+def test_one_function_splits_text_files_into_lines():
+    r"""Every text input is split into lines by ``corpus._read_lines``,
+    at ``\n`` only; ``str.splitlines``, read or called, would also break
+    at ``\x85``, ``\u2028`` or a lone ``\r``: a second line rule."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "clusterlm").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "splitlines"
+    ]
+    assert found == []
+
+
 def kernel_callers(name: str) -> set[str]:
     """``module.qualname`` of every function in ``src/clusterlm`` whose
     own body reads ``_kernels.<name>``, or ``<module>`` for a module body

@@ -577,7 +577,7 @@ class TestFailureModes:
         )
         err = run_fail(["eval", "ppl", "--model", d / "mix.model", "--test", d / "held.txt",
                         "--vocab", d / "v.txt"], capsys)
-        assert err.startswith("error:") and "non-negative and sum to 1" in err
+        assert err.startswith("error:") and "line 2: a weight is not a number: 'nan'" in err
 
     def test_mixture_that_contains_itself_is_rejected(self, workdir, capsys):
         d = workdir

@@ -1077,13 +1077,13 @@ class TestClusteringFile:
         with pytest.raises(ValueError, match="not its contexts"):
             load_clustering(path, table)
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e+999"])
     def test_non_finite_criterion_is_rejected(self, tmp_path, value):
         table, path, lines = saved_clustering(tmp_path)
         i = next(i for i, x in enumerate(lines) if x.startswith("#criterion\t"))
         lines[i] = f"#criterion\t{value}"
         path.write_text("\n".join(lines) + "\n")
-        want = f"corrupt clustering file {path}: criterion is not finite"
+        want = f"corrupt clustering file {path}: line {i + 1}: criterion is not a number: {value!r}"
         with pytest.raises(ValueError, match=re.escape(want)):
             load_clustering(path, table)
 

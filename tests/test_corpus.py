@@ -185,6 +185,30 @@ class TestEncoding:
         assert lines == ["a b", "c"]
         assert list(iter_tokens(lines)) == ["a", "b", "c"]
 
+    @pytest.mark.parametrize("text, lines", [
+        ("a\x85b c\nd e\n", ["a\x85b c", "d e"]),
+        ("a\u2028b c\nd e\n", ["a\u2028b c", "d e"]),
+        ("a\x0cb c\x1e\nd e\n", ["a\x0cb c\x1e", "d e"]),
+        ("a b\r\nc\n", ["a b", "c"]),
+        ("a b\r\n\x85\r\n\nc", ["a b", "c"]),
+    ])
+    def test_lines_end_at_newline_only(self, tmp_path, text, lines):
+        # any other line break separates two tokens of one sentence
+        p = tmp_path / "c.txt"
+        p.write_bytes(text.encode())
+        assert read_corpus_lines(p) == lines
+
+    @pytest.mark.parametrize("text, line", [
+        ("a b\rc d\n", 1), ("a\n\nb c\r\r\n", 3), ("a b\r\nc d\r", 2), ("\r", 1)
+    ])
+    def test_a_carriage_return_inside_a_line_names_the_line(self, tmp_path, text, line):
+        # a lone \r would otherwise join two sentences into one
+        p = tmp_path / "c.txt"
+        p.write_bytes(text.encode())
+        with pytest.raises(ValueError) as err:
+            read_corpus_lines(p)
+        assert str(err.value) == f"corpus file {p}: line {line}: a \\r inside the line"
+
     def test_corpus_that_is_not_utf8_names_the_file(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_bytes(b"a b\nc \xe9\n")
@@ -357,3 +381,100 @@ class TestFeatureMaps:
             FeatureMapper("x", np.asarray([3], dtype=np.int32), 2)
         with pytest.raises(ValueError, match="one-dimensional"):
             FeatureMapper("x", np.zeros((1, 1), dtype=np.int32), 1)
+
+
+def cut_off(data: bytes, k: int) -> tuple[bytes, bytes]:
+    return data[:-1], data
+
+
+def not_utf8(data: bytes, k: int) -> tuple[bytes, None]:
+    lines = data.split(b"\n")
+    lines[k - 1] = b"\xff" + lines[k - 1]
+    return b"\n".join(lines), None
+
+
+def crlf(data: bytes, k: int) -> tuple[bytes, bytes]:
+    return data.replace(b"\n", b"\r\n"), data
+
+
+def inner_break(brk: str):
+    """Line ``k`` gets ``brk`` after its first character; its twin gets
+    a space there."""
+    def damage(data: bytes, k: int) -> tuple[bytes, bytes]:
+        lines = data.split(b"\n")
+        head, tail = lines[k - 1][:1], lines[k - 1][1:]
+        twin = lines.copy()
+        lines[k - 1], twin[k - 1] = head + brk.encode() + tail, head + b" " + tail
+        return b"\n".join(lines), b"\n".join(twin)
+    damage.__name__ = f"break_{ord(brk):x}"
+    return damage
+
+
+def lone_cr(data: bytes, k: int) -> tuple[bytes, None]:
+    r"""Line ``k`` ends at a ``\r`` in place of its ``\n``."""
+    lines = data.split(b"\n")
+    return b"\n".join(lines[: k - 1] + [lines[k - 1] + b"\r" + lines[k]] + lines[k + 1 :]), None
+
+
+def malformed(data: bytes, k: int) -> tuple[bytes, bytes]:
+    """Line ``k`` becomes two words and no tab: no vocabulary token and
+    no feature-map entry, and a corpus sentence like any other."""
+    lines = data.split(b"\n")
+    lines[k - 1] = b"x y"
+    damaged = b"\n".join(lines)
+    return damaged, damaged
+
+
+class TestTextLoaderContract:
+    """The loader contract of the model files, for the three text
+    readers: damage at line 4 of a vocabulary, a feature map or a corpus
+    that a reader rejects raises a ValueError naming the file and the
+    line (a cut-off last line has none); a damaged file that a reader
+    takes reads as its twin, the LF file it stands for."""
+
+    VOCAB = build_vocabulary("the cat sat on the mat".split())
+    ALL = {"vocabulary", "feature map", "corpus"}
+    CASES = [  # damage, the readers that reject it
+        (cut_off, {"vocabulary"}),
+        (not_utf8, ALL),
+        (crlf, set()),
+        *[(inner_break(brk), {"vocabulary", "feature map"}) for brk in "\x85\u2028\x0c"],
+        (lone_cr, ALL),
+        (malformed, {"vocabulary", "feature map"}),
+    ]
+
+    def saved(self, kind: str, path: Path) -> None:
+        if kind == "vocabulary":
+            self.VOCAB.save(path)
+        elif kind == "feature map":
+            path.write_text("# classes\nthe\tD\ncat\tN\nsat\tV\non\tP\nmat\tN\n#default\tX\n")
+        else:
+            path.write_text("the cat sat\non the mat\n\nthe mat sat\non the cat\n")
+
+    def read(self, kind: str, path: Path):
+        if kind == "vocabulary":
+            vocab = Vocabulary.load(path)
+            return vocab.tokens, vocab.specials
+        if kind == "feature map":
+            mapper = load_feature_map(path, self.VOCAB, "g")
+            return mapper.table.tolist(), mapper.arity
+        return [line.split() for line in read_corpus_lines(path)]
+
+    @pytest.mark.parametrize("kind", sorted(ALL))
+    @pytest.mark.parametrize("damage, rejected_by", CASES, ids=[d.__name__ for d, _ in CASES])
+    def test_damage_is_named_and_the_rest_reads_as_its_twin(
+        self, tmp_path, kind, damage, rejected_by
+    ):
+        path, twin = tmp_path / "input.txt", tmp_path / "twin.txt"
+        self.saved(kind, path)
+        damaged, twin_data = damage(path.read_bytes(), 4)
+        path.write_bytes(damaged)
+        if kind not in rejected_by:
+            twin.write_bytes(twin_data)
+            assert self.read(kind, path) == self.read(kind, twin)
+            return
+        with pytest.raises(ValueError) as err:
+            self.read(kind, path)
+        message = str(err.value)
+        assert str(path) in message
+        assert damage is cut_off or re.search(r"\bline 4\b", message), message

@@ -1056,6 +1056,10 @@ class TestInterpolatedFileCorruption:
     @pytest.mark.parametrize("weights, message", [
         ("0.5 0.6", "weights must be finite, non-negative and sum to 1"),
         ("1.0", "one weight per component required"),
+        # float() reads the first as 0.25 and 0.75, split() the second
+        ("0.2_5 0.7_5", "line 2: a weight is not a number: '0.2_5'"),
+        ("0.25  0.75", "line 2: a weight is not a number: ''"),
+        ("0.25 inf", "line 2: a weight is not a number: 'inf'"),
     ])
     def test_weights_that_do_not_fit_name_the_mixture(self, tmp_path, weights, message):
         path, lines = mixture_lines(tmp_path)
@@ -1221,10 +1225,14 @@ class TestDiscountLine:
     @pytest.mark.parametrize("kind, value, message", [
         ("classlm", "1.5", "discount must lie in [0, 1)"),
         ("classlm", "-0.1", "discount must lie in [0, 1)"),
-        ("classlm", "nan", "discount must lie in [0, 1)"),
+        ("classlm", "nan", "discount is not a number: 'nan'"),
         ("backoff", "1.0", "discount must lie in (0, 1)"),
         ("backoff", "0.0", "discount must lie in (0, 1)"),
-        ("backoff", "nan", "discount must lie in (0, 1)"),
+        ("backoff", "nan", "discount is not a number: 'nan'"),
+        # float() reads these as 0.5
+        ("classlm", "\u0660.\u0665", "discount is not a number: '\u0660.\u0665'"),
+        ("backoff", "\u0660.\u0665", "discount is not a number: '\u0660.\u0665'"),
+        ("backoff", "+0.5", "discount is not a number: '+0.5'"),
     ])
     def test_the_error_names_the_file_and_line(self, tmp_path, kind, value, message):
         table, paths = saved_files(tmp_path)

@@ -278,6 +278,10 @@ class TestReaderLines:
         (b"#n\t7", "#n\t\u0663\u0663".encode(), "line 2: n is not an integer: '\u0663\u0663'"),
         (b"#n\t7", b"#n\t" + b"1" * 19, f"line 2: n is not an integer: '{'1' * 19}'"),
         (b"#rows\t6", b"#rows\t6 ", "line 4: #rows row count is not an integer: '6 '"),
+        # what float() takes beyond what repr writes for a finite float
+        *[(b"#x\t0.5", b"#x\t" + x.encode(), f"line 3: x is not a number: {x!r}")
+          for x in ["\u0660.\u0665", "1_0.5", "+0.5", ".5", "5.", " 0.5", "0.5 ", "5E-01",
+                    "infinity", "inf", "nan", "1e+999", "0x1p-1", ""]],
     ])
     def test_a_bad_header_line_is_named(self, old, new, message):
         data = sectioned(self.ROWS).replace(old, new)
@@ -286,6 +290,12 @@ class TestReaderLines:
             r.int_line("#n")
             r.float_line("#x")
             r.int(r.line("#rows", 1)[0], "#rows row count")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_a_header_number_reads_back_what_repr_wrote(self, x):
+        r = opened(b"#v\n#x\t%s\n" % repr(x).encode())
+        assert repr(r.float_line("#x")) == repr(x)
 
     def test_missing_cut_off_and_extra_lines_are_named(self):
         with pytest.raises(ValueError, match="line 2: missing #n line"):
