@@ -1,7 +1,7 @@
 """Integer row sections: the text codec of the counts, clustering,
 class model and backoff model files, and the row operations they share.
 ``Reader`` opens each of these files, and the mixture file, and is the
-one check of their version lines.
+one check of their version lines and of where their lines end.
 
 A section is a run of lines, one per row of an integer matrix: the
 row's key fields separated by spaces, then each value field after a
@@ -117,10 +117,12 @@ class Reader:
     also names its 1-based line."""
 
     def __init__(self, path: str | Path, version: str, what: str, data: bytes | None = None):
-        """Open the ``what`` file ``path``, whose bytes are ``data`` (all of
+        r"""Open the ``what`` file ``path``, whose bytes are ``data`` (all of
         the file's by default).  A first line other than ``version`` raises
-        ``ValueError``, with a re-run hint for a retired version."""
-        self.data = Path(path).read_bytes() if data is None else data
+        ``ValueError``, with a re-run hint for a retired version.  One
+        ``\r`` before a ``\n`` is dropped, as by ``corpus._read_lines``."""
+        data = Path(path).read_bytes() if data is None else data
+        self.data = data.replace(b"\r\n", b"\n") if b"\r" in data else data  # no copy without one
         cut = self.data.find(b"\n")
         first = self.data if cut < 0 else self.data[:cut]
         if first in _RETIRED:

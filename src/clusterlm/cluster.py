@@ -558,7 +558,10 @@ def load_clustering(path: str | Path, table: EventTable) -> Clustering:
     r.end("the #S rows")
     if not np.array_equal(contexts[:, :-1], table.contexts):
         raise ValueError("clustering does not match counts: the #S rows are not its contexts")
-    clustering = Clustering(table, n_categories, n_states, words[:, 1], contexts[:, -1])
+    try:
+        clustering = Clustering(table, n_categories, n_states, words[:, 1], contexts[:, -1])
+    except ValueError as exc:
+        raise r.error(str(exc)) from None
     if stored is not None:
         got = clustering.criterion()
         if abs(got - stored) > 1e-6 * max(1.0, abs(stored)):

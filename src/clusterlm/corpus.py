@@ -4,7 +4,8 @@ Input text is assumed pre-tokenized, one sentence per line, tokens
 separated by whitespace.  No normalization is applied.  Every text
 input, vocabulary, feature map or corpus, is split into lines by
 ``_read_lines``: a line ends at ``\n``, and one ``\r`` before it is
-dropped.
+dropped, as in every file ``_rows.Reader`` reads.  Every token a
+vocabulary or feature map lists passes ``_check_token``.
 """
 
 from __future__ import annotations
@@ -47,11 +48,7 @@ class Vocabulary:
     def save(self, path: str | Path) -> None:
         """One token per line; the 0-based line number (headers excluded)
         is the id.  Specials are recorded in a ``#special`` header block."""
-        lines = [
-            f"#special bos {self.tokens[self.bos_id]}",
-            f"#special eos {self.tokens[self.eos_id]}",
-            f"#special unk {self.tokens[self.unk_id]}",
-        ]
+        lines = [f"#special {r} {self.tokens[i]}" for r, i in zip(_SPECIAL_ROLES, self.specials)]
         lines.extend(self.tokens)
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -59,56 +56,42 @@ class Vocabulary:
     def load(cls, path: str | Path) -> "Vocabulary":
         """Read a file written by ``save``.  A damaged file raises
         ``ValueError`` naming the file: not UTF-8, a cut-off last line, a
-        special role missing, or a special token missing.  An error at a
-        line also names the 1-based line: a malformed ``#special`` line, a
-        second token for one special, a duplicate token, and a token line
-        that is empty or holds whitespace, which no corpus token, split
-        at whitespace, could be, and ``vocab build`` never writes.  The
-        lines are those of ``_read_lines``, so a CRLF file loads as its
-        LF twin."""
+        special role missing, or a special token missing.  Each line is
+        checked once, in file order, and the first fault at a line names
+        the 1-based line: a malformed ``#special`` line, a token that
+        breaks ``_check_token``'s rule (no corpus token could equal it,
+        and ``vocab build`` writes none), a second token for one special,
+        or a duplicate token.  The lines are those of ``_read_lines``, so
+        a CRLF file loads as its LF twin."""
         what = f"vocabulary file {path}"
         lines = _read_lines(path, what)
         if lines.pop():
             raise ValueError(f"{what}: the last line is cut off")
         specials: dict[str, str] = {}
-        tokens: list[str] = []
+        ids: dict[str, int] = {}
         for number, line in enumerate(lines, 1):
             if line.startswith("#special "):
                 fields = line.split(" ", 2)
                 if len(fields) != 3 or fields[1] not in _SPECIAL_ROLES:
                     raise ValueError(f"{what}: line {number}: malformed special line {line!r}")
-                if specials.setdefault(fields[1], fields[2]) != fields[2]:
+                role, token = fields[1:]
+                _check_token(token, f"{role} special token", what, number)
+                if specials.setdefault(role, token) != token:
                     raise ValueError(
-                        f"{what}: line {number}: a second {fields[1]} special token {fields[2]!r}"
+                        f"{what}: line {number}: a second {role} special token {token!r}"
                     )
                 continue
-            tokens.append(line)
-        if "\n".join(tokens).split() != tokens:  # a token is empty or holds whitespace
-            number, line = next(
-                (n, t) for n, t in enumerate(lines, 1)
-                if not t.startswith("#special ") and t.split() != [t]
-            )
-            problem = f"token {line!r} holds whitespace" if line else "empty token line"
-            raise ValueError(f"{what}: line {number}: {problem}")
+            _check_token(line, "token", what, number)
+            if line in ids:
+                raise ValueError(f"{what}: line {number}: duplicate token {line!r}")
+            ids[line] = len(ids)
         missing = [r for r in _SPECIAL_ROLES if r not in specials]
         if missing:
             raise ValueError(f"{what} lacks special tokens: {missing}")
-        ids = {t: i for i, t in enumerate(tokens)}
-        if len(ids) != len(tokens):  # a scan names the first line that repeats a token
-            first: dict[str, int] = {}
-            for number, line in enumerate(lines, 1):
-                if not line.startswith("#special ") and first.setdefault(line, number) != number:
-                    raise ValueError(f"{what}: line {number}: duplicate token {line!r}")
         for role in _SPECIAL_ROLES:
             if specials[role] not in ids:
                 raise ValueError(f"{what} lacks the {role} special token {specials[role]!r}")
-        return cls(
-            tokens=tokens,
-            ids=ids,
-            bos_id=ids[specials["bos"]],
-            eos_id=ids[specials["eos"]],
-            unk_id=ids[specials["unk"]],
-        )
+        return cls(list(ids), ids, *(ids[specials[r]] for r in _SPECIAL_ROLES))
 
 
 def build_vocabulary(token_stream: Iterable[str], max_size: int | None = None) -> Vocabulary:
@@ -158,6 +141,15 @@ def _read_lines(path: str | Path, what: str, reject_cr: bool = False) -> list[st
             line = text.count("\n", 0, text.index("\r")) + 1
             raise ValueError(f"{what}: line {line}: a \\r inside the line")
     return text.split("\n")
+
+
+def _check_token(text: str, name: str, what: str, number: int) -> None:
+    """The one token rule: ``text`` is exactly what ``str.split`` gives
+    back, not empty and with no whitespace, or a ``ValueError`` names
+    the file ``what``, its line ``number`` and the token's ``name``."""
+    if text.split() != [text]:
+        problem = f"{name} {text!r} holds whitespace" if text else f"empty {name}"
+        raise ValueError(f"{what}: line {number}: {problem}")
 
 
 def read_corpus_lines(path: str | Path) -> list[str]:
@@ -234,9 +226,9 @@ def load_feature_map(path: str | Path, vocab: Vocabulary, name: str) -> FeatureM
     with no tab is a comment.  A word, or ``#default``, listed twice
     with conflicting values is an error, and so is a word of ``vocab``
     the file gives no value when there is no ``#default``; each error
-    names the file.  So does an entry whose word or value is empty or
-    holds whitespace, as a line cut off after its tab, which also names
-    its 1-based line: ``classes export`` never writes one.  A
+    names the file.  So does an entry whose word or value breaks
+    ``_check_token``'s rule, as a line cut off after its tab, which also
+    names its 1-based line: ``classes export`` never writes one.  A
     conflicting entry names its line too.  The lines are those of
     ``_read_lines``, so a CRLF file loads as its LF twin and no other
     line break inside a comment moves the line numbers.  The boundary
@@ -253,10 +245,8 @@ def load_feature_map(path: str | Path, vocab: Vocabulary, name: str) -> FeatureM
         if len(parts) != 2:
             raise ValueError(f"feature map {path}: malformed line {lineno}: {line!r}")
         word, value = parts
-        for field, text in (("word", word), ("value", value)):
-            if text.split() != [text]:
-                problem = f"{field} {text!r} holds whitespace" if text else f"empty {field}"
-                raise ValueError(f"feature map {path}: line {lineno}: {problem}")
+        _check_token(word, "word", f"feature map {path}", lineno)
+        _check_token(value, "value", f"feature map {path}", lineno)
         known = default if word == "#default" else raw.get(word)
         if known not in (None, value):
             raise ValueError(

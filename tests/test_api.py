@@ -3,9 +3,11 @@
 import argparse
 import ast
 import inspect
+import re
 import sys
 import textwrap
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -109,10 +111,10 @@ def test_one_function_splits_text_files_into_lines():
     assert found == []
 
 
-def kernel_callers(name: str) -> set[str]:
-    """``module.qualname`` of every function in ``src/clusterlm`` whose
-    own body reads ``_kernels.<name>``, or ``<module>`` for a module body
-    or an import of the name."""
+def enclosing_functions(match: Callable[[ast.AST], bool], skip: str = "") -> set[str]:
+    """``module.qualname`` of every function in ``src/clusterlm``, but in
+    the module ``skip``, whose own body holds a node that ``match``es, or
+    ``<module>`` for a module body."""
     found: set[str] = set()
 
     def visit(node: ast.AST, where: str) -> None:
@@ -120,23 +122,32 @@ def kernel_callers(name: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}")
                 continue
-            if (
-                isinstance(child, ast.Attribute)
-                and child.attr == name
-                and isinstance(child.value, ast.Name)
-                and child.value.id == "_kernels"
-            ) or (
-                isinstance(child, ast.ImportFrom)
-                and (child.module or "").endswith("_kernels")
-                and name in {a.name for a in child.names}
-            ):
+            if match(child):
                 found.add(where)
             visit(child, where)
 
     for path in sorted((ROOT / "src" / "clusterlm").glob("*.py")):
-        if path.name != "_kernels.py":
+        if path.stem != skip:
             visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     return found
+
+
+def kernel_callers(name: str) -> set[str]:
+    """The functions whose own body reads ``_kernels.<name>``, or
+    ``<module>`` for a module body or an import of the name."""
+    return enclosing_functions(
+        lambda node: (
+            isinstance(node, ast.Attribute)
+            and node.attr == name
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "_kernels"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").endswith("_kernels")
+            and name in {a.name for a in node.names}
+        ),
+        skip="_kernels",
+    )
 
 
 def test_each_move_kernel_is_called_from_one_function():
@@ -146,6 +157,41 @@ def test_each_move_kernel_is_called_from_one_function():
     word, group = kernel_callers("word_move_deltas"), kernel_callers("group_move_deltas")
     assert len(word) == 1 and word == group, (word, group)
     assert kernel_callers("move_deltas") == set()
+
+
+READ_CALLS = {"read_bytes", "read_text", "fromfile", "loadtxt", "genfromtxt", "memmap"}
+
+
+def reads_a_file(node: ast.AST) -> bool:
+    """Whether ``node`` is a call that reads a file: ``read_bytes``,
+    ``read_text``, a numpy text or raw file reader, or an ``open``
+    (builtin, ``Path``, ``io`` or ``os``) given no mode or flags that
+    write."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = ast.unparse(node.func).rpartition(".")[2]
+    return name in READ_CALLS or name == "open" and not any(
+        isinstance(arg, ast.Constant) and re.fullmatch("[bt+]*[wax][bt+]*", str(arg.value))
+        or "O_WRONLY" in ast.unparse(arg)
+        for arg in [*node.args, *(k.value for k in node.keywords)]
+    )
+
+
+# Functions that read a file without splitting it into lines, and why each may.
+RAW_READERS = {
+    "models._load_model": "reads the first word of the version line to pick the loader, "
+    "which opens the file through _rows.Reader",
+    "cli._maybe_manifest": "digests each input file's bytes",
+}
+
+
+def test_every_file_is_split_into_lines_by_one_rule():
+    r"""Every file the package reads is opened by ``_rows.Reader`` or
+    ``corpus._read_lines``, which end a line at ``\n`` and drop one ``\r``
+    before it, so a second line rule cannot come back; ``RAW_READERS``
+    names the functions that read a file's bytes without lines."""
+    readers = enclosing_functions(reads_a_file)
+    assert readers == {"_rows.Reader.__init__", "corpus._read_lines", *RAW_READERS}
 
 
 # Functions that no stage of a valid pipeline calls, and why each stays.

@@ -1102,6 +1102,18 @@ class TestClusteringFile:
         with pytest.raises(ValueError, match="n_states in"):
             load_clustering(path, table)
 
+    @pytest.mark.parametrize("section, problem", [
+        ("#G", "category id out of range"), ("#S", "state id out of range")
+    ])
+    def test_an_id_out_of_range_names_the_file(self, tmp_path, section, problem):
+        table, path, lines = saved_clustering(tmp_path)
+        i = lines.index(section) + 1
+        lines[i] = lines[i].rpartition("\t")[0] + "\t99"
+        path.write_text("\n".join(lines) + "\n")
+        want = f"corrupt clustering file {path}: {problem}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_clustering(path, table)
+
     def test_truncation_at_every_line_is_rejected(self, tmp_path):
         table, path, lines = saved_clustering(tmp_path, offsets=(-2, -1))
         cut = tmp_path / "cut.tsv"

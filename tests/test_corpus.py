@@ -111,6 +111,32 @@ class TestVocabularyRoundTrip:
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize("header, problem", [
+        ("#special bos \n", "empty bos special token"),
+        ("#special bos <s> x\n", "bos special token '<s> x' holds whitespace"),
+        ("#special bos <s>\r#special eos </s>\n",
+         "bos special token '<s>\\r#special eos </s>' holds whitespace"),
+    ])
+    def test_load_checks_a_special_token_at_its_line(self, tmp_path, header, problem):
+        path = tmp_path / "vocab.txt"
+        path.write_text(header + "#special unk <unk>\n<s>\n</s>\n<unk>\n", newline="")
+        want = f"vocabulary file {path}: line 1: {problem}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            Vocabulary.load(path)
+
+    def test_load_names_the_first_fault_in_file_order(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        specials = "#special bos <s>\n#special eos </s>\n"
+        for text, detail in [
+            (specials + "a\na\nb c\n", "line 4: duplicate token 'a'"),
+            (specials + "b c\na\na\n", "line 3: token 'b c' holds whitespace"),
+            (specials + "a\na\n#special unk \n", "line 4: duplicate token 'a'"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ValueError) as err:
+                Vocabulary.load(path)
+            assert str(err.value) == f"vocabulary file {path}: {detail}"
+
     def test_every_error_names_the_file(self, tmp_path):
         path = tmp_path / "vocab.txt"
         specials = "#special bos <s>\n#special eos </s>\n#special unk <unk>\n"
@@ -134,7 +160,7 @@ class TestVocabularyRoundTrip:
         (" a", "token ' a' holds whitespace"),
         ("a\x0bb", "token 'a\\x0bb' holds whitespace"),
         ("a\xa0b", "token 'a\\xa0b' holds whitespace"),
-        ("", "empty token line"),
+        ("", "empty token"),
     ])
     def test_load_rejects_a_token_line_that_is_not_one_token(self, tmp_path, line, problem):
         # a token line with whitespace would load as a token no corpus

@@ -1219,6 +1219,51 @@ class TestDamagedBodyLine:
         assert re.search(rf"\bline {k + 1}\b", message), message
 
 
+def fingerprint(loaded) -> dict[str, bytes]:
+    """The bytes of every array a loaded file holds, and of a model's
+    probabilities for every row of its history width plus one."""
+    out = {k: v.tobytes() for k, v in vars(loaded).items() if isinstance(v, np.ndarray)}
+    if hasattr(loaded, "prob"):
+        width = loaded.history_width + 1
+        rows = np.array(list(itertools.product(range(loaded.n_words), repeat=width)))
+        out["prob"] = loaded.prob(rows).tobytes()
+    return out
+
+
+class TestLineRule:
+    r"""Every file ``Reader`` opens ends its lines as the text inputs do:
+    at ``\n``, with one ``\r`` before it dropped, so a CRLF copy loads
+    as its LF twin; any other ``\r`` is an error naming the file and
+    its line."""
+
+    LOADERS = TestDamagedBodyLine.LOADERS
+
+    @pytest.mark.parametrize("kind", list(LOADERS))
+    def test_a_crlf_copy_loads_as_its_lf_twin(self, tmp_path, kind):
+        table, paths = saved_files(tmp_path)
+        want = fingerprint(self.LOADERS[kind](paths[kind], table))
+        for path in paths.values():  # a mixture's components too
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        got = fingerprint(self.LOADERS[kind](paths[kind], table))
+        assert want and got == want
+
+    @pytest.mark.parametrize("kind", list(LOADERS))
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_a_lone_cr_names_its_line(self, tmp_path, kind, where):
+        table, paths = saved_files(tmp_path)
+        path = paths[kind]
+        lines = path.read_bytes().split(b"\n")[:-1]
+        k = 1 if where == "header" else len(lines) - 1  # the last line is a row but in a mixture
+        half = len(lines[k]) // 2
+        lines[k] = lines[k][:half] + b"\r" + lines[k][half:]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ValueError) as err:
+            self.LOADERS[kind](path, table)
+        message = str(err.value)
+        assert str(path) in message
+        assert re.search(rf"\bline {k + 1}\b", message), message
+
+
 class TestDiscountLine:
     """A ``#discount`` out of range is named by its file and line."""
 

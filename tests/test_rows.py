@@ -425,14 +425,16 @@ def written(writer, keys, values) -> bytes:
 
 
 def grammar_rows(text: bytes, n_key: int, n_value: int) -> list[list[int]] | int:
-    """The rows of section ``text`` read a line at a time by the row
+    r"""The rows of section ``text`` read a line at a time by the row
     grammar, or the 0-based index of the first line it rejects: each line
-    ends in a newline and is ``n_key`` fields joined by spaces, then
-    ``n_value`` more after tabs, each field 1 to 18 ASCII digits."""
+    ends in a newline, one ``\r`` before it dropped, and is ``n_key``
+    fields joined by spaces, then ``n_value`` more after tabs, each field
+    1 to 18 ASCII digits."""
     rows = []
     for i, line in enumerate(text.split(b"\n")):
         if i == text.count(b"\n"):  # what follows the last newline
             return rows if line == b"" else i
+        line = line.removesuffix(b"\r")
         keys, *values = line.split(b"\t")
         fields = keys.split(b" ") + values
         if len(fields) - len(values) != n_key or len(values) != n_value:
@@ -498,7 +500,8 @@ class TestCodec:
         want = grammar_rows(text, n_key, n_value)
         if text.endswith(b"\n"):  # whole lines, as Reader.rows passes them
             pattern = np.array([32] * (n_key - 1) + [9] * n_value + [10], dtype=np.uint8)
-            faulty = _rows._fault(np.frombuffer(text, dtype=np.uint8), pattern)
+            lines = text.replace(b"\r\n", b"\n")  # as Reader reads the file
+            faulty = _rows._fault(np.frombuffer(lines, dtype=np.uint8), pattern)
             assert faulty == isinstance(want, int)
         if isinstance(want, int):
             want = f"corrupt test file f.txt: line {5 + want}: malformed #rows rows"
