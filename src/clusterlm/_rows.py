@@ -38,10 +38,10 @@ to 2**62 or more, the columns are packed into as few int64 chunks as
 needed, and the same functions compare the chunks in turn.
 ``group_rows`` and ``sum_rows`` pack the rows they are given;
 ``find_rows``, the one row lookup, searches a table packed once by its
-owner, and ``check_strictly_sorted`` checks that table's order on the
-same keys.  ``sum_rows`` is the one count: the distinct rows of an
-unsorted array, sorted, with how often each occurs or the sum of its
-weights.
+owner, ``check_strictly_sorted`` checks that table's order on the same
+keys, and ``Keys.rows`` unpacks it again for the owner's writer.
+``sum_rows`` is the one count: the distinct rows of an unsorted array,
+sorted, with how often each occurs or the sum of its weights.
 """
 
 from __future__ import annotations
@@ -300,6 +300,20 @@ class Keys:
                 key -= np.int64(shift)
         return out
 
+    def rows(self) -> np.ndarray:
+        """The (len(key), columns) int64 rows that ``key`` holds, the
+        inverse of ``pack``: per chunk, ``np.divmod`` by each later
+        column's span peels that column off, last first, and each column
+        gets its shift back."""
+        out = np.empty((len(self.key), len(self.lo)), dtype=np.int64)
+        for c, ((first, shift, _), *rest) in enumerate(self.chunks):
+            key = self.key[:, c]
+            for j, later_shift, span in rest[::-1]:
+                key, out[:, j] = np.divmod(key, np.int64(span))
+                out[:, j] += np.int64(later_shift)
+            np.add(key, np.int64(shift), out=out[:, first])
+        return out
+
 
 def exact_sum(values: np.ndarray) -> int:
     """The sum of non-negative int64 ``values`` as an exact Python int:
@@ -319,8 +333,9 @@ def check_range(values: np.ndarray, lo: int, hi: int, what: str) -> None:
 
 
 def check_strictly_sorted(key: np.ndarray, what: str) -> None:
-    """Key rows (``Keys.key``) must increase strictly: each row is larger
-    than the one before it in the first chunk where the two differ."""
+    """Key rows (``Keys.key``), or integer rows, must increase strictly:
+    each row is larger than the one before it in the first chunk (or
+    column) where the two differ."""
     for lo, hi in _blocks(len(key) - 1, 1):  # the pairs (i, i + 1) for lo <= i < hi
         before, after = key[lo:hi], key[lo + 1 : hi + 1]
         ok = after[:, -1] > before[:, -1]

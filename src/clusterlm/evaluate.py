@@ -172,6 +172,10 @@ def em_mixture_weights(
     Returns the weights and the held-out log-likelihood before each
     update; the sequence is checked to be non-decreasing (EM guarantee)
     to 1e-9.
+
+    The mixture is ``models._mix``'s, and each weight's sum over the
+    events is one ``np.add.reduce``: no BLAS call, whose kernel OpenBLAS
+    picks per CPU, so the weights do not depend on that pick.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -181,19 +185,24 @@ def em_mixture_weights(
     if P.ndim != 2 or P.shape[0] == 0:
         raise ValueError("probability matrix must have at least one event row")
     n, k = P.shape
+    columns = [np.ascontiguousarray(P[:, j]) for j in range(k)]
     w = np.full(k, 1.0 / k, dtype=np.float64)
     history: list[float] = []
     # event-length buffers, reused by every iteration
-    mix, scratch, weighted = np.empty(n), np.empty(n), np.empty_like(P)
+    mix, inv, term = np.empty(n), np.empty(n), np.empty(n)
     for _ in range(max_iters):
-        np.matmul(P, w, out=mix)
+        _mix(w, lambda j: columns[j], mix, term)
         if (mix <= 0.0).any():
             raise ValueError("mixture assigns zero probability to a held-out event")
-        ll = math.fsum(memoryview(np.log(mix, out=scratch)))
+        ll = math.fsum(memoryview(np.log(mix, out=term)))
         if history and ll < history[-1] - 1e-9:
             raise RuntimeError("EM log-likelihood decreased")
         history.append(ll)
-        new_w = np.multiply(P, w, out=weighted).T @ np.divide(1.0, mix, out=scratch) / n
+        np.divide(1.0, mix, out=inv)
+        new_w = np.empty(k, dtype=np.float64)
+        for j in range(k):
+            np.multiply(columns[j], w[j], out=term)
+            new_w[j] = np.add.reduce(np.multiply(term, inv, out=term)) / n
         delta = float(np.max(np.abs(new_w - w)))
         w = new_w
         if delta < tol:
@@ -233,6 +242,6 @@ def tune_weights_em(
     probs = np.column_stack([comp.prob(rows) for comp in components])
     _check_nonzero(probs.max(axis=1), rows[:, -1], sentence, position, unk_id)
     weights, _ = em_mixture_weights(probs, max_iters=max_iters, tol=tol)
-    mix = _mix(weights, lambda k: probs[:, k], len(probs))
+    mix = _mix(weights, lambda k: probs[:, k], np.empty(len(probs)))
     _check_nonzero(mix, rows[:, -1], sentence, position, unk_id)
     return weights, _report("interp", [math.log(p) for p in mix.tolist()])

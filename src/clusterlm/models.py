@@ -81,11 +81,14 @@ class ClassLM:
 
     The model is a handful of tables: ``maps`` (the value of every word
     at every slot), ``G`` and ``word_counts`` per word, the nonzero joint
-    cells ``joint_cells`` (rows s, g, N(s,g), sorted), and per suffix
-    length k = 1..depth ``tables[k-1]`` = (keys, states), sorted: the
-    training contexts and their states for k = depth, else their distinct
-    length-k suffixes, each with the state holding most of its events.
-    ``save_classlm`` writes exactly these, so a saved model loads on its own.
+    cells ``joint`` = (keys of (s, g), N(s,g)), and per suffix length
+    k = 1..depth ``tables[k-1]`` = (keys, states): the training contexts
+    and their states for k = depth, else their distinct length-k
+    suffixes, each with the state holding most of its events.  Each
+    lookup table is kept once, as the ``_rows.Keys`` its queries search,
+    its rows strictly sorted, beside its value column; ``save_classlm``
+    unpacks the keys and writes exactly these tables, so a saved model
+    loads on its own.
     """
 
     def __init__(self, clustering: Clustering, vocab: Vocabulary, discount: float = 0.5):
@@ -113,14 +116,15 @@ class ClassLM:
             np.stack([sl.mapper.table[:n_words] for sl in slots], axis=1),
             clustering.G.copy(),
             clustering.word_counts.copy(),
-            np.stack([s, g, clustering.joint[s, g].astype(np.int64)], axis=1),
+            np.column_stack([s, g]),
+            clustering.joint[s, g].astype(np.int64),
             clustering.n_categories,
             clustering.n_states,
             [
                 _suffix_states(table.contexts, clustering.S, table.ctx_counts, keep)
                 for keep in range(1, table.spec.depth)
             ]
-            + [(table.contexts, clustering.S.copy())],
+            + [(Keys(table.contexts), clustering.S.copy())],
         )
 
     def _setup(
@@ -130,28 +134,27 @@ class ClassLM:
         maps: np.ndarray,
         G: np.ndarray,
         word_counts: np.ndarray,
-        joint_cells: np.ndarray,
+        cells: np.ndarray,
+        cell_counts: np.ndarray,
         n_categories: int,
         n_states: int,
-        tables: list[tuple[np.ndarray, np.ndarray]],
+        tables: list[tuple[Keys, np.ndarray]],
     ) -> None:
-        """Keep the tables and derive the marginals."""
+        """Keep the tables, the joint cells' (s, g) rows packed, and
+        derive the marginals."""
         self.discount = float(discount)
         self.slots = tuple(slots)
         self.depth = len(self.slots)
         self.maps = maps
         self.G = G
         self.word_counts = word_counts
-        self.joint_cells = joint_cells
+        self.joint = (Keys(cells), cell_counts)
         self.tables = tables
-        # each lookup table packed once, for every query and the loader's sort check
-        self._joint_keys = Keys(joint_cells[:, :2])
-        self._table_keys = [Keys(keys) for keys, _ in tables]
         self.n_words = len(G)
         self.n_categories = int(n_categories)
         self.n_states = int(n_states)
 
-        s, g, n = joint_cells.T
+        s, g, n = cells[:, 0], cells[:, 1], cell_counts
         self.state_totals = _sums(s, n, self.n_states)
         self.cat_totals = _sums(g, n, self.n_categories)
         self.total = int(word_counts.sum())
@@ -182,9 +185,10 @@ class ClassLM:
         g = self.G[words]
         live = np.flatnonzero(self.cat_totals[g] > 0)  # an empty category gives 0.0
         s, g, words = s[live], g[live], words[live]
-        at, seen = find_rows(self._joint_keys, np.column_stack([s, g]))
+        cells, cell_counts = self.joint
+        at, seen = find_rows(cells, np.column_stack([s, g]))
         joint = np.zeros(len(live), dtype=np.float64)
-        joint[seen] = self.joint_cells[at[seen], 2]
+        joint[seen] = cell_counts[at[seen]]
         # N(g)/N as Python divides the two exact integers
         share = np.array([n / self.total for n in self.cat_totals.tolist()], dtype=np.float64)
         n_s = self.state_totals[s].astype(np.float64)
@@ -202,8 +206,9 @@ class ClassLM:
         todo = np.arange(len(ctx))
         for keep in range(self.depth, 0, -1):
             rows = ctx.take(todo, axis=0)[:, self.depth - keep :]
-            at, found = find_rows(self._table_keys[keep - 1], rows)
-            out[todo[found]] = self.tables[keep - 1][1][at[found]]
+            keys, states = self.tables[keep - 1]
+            at, found = find_rows(keys, rows)
+            out[todo[found]] = states[at[found]]
             todo = todo[~found]
         return out
 
@@ -238,18 +243,18 @@ def _sums(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
 
 def _suffix_states(
     contexts: np.ndarray, states: np.ndarray, counts: np.ndarray, keep: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[Keys, np.ndarray]:
     """(keys, states): every distinct length-``keep`` suffix of the
-    context rows, sorted, with the state holding most of its events
-    (ties to the lower state id)."""
+    context rows, packed and sorted, with the state holding most of its
+    events (ties to the lower state id)."""
     suffix = contexts[:, contexts.shape[1] - keep :]
     pairs, weight = sum_rows(np.column_stack([suffix, states]), counts)
-    suffix, states = pairs[:, :-1], pairs[:, -1]
-    key = Keys(suffix).key
+    keys, states = Keys(pairs[:, :-1]), pairs[:, -1]
     # heaviest state first within each suffix, the lower id among equals
-    order = np.lexsort((states, -weight, *key.T[::-1]))
-    pick = order[row_starts(key.take(order, axis=0))]
-    return suffix.take(pick, axis=0), states[pick].astype(np.int32)
+    order = np.lexsort((states, -weight, *keys.key.T[::-1]))
+    pick = order[row_starts(keys.key.take(order, axis=0))]
+    keys.key = keys.key.take(pick, axis=0)  # the distinct suffixes span what all of them do
+    return keys, states[pick].astype(np.int32)
 
 
 def save_classlm(model: ClassLM, path: str | Path) -> None:
@@ -274,20 +279,18 @@ def save_classlm(model: ClassLM, path: str | Path) -> None:
         f"#depth\t{model.depth}",
     ]
     header += [f"#slot\t{sl.offset}\t{sl.name}\t{sl.arity}\t{sl.bos}" for sl in model.slots]
-    sections = [
-        ("#maps", model.maps, ()),
-        ("#words", model.G[:, None], (model.word_counts,)),
-        ("#joint", model.joint_cells[:, :2], (model.joint_cells[:, 2],)),
-    ]
-    sections += [
-        (f"#suffix\t{keep}" if keep < model.depth else "#contexts", keys, (states,))
-        for keep, (keys, states) in enumerate(model.tables, 1)
-    ]
+    names = ["#joint", *(f"#suffix\t{keep}" for keep in range(1, model.depth)), "#contexts"]
     with open(path, "wb") as fh:
         fh.write("\n".join(header).encode("utf-8") + b"\n")
-        for key, keys, values in sections:
-            fh.write(f"{key}\t{len(keys)}\n".encode("ascii"))
-            write_rows(fh, keys, *values)
+
+        def section(key: str, rows: np.ndarray, *values: np.ndarray) -> None:
+            fh.write(f"{key}\t{len(rows)}\n".encode("ascii"))
+            write_rows(fh, rows, *values)
+
+        section("#maps", model.maps)
+        section("#words", model.G[:, None], model.word_counts)
+        for key, (keys, values) in zip(names, [model.joint, *model.tables]):
+            section(key, keys.rows(), values)  # one table's rows at a time
 
 
 def load_classlm(path: str | Path) -> ClassLM:
@@ -371,14 +374,14 @@ def load_classlm(path: str | Path) -> ClassLM:
         raise r.error("joint column sums differ from the category word counts")
     state_totals = _sums(cells[:, 0], cells[:, 2], n_states)
 
-    def table(rows: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    def table(rows: np.ndarray, what: str) -> tuple[Keys, np.ndarray]:
         keys, states = rows[:, :-1], rows[:, -1]
         for k, sl in enumerate(slots[depth - keys.shape[1] :]):
             named(what, check_range, keys[:, k], 0, sl.arity, f"{what} slot {sl.offset} values")
         named(what, check_range, states, 0, n_states, f"{what} states")
         if (state_totals[states] == 0).any():
             raise r.error(f"{what} maps to a state without events", 0, at[what])
-        return keys.astype(np.int32), states.astype(np.int32)
+        return Keys(keys), states.astype(np.int32)
 
     names = [f"#suffix {keep}" for keep in range(1, depth)] + ["#contexts"]
     model = ClassLM.__new__(ClassLM)
@@ -388,13 +391,14 @@ def load_classlm(path: str | Path) -> ClassLM:
         maps.astype(np.int32),
         G,
         word_counts,
-        cells,
+        cells[:, :2],
+        cells[:, 2].copy(),  # not a view that keeps the section's rows
         n_categories,
         n_states,
         [table(rows, what) for rows, what in zip(table_rows, names)],
     )
     # the sort checks read the keys the model looks its tables up by
-    for keys, what in zip([model._joint_keys, *model._table_keys], ["#joint", *names]):
+    for (keys, _), what in zip([model.joint, *model.tables], ["#joint", *names]):
         named(what, check_strictly_sorted, keys.key, what)
     return model
 
@@ -419,13 +423,15 @@ class BackoffModel:
 
         p_1(w) = (max(c(w) - D, 0) + D * n+ / |V|) / N.
 
-    The model is defined by its kept counts: ``grams[k-1]`` holds the
-    kept k-grams as strictly sorted rows of word ids (else ``ValueError``)
-    and ``counts[k-1]`` their counts, as ``train_backoff`` checks and cuts
-    them.  From them it derives ``uni`` and, per order k >= 2, the sorted
-    tables of the kept k-grams with their full interpolated p_k and of
-    the seen histories with their bow(h), each packed once into
-    ``_rows.Keys`` for its lookups.
+    The model is defined by its kept counts, given as strictly sorted
+    rows of word ids (else ``ValueError``) with their counts, as
+    ``train_backoff`` checks and cuts them.  It keeps them once, packed:
+    ``grams[k-1]`` is the ``_rows.Keys`` of the kept k-grams and
+    ``counts[k-1]`` their counts.  From them it derives ``uni`` and, per
+    order k >= 2, the lookup tables of the kept k-grams (the same keys)
+    with their full interpolated p_k and of the seen histories, packed
+    once, with their bow(h).  ``save_backoff`` unpacks the keys to write
+    the kept counts.
     """
 
     def __init__(
@@ -445,10 +451,9 @@ class BackoffModel:
         self.n_words = int(n_words)
         self.discount = d = float(discount)
         self.bos_id = int(bos_id)
-        self.grams = [g for g, _ in counts]
         self.counts = [c for _, c in counts]
 
-        words, uni_counts = self.grams[0][:, 0], self.counts[0]
+        words, uni_counts = counts[0][0][:, 0], self.counts[0]
         total = int(uni_counts.sum())
         if total == 0:
             raise ValueError("no unigrams survive the cutoffs")
@@ -456,14 +461,14 @@ class BackoffModel:
         self.uni = np.full(self.n_words, floor / total, dtype=np.float64)
         self.uni[words] = (np.maximum(uni_counts - d, 0.0) + floor) / total
 
-        # per order k >= 2: kept k-grams, their p_k, seen histories, their
-        # bows; each table packed once, and the k-grams' keys checked sorted
-        check_strictly_sorted(Keys(self.grams[0]).key, "order-1")
+        # each order's k-grams packed once and checked sorted; per order
+        # k >= 2 their keys, their p_k, the seen histories and their bows
+        self.grams = [Keys(grams) for grams, _ in counts]
+        for k, keys in enumerate(self.grams, 1):
+            check_strictly_sorted(keys.key, f"order-{k}")
         tables: list[tuple] = []
         for k in range(2, self.order + 1):
-            grams, c = self.grams[k - 1], self.counts[k - 1]
-            gram_keys = Keys(grams)
-            check_strictly_sorted(gram_keys.key, f"order-{k}")
+            (grams, c), gram_keys = counts[k - 1], self.grams[k - 1]
             hists = Keys(grams[:, :-1])
             starts = np.flatnonzero(row_starts(hists.key))
             hists.key = hists.key[starts]  # the distinct histories span what all of them do
@@ -572,8 +577,8 @@ def train_backoff(
         if exact_sum(c) >= 2**62:
             raise ValueError(f"order-{k} counts must add up to less than 2**62")
         keep = c > cutoffs.get(k, 0)
-        if not keep.all():  # the model checks the order of the rows it keeps
-            check_strictly_sorted(Keys(grams).key, f"order-{k}")
+        if not keep.all():  # the model checks, and packs, the rows it keeps
+            check_strictly_sorted(grams, f"order-{k}")
             grams, c = grams[keep], c[keep]
         kept.append((grams, c))
     return BackoffModel(n_words, discount, kept, bos_id=bos_id)
@@ -597,8 +602,8 @@ def save_backoff(model: BackoffModel, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write("\n".join(header).encode("utf-8") + b"\n")
         for k, (grams, counts) in enumerate(zip(model.grams, model.counts), 1):
-            fh.write(f"#{k}-grams\t{len(grams)}\n".encode("ascii"))
-            write_rows(fh, grams, counts)
+            fh.write(f"#{k}-grams\t{len(counts)}\n".encode("ascii"))
+            write_rows(fh, grams.rows(), counts)
 
 
 def load_backoff(path: str | Path) -> BackoffModel:
@@ -624,7 +629,7 @@ def load_backoff(path: str | Path) -> BackoffModel:
     for k in range(1, order + 1):
         key = f"#{k}-grams"
         rows = r.rows(key, k, 1, r.int(r.line(key, 1)[0], f"{key} row count"))
-        counts.append((rows[:, :-1], rows[:, -1]))
+        counts.append((rows[:, :-1], rows[:, -1].copy()))  # the model keeps no view of the rows
     r.end(f"#{order}-grams")
     try:
         return train_backoff(counts, n_words, discount=discount, cutoffs={}, bos_id=bos_id)
@@ -664,19 +669,27 @@ class InterpolatedModel:
     def prob(self, rows: np.ndarray) -> np.ndarray:
         """Probability of every query row (see the module docstring);
         only the components of nonzero weight are queried."""
-        return _mix(self.weights, lambda k: self.components[k].prob(rows), len(rows))
+        mix = np.empty(len(rows), dtype=np.float64)
+        return _mix(self.weights, lambda k: self.components[k].prob(rows), mix)
 
 
-def _mix(weights: np.ndarray, column: Callable[[int], np.ndarray], n: int) -> np.ndarray:
-    """``lam * column(k)`` summed over the nonzero weights ``lam`` in
-    component order ``k``, for ``n`` events.  ``column`` is called only
-    for a nonzero weight.  ``InterpolatedModel.prob`` and the tuning
-    report both mix this way, so the two agree to the last bit."""
-    total = np.zeros(n, dtype=np.float64)
+def _mix(
+    weights: np.ndarray,
+    column: Callable[[int], np.ndarray],
+    out: np.ndarray,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """``out``, one float64 per event, set to ``lam * column(k)`` summed
+    over the nonzero weights ``lam`` in component order ``k``; each
+    product goes into ``scratch`` when given.  ``column`` is called only
+    for a nonzero weight.  ``InterpolatedModel.prob``, the EM loop and
+    the tuning report all mix this way, so they agree to the last bit,
+    and no BLAS kernel, which differs from CPU to CPU, takes part."""
+    out.fill(0.0)
     for k, lam in enumerate(weights):
         if lam != 0.0:
-            total += float(lam) * column(k)
-    return total
+            out += np.multiply(column(k), float(lam), out=scratch)
+    return out
 
 
 def save_interpolated(

@@ -298,11 +298,16 @@ _DICTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def class_dicts(lm) -> ClassDicts:
     """``ClassDicts`` of a class model, built once per model."""
     if lm not in _DICTS:
-        s, g, n = lm.joint_cells.T
+        # the model keeps each table as packed keys beside its values
+        (cells, n), (contexts, states) = lm.joint, lm.tables[-1]
         _DICTS[lm] = ClassDicts(
-            dict(zip(zip(s.tolist(), g.tolist()), n.tolist())),
-            dict(zip(tuples(lm.tables[-1][0]), lm.tables[-1][1].tolist())),
-            {key: st for keys, sts in lm.tables[:-1] for key, st in zip(tuples(keys), sts.tolist())},
+            dict(zip(tuples(cells.rows()), n.tolist(), strict=True)),
+            dict(zip(tuples(contexts.rows()), states.tolist(), strict=True)),
+            {
+                key: st
+                for keys, sts in lm.tables[:-1]
+                for key, st in zip(tuples(keys.rows()), sts.tolist(), strict=True)
+            },
         )
     return _DICTS[lm]
 
@@ -311,12 +316,14 @@ def backoff_dicts(m: BackoffModel) -> BackoffDicts:
     """``BackoffDicts`` of a backoff model, built once per model."""
     if m not in _DICTS:
         _DICTS[m] = BackoffDicts(
-            # the model keeps its tables as packed keys: the rows are its
-            # kept k-grams and, in sorted order, their distinct histories
-            {k: dict(zip(tuples(m.grams[k - 1]), p.tolist())) for k, (_, p, _, _) in enumerate(m._tables, 2)},
+            # the model keeps its tables as packed keys beside their values
             {
-                k: dict(zip(tuples(np.unique(m.grams[k - 1][:, :-1], axis=0)), b.tolist()))
-                for k, (_, _, _, b) in enumerate(m._tables, 2)
+                k: dict(zip(tuples(grams.rows()), p.tolist(), strict=True))
+                for k, (grams, p, _, _) in enumerate(m._tables, 2)
+            },
+            {
+                k: dict(zip(tuples(hists.rows()), b.tolist(), strict=True))
+                for k, (_, _, hists, b) in enumerate(m._tables, 2)
             },
         )
     return _DICTS[m]

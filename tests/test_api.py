@@ -159,6 +159,35 @@ def test_each_move_kernel_is_called_from_one_function():
     assert kernel_callers("move_deltas") == set()
 
 
+# numpy names whose work a BLAS library does, with a kernel it picks per CPU
+BLAS_NAMES = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot", "linalg"}
+
+
+def test_no_output_depends_on_the_blas_kernel():
+    """No code in the package multiplies through BLAS (the ``@``
+    operator or a ``BLAS_NAMES`` name, read or called), so every output
+    is the same bytes whichever kernel OpenBLAS picks for the host."""
+    found = enclosing_functions(
+        lambda node: isinstance(node, ast.MatMult)
+        or isinstance(node, ast.Name) and node.id in BLAS_NAMES
+        or isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES
+        or isinstance(node, ast.alias) and node.name.rpartition(".")[2] in BLAS_NAMES
+    )
+    assert found == set()
+
+
+def test_only_the_model_writers_unpack_keys():
+    """A model keeps each table once, as packed keys; only its writer
+    unpacks them, with ``Keys.rows()`` (``Reader.rows`` takes arguments)."""
+    found = enclosing_functions(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "rows"
+        and not node.args and not node.keywords
+    )
+    assert found == {"models.save_classlm", "models.save_backoff"}
+
+
 READ_CALLS = {"read_bytes", "read_text", "fromfile", "loadtxt", "genfromtxt", "memmap"}
 
 

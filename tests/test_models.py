@@ -219,10 +219,12 @@ class TestClassLM:
         save_classlm(lm, tmp_path / "model.classlm")
         loaded = load_classlm(tmp_path / "model.classlm")
         assert loaded.discount == lm.discount
-        assert np.array_equal(loaded.joint_cells, lm.joint_cells)
         assert len(loaded.tables) == len(lm.tables) == lm.depth
-        for (keys, states), (keys_lm, states_lm) in zip(loaded.tables, lm.tables):
-            assert np.array_equal(keys, keys_lm) and np.array_equal(states, states_lm)
+        for (keys, values), (keys_lm, values_lm) in zip(
+            [loaded.joint, *loaded.tables], [lm.joint, *lm.tables]
+        ):
+            assert np.array_equal(keys.rows(), keys_lm.rows())
+            assert np.array_equal(values, values_lm)
         assert_same_probs(lm, loaded, probe_contexts(lm, vocab))
         rng = random.Random(1)
         a, b = vocab.ids["w0"], vocab.ids["w1"]
@@ -259,7 +261,7 @@ def probe_contexts(lm, vocab):
     """Seen contexts, contexts resolved through each suffix length, and
     fully unseen ones.  The end token never occurs inside a context."""
     eos = vocab.eos_id
-    seen = [tuple(c) for c in lm.tables[-1][0].tolist()]
+    seen = [tuple(c) for c in lm.tables[-1][0].rows().tolist()]
     probes = list(seen)
     for keep in range(1, lm.depth):
         probes += [(eos,) * (lm.depth - keep) + c[lm.depth - keep :] for c in seen[::3]]
@@ -673,8 +675,11 @@ class TestBackoffOracle:
         assert count_dicts(ngram_counts(enc, 8, bos_id=vocab.bos_id, eos_id=vocab.eos_id)) == oracle
 
         m = load_backoff("m.txt")
+        save_backoff(m, "again.txt")
+        assert Path("again.txt").read_bytes() == Path("m.txt").read_bytes()
         gram_keys, _, hist_keys, _ = m._tables[-1]
-        assert gram_keys.key.shape == (len(m.grams[-1]), 2) and len(m.grams[-1]) > 0
+        assert gram_keys is m.grams[-1]
+        assert gram_keys.key.shape == (len(m.counts[-1]), 2) and len(m.counts[-1]) > 0
         assert hist_keys.key.shape[1] == 1
         uni, probs, bows = oracle_backoff(
             oracle, len(vocab), discount=0.5, cutoffs={k: 1 for k in range(3, 9)}
@@ -802,6 +807,9 @@ class TestBackoffModel:
                 w = rng.randrange(7)
                 h = [rng.randrange(5) for _ in range(rng.randint(0, 3))]
                 assert query(loaded, w, h) == query(m, w, h)
+            # a reloaded model writes the same bytes
+            save_backoff(loaded, tmp_path / "again.arpa")
+            assert (tmp_path / "again.arpa").read_bytes() == path.read_bytes()
 
     def test_save_is_deterministic(self, tmp_path):
         m = self._hand_model()

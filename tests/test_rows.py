@@ -145,10 +145,30 @@ def test_wide_columns_take_more_than_one_chunk():
     rows = np.array([[2**31 - 1, -(2**31), 0], [-(2**31), 2**31 - 1, 1]])
     assert Keys(rows).key.shape == (2, 2)
     assert Keys(rows[:, 1:]).key.shape == (2, 1)
-    assert Keys(np.array([[-(2**63), 0], [2**63 - 1, 5]])).key.tolist() == [
-        [-(2**63), 0],
-        [2**63 - 1, 5],
-    ]
+    lone = np.array([[-(2**63), 0], [2**63 - 1, 5]])
+    assert Keys(lone).key.tolist() == [[-(2**63), 0], [2**63 - 1, 5]]
+    # and each unpacks to its rows, as does a table of no columns
+    for table in (rows, rows[:, 1:], lone, np.zeros((3, 0), dtype=np.int64)):
+        unpacked = Keys(table).rows()
+        assert unpacked.dtype == np.int64 and unpacked.shape == table.shape
+        assert unpacked.tolist() == table.tolist()
+
+
+class TestKeysRows:
+    @settings(max_examples=300, deadline=None)
+    @given(rows_and_weights(), st.data())
+    def test_unpacks_what_pack_packed(self, case, data):
+        """Whole, and trimmed to a subset of its rows as a model trims a
+        table it packed, a key unpacks to the rows it holds: one chunk,
+        several (columns spanning 2**32 each), or a lone column spanning
+        2**64."""
+        rows, _ = case
+        keys = Keys(rows)
+        assert keys.rows().shape == rows.shape and keys.rows().tolist() == rows.tolist()
+        keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        keep = np.array(keep, dtype=bool)
+        keys.key = keys.key[keep]
+        assert keys.rows().tolist() == rows[keep].tolist()
 
 
 class TestSumRows:
