@@ -38,8 +38,10 @@ to 2**62 or more, the columns are packed into as few int64 chunks as
 needed, and the same functions compare the chunks in turn.
 ``group_rows`` and ``sum_rows`` pack the rows they are given;
 ``find_rows``, the one row lookup, searches a table packed once by its
-owner, ``check_strictly_sorted`` checks that table's order on the same
-keys, and ``Keys.rows`` unpacks it again for the owner's writer.
+owner for a block of queries at a time, in key order so that
+consecutive searches share their path through the table,
+``check_strictly_sorted`` checks that table's order on the same keys,
+and ``Keys.rows`` unpacks it again for the owner's writer.
 ``sum_rows`` is the one count: the distinct rows of an unsorted array,
 sorted, with how often each occurs or the sum of its weights.
 """
@@ -386,7 +388,13 @@ def find_rows(table: Keys, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     A query with a value outside its column's range in the table is not
     found and never packed, so any int64 query works; the others are
     packed as the table was and searched for with ``np.searchsorted``,
-    a block of queries at a time."""
+    a block of queries at a time.  Each block's keys are searched in key
+    order, and the hits scattered back through the sorting permutation:
+    given sorted needles, ``np.searchsorted`` starts each search no lower
+    than where the one before it ended, and consecutive needles probe
+    nearly the same path through the table, so most probes hit cache
+    lines the search before read, where searches in query order would
+    each start cold."""
     queries = np.asarray(queries, dtype=np.int64)
     keys = _searchable(table.key)
     out = np.full(len(queries), -1, dtype=np.int64)
@@ -397,10 +405,12 @@ def find_rows(table: Keys, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         for j, (first, last) in enumerate(zip(table.lo, table.hi)):
             live &= (block[:, j] >= first) & (block[:, j] <= last)
         live = np.flatnonzero(live)
-        want = _searchable(table.pack(block.take(live, axis=0)))
+        want = table.pack(block.take(live, axis=0))
+        order = _order(want, None)
+        want = _searchable(want.take(order, axis=0))
         at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         hit = keys[at] == want
-        out[lo + live[hit]] = at[hit]
+        out[lo + live[order[hit]]] = at[hit]
     return out, out >= 0
 
 

@@ -390,9 +390,9 @@ def load_classlm(path: str | Path) -> ClassLM:
         slots,
         maps.astype(np.int32),
         G,
-        word_counts,
+        word_counts.copy(),  # not views that keep the sections' rows
         cells[:, :2],
-        cells[:, 2].copy(),  # not a view that keeps the section's rows
+        cells[:, 2].copy(),
         n_categories,
         n_states,
         [table(rows, what) for rows, what in zip(table_rows, names)],

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
+import clusterlm
 from clusterlm._kernels import _xlogx_scalar, xlogx
 from clusterlm._rows import Keys, find_rows, tuples
 from clusterlm.cluster import Clustering, ClusterParams, MoveDelta, _ranked_init, _start
@@ -34,6 +40,40 @@ def make_random_corpus(seed: int, n_sentences: int, n_words: int = 12,
         " ".join(rng.choice(words) for _ in range(rng.randint(min_len, max_len)))
         for _ in range(n_sentences)
     ]
+
+
+# CPU paths that must not change an output: OpenBLAS's Haswell kernels in
+# place of the host's, and numpy without its x86-64-v4 (AVX-512) loops
+CPU_PATHS = pytest.mark.parametrize(
+    "setting",
+    [{"OPENBLAS_CORETYPE": "Haswell"}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}],
+    ids=["openblas-haswell", "numpy-without-x86-v4"],
+)
+
+
+def skip_unless_another_path(setting: dict) -> None:
+    """Skip a ``CPU_PATHS`` case that would run this host's own path."""
+    core = getattr(np, "_core", None) or np.core
+    has_v4 = core._multiarray_umath.__cpu_features__.get("X86_V4")
+    if "NPY_DISABLE_CPU_FEATURES" in setting and not has_v4:
+        pytest.skip("this host has no x86-64-v4 path to disable")
+
+
+def run_under(setting: dict, code: str, *args: str, cwd: Path | None = None) -> str:
+    """Standard output of ``python -c code args`` in a fresh process that
+    imports this source tree's package, with the CPU path ``setting`` in
+    place of any set in this process's environment."""
+    src = Path(clusterlm.__file__).resolve().parents[1]
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+    }
+    env.update(setting, PYTHONPATH=os.pathsep.join([str(src), *sys.path]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0 and not done.stderr, done.stderr
+    return done.stdout
 
 
 def make_class_corpus(seed: int, n_sentences: int, n_classes: int = 8,

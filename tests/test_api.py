@@ -188,6 +188,18 @@ def test_only_the_model_writers_unpack_keys():
     assert found == {"models.save_classlm", "models.save_backoff"}
 
 
+def test_every_table_lookup_searches_in_key_order():
+    """Every row lookup goes through ``_rows.find_rows``, which sorts its
+    queries by key before it searches; ``evaluate.perplexity``'s
+    per-sentence bounds search needles that are already sorted."""
+    found = enclosing_functions(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "searchsorted"
+        or isinstance(node, ast.Name) and node.id == "searchsorted"
+        or isinstance(node, ast.alias) and node.name.rpartition(".")[2] == "searchsorted"
+    )
+    assert found == {"_rows.find_rows", "evaluate.perplexity"}
+
+
 READ_CALLS = {"read_bytes", "read_text", "fromfile", "loadtxt", "genfromtxt", "memmap"}
 
 

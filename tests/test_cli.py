@@ -1,6 +1,7 @@
 """Command-line interface: spec parsing, subcommands, atomicity."""
 
 import ctypes
+import json
 import os
 import random
 import subprocess
@@ -17,7 +18,7 @@ from clusterlm.corpus import Vocabulary, encode_corpus, load_feature_map, read_c
 from clusterlm.events import ContextSpec, Slot, extract_events
 from clusterlm.models import ClassLM, save_classlm
 
-from conftest import make_random_corpus
+from conftest import CPU_PATHS, make_random_corpus, run_under, skip_unless_another_path
 
 
 class TestContextSpecStrings:
@@ -641,6 +642,60 @@ class TestReproducibility:
                     "--categories", "5", "--min-count", "2", "--tree",
                     "--out", d / out], capsys)
         assert (d / "cl1.tsv").read_bytes() == (d / "cl2.tsv").read_bytes()
+
+    @CPU_PATHS
+    def test_the_pipeline_writes_the_same_bytes_on_every_cpu_path(
+        self, setting, cpu_path_pipeline, tmp_path
+    ):
+        """No file a pipeline writes, and no line it prints, depends on
+        the BLAS kernel OpenBLAS picks for the CPU or on numpy's SIMD
+        level."""
+        skip_unless_another_path(setting)
+        assert pipeline_under(setting, tmp_path) == cpu_path_pipeline
+
+
+# every stage: tree and flat class models of one counts file, mixed with a trigram
+CPU_PATH_PIPELINE = [
+    ["vocab", "build", "--corpus", "train.txt", "--out", "vocab.txt"],
+    ["counts", "collect", "--corpus", "train.txt", "--vocab", "vocab.txt",
+     "--context", "w:-2,w:-1", "--out", "counts.tsv"],
+    ["cluster", "run", "--counts", "counts.tsv", "--states", "6", "--categories", "5",
+     "--min-count", "2", "--tree", "--out", "tree.tsv", "--model-out", "tree.model",
+     "--vocab", "vocab.txt"],
+    ["cluster", "run", "--counts", "counts.tsv", "--states", "6", "--categories", "5",
+     "--min-count", "2", "--out", "flat.tsv", "--model-out", "flat.model",
+     "--vocab", "vocab.txt"],
+    ["ngram", "train", "--corpus", "train.txt", "--vocab", "vocab.txt", "--order", "3",
+     "--out", "ngram.model"],
+    ["interp", "tune", "--models", "tree.model", "flat.model", "ngram.model",
+     "--heldout", "held.txt", "--vocab", "vocab.txt", "--out", "mix.model"],
+    ["eval", "ppl", "--model", "mix.model", "--test", "test.txt", "--vocab", "vocab.txt",
+     "--report", "report.txt"],
+]
+
+
+def pipeline_under(setting: dict, root: Path) -> dict[str, bytes]:
+    """Every file of ``CPU_PATH_PIPELINE``, and what it printed, run in
+    ``root`` by a fresh process with the CPU path ``setting``."""
+    for name, seed, n in (("train", 91, 300), ("held", 92, 60), ("test", 93, 60)):
+        (root / f"{name}.txt").write_text("\n".join(make_random_corpus(seed, n, 30)) + "\n")
+    printed = run_under(
+        setting,
+        "import json, sys\n"
+        "from clusterlm.cli import main\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    assert main(args) == 0, args\n",
+        json.dumps(CPU_PATH_PIPELINE),
+        cwd=root,
+    )
+    files = {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+    return {"<stdout>": printed.encode(), **files}
+
+
+@pytest.fixture(scope="module")
+def cpu_path_pipeline(tmp_path_factory):
+    """``pipeline_under`` this host's own CPU path, run once."""
+    return pipeline_under({}, tmp_path_factory.mktemp("default"))
 
 
 class TestAtomicWrite:

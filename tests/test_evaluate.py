@@ -1,18 +1,13 @@
 """Perplexity evaluation and EM mixture-weight tuning."""
 
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import clusterlm
 from clusterlm.evaluate import (
     EvalReport,
     em_mixture_weights,
@@ -28,10 +23,13 @@ from clusterlm.events import ContextSpec, Slot, extract_events
 from clusterlm.models import ClassLM, InterpolatedModel, ngram_counts, train_backoff
 
 from conftest import (
+    CPU_PATHS,
     build_table,
     make_random_corpus,
     oracle_perplexity,
     oracle_tune_weights_em,
+    run_under,
+    skip_unless_another_path,
     tiny_vocab,
 )
 
@@ -359,44 +357,24 @@ class TestEMWeights:
         with pytest.raises(ValueError, match="zero probability"):
             em_mixture_weights(P)
 
-    @pytest.mark.parametrize(
-        "setting",
-        [{"OPENBLAS_CORETYPE": "Haswell"}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}],
-        ids=["openblas-haswell", "numpy-without-x86-v4"],
-    )
+    @CPU_PATHS
     def test_weights_are_the_same_bytes_on_every_cpu_path(self, setting):
         """A BLAS kernel, which OpenBLAS picks per CPU, or a numpy loop
         dispatched per CPU feature, must not change the tuned weights."""
-        if "NPY_DISABLE_CPU_FEATURES" in setting and not cpu_features().get("X86_V4"):
-            pytest.skip("this host has no x86-64-v4 path to disable")
-        default = em_weights_under({})
-        assert em_weights_under(setting) == default
-
-
-def cpu_features() -> dict:
-    """numpy's map of CPU feature names to whether this host has them."""
-    core = getattr(np, "_core", None) or np.core
-    return core._multiarray_umath.__cpu_features__
+        skip_unless_another_path(setting)
+        assert em_weights_under(setting) == em_weights_under({})
 
 
 def em_weights_under(setting: dict) -> str:
     """``float.hex`` of the EM weights of a seeded 30,000 x 3 probability
     matrix, from a fresh process with the environment ``setting``."""
-    check = (
+    return run_under(
+        setting,
         "import numpy as np\n"
         "from clusterlm.evaluate import em_mixture_weights\n"
         "P = np.random.default_rng(7).random((30000, 3))\n"
-        "print(*(x.hex() for x in em_mixture_weights(P)[0].tolist()))\n"
+        "print(*(x.hex() for x in em_mixture_weights(P)[0].tolist()))\n",
     )
-    src = Path(clusterlm.__file__).resolve().parents[1]
-    env = {
-        k: v for k, v in os.environ.items()
-        if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
-    }
-    env.update(setting, PYTHONPATH=os.pathsep.join([str(src), *sys.path]))
-    done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
-    assert done.returncode == 0 and not done.stderr, done.stderr
-    return done.stdout
 
 
 class TestTuneWeights:

@@ -309,6 +309,9 @@ class TestClassLMFile:
         # a reloaded model writes the same bytes
         save_classlm(loaded, tmp_path / "again.classlm")
         assert (tmp_path / "again.classlm").read_bytes() == path.read_bytes()
+        # no view that keeps the whole parsed #words section alive
+        for array in (loaded.word_counts, loaded.G):
+            assert array.base is None
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10**6), n_states=st.integers(1, 4))
