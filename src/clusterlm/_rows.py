@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -66,6 +66,8 @@ _FLOAT = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?")  # as repr(float) writ
 _RETIRED = {
     b"#clusterlm-classlm v1": "is a v1 class model, which only referenced its training "
     "files; re-run `clusterlm cluster run --model-out` to write a self-contained model",
+    b"#clusterlm-classlm v2": "is a v2 class model, which kept its own copy of the "
+    "context slots; re-run `clusterlm cluster run --model-out` to write a v3 model",
     b"#clusterlm-backoff v1": "is a v1 backoff model, which stored rounded log "
     "probabilities; re-run `clusterlm ngram train` to write a v2 model",
 }
@@ -131,7 +133,7 @@ class Reader:
             raise ValueError(f"{path} {_RETIRED[first]}")
         if first != version.encode():
             raise ValueError(f"not a {what} file: {path}")
-        self.pos = len(first) + 1
+        self.pos = self.opened = len(first) + 1
         self.corrupt = f"corrupt {what} file {path}"
 
     def error(self, message: str, ahead: int | None = None, pos: int | None = None) -> ValueError:
@@ -234,6 +236,29 @@ class Reader:
             lo, row = hi, row + n
         self.pos = end
         return out
+
+    def section(self, key: str, n_key: int, n_value: int, n_rows: int | None = None) -> np.ndarray:
+        """The rows of the section opened by the next line: ``key``, which
+        may hold fixed fields after tabs (``#suffix<TAB>2``), then the
+        section's row count, which must be ``n_rows`` when that is given.
+        The rows are those of ``rows``; ``check`` names the opening line."""
+        head, *fixed = key.split("\t")
+        *got, count = self.line(head, len(fixed) + 1)
+        if got != fixed:
+            raise self.error(f"expected a {' '.join([head, *fixed])} line", 0)
+        declared = self.int(count, f"{head} row count")
+        if n_rows is not None and declared != n_rows:
+            raise self.error(f"{head} declares {declared} rows, expected {n_rows}", 0)
+        self.opened = self.pos
+        return self.rows(head, n_key, n_value, declared)
+
+    def check(self, check: Callable[..., None], *args) -> None:
+        """``check(*args)``, its ``ValueError`` naming the line that
+        opened the section read last."""
+        try:
+            check(*args)
+        except ValueError as exc:
+            raise self.error(str(exc), 0, self.opened) from None
 
     def end(self, after: str) -> None:
         if self.pos != len(self.data):

@@ -94,9 +94,8 @@ class Clustering:
     leaves alone.  ``joint_bt`` and ``f_joint_bt`` are row-major copies
     of their transposes, so that a group move reads the rows of its
     categories as a word move reads the rows of its states (see
-    ``_kernels``).  ``joint``, ``state_totals``, ``cat_totals``,
-    ``f_joint``, ``f_state``, ``f_cat``, ``joint_t`` and ``f_joint_t``
-    are views into these four arrays.
+    ``_kernels``).  ``joint``, ``state_totals`` and ``cat_totals`` are
+    views into ``joint_b``.
 
     A unit's profile is sparse and bordered (``_sparse``), so a move's
     writes at its ``nz`` update the totals too.  ``_layouts`` names for
@@ -171,8 +170,6 @@ class Clustering:
         self.joint_bt = bt = np.ascontiguousarray(b.T)
         self.f_joint_bt = fbt = np.ascontiguousarray(fb.T)
         self.joint, self.state_totals, self.cat_totals = b[:S, :C], b[:S, C], b[S, :C]
-        self.f_joint, self.f_state, self.f_cat = fb[:S, :C], fb[:S, C], fb[S, :C]
-        self.joint_t, self.f_joint_t = bt[:C, :S], fbt[:C, :S]
         # per kind of unit, a word (True) or a group (False): the layout
         # whose columns are its clusters and the layout whose rows they
         # are, each with its f cache, and the kernels' temporaries
@@ -535,29 +532,34 @@ def save_clustering(clustering: Clustering, path: str | Path) -> None:
 def load_clustering(path: str | Path, table: EventTable) -> Clustering:
     """Rebuild a Clustering from a saved assignment plus the counts it
     was trained on.  The rows must be those ``save_clustering`` writes:
-    words 0 to n-1, then the table's contexts in order.  A stored
-    criterion is checked against the rebuilt tables."""
+    words 0 to n-1, then the table's contexts in order; where they do
+    not fit ``table``, the error says that the clustering file does not
+    match the counts.  A stored criterion is checked against the rebuilt
+    tables."""
     r = Reader(path, "#clusterlm-clustering v1", "clustering")
     n_categories = r.int_line("#n_categories")
     n_states = r.int_line("#n_states")
     n_words = r.int_line("#n_words")
     depth = r.int_line("#depth")
+    mismatch = f"clustering file {path} does not match counts:"
     if n_words != table.n_words:
-        raise ValueError("clustering does not match counts: vocabulary size differs")
+        raise ValueError(f"{mismatch} {n_words} words, the counts {table.n_words}")
     if depth != table.spec.depth:
-        raise ValueError("clustering does not match counts: context depth differs")
-    if not (1 <= n_categories <= n_words and 1 <= n_states <= table.n_contexts):
-        raise r.error("n_categories must lie in [1, n_words], n_states in [1, n_contexts]")
+        raise ValueError(f"{mismatch} context depth {depth}, the counts {table.spec.depth}")
     stored = r.float_line("#criterion") if r.at("#criterion") else None
     r.line("#G", 0)
     words = r.rows("#G", 1, 1, n_words)
     if not np.array_equal(words[:, 0], np.arange(n_words)):
         raise r.error("the #G word ids must run from 0 to n_words - 1 in order")
     r.line("#S", 0)
-    contexts = r.rows("#S", depth, 1, table.n_contexts)
+    contexts = r.rows("#S", depth, 1)
     r.end("the #S rows")
+    if len(contexts) != table.n_contexts:
+        raise ValueError(f"{mismatch} {len(contexts)} contexts, the counts {table.n_contexts}")
     if not np.array_equal(contexts[:, :-1], table.contexts):
-        raise ValueError("clustering does not match counts: the #S rows are not its contexts")
+        raise ValueError(f"{mismatch} the #S rows are not its contexts")
+    if not (1 <= n_categories <= n_words and 1 <= n_states <= table.n_contexts):
+        raise r.error("n_categories must lie in [1, n_words], n_states in [1, n_contexts]")
     try:
         clustering = Clustering(table, n_categories, n_states, words[:, 1], contexts[:, -1])
     except ValueError as exc:

@@ -171,36 +171,32 @@ def extract_events(
     return EventTable(spec, len(vocab), *sum_rows(rows))
 
 
-def save_counts(table: EventTable, path: str | Path) -> None:
-    """Text dump: header with slot metadata, a ``#map<TAB>name<TAB>v_0
-    ... v_{n-1}`` line of every word's value per slot mapper but the word
-    identity ``w``, then one ``v_L ... v_1<TAB>word-id<TAB>count`` line
-    per event, sorted by tuple then word.  ``ValueError`` unless each
-    mapper covers the vocabulary and slots of one name share one."""
-    header = ["#clusterlm-counts v1", f"#vocab\t{table.n_words}"]
+def slot_lines(spec: ContextSpec, n_words: int) -> list[str]:
+    """The slot block of a counts or class model file: one
+    ``#slot<TAB>offset<TAB>name<TAB>arity`` line per slot, then a
+    ``#map<TAB>name<TAB>v_0 ... v_{n-1}`` line of every word's value per
+    slot mapper but the word identity ``w``.  ``ValueError`` unless each
+    mapper covers the ``n_words`` words and slots of one name share one."""
+    lines = []
     maps: dict[str, tuple[int, str]] = {}
-    for slot in table.spec.slots:
+    for slot in spec.slots:
         m = slot.mapper
-        header.append(f"#slot\t{slot.offset}\t{m.name}\t{m.arity}")
+        lines.append(f"#slot\t{slot.offset}\t{m.name}\t{m.arity}")
         values = (m.arity, " ".join(map(str, m.table.tolist())))
-        if maps.setdefault(m.name, values) != values or m.table.size != table.n_words:
+        if maps.setdefault(m.name, values) != values or m.table.size != n_words:
             raise ValueError(f"slot {slot.offset}: mapper {m.name!r} differs from another "
                              "slot's of that name or does not cover the vocabulary")
-    identity = (table.n_words, " ".join(map(str, range(table.n_words))))
-    header += [f"#map\t{name}\t{v[1]}" for name, v in maps.items() if (name, v) != ("w", identity)]
-    with open(path, "wb") as fh:
-        fh.write("\n".join(header).encode("utf-8") + b"\n")
-        rows = np.repeat(table.contexts, np.diff(table.ptr), axis=0)
-        write_rows(fh, rows, table.words, table.freqs)
+    identity = (n_words, " ".join(map(str, range(n_words))))
+    lines += [f"#map\t{name}\t{v[1]}" for name, v in maps.items() if (name, v) != ("w", identity)]
+    return lines
 
 
-def load_counts(path: str | Path) -> EventTable:
-    """A counts file back as an EventTable, each slot mapper rebuilt from
-    its ``#map`` line (a ``w`` slot without one is the identity).  A
-    damaged file raises ``ValueError`` naming the file and, where it can,
-    the line: for event rows, the first row at fault."""
-    r = Reader(path, "#clusterlm-counts v1", "counts")
-    n_words = r.int_line("#vocab")
+def read_slots(r: Reader, n_words: int, rerun: str) -> ContextSpec:
+    """The slot block that ``slot_lines`` writes, read at the cursor of
+    ``r``: each slot mapper rebuilt from its ``#map`` line, and a ``w``
+    slot without one the identity.  A fault names the file and its line;
+    a slot without a ``#map`` line asks for the file to be written again
+    by ``rerun``, the command that writes it."""
     header = []
     while r.at("#slot"):
         off, name, arity = r.line("#slot", 3)
@@ -221,7 +217,7 @@ def load_counts(path: str | Path) -> EventTable:
     slots = []
     for off, name, arity, pos in header:
         if name not in tables:
-            raise r.error(f"slot {off} ({name}) has no #map line; re-run clusterlm counts collect", 1)
+            raise r.error(f"slot {off} ({name}) has no #map line; re-run {rerun}", 1)
         if arity != arity_of[name]:
             raise r.error(f"slots named {name!r} differ in arity")
         try:
@@ -231,7 +227,30 @@ def load_counts(path: str | Path) -> EventTable:
             raise r.error(str(exc), 0, pos) from None
     if not slots:
         raise r.error("expected a #slot line", 1)
-    rows = r.rows("event", len(slots), 2)
+    return spec
+
+
+def save_counts(table: EventTable, path: str | Path) -> None:
+    """Text dump: the version line, ``#vocab``, the slot block of
+    ``slot_lines``, then one ``v_L ... v_1<TAB>word-id<TAB>count`` line
+    per event, sorted by tuple then word."""
+    header = ["#clusterlm-counts v1", f"#vocab\t{table.n_words}"]
+    header += slot_lines(table.spec, table.n_words)
+    with open(path, "wb") as fh:
+        fh.write("\n".join(header).encode("utf-8") + b"\n")
+        rows = np.repeat(table.contexts, np.diff(table.ptr), axis=0)
+        write_rows(fh, rows, table.words, table.freqs)
+
+
+def load_counts(path: str | Path) -> EventTable:
+    """A counts file back as an EventTable, its slots read by
+    ``read_slots``.  A damaged file raises ``ValueError`` naming the file
+    and, where it can, the line: for event rows, the first row at
+    fault."""
+    r = Reader(path, "#clusterlm-counts v1", "counts")
+    n_words = r.int_line("#vocab")
+    spec = read_slots(r, n_words, "clusterlm counts collect")
+    rows = r.rows("event", spec.depth, 2)
     r.end("the event lines")
     try:
         return EventTable(spec, n_words, rows[:, :-1], rows[:, -1])

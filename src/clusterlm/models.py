@@ -5,9 +5,10 @@ returns the probability of every query row.  A row holds the history at
 offsets -W..-1, then the predicted word, with -1 at the positions before
 the sentence start (the rows ``events.event_rows`` builds with -1 as the
 begin token); W must be at least the model's ``history_width``.  Each
-model derives the conditioning view it needs (mapped context values or
-a padded n-gram history) from those columns and answers by lookups in
-its sorted tables.  One word after one history is a one-row query:
+model reads its begin word id ``bos_id`` at those positions
+(``_query_rows``), derives the conditioning view it needs (mapped
+context values or an n-gram history) from those columns and answers by
+lookups in its sorted tables.  One word after one history is a one-row query:
 ``model.prob(np.array([[-1, a, w]]))`` scores ``w`` after the sentence
 start and ``a``, for a model of ``history_width`` 2.
 
@@ -25,7 +26,7 @@ All trained models are immutable and their queries are pure.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,23 +46,19 @@ from clusterlm._rows import (
 # the benchmark tracer patches them in this module's namespace.
 from clusterlm.cluster import Clustering, load_clustering  # noqa: F401
 from clusterlm.corpus import Vocabulary
-from clusterlm.events import event_rows, load_counts  # noqa: F401
+from clusterlm.events import (  # noqa: F401
+    ContextSpec,
+    Slot,
+    event_rows,
+    load_counts,
+    read_slots,
+    slot_lines,
+)
 
 
 # ---------------------------------------------------------------------------
 # clustered class model
 # ---------------------------------------------------------------------------
-
-
-class ClassSlot(NamedTuple):
-    """One context position of a class model: its negative offset, the
-    name of its feature mapper, the mapper's arity, and the value the
-    sentence-begin token maps to."""
-
-    offset: int
-    name: str
-    arity: int
-    bos: int
 
 
 class ClassLM:
@@ -79,8 +76,10 @@ class ClassLM:
     frequent among contexts sharing its longest seen suffix; with no
     seen suffix at all, to the heaviest state.
 
-    The model is a handful of tables: ``maps`` (the value of every word
-    at every slot), ``G`` and ``word_counts`` per word, the nonzero joint
+    The model keeps the ``events.ContextSpec`` of the counts it was
+    trained on, whose slot mappers give every word's value at every
+    slot, and the begin word id ``bos_id``.  Beside them it is a handful
+    of tables: ``G`` and ``word_counts`` per word, the nonzero joint
     cells ``joint`` = (keys of (s, g), N(s,g)), and per suffix length
     k = 1..depth ``tables[k-1]`` = (keys, states): the training contexts
     and their states for k = depth, else their distinct length-k
@@ -93,45 +92,33 @@ class ClassLM:
 
     def __init__(self, clustering: Clustering, vocab: Vocabulary, discount: float = 0.5):
         _check_discount(discount)
-        slots = clustering.table.spec.slots
+        table = clustering.table
         n_words = len(vocab)
         if clustering.n_words != n_words:
             raise ValueError("clustering and vocabulary differ in size")
-        for slot in slots:
-            if slot.mapper.table.size < n_words:
+        for slot in table.spec.slots:
+            if slot.mapper.table.size != n_words:
                 raise ValueError(
                     f"slot {slot.offset} ({slot.mapper.name}): its mapper table covers "
                     f"{slot.mapper.table.size} words but the vocabulary has {n_words}"
                 )
-        table = clustering.table
         s, g = np.nonzero(clustering.joint)
+        tables = [
+            _suffix_states(table.contexts, clustering.S, table.ctx_counts, keep)
+            for keep in range(1, table.spec.depth)
+        ]
+        tables.append((Keys(table.contexts), clustering.S.copy()))
         self._setup(
-            discount,
-            [
-                ClassSlot(
-                    sl.offset, sl.mapper.name, sl.mapper.arity, int(sl.mapper.table[vocab.bos_id])
-                )
-                for sl in slots
-            ],
-            np.stack([sl.mapper.table[:n_words] for sl in slots], axis=1),
-            clustering.G.copy(),
-            clustering.word_counts.copy(),
-            np.column_stack([s, g]),
-            clustering.joint[s, g].astype(np.int64),
-            clustering.n_categories,
-            clustering.n_states,
-            [
-                _suffix_states(table.contexts, clustering.S, table.ctx_counts, keep)
-                for keep in range(1, table.spec.depth)
-            ]
-            + [(Keys(table.contexts), clustering.S.copy())],
+            discount, table.spec, vocab.bos_id, clustering.G.copy(), clustering.word_counts.copy(),
+            np.column_stack([s, g]), clustering.joint[s, g].astype(np.int64),
+            clustering.n_categories, clustering.n_states, tables,
         )
 
     def _setup(
         self,
         discount: float,
-        slots: Sequence[ClassSlot],
-        maps: np.ndarray,
+        spec: ContextSpec,
+        bos_id: int,
         G: np.ndarray,
         word_counts: np.ndarray,
         cells: np.ndarray,
@@ -143,9 +130,9 @@ class ClassLM:
         """Keep the tables, the joint cells' (s, g) rows packed, and
         derive the marginals."""
         self.discount = float(discount)
-        self.slots = tuple(slots)
-        self.depth = len(self.slots)
-        self.maps = maps
+        self.spec = spec
+        self.depth = spec.depth
+        self.bos_id = int(bos_id)
         self.G = G
         self.word_counts = word_counts
         self.joint = (Keys(cells), cell_counts)
@@ -164,22 +151,20 @@ class ClassLM:
     @property
     def history_width(self) -> int:
         """How many preceding words a query reads."""
-        return -self.slots[0].offset
+        return -self.spec.slots[0].offset
 
     def prob(self, rows: np.ndarray) -> np.ndarray:
         """Probability of every query row (see the module docstring).
 
-        Each row's history maps to context values, with a slot's begin
-        value before the sentence start.  Its state is that of the exact
-        training context, else of its longest seen proper suffix, else
-        the default state.  A word of an empty category gets 0."""
-        rows = _query_rows(rows, self.n_words, self.history_width)
+        Each row's history maps to context values through the slot
+        mappers.  Its state is that of the exact training context, else
+        of its longest seen proper suffix, else the default state.  A
+        word of an empty category gets 0."""
+        rows = _query_rows(rows, self.n_words, self.history_width, self.bos_id)
         words = rows[:, -1]
-        ctx = np.empty((len(rows), self.depth), dtype=np.int64)
-        for k, sl in enumerate(self.slots):
-            h = rows[:, rows.shape[1] - 1 + sl.offset]
-            ctx[:, k] = np.where(h >= 0, self.maps[np.maximum(h, 0), k], sl.bos)
-        s = self._resolve_states(ctx)
+        s = self._resolve_states(
+            np.column_stack([sl.mapper.table[rows[:, sl.offset - 1]] for sl in self.spec.slots])
+        )
 
         out = np.zeros(len(rows), dtype=np.float64)
         g = self.G[words]
@@ -213,11 +198,12 @@ class ClassLM:
         return out
 
 
-def _query_rows(rows: np.ndarray, n_words: int, width: int) -> np.ndarray:
-    """``rows`` as int64 query rows, checked where a model of
-    ``history_width`` ``width`` reads them: the word in ``[0, n_words)``,
-    and each history position a word id or, before the sentence start,
-    -1.  Anything else raises ``ValueError``."""
+def _query_rows(rows: np.ndarray, n_words: int, width: int, bos_id: int) -> np.ndarray:
+    """The last ``width`` + 1 columns of ``rows``, as int64 query rows of
+    a model of ``history_width`` ``width`` and begin word id ``bos_id``:
+    checked, the word in ``[0, n_words)`` and each history position a
+    word id or, before the sentence start, -1, which becomes ``bos_id``.
+    Anything else raises ``ValueError``."""
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[1] < width + 1:
         raise ValueError(f"query rows need at least {width} history columns and the word")
@@ -226,7 +212,8 @@ def _query_rows(rows: np.ndarray, n_words: int, width: int) -> np.ndarray:
     check_range(hist, -1, n_words, "query history ids")
     if ((hist[:, :-1] >= 0) & (hist[:, 1:] < 0)).any():
         raise ValueError("query history holds a word before the sentence start")
-    return rows
+    rows = rows[:, rows.shape[1] - 1 - width :]
+    return np.where(rows < 0, bos_id, rows)
 
 
 def _check_discount(discount: float) -> None:
@@ -261,146 +248,112 @@ def save_classlm(model: ClassLM, path: str | Path) -> None:
     """Write the model as one self-contained text file.
 
     After the version line come ``#discount``, ``#n_words``,
-    ``#n_categories``, ``#n_states``, ``#depth`` and one
-    ``#slot<TAB>offset<TAB>name<TAB>arity<TAB>begin-value`` line per
-    slot.  Then the sections, each opened by its row count: ``#maps``
-    (the slot values of each word), ``#words`` (category and count of
-    each word), ``#joint`` (``s g<TAB>N(s,g)`` for every nonzero cell),
-    one ``#suffix<TAB>k`` per proper suffix length k (``suffix<TAB>state``)
-    and ``#contexts`` (``context<TAB>state``).  Rows are sorted, so equal
-    models give equal bytes.
+    ``#n_categories``, ``#n_states`` and ``#bos`` (the begin word id).
+    Then the sections, each opened by its row count: ``#words`` (category
+    and count of each word), the slot block of the counts file the model
+    was trained on (``events.slot_lines``), ``#joint`` (``s g<TAB>N(s,g)``
+    for every nonzero cell), one ``#suffix<TAB>k`` per proper suffix
+    length k (``suffix<TAB>state``) and ``#contexts`` (``context<TAB>state``).
+    Rows are sorted, so equal models give equal bytes.
     """
     header = [
-        "#clusterlm-classlm v2",
+        "#clusterlm-classlm v3",
         f"#discount\t{model.discount!r}",
         f"#n_words\t{model.n_words}",
         f"#n_categories\t{model.n_categories}",
         f"#n_states\t{model.n_states}",
-        f"#depth\t{model.depth}",
+        f"#bos\t{model.bos_id}",
+        f"#words\t{model.n_words}",
     ]
-    header += [f"#slot\t{sl.offset}\t{sl.name}\t{sl.arity}\t{sl.bos}" for sl in model.slots]
-    names = ["#joint", *(f"#suffix\t{keep}" for keep in range(1, model.depth)), "#contexts"]
+    slots = slot_lines(model.spec, model.n_words)
     with open(path, "wb") as fh:
         fh.write("\n".join(header).encode("utf-8") + b"\n")
-
-        def section(key: str, rows: np.ndarray, *values: np.ndarray) -> None:
-            fh.write(f"{key}\t{len(rows)}\n".encode("ascii"))
-            write_rows(fh, rows, *values)
-
-        section("#maps", model.maps)
-        section("#words", model.G[:, None], model.word_counts)
-        for key, (keys, values) in zip(names, [model.joint, *model.tables]):
-            section(key, keys.rows(), values)  # one table's rows at a time
+        write_rows(fh, model.G[:, None], model.word_counts)
+        fh.write("\n".join(slots).encode("utf-8") + b"\n")
+        keys = ["#joint", *(f"#suffix\t{keep}" for keep in range(1, model.depth)), "#contexts"]
+        for key, (packed, values) in zip(keys, [model.joint, *model.tables]):
+            fh.write(f"{key}\t{len(values)}\n".encode("ascii"))
+            write_rows(fh, packed.rows(), values)  # one table's rows at a time
 
 
 def load_classlm(path: str | Path) -> ClassLM:
     """Read a class model file written by ``save_classlm``.
 
-    The file alone defines the model.  Every section is parsed by
-    ``Reader.rows``, and shapes, id ranges, sort orders and the joint's
-    column sums (they must equal the per-category word counts) are
-    checked; any inconsistency raises ``ValueError``.
+    The file alone defines the model.  Each section is read by
+    ``Reader.section``, then checked and packed before the next is read:
+    id ranges, sort orders and the joint's column sums (they must equal
+    the per-category word counts); its slots are read by
+    ``events.read_slots`` after the ``#words`` rows, so that no header
+    value sizes an array before the rows it counts are found.  Any
+    inconsistency raises ``ValueError``.
     """
-    r = Reader(path, "#clusterlm-classlm v2", "class model")
+    r = Reader(path, "#clusterlm-classlm v3", "class model")
     discount = r.float_line("#discount")
     if not 0.0 <= discount < 1.0:
         raise r.error("discount must lie in [0, 1)", 0)
     n_words = r.int_line("#n_words")
     n_categories = r.int_line("#n_categories")
     n_states = r.int_line("#n_states")
-    depth = r.int_line("#depth")
-    if depth < 1:
-        raise r.error("depth must be at least 1")
-    slots = []
-    for _ in range(depth):
-        off, name, arity, bos = r.line("#slot", 4)
-        off, arity, bos = r.int(off, "offset"), r.int(arity, "arity"), r.int(bos, "begin value")
-        slots.append(ClassSlot(off, name, arity, bos))
-    offsets = [sl.offset for sl in slots]
-    if offsets[-1] >= 0 or any(b <= a for a, b in zip(offsets, offsets[1:])):
-        raise r.error("slot offsets must be negative and increasing")
-    for sl in slots:
-        if not 0 < sl.arity < 2**31:
-            raise r.error(f"slot {sl.offset} arity outside [1, 2**31)")
-        if not 0 <= sl.bos < sl.arity:
-            raise r.error(f"slot {sl.offset} begin value outside [0, {sl.arity})")
-
-    at: dict[str, int] = {}  # the cursor after each section's # line
-
-    def section(key: str, n_key: int, n_value: int, n_rows: int | None = None) -> np.ndarray:
-        declared = r.int(r.line(key, 1)[0], f"{key} row count")
-        if n_rows is not None and declared != n_rows:
-            raise r.error(f"{key} declares {declared} rows, expected {n_rows}", 0)
-        at[key] = r.pos
-        return r.rows(key, n_key, n_value, declared)
-
-    def named(key: str, check: Callable[..., None], *args) -> None:
-        """``check(*args)``, its error naming the section's # line."""
-        try:
-            check(*args)
-        except ValueError as exc:
-            raise r.error(str(exc), 0, at[key]) from None
-
-    maps = section("#maps", depth, 0, n_words)
-    words = section("#words", 1, 1, n_words)
-    cells = section("#joint", 2, 1)
-    table_rows = []
-    for keep in range(1, depth):
-        got, declared = r.line("#suffix", 2)
-        if r.int(got, "suffix length") != keep:
-            raise r.error(f"expected the #suffix table of length {keep}")
-        at[f"#suffix {keep}"] = r.pos
-        table_rows.append(r.rows("#suffix", keep, 1, r.int(declared, "#suffix row count")))
-    table_rows.append(section("#contexts", depth, 1))
-    r.end("#contexts")
-
+    bos_id = r.int(r.line("#bos", 1)[0], "begin id")
+    if not 0 <= bos_id < n_words:
+        raise r.error("begin id outside [0, n_words)", 0)
     if not 1 <= n_categories <= n_words:
         raise r.error("n_categories must lie in [1, n_words]")
-    if not 1 <= n_states <= len(table_rows[-1]):
-        raise r.error("n_states must lie in [1, number of contexts]")
-    for k, sl in enumerate(slots):
-        named("#maps", check_range, maps[:, k], 0, sl.arity, f"slot {sl.offset} values")
-    G, word_counts = words[:, 0], words[:, 1]
-    named("#words", check_range, G, 0, n_categories, "word categories")
-    G = G.astype(np.int32)
+
+    words = r.section("#words", 1, 1, n_words)
+    r.check(check_range, words[:, 0], 0, n_categories, "word categories")
+    G, word_counts = words[:, 0].astype(np.int32), words[:, 1].copy()
     if not 0 < exact_sum(word_counts) < 2**62:
         raise r.error("word counts must add up to a total in (0, 2**62)")
-    named("#joint", check_range, cells[:, 0], 0, n_states, "joint states")
-    named("#joint", check_range, cells[:, 1], 0, n_categories, "joint categories")
-    named("#joint", check_range, cells[:, 2], 1, 2**62, "joint counts")
+    spec = read_slots(r, n_words, "clusterlm cluster run --model-out")
+
+    cells = r.section("#joint", 2, 1)
+    r.check(check_range, cells[:, 0], 0, n_states, "joint states")
+    r.check(check_range, cells[:, 1], 0, n_categories, "joint categories")
+    r.check(check_range, cells[:, 2], 1, 2**62, "joint counts")
     if not np.array_equal(
         _sums(cells[:, 1], cells[:, 2], n_categories), _sums(G, word_counts, n_categories)
     ):
         raise r.error("joint column sums differ from the category word counts")
-    state_totals = _sums(cells[:, 0], cells[:, 2], n_states)
+    r.check(check_strictly_sorted, cells[:, :2], "#joint")
 
-    def table(rows: np.ndarray, what: str) -> tuple[Keys, np.ndarray]:
-        keys, states = rows[:, :-1], rows[:, -1]
-        for k, sl in enumerate(slots[depth - keys.shape[1] :]):
-            named(what, check_range, keys[:, k], 0, sl.arity, f"{what} slot {sl.offset} values")
-        named(what, check_range, states, 0, n_states, f"{what} states")
-        if (state_totals[states] == 0).any():
-            raise r.error(f"{what} maps to a state without events", 0, at[what])
-        return Keys(keys), states.astype(np.int32)
+    del words  # each section's rows but the joint's go once checked and packed
+    keys = [f"#suffix\t{keep}" for keep in range(1, spec.depth)] + ["#contexts"]
+    tables, opened = [], []
+    for keep, key in enumerate(keys, 1):
+        tables.append(_read_table(r, key, spec.slots[spec.depth - keep :], n_states))
+        opened.append((key.replace("\t", " "), r.opened))
+    r.end("#contexts")
+    if not 1 <= n_states <= len(tables[-1][1]):
+        raise r.error("n_states must lie in [1, number of contexts]")
 
-    names = [f"#suffix {keep}" for keep in range(1, depth)] + ["#contexts"]
     model = ClassLM.__new__(ClassLM)
-    model._setup(
-        discount,
-        slots,
-        maps.astype(np.int32),
-        G,
-        word_counts.copy(),  # not views that keep the sections' rows
-        cells[:, :2],
-        cells[:, 2].copy(),
-        n_categories,
-        n_states,
-        [table(rows, what) for rows, what in zip(table_rows, names)],
+    model._setup(  # the joint counts copied, not a view that keeps the section's rows
+        discount, spec, bos_id, G, word_counts, cells[:, :2], cells[:, 2].copy(),
+        n_categories, n_states, tables,
     )
-    # the sort checks read the keys the model looks its tables up by
-    for (keys, _), what in zip([model.joint, *model.tables], ["#joint", *names]):
-        named(what, check_strictly_sorted, keys.key, what)
+    for (_, states), (what, pos) in zip(tables, opened):
+        if (model.state_totals[states] == 0).any():
+            raise r.error(f"{what} maps to a state without events", 0, pos)
     return model
+
+
+def _read_table(
+    r: Reader, key: str, slots: Sequence[Slot], n_states: int
+) -> tuple[Keys, np.ndarray]:
+    """The (keys, states) table of a class model file's section ``key``,
+    whose context columns are the values of ``slots``: each column in
+    its slot's range, each state in ``[0, n_states)`` and the rows
+    strictly sorted, packed as they are checked."""
+    rows = r.section(key, len(slots), 1)
+    what = key.replace("\t", " ")
+    for k, sl in enumerate(slots):
+        r.check(check_range, rows[:, k], 0, sl.mapper.arity, f"{what} slot {sl.offset} values")
+    states = rows[:, -1]
+    r.check(check_range, states, 0, n_states, f"{what} states")
+    keys = Keys(rows[:, :-1])
+    r.check(check_strictly_sorted, keys.key, what)
+    return keys, states.astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +440,8 @@ class BackoffModel:
         return self.order - 1
 
     def prob(self, rows: np.ndarray) -> np.ndarray:
-        """Probability of every query row (see the module docstring);
-        positions before the sentence start take the begin id."""
-        grams = _query_rows(rows, self.n_words, self.history_width)[:, -self.order :]
-        grams = np.where(grams < 0, self.bos_id, grams)
+        """Probability of every query row (see the module docstring)."""
+        grams = _query_rows(rows, self.n_words, self.history_width, self.bos_id)
         return _interpolated(self.uni, self._tables, self.order, grams)
 
     @property
@@ -609,7 +560,7 @@ def save_backoff(model: BackoffModel, path: str | Path) -> None:
 def load_backoff(path: str | Path) -> BackoffModel:
     """Read a backoff model file written by ``save_backoff``.
 
-    The sections are parsed by ``Reader.rows``, then handed to
+    The sections are read by ``Reader.section``, then handed to
     ``train_backoff`` without cutoffs, so the loaded model equals the
     saved one bit for bit.  A damaged file (bad header, row count, id,
     sort order or count, or a cut-off last line) raises ``ValueError``.
@@ -627,8 +578,7 @@ def load_backoff(path: str | Path) -> BackoffModel:
         raise r.error("n_words outside [1, 2**31)")
     counts = []
     for k in range(1, order + 1):
-        key = f"#{k}-grams"
-        rows = r.rows(key, k, 1, r.int(r.line(key, 1)[0], f"{key} row count"))
+        rows = r.section(f"#{k}-grams", k, 1)
         counts.append((rows[:, :-1], rows[:, -1].copy()))  # the model keeps no view of the rows
     r.end(f"#{order}-grams")
     try:

@@ -405,12 +405,12 @@ def oracle_class_prob(lm, w: int, context: tuple[int, ...]) -> float:
 
 def oracle_context(lm, history) -> tuple[int, ...]:
     """Mapped context tuple of a class model for a prediction following
-    ``history`` (positions before the sentence start take the begin
-    value)."""
+    ``history``: each slot's mapper applied to the word at its offset,
+    or to the begin word before the sentence start."""
     n = len(history)
     return tuple(
-        int(lm.maps[history[n + sl.offset], k]) if n + sl.offset >= 0 else sl.bos
-        for k, sl in enumerate(lm.slots)
+        int(sl.mapper.table[history[n + sl.offset] if n + sl.offset >= 0 else lm.bos_id])
+        for sl in lm.spec.slots
     )
 
 
@@ -563,7 +563,7 @@ def oracle_move_deltas(table, totals, profile, cur, n_elem, f_table, f_totals, s
 
 def oracle_group_move_deltas(joint, state_totals, profile, s_cur, n_elem, f_joint, f_state):
     """Group move deltas from column gathers of ``joint`` (states x
-    categories), the layout the package's row kernel on ``joint_t``
+    categories), the layout the package's row kernel on ``joint_bt``
     must match bit for bit.  ``joint[:, nz]`` is Fortran-ordered, so
     ``sum(axis=1)`` adds each state's terms in ``nz`` order."""
     if n_elem == 0:

@@ -111,6 +111,22 @@ def test_one_function_splits_text_files_into_lines():
     assert found == []
 
 
+def test_only_events_spells_the_slot_block():
+    """The counts file and the class model file share one slot block,
+    written by ``events.slot_lines`` and read by ``events.read_slots``; no
+    other module spells its line keys."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "clusterlm").glob("*.py"))
+        if path.name != "events.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, (str, bytes))
+        and any(key in str(node.value) for key in ("#slot", "#map"))
+    ]
+    assert found == []
+
+
 def enclosing_functions(match: Callable[[ast.AST], bool], skip: str = "") -> set[str]:
     """``module.qualname`` of every function in ``src/clusterlm``, but in
     the module ``skip``, whose own body holds a node that ``match``es, or

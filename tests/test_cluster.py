@@ -31,7 +31,7 @@ from clusterlm.cluster import (
     save_clustering,
 )
 from clusterlm.ctxtree import build_suffix_tree, suffix_level
-from clusterlm.events import EventTable
+from clusterlm.events import EventTable, extract_events
 
 from conftest import (
     ScriptedClustering,
@@ -346,8 +346,9 @@ class TestCachedF:
                 cl.apply_group_move(group, data.draw(st.integers(0, cl.n_states - 1)))
         fresh = Clustering(table, cl.n_categories, cl.n_states, cl.G, cl.S)
         np.testing.assert_array_equal(cl.joint, fresh.joint)
+        fb = cl.f_joint_b
         for cached, table_ in (
-            (cl.f_joint, cl.joint), (cl.f_state, cl.state_totals), (cl.f_cat, cl.cat_totals)
+            (fb[:S, :C], cl.joint), (fb[:S, C], cl.state_totals), (fb[S, :C], cl.cat_totals)
         ):
             assert cached.tobytes() == K.xlogx(table_).tobytes()
         # the border holds the interior's sums, and no move touches the
@@ -363,12 +364,8 @@ class TestCachedF:
         for t, table_ in ((cl.joint_bt, cl.joint_b), (cl.f_joint_bt, cl.f_joint_b)):
             assert t.flags.c_contiguous and table_.flags.c_contiguous
             assert t.tobytes() == np.ascontiguousarray(table_.T).tobytes()
-        for view, base in (
-            (cl.joint, cl.joint_b), (cl.state_totals, cl.joint_b), (cl.cat_totals, cl.joint_b),
-            (cl.f_joint, cl.f_joint_b), (cl.f_state, cl.f_joint_b), (cl.f_cat, cl.f_joint_b),
-            (cl.joint_t, cl.joint_bt), (cl.f_joint_t, cl.f_joint_bt),
-        ):
-            assert view.base is base
+        for view in (cl.joint, cl.state_totals, cl.cat_totals):
+            assert view.base is cl.joint_b
         for w in range(cl.n_words):
             assert cl.word_move_deltas(w).tobytes() == fresh.word_move_deltas(w).tobytes()
         for i in range(table.n_contexts):
@@ -383,7 +380,7 @@ class TestMoveIdValidation:
     def test_out_of_range_ids_are_rejected_without_a_change(self):
         rng = random.Random(14)
         table, cl = random_clustering(rng)
-        state = (cl.joint, cl.joint_t, cl.state_totals, cl.cat_totals, cl.G, cl.S)
+        state = (cl.joint_b, cl.joint_bt, cl.G, cl.S)
         before = [a.copy() for a in state]
         for w in (-2, -1, cl.n_words, cl.n_words + 3):
             for call in (
@@ -424,7 +421,7 @@ class TestMoveIdValidation:
 
     def test_a_context_listed_twice_is_rejected_without_a_change(self):
         table, cl = self._flat_w1()
-        state = (cl.joint, cl.joint_t, cl.state_totals, cl.cat_totals, cl.G, cl.S)
+        state = (cl.joint_b, cl.joint_bt, cl.G, cl.S)
         before = [a.copy() for a in state]
         for group in ([0, 0], np.array([0, 0]), np.array([2, 1, 2])):
             for call in (
@@ -461,7 +458,7 @@ class TestMoveIdValidation:
         cl.apply_group_move(group, 1)
         twin.apply_group_move(np.array(group), 1)
         assert cl.S.tolist() == twin.S.tolist() and sorted(np.flatnonzero(cl.S)) == sorted(group)
-        for a, b in ((cl.joint, twin.joint), (cl.f_joint_t, twin.f_joint_t)):
+        for a, b in ((cl.joint_b, twin.joint_b), (cl.f_joint_bt, twin.f_joint_bt)):
             assert a.tobytes() == b.tobytes()
         fresh = Clustering(table, cl.n_categories, cl.n_states, cl.G, cl.S)
         assert cl.joint.tobytes() == fresh.joint.tobytes()
@@ -506,11 +503,9 @@ class TestSweepPath:
             (cl.cat_totals, fresh.cat_totals),
         ):
             assert got.tobytes() == want.tobytes()
-        for cached, table_ in (
-            (cl.f_joint, cl.joint), (cl.f_state, cl.state_totals), (cl.f_cat, cl.cat_totals)
-        ):
+        for cached, table_ in ((cl.f_joint_b, cl.joint_b), (cl.f_joint_bt, cl.joint_bt)):
             assert cached.tobytes() == K.xlogx(table_).tobytes()
-        for t, table_ in ((cl.joint_t, cl.joint), (cl.f_joint_t, cl.f_joint)):
+        for t, table_ in ((cl.joint_bt, cl.joint_b), (cl.f_joint_bt, cl.f_joint_b)):
             assert t.tobytes() == np.ascontiguousarray(table_.T).tobytes()
 
     @pytest.mark.parametrize("tree", [False, True])
@@ -1023,6 +1018,36 @@ class TestExportAndPersistence:
         vocab2, enc2, other = build_table(["a b c d e f g a b c"], offsets=(-1,))
         with pytest.raises(ValueError, match="does not match counts"):
             load_clustering(p, other)
+
+    @pytest.mark.parametrize("other, reason", [
+        ("more contexts", "{mine} contexts, the counts {theirs}"),
+        ("another vocabulary", "{mine} words, the counts {theirs}"),
+        ("another depth", "context depth 2, the counts 1"),
+    ])
+    def test_a_mismatch_names_the_clustering_file(self, tmp_path, other, reason):
+        # the clustering of the first 20 sentences, checked against counts
+        # of all 25 (the same vocabulary and depth, more contexts), of
+        # another corpus, or of one-word contexts
+        sents = make_random_corpus(8, n_sentences=25, n_words=8)
+        vocab, enc, table = build_table(sents, offsets=(-2, -1))
+        part = extract_events(enc[:20], table.spec, vocab)
+        cl = run_flat(part, ClusterParams(n_categories=3, n_states=3, min_count=1))
+        p = tmp_path / "clusters.tsv"
+        save_clustering(cl, p)
+        counts = {
+            "more contexts": table,
+            "another vocabulary": build_table(["a b c d e f g a b c"], offsets=(-2, -1))[2],
+            "another depth": build_table(sents, offsets=(-1,))[2],
+        }[other]
+        mine, theirs = {
+            "more contexts": (part.n_contexts, table.n_contexts),
+            "another vocabulary": (part.n_words, counts.n_words),
+        }.get(other, (None, None))
+        assert mine != theirs or other == "another depth"
+        want = f"clustering file {p} does not match counts: " + reason.format(
+            mine=mine, theirs=theirs)
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_clustering(p, counts)
 
 
 def saved_clustering(tmp_path, seed=6, offsets=(-1,)):

@@ -182,7 +182,7 @@ class TestDeltaProperty:
 
 
 class TestRowKernelOnTheTranspose:
-    """The group kernel reads rows of ``joint_t``; its deltas equal the
+    """The group kernel reads rows of ``joint_bt``; its deltas equal the
     column gathers of ``joint`` bit for bit, at every profile width."""
 
     @settings(max_examples=120, deadline=None)

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,14 @@ from clusterlm.corpus import (
     load_feature_map,
 )
 from clusterlm.ctxtree import build_suffix_tree
-from clusterlm.events import ContextSpec, Slot, event_rows, load_counts, save_counts
+from clusterlm.events import (
+    ContextSpec,
+    Slot,
+    event_rows,
+    extract_events,
+    load_counts,
+    save_counts,
+)
 from clusterlm.models import (
     BackoffModel,
     ClassLM,
@@ -78,7 +86,9 @@ def identity_clustering(table):
 
 
 def hand_table(vocab, counts, depth=1, arity=16):
-    mapper = FeatureMapper("w", np.arange(arity, dtype=np.int32), arity)
+    # the mapper maps exactly the vocabulary's words; its arity leaves
+    # room for hand-written context values beyond them
+    mapper = FeatureMapper("w", np.arange(len(vocab), dtype=np.int32), arity)
     spec = ContextSpec(slots=tuple(Slot(offset=o, mapper=mapper) for o in range(-depth, 0)))
     return table_from_counts(spec, len(vocab), counts)
 
@@ -240,6 +250,15 @@ class TestClassLM:
             with pytest.raises(ValueError, match=f"^{re.escape(str(p))} is a v1 .* re-run"):
                 load(p)
 
+    def test_load_rejects_v2_file_with_a_rerun_hint(self, tmp_path):
+        p = tmp_path / "model.classlm"
+        p.write_text("#clusterlm-classlm v2\n#discount\t0.5\n#n_words\t5\n")
+        hint = f"{p} is a v2 class model, which kept its own copy of the context slots; " \
+            "re-run `clusterlm cluster run --model-out` to write a v3 model"
+        for load in (load_classlm, load_model):
+            with pytest.raises(ValueError, match=f"^{re.escape(hint)}$"):
+                load(p)
+
     def test_mapper_table_must_cover_vocabulary(self):
         # a hand-built table whose mapper covers only the first few words
         sents = make_random_corpus(43, n_sentences=20, n_words=6)
@@ -362,7 +381,8 @@ class TestClassLMFile:
             assert slot.mapper.name == name and slot.mapper.arity == mappers[name].arity
             np.testing.assert_array_equal(slot.mapper.table, mappers[name].table)
         built = ClassLM(load_clustering(d / "cl2.tsv", table), vocab, discount=0.5)
-        assert built.slots[0].name == "g" and built.slots[0].bos != vocab.bos_id
+        g = built.spec.slots[0].mapper
+        assert g.name == "g" and g.table[built.bos_id] != vocab.bos_id == built.bos_id
         for name in ("v.txt", "c1.tsv", "cl1.tsv", "classes.tsv", "c2.tsv", "cl2.tsv", "train.txt"):
             (d / name).unlink()
         loaded = load_model(d / "m.classlm")
@@ -386,19 +406,27 @@ class TestClassLMFile:
 
     CORRUPTIONS = {
         "v1 header": lambda L: ["#clusterlm-classlm v1"] + L[1:],
-        "other header": lambda L: ["#clusterlm-classlm v3"] + L[1:],
+        "v2 header": lambda L: ["#clusterlm-classlm v2"] + L[1:],
+        "other header": lambda L: ["#clusterlm-classlm v4"] + L[1:],
         "discount one": lambda L: set_line(L, "#discount", "#discount\t1.0"),
         "discount negative": lambda L: set_line(L, "#discount", "#discount\t-0.1"),
         "discount nan": lambda L: set_line(L, "#discount", "#discount\tnan"),
         "discount text": lambda L: set_line(L, "#discount", "#discount\thalf"),
-        "depth zero": lambda L: set_line(L, "#depth", "#depth\t0"),
-        "depth too large": lambda L: set_line(L, "#depth", "#depth\t3"),
+        "no slot": lambda L: [x for x in L if not x.startswith("#slot")],
+        "slot more than the tables": lambda L: before(
+            "#slot", L[find(L, "#slot")].replace("\t-2\t", "\t-3\t"))(L),
         "n_words off": lambda L: set_line(L, "#n_words", "#n_words\t7"),
         "n_states above contexts": lambda L: set_line(L, "#n_states", "#n_states\t100000"),
         "n_categories above words": lambda L: set_line(L, "#n_categories", "#n_categories\t100000"),
-        "begin value out of range": lambda L: edit_slot(L, bos=10**6),
+        "begin id out of range": lambda L: set_line(
+            L, "#bos", "#bos\t" + L[find(L, "#n_words")].split("\t")[1]),
+        "begin id negative": lambda L: set_line(L, "#bos", "#bos\t-1"),
         "offsets out of order": lambda L: edit_slot(L, offset=-1),
-        "map value out of range": lambda L: edit_row(L, "#maps", 0, "99999 0"),
+        "map value out of range": lambda L: before("#joint", "#map\tw\t" + " ".join(
+            ["99999"] + ["0"] * (int(L[find(L, "#n_words")].split("\t")[1]) - 1)))(L),
+        "slot arity without a map": lambda L: [
+            x.replace("\tw\t", "\tw\t1") if x.startswith("#slot") else x for x in L
+        ],
         "category out of range": lambda L: edit_row(L, "#words", 0, "4\t1"),
         "negative word count": lambda L: edit_row(L, "#words", 0, "0\t-1"),
         "word count changed": lambda L: edit_row(L, "#words", 3, bump_last(L, "#words", 3)),
@@ -415,6 +443,9 @@ class TestClassLMFile:
         "context value out of range": lambda L: edit_row(L, "#contexts", 0, "0 99999\t0"),
         "context state out of range": lambda L: edit_row(L, "#contexts", 0, "0 0\t99999"),
         "negative context state": lambda L: edit_row(L, "#contexts", 0, "0 0\t-1"),
+        "context state without events": lambda L: edit_row(
+            set_line(L, "#n_states", "#n_states\t6"), "#contexts", 0,
+            L[find(L, "#contexts") + 1].rpartition("\t")[0] + "\t5"),
         "context rows unsorted": lambda L: swap_rows(L, "#contexts", 0, 1),
         "duplicate context row": lambda L: edit_row(L, "#contexts", 1, L[find(L, "#contexts") + 1]),
         "context count short": lambda L: recount(L, "#contexts", -1),
@@ -448,9 +479,9 @@ class TestClassLMFile:
         counts = [10**18 - 1] * 4 + [total - 4 * (10**18 - 1)]
         path = tmp_path / "big.classlm"
         path.write_text("\n".join([
-            "#clusterlm-classlm v2", "#discount\t0.4", "#n_words\t5", "#n_categories\t5",
-            "#n_states\t1", "#depth\t1", "#slot\t-1\tw\t5\t0", "#maps\t5", *map(str, range(5)),
-            "#words\t5", *(f"{w}\t{c}" for w, c in enumerate(counts)),
+            "#clusterlm-classlm v3", "#discount\t0.4", "#n_words\t5", "#n_categories\t5",
+            "#n_states\t1", "#bos\t0", "#words\t5", *(f"{w}\t{c}" for w, c in enumerate(counts)),
+            "#slot\t-1\tw\t5",
             "#joint\t5", *(f"0 {w}\t{c}" for w, c in enumerate(counts)),
             "#contexts\t1", "0\t0",
         ]) + "\n")
@@ -493,7 +524,6 @@ class TestClassLMSectionLine:
     by the file and the section's # line."""
 
     @pytest.mark.parametrize("name, key, message", [
-        ("map value out of range", "#maps", "slot -2 values outside"),
         ("category out of range", "#words", "word categories outside"),
         ("joint state out of range", "#joint", "joint states outside"),
         ("joint count zero", "#joint", "joint counts outside"),
@@ -502,6 +532,7 @@ class TestClassLMSectionLine:
         ("suffix rows unsorted", "#suffix", "#suffix 1 rows are not strictly sorted"),
         ("context value out of range", "#contexts", "#contexts slot -1 values outside"),
         ("context state out of range", "#contexts", "#contexts states outside"),
+        ("context state without events", "#contexts", "#contexts maps to a state without events"),
         ("context rows unsorted", "#contexts", "#contexts rows are not strictly sorted"),
     ])
     def test_the_error_names_the_section_line(self, tmp_path, name, key, message):
@@ -530,15 +561,118 @@ class TestClassLMSectionLine:
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_classlm(bad)
 
-    def test_a_first_maps_row_out_of_range_names_the_maps_line(self, tmp_path):
-        table, paths = saved_files(tmp_path)
-        path = paths["classlm"]
+    def test_a_map_value_out_of_range_names_the_map_line(self, tmp_path):
+        lm, vocab, enc, table = tagged_model()
+        path = tmp_path / "m.classlm"
+        save_classlm(lm, path)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(edit_row(lines, "#maps", 0, "99999")) + "\n")
-        k = find(lines, "#maps")
-        want = f"corrupt class model file {path}: line {k + 1}: slot -1 values outside [0, "
-        with pytest.raises(ValueError, match=re.escape(want)):
+        k = find(lines, "#map")
+        key, name, values = lines[k].split("\t")
+        lines[k] = "\t".join([key, name, "3 " + values.split(" ", 1)[1]])
+        path.write_text("\n".join(lines) + "\n")
+        want = (f"corrupt class model file {path}: line {k + 1}: "
+                f"#map t needs {lm.n_words} values in [0, 3), one per word")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_classlm(path)
+
+    def test_a_slot_without_its_map_asks_for_a_new_model(self, tmp_path):
+        lm, vocab, enc, table = tagged_model()
+        path = tmp_path / "m.classlm"
+        save_classlm(lm, path)
+        lines = path.read_text().splitlines()
+        k = find(lines, "#map")
+        path.write_text("\n".join(lines[:k] + lines[k + 1 :]) + "\n")
+        # the line where the #map line should be
+        want = (f"corrupt class model file {path}: line {k + 1}: "
+                "slot -2 (t) has no #map line; re-run clusterlm cluster run --model-out")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_classlm(path)
+
+
+def tagged_model(seed=47):
+    """(class model, vocab, encoded sentences, counts) over the context
+    ``t:-2,w:-1``: a three-value tag of each word id, then the word."""
+    sents = make_random_corpus(seed, n_sentences=60, n_words=8)
+    vocab = build_vocabulary(t for s in sents for t in s.split())
+    enc = encode_corpus(sents, vocab)
+    tags = FeatureMapper("t", np.arange(len(vocab)) % 3, 3)
+    spec = ContextSpec((Slot(-2, tags), Slot(-1, identity_mapper(vocab))))
+    table = extract_events(enc, spec, vocab)
+    params = ClusterParams(n_categories=4, n_states=5, min_count=2)
+    clu = run_tree(table, build_suffix_tree(table), params)
+    return ClassLM(clu, vocab, discount=0.4), vocab, enc, table
+
+
+class TestOneContextSpec:
+    """A class model keeps the context spec of its counts and writes it
+    as the counts file does; every model reads the sentence start as its
+    begin word."""
+
+    @staticmethod
+    @functools.cache
+    def models():
+        word, vocab, enc = TestClassLMFile.model(2)
+        tagged = tagged_model()[0]
+        counts = ngram_counts(enc, 3, bos_id=vocab.bos_id, eos_id=vocab.eos_id)
+        backoff = train_backoff(counts, len(vocab), discount=0.5, bos_id=vocab.bos_id)
+        return {"w:-2,w:-1": word, "t:-2,w:-1": tagged, "order 3": backoff}
+
+    @pytest.mark.parametrize("name", ["w:-2,w:-1", "t:-2,w:-1", "order 3"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_the_sentence_start_scores_as_the_begin_word(self, name, data):
+        model = self.models()[name]
+        n, width = model.n_words, model.history_width + data.draw(st.integers(0, 2))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 30))):
+            before_start = data.draw(st.integers(0, width))
+            words = data.draw(st.lists(st.integers(0, n - 1), min_size=width - before_start + 1,
+                                       max_size=width - before_start + 1))
+            rows.append([-1] * before_start + words)
+        rows = np.array(rows, dtype=np.int64)
+        begun = np.where(rows < 0, model.bos_id, rows)
+        assert model.prob(rows).tobytes() == model.prob(begun).tobytes()
+
+    @pytest.mark.parametrize("tagged", [False, True])
+    def test_the_slot_block_is_the_counts_files(self, tmp_path, tagged):
+        if tagged:
+            lm, vocab, enc, table = tagged_model()
+        else:
+            sents = make_random_corpus(47, n_sentences=60, n_words=8)
+            vocab, enc, table = build_table(sents, offsets=(-2, -1))
+            clu = run_flat(table, ClusterParams(n_categories=4, n_states=5, min_count=2))
+            lm = ClassLM(clu, vocab)
+        save_counts(table, tmp_path / "counts.tsv")
+        save_classlm(lm, tmp_path / "m.classlm")
+
+        def block(path):
+            lines = path.read_bytes().split(b"\n")
+            at = [i for i, x in enumerate(lines) if x.startswith((b"#slot\t", b"#map\t"))]
+            assert at == list(range(at[0], at[-1] + 1))  # one run of lines
+            return b"\n".join(lines[at[0] : at[-1] + 1])
+
+        assert block(tmp_path / "m.classlm") == block(tmp_path / "counts.tsv")
+        assert (b"#map\tt\t" in block(tmp_path / "counts.tsv")) == tagged
+
+    def test_a_header_sizes_no_array(self, tmp_path):
+        # the slot block comes after the #words rows, so a w slot's
+        # identity table is built only for words the file holds
+        lm, vocab, enc = TestClassLMFile.model(2)
+        path = tmp_path / "m.classlm"
+        save_classlm(lm, path)
+        big = 2_000_000
+        lines = set_line(path.read_text().splitlines(), "#n_words", f"#n_words\t{big}")
+        lines = [f"#slot\t{x.split(chr(9))[1]}\tw\t{big}" if x.startswith("#slot") else x
+                 for x in lines]
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"#words declares {lm.n_words} rows"):
+                load_classlm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def find(lines, key):
@@ -570,12 +704,12 @@ def recount(lines, key, change):
     return set_line(lines, key, f"{head}\t{int(n) + change}")
 
 
-def edit_slot(lines, offset=None, bos=None):
+def edit_slot(lines, offset=None, arity=None):
     at = find(lines, "#slot")
-    key, off, name, arity, b = lines[at].split("\t")
+    key, off, name, n = lines[at].split("\t")
     out = list(lines)
-    out[at] = "\t".join([key, str(off if offset is None else offset), name, arity,
-                         str(b if bos is None else bos)])
+    out[at] = "\t".join([key, str(off if offset is None else offset), name,
+                         str(n if arity is None else arity)])
     return out
 
 
