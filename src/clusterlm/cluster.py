@@ -539,6 +539,7 @@ def load_clustering(path: str | Path, table: EventTable) -> Clustering:
     r = Reader(path, "#clusterlm-clustering v1", "clustering")
     n_categories = r.int_line("#n_categories")
     n_states = r.int_line("#n_states")
+    at = r.pos  # the #n_words line, which counts the #G rows
     n_words = r.int_line("#n_words")
     depth = r.int_line("#depth")
     mismatch = f"clustering file {path} does not match counts:"
@@ -548,7 +549,9 @@ def load_clustering(path: str | Path, table: EventTable) -> Clustering:
         raise ValueError(f"{mismatch} context depth {depth}, the counts {table.spec.depth}")
     stored = r.float_line("#criterion") if r.at("#criterion") else None
     r.line("#G", 0)
-    words = r.rows("#G", 1, 1, n_words)
+    words = r.rows("#G", 1, 1)
+    if len(words) != n_words:
+        raise r.error(f"#n_words declares {n_words} words, {len(words)} #G rows found", 1, at)
     if not np.array_equal(words[:, 0], np.arange(n_words)):
         raise r.error("the #G word ids must run from 0 to n_words - 1 in order")
     r.line("#S", 0)

@@ -81,13 +81,17 @@ class ClassLM:
     slot, and the begin word id ``bos_id``.  Beside them it is a handful
     of tables: ``G`` and ``word_counts`` per word, the nonzero joint
     cells ``joint`` = (keys of (s, g), N(s,g)), and per suffix length
-    k = 1..depth ``tables[k-1]`` = (keys, states): the training contexts
-    and their states for k = depth, else their distinct length-k
-    suffixes, each with the state holding most of its events.  Each
-    lookup table is kept once, as the ``_rows.Keys`` its queries search,
-    its rows strictly sorted, beside its value column; ``save_classlm``
-    unpacks the keys and writes exactly these tables, so a saved model
-    loads on its own.
+    k = 1..depth ``tables[k-1]`` = (keys, states): training contexts and
+    their states for k = depth, else distinct length-k suffixes of them,
+    each with the state holding most of its events.  A table holds only
+    the rows whose state differs from the one their next-shorter suffix
+    resolves to (the default state below length 1); the others are
+    dropped shortest suffix first, so every context resolves to the
+    state the full tables give, and every probability is unchanged
+    (lossless backoff pruning).  Each lookup table is kept once, as the
+    ``_rows.Keys`` its queries search, its rows strictly sorted, beside
+    its value column; ``save_classlm`` unpacks the keys and writes
+    exactly these tables, so a saved model loads on its own.
     """
 
     def __init__(self, clustering: Clustering, vocab: Vocabulary, discount: float = 0.5):
@@ -103,16 +107,21 @@ class ClassLM:
                     f"{slot.mapper.table.size} words but the vocabulary has {n_words}"
                 )
         s, g = np.nonzero(clustering.joint)
-        tables = [
-            _suffix_states(table.contexts, clustering.S, table.ctx_counts, keep)
-            for keep in range(1, table.spec.depth)
-        ]
-        tables.append((Keys(table.contexts), clustering.S.copy()))
         self._setup(
             discount, table.spec, vocab.bos_id, clustering.G.copy(), clustering.word_counts.copy(),
             np.column_stack([s, g]), clustering.joint[s, g].astype(np.int64),
-            clustering.n_categories, clustering.n_states, tables,
+            clustering.n_categories, clustering.n_states, [],
         )
+        # shortest suffix first, each row kept only where its state is not
+        # the one its next-shorter suffix resolves to through the rows kept
+        depth = table.spec.depth
+        for keep in range(1, depth + 1):
+            if keep < depth:
+                rows, states = _suffix_states(table.contexts, clustering.S, table.ctx_counts, keep)
+            else:
+                rows, states = table.contexts, clustering.S
+            kept = np.flatnonzero(states != self._resolve_states(rows[:, 1:]))
+            self.tables.append((Keys(rows.take(kept, axis=0)), states.take(kept)))
 
     def _setup(
         self,
@@ -142,10 +151,13 @@ class ClassLM:
         self.n_states = int(n_states)
 
         s, g, n = cells[:, 0], cells[:, 1], cell_counts
-        self.state_totals = _sums(s, n, self.n_states)
+        # the per-state sums end at the joint's last state, so that the
+        # #n_states header sizes no array of a loaded model
+        n_live = int(s.max(initial=0)) + 1
+        self.state_totals = _sums(s, n, n_live)
         self.cat_totals = _sums(g, n, self.n_categories)
         self.total = int(word_counts.sum())
-        self._nplus = np.bincount(s, minlength=self.n_states).astype(np.int64)
+        self._nplus = np.bincount(s, minlength=n_live).astype(np.int64)
         self._default_state = int(np.argmax(self.state_totals))
 
     @property
@@ -185,12 +197,15 @@ class ClassLM:
         return out
 
     def _resolve_states(self, ctx: np.ndarray) -> np.ndarray:
-        """State of every row of mapped context values: that of its
-        longest suffix found in ``tables``, else the default state."""
+        """State of every row of mapped context values of the last
+        ``ctx.shape[1]`` slots: that of its longest suffix found in
+        ``tables``, else the default state.  The one walk down the suffix
+        tables, for ``prob``'s queries and ``__init__``'s fallbacks."""
+        width = ctx.shape[1]
         out = np.full(len(ctx), self._default_state, dtype=np.int64)
         todo = np.arange(len(ctx))
-        for keep in range(self.depth, 0, -1):
-            rows = ctx.take(todo, axis=0)[:, self.depth - keep :]
+        for keep in range(width, 0, -1):
+            rows = ctx.take(todo, axis=0)[:, width - keep :]
             keys, states = self.tables[keep - 1]
             at, found = find_rows(keys, rows)
             out[todo[found]] = states[at[found]]
@@ -230,18 +245,17 @@ def _sums(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
 
 def _suffix_states(
     contexts: np.ndarray, states: np.ndarray, counts: np.ndarray, keep: int
-) -> tuple[Keys, np.ndarray]:
-    """(keys, states): every distinct length-``keep`` suffix of the
-    context rows, packed and sorted, with the state holding most of its
-    events (ties to the lower state id)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(suffixes, states): every distinct length-``keep`` suffix of the
+    context rows, sorted, with the state holding most of its events
+    (ties to the lower state id)."""
     suffix = contexts[:, contexts.shape[1] - keep :]
     pairs, weight = sum_rows(np.column_stack([suffix, states]), counts)
     keys, states = Keys(pairs[:, :-1]), pairs[:, -1]
     # heaviest state first within each suffix, the lower id among equals
     order = np.lexsort((states, -weight, *keys.key.T[::-1]))
     pick = order[row_starts(keys.key.take(order, axis=0))]
-    keys.key = keys.key.take(pick, axis=0)  # the distinct suffixes span what all of them do
-    return keys, states[pick].astype(np.int32)
+    return pairs[pick, :-1], states[pick].astype(np.int32)
 
 
 def save_classlm(model: ClassLM, path: str | Path) -> None:
@@ -253,8 +267,10 @@ def save_classlm(model: ClassLM, path: str | Path) -> None:
     and count of each word), the slot block of the counts file the model
     was trained on (``events.slot_lines``), ``#joint`` (``s g<TAB>N(s,g)``
     for every nonzero cell), one ``#suffix<TAB>k`` per proper suffix
-    length k (``suffix<TAB>state``) and ``#contexts`` (``context<TAB>state``).
-    Rows are sorted, so equal models give equal bytes.
+    length k (``suffix<TAB>state``) and ``#contexts`` (``context<TAB>state``),
+    the last two holding only the rows whose state differs from their
+    suffix fallback (see ``ClassLM``); either may be empty.  Rows are
+    sorted, so equal models give equal bytes.
     """
     header = [
         "#clusterlm-classlm v3",
@@ -284,8 +300,13 @@ def load_classlm(path: str | Path) -> ClassLM:
     id ranges, sort orders and the joint's column sums (they must equal
     the per-category word counts); its slots are read by
     ``events.read_slots`` after the ``#words`` rows, so that no header
-    value sizes an array before the rows it counts are found.  Any
-    inconsistency raises ``ValueError``.
+    value sizes an array before the rows it counts are found; the
+    per-state sums end at the joint's last state, and ``#n_states`` need
+    only lie in [1, total word count].  The suffix and context rows are
+    kept as read: a file with every row, as models were written before
+    their tables were pruned, loads, scores the same as its pruned
+    model and saves back to its own bytes.  Any inconsistency raises
+    ``ValueError``.
     """
     r = Reader(path, "#clusterlm-classlm v3", "class model")
     discount = r.float_line("#discount")
@@ -303,8 +324,11 @@ def load_classlm(path: str | Path) -> ClassLM:
     words = r.section("#words", 1, 1, n_words)
     r.check(check_range, words[:, 0], 0, n_categories, "word categories")
     G, word_counts = words[:, 0].astype(np.int32), words[:, 1].copy()
-    if not 0 < exact_sum(word_counts) < 2**62:
+    total = exact_sum(word_counts)
+    if not 0 < total < 2**62:
         raise r.error("word counts must add up to a total in (0, 2**62)")
+    if not 1 <= n_states <= total:  # each state held a context, seen at least once
+        raise r.error("n_states must lie in [1, total word count]")
     spec = read_slots(r, n_words, "clusterlm cluster run --model-out")
 
     cells = r.section("#joint", 2, 1)
@@ -324,16 +348,15 @@ def load_classlm(path: str | Path) -> ClassLM:
         tables.append(_read_table(r, key, spec.slots[spec.depth - keep :], n_states))
         opened.append((key.replace("\t", " "), r.opened))
     r.end("#contexts")
-    if not 1 <= n_states <= len(tables[-1][1]):
-        raise r.error("n_states must lie in [1, number of contexts]")
 
     model = ClassLM.__new__(ClassLM)
     model._setup(  # the joint counts copied, not a view that keeps the section's rows
         discount, spec, bos_id, G, word_counts, cells[:, :2], cells[:, 2].copy(),
         n_categories, n_states, tables,
     )
+    totals = model.state_totals  # ends at the joint's last state
     for (_, states), (what, pos) in zip(tables, opened):
-        if (model.state_totals[states] == 0).any():
+        if states.size and (states.max() >= len(totals) or (totals[states] == 0).any()):
             raise r.error(f"{what} maps to a state without events", 0, pos)
     return model
 

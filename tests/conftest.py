@@ -29,7 +29,7 @@ from clusterlm.corpus import (
 from clusterlm.ctxtree import suffix_level
 from clusterlm.evaluate import EvalReport, em_mixture_weights
 from clusterlm.events import ContextSpec, EventTable, Slot, extract_events
-from clusterlm.models import BackoffModel, InterpolatedModel
+from clusterlm.models import BackoffModel, ClassLM, InterpolatedModel
 
 
 def make_random_corpus(seed: int, n_sentences: int, n_words: int = 12,
@@ -350,6 +350,37 @@ def class_dicts(lm) -> ClassDicts:
             },
         )
     return _DICTS[lm]
+
+
+def full_tables(table: EventTable, S) -> list[dict[tuple[int, ...], int]]:
+    """Per suffix length k = 1..depth, the state of every row of a class
+    model's unpruned tables: each distinct proper suffix of the training
+    contexts with the state holding most of its events (ties to the
+    lower id), and each training context with its state in ``S``;
+    summed with plain dicts."""
+    depth = table.spec.depth
+    weights: list[dict] = [{} for _ in range(depth - 1)]
+    for (ctx, row), s in zip(sorted(table.counts.items()), [int(s) for s in S], strict=True):
+        n = sum(row.values())
+        for keep in range(1, depth):
+            w = weights[keep - 1].setdefault(ctx[depth - keep :], {})
+            w[s] = w.get(s, 0) + n
+    return [
+        {suf: min(w, key=lambda s: (-w[s], s)) for suf, w in level.items()} for level in weights
+    ] + [dict(zip(tuples(table.contexts), [int(s) for s in S], strict=True))]
+
+
+def unpruned_classlm(clustering: Clustering, vocab: Vocabulary, discount: float = 0.5):
+    """The class model of ``clustering`` holding the unpruned
+    ``full_tables``, as models were built before their tables kept only
+    the rows that differ from their suffix fallback."""
+    lm = ClassLM(clustering, vocab, discount)
+    lm.tables = [
+        (Keys(np.array(sorted(t), dtype=np.int64).reshape(len(t), k)),
+         np.array([t[key] for key in sorted(t)], dtype=np.int32))
+        for k, t in enumerate(full_tables(clustering.table, clustering.S), 1)
+    ]
+    return lm
 
 
 def backoff_dicts(m: BackoffModel) -> BackoffDicts:

@@ -175,6 +175,26 @@ def test_each_move_kernel_is_called_from_one_function():
     assert kernel_callers("move_deltas") == set()
 
 
+def test_one_loop_walks_the_class_model_suffix_tables():
+    """A class model resolves a context through its suffix tables in one
+    loop, ``ClassLM._resolve_states``, shared by ``prob`` and by the
+    pruning in ``__init__``: no other function both reads a model's
+    ``tables`` and looks rows up, so a second walk that could disagree
+    with the pruning cannot come back."""
+    reads_tables = enclosing_functions(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "tables"
+    )
+    looks_up = enclosing_functions(
+        lambda node: isinstance(node, ast.Call)
+        and ast.unparse(node.func).rpartition(".")[2] == "find_rows"
+    )
+    assert reads_tables & looks_up == {"models.ClassLM._resolve_states"}
+    resolves = enclosing_functions(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "_resolve_states"
+    )
+    assert resolves == {"models.ClassLM.__init__", "models.ClassLM.prob"}
+
+
 # numpy names whose work a BLAS library does, with a kernel it picks per CPU
 BLAS_NAMES = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot", "linalg"}
 

@@ -1120,6 +1120,18 @@ class TestClusteringFile:
         assert loaded.G.tolist() == reference.G.tolist()
         assert loaded.S.tolist() == reference.S.tolist()
 
+    @pytest.mark.parametrize("change", [-1, +1])
+    def test_a_missing_or_extra_word_row_names_the_n_words_line(self, tmp_path, change):
+        table, path, lines = saved_clustering(tmp_path)
+        i = lines.index("#G") + 1
+        lines = lines[:i] + lines[i + 1 :] if change < 0 else lines[:i] + [lines[i]] + lines[i:]
+        path.write_text("\n".join(lines) + "\n")
+        at = next(k for k, x in enumerate(lines) if x.startswith("#n_words\t"))
+        want = (f"corrupt clustering file {path}: line {at + 1}: #n_words declares "
+                f"{table.n_words} words, {table.n_words + change} #G rows found")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_clustering(path, table)
+
     def test_cluster_count_above_the_table_is_rejected(self, tmp_path):
         table, path, lines = saved_clustering(tmp_path)
         lines[lines.index("#n_states\t3")] = f"#n_states\t{table.n_contexts + 1}"

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterlm._rows import tuples
 from clusterlm.cluster import (
     Clustering,
     ClusterParams,
@@ -61,6 +62,7 @@ from conftest import (
     class_dicts,
     count_arrays,
     count_dicts,
+    full_tables,
     make_random_corpus,
     marginals,
     oracle_backoff,
@@ -75,6 +77,7 @@ from conftest import (
     random_event_table,
     table_from_counts,
     tiny_vocab,
+    unpruned_classlm,
 )
 
 
@@ -235,7 +238,7 @@ class TestClassLM:
         ):
             assert np.array_equal(keys.rows(), keys_lm.rows())
             assert np.array_equal(values, values_lm)
-        assert_same_probs(lm, loaded, probe_contexts(lm, vocab))
+        assert_same_probs(lm, loaded, probe_contexts(table, vocab))
         rng = random.Random(1)
         a, b = vocab.ids["w0"], vocab.ids["w1"]
         for _ in range(50):
@@ -276,15 +279,16 @@ def states_of(lm, contexts):
     return lm._resolve_states(np.array(contexts, dtype=np.int64)).tolist()
 
 
-def probe_contexts(lm, vocab):
-    """Seen contexts, contexts resolved through each suffix length, and
-    fully unseen ones.  The end token never occurs inside a context."""
-    eos = vocab.eos_id
-    seen = [tuple(c) for c in lm.tables[-1][0].rows().tolist()]
+def probe_contexts(table, vocab):
+    """The training contexts of the counts ``table``, contexts resolved
+    through each suffix length, and fully unseen ones.  The end token
+    never occurs inside a context."""
+    eos, depth = vocab.eos_id, table.spec.depth
+    seen = [tuple(c) for c in table.contexts.tolist()]
     probes = list(seen)
-    for keep in range(1, lm.depth):
-        probes += [(eos,) * (lm.depth - keep) + c[lm.depth - keep :] for c in seen[::3]]
-    probes.append((eos,) * lm.depth)
+    for keep in range(1, depth):
+        probes += [(eos,) * (depth - keep) + c[depth - keep :] for c in seen[::3]]
+    probes.append((eos,) * depth)
     return probes
 
 
@@ -311,15 +315,15 @@ class TestClassLMFile:
             clu = run_tree(table, build_suffix_tree(table), params)
         else:
             clu = run_flat(table, params)
-        return ClassLM(clu, vocab, discount=0.4), vocab, enc
+        return ClassLM(clu, vocab, discount=0.4), vocab, enc, table
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_round_trip_is_bit_identical(self, tmp_path, depth):
-        lm, vocab, enc = self.model(depth)
+        lm, vocab, enc, table = self.model(depth)
         path = tmp_path / "m.classlm"
         save_classlm(lm, path)
         loaded = load_classlm(path)
-        probes = probe_contexts(lm, vocab)
+        probes = probe_contexts(table, vocab)
         assert any(c not in class_dicts(lm).state_of for c in probes)
         assert_same_probs(lm, loaded, probes)
         for sent in enc[:10]:
@@ -340,16 +344,12 @@ class TestClassLMFile:
         table = random_event_table(rng, len(vocab), rng.randint(n_states, 25), depth=3, max_count=3)
         G = [rng.randrange(2) for _ in range(len(vocab))]
         S = [rng.randrange(n_states) for _ in range(table.n_contexts)]
-        clu = Clustering(table, 2, n_states, G, S)
-        # event-weighted majority state per proper suffix, ties to the lower id
-        weights = {}
-        for (c, row), s in zip(sorted(table.counts.items()), S):
-            n = sum(row.values())
-            for keep in (1, 2):
-                row = weights.setdefault(c[3 - keep :], {})
-                row[s] = row.get(s, 0) + n
-        expected = {suf: min(row, key=lambda s: (-row[s], s)) for suf, row in weights.items()}
-        assert class_dicts(ClassLM(clu, vocab)).fallback == expected
+        lm = ClassLM(Clustering(table, 2, n_states, G, S), vocab)
+        # each proper suffix resolves to its event-weighted majority state,
+        # ties to the lower id, and each training context to its own state
+        for keep, expected in enumerate(full_tables(table, S), 1):
+            rows = np.array(list(expected), dtype=np.int64).reshape(len(expected), keep)
+            assert states_of(lm, rows) == list(expected.values())
 
     def test_cli_model_loads_without_its_training_files(self, tmp_path, capsys):
         from clusterlm.cli import main
@@ -386,13 +386,13 @@ class TestClassLMFile:
         for name in ("v.txt", "c1.tsv", "cl1.tsv", "classes.tsv", "c2.tsv", "cl2.tsv", "train.txt"):
             (d / name).unlink()
         loaded = load_model(d / "m.classlm")
-        assert_same_probs(built, loaded, probe_contexts(built, vocab))
+        assert_same_probs(built, loaded, probe_contexts(table, vocab))
         hist = [vocab.ids["w3"], vocab.ids["w1"]]
         for i in range(3):
             assert query_words(loaded, hist[:i]) == query_words(built, hist[:i])
 
     def test_truncation_at_every_line_is_rejected(self, tmp_path):
-        lm, vocab, enc = self.model(2)
+        lm, vocab, enc, table = self.model(2)
         save_classlm(lm, tmp_path / "m.classlm")
         lines = (tmp_path / "m.classlm").read_text().splitlines(keepends=True)
         cut = tmp_path / "cut.classlm"
@@ -416,7 +416,7 @@ class TestClassLMFile:
         "slot more than the tables": lambda L: before(
             "#slot", L[find(L, "#slot")].replace("\t-2\t", "\t-3\t"))(L),
         "n_words off": lambda L: set_line(L, "#n_words", "#n_words\t7"),
-        "n_states above contexts": lambda L: set_line(L, "#n_states", "#n_states\t100000"),
+        "n_states above the word count": lambda L: set_line(L, "#n_states", "#n_states\t100000"),
         "n_categories above words": lambda L: set_line(L, "#n_categories", "#n_categories\t100000"),
         "begin id out of range": lambda L: set_line(
             L, "#bos", "#bos\t" + L[find(L, "#n_words")].split("\t")[1]),
@@ -464,7 +464,7 @@ class TestClassLMFile:
 
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
     def test_corruption_is_rejected(self, tmp_path, name):
-        lm, vocab, enc = self.model(2)
+        lm, vocab, enc, table = self.model(2)
         save_classlm(lm, tmp_path / "m.classlm")
         lines = (tmp_path / "m.classlm").read_text().splitlines()
         bad = tmp_path / "bad.classlm"
@@ -495,7 +495,7 @@ class TestClassLMFile:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_random_byte_damage_never_escapes_as_another_error(self, data):
-        lm, vocab, enc = self.model(2)
+        lm, vocab, enc, table = self.model(2)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.classlm"
             save_classlm(lm, path)
@@ -511,7 +511,7 @@ class TestClassLMFile:
                 loaded = load_classlm(path)
             except ValueError:
                 return
-            for ctx in probe_contexts(loaded, vocab)[:20]:
+            for ctx in probe_contexts(table, vocab)[:20]:
                 for w in range(loaded.n_words):
                     assert 0.0 <= oracle_class_prob(loaded, w, ctx) <= 1.0 + 1e-12
             for sent in enc[:3]:
@@ -536,7 +536,7 @@ class TestClassLMSectionLine:
         ("context rows unsorted", "#contexts", "#contexts rows are not strictly sorted"),
     ])
     def test_the_error_names_the_section_line(self, tmp_path, name, key, message):
-        lm, vocab, enc = TestClassLMFile.model(2)
+        lm, vocab, enc, table = TestClassLMFile.model(2)
         save_classlm(lm, tmp_path / "m.classlm")
         lines = (tmp_path / "m.classlm").read_text().splitlines()
         bad = tmp_path / "bad.classlm"
@@ -552,7 +552,7 @@ class TestClassLMSectionLine:
     def test_a_signed_field_is_a_malformed_row_at_its_line(self, tmp_path, name, key):
         # a signed field is no row field at all, so the row, the first of
         # its section, is named, not the section's # line
-        lm, vocab, enc = TestClassLMFile.model(2)
+        lm, vocab, enc, table = TestClassLMFile.model(2)
         save_classlm(lm, tmp_path / "m.classlm")
         lines = (tmp_path / "m.classlm").read_text().splitlines()
         bad = tmp_path / "bad.classlm"
@@ -562,7 +562,7 @@ class TestClassLMSectionLine:
             load_classlm(bad)
 
     def test_a_map_value_out_of_range_names_the_map_line(self, tmp_path):
-        lm, vocab, enc, table = tagged_model()
+        lm, vocab, enc, clu = tagged_model()
         path = tmp_path / "m.classlm"
         save_classlm(lm, path)
         lines = path.read_text().splitlines()
@@ -576,7 +576,7 @@ class TestClassLMSectionLine:
             load_classlm(path)
 
     def test_a_slot_without_its_map_asks_for_a_new_model(self, tmp_path):
-        lm, vocab, enc, table = tagged_model()
+        lm, vocab, enc, clu = tagged_model()
         path = tmp_path / "m.classlm"
         save_classlm(lm, path)
         lines = path.read_text().splitlines()
@@ -590,8 +590,9 @@ class TestClassLMSectionLine:
 
 
 def tagged_model(seed=47):
-    """(class model, vocab, encoded sentences, counts) over the context
-    ``t:-2,w:-1``: a three-value tag of each word id, then the word."""
+    """(class model, vocab, encoded sentences, clustering) over the
+    context ``t:-2,w:-1``: a three-value tag of each word id, then the
+    word."""
     sents = make_random_corpus(seed, n_sentences=60, n_words=8)
     vocab = build_vocabulary(t for s in sents for t in s.split())
     enc = encode_corpus(sents, vocab)
@@ -600,7 +601,7 @@ def tagged_model(seed=47):
     table = extract_events(enc, spec, vocab)
     params = ClusterParams(n_categories=4, n_states=5, min_count=2)
     clu = run_tree(table, build_suffix_tree(table), params)
-    return ClassLM(clu, vocab, discount=0.4), vocab, enc, table
+    return ClassLM(clu, vocab, discount=0.4), vocab, enc, clu
 
 
 class TestOneContextSpec:
@@ -611,7 +612,7 @@ class TestOneContextSpec:
     @staticmethod
     @functools.cache
     def models():
-        word, vocab, enc = TestClassLMFile.model(2)
+        word, vocab, enc, table = TestClassLMFile.model(2)
         tagged = tagged_model()[0]
         counts = ngram_counts(enc, 3, bos_id=vocab.bos_id, eos_id=vocab.eos_id)
         backoff = train_backoff(counts, len(vocab), discount=0.5, bos_id=vocab.bos_id)
@@ -636,7 +637,8 @@ class TestOneContextSpec:
     @pytest.mark.parametrize("tagged", [False, True])
     def test_the_slot_block_is_the_counts_files(self, tmp_path, tagged):
         if tagged:
-            lm, vocab, enc, table = tagged_model()
+            lm, vocab, enc, clu = tagged_model()
+            table = clu.table
         else:
             sents = make_random_corpus(47, n_sentences=60, n_words=8)
             vocab, enc, table = build_table(sents, offsets=(-2, -1))
@@ -657,11 +659,12 @@ class TestOneContextSpec:
     def test_a_header_sizes_no_array(self, tmp_path):
         # the slot block comes after the #words rows, so a w slot's
         # identity table is built only for words the file holds
-        lm, vocab, enc = TestClassLMFile.model(2)
+        lm, vocab, enc, table = TestClassLMFile.model(2)
         path = tmp_path / "m.classlm"
         save_classlm(lm, path)
         big = 2_000_000
-        lines = set_line(path.read_text().splitlines(), "#n_words", f"#n_words\t{big}")
+        saved = path.read_text().splitlines()
+        lines = set_line(saved, "#n_words", f"#n_words\t{big}")
         lines = [f"#slot\t{x.split(chr(9))[1]}\tw\t{big}" if x.startswith("#slot") else x
                  for x in lines]
         path.write_text("\n".join(lines) + "\n")
@@ -673,6 +676,125 @@ class TestOneContextSpec:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+        # nor does #n_states: the per-state sums end at the joint's last
+        # state.  The pruned file loads with #n_states at 2,000,000 once
+        # one joint cell and a word of its category have that many events
+        # more, so that the header stays within the word count.
+        assert len(lm.tables[-1][1]) < table.n_contexts
+        s_g, _, n = saved[find(saved, "#joint") + 1].partition("\t")
+        g = s_g.split(" ")[1]
+        w = next(i for i, x in enumerate(saved[find(saved, "#words") + 1 :]) if x.split("\t")[0] == g)
+        lines = edit_row(saved, "#joint", 0, f"{s_g}\t{int(n) + big}")
+        lines = edit_row(lines, "#words", w, f"{g}\t{int(saved[find(saved, '#words') + 1 + w].split(chr(9))[1]) + big}")
+        lines = set_line(lines, "#n_states", f"#n_states\t{big}")
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            loaded = load_classlm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert loaded.n_states == big and len(loaded.state_totals) == len(lm.state_totals)
+
+    def test_n_states_above_the_word_count_is_rejected(self, tmp_path):
+        # each state held a training context, seen at least once
+        lm, vocab, enc, table = TestClassLMFile.model(2)
+        path = tmp_path / "m.classlm"
+        save_classlm(lm, path)
+        lines = path.read_text().splitlines()
+        for n_states, ok in ((lm.total, True), (lm.total + 1, False), (0, False)):
+            path.write_text("\n".join(set_line(lines, "#n_states", f"#n_states\t{n_states}")) + "\n")
+            if ok:
+                assert load_classlm(path).n_states == lm.total
+                continue
+            want = f"corrupt class model file {path}: n_states must lie in [1, total word count]"
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                load_classlm(path)
+
+
+def every_query(model):
+    """Query rows of every history a model of ``model.history_width``
+    reads, each position a word or, before the sentence start, -1, with
+    every word after it."""
+    n, width = model.n_words, model.history_width
+    rows = [
+        (-1,) * start + words + (w,)
+        for start in range(width + 1)
+        for words in itertools.product(range(n), repeat=width - start)
+        for w in range(n)
+    ]
+    return np.array(rows, dtype=np.int64)
+
+
+class TestLosslessTables:
+    """A class model keeps a suffix or context row only where its state
+    differs from the one its next-shorter suffix resolves to, so every
+    query resolves and scores as through the unpruned tables."""
+
+    @staticmethod
+    def check(clu, vocab):
+        lm, full = ClassLM(clu, vocab, discount=0.4), unpruned_classlm(clu, vocab, discount=0.4)
+        table, expected = clu.table, full_tables(clu.table, clu.S)
+        assert states_of(lm, table.contexts) == clu.S.tolist()
+        # seen contexts, each suffix length and unseen ones resolve to the
+        # unpruned tables' states, and every query scores bit-identically
+        assert_same_probs(lm, full, probe_contexts(table, vocab))
+        rows = every_query(lm)
+        assert lm.prob(rows).tobytes() == full.prob(rows).tobytes()
+        for keep, ((keys, states), rows_k) in enumerate(zip(lm.tables, expected, strict=True), 1):
+            kept = keys.rows()
+            # a kept row is the unpruned table's, with its state, and not
+            # the state its next-shorter suffix resolves to
+            assert [rows_k[c] for c in tuples(kept)] == states.tolist()
+            assert (states != lm._resolve_states(kept[:, 1:])).all()
+        # an unpruned file loads, scores the same and re-saves to its bytes
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "full.classlm"
+            save_classlm(full, path)
+            loaded = load_classlm(path)
+            assert [len(s) for _, s in loaded.tables] == [len(t) for t in expected]
+            assert loaded.prob(rows).tobytes() == lm.prob(rows).tobytes()
+            save_classlm(loaded, Path(tmp) / "again.classlm")
+            assert (Path(tmp) / "again.classlm").read_bytes() == path.read_bytes()
+        return lm
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), depth=st.integers(1, 3),
+           how=st.sampled_from(["tree", "flat", "random states"]), n_states=st.integers(1, 6))
+    def test_pruned_tables_resolve_as_the_full_ones(self, seed, depth, how, n_states):
+        sents = make_random_corpus(seed, n_sentences=25, n_words=5)
+        vocab, enc, table = build_table(sents, offsets=tuple(range(-depth, 0)))
+        n_states = min(n_states, table.n_contexts)
+        if how == "random states":  # ties and empty states too
+            rng = random.Random(seed)
+            G = [rng.randrange(3) for _ in range(len(vocab))]
+            clu = Clustering(table, 3, n_states, G, [rng.randrange(n_states) for _ in table.contexts])
+        elif how == "tree":
+            params = ClusterParams(n_categories=3, n_states=n_states, min_count=2)
+            clu = run_tree(table, build_suffix_tree(table), params)
+        else:
+            clu = run_flat(table, ClusterParams(n_categories=3, n_states=n_states, min_count=2))
+        self.check(clu, vocab)
+
+    def test_a_tag_slot_model_resolves_as_the_full_one(self):
+        lm, vocab, enc, clu = tagged_model()
+        assert sum(len(s) for _, s in self.check(clu, vocab).tables) < clu.table.n_contexts
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_a_model_of_one_state_keeps_no_rows(self, tmp_path, depth):
+        # every context and suffix sits in the default state
+        sents = make_random_corpus(5, n_sentences=20, n_words=5)
+        vocab, enc, table = build_table(sents, offsets=tuple(range(-depth, 0)))
+        clu = run_flat(table, ClusterParams(n_categories=3, n_states=1, min_count=1))
+        lm = self.check(clu, vocab)
+        assert [len(s) for _, s in lm.tables] == [0] * depth
+        save_classlm(lm, tmp_path / "m.classlm")
+        assert (tmp_path / "m.classlm").read_text().endswith("#contexts\t0\n")
+        loaded = load_classlm(tmp_path / "m.classlm")
+        rows = every_query(lm)
+        assert loaded.prob(rows).tobytes() == lm.prob(rows).tobytes()
 
 
 def find(lines, key):
