@@ -69,7 +69,8 @@ class EventTable:
     tuple order; its words are ``words[ptr[i]:ptr[i + 1]]``, ascending,
     with counts ``freqs`` at the same positions.  ``ctx_counts`` and
     ``word_counts`` are the exact marginals (0 for a word never seen).
-    The arrays are read-only; clustering and the models share them.
+    The table owns these read-only arrays, each built or copied here;
+    clustering and the models share them.
     """
 
     def __init__(self, spec: ContextSpec, n_words: int, keys: np.ndarray, freqs: np.ndarray):
@@ -77,7 +78,7 @@ class EventTable:
         (context values..., word id) in strictly increasing order, with
         their positive counts ``freqs``."""
         keys = np.asarray(keys, dtype=np.int64)
-        freqs = np.asarray(freqs, dtype=np.int64)
+        freqs = np.array(freqs, dtype=np.int64)
         if len(freqs) == 0:
             raise ValueError("empty event table")
         if keys.shape != (len(freqs), spec.depth + 1):
@@ -95,7 +96,7 @@ class EventTable:
         first = np.flatnonzero(row_starts(Keys(keys[:, :-1]).key))
         self.spec = spec
         self.n_words = int(n_words)
-        self.contexts = keys[:, :-1].take(first, axis=0).astype(np.int32)
+        self.contexts = keys[first, :-1].astype(np.int32)
         self.ptr = np.append(first, len(keys))
         self.words = keys[:, -1].astype(np.int32)
         self.freqs = freqs
@@ -194,14 +195,16 @@ def slot_lines(spec: ContextSpec, n_words: int) -> list[str]:
 def read_slots(r: Reader, n_words: int, rerun: str) -> ContextSpec:
     """The slot block that ``slot_lines`` writes, read at the cursor of
     ``r``: each slot mapper rebuilt from its ``#map`` line, and a ``w``
-    slot without one the identity.  A fault names the file and its line;
-    a slot without a ``#map`` line asks for the file to be written again
-    by ``rerun``, the command that writes it."""
-    header = []
+    slot without one the identity, of arity ``n_words``.  A fault names
+    the file and its line; a slot without a ``#map`` line asks for the
+    file to be written again by ``rerun``, the command that writes it."""
+    header, arity_of = [], {}
     while r.at("#slot"):
         off, name, arity = r.line("#slot", 3)
-        header.append((r.int(off, "slot offset"), name, r.int(arity, "slot arity"), r.pos))
-    arity_of = {name: arity for _, name, arity, _ in header}
+        off, arity = r.int(off, "slot offset"), r.int(arity, "slot arity")
+        if arity_of.setdefault(name, arity) != arity:
+            raise r.error(f"slots named {name!r} differ in arity", 0)
+        header.append((off, name, arity, r.pos))
     tables = {}
     while r.at("#map"):
         name, text = r.line("#map", 2)
@@ -212,14 +215,15 @@ def read_slots(r: Reader, n_words: int, rerun: str) -> ContextSpec:
         if len(values) != n_words or not all(0 <= v < top for v in values):
             raise r.error(f"#map {name} needs {n_words} values in [0, {top}), one per word", 0)
         tables[name] = np.array(values)
-    if "w" not in tables and arity_of.get("w") == n_words:
-        tables["w"] = np.arange(n_words)
     slots = []
     for off, name, arity, pos in header:
+        if name == "w" and "w" not in tables:  # without a #map line, the identity
+            if arity != n_words:
+                message = f"slot {off} (w) has arity {arity}, but the file has {n_words} words"
+                raise r.error(message, 0, pos)
+            tables["w"] = np.arange(n_words)
         if name not in tables:
             raise r.error(f"slot {off} ({name}) has no #map line; re-run {rerun}", 1)
-        if arity != arity_of[name]:
-            raise r.error(f"slots named {name!r} differ in arity")
         try:
             slots.append(Slot(off, FeatureMapper(name, tables[name], arity)))
             spec = ContextSpec(tuple(slots))  # each prefix, so that a fault names its line

@@ -91,7 +91,8 @@ class ClassLM:
     (lossless backoff pruning).  Each lookup table is kept once, as the
     ``_rows.Keys`` its queries search, its rows strictly sorted, beside
     its value column; ``save_classlm`` unpacks the keys and writes
-    exactly these tables, so a saved model loads on its own.
+    exactly these tables, so a saved model loads on its own.  The model
+    owns every array it keeps: each is built or copied as it is set up.
     """
 
     def __init__(self, clustering: Clustering, vocab: Vocabulary, discount: float = 0.5):
@@ -107,11 +108,9 @@ class ClassLM:
                     f"{slot.mapper.table.size} words but the vocabulary has {n_words}"
                 )
         s, g = np.nonzero(clustering.joint)
-        self._setup(
-            discount, table.spec, vocab.bos_id, clustering.G.copy(), clustering.word_counts.copy(),
-            np.column_stack([s, g]), clustering.joint[s, g].astype(np.int64),
-            clustering.n_categories, clustering.n_states, [],
-        )
+        self._setup(discount, table.spec, vocab.bos_id, clustering.G, clustering.word_counts,
+                    np.column_stack([s, g]), clustering.joint[s, g],
+                    clustering.n_categories, clustering.n_states, [])
         # shortest suffix first, each row kept only where its state is not
         # the one its next-shorter suffix resolves to through the rows kept
         depth = table.spec.depth
@@ -136,21 +135,22 @@ class ClassLM:
         n_states: int,
         tables: list[tuple[Keys, np.ndarray]],
     ) -> None:
-        """Keep the tables, the joint cells' (s, g) rows packed, and
-        derive the marginals."""
+        """Keep copies of ``G``, ``word_counts`` and ``cell_counts``, the
+        joint cells' (s, g) rows packed and ``tables``, which each caller
+        builds, and derive the marginals."""
         self.discount = float(discount)
         self.spec = spec
         self.depth = spec.depth
         self.bos_id = int(bos_id)
-        self.G = G
-        self.word_counts = word_counts
-        self.joint = (Keys(cells), cell_counts)
+        self.G = np.array(G, dtype=np.int32)
+        self.word_counts = np.array(word_counts, dtype=np.int64)
+        self.joint = (Keys(cells), np.array(cell_counts, dtype=np.int64))
         self.tables = tables
         self.n_words = len(G)
         self.n_categories = int(n_categories)
         self.n_states = int(n_states)
 
-        s, g, n = cells[:, 0], cells[:, 1], cell_counts
+        s, g, n = cells[:, 0], cells[:, 1], self.joint[1]
         # the per-state sums end at the joint's last state, so that the
         # #n_states header sizes no array of a loaded model
         n_live = int(s.max(initial=0)) + 1
@@ -302,11 +302,11 @@ def load_classlm(path: str | Path) -> ClassLM:
     ``events.read_slots`` after the ``#words`` rows, so that no header
     value sizes an array before the rows it counts are found; the
     per-state sums end at the joint's last state, and ``#n_states`` need
-    only lie in [1, total word count].  The suffix and context rows are
-    kept as read: a file with every row, as models were written before
-    their tables were pruned, loads, scores the same as its pruned
-    model and saves back to its own bytes.  Any inconsistency raises
-    ``ValueError``.
+    only lie in [1, total word count].  The model owns its arrays, none
+    a view of the rows read, and keeps the suffix and context rows as
+    read: a file with every row, as models were written before their
+    tables were pruned, loads, scores the same as its pruned model and
+    saves to the same bytes.  Any inconsistency raises ``ValueError``.
     """
     r = Reader(path, "#clusterlm-classlm v3", "class model")
     discount = r.float_line("#discount")
@@ -323,8 +323,7 @@ def load_classlm(path: str | Path) -> ClassLM:
 
     words = r.section("#words", 1, 1, n_words)
     r.check(check_range, words[:, 0], 0, n_categories, "word categories")
-    G, word_counts = words[:, 0].astype(np.int32), words[:, 1].copy()
-    total = exact_sum(word_counts)
+    total = exact_sum(words[:, 1])
     if not 0 < total < 2**62:
         raise r.error("word counts must add up to a total in (0, 2**62)")
     if not 1 <= n_states <= total:  # each state held a context, seen at least once
@@ -336,12 +335,11 @@ def load_classlm(path: str | Path) -> ClassLM:
     r.check(check_range, cells[:, 1], 0, n_categories, "joint categories")
     r.check(check_range, cells[:, 2], 1, 2**62, "joint counts")
     if not np.array_equal(
-        _sums(cells[:, 1], cells[:, 2], n_categories), _sums(G, word_counts, n_categories)
+        _sums(cells[:, 1], cells[:, 2], n_categories), _sums(words[:, 0], words[:, 1], n_categories)
     ):
         raise r.error("joint column sums differ from the category word counts")
     r.check(check_strictly_sorted, cells[:, :2], "#joint")
 
-    del words  # each section's rows but the joint's go once checked and packed
     keys = [f"#suffix\t{keep}" for keep in range(1, spec.depth)] + ["#contexts"]
     tables, opened = [], []
     for keep, key in enumerate(keys, 1):
@@ -350,10 +348,8 @@ def load_classlm(path: str | Path) -> ClassLM:
     r.end("#contexts")
 
     model = ClassLM.__new__(ClassLM)
-    model._setup(  # the joint counts copied, not a view that keeps the section's rows
-        discount, spec, bos_id, G, word_counts, cells[:, :2], cells[:, 2].copy(),
-        n_categories, n_states, tables,
-    )
+    model._setup(discount, spec, bos_id, words[:, 0], words[:, 1], cells[:, :2], cells[:, 2],
+                 n_categories, n_states, tables)
     totals = model.state_totals  # ends at the joint's last state
     for (_, states), (what, pos) in zip(tables, opened):
         if states.size and (states.max() >= len(totals) or (totals[states] == 0).any()):
@@ -407,7 +403,8 @@ class BackoffModel:
     order k >= 2, the lookup tables of the kept k-grams (the same keys)
     with their full interpolated p_k and of the seen histories, packed
     once, with their bow(h).  ``save_backoff`` unpacks the keys to write
-    the kept counts.
+    the kept counts.  The model owns every array it keeps, each built or
+    copied here.
     """
 
     def __init__(
@@ -427,7 +424,7 @@ class BackoffModel:
         self.n_words = int(n_words)
         self.discount = d = float(discount)
         self.bos_id = int(bos_id)
-        self.counts = [c for _, c in counts]
+        self.counts = [np.array(c, dtype=np.int64) for _, c in counts]
 
         words, uni_counts = counts[0][0][:, 0], self.counts[0]
         total = int(uni_counts.sum())
@@ -585,8 +582,9 @@ def load_backoff(path: str | Path) -> BackoffModel:
 
     The sections are read by ``Reader.section``, then handed to
     ``train_backoff`` without cutoffs, so the loaded model equals the
-    saved one bit for bit.  A damaged file (bad header, row count, id,
-    sort order or count, or a cut-off last line) raises ``ValueError``.
+    saved one bit for bit and owns its arrays.  A damaged file (bad
+    header, row count, id, sort order or count, or a cut-off last line)
+    raises ``ValueError``.
     """
     r = Reader(path, "#clusterlm-backoff v2", "backoff model")
     order = r.int_line("#order")
@@ -599,10 +597,8 @@ def load_backoff(path: str | Path) -> BackoffModel:
         raise r.error("order must be at least 1")
     if not 0 < n_words < 2**31:
         raise r.error("n_words outside [1, 2**31)")
-    counts = []
-    for k in range(1, order + 1):
-        rows = r.section(f"#{k}-grams", k, 1)
-        counts.append((rows[:, :-1], rows[:, -1].copy()))  # the model keeps no view of the rows
+    sections = [r.section(f"#{k}-grams", k, 1) for k in range(1, order + 1)]
+    counts = [(rows[:, :-1], rows[:, -1]) for rows in sections]
     r.end(f"#{order}-grams")
     try:
         return train_backoff(counts, n_words, discount=discount, cutoffs={}, bos_id=bos_id)

@@ -335,8 +335,31 @@ class TestCountsRoundTrip:
         path, lines = counts_lines(tmp_path, offsets=(-1,))
         n = int(lines[1].split("\t")[1])
         path.write_text("\n".join(lines).replace(f"\tw\t{n}\n", f"\tw\t{n - 1}\n") + "\n")
-        want = f"corrupt counts file {path}: line 4: slot -1 (w) has no #map line"
+        want = f"corrupt counts file {path}: line 3: slot -1 (w) has arity {n - 1}, but the file"
         with pytest.raises(ValueError, match=re.escape(want)):
+            load_counts(path)
+
+    @pytest.mark.parametrize("vocab", [0, -3, 7])
+    def test_a_vocab_unlike_the_w_arity_names_the_slot_line(self, tmp_path, vocab):
+        # the file needs no #map w line, so the error asks for no re-run
+        path, lines = counts_lines(tmp_path, offsets=(-1,))
+        n = int(lines[1].split("\t")[1])
+        assert lines[2] == f"#slot\t-1\tw\t{n}" and vocab != n
+        lines[1] = f"#vocab\t{vocab}"
+        path.write_text("\n".join(lines) + "\n")
+        want = (f"corrupt counts file {path}: line 3: "
+                f"slot -1 (w) has arity {n}, but the file has {vocab} words")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_counts(path)
+
+    def test_slots_of_one_name_and_two_arities_name_the_second_slot_line(self, tmp_path):
+        path, lines = counts_lines(tmp_path, offsets=(-2, -1))
+        n = int(lines[1].split("\t")[1])
+        assert lines[2:4] == [f"#slot\t-2\tw\t{n}", f"#slot\t-1\tw\t{n}"]
+        lines[2] = f"#slot\t-2\tw\t{n - 1}"
+        path.write_text("\n".join(lines) + "\n")
+        want = f"corrupt counts file {path}: line 4: slots named 'w' differ in arity"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_counts(path)
 
     def test_load_rejects_unknown_mapper_name(self, tmp_path):
@@ -631,8 +654,9 @@ class TestCountsFileCorruption:
 
 @pytest.mark.skipif(tracemalloc.is_tracing(), reason="the bound needs a tracemalloc of its own")
 def test_load_counts_peaks_near_what_it_keeps(tmp_path):
-    # the loader parses in blocks: beside the table it returns and the
-    # file's bytes it holds only temporaries of a fraction of the table
+    # the loader parses in blocks: beside the table it returns, the file's
+    # bytes and the one int64 matrix of the parsed rows, which the table
+    # does not keep, it holds only temporaries of a fraction of the table
     path = tmp_path / "counts.txt"
     save_counts(random_event_table(random.Random(3), 300, 20000, max_count=9), path)
     tracemalloc.start()
@@ -642,4 +666,6 @@ def test_load_counts_peaks_near_what_it_keeps(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(table.freqs) > 40000
-    assert peak <= kept + path.stat().st_size + kept // 2, (peak, kept)
+    parsed = 8 * len(table.freqs) * (table.spec.depth + 2)
+    assert kept < parsed  # no view of the parsed rows is kept
+    assert peak <= kept + path.stat().st_size + parsed + kept // 2, (peak, kept)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterlm._rows import tuples
+from clusterlm._rows import Reader, tuples
 from clusterlm.cluster import (
     Clustering,
     ClusterParams,
@@ -34,6 +34,7 @@ from clusterlm.corpus import (
 from clusterlm.ctxtree import build_suffix_tree
 from clusterlm.events import (
     ContextSpec,
+    EventTable,
     Slot,
     event_rows,
     extract_events,
@@ -585,6 +586,21 @@ class TestClassLMSectionLine:
         # the line where the #map line should be
         want = (f"corrupt class model file {path}: line {k + 1}: "
                 "slot -2 (t) has no #map line; re-run clusterlm cluster run --model-out")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_classlm(path)
+
+    def test_a_w_slot_of_another_arity_than_the_words_names_its_slot_line(self, tmp_path):
+        # the file needs no #map w line, so the error asks for no new model
+        lm, vocab, enc, table = TestClassLMFile.model(1)
+        path = tmp_path / "m.classlm"
+        save_classlm(lm, path)
+        lines = path.read_text().splitlines()
+        k = find(lines, "#slot")
+        assert lines[k] == f"#slot\t-1\tw\t{lm.n_words}" and lm.n_words != 7
+        lines[k] = "#slot\t-1\tw\t7"
+        path.write_text("\n".join(lines) + "\n")
+        want = (f"corrupt class model file {path}: line {k + 1}: "
+                f"slot -1 (w) has arity 7, but the file has {lm.n_words} words")
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_classlm(path)
 
@@ -1413,6 +1429,76 @@ class TestLoaderContract:
         with pytest.raises(ValueError) as err:
             self.LOADERS[loader](str(path), table)
         assert str(path) in str(err.value)
+
+    FILES = {
+        "load_counts": "counts", "load_clustering": "clustering", "load_classlm": "classlm",
+        "load_backoff": "backoff", "load_interpolated": "mixture", "load_model": "mixture",
+    }
+
+    @pytest.mark.parametrize("loader", list(LOADERS))
+    def test_what_a_loader_returns_keeps_no_view_of_the_parsed_rows(
+        self, tmp_path, monkeypatch, loader
+    ):
+        table, paths = saved_files(tmp_path)
+        parsed, rows = [], Reader.rows
+
+        def recorded(self, *args):
+            parsed.append(rows(self, *args))
+            return parsed[-1]
+
+        monkeypatch.setattr(Reader, "rows", recorded)
+        # the clustering's counts are loaded too, so that its table is checked
+        loaded = self.LOADERS[loader](paths[self.FILES[loader]], load_counts(paths["counts"]))
+        kept = kept_arrays(loaded)
+        assert parsed and kept
+        assert [name for name, a in kept if any(np.shares_memory(a, b) for b in parsed)] == []
+
+    @pytest.mark.parametrize("build", ["EventTable", "extract_events", "ClassLM", "train_backoff"])
+    def test_a_built_table_or_model_keeps_no_array_of_its_inputs(self, build):
+        vocab, enc, table = build_table(make_random_corpus(61, n_sentences=40, n_words=8))
+        if build == "EventTable":
+            rows = np.column_stack([np.repeat(table.contexts, np.diff(table.ptr), axis=0),
+                                    table.words, table.freqs])
+            inputs, built = rows, EventTable(table.spec, table.n_words, rows[:, :-1], rows[:, -1])
+        elif build == "extract_events":
+            inputs = [np.array(sentence) for sentence in enc]
+            built = extract_events(inputs, table.spec, vocab)
+        elif build == "ClassLM":
+            clu = run_flat(table, ClusterParams(n_categories=3, n_states=4, min_count=2))
+            inputs, built = (clu, vocab), ClassLM(clu, vocab, discount=0.5)
+        else:
+            inputs = ngram_counts(enc, 3, bos_id=vocab.bos_id, eos_id=vocab.eos_id)
+            built = train_backoff(inputs, len(vocab), cutoffs={}, bos_id=vocab.bos_id)
+        given = [a for _, a in kept_arrays(inputs)]
+        kept = kept_arrays(built, skip=[table.spec])  # the context spec is shared by design
+        assert given and kept
+        assert [name for name, a in kept if any(np.shares_memory(a, b) for b in given)] == []
+
+
+def kept_arrays(obj, skip=()) -> list[tuple[str, np.ndarray]]:
+    """(path, array) of every numpy array reachable from ``obj`` through
+    the attributes of package objects (a ``Keys``, a spec's mappers),
+    lists, tuples and dicts, but not through an object of ``skip``."""
+    out, seen = [], {id(x) for x in skip}
+
+    def walk(x, path):
+        if id(x) in seen:
+            return
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            out.append((path, x))
+        elif isinstance(x, (list, tuple)):
+            for i, y in enumerate(x):
+                walk(y, f"{path}[{i}]")
+        elif isinstance(x, dict):
+            for k, y in x.items():
+                walk(y, f"{path}[{k!r}]")
+        elif type(x).__module__.startswith("clusterlm."):
+            for k, y in vars(x).items():
+                walk(y, f"{path}.{k}")
+
+    walk(obj, type(obj).__name__)
+    return out
 
 
 def saved_files(tmp_path):
