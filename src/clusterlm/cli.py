@@ -289,6 +289,7 @@ def cmd_interp_tune(args) -> int:
         heldout,
         eos_id=vocab.eos_id,
         include_eos=not args.no_eos,
+        skip_unknown=args.skip_unknown,
         unk_id=vocab.unk_id,
         max_iters=args.max_iters,
         tol=args.tol,
@@ -422,6 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     it.add_argument("--max-iters", type=int, default=100)
     it.add_argument("--tol", type=float, default=1e-6)
     it.add_argument("--no-eos", action="store_true", help="do not score sentence ends")
+    it.add_argument("--skip-unknown", action="store_true", help="exclude unknown-word events from tuning")
     it.set_defaults(func=cmd_interp_tune)
 
     evalp = groups.add_parser("eval", help="model evaluation")

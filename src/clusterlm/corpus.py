@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -161,8 +162,8 @@ def read_corpus_lines(path: str | Path) -> list[str]:
 
 
 def iter_tokens(lines: Iterable[str]) -> Iterable[str]:
-    for line in lines:
-        yield from line.split()
+    """The whitespace-separated tokens of ``lines``, in order."""
+    return chain.from_iterable(map(str.split, lines))
 
 
 def encode_corpus(lines: Iterable[str], vocab: Vocabulary) -> list[list[int]]:

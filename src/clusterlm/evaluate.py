@@ -3,9 +3,11 @@
 Both score a corpus through the models' one query, ``model.prob(rows)``
 (see ``clusterlm.models``): the event rows are built once, with -1
 before the sentence start, and each model scores all of them in one
-call.  Each log is taken with ``math.log`` and every log-probability sum
-is exactly rounded compensated summation, so totals are independent of
-sentence order to the last bit.
+call.  Each log is taken with ``math.log``.  Every report and
+perplexity total, and the EM's first log-likelihood, is an exactly
+rounded sum (``math.fsum``), so totals are independent of sentence order
+to the last bit; the EM follows its later log-likelihoods by their
+gains (see ``em_mixture_weights``).
 """
 
 from __future__ import annotations
@@ -62,11 +64,10 @@ def _check_nonzero(
     sentence: np.ndarray,
     position: np.ndarray,
     unk_id: int | None,
-    advice: str = "",
 ) -> None:
     """Raise ``ValueError`` naming the first event of probability 0.
     When its word is ``unk_id`` the message says why a class model gives
-    the unknown word 0, followed by ``advice``."""
+    the unknown word 0 and that skipping unknown words leaves it out."""
     zero = np.flatnonzero(probs <= 0.0)
     if zero.size:
         i = zero[0]
@@ -75,7 +76,8 @@ def _check_nonzero(
         if w == unk_id:
             msg += (
                 "; that is the unknown word, to which a class model gives probability 0"
-                " when it had no training count" + advice
+                " when it had no training count; skipping unknown words (--skip-unknown)"
+                " leaves such events out"
             )
         raise ValueError(msg)
 
@@ -123,10 +125,7 @@ def perplexity(
     if not len(rows):
         raise ValueError("no events to evaluate")
     probs = model.prob(rows)
-    _check_nonzero(
-        probs, rows[:, -1], sentence, position, unk_id,
-        "; skipping unknown words (--skip-unknown) leaves such events out",
-    )
+    _check_nonzero(probs, rows[:, -1], sentence, position, unk_id)
     logs = [math.log(p) for p in probs.tolist()]
     report = _report(model_id, logs)
     if per_sentence:
@@ -170,8 +169,13 @@ def em_mixture_weights(
     w_k <- (1/N) sum_i w_k p_ik / sum_j w_j p_ij.  Stops when
     max |delta w| < tol (a non-negative number) or after ``max_iters``.
     Returns the weights and the held-out log-likelihood before each
-    update; the sequence is checked to be non-decreasing (EM guarantee)
-    to 1e-9.
+    update.  The first is the exactly rounded sum of the events' logs;
+    each later one is the one before plus the iteration's gain,
+    sum_i log(mix_i / previous mix_i).  A gain below -1e-9 raises
+    ``RuntimeError``: EM never lowers the likelihood.  The gain's terms
+    shrink as EM converges, and so does its rounding error, whereas a
+    difference of two rounded totals cannot resolve less than one ulp
+    of the total.
 
     The mixture is ``models._mix``'s, and each weight's sum over the
     events is one ``np.add.reduce``: no BLAS call, whose kernel OpenBLAS
@@ -188,16 +192,19 @@ def em_mixture_weights(
     columns = [np.ascontiguousarray(P[:, j]) for j in range(k)]
     w = np.full(k, 1.0 / k, dtype=np.float64)
     history: list[float] = []
-    # event-length buffers, reused by every iteration
-    mix, inv, term = np.empty(n), np.empty(n), np.empty(n)
+    # event-length buffers, reused by every iteration; mix and prev swap
+    mix, prev, inv, term = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     for _ in range(max_iters):
         _mix(w, lambda j: columns[j], mix, term)
         if (mix <= 0.0).any():
             raise ValueError("mixture assigns zero probability to a held-out event")
-        ll = math.fsum(memoryview(np.log(mix, out=term)))
-        if history and ll < history[-1] - 1e-9:
-            raise RuntimeError("EM log-likelihood decreased")
-        history.append(ll)
+        if history:
+            gain = float(np.add.reduce(np.log(np.divide(mix, prev, out=term), out=term)))
+            if gain < -1e-9:
+                raise RuntimeError("EM log-likelihood decreased")
+            history.append(history[-1] + gain)
+        else:
+            history.append(math.fsum(memoryview(np.log(mix, out=term))))
         np.divide(1.0, mix, out=inv)
         new_w = np.empty(k, dtype=np.float64)
         for j in range(k):
@@ -205,6 +212,7 @@ def em_mixture_weights(
             new_w[j] = np.add.reduce(np.multiply(term, inv, out=term)) / n
         delta = float(np.max(np.abs(new_w - w)))
         w = new_w
+        mix, prev = prev, mix
         if delta < tol:
             break
     return w / float(w.sum()), history
@@ -216,14 +224,16 @@ def tune_weights_em(
     *,
     eos_id: int | None = None,
     include_eos: bool = True,
+    skip_unknown: bool = False,
     unk_id: int | None = None,
     max_iters: int = 100,
     tol: float = 1e-6,
 ) -> tuple[np.ndarray, EvalReport]:
     """Tune mixture weights for ``components`` on held-out sentences.
 
-    The event rows are built once, as ``perplexity`` builds them, and
-    each component scores them in one ``prob`` call; an event that every
+    The event rows are built once, as ``perplexity`` builds them (with
+    unknown-word events left out for ``skip_unknown``), and each
+    component scores them in one ``prob`` call; an event that every
     component scores 0 raises ``ValueError`` naming it (and saying so
     when its word is ``unk_id``).  The EM fixed point then runs on that
     fixed matrix.  Returns the weights and the held-out report of the
@@ -234,11 +244,18 @@ def tune_weights_em(
         raise ValueError("at least two components required")
     if include_eos and eos_id is None:
         raise ValueError("eos_id is required when sentence ends are scored")
+    if skip_unknown and unk_id is None:
+        raise ValueError("unk_id is required when unknown words are skipped")
     sentences = list(sentences)
-    if sum(map(len, sentences)) + (len(sentences) if include_eos else 0) == 0:
+    if not sentences:
         raise ValueError("degenerate held-out corpus: no events")
     width = max(comp.history_width for comp in components)
     rows, sentence, position = _query_events(sentences, width, eos_id, include_eos)
+    if skip_unknown:
+        keep = rows[:, -1] != unk_id
+        rows, sentence, position = rows[keep], sentence[keep], position[keep]
+    if not len(rows):
+        raise ValueError("degenerate held-out corpus: no events")
     probs = np.column_stack([comp.prob(rows) for comp in components])
     _check_nonzero(probs.max(axis=1), rows[:, -1], sentence, position, unk_id)
     weights, _ = em_mixture_weights(probs, max_iters=max_iters, tol=tol)

@@ -507,14 +507,24 @@ def ngram_counts(
     Entry k-1 is the pair (grams, counts): the distinct k-grams as
     strictly sorted rows of k word ids, and their int64 counts.  The
     order-``order`` rows come from ``event_rows``, as the context counts
-    do; each lower order is the suffix marginal of the order above.
+    do; each lower order is the suffix marginal of the order above.  The
+    unigrams need no sort: their counts are an exact int64 scatter-add
+    over the range of word ids present.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     out = [sum_rows(event_rows(sentences, range(1 - order, 0), bos_id, eos_id))]
-    for _ in range(order - 1):
+    for _ in range(order - 2):
         grams, counts = out[-1]
         out.append(sum_rows(grams[:, 1:], counts))
+    if order > 1:
+        grams, counts = out[-1]
+        words = grams[:, 1]
+        lo = int(words.min())
+        totals = np.zeros(int(words.max()) - lo + 1, dtype=np.int64)
+        np.add.at(totals, words - lo, counts)
+        ids = np.flatnonzero(totals)
+        out.append(((ids + lo).reshape(-1, 1), totals[ids]))
     return out[::-1]
 
 

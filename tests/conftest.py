@@ -27,9 +27,9 @@ from clusterlm.corpus import (
     identity_mapper,
 )
 from clusterlm.ctxtree import suffix_level
-from clusterlm.evaluate import EvalReport, em_mixture_weights
+from clusterlm.evaluate import EvalReport
 from clusterlm.events import ContextSpec, EventTable, Slot, extract_events
-from clusterlm.models import BackoffModel, ClassLM, InterpolatedModel
+from clusterlm.models import BackoffModel, ClassLM, InterpolatedModel, _mix
 
 
 def make_random_corpus(seed: int, n_sentences: int, n_words: int = 12,
@@ -538,17 +538,43 @@ def oracle_perplexity(model, sentences, *, eos_id=None, include_eos=True, skip_u
     return report
 
 
+def oracle_em_mixture_weights(probs, max_iters=100, tol=1e-6):
+    """``em_mixture_weights`` with the exactly rounded log-likelihood
+    (``math.fsum`` of every event's log) of each iteration in its
+    history: the same update and stopping rule, unchecked."""
+    P = np.asarray(probs, dtype=np.float64)
+    n, k = P.shape
+    columns = [np.ascontiguousarray(P[:, j]) for j in range(k)]
+    w = np.full(k, 1.0 / k, dtype=np.float64)
+    history = []
+    mix, inv, term = np.empty(n), np.empty(n), np.empty(n)
+    for _ in range(max_iters):
+        _mix(w, lambda j: columns[j], mix, term)
+        history.append(math.fsum(memoryview(np.log(mix, out=term))))
+        np.divide(1.0, mix, out=inv)
+        new_w = np.empty(k, dtype=np.float64)
+        for j in range(k):
+            np.multiply(columns[j], w[j], out=term)
+            new_w[j] = np.add.reduce(np.multiply(term, inv, out=term)) / n
+        delta = float(np.max(np.abs(new_w - w)))
+        w = new_w
+        if delta < tol:
+            break
+    return w / float(w.sum()), history
+
+
 def oracle_tune_weights_em(components, sentences, *, eos_id=None, include_eos=True,
-                           max_iters=100, tol=1e-6):
+                           skip_unknown=False, unk_id=None, max_iters=100, tol=1e-6):
     """``tune_weights_em`` by a per-event loop: one ``oracle_prob`` call
     per event and component fills the matrix, then the same EM and the
     same scoring of the tuned mixture."""
     rows = [
         [oracle_prob(comp, w, hist) for comp in components]
         for _, _, w, hist in _events(sentences, eos_id, include_eos)
+        if not (skip_unknown and w == unk_id)
     ]
     probs = np.asarray(rows, dtype=np.float64)
-    weights, _ = em_mixture_weights(probs, max_iters=max_iters, tol=tol)
+    weights, _ = oracle_em_mixture_weights(probs, max_iters=max_iters, tol=tol)
     mix = np.zeros(len(probs), dtype=np.float64)
     for k, lam in enumerate(weights):
         if lam != 0.0:

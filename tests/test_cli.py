@@ -179,9 +179,10 @@ class TestPipeline:
                       "--vocab", d / "v.txt", "--skip-unknown"], capsys)
         assert "perplexity" in out
 
-    def test_tuning_names_an_event_that_every_component_scores_zero(self, tmp_path, capsys):
-        # two class models both give <unk> probability 0 (see above)
-        d = tmp_path
+    @staticmethod
+    def two_class_models(d, capsys):
+        """Two class models that both give <unk> probability 0 (see
+        above), and held-out text with an unknown word."""
         (d / "train.txt").write_text("a b c\nb c a\nc a b\n")
         (d / "held.txt").write_text("a b\nb zzz\n")
         run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
@@ -191,14 +192,32 @@ class TestPipeline:
             run_ok(["cluster", "run", "--counts", d / f"c{k}.tsv", "--states", "2",
                     "--categories", "2", "--out", d / f"cl{k}.tsv",
                     "--model-out", d / f"m{k}.model", "--vocab", d / "v.txt"], capsys)
+
+    def test_tuning_names_an_event_that_every_component_scores_zero(self, tmp_path, capsys):
+        d = tmp_path
+        self.two_class_models(d, capsys)
         unk = Vocabulary.load(d / "v.txt").unk_id
         err = run_fail(["interp", "tune", "--models", d / "m1.model", d / "m2.model",
                         "--heldout", d / "held.txt", "--vocab", d / "v.txt",
                         "--out", d / "mix.model"], capsys)
         assert err.startswith(f"error: zero probability for word id {unk} (sentence 1, position 1)")
-        # interp tune has no --skip-unknown to advise
-        assert "unknown word" in err and "--skip-unknown" not in err
+        assert "unknown word" in err and "--skip-unknown" in err
         assert not (d / "mix.model").exists()
+
+    def test_tuning_class_models_alone_skips_unknown_words(self, tmp_path, capsys):
+        d = tmp_path
+        self.two_class_models(d, capsys)
+        out = run_ok(["interp", "tune", "--models", d / "m1.model", d / "m2.model",
+                      "--heldout", d / "held.txt", "--vocab", d / "v.txt",
+                      "--out", d / "mix.model", "--skip-unknown"], capsys)
+        weights = [float(x) for x in out.splitlines()[0].split()[1:]]
+        assert len(weights) == 2 and sum(weights) == pytest.approx(1.0, abs=1e-5)
+        tuned = out.splitlines()[1].split()[2]
+        # the mixture scores the same five events that were tuned on
+        report = run_ok(["eval", "ppl", "--model", d / "mix.model", "--test", d / "held.txt",
+                         "--vocab", d / "v.txt", "--skip-unknown"], capsys)
+        values = dict(line.split() for line in report.splitlines())
+        assert values["events"] == "5" and values["perplexity"] == tuned
 
 
 class TestPerSentence:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterlm import evaluate
 from clusterlm.evaluate import (
     EvalReport,
     em_mixture_weights,
@@ -26,6 +27,7 @@ from conftest import (
     CPU_PATHS,
     build_table,
     make_random_corpus,
+    oracle_em_mixture_weights,
     oracle_perplexity,
     oracle_tune_weights_em,
     run_under,
@@ -352,6 +354,52 @@ class TestEMWeights:
         _, hist = em_mixture_weights(P, max_iters=7, tol=0.0)
         assert len(hist) == 7
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 2000),
+        k=st.integers(2, 4),
+        floor=st.sampled_from([1e-12, 1e-6, 1e-2]),
+        power=st.floats(0.5, 8.0),
+        tol=st.sampled_from([0.0, 1e-6]),
+        max_iters=st.integers(1, 50),
+    )
+    def test_weights_equal_the_exact_sum_oracle(self, seed, n, k, floor, power, tol, max_iters):
+        """The gain check changes no weight bit and no iteration count,
+        and its history follows the exactly rounded sums to 1e-9."""
+        P = floor + np.random.default_rng(seed).random((n, k)) ** power
+        w, hist = em_mixture_weights(P, max_iters=max_iters, tol=tol)
+        want_w, want_hist = oracle_em_mixture_weights(P, max_iters=max_iters, tol=tol)
+        assert w.tobytes() == want_w.tobytes()
+        assert len(hist) == len(want_hist)
+        assert hist[0] == want_hist[0]
+        assert all(abs(a - b) <= 1e-9 for a, b in zip(hist, want_hist))
+
+    @pytest.mark.parametrize("drop, raises", [(1e-6, True), (1e-10, False)])
+    def test_a_lowered_mixture_is_caught(self, monkeypatch, drop, raises):
+        """Two identical columns keep the mixture, so the true gain is 0;
+        lowering one event's mixture by the relative ``drop`` on the
+        second iteration lowers the log-likelihood by about ``drop``,
+        which must raise beyond the 1e-9 tolerance and not within it."""
+        real, calls = evaluate._mix, []
+
+        def lowered(*args):
+            out = real(*args)
+            calls.append(None)
+            if len(calls) == 2:
+                out[0] *= 1.0 - drop
+            return out
+
+        monkeypatch.setattr(evaluate, "_mix", lowered)
+        col = np.random.default_rng(5).uniform(0.01, 1.0, size=500)
+        P = np.stack([col, col], axis=1)
+        if raises:
+            with pytest.raises(RuntimeError, match="EM log-likelihood decreased"):
+                em_mixture_weights(P, max_iters=5, tol=0.0)
+        else:
+            assert len(em_mixture_weights(P, max_iters=5, tol=0.0)[1]) == 5
+        assert len(calls) >= 2
+
     def test_zero_mixture_event_rejected(self):
         P = np.asarray([[0.5, 0.5], [0.0, 0.0]])
         with pytest.raises(ValueError, match="zero probability"):
@@ -400,8 +448,9 @@ class TestTuneWeights:
         )
         assert pp_mix <= pp_best * (1 + 1e-6)
 
+    @pytest.mark.parametrize("skip_unknown", [False, True])
     @pytest.mark.parametrize("include_eos", [True, False])
-    def test_array_matrix_equals_the_per_event_oracle(self, include_eos):
+    def test_array_matrix_equals_the_per_event_oracle(self, include_eos, skip_unknown):
         sents = make_random_corpus(13, n_sentences=60, n_words=9)
         vocab, enc, table = build_table(sents, offsets=(-2, -1))
         lm = ClassLM(run_flat(table, ClusterParams(n_categories=3, n_states=4, min_count=2)),
@@ -412,10 +461,13 @@ class TestTuneWeights:
                             len(vocab), discount=0.5, bos_id=vocab.bos_id)
         # sentences of length 0 and 1 among longer ones
         held = [[], [enc[0][0]], *enc[1:15], [], [enc[1][0]]]
+        # skipping a word that occurs, as if it were the unknown word
+        skip = dict(skip_unknown=skip_unknown, unk_id=enc[1][0])
         for components in ([lm, bo], [bo, uni, lm], [uni, bo]):
-            got = tune_weights_em(components, held, eos_id=vocab.eos_id, include_eos=include_eos)
+            got = tune_weights_em(components, held, eos_id=vocab.eos_id,
+                                  include_eos=include_eos, **skip)
             want = oracle_tune_weights_em(components, held, eos_id=vocab.eos_id,
-                                          include_eos=include_eos)
+                                          include_eos=include_eos, **skip)
             assert got[0].tolist() == want[0].tolist()
             assert got[1] == want[1]
 
@@ -427,3 +479,7 @@ class TestTuneWeights:
             tune_weights_em([m, m], [[0]])
         with pytest.raises(ValueError, match="degenerate held-out corpus"):
             tune_weights_em([m, m], [[], []], include_eos=False)
+        with pytest.raises(ValueError, match="unk_id is required"):
+            tune_weights_em([m, m], [[0]], include_eos=False, skip_unknown=True)
+        with pytest.raises(ValueError, match="degenerate held-out corpus"):
+            tune_weights_em([m, m], [[2, 2], []], include_eos=False, skip_unknown=True, unk_id=2)

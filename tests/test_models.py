@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterlm._rows import Reader, tuples
+from clusterlm._rows import Keys, Reader, sum_rows, tuples
 from clusterlm.cluster import (
     Clustering,
     ClusterParams,
@@ -877,6 +877,24 @@ class TestNgramCounts:
     def test_unigram_order_has_no_padding(self):
         counts = count_dicts(ngram_counts([[0, 1]], 1, bos_id=5, eos_id=6))
         assert counts[0] == {(0,): 1, (1,): 1, (6,): 1}
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 8])
+    def test_unigrams_equal_the_sorted_marginal(self, order):
+        """The unigrams, an int64 scatter-add over the word ids present,
+        equal the ``sum_rows`` marginal of the bigrams and of the event
+        rows, to the dtype and shape.  Ids 5-271 put the 8-grams in two
+        key chunks."""
+        rng = random.Random(order)
+        sents = [[rng.randrange(5, 265) for _ in range(rng.randint(0, 12))] for _ in range(300)]
+        counts = ngram_counts(sents, order, bos_id=271, eos_id=270)
+        wants = [sum_rows(event_rows(sents, range(0), 271, 270))]
+        if order > 1:
+            wants.append(sum_rows(counts[1][0][:, 1:], counts[1][1]))
+        for grams, c in wants:
+            assert grams.dtype == counts[0][0].dtype and c.dtype == counts[0][1].dtype
+            assert np.array_equal(grams, counts[0][0]) and np.array_equal(c, counts[0][1])
+        if order == 8:
+            assert Keys(counts[-1][0]).key.shape[1] == 2
 
     def test_validation(self):
         with pytest.raises(ValueError, match="order"):
