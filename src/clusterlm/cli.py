@@ -151,6 +151,19 @@ def _check_model_vocab(model, model_path, vocab: Vocabulary, vocab_path) -> None
         )
 
 
+def _load_scored(vocab_path, model_paths, text_path, no_eos: bool, skip_unknown: bool):
+    """The models at ``model_paths``, each checked against the vocabulary,
+    the text encoded with it, and the options that score the text."""
+    vocab = Vocabulary.load(vocab_path)
+    models = [load_model(p) for p in model_paths]
+    for model, path in zip(models, model_paths):
+        _check_model_vocab(model, path, vocab, vocab_path)
+    text = encode_corpus(read_corpus_lines(text_path), vocab)
+    options = dict(eos_id=vocab.eos_id, include_eos=not no_eos, skip_unknown=skip_unknown,
+                   unk_id=vocab.unk_id)
+    return models, text, options
+
+
 def _mappers_for(names: Sequence[str], vocab: Vocabulary, tagmap, classmap) -> dict:
     """Feature mapper for each slot name w, t or g; a slot without its map,
     or a map no slot uses, is rejected."""
@@ -279,20 +292,11 @@ def cmd_interp_tune(args) -> int:
         raise ValueError("--max-iters must be at least 1")
     if not args.tol >= 0.0:
         raise ValueError("--tol must be a non-negative number")
-    vocab = Vocabulary.load(args.vocab)
-    components = [load_model(p) for p in args.models]
-    for comp, path in zip(components, args.models):
-        _check_model_vocab(comp, path, vocab, args.vocab)
-    heldout = encode_corpus(read_corpus_lines(args.heldout), vocab)
+    components, heldout, options = _load_scored(
+        args.vocab, args.models, args.heldout, args.no_eos, args.skip_unknown
+    )
     weights, report = tune_weights_em(
-        components,
-        heldout,
-        eos_id=vocab.eos_id,
-        include_eos=not args.no_eos,
-        skip_unknown=args.skip_unknown,
-        unk_id=vocab.unk_id,
-        max_iters=args.max_iters,
-        tol=args.tol,
+        components, heldout, **options, max_iters=args.max_iters, tol=args.tol
     )
     model = InterpolatedModel(components, weights)
     comp_paths = [_relative_to(p, args.out) for p in args.models]
@@ -304,32 +308,15 @@ def cmd_interp_tune(args) -> int:
 
 
 def cmd_eval_ppl(args) -> int:
-    vocab = Vocabulary.load(args.vocab)
-    model = load_model(args.model)
-    _check_model_vocab(model, args.model, vocab, args.vocab)
-    test = encode_corpus(read_corpus_lines(args.test), vocab)
+    (model,), test, options = _load_scored(
+        args.vocab, [args.model], args.test, args.no_eos, args.skip_unknown
+    )
     report = perplexity(
-        model,
-        test,
-        eos_id=vocab.eos_id,
-        include_eos=not args.no_eos,
-        skip_unknown=args.skip_unknown,
-        unk_id=vocab.unk_id,
-        model_id=Path(args.model).name,
-        per_sentence=args.per_sentence,
+        model, test, **options, model_id=Path(args.model).name, per_sentence=args.per_sentence
     )
     print(format_report(report))
-    if args.per_sentence and report.per_sentence:
-        for si, (n, lp) in enumerate(report.per_sentence):
-            print(f"sentence {si}: events {n}, logprob {lp:.6f}")
     if args.report:
-        lines = report_lines(report)
-        if report.per_sentence:
-            lines += [
-                f"sentence\t{si}\t{n}\t{lp!r}"
-                for si, (n, lp) in enumerate(report.per_sentence)
-            ]
-        _write_lines(args.report, lines)
+        _write_lines(args.report, report_lines(report))
     _maybe_manifest(args, [args.model, args.test, args.vocab])
     return 0
 

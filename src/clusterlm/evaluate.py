@@ -1,13 +1,14 @@
 """Perplexity over a test stream and EM tuning of mixture weights.
 
-Both score a corpus through the models' one query, ``model.prob(rows)``
-(see ``clusterlm.models``): the event rows are built once, with -1
-before the sentence start, and each model scores all of them in one
-call.  Each log is taken with ``math.log``.  Every report and
-perplexity total, and the EM's first log-likelihood, is an exactly
-rounded sum (``math.fsum``), so totals are independent of sentence order
-to the last bit; the EM follows its later log-likelihoods by their
-gains (see ``em_mixture_weights``).
+Both score a corpus through ``_score_events``: it builds the event rows
+once, with -1 before the sentence start, and each model scores all of
+them in one call of the models' one query, ``model.prob(rows)`` (see
+``clusterlm.models``).  Each log is taken with ``math.log``.  Every
+report and perplexity total, and the EM's first log-likelihood, is an
+exactly rounded sum (``math.fsum``), so totals are independent of
+sentence order to the last bit; the EM follows its later log-likelihoods
+by their gains (see ``em_mixture_weights``).  ``format_report`` and
+``report_lines`` write a report's per-sentence lines when it has them.
 """
 
 from __future__ import annotations
@@ -88,6 +89,35 @@ def _report(model_id: str, logs: list[float]) -> EvalReport:
     return EvalReport(model_id, len(logs), total, math.exp(-total / len(logs)))
 
 
+def _score_events(
+    models: Sequence, sentences: Sequence[Sequence[int]], *, eos_id: int | None,
+    include_eos: bool, skip_unknown: bool, unk_id: int | None, no_events: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """The events that ``perplexity`` and ``tune_weights_em`` score: their
+    rows at the widest history of ``models``, less unknown-word events for
+    ``skip_unknown``.  Returns the (event, model) probability matrix, from
+    one ``prob`` call per model, each event's word, sentence and position,
+    and the number of sentences.  No events raise ``no_events``, and an
+    event that every model scores 0 raises an error naming it."""
+    if include_eos and eos_id is None:
+        raise ValueError("eos_id is required when sentence ends are scored")
+    if skip_unknown and unk_id is None:
+        raise ValueError("unk_id is required when unknown words are skipped")
+    sentences = list(sentences)
+    if not sentences:
+        raise ValueError(no_events)
+    width = max(model.history_width for model in models)
+    rows, sentence, position = _query_events(sentences, width, eos_id, include_eos)
+    if skip_unknown:
+        keep = rows[:, -1] != unk_id
+        rows, sentence, position = rows[keep], sentence[keep], position[keep]
+    if not len(rows):
+        raise ValueError(no_events)
+    probs, words = np.column_stack([model.prob(rows) for model in models]), rows[:, -1]
+    _check_nonzero(probs.max(axis=1), words, sentence, position, unk_id)
+    return probs, words, sentence, position, len(sentences)
+
+
 def perplexity(
     model,
     sentences: Sequence[Sequence[int]],
@@ -108,28 +138,20 @@ def perplexity(
     data problem.  The one expected zero is the unknown word under a
     class model built from a vocabulary that never saw it in training;
     the error says so when ``unk_id`` is given.
+
+    Sentences are numbered from 0 in input order, in the error and in
+    ``per_sentence``.  The CLI's corpus reader drops blank lines, which
+    predict nothing, so there a sentence index counts the corpus's
+    non-blank lines.
     """
-    if include_eos and eos_id is None:
-        raise ValueError("eos_id is required when sentence ends are scored")
-    if skip_unknown and unk_id is None:
-        raise ValueError("unk_id is required when unknown words are skipped")
-    sentences = list(sentences)
-    if not sentences:
-        raise ValueError("no events to evaluate")
-    rows, sentence, position = _query_events(
-        sentences, model.history_width, eos_id, include_eos
+    probs, _, sentence, _, n_sentences = _score_events(
+        [model], sentences, eos_id=eos_id, include_eos=include_eos,
+        skip_unknown=skip_unknown, unk_id=unk_id, no_events="no events to evaluate",
     )
-    if skip_unknown:
-        keep = rows[:, -1] != unk_id
-        rows, sentence, position = rows[keep], sentence[keep], position[keep]
-    if not len(rows):
-        raise ValueError("no events to evaluate")
-    probs = model.prob(rows)
-    _check_nonzero(probs, rows[:, -1], sentence, position, unk_id)
-    logs = [math.log(p) for p in probs.tolist()]
+    logs = [math.log(p) for p in probs[:, 0].tolist()]
     report = _report(model_id, logs)
     if per_sentence:
-        bounds = np.searchsorted(sentence, np.arange(len(sentences) + 1)).tolist()
+        bounds = np.searchsorted(sentence, np.arange(n_sentences + 1)).tolist()
         report.per_sentence = [
             (hi - lo, math.fsum(logs[lo:hi])) for lo, hi in zip(bounds, bounds[1:])
         ]
@@ -137,8 +159,8 @@ def perplexity(
 
 
 def format_report(report: EvalReport) -> str:
-    """Aligned human-readable table; perplexity shown to 4 significant
-    figures (internal precision is full double)."""
+    """Aligned human-readable table, then any per-sentence lines;
+    perplexity to 4 significant figures (internal precision is full double)."""
     rows = [
         ("model", report.model_id),
         ("events", str(report.token_count)),
@@ -146,17 +168,21 @@ def format_report(report: EvalReport) -> str:
         ("perplexity", f"{report.perplexity:.4g}"),
     ]
     width = max(len(k) for k, _ in rows)
-    return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
+    lines = [f"{k:<{width}}  {v}" for k, v in rows]
+    for i, (n, lp) in enumerate(report.per_sentence or ()):
+        lines.append(f"sentence {i}: events {n}, logprob {lp:.6f}")
+    return "\n".join(lines)
 
 
 def report_lines(report: EvalReport) -> list[str]:
-    """Machine-readable ``metric<TAB>value`` lines at full precision."""
+    """Machine-readable ``metric<TAB>value`` lines at full precision, then
+    any ``sentence<TAB>index<TAB>events<TAB>logprob`` lines."""
     return [
         f"model\t{report.model_id}",
         f"events\t{report.token_count}",
         f"logprob\t{report.logprob_sum!r}",
         f"perplexity\t{report.perplexity!r}",
-    ]
+    ] + [f"sentence\t{i}\t{n}\t{lp!r}" for i, (n, lp) in enumerate(report.per_sentence or ())]
 
 
 def em_mixture_weights(
@@ -231,34 +257,20 @@ def tune_weights_em(
 ) -> tuple[np.ndarray, EvalReport]:
     """Tune mixture weights for ``components`` on held-out sentences.
 
-    The event rows are built once, as ``perplexity`` builds them (with
-    unknown-word events left out for ``skip_unknown``), and each
-    component scores them in one ``prob`` call; an event that every
-    component scores 0 raises ``ValueError`` naming it (and saying so
-    when its word is ``unk_id``).  The EM fixed point then runs on that
-    fixed matrix.  Returns the weights and the held-out report of the
-    tuned mixture, mixed from the same matrix as ``InterpolatedModel.prob``
-    mixes, so it equals ``perplexity`` of that mixture to the last bit.
+    The events are selected and scored as ``perplexity`` scores them,
+    and the EM fixed point runs on the components' fixed probability
+    matrix.  Returns the weights and the held-out report of the tuned
+    mixture, mixed from that matrix as ``InterpolatedModel.prob`` mixes,
+    so it equals ``perplexity`` of that mixture to the last bit.
     """
     if len(components) < 2:
         raise ValueError("at least two components required")
-    if include_eos and eos_id is None:
-        raise ValueError("eos_id is required when sentence ends are scored")
-    if skip_unknown and unk_id is None:
-        raise ValueError("unk_id is required when unknown words are skipped")
-    sentences = list(sentences)
-    if not sentences:
-        raise ValueError("degenerate held-out corpus: no events")
-    width = max(comp.history_width for comp in components)
-    rows, sentence, position = _query_events(sentences, width, eos_id, include_eos)
-    if skip_unknown:
-        keep = rows[:, -1] != unk_id
-        rows, sentence, position = rows[keep], sentence[keep], position[keep]
-    if not len(rows):
-        raise ValueError("degenerate held-out corpus: no events")
-    probs = np.column_stack([comp.prob(rows) for comp in components])
-    _check_nonzero(probs.max(axis=1), rows[:, -1], sentence, position, unk_id)
+    probs, words, sentence, position, _ = _score_events(
+        components, sentences, eos_id=eos_id, include_eos=include_eos,
+        skip_unknown=skip_unknown, unk_id=unk_id,
+        no_events="degenerate held-out corpus: no events",
+    )
     weights, _ = em_mixture_weights(probs, max_iters=max_iters, tol=tol)
     mix = _mix(weights, lambda k: probs[:, k], np.empty(len(probs)))
-    _check_nonzero(mix, rows[:, -1], sentence, position, unk_id)
+    _check_nonzero(mix, words, sentence, position, unk_id)
     return weights, _report("interp", [math.log(p) for p in mix.tolist()])

@@ -236,6 +236,23 @@ def test_every_table_lookup_searches_in_key_order():
     assert found == {"_rows.find_rows", "evaluate.perplexity"}
 
 
+def test_perplexity_and_tuning_score_their_events_one_way():
+    """``evaluate``'s one scoring path builds the event rows and has the
+    models score them, and one ``cli`` helper loads the models that
+    ``eval ppl`` and ``interp tune`` score, so the two commands cannot
+    come to select, score or check their events apart."""
+    scores = enclosing_functions(
+        lambda node: isinstance(node, ast.Name) and node.id == "_query_events"
+        or isinstance(node, ast.Attribute) and node.attr in {"_query_events", "prob"}
+    )
+    assert {f for f in scores if f.startswith("evaluate.")} == {"evaluate._score_events"}
+    loads = enclosing_functions(
+        lambda node: isinstance(node, ast.Name) and node.id == "load_model"
+        or isinstance(node, ast.Attribute) and node.attr == "load_model"
+    )
+    assert {f for f in loads if f.startswith("cli.")} == {"cli._load_scored"}
+
+
 READ_CALLS = {"read_bytes", "read_text", "fromfile", "loadtxt", "genfromtxt", "memmap"}
 
 

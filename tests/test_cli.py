@@ -221,10 +221,12 @@ class TestPipeline:
 
 
 class TestPerSentence:
-    def test_sentences_are_numbered_by_input_line(self, tmp_path, capsys):
+    # a blank line predicts nothing, so it takes no sentence index
+    @pytest.mark.parametrize("text", ["a b\nzzz yyy\nb a\n", "a b\n\nzzz yyy\nb a\n"])
+    def test_sentences_are_numbered_by_non_blank_line(self, tmp_path, capsys, text):
         d = tmp_path
         (d / "train.txt").write_text("a b\na b a\n")
-        (d / "test.txt").write_text("a b\nzzz yyy\nb a\n")
+        (d / "test.txt").write_text(text)
         run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
         run_ok(["ngram", "train", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
                 "--order", "2", "--out", d / "ngram.model"], capsys)

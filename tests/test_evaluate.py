@@ -426,7 +426,9 @@ def em_weights_under(setting: dict) -> str:
 
 
 class TestTuneWeights:
-    def test_tuned_mixture_not_worse_than_best_component(self):
+    @pytest.mark.parametrize("skip_unknown", [False, True])
+    @pytest.mark.parametrize("include_eos", [True, False])
+    def test_tuned_mixture_not_worse_than_best_component(self, include_eos, skip_unknown):
         rng = random.Random(11)
         train = [[rng.randrange(5) for _ in range(rng.randint(2, 7))] for _ in range(80)]
         held = [[rng.randrange(5) for _ in range(rng.randint(2, 7))] for _ in range(25)]
@@ -434,17 +436,20 @@ class TestTuneWeights:
                            discount=0.5, bos_id=6)
         m3 = train_backoff(ngram_counts(train, 3, bos_id=6, eos_id=5), 7,
                            discount=0.5, bos_id=6)
-        w, report = tune_weights_em([m2, m3], held, eos_id=5)
+        # skipping a word that occurs, as if it were the unknown word
+        options = dict(eos_id=5, include_eos=include_eos, skip_unknown=skip_unknown,
+                       unk_id=held[0][0])
+        w, report = tune_weights_em([m2, m3], held, **options)
         assert abs(float(w.sum()) - 1.0) < 1e-9
         mix = InterpolatedModel([m2, m3], w)
-        rescored = perplexity(mix, held, eos_id=5)
+        rescored = perplexity(mix, held, **options)
         # the report comes from the EM matrix, bit-identical to rescoring
         assert (report.token_count, report.logprob_sum, report.perplexity) == (
             rescored.token_count, rescored.logprob_sum, rescored.perplexity
         )
         pp_mix = rescored.perplexity
         pp_best = min(
-            perplexity(m, held, eos_id=5).perplexity for m in (m2, m3)
+            perplexity(m, held, **options).perplexity for m in (m2, m3)
         )
         assert pp_mix <= pp_best * (1 + 1e-6)
 
