@@ -42,8 +42,9 @@ owner for a block of queries at a time, in key order so that
 consecutive searches share their path through the table,
 ``check_strictly_sorted`` checks that table's order on the same keys,
 and ``Keys.rows`` unpacks it again for the owner's writer.
-``sum_rows`` is the one count: the distinct rows of an unsorted array,
-sorted, with how often each occurs or the sum of its weights.
+``sum_rows`` is the one count of rows: the distinct rows of an unsorted
+array, sorted, with how often each occurs or the sum of its weights.
+``sum_ids`` is the one exact int64 sum of weights per dense id.
 """
 
 from __future__ import annotations
@@ -403,6 +404,14 @@ def sum_rows(rows: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.nd
     if weights is None:
         return distinct, np.diff(starts, append=len(rows))
     return distinct, np.add.reduceat(weights[order], starts)
+
+
+def sum_ids(ids: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """The exact int64 sum of ``weights`` at each id in ``[0, size)``
+    (0 for an id not in ``ids``)."""
+    out = np.zeros(size, dtype=np.int64)
+    np.add.at(out, ids, weights)
+    return out
 
 
 def find_rows(table: Keys, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

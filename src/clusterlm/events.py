@@ -22,6 +22,7 @@ from clusterlm._rows import (
     check_strictly_sorted,
     exact_sum,
     row_starts,
+    sum_ids,
     sum_rows,
     tuples,
     write_rows,
@@ -101,8 +102,7 @@ class EventTable:
         self.words = keys[:, -1].astype(np.int32)
         self.freqs = freqs
         self.ctx_counts = np.add.reduceat(freqs, first)
-        self.word_counts = np.zeros(self.n_words, dtype=np.int64)
-        np.add.at(self.word_counts, self.words, freqs)
+        self.word_counts = sum_ids(self.words, freqs, self.n_words)
         self.total = total
         for name in ("contexts", "ptr", "words", "freqs", "ctx_counts", "word_counts"):
             getattr(self, name).flags.writeable = False
@@ -253,6 +253,8 @@ def load_counts(path: str | Path) -> EventTable:
     fault."""
     r = Reader(path, "#clusterlm-counts v1", "counts")
     n_words = r.int_line("#vocab")
+    if not 0 < n_words < 2**31:  # the int32 word ids of the table and its mappers
+        raise r.error("#vocab outside [1, 2**31)", 0)
     spec = read_slots(r, n_words, "clusterlm counts collect")
     rows = r.rows("event", spec.depth, 2)
     r.end("the event lines")

@@ -38,6 +38,7 @@ from clusterlm._rows import (
     exact_sum,
     find_rows,
     row_starts,
+    sum_ids,
     sum_rows,
     write_rows,
 )
@@ -154,8 +155,8 @@ class ClassLM:
         # the per-state sums end at the joint's last state, so that the
         # #n_states header sizes no array of a loaded model
         n_live = int(s.max(initial=0)) + 1
-        self.state_totals = _sums(s, n, n_live)
-        self.cat_totals = _sums(g, n, self.n_categories)
+        self.state_totals = sum_ids(s, n, n_live)
+        self.cat_totals = sum_ids(g, n, self.n_categories)
         self.total = int(word_counts.sum())
         self._nplus = np.bincount(s, minlength=n_live).astype(np.int64)
         self._default_state = int(np.argmax(self.state_totals))
@@ -234,13 +235,6 @@ def _query_rows(rows: np.ndarray, n_words: int, width: int, bos_id: int) -> np.n
 def _check_discount(discount: float) -> None:
     if not 0.0 <= discount < 1.0:
         raise ValueError("discount must lie in [0, 1)")
-
-
-def _sums(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Exact int64 per-index sums of ``weights``."""
-    out = np.zeros(size, dtype=np.int64)
-    np.add.at(out, index, weights)
-    return out
 
 
 def _suffix_states(
@@ -334,9 +328,8 @@ def load_classlm(path: str | Path) -> ClassLM:
     r.check(check_range, cells[:, 0], 0, n_states, "joint states")
     r.check(check_range, cells[:, 1], 0, n_categories, "joint categories")
     r.check(check_range, cells[:, 2], 1, 2**62, "joint counts")
-    if not np.array_equal(
-        _sums(cells[:, 1], cells[:, 2], n_categories), _sums(words[:, 0], words[:, 1], n_categories)
-    ):
+    joint_sums = sum_ids(cells[:, 1], cells[:, 2], n_categories)
+    if not np.array_equal(joint_sums, sum_ids(words[:, 0], words[:, 1], n_categories)):
         raise r.error("joint column sums differ from the category word counts")
     r.check(check_strictly_sorted, cells[:, :2], "#joint")
 
@@ -507,24 +500,15 @@ def ngram_counts(
     Entry k-1 is the pair (grams, counts): the distinct k-grams as
     strictly sorted rows of k word ids, and their int64 counts.  The
     order-``order`` rows come from ``event_rows``, as the context counts
-    do; each lower order is the suffix marginal of the order above.  The
-    unigrams need no sort: their counts are an exact int64 scatter-add
-    over the range of word ids present.
+    do; each lower order, the unigrams too, is the ``sum_rows`` suffix
+    marginal of the order above.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     out = [sum_rows(event_rows(sentences, range(1 - order, 0), bos_id, eos_id))]
-    for _ in range(order - 2):
+    for _ in range(order - 1):
         grams, counts = out[-1]
         out.append(sum_rows(grams[:, 1:], counts))
-    if order > 1:
-        grams, counts = out[-1]
-        words = grams[:, 1]
-        lo = int(words.min())
-        totals = np.zeros(int(words.max()) - lo + 1, dtype=np.int64)
-        np.add.at(totals, words - lo, counts)
-        ids = np.flatnonzero(totals)
-        out.append(((ids + lo).reshape(-1, 1), totals[ids]))
     return out[::-1]
 
 

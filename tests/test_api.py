@@ -253,6 +253,17 @@ def test_perplexity_and_tuning_score_their_events_one_way():
     assert {f for f in loads if f.startswith("cli.")} == {"cli._load_scored"}
 
 
+def test_one_function_sums_weights_per_id():
+    """Every exact int64 per-id sum is ``_rows.sum_ids``, the one reader
+    of ``np.add.at``, and the n-gram orders are ``sum_rows`` marginals,
+    so a second scatter-add path cannot come back beside them."""
+    found = enclosing_functions(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "at"
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "add"
+    )
+    assert found == {"_rows.sum_ids"}
+
+
 READ_CALLS = {"read_bytes", "read_text", "fromfile", "loadtxt", "genfromtxt", "memmap"}
 
 

@@ -504,6 +504,17 @@ class TestFailureModes:
             assert err.startswith("error:") and f"{n_words} words" in err and f"has {n}" in err
         assert not (d / "g.txt").exists()
 
+    def test_a_huge_counts_vocab_is_a_counts_error(self, tmp_path, capsys):
+        # not the MemoryError of a 10**12-word identity map
+        d = tmp_path
+        (d / "c.tsv").write_text("#clusterlm-counts v1\n#vocab\t1000000000000\n"
+                                 "#slot\t-1\tw\t1000000000000\n0\t1\t2\n")
+        err = run_fail(["cluster", "run", "--counts", d / "c.tsv", "--states", "2",
+                        "--categories", "2", "--out", d / "cl.tsv"], capsys)
+        assert err.startswith("error:")
+        assert f"corrupt counts file {d / 'c.tsv'}: line 2: #vocab outside [1, 2**31)" in err
+        assert not (d / "cl.tsv").exists()
+
     @pytest.mark.parametrize("model_out, damage, message", [
         (False, lambda line: "#slot\t-2", CUT_SLOT),
         (True, lambda line: "#slot\t-2", CUT_SLOT),

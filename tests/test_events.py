@@ -339,9 +339,10 @@ class TestCountsRoundTrip:
         with pytest.raises(ValueError, match=re.escape(want)):
             load_counts(path)
 
-    @pytest.mark.parametrize("vocab", [0, -3, 7])
+    @pytest.mark.parametrize("vocab", [1, 5, 7])
     def test_a_vocab_unlike_the_w_arity_names_the_slot_line(self, tmp_path, vocab):
-        # the file needs no #map w line, so the error asks for no re-run
+        # the file needs no #map w line, so the error asks for no re-run; a
+        # #vocab outside [1, 2**31) fails on its own line, before the slots
         path, lines = counts_lines(tmp_path, offsets=(-1,))
         n = int(lines[1].split("\t")[1])
         assert lines[2] == f"#slot\t-1\tw\t{n}" and vocab != n
@@ -577,6 +578,15 @@ class TestCountsFileCorruption:
         assert lines[1] == "#vocab\t6"
         path.write_text("\n".join([lines[0], f"#vocab\t{text}", *lines[2:]]) + "\n")
         want = f"corrupt counts file {path}: line 2: vocab is not an integer: {text!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_counts(path)
+
+    @pytest.mark.parametrize("n_words", [0, -3, 2**31, 10**12])
+    def test_a_vocab_size_outside_the_int32_ids_names_its_line(self, tmp_path, n_words):
+        # checked before the w slot's identity map of n_words ids is built
+        path = tmp_path / "counts.tsv"
+        path.write_text(f"#clusterlm-counts v1\n#vocab\t{n_words}\n#slot\t-1\tw\t{n_words}\n0\t1\t2\n")
+        want = f"corrupt counts file {path}: line 2: #vocab outside [1, 2**31)"
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_counts(path)
 

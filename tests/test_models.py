@@ -880,10 +880,10 @@ class TestNgramCounts:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 8])
     def test_unigrams_equal_the_sorted_marginal(self, order):
-        """The unigrams, an int64 scatter-add over the word ids present,
-        equal the ``sum_rows`` marginal of the bigrams and of the event
-        rows, to the dtype and shape.  Ids 5-271 put the 8-grams in two
-        key chunks."""
+        """The unigrams, which the one loop over the orders derives from
+        the order above, equal the ``sum_rows`` marginal of the bigrams
+        and of the event rows, to the dtype and shape.  Ids 5-271 put the
+        8-grams in two key chunks."""
         rng = random.Random(order)
         sents = [[rng.randrange(5, 265) for _ in range(rng.randint(0, 12))] for _ in range(300)]
         counts = ngram_counts(sents, order, bos_id=271, eos_id=270)
