@@ -141,6 +141,13 @@ def _relative_to(path: str | Path, anchor_file: str | Path) -> str:
         return str(target.resolve())
 
 
+def _check_not_overwritten(path, flag: str, inputs: Sequence, what: str) -> None:
+    """Writing ``path``, given by ``flag``, must not replace a file of
+    ``inputs``; paths are compared resolved."""
+    if any(Path(path).resolve() == Path(p).resolve() for p in inputs):
+        raise ValueError(f"{flag} {path} would overwrite {what}")
+
+
 def _check_model_vocab(model, model_path, vocab: Vocabulary, vocab_path) -> None:
     """A model scores ids of the vocabulary it was trained with; with
     another vocabulary the ids name other words."""
@@ -219,6 +226,7 @@ def cmd_cluster_run(args) -> int:
     if args.model_out:
         if not args.vocab:
             raise ValueError("--model-out requires --vocab")
+        _check_not_overwritten(args.model_out, "--model-out", [args.out], "the --out clustering")
         discount = 0.5 if args.discount is None else args.discount
         _check_discount(discount)
         vocab = Vocabulary.load(args.vocab)
@@ -292,6 +300,7 @@ def cmd_interp_tune(args) -> int:
         raise ValueError("--max-iters must be at least 1")
     if not args.tol >= 0.0:
         raise ValueError("--tol must be a non-negative number")
+    _check_not_overwritten(args.out, "--out", args.models, "one of its --models")
     components, heldout, options = _load_scored(
         args.vocab, args.models, args.heldout, args.no_eos, args.skip_unknown
     )

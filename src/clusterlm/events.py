@@ -9,7 +9,7 @@ offsets from the predicted position.  Tuples are stored farthest-first,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -47,9 +47,15 @@ class Slot:
 
 @dataclass(frozen=True)
 class ContextSpec:
-    """Ordered context slots, farthest offset first."""
+    """Ordered context slots, farthest offset first.
+
+    Every slot's mapper maps the same words, ``n_words`` of them, and
+    slots of one name share one mapper (the same table and arity), so a
+    table or model built on the spec reads its word count here; anything
+    else raises ``ValueError``."""
 
     slots: tuple[Slot, ...]
+    n_words: int = field(init=False)
 
     def __post_init__(self):
         if not self.slots:
@@ -57,6 +63,16 @@ class ContextSpec:
         offsets = [s.offset for s in self.slots]
         if any(b <= a for a, b in zip(offsets, offsets[1:])):
             raise ValueError("slot offsets must be strictly increasing (farthest first)")
+        first, named = self.slots[0].mapper, {}
+        for slot in self.slots:
+            m, same = slot.mapper, named.setdefault(slot.mapper.name, slot.mapper)
+            if m.table.size != first.table.size:
+                raise ValueError(f"slot {slot.offset} ({m.name}) maps {m.table.size} words, "
+                                 f"slot {self.slots[0].offset} ({first.name}) {first.table.size}")
+            if same.arity != m.arity or not np.array_equal(same.table, m.table):
+                raise ValueError(f"slot {slot.offset}: mapper {m.name!r} differs from another "
+                                 "slot's of that name")
+        object.__setattr__(self, "n_words", first.table.size)
 
     @property
     def depth(self) -> int:
@@ -70,11 +86,13 @@ class EventTable:
     tuple order; its words are ``words[ptr[i]:ptr[i + 1]]``, ascending,
     with counts ``freqs`` at the same positions.  ``ctx_counts`` and
     ``word_counts`` are the exact marginals (0 for a word never seen).
-    The table owns these read-only arrays, each built or copied here;
-    clustering and the models share them.
+    The word ids run over ``spec.n_words``, the words its mappers map,
+    which is the table's ``n_words``.  The table owns these read-only
+    arrays, each built or copied here; clustering and the models share
+    them.
     """
 
-    def __init__(self, spec: ContextSpec, n_words: int, keys: np.ndarray, freqs: np.ndarray):
+    def __init__(self, spec: ContextSpec, keys: np.ndarray, freqs: np.ndarray):
         """Build the table from one row per distinct event, ``keys`` =
         (context values..., word id) in strictly increasing order, with
         their positive counts ``freqs``."""
@@ -84,7 +102,7 @@ class EventTable:
             raise ValueError("empty event table")
         if keys.shape != (len(freqs), spec.depth + 1):
             raise ValueError("context tuple length does not match spec depth")
-        check_range(keys[:, -1], 0, n_words, "word ids")
+        check_range(keys[:, -1], 0, spec.n_words, "word ids")
         for k, slot in enumerate(spec.slots):
             check_range(keys[:, k], 0, slot.mapper.arity, f"slot {slot.offset} values")
         if int(freqs.min()) <= 0:
@@ -96,7 +114,7 @@ class EventTable:
 
         first = np.flatnonzero(row_starts(Keys(keys[:, :-1]).key))
         self.spec = spec
-        self.n_words = int(n_words)
+        self.n_words = spec.n_words
         self.contexts = keys[first, :-1].astype(np.int32)
         self.ptr = np.append(first, len(keys))
         self.words = keys[:, -1].astype(np.int32)
@@ -159,37 +177,30 @@ def extract_events(
 ) -> EventTable:
     """Accumulate N(c, w) over every prediction position of the corpus
     (see ``event_rows``), each context position mapped by its slot's
-    feature mapper."""
-    for slot in spec.slots:
-        if slot.mapper.table.size != len(vocab):
-            raise ValueError(
-                f"mapper arity mismatch: slot {slot.offset} maps {slot.mapper.table.size} "
-                f"words, vocabulary has {len(vocab)}"
-            )
+    feature mapper.  The mappers must map exactly the vocabulary's
+    words."""
+    if spec.n_words != len(vocab):
+        raise ValueError(
+            f"the context's mappers map {spec.n_words} words, the vocabulary has {len(vocab)}"
+        )
     rows = event_rows(sentences, [s.offset for s in spec.slots], vocab.bos_id, vocab.eos_id)
     for k, slot in enumerate(spec.slots):
         rows[:, k] = slot.mapper.table[rows[:, k]]
-    return EventTable(spec, len(vocab), *sum_rows(rows))
+    return EventTable(spec, *sum_rows(rows))
 
 
-def slot_lines(spec: ContextSpec, n_words: int) -> list[str]:
+def slot_lines(spec: ContextSpec) -> list[str]:
     """The slot block of a counts or class model file: one
     ``#slot<TAB>offset<TAB>name<TAB>arity`` line per slot, then a
     ``#map<TAB>name<TAB>v_0 ... v_{n-1}`` line of every word's value per
-    slot mapper but the word identity ``w``.  ``ValueError`` unless each
-    mapper covers the ``n_words`` words and slots of one name share one."""
-    lines = []
-    maps: dict[str, tuple[int, str]] = {}
-    for slot in spec.slots:
-        m = slot.mapper
-        lines.append(f"#slot\t{slot.offset}\t{m.name}\t{m.arity}")
-        values = (m.arity, " ".join(map(str, m.table.tolist())))
-        if maps.setdefault(m.name, values) != values or m.table.size != n_words:
-            raise ValueError(f"slot {slot.offset}: mapper {m.name!r} differs from another "
-                             "slot's of that name or does not cover the vocabulary")
-    identity = (n_words, " ".join(map(str, range(n_words))))
-    lines += [f"#map\t{name}\t{v[1]}" for name, v in maps.items() if (name, v) != ("w", identity)]
-    return lines
+    slot mapper but the word identity ``w``, one line per name."""
+    lines = [f"#slot\t{s.offset}\t{s.mapper.name}\t{s.mapper.arity}" for s in spec.slots]
+    maps = {s.mapper.name: s.mapper for s in spec.slots}  # namesakes share one mapper
+    w = maps.get("w")
+    if w is not None and w.arity == spec.n_words and np.array_equal(w.table, np.arange(w.arity)):
+        del maps["w"]
+    return lines + [f"#map\t{name}\t{' '.join(map(str, m.table.tolist()))}"
+                    for name, m in maps.items()]
 
 
 def read_slots(r: Reader, n_words: int, rerun: str) -> ContextSpec:
@@ -205,27 +216,27 @@ def read_slots(r: Reader, n_words: int, rerun: str) -> ContextSpec:
         if arity_of.setdefault(name, arity) != arity:
             raise r.error(f"slots named {name!r} differ in arity", 0)
         header.append((off, name, arity, r.pos))
-    tables = {}
+    mappers = {}  # one per name, shared by its slots
     while r.at("#map"):
         name, text = r.line("#map", 2)
         values = [r.int(v, f"#map {name} value") for v in text.split(" ")]
-        if name in tables or name not in arity_of:
+        if name in mappers or name not in arity_of:
             raise r.error(f"#map line of a repeated name or one no slot has: {name!r}", 0)
         top = min(arity_of[name], 2**31)  # so that every value fits the int32 table
         if len(values) != n_words or not all(0 <= v < top for v in values):
             raise r.error(f"#map {name} needs {n_words} values in [0, {top}), one per word", 0)
-        tables[name] = np.array(values)
+        mappers[name] = FeatureMapper(name, np.array(values), arity_of[name])
     slots = []
     for off, name, arity, pos in header:
-        if name == "w" and "w" not in tables:  # without a #map line, the identity
+        if name == "w" and "w" not in mappers:  # without a #map line, the identity
             if arity != n_words:
                 message = f"slot {off} (w) has arity {arity}, but the file has {n_words} words"
                 raise r.error(message, 0, pos)
-            tables["w"] = np.arange(n_words)
-        if name not in tables:
+            mappers["w"] = FeatureMapper("w", np.arange(n_words), arity)
+        if name not in mappers:
             raise r.error(f"slot {off} ({name}) has no #map line; re-run {rerun}", 1)
         try:
-            slots.append(Slot(off, FeatureMapper(name, tables[name], arity)))
+            slots.append(Slot(off, mappers[name]))
             spec = ContextSpec(tuple(slots))  # each prefix, so that a fault names its line
         except ValueError as exc:
             raise r.error(str(exc), 0, pos) from None
@@ -239,7 +250,7 @@ def save_counts(table: EventTable, path: str | Path) -> None:
     ``slot_lines``, then one ``v_L ... v_1<TAB>word-id<TAB>count`` line
     per event, sorted by tuple then word."""
     header = ["#clusterlm-counts v1", f"#vocab\t{table.n_words}"]
-    header += slot_lines(table.spec, table.n_words)
+    header += slot_lines(table.spec)
     with open(path, "wb") as fh:
         fh.write("\n".join(header).encode("utf-8") + b"\n")
         rows = np.repeat(table.contexts, np.diff(table.ptr), axis=0)
@@ -259,14 +270,14 @@ def load_counts(path: str | Path) -> EventTable:
     rows = r.rows("event", spec.depth, 2)
     r.end("the event lines")
     try:
-        return EventTable(spec, n_words, rows[:, :-1], rows[:, -1])
+        return EventTable(spec, rows[:, :-1], rows[:, -1])
     except ValueError as exc:
         # a failing prefix of the rows fails when longer: bisect for the shortest
         lo, hi, message = 0, len(rows), str(exc)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             try:
-                EventTable(spec, n_words, rows[:mid, :-1], rows[:mid, -1])
+                EventTable(spec, rows[:mid, :-1], rows[:mid, -1])
                 lo = mid
             except ValueError as short:
                 hi, message = mid, str(short)

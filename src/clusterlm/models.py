@@ -79,7 +79,10 @@ class ClassLM:
 
     The model keeps the ``events.ContextSpec`` of the counts it was
     trained on, whose slot mappers give every word's value at every
-    slot, and the begin word id ``bos_id``.  Beside them it is a handful
+    slot, and the begin word id ``bos_id``.  The spec checks that its
+    mappers map one number of words, the counts' ``n_words``; the
+    constructor checks only that the clustering, and so that number,
+    has the vocabulary's size.  Beside them it is a handful
     of tables: ``G`` and ``word_counts`` per word, the nonzero joint
     cells ``joint`` = (keys of (s, g), N(s,g)), and per suffix length
     k = 1..depth ``tables[k-1]`` = (keys, states): training contexts and
@@ -99,15 +102,8 @@ class ClassLM:
     def __init__(self, clustering: Clustering, vocab: Vocabulary, discount: float = 0.5):
         _check_discount(discount)
         table = clustering.table
-        n_words = len(vocab)
-        if clustering.n_words != n_words:
+        if clustering.n_words != len(vocab):
             raise ValueError("clustering and vocabulary differ in size")
-        for slot in table.spec.slots:
-            if slot.mapper.table.size != n_words:
-                raise ValueError(
-                    f"slot {slot.offset} ({slot.mapper.name}): its mapper table covers "
-                    f"{slot.mapper.table.size} words but the vocabulary has {n_words}"
-                )
         s, g = np.nonzero(clustering.joint)
         self._setup(discount, table.spec, vocab.bos_id, clustering.G, clustering.word_counts,
                     np.column_stack([s, g]), clustering.joint[s, g],
@@ -275,7 +271,7 @@ def save_classlm(model: ClassLM, path: str | Path) -> None:
         f"#bos\t{model.bos_id}",
         f"#words\t{model.n_words}",
     ]
-    slots = slot_lines(model.spec, model.n_words)
+    slots = slot_lines(model.spec)
     with open(path, "wb") as fh:
         fh.write("\n".join(header).encode("utf-8") + b"\n")
         write_rows(fh, model.G[:, None], model.word_counts)
@@ -291,8 +287,9 @@ def load_classlm(path: str | Path) -> ClassLM:
 
     The file alone defines the model.  Each section is read by
     ``Reader.section``, then checked and packed before the next is read:
-    id ranges, sort orders and the joint's column sums (they must equal
-    the per-category word counts); its slots are read by
+    id ranges, sort orders, the joint's column sums (they must equal
+    the per-category word counts) and, in each suffix and context
+    table, that every state has a joint cell; its slots are read by
     ``events.read_slots`` after the ``#words`` rows, so that no header
     value sizes an array before the rows it counts are found; the
     per-state sums end at the joint's last state, and ``#n_states`` need
@@ -333,39 +330,41 @@ def load_classlm(path: str | Path) -> ClassLM:
         raise r.error("joint column sums differ from the category word counts")
     r.check(check_strictly_sorted, cells[:, :2], "#joint")
 
+    live = np.bincount(cells[:, 0]) > 0  # the states with events, up to the joint's last
     keys = [f"#suffix\t{keep}" for keep in range(1, spec.depth)] + ["#contexts"]
-    tables, opened = [], []
-    for keep, key in enumerate(keys, 1):
-        tables.append(_read_table(r, key, spec.slots[spec.depth - keep :], n_states))
-        opened.append((key.replace("\t", " "), r.opened))
+    tables = [_read_table(r, key, spec.slots[spec.depth - keep :], n_states, live)
+              for keep, key in enumerate(keys, 1)]
     r.end("#contexts")
 
     model = ClassLM.__new__(ClassLM)
     model._setup(discount, spec, bos_id, words[:, 0], words[:, 1], cells[:, :2], cells[:, 2],
                  n_categories, n_states, tables)
-    totals = model.state_totals  # ends at the joint's last state
-    for (_, states), (what, pos) in zip(tables, opened):
-        if states.size and (states.max() >= len(totals) or (totals[states] == 0).any()):
-            raise r.error(f"{what} maps to a state without events", 0, pos)
     return model
 
 
 def _read_table(
-    r: Reader, key: str, slots: Sequence[Slot], n_states: int
+    r: Reader, key: str, slots: Sequence[Slot], n_states: int, live: np.ndarray
 ) -> tuple[Keys, np.ndarray]:
     """The (keys, states) table of a class model file's section ``key``,
     whose context columns are the values of ``slots``: each column in
-    its slot's range, each state in ``[0, n_states)`` and the rows
-    strictly sorted, packed as they are checked."""
+    its slot's range, each state in ``[0, n_states)`` and one with
+    events (``live``, indexed by state) and the rows strictly sorted,
+    packed as they are checked."""
     rows = r.section(key, len(slots), 1)
     what = key.replace("\t", " ")
     for k, sl in enumerate(slots):
         r.check(check_range, rows[:, k], 0, sl.mapper.arity, f"{what} slot {sl.offset} values")
     states = rows[:, -1]
     r.check(check_range, states, 0, n_states, f"{what} states")
+    r.check(_check_live, states, live, what)
     keys = Keys(rows[:, :-1])
     r.check(check_strictly_sorted, keys.key, what)
     return keys, states.astype(np.int32)
+
+
+def _check_live(states: np.ndarray, live: np.ndarray, what: str) -> None:
+    if states.size and (int(states.max()) >= len(live) or not live[states].all()):
+        raise ValueError(f"{what} maps to a state without events")
 
 
 # ---------------------------------------------------------------------------

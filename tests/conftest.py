@@ -141,15 +141,15 @@ def random_event_table(rng: random.Random, n_words: int, n_contexts: int,
         for w in rng.sample(range(n_predicted), rng.randint(1, min(4, n_predicted))):
             row[w] = rng.randint(1, max_count)
         counts[ctx] = row
-    return table_from_counts(_placeholder_spec(n_words, depth), n_words, counts)
+    return table_from_counts(_placeholder_spec(n_words, depth), counts)
 
 
-def table_from_counts(spec: ContextSpec, n_words: int,
+def table_from_counts(spec: ContextSpec,
                       counts: dict[tuple[int, ...], dict[int, int]]) -> EventTable:
     """A table from nested dicts, ``counts[context][word] = n``."""
     rows = [(*ctx, w, n) for ctx in sorted(counts) for w, n in sorted(counts[ctx].items())]
     table = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
-    return EventTable(spec, n_words, table[:, :-1], table[:, -1])
+    return EventTable(spec, table[:, :-1], table[:, -1])
 
 
 def index_of(table: EventTable, context: tuple[int, ...]) -> int:

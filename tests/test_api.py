@@ -264,6 +264,20 @@ def test_one_function_sums_weights_per_id():
     assert found == {"_rows.sum_ids"}
 
 
+def test_only_the_spec_reads_a_mapper_size():
+    """How many words a slot mapper maps is read once, where the context
+    spec checks that its mappers agree (``ContextSpec.n_words``), beside
+    the mapper's own range check; no table, model or file writer checks
+    it again."""
+    found = enclosing_functions(
+        lambda node: isinstance(node, ast.Attribute) and node.attr in {"size", "shape"}
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "table"
+        or isinstance(node, ast.Call) and ast.unparse(node.func) == "len"
+        and any(isinstance(a, ast.Attribute) and a.attr == "table" for a in node.args)
+    )
+    assert found == {"events.ContextSpec.__post_init__", "corpus.FeatureMapper.__post_init__"}
+
+
 READ_CALLS = {"read_bytes", "read_text", "fromfile", "loadtxt", "genfromtxt", "memmap"}
 
 

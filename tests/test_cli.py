@@ -1,8 +1,10 @@
 """Command-line interface: spec parsing, subcommands, atomicity."""
 
 import ctypes
+import hashlib
 import json
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -625,6 +627,36 @@ class TestFailureModes:
                         "--vocab", d / "v.txt"], capsys)
         assert err == f"error: mixture file {d / 'mix.model'} contains itself\n"
 
+    @pytest.mark.parametrize("command", ["interp tune", "cluster run"])
+    def test_an_output_that_would_overwrite_an_input_is_rejected(
+        self, workdir, capsys, monkeypatch, command
+    ):
+        """``interp tune --out`` naming one of its ``--models``, or ``cluster
+        run --model-out`` naming its ``--out``, is rejected before anything
+        is read or written, however the path is spelled."""
+        d = workdir
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--context", "w:-1", "--out", d / "c.tsv"], capsys)
+        cluster = ["cluster", "run", "--counts", d / "c.tsv", "--states", "4",
+                   "--categories", "4", "--min-count", "2", "--vocab", d / "v.txt"]
+        run_ok(cluster + ["--out", d / "cl.tsv", "--model-out", d / "m.model"], capsys)
+        run_ok(["ngram", "train", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--order", "2", "--out", d / "b.model"], capsys)
+        monkeypatch.chdir(d)
+        if command == "interp tune":
+            kept, args = "m.model", ["interp", "tune", "--models", d / "m.model", d / "b.model",
+                                     "--heldout", d / "held.txt", "--vocab", d / "v.txt",
+                                     "--out", "m.model"]
+            message = "--out m.model would overwrite one of its --models"
+        else:
+            kept, args = "cl.tsv", cluster + ["--out", d / "cl.tsv", "--model-out", "cl.tsv"]
+            message = "--model-out cl.tsv would overwrite the --out clustering"
+        before = (d / kept).read_bytes()
+        assert run_fail(args, capsys) == f"error: {message}\n"
+        assert (d / kept).read_bytes() == before
+        no_tmp_leftovers(d)
+
     def test_non_model_file_rejected_by_interp(self, tmp_path, capsys):
         d = tmp_path
         (d / "train.txt").write_text("a b\n")
@@ -728,6 +760,94 @@ def pipeline_under(setting: dict, root: Path) -> dict[str, bytes]:
 def cpu_path_pipeline(tmp_path_factory):
     """``pipeline_under`` this host's own CPU path, run once."""
     return pipeline_under({}, tmp_path_factory.mktemp("default"))
+
+
+# every stage and slot kind: word, tag and exported-class contexts, flat and
+# tree class models, two backoff orders, a mixture and its per-sentence report
+GOLDEN_PIPELINE = [
+    ["vocab", "build", "--corpus", "train.txt", "--out", "vocab.txt"],
+    ["counts", "collect", "--corpus", "train.txt", "--vocab", "vocab.txt",
+     "--context", "w:-1", "--out", "c1.tsv"],
+    ["counts", "collect", "--corpus", "train.txt", "--vocab", "vocab.txt",
+     "--context", "w:-2,w:-1", "--out", "c2.tsv"],
+    ["cluster", "run", "--counts", "c1.tsv", "--states", "8", "--categories", "6",
+     "--min-count", "2", "--out", "flat.tsv", "--model-out", "flat.model",
+     "--vocab", "vocab.txt"],
+    ["cluster", "run", "--counts", "c2.tsv", "--states", "10", "--categories", "6",
+     "--min-count", "2", "--tree", "--out", "tree.tsv", "--model-out", "tree.model",
+     "--vocab", "vocab.txt"],
+    ["classes", "export", "--clustering", "flat.tsv", "--counts", "c1.tsv",
+     "--vocab", "vocab.txt", "--out", "classes.tsv"],
+    ["counts", "collect", "--corpus", "train.txt", "--vocab", "vocab.txt",
+     "--context", "t:-2,g:-1", "--tagmap", "tags.tsv", "--classmap", "classes.tsv",
+     "--out", "ctg.tsv"],
+    ["cluster", "run", "--counts", "ctg.tsv", "--states", "8", "--categories", "6",
+     "--min-count", "2", "--tree", "--out", "tg.tsv", "--model-out", "tg.model",
+     "--vocab", "vocab.txt"],
+    ["ngram", "train", "--corpus", "train.txt", "--vocab", "vocab.txt", "--order", "3",
+     "--out", "ng3.model"],
+    ["ngram", "train", "--corpus", "train.txt", "--vocab", "vocab.txt", "--order", "8",
+     "--out", "ng8.model"],
+    ["interp", "tune", "--models", "tree.model", "flat.model", "tg.model", "ng3.model",
+     "--heldout", "held.txt", "--vocab", "vocab.txt", "--out", "mix.model"],
+    ["eval", "ppl", "--model", "mix.model", "--test", "test.txt", "--vocab", "vocab.txt",
+     "--per-sentence", "--report", "report.txt"],
+    ["eval", "ppl", "--model", "ng8.model", "--test", "test.txt", "--vocab", "vocab.txt",
+     "--report", "report8.txt"],
+]
+
+# sha256 of every file GOLDEN_PIPELINE reads or writes, and of what it printed
+GOLDEN_DIGESTS = {
+    "<stdout>": "ce9d61f39ebf9f9c38403cbd2e21cea7efdc470544066b977c37d7eb1ce561c5",
+    "c1.tsv": "b738bb3180ca00fafba3876b1b775fd245cbe67987265598e4b28166af3b0ee3",
+    "c2.tsv": "e4febe6b9edf0f7cbe0835e47ce74a03c218ee1cdb2513a9a9cc2752ebf0f1d0",
+    "classes.tsv": "c6f2ecd6d3fd7b6c318b037aca586d0aa72b3d5e66a06fc965ec22a8f080f3b8",
+    "ctg.tsv": "9dfab2d8b1d2f97989d9d110fa2df28cab27521af5054cbeb507217d9f032f8c",
+    "flat.model": "1f699b0966e7d2e4cf082337b134d83c7336c311d223890612ecb3c3207cfffd",
+    "flat.tsv": "f83733412adcf65c05a6878e8aeba44121f4ba57069aace9dc48ce65462b513a",
+    "held.txt": "bb9fd2d11a3034b33e795595c18650f8f52837371136c2b3f726e808b15eb925",
+    "mix.model": "5f419295c9b40832371b45eda83a69a63dbdd84f6c7ac234a60e5bb9d8cf468f",
+    "ng3.model": "3980efa2ffd9b020a0658bed5b0a5c516ad9806248ff535237bdb6515d3079d7",
+    "ng8.model": "15dfdf4281878ce799fd29484471810b5a379fa9782a28dec6817ff0608ac739",
+    "report.txt": "698a0536aacf6f5c05eee245a5c39f490d1fbc3d81b2f71f2a2370c599708652",
+    "report8.txt": "04809b702f7035d7c8084a9640b7c250386d13120e0554e0f441fad7bd7ba520",
+    "tags.tsv": "aadaca277948781c4faf2ca2f47714505969f122ac67e511d344abc2eb446a90",
+    "test.txt": "9f682842fd025d514207880b1b843985508826bfb480e9ee6aef996e27efec8a",
+    "tg.model": "dd69cee491fa903e4ee49b04750350d66c7178307be567fe041d5e6e95fe977a",
+    "tg.tsv": "709b78db35001ddf31814f152dd137ca6ecbed0d48b22ce8415c748221cf65bf",
+    "train.txt": "6816b4743a22a0810bb302cd5a639bde3d80bbfe33d119240c2a9f15459f7a94",
+    "tree.model": "150b540db73504d4452ddd5bc2e05b850189ff6325cb4016ee3ae3b9ddde9c50",
+    "tree.tsv": "0565050cf41a0f59c3c1b0a0e40c33c31fc675cbee43f11651038df670f2ac93",
+    "vocab.txt": "4fafa6a2c040325f4462ccbeb9aba3b799ced3434a876da7272483fa2224c8b3",
+}
+
+
+def _reproducible_host() -> bool:
+    """x86-64 with AVX2 and FMA, the floor for reproducible bytes."""
+    core = getattr(np, "_core", None) or np.core
+    features = core._multiarray_umath.__cpu_features__
+    return platform.machine().lower() in ("x86_64", "amd64") and all(
+        features.get(f) for f in ("AVX2", "FMA3")
+    )
+
+
+@pytest.mark.skipif(not _reproducible_host(), reason="bytes are pinned on x86-64-v3 and up")
+def test_the_pipeline_writes_its_recorded_bytes(tmp_path, monkeypatch, capsys):
+    """Every file of ``GOLDEN_PIPELINE`` and every line it prints has the
+    digest recorded in ``GOLDEN_DIGESTS``: a change that alters an output
+    byte fails here, and must say so and record the new digests."""
+    monkeypatch.chdir(tmp_path)
+    for name, seed, n in (("train", 71, 400), ("held", 72, 80), ("test", 73, 60)):
+        Path(f"{name}.txt").write_text("\n".join(make_random_corpus(seed, n, 40)) + "\n")
+    Path("tags.tsv").write_text("".join(f"w{i}\tT{i % 5}\n" for i in range(0, 40, 2))
+                                + "#default\tX\n")
+    printed = []
+    for args in GOLDEN_PIPELINE:
+        printed.append(run_ok(args, capsys))
+    files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+    files["<stdout>"] = "".join(printed).encode()
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    assert digests == GOLDEN_DIGESTS
 
 
 class TestAtomicWrite:

@@ -553,7 +553,7 @@ def one_context_per_suffix(rng, n_words, depth):
         ctx = tuple(rng.randrange(n_words) for _ in range(depth - 1)) + (v,)
         words = rng.sample(range(n_words), rng.randint(1, min(4, n_words)))
         counts[ctx] = {w: rng.randint(1, 9) for w in words}
-    return table_from_counts(_placeholder_spec(n_words, depth), n_words, counts)
+    return table_from_counts(_placeholder_spec(n_words, depth), counts)
 
 
 class TestLevelRows:
@@ -601,7 +601,7 @@ class TestLevelRows:
 
     def test_singleton_groups_out_of_table_order(self):
         counts = {(1, 0): {0: 3, 1: 2}, (0, 1): {2: 4}, (3, 2): {1: 2, 3: 5}, (2, 3): {0: 1, 2: 6}}
-        table = table_from_counts(_placeholder_spec(4, 2), 4, counts)
+        table = table_from_counts(_placeholder_spec(4, 2), counts)
         level1 = build_suffix_tree(table).levels[1]
         assert len(level1) == table.n_contexts
         assert level1.group_of.tolist() == [1, 0, 3, 2]
@@ -638,7 +638,7 @@ class TestFloatRange:
         keys = np.column_stack([small.contexts[ctx_of], small.words])
         freqs = np.ones(len(keys), dtype=np.int64)
         freqs[0] = total - (len(keys) - 1)
-        return EventTable(small.spec, small.n_words, keys, freqs)
+        return EventTable(small.spec, keys, freqs)
 
     def test_total_of_2_53_is_rejected(self):
         for total in (2**53, 2**53 + 7, 2**60):

@@ -92,8 +92,23 @@ class TestSpecValidation:
     def test_depth_and_arities(self):
         vocab = build_vocabulary("a b".split())
         spec = word_spec(vocab, (-3, -1))
-        assert spec.depth == 2
+        assert spec.depth == 2 and spec.n_words == len(vocab)
         assert [s.mapper.arity for s in spec.slots] == [len(vocab), len(vocab)]
+
+    @pytest.mark.parametrize("name, make, arity, message", [
+        ("t", np.ones, 2, "slot -1: mapper 't' differs from another slot's of that name"),
+        ("t", np.zeros, 3, "slot -1: mapper 't' differs from another slot's of that name"),
+        ("g", lambda n: np.zeros(n - 1), 2, "slot -1 (g) maps 4 words, slot -2 (t) 5"),
+        ("t", lambda n: np.zeros(n + 1), 2, "slot -1 (t) maps 6 words, slot -2 (t) 5"),
+    ], ids=["other table", "other arity", "other size", "namesake of other size"])
+    def test_mappers_must_agree(self, name, make, arity, message):
+        """Every mapper maps the spec's ``n_words`` words, and slots of
+        one name share one table and arity."""
+        n = len(build_vocabulary("a b".split()))
+        first = Slot(-2, FeatureMapper("t", np.zeros(n), 2))
+        assert ContextSpec((first, Slot(-1, FeatureMapper("t", np.zeros(n), 2)))).n_words == n
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ContextSpec((first, Slot(-1, FeatureMapper(name, make(n), arity))))
 
 
 class TestExtractEvents:
@@ -143,7 +158,8 @@ class TestExtractEvents:
         vocab = build_vocabulary("a b".split())
         other = build_vocabulary("a b c d e".split())
         spec = word_spec(other, (-1,))
-        with pytest.raises(ValueError, match="mapper arity mismatch"):
+        with pytest.raises(ValueError, match="the context's mappers map 8 words, the "
+                           "vocabulary has 5"):
             extract_events([[0]], spec, vocab)
 
     def test_empty_corpus_rejected(self):
@@ -157,26 +173,26 @@ class TestFromCounts:
         vocab = build_vocabulary("a".split())
         spec = word_spec(vocab, (-2, -1))
         with pytest.raises(ValueError, match="length"):
-            table_from_counts(spec, len(vocab), {(0,): {0: 1}})
+            table_from_counts(spec, {(0,): {0: 1}})
 
     def test_nonpositive_count_rejected(self):
         vocab = build_vocabulary("a".split())
         spec = word_spec(vocab, (-1,))
         with pytest.raises(ValueError, match="positive"):
-            table_from_counts(spec, len(vocab), {(0,): {0: 0}})
+            table_from_counts(spec, {(0,): {0: 0}})
 
     def test_counts_too_large_to_sum_rejected(self):
         vocab = build_vocabulary("a b".split())
         spec = word_spec(vocab, (-1,))
         huge = 4 * 10**18  # fits int64 alone, but not three of them summed
         with pytest.raises(ValueError, match="add up"):
-            table_from_counts(spec, len(vocab), {(0,): {1: huge, 2: huge, 3: huge}})
+            table_from_counts(spec, {(0,): {1: huge, 2: huge, 3: huge}})
 
     @pytest.mark.parametrize("counts", [[2**62 - 1], [2**62 - 2, 1], [1, 2**61, 2**61 - 2]])
     def test_a_total_just_below_2_62_is_kept(self, counts):
         vocab = build_vocabulary("a b c".split())
         spec = word_spec(vocab, (-1,))
-        table = table_from_counts(spec, len(vocab), {(0,): dict(enumerate(counts, 1))})
+        table = table_from_counts(spec, {(0,): dict(enumerate(counts, 1))})
         assert table.total == 2**62 - 1 and type(table.total) is int
 
     @pytest.mark.parametrize("counts", [[2**62], [2**62 - 1, 1], [2**61, 2**61], [2**63 - 1]])
@@ -184,7 +200,7 @@ class TestFromCounts:
         vocab = build_vocabulary("a b".split())
         spec = word_spec(vocab, (-1,))
         with pytest.raises(ValueError, match=r"add up to less than 2\*\*62"):
-            table_from_counts(spec, len(vocab), {(0,): dict(enumerate(counts, 1))})
+            table_from_counts(spec, {(0,): dict(enumerate(counts, 1))})
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.integers(1, 2**31), st.integers(1, 2**62), st.just(2**63 - 1)),
@@ -192,7 +208,7 @@ class TestFromCounts:
     def test_the_total_is_the_exact_sum(self, counts):
         vocab = build_vocabulary(" ".join(map(str, range(12))).split())
         spec = word_spec(vocab, (-1,))
-        build = lambda: table_from_counts(spec, len(vocab), {(0,): dict(enumerate(counts))})
+        build = lambda: table_from_counts(spec, {(0,): dict(enumerate(counts))})
         if sum(counts) < 2**62:
             assert build().total == sum(counts)
         else:
@@ -203,7 +219,7 @@ class TestFromCounts:
         vocab = build_vocabulary("a b".split())
         spec = word_spec(vocab, (-1,))
         counts = {(0,): {1: 2, 2: 3}, (1,): {2: 4}}
-        t = table_from_counts(spec, len(vocab), counts)
+        t = table_from_counts(spec, counts)
         assert t.total == 9
         assert context_counts(t) == {(0,): 5, (1,): 4}
         assert seen_word_counts(t) == {1: 2, 2: 7}
@@ -215,17 +231,17 @@ class TestFromCounts:
         spec = word_spec(vocab, (-1,))
         n = len(vocab)
         ok = np.array([[0, 1], [1, 2]])
-        EventTable(spec, n, ok, [1, 1])
+        EventTable(spec, ok, [1, 1])
         with pytest.raises(ValueError, match="word ids outside"):
-            EventTable(spec, n, [[1, 2], [0, n]], [1, 1])
+            EventTable(spec, [[1, 2], [0, n]], [1, 1])
         with pytest.raises(ValueError, match="slot -1 values outside"):
-            EventTable(spec, n, [[1, 2], [-1, 0]], [1, 1])
+            EventTable(spec, [[1, 2], [-1, 0]], [1, 1])
         with pytest.raises(ValueError, match="not strictly sorted"):
-            EventTable(spec, n, ok[::-1], [1, 1])
+            EventTable(spec, ok[::-1], [1, 1])
         with pytest.raises(ValueError, match="not strictly sorted"):
-            EventTable(spec, n, [[0, 1], [0, 1]], [1, 1])
+            EventTable(spec, [[0, 1], [0, 1]], [1, 1])
         with pytest.raises(ValueError, match="empty event table"):
-            EventTable(spec, n, np.zeros((0, 2)), [])
+            EventTable(spec, np.zeros((0, 2)), [])
 
     def test_arrays_are_read_only(self):
         vocab, enc, table = build_table(["a b a"], offsets=(-1,))
@@ -459,23 +475,22 @@ class TestMapLines:
         save_counts(loaded, tmp_path / "again.tsv")
         assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("second", [
-        (np.ones, 2), (np.zeros, 3), None,
-    ], ids=["other table", "other arity", "short table alone"])
-    def test_save_rejects_a_mapper_unlike_its_namesake_or_the_vocabulary(self, tmp_path, second):
+    def test_a_short_table_alone_sizes_its_table(self, tmp_path):
+        """A lone mapper of fewer words than the vocabulary has sizes the
+        table built on it, which saves and loads as that many words;
+        counting a corpus of the vocabulary rejects it."""
         vocab = build_vocabulary("a b".split())
         n = len(vocab)
-        if second is None:
-            slots = (Slot(-1, FeatureMapper("t", np.zeros(n - 1), 2)),)
-        else:
-            make, arity = second
-            slots = (Slot(-2, FeatureMapper("t", np.zeros(n), 2)),
-                     Slot(-1, FeatureMapper("t", make(n), arity)))
-        counts = {(0,) * len(slots): {2: 1}}
-        table = table_from_counts(ContextSpec(slots), n, counts)
-        with pytest.raises(ValueError, match="slot -1: mapper 't' differs from another slot's "
-                           "of that name or does not cover the vocabulary"):
-            save_counts(table, tmp_path / "c.tsv")
+        spec = ContextSpec((Slot(-1, FeatureMapper("t", np.zeros(n - 1), 2)),))
+        table = table_from_counts(spec, {(0,): {2: 1}})
+        assert table.n_words == spec.n_words == n - 1
+        save_counts(table, tmp_path / "c.tsv")
+        loaded = load_counts(tmp_path / "c.tsv")
+        assert loaded.n_words == n - 1 and loaded.counts == table.counts
+        with pytest.raises(ValueError, match=f"word ids outside \\[0, {n - 1}\\)"):
+            table_from_counts(spec, {(0,): {n - 1: 1}})
+        with pytest.raises(ValueError, match=f"mappers map {n - 1} words, the vocabulary has {n}"):
+            extract_events([[0]], spec, vocab)
 
     @pytest.mark.parametrize("damage, message", [
         ("cut off", "cut-off #map line"),

@@ -94,7 +94,7 @@ def hand_table(vocab, counts, depth=1, arity=16):
     # room for hand-written context values beyond them
     mapper = FeatureMapper("w", np.arange(len(vocab), dtype=np.int32), arity)
     spec = ContextSpec(slots=tuple(Slot(offset=o, mapper=mapper) for o in range(-depth, 0)))
-    return table_from_counts(spec, len(vocab), counts)
+    return table_from_counts(spec, counts)
 
 
 class TestClassLM:
@@ -264,14 +264,19 @@ class TestClassLM:
                 load(p)
 
     def test_mapper_table_must_cover_vocabulary(self):
-        # a hand-built table whose mapper covers only the first few words
+        # a hand-built table whose mapper covers only the first few words:
+        # the table has that many words, so a later word id is out of its
+        # range, and a model of the vocabulary rejects a clustering of it
         sents = make_random_corpus(43, n_sentences=20, n_words=6)
         vocab, enc, table = build_table(sents, offsets=(-2, -1))
         short = FeatureMapper("w", np.arange(3), len(vocab))
         spec = ContextSpec((Slot(-2, short), Slot(-1, short)))
-        hand = table_from_counts(spec, table.n_words, table.counts)
+        with pytest.raises(ValueError, match=r"word ids outside \[0, 3\)"):
+            table_from_counts(spec, table.counts)
+        few = {c: {w: n for w, n in row.items() if w < 3} for c, row in table.counts.items()}
+        hand = table_from_counts(spec, {c: row for c, row in few.items() if row})
         clu = run_flat(hand, ClusterParams(n_categories=3, n_states=3, min_count=1))
-        with pytest.raises(ValueError, match=r"slot -2 \(w\).*covers 3 words but the vocabulary has"):
+        with pytest.raises(ValueError, match="^clustering and vocabulary differ in size$"):
             ClassLM(clu, vocab)
 
 
@@ -437,6 +442,9 @@ class TestClassLMFile:
         "joint count short": lambda L: recount(L, "#joint", -1),
         "joint count long": lambda L: recount(L, "#joint", +1),
         "suffix state out of range": lambda L: edit_row(L, "#suffix", 0, "0\t9"),
+        "suffix state without events": lambda L: edit_row(
+            set_line(L, "#n_states", "#n_states\t6"), "#suffix", 0,
+            L[find(L, "#suffix") + 1].rpartition("\t")[0] + "\t5"),
         "suffix rows unsorted": lambda L: swap_rows(L, "#suffix", 0, 1),
         "suffix length wrong": lambda L: set_line(
             L, "#suffix", "#suffix\t2\t" + L[find(L, "#suffix")].split("\t")[2]
@@ -530,6 +538,7 @@ class TestClassLMSectionLine:
         ("joint count zero", "#joint", "joint counts outside"),
         ("joint cells unsorted", "#joint", "#joint rows are not strictly sorted"),
         ("suffix state out of range", "#suffix", "#suffix 1 states outside"),
+        ("suffix state without events", "#suffix", "#suffix 1 maps to a state without events"),
         ("suffix rows unsorted", "#suffix", "#suffix 1 rows are not strictly sorted"),
         ("context value out of range", "#contexts", "#contexts slot -1 values outside"),
         ("context state out of range", "#contexts", "#contexts states outside"),
@@ -544,6 +553,20 @@ class TestClassLMSectionLine:
         bad.write_text("\n".join(TestClassLMFile.CORRUPTIONS[name](lines)) + "\n")
         want = f"corrupt class model file {bad}: line {find(lines, key) + 1}: {message}"
         with pytest.raises(ValueError, match=re.escape(want)):
+            load_classlm(bad)
+
+    def test_a_state_fault_is_named_before_trailing_content(self, tmp_path):
+        # each table's states are checked as its section is read, before
+        # the file's end is
+        lm, vocab, enc, table = TestClassLMFile.model(2)
+        save_classlm(lm, tmp_path / "m.classlm")
+        lines = (tmp_path / "m.classlm").read_text().splitlines()
+        bad = tmp_path / "bad.classlm"
+        corrupt = TestClassLMFile.CORRUPTIONS["context state without events"]
+        bad.write_text("\n".join(corrupt(lines) + ["#extra\t0"]) + "\n")
+        want = (f"corrupt class model file {bad}: line {find(lines, '#contexts') + 1}: "
+                "#contexts maps to a state without events")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_classlm(bad)
 
     @pytest.mark.parametrize("name, key", [
@@ -1477,7 +1500,7 @@ class TestLoaderContract:
         if build == "EventTable":
             rows = np.column_stack([np.repeat(table.contexts, np.diff(table.ptr), axis=0),
                                     table.words, table.freqs])
-            inputs, built = rows, EventTable(table.spec, table.n_words, rows[:, :-1], rows[:, -1])
+            inputs, built = rows, EventTable(table.spec, rows[:, :-1], rows[:, -1])
         elif build == "extract_events":
             inputs = [np.array(sentence) for sentence in enc]
             built = extract_events(inputs, table.spec, vocab)
