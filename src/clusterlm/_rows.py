@@ -61,6 +61,7 @@ _BLOCK_BYTES = 1 << 16  # the largest temporary array of a blocked pass
 _KEY_LIMIT = 1 << 62  # the spans of one key chunk multiply to less
 _FIELD = "[0-9]{1,18}"  # a row field; a header integer may have a minus sign before it
 _INT = re.compile("-?" + _FIELD)
+_FIELDS = re.compile(f"{_FIELD}( {_FIELD})*")  # row fields, one space apart
 _FLOAT = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?")  # as repr(float) writes one
 
 # version lines of formats no loader reads any more, and how to replace such a file
@@ -173,6 +174,14 @@ class Reader:
         if not _INT.fullmatch(text):
             raise self.error(f"{what} is not an integer: {text!r}", 0)
         return int(text)
+
+    def ints(self, text: str, what: str) -> np.ndarray:
+        """``text``, a field of the line read last, as the int64 values of
+        row fields one space apart; a fault names the first bad value."""
+        if not _FIELDS.fullmatch(text):
+            bad = next(v for v in text.split(" ") if not re.fullmatch(_FIELD, v))
+            raise self.error(f"{what} is not 1 to 18 digits: {bad!r}", 0)
+        return np.fromstring(text, dtype=np.int64, sep=" ")
 
     def int_line(self, key: str) -> int:
         """The integer of the next line, ``key<TAB>n``."""

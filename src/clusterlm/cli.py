@@ -5,6 +5,12 @@ collect``, ``cluster run``, ``classes export``, ``ngram train``,
 ``interp tune`` and ``eval ppl``.  Every output file is written to a
 temporary name and renamed into place, so failures never leave partial
 artifacts; identical inputs and flags produce byte-identical outputs.
+
+Each subcommand names the flags of the files it reads once, as its
+parser's ``inputs`` default.  ``main`` rejects any output (``_OUTPUTS``)
+whose resolved path is one of those files or an earlier output, before
+the handler reads anything, and writes the ``--manifest`` of those files
+after the handler returns; handlers do neither.
 """
 
 from __future__ import annotations
@@ -118,16 +124,12 @@ def _write_lines(path: str | Path, lines: Sequence[str]) -> None:
     _atomic_write(path, lambda p: p.write_text("\n".join(lines) + "\n", encoding="utf-8"))
 
 
-def _maybe_manifest(args, inputs: Sequence[str | Path | None]) -> None:
-    """Write the run's manifest when ``--manifest`` is given: the argv
-    and a digest of each input file; unset inputs are left out."""
-    if not getattr(args, "manifest", None):
-        return
-    lines = ["#clusterlm-manifest v1", "#argv\t" + " ".join(args._argv)]
-    for p in sorted({str(p) for p in inputs if p}):
-        digest = hashlib.sha256(Path(p).read_bytes()).hexdigest()
-        lines.append(f"{digest}\t{p}")
-    _write_lines(args.manifest, lines)
+def _write_manifest(path: str, argv: Sequence[str], inputs: Sequence[str]) -> None:
+    """The run's manifest: its argv and a digest of each input file."""
+    lines = ["#clusterlm-manifest v1", "#argv\t" + " ".join(argv)]
+    lines += [f"{hashlib.sha256(Path(p).read_bytes()).hexdigest()}\t{p}"
+              for p in sorted(set(inputs))]
+    _write_lines(path, lines)
 
 
 def _relative_to(path: str | Path, anchor_file: str | Path) -> str:
@@ -141,20 +143,31 @@ def _relative_to(path: str | Path, anchor_file: str | Path) -> str:
         return str(target.resolve())
 
 
-def _check_not_overwritten(path, flag: str, inputs: Sequence, what: str) -> None:
-    """Writing ``path``, given by ``flag``, must not replace a file of
-    ``inputs``; paths are compared resolved."""
-    if any(Path(path).resolve() == Path(p).resolve() for p in inputs):
-        raise ValueError(f"{flag} {path} would overwrite {what}")
+# the output flags of every subcommand, in the order their files are written
+_OUTPUTS = ("out", "model_out", "report", "manifest")
 
 
-def _check_model_vocab(model, model_path, vocab: Vocabulary, vocab_path) -> None:
-    """A model scores ids of the vocabulary it was trained with; with
-    another vocabulary the ids name other words."""
-    if model.n_words != len(vocab):
+def _inputs(args) -> list[str]:
+    """The input files given, by the flags the subcommand declares in
+    ``inputs``.  An output whose resolved path is one of them, or an
+    earlier output's, is rejected first, before anything is read."""
+    given = [(dest, getattr(args, dest, None)) for dest in (*args.inputs, *_OUTPUTS)]
+    files = [(dest, p) for dest, v in given for p in (v if isinstance(v, list) else [v]) if p]
+    seen: dict[Path, tuple[str, str]] = {}
+    for dest, p in files:
+        other, q = seen.setdefault(Path(p).resolve(), (dest, p))
+        if dest in _OUTPUTS and other != dest:
+            raise ValueError(f"--{dest.replace('_', '-')} {p} would overwrite "
+                             f"--{other.replace('_', '-')} {q}")
+    return [p for dest, p in files if dest in args.inputs]
+
+
+def _check_vocab(built, path, vocab: Vocabulary, vocab_path) -> None:
+    """Counts, a clustering or a model hold the ids of the vocabulary they
+    were built with; with another vocabulary the ids name other words."""
+    if built.n_words != len(vocab):
         raise ValueError(
-            f"model {model_path} covers {model.n_words} words but vocabulary "
-            f"{vocab_path} has {len(vocab)}"
+            f"{path} covers {built.n_words} words but vocabulary {vocab_path} has {len(vocab)}"
         )
 
 
@@ -164,7 +177,7 @@ def _load_scored(vocab_path, model_paths, text_path, no_eos: bool, skip_unknown:
     vocab = Vocabulary.load(vocab_path)
     models = [load_model(p) for p in model_paths]
     for model, path in zip(models, model_paths):
-        _check_model_vocab(model, path, vocab, vocab_path)
+        _check_vocab(model, path, vocab, vocab_path)
     text = encode_corpus(read_corpus_lines(text_path), vocab)
     options = dict(eos_id=vocab.eos_id, include_eos=not no_eos, skip_unknown=skip_unknown,
                    unk_id=vocab.unk_id)
@@ -195,7 +208,6 @@ def cmd_vocab_build(args) -> int:
     vocab = build_vocabulary(iter_tokens(lines), max_size=args.max_size)
     _atomic_write(args.out, vocab.save)
     print(f"vocabulary: {len(vocab)} tokens -> {args.out}")
-    _maybe_manifest(args, [args.corpus])
     return 0
 
 
@@ -211,7 +223,6 @@ def cmd_counts_collect(args) -> int:
         f"counts [{format_context_spec(slot_kinds)}]: {table.n_contexts} distinct contexts, "
         f"{table.total} events -> {args.out}"
     )
-    _maybe_manifest(args, [args.corpus, args.vocab, args.tagmap, args.classmap])
     return 0
 
 
@@ -226,7 +237,6 @@ def cmd_cluster_run(args) -> int:
     if args.model_out:
         if not args.vocab:
             raise ValueError("--model-out requires --vocab")
-        _check_not_overwritten(args.model_out, "--model-out", [args.out], "the --out clustering")
         discount = 0.5 if args.discount is None else args.discount
         _check_discount(discount)
         vocab = Vocabulary.load(args.vocab)
@@ -235,6 +245,8 @@ def cmd_cluster_run(args) -> int:
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag} is used only with --model-out")
     table = load_counts(args.counts)
+    if args.model_out:
+        _check_vocab(table, args.counts, vocab, args.vocab)
     if args.tree:
         clustering = run_tree(table, build_suffix_tree(table), params)
     else:
@@ -248,7 +260,6 @@ def cmd_cluster_run(args) -> int:
         model = ClassLM(clustering, vocab, discount=discount)
         _atomic_write(args.model_out, lambda p: save_classlm(model, p))
         print(f"class model -> {args.model_out}")
-    _maybe_manifest(args, [args.counts, args.vocab])
     return 0
 
 
@@ -258,7 +269,7 @@ def cmd_classes_export(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     table = load_counts(args.counts)
     clustering = load_clustering(args.clustering, table)
-    _check_model_vocab(clustering, args.clustering, vocab, args.vocab)
+    _check_vocab(clustering, args.clustering, vocab, args.vocab)
     lines = [f"{vocab.tokens[w]}\t{int(clustering.G[w])}" for w in range(clustering.n_words)]
     _write_lines(args.out, lines)
     print(f"classes: {clustering.n_categories} categories over {clustering.n_words} words -> {args.out}")
@@ -267,7 +278,6 @@ def cmd_classes_export(args) -> int:
         for g in sorted(members):
             head = " ".join(members[g][: args.show])
             print(f"  class {g}: {head}")
-    _maybe_manifest(args, [args.vocab, args.counts, args.clustering])
     return 0
 
 
@@ -291,7 +301,6 @@ def cmd_ngram_train(args) -> int:
     )
     _atomic_write(args.out, lambda p: save_backoff(model, p))
     print(f"backoff model: order {model.order}, {model.n_parameters} entries -> {args.out}")
-    _maybe_manifest(args, [args.corpus, args.vocab])
     return 0
 
 
@@ -300,7 +309,6 @@ def cmd_interp_tune(args) -> int:
         raise ValueError("--max-iters must be at least 1")
     if not args.tol >= 0.0:
         raise ValueError("--tol must be a non-negative number")
-    _check_not_overwritten(args.out, "--out", args.models, "one of its --models")
     components, heldout, options = _load_scored(
         args.vocab, args.models, args.heldout, args.no_eos, args.skip_unknown
     )
@@ -312,7 +320,6 @@ def cmd_interp_tune(args) -> int:
     _atomic_write(args.out, lambda p: save_interpolated(model, p, comp_paths))
     print("weights: " + " ".join(f"{x:.6f}" for x in weights))
     print(f"heldout perplexity: {report.perplexity:.4g} -> {args.out}")
-    _maybe_manifest(args, list(args.models) + [args.heldout, args.vocab])
     return 0
 
 
@@ -326,7 +333,6 @@ def cmd_eval_ppl(args) -> int:
     print(format_report(report))
     if args.report:
         _write_lines(args.report, report_lines(report))
-    _maybe_manifest(args, [args.model, args.test, args.vocab])
     return 0
 
 
@@ -355,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     vb.add_argument("--corpus", required=True, help="training text, one sentence per line")
     vb.add_argument("--out", required=True, help="vocabulary file to write")
     vb.add_argument("--max-size", type=int, default=None, help="keep only the most frequent tokens")
-    vb.set_defaults(func=cmd_vocab_build)
+    vb.set_defaults(func=cmd_vocab_build, inputs=("corpus",))
 
     counts = groups.add_parser("counts", help="context event counting")
     csub = counts.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
@@ -370,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--tagmap", default=None, help="word/tag file for t: slots")
     cc.add_argument("--classmap", default=None, help="word/class file for g: slots")
     cc.add_argument("--out", required=True)
-    cc.set_defaults(func=cmd_counts_collect)
+    cc.set_defaults(func=cmd_counts_collect, inputs=("corpus", "vocab", "tagmap", "classmap"))
 
     cluster = groups.add_parser("cluster", help="exchange clustering")
     clsub = cluster.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
@@ -386,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--model-out", default=None, help="also write a ready-to-eval class model file")
     cr.add_argument("--vocab", default=None, help="vocabulary (required with --model-out)")
     cr.add_argument("--discount", type=float, help="class model smoothing discount (default 0.5)")
-    cr.set_defaults(func=cmd_cluster_run)
+    cr.set_defaults(func=cmd_cluster_run, inputs=("counts", "vocab"))
 
     classes = groups.add_parser("classes", help="word category inspection/export")
     xsub = classes.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
@@ -396,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     xe.add_argument("--vocab", required=True)
     xe.add_argument("--out", required=True, help="word<TAB>class file (usable via --classmap)")
     xe.add_argument("--show", type=int, default=0, help="print the first N members of each category")
-    xe.set_defaults(func=cmd_classes_export)
+    xe.set_defaults(func=cmd_classes_export, inputs=("clustering", "counts", "vocab"))
 
     ngram = groups.add_parser("ngram", help="backoff n-gram baseline")
     nsub = ngram.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
@@ -407,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     nt.add_argument("--cutoff3", type=int, help="discard order-3 grams seen at most this often (default 1)")
     nt.add_argument("--discount", type=float, default=0.5)
     nt.add_argument("--out", required=True)
-    nt.set_defaults(func=cmd_ngram_train)
+    nt.set_defaults(func=cmd_ngram_train, inputs=("corpus", "vocab"))
 
     interp = groups.add_parser("interp", help="linear model interpolation")
     isub = interp.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
@@ -420,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     it.add_argument("--tol", type=float, default=1e-6)
     it.add_argument("--no-eos", action="store_true", help="do not score sentence ends")
     it.add_argument("--skip-unknown", action="store_true", help="exclude unknown-word events from tuning")
-    it.set_defaults(func=cmd_interp_tune)
+    it.set_defaults(func=cmd_interp_tune, inputs=("models", "heldout", "vocab"))
 
     evalp = groups.add_parser("eval", help="model evaluation")
     esub = evalp.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
@@ -432,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--skip-unknown", action="store_true", help="exclude unknown-word events from scoring")
     ep.add_argument("--per-sentence", action="store_true", help="include a per-sentence breakdown")
     ep.add_argument("--report", default=None, help="also write machine-readable metric lines")
-    ep.set_defaults(func=cmd_eval_ppl)
+    ep.set_defaults(func=cmd_eval_ppl, inputs=("model", "test", "vocab"))
 
     return parser
 
@@ -478,9 +484,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args._argv = argv
     try:
-        return args.func(args)
+        inputs = _inputs(args)
+        rc = args.func(args)
+        if args.manifest:
+            _write_manifest(args.manifest, argv, inputs)
+        return rc
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -179,13 +179,15 @@ def encode_corpus(lines: Iterable[str], vocab: Vocabulary) -> list[list[int]]:
     return [[get(t, unk) for t in toks] for toks in map(str.split, lines) if toks]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureMapper:
     """Total map from word ids to dense feature-value ids.
 
     ``table[w]`` is the value of word ``w``: the word id itself for an
     identity mapper, or a value loaded from a word/value file (a tag map
-    or an exported class map).  Values lie in ``[0, arity)``.
+    or an exported class map).  Values lie in ``[0, arity)``.  The
+    mapper is frozen and keeps its own read-only int32 copy of the
+    table, so a context spec's check of it holds for good.
     """
 
     name: str
@@ -193,7 +195,8 @@ class FeatureMapper:
     arity: int
 
     def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=np.int32)
+        object.__setattr__(self, "table", np.array(self.table, dtype=np.int32))
+        self.table.flags.writeable = False
         if self.table.ndim != 1:
             raise ValueError("mapper table must be one-dimensional")
         if self.table.size and not (0 <= self.table.min() and self.table.max() < self.arity):

@@ -219,13 +219,16 @@ def read_slots(r: Reader, n_words: int, rerun: str) -> ContextSpec:
     mappers = {}  # one per name, shared by its slots
     while r.at("#map"):
         name, text = r.line("#map", 2)
-        values = [r.int(v, f"#map {name} value") for v in text.split(" ")]
+        values = r.ints(text, f"#map {name} value")
         if name in mappers or name not in arity_of:
             raise r.error(f"#map line of a repeated name or one no slot has: {name!r}", 0)
-        top = min(arity_of[name], 2**31)  # so that every value fits the int32 table
-        if len(values) != n_words or not all(0 <= v < top for v in values):
-            raise r.error(f"#map {name} needs {n_words} values in [0, {top}), one per word", 0)
-        mappers[name] = FeatureMapper(name, np.array(values), arity_of[name])
+        if len(values) != n_words:
+            raise r.error(f"#map {name} has {len(values)} values for {n_words} words", 0)
+        try:  # every value fits the int32 table
+            check_range(values, 0, min(arity_of[name], 2**31), f"#map {name} values")
+        except ValueError as exc:
+            raise r.error(str(exc), 0) from None
+        mappers[name] = FeatureMapper(name, values, arity_of[name])
     slots = []
     for off, name, arity, pos in header:
         if name == "w" and "w" not in mappers:  # without a #map line, the identity

@@ -12,6 +12,7 @@ from typing import Callable
 import pytest
 
 import clusterlm
+import clusterlm.cli as cli
 from clusterlm.cli import build_parser, main
 
 from conftest import make_random_corpus
@@ -300,7 +301,7 @@ def reads_a_file(node: ast.AST) -> bool:
 RAW_READERS = {
     "models._load_model": "reads the first word of the version line to pick the loader, "
     "which opens the file through _rows.Reader",
-    "cli._maybe_manifest": "digests each input file's bytes",
+    "cli._write_manifest": "digests each input file's bytes",
 }
 
 
@@ -384,7 +385,8 @@ def run_pipeline() -> None:
         "ngram train --corpus train.txt --vocab v.txt --cutoff3 0 --out ngram.model",
         "interp tune --models flat.model tree.model ngram.model --heldout held.txt --vocab v.txt"
         " --out mix.model",
-        "eval ppl --model mix.model --test test.txt --vocab v.txt --per-sentence --report r.tsv",
+        "eval ppl --model mix.model --test test.txt --vocab v.txt --per-sentence --report r.tsv"
+        " --manifest m.tsv",
         "eval ppl --model mix.model --test test.txt --vocab v.txt --skip-unknown --no-eos",
     ]
     for stage in stages:
@@ -428,21 +430,45 @@ def subcommands() -> dict[str, argparse.ArgumentParser]:
     return found
 
 
-@pytest.mark.parametrize("command", sorted(subcommands()))
-def test_every_flag_is_read_by_its_handler(command):
-    """A subcommand's handler reads every flag it accepts, as
-    ``args.<dest>`` or the string ``"<dest>"``, so that no flag is
-    accepted and then ignored; ``_maybe_manifest`` reads ``manifest``."""
-    parser = subcommands()[command]
-    handler = parser.get_default("func")
-    tree = ast.parse(textwrap.dedent(inspect.getsource(handler)))
-    read = {
+def args_read(func: Callable) -> set[str]:
+    """What ``func`` reads of ``args``: each ``args.<dest>``, and every
+    string constant, as a ``getattr(args, "<dest>")`` would name it."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    return {
         node.attr
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
         and node.value.id == "args"
     } | {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
-    if "_maybe_manifest" in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}:
-        read.add("manifest")
+
+
+@pytest.mark.parametrize("command", sorted(subcommands()))
+def test_every_flag_is_read_by_its_handler(command):
+    """A subcommand's handler reads every flag it accepts, as
+    ``args.<dest>`` or the string ``"<dest>"``, so that no flag is
+    accepted and then ignored; ``main`` reads ``manifest``."""
+    parser = subcommands()[command]
+    read = args_read(parser.get_default("func")) | args_read(main)
     flags = {a.dest for a in parser._actions if a.dest != "help"}
     assert sorted(flags - read) == []
+
+
+def test_main_alone_writes_the_manifest_and_checks_for_overwrites():
+    """Each subcommand names the flags of the files it reads once, as its
+    parser's ``inputs`` default, and only ``main`` checks every output
+    against them and the other outputs, then writes the manifest of them:
+    no ``cmd_*`` handler reads ``args.manifest``, calls the manifest or
+    overwrite helper, or resolves or compares a path."""
+    for command, parser in subcommands().items():
+        flags = {a.dest for a in parser._actions}
+        inputs = parser.get_default("inputs")
+        assert inputs and set(inputs) <= flags - set(cli._OUTPUTS), command
+    helpers = enclosing_functions(
+        lambda node: isinstance(node, ast.Name) and node.id in {"_write_manifest", "_inputs"}
+    )
+    assert helpers == {"cli.main"}
+    paths = enclosing_functions(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr in {"manifest", "resolve", "samefile", "realpath", "abspath"}
+    )
+    assert {f for f in paths if f.startswith("cli.cmd_")} == set()

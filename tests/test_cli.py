@@ -330,6 +330,26 @@ class TestTagAndClassSlots:
 
 CUT_SLOT = "corrupt counts file {bad}: line 3: expected a #slot line with 3 field(s)"
 
+# every file flag of each subcommand: its inputs, its outputs in the order
+# they are written, and the other flags it needs
+FILE_FLAGS = {
+    "vocab build": (["--corpus"], ["--out", "--manifest"], []),
+    "counts collect": (["--corpus", "--vocab", "--tagmap", "--classmap"], ["--out", "--manifest"],
+                       ["--context", "t:-2,g:-1"]),
+    "cluster run": (["--counts", "--vocab"], ["--out", "--model-out", "--manifest"], []),
+    "classes export": (["--clustering", "--counts", "--vocab"], ["--out", "--manifest"], []),
+    "ngram train": (["--corpus", "--vocab"], ["--out", "--manifest"], []),
+    "interp tune": (["--models", "--heldout", "--vocab"], ["--out", "--manifest"], []),
+    "eval ppl": (["--model", "--test", "--vocab"], ["--report", "--manifest"], []),
+}
+# each output flag with each input flag and each output written before it
+OVERWRITES = [
+    (command, later, earlier)
+    for command, (inputs, outputs, _) in FILE_FLAGS.items()
+    for i, later in enumerate(outputs)
+    for earlier in inputs + outputs[:i]
+]
+
 
 class TestFailureModes:
     def test_missing_input_file(self, tmp_path, capsys):
@@ -648,14 +668,54 @@ class TestFailureModes:
             kept, args = "m.model", ["interp", "tune", "--models", d / "m.model", d / "b.model",
                                      "--heldout", d / "held.txt", "--vocab", d / "v.txt",
                                      "--out", "m.model"]
-            message = "--out m.model would overwrite one of its --models"
+            message = f"--out m.model would overwrite --models {d / 'm.model'}"
         else:
             kept, args = "cl.tsv", cluster + ["--out", d / "cl.tsv", "--model-out", "cl.tsv"]
-            message = "--model-out cl.tsv would overwrite the --out clustering"
+            message = f"--model-out cl.tsv would overwrite --out {d / 'cl.tsv'}"
         before = (d / kept).read_bytes()
         assert run_fail(args, capsys) == f"error: {message}\n"
         assert (d / kept).read_bytes() == before
         no_tmp_leftovers(d)
+
+    @pytest.mark.parametrize("command, later, earlier", OVERWRITES)
+    def test_no_output_overwrites_an_input_or_another_output(
+        self, tmp_path, capsys, monkeypatch, command, later, earlier
+    ):
+        """Every output of every subcommand is checked against each of its
+        inputs and each output written before it, by resolved path, before
+        anything is read: the inputs here are no valid files, so a read
+        would fail with another error."""
+        inputs, outputs, extra = FILE_FLAGS[command]
+        files = {flag: tmp_path / flag.strip("-") for flag in inputs + outputs}
+        for flag in ["--model0", *inputs, earlier]:
+            (tmp_path / flag.strip("-")).write_text(f"the {flag} file\n")
+        argv = command.split() + extra
+        for flag in inputs + outputs:
+            path = files[earlier].name if flag == later else files[flag]
+            argv += [flag, tmp_path / "model0", path] if flag == "--models" else [flag, path]
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.chdir(tmp_path)
+        err = run_fail(argv, capsys)
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert {later, earlier, files[earlier].name} <= set(err.split())
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_cluster_run_checks_the_vocabulary_before_clustering(self, workdir, capsys):
+        # --model-out with the vocabulary of another corpus: nothing is written
+        d = workdir
+        (d / "more.txt").write_text((d / "train.txt").read_text() + "x1 x2\n")
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        run_ok(["vocab", "build", "--corpus", d / "more.txt", "--out", d / "big.txt"], capsys)
+        run_ok(["counts", "collect", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                "--context", "w:-1", "--out", d / "c.tsv"], capsys)
+        n_words = len((d / "v.txt").read_text().splitlines()) - 3  # specials header
+        n_big = len((d / "big.txt").read_text().splitlines()) - 3
+        err = run_fail(["cluster", "run", "--counts", d / "c.tsv", "--states", "4",
+                        "--categories", "4", "--out", d / "cl.tsv", "--model-out", d / "m.model",
+                        "--vocab", d / "big.txt"], capsys)
+        assert err == (f"error: {d / 'c.tsv'} covers {n_words} words but vocabulary "
+                       f"{d / 'big.txt'} has {n_big}\n")
+        assert not (d / "cl.tsv").exists() and not (d / "m.model").exists()
 
     def test_non_model_file_rejected_by_interp(self, tmp_path, capsys):
         d = tmp_path

@@ -408,6 +408,21 @@ class TestFeatureMaps:
         with pytest.raises(ValueError, match="one-dimensional"):
             FeatureMapper("x", np.zeros((1, 1), dtype=np.int32), 1)
 
+    def test_a_mapper_and_its_table_cannot_change(self):
+        # a context spec checks its mappers' word count once, so neither the
+        # mapper nor its table, its own int32 copy, may change after that
+        table = np.arange(6)
+        m = FeatureMapper("w", table, 6)
+        table[0] = 5
+        assert m.table.dtype == np.int32 and m.table.tolist() == list(range(6))
+        with pytest.raises(AttributeError):
+            m.table = np.arange(3)
+        with pytest.raises(ValueError, match="read-only"):
+            m.table[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            identity_mapper(build_vocabulary("a b".split())).table[0] = 1
+        assert m.table.tolist() == list(range(6))
+
 
 def cut_off(data: bytes, k: int) -> tuple[bytes, bytes]:
     return data[:-1], data

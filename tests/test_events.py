@@ -494,9 +494,11 @@ class TestMapLines:
 
     @pytest.mark.parametrize("damage, message", [
         ("cut off", "cut-off #map line"),
-        ("one value too few", "#map t needs {n} values in [0, 3), one per word"),
-        ("value equal to the arity", "#map t needs {n} values in [0, 3), one per word"),
-        ("value not an integer", "#map t value is not an integer: 'x'"),
+        ("one value too few", "#map t has {m} values for {n} words"),
+        ("value equal to the arity", "#map t values outside [0, 3)"),
+        ("value not an integer", "#map t value is not 1 to 18 digits: 'x'"),
+        ("value with a sign", "#map t value is not 1 to 18 digits: '-0'"),
+        ("two spaces", "#map t value is not 1 to 18 digits: ''"),
         ("no #map lines", "slot -2 (t) has no #map line; re-run clusterlm counts collect"),
     ])
     def test_a_damaged_map_line_names_the_file_and_line(self, tmp_path, damage, message):
@@ -514,10 +516,14 @@ class TestMapLines:
                 lines[k] = head + "\t" + " ".join(["3"] + values[1:])
             elif damage == "value not an integer":
                 lines[k] = head + "\t" + " ".join(["x"] + values[1:])
+            elif damage == "value with a sign":
+                lines[k] = head + "\t" + " ".join(["-0"] + values[1:])
+            elif damage == "two spaces":
+                lines[k] = head + "\t" + "  ".join(values)
             else:
                 lines = [line for line in lines if not line.startswith("#map")]
         path.write_text("\n".join(lines) + end)
-        message = message.format(n=table.n_words)
+        message = message.format(n=table.n_words, m=table.n_words - 1)
         want = f"corrupt counts file {path}: line {k + 1}: {message}"
         with pytest.raises(ValueError, match=re.escape(want)):
             load_counts(path)
@@ -562,6 +568,7 @@ class TestCountsFileCorruption:
         ("trailing header", lambda L: L + ["#vocab\t3"]),
         ("map of no slot", lambda L: L[:4] + ["#map\tq\t" + " ".join(["0"] * 6)] + L[4:]),
         ("map twice", lambda L: L[:4] + ["#map\tw\t" + " ".join(["0"] * 6)] * 2 + L[4:]),
+        ("map value with a sign", lambda L: L[:4] + ["#map\tw\t-0 1 2 3 4 5"] + L[4:]),
     ])
     def test_corruption_is_rejected(self, tmp_path, name, edit):
         path, lines = counts_lines(tmp_path)

@@ -430,6 +430,8 @@ class TestClassLMFile:
         "offsets out of order": lambda L: edit_slot(L, offset=-1),
         "map value out of range": lambda L: before("#joint", "#map\tw\t" + " ".join(
             ["99999"] + ["0"] * (int(L[find(L, "#n_words")].split("\t")[1]) - 1)))(L),
+        "map value with a sign": lambda L: before("#joint", "#map\tw\t" + " ".join(
+            ["-0"] + [str(w) for w in range(1, int(L[find(L, "#n_words")].split("\t")[1]))]))(L),
         "slot arity without a map": lambda L: [
             x.replace("\tw\t", "\tw\t1") if x.startswith("#slot") else x for x in L
         ],
@@ -594,8 +596,22 @@ class TestClassLMSectionLine:
         key, name, values = lines[k].split("\t")
         lines[k] = "\t".join([key, name, "3 " + values.split(" ", 1)[1]])
         path.write_text("\n".join(lines) + "\n")
+        want = f"corrupt class model file {path}: line {k + 1}: #map t values outside [0, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_classlm(path)
+
+    def test_a_signed_map_value_names_the_map_line(self, tmp_path):
+        # no row field carries a sign, so "-0" is not read as 0
+        lm, vocab, enc, clu = tagged_model()
+        path = tmp_path / "m.classlm"
+        save_classlm(lm, path)
+        lines = path.read_text().splitlines()
+        k = find(lines, "#map")
+        key, name, values = lines[k].split("\t")
+        lines[k] = "\t".join([key, name, "-0 " + values.split(" ", 1)[1]])
+        path.write_text("\n".join(lines) + "\n")
         want = (f"corrupt class model file {path}: line {k + 1}: "
-                f"#map t needs {lm.n_words} values in [0, 3), one per word")
+                "#map t value is not 1 to 18 digits: '-0'")
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_classlm(path)
 
