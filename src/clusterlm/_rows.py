@@ -40,8 +40,12 @@ needed, and the same functions compare the chunks in turn.
 ``find_rows``, the one row lookup, searches a table packed once by its
 owner for a block of queries at a time, in key order so that
 consecutive searches share their path through the table,
-``check_strictly_sorted`` checks that table's order on the same keys,
-and ``Keys.rows`` unpacks it again for the owner's writer.
+``check_table`` is the one check of a table of counted rows (events,
+n-grams, the class model's cells and tables): each column's range read
+off the pack's own ``lo`` and ``hi``, each count in [1, 2**62) with an
+exact total below 2**62, and the rows strictly sorted, on the same keys
+(``check_strictly_sorted``); ``Keys.rows`` unpacks a table again for the
+owner's writer.
 ``sum_rows`` is the one count of rows: the distinct rows of an unsorted
 array, sorted, with how often each occurs or the sum of its weights.
 ``sum_ids`` is the one exact int64 sum of weights per dense id.
@@ -52,7 +56,7 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,7 +64,7 @@ _ROWS_PER_WRITE = 1 << 12
 _BLOCK_BYTES = 1 << 16  # the largest temporary array of a blocked pass
 _KEY_LIMIT = 1 << 62  # the spans of one key chunk multiply to less
 _FIELD = "[0-9]{1,18}"  # a row field; a header integer may have a minus sign before it
-_INT = re.compile("-?" + _FIELD)
+INT = re.compile("-?" + _FIELD)  # a header integer, and a context spec's offset
 _FIELDS = re.compile(f"{_FIELD}( {_FIELD})*")  # row fields, one space apart
 _FLOAT = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?")  # as repr(float) writes one
 
@@ -165,13 +169,13 @@ class Reader:
             raise self.error(f"line {line} is not UTF-8") from None
         if fields[0] != key or len(fields) != n_fields + 1:
             raise self.error(f"expected a {key} line with {n_fields} field(s)", 1)
-        self.pos = end + 1
+        self.pos = self.opened = end + 1
         return fields[1:]
 
     def int(self, text: str, what: str) -> int:
         """``text``, a field of the line read last, as an integer: a row
         field with an optional minus sign."""
-        if not _INT.fullmatch(text):
+        if not INT.fullmatch(text):
             raise self.error(f"{what} is not an integer: {text!r}", 0)
         return int(text)
 
@@ -259,12 +263,12 @@ class Reader:
         declared = self.int(count, f"{head} row count")
         if n_rows is not None and declared != n_rows:
             raise self.error(f"{head} declares {declared} rows, expected {n_rows}", 0)
-        self.opened = self.pos
         return self.rows(head, n_key, n_value, declared)
 
-    def check(self, check: Callable[..., None], *args) -> None:
-        """``check(*args)``, its ``ValueError`` naming the line that
-        opened the section read last."""
+    def check(self, check: Callable[..., object], *args) -> None:
+        """``check(*args)``, its ``ValueError`` naming the ``#`` line read
+        last: a header line, or the line that opened the section read
+        last."""
         try:
             check(*args)
         except ValueError as exc:
@@ -370,9 +374,9 @@ def check_range(values: np.ndarray, lo: int, hi: int, what: str) -> None:
 
 
 def check_strictly_sorted(key: np.ndarray, what: str) -> None:
-    """Key rows (``Keys.key``), or integer rows, must increase strictly:
-    each row is larger than the one before it in the first chunk (or
-    column) where the two differ."""
+    """Key rows (``Keys.key``) must increase strictly: each row is larger
+    than the one before it in the first chunk where the two differ;
+    ``check_table`` checks every table's order here."""
     for lo, hi in _blocks(len(key) - 1, 1):  # the pairs (i, i + 1) for lo <= i < hi
         before, after = key[lo:hi], key[lo + 1 : hi + 1]
         ok = after[:, -1] > before[:, -1]
@@ -380,6 +384,26 @@ def check_strictly_sorted(key: np.ndarray, what: str) -> None:
             ok = (after[:, c] > before[:, c]) | ((after[:, c] == before[:, c]) & ok)
         if not ok.all():
             raise ValueError(f"{what} rows are not strictly sorted")
+
+
+def check_table(keys: Keys, counts: np.ndarray | None, columns: Sequence, what: str) -> int:
+    """The one check of the ``what`` table of rows packed as ``keys``,
+    with ``counts`` (one per row) or none: column j's values lie in
+    [0, hi) for ``columns[j]`` = (name, hi), as the pack's own ``lo`` and
+    ``hi`` tell, each count lies in [1, 2**62) and their exact total,
+    which is returned (0 without counts), below 2**62, and the rows
+    increase strictly.  A fault raises ``ValueError`` naming ``what``
+    and the column or the rule."""
+    for (name, hi), first, last in zip(columns, keys.lo, keys.hi):
+        if len(keys.key) and (first < 0 or last >= hi):
+            raise ValueError(f"{what} {name} outside [0, {hi})")
+    if counts is not None and counts.size and not 1 <= counts.min() <= counts.max() < _KEY_LIMIT:
+        raise ValueError(f"{what} counts outside [1, 2**62)")
+    total = 0 if counts is None else exact_sum(counts)
+    if total >= _KEY_LIMIT:
+        raise ValueError(f"{what} counts must add up to less than 2**62")
+    check_strictly_sorted(keys.key, what)
+    return total
 
 
 def row_starts(key: np.ndarray) -> np.ndarray:

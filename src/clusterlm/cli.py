@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
+from clusterlm._rows import INT
 from clusterlm.cluster import (
     ClusterParams,
     export_categories,
@@ -50,9 +51,11 @@ from clusterlm.events import (
     save_counts,
 )
 from clusterlm.models import (
+    DISCOUNT,
     ClassLM,
     InterpolatedModel,
-    _check_discount,
+    check_discount,
+    default_cutoffs,
     load_model,
     ngram_counts,
     save_backoff,
@@ -71,7 +74,8 @@ _SPEC_KINDS = ("w", "t", "g")
 
 def parse_context_spec(spec: str) -> list[tuple[str, int]]:
     """Parse a comma-separated slot list "m:o" (m in w/t/g, o a negative
-    offset) into canonical farthest-first order."""
+    offset, an integer as a clusterlm file's header writes one) into
+    canonical farthest-first order."""
     slots: list[tuple[str, int]] = []
     for part in spec.split(","):
         part = part.strip()
@@ -80,10 +84,9 @@ def parse_context_spec(spec: str) -> list[tuple[str, int]]:
             raise ValueError(
                 f"malformed context spec slot {part!r}: expected m:o with m in w/t/g"
             )
-        try:
-            off = int(off_s)
-        except ValueError:
-            raise ValueError(f"malformed context spec slot {part!r}: bad offset") from None
+        if not INT.fullmatch(off_s):
+            raise ValueError(f"malformed context spec slot {part!r}: bad offset")
+        off = int(off_s)
         if off >= 0:
             raise ValueError(f"context offsets must be negative, got {off}")
         slots.append((kind, off))
@@ -237,8 +240,8 @@ def cmd_cluster_run(args) -> int:
     if args.model_out:
         if not args.vocab:
             raise ValueError("--model-out requires --vocab")
-        discount = 0.5 if args.discount is None else args.discount
-        _check_discount(discount)
+        discount = DISCOUNT if args.discount is None else args.discount
+        check_discount(discount, "--discount")
         vocab = Vocabulary.load(args.vocab)
     else:
         for flag in ("vocab", "discount"):
@@ -284,9 +287,8 @@ def cmd_classes_export(args) -> int:
 def cmd_ngram_train(args) -> int:
     if args.order < 1:
         raise ValueError("--order must be at least 1")
-    if not 0.0 < args.discount < 1.0:
-        raise ValueError("--discount must lie in (0, 1)")
-    cutoffs = {k: 1 for k in range(3, args.order + 1)}
+    check_discount(args.discount, "--discount", backoff=True)
+    cutoffs = default_cutoffs(args.order)
     if args.cutoff3 is not None:
         if args.order < 3:
             raise ValueError("--cutoff3 needs --order 3 or more")
@@ -391,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--out", required=True, help="clustering file to write")
     cr.add_argument("--model-out", default=None, help="also write a ready-to-eval class model file")
     cr.add_argument("--vocab", default=None, help="vocabulary (required with --model-out)")
-    cr.add_argument("--discount", type=float, help="class model smoothing discount (default 0.5)")
+    cr.add_argument("--discount", type=float, help=f"class model smoothing discount (default {DISCOUNT})")
     cr.set_defaults(func=cmd_cluster_run, inputs=("counts", "vocab"))
 
     classes = groups.add_parser("classes", help="word category inspection/export")
@@ -411,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     nt.add_argument("--vocab", required=True)
     nt.add_argument("--order", type=int, default=3)
     nt.add_argument("--cutoff3", type=int, help="discard order-3 grams seen at most this often (default 1)")
-    nt.add_argument("--discount", type=float, default=0.5)
+    nt.add_argument("--discount", type=float, default=DISCOUNT)
     nt.add_argument("--out", required=True)
     nt.set_defaults(func=cmd_ngram_train, inputs=("corpus", "vocab"))
 

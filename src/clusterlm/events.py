@@ -19,8 +19,7 @@ from clusterlm._rows import (
     Keys,
     Reader,
     check_range,
-    check_strictly_sorted,
-    exact_sum,
+    check_table,
     row_starts,
     sum_ids,
     sum_rows,
@@ -102,15 +101,9 @@ class EventTable:
             raise ValueError("empty event table")
         if keys.shape != (len(freqs), spec.depth + 1):
             raise ValueError("context tuple length does not match spec depth")
-        check_range(keys[:, -1], 0, spec.n_words, "word ids")
-        for k, slot in enumerate(spec.slots):
-            check_range(keys[:, k], 0, slot.mapper.arity, f"slot {slot.offset} values")
-        if int(freqs.min()) <= 0:
-            raise ValueError("stored counts must be strictly positive")
-        total = exact_sum(freqs)  # so that the int64 sums below cannot wrap
-        if total >= 2**62:
-            raise ValueError("stored counts must add up to less than 2**62")
-        check_strictly_sorted(Keys(keys).key, "(context, word)")
+        columns = [(f"slot {s.offset} values", s.mapper.arity) for s in spec.slots]
+        # the exact total below 2**62, so that the int64 sums below cannot wrap
+        total = check_table(Keys(keys), freqs, [*columns, ("word ids", spec.n_words)], "event")
 
         first = np.flatnonzero(row_starts(Keys(keys[:, :-1]).key))
         self.spec = spec
@@ -224,10 +217,8 @@ def read_slots(r: Reader, n_words: int, rerun: str) -> ContextSpec:
             raise r.error(f"#map line of a repeated name or one no slot has: {name!r}", 0)
         if len(values) != n_words:
             raise r.error(f"#map {name} has {len(values)} values for {n_words} words", 0)
-        try:  # every value fits the int32 table
-            check_range(values, 0, min(arity_of[name], 2**31), f"#map {name} values")
-        except ValueError as exc:
-            raise r.error(str(exc), 0) from None
+        # every value fits the int32 table
+        r.check(check_range, values, 0, min(arity_of[name], 2**31), f"#map {name} values")
         mappers[name] = FeatureMapper(name, values, arity_of[name])
     slots = []
     for off, name, arity, pos in header:

@@ -34,7 +34,7 @@ from clusterlm._rows import (
     Keys,
     Reader,
     check_range,
-    check_strictly_sorted,
+    check_table,
     exact_sum,
     find_rows,
     row_starts,
@@ -55,6 +55,23 @@ from clusterlm.events import (  # noqa: F401
     read_slots,
     slot_lines,
 )
+
+
+DISCOUNT = 0.5  # the default discount of the class and the backoff model
+
+
+def check_discount(discount: float, what: str = "discount", backoff: bool = False) -> None:
+    """A class model discounts by D in [0, 1), a backoff model by D in
+    (0, 1), so that its unigram floor leaves no word without mass; any
+    other ``discount``, NaN too, raises ``ValueError`` naming ``what``."""
+    if not (0.0 < discount < 1.0 if backoff else 0.0 <= discount < 1.0):
+        raise ValueError(f"{what} must lie in {'(0, 1)' if backoff else '[0, 1)'}")
+
+
+def default_cutoffs(order: int) -> dict[int, int]:
+    """The cutoffs of an order-``order`` backoff model by default: every
+    order from 3 up discards the grams seen once."""
+    return {k: 1 for k in range(3, order + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +116,15 @@ class ClassLM:
     owns every array it keeps: each is built or copied as it is set up.
     """
 
-    def __init__(self, clustering: Clustering, vocab: Vocabulary, discount: float = 0.5):
-        _check_discount(discount)
+    def __init__(self, clustering: Clustering, vocab: Vocabulary, discount: float = DISCOUNT):
+        check_discount(discount)
         table = clustering.table
         if clustering.n_words != len(vocab):
             raise ValueError("clustering and vocabulary differ in size")
         s, g = np.nonzero(clustering.joint)
+        cells = np.column_stack([s, g])
         self._setup(discount, table.spec, vocab.bos_id, clustering.G, clustering.word_counts,
-                    np.column_stack([s, g]), clustering.joint[s, g],
+                    cells, Keys(cells), clustering.joint[s, g],
                     clustering.n_categories, clustering.n_states, [])
         # shortest suffix first, each row kept only where its state is not
         # the one its next-shorter suffix resolves to through the rows kept
@@ -127,21 +145,22 @@ class ClassLM:
         G: np.ndarray,
         word_counts: np.ndarray,
         cells: np.ndarray,
+        cell_keys: Keys,
         cell_counts: np.ndarray,
         n_categories: int,
         n_states: int,
         tables: list[tuple[Keys, np.ndarray]],
     ) -> None:
-        """Keep copies of ``G``, ``word_counts`` and ``cell_counts``, the
-        joint cells' (s, g) rows packed and ``tables``, which each caller
-        builds, and derive the marginals."""
+        """Keep copies of ``G``, ``word_counts`` and ``cell_counts``, and
+        the keys of the joint cells' (s, g) rows ``cells`` and ``tables``,
+        which each caller packs, and derive the marginals."""
         self.discount = float(discount)
         self.spec = spec
         self.depth = spec.depth
         self.bos_id = int(bos_id)
         self.G = np.array(G, dtype=np.int32)
         self.word_counts = np.array(word_counts, dtype=np.int64)
-        self.joint = (Keys(cells), np.array(cell_counts, dtype=np.int64))
+        self.joint = (cell_keys, np.array(cell_counts, dtype=np.int64))
         self.tables = tables
         self.n_words = len(G)
         self.n_categories = int(n_categories)
@@ -228,11 +247,6 @@ def _query_rows(rows: np.ndarray, n_words: int, width: int, bos_id: int) -> np.n
     return np.where(rows < 0, bos_id, rows)
 
 
-def _check_discount(discount: float) -> None:
-    if not 0.0 <= discount < 1.0:
-        raise ValueError("discount must lie in [0, 1)")
-
-
 def _suffix_states(
     contexts: np.ndarray, states: np.ndarray, counts: np.ndarray, keep: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -301,8 +315,7 @@ def load_classlm(path: str | Path) -> ClassLM:
     """
     r = Reader(path, "#clusterlm-classlm v3", "class model")
     discount = r.float_line("#discount")
-    if not 0.0 <= discount < 1.0:
-        raise r.error("discount must lie in [0, 1)", 0)
+    r.check(check_discount, discount)
     n_words = r.int_line("#n_words")
     n_categories = r.int_line("#n_categories")
     n_states = r.int_line("#n_states")
@@ -322,13 +335,12 @@ def load_classlm(path: str | Path) -> ClassLM:
     spec = read_slots(r, n_words, "clusterlm cluster run --model-out")
 
     cells = r.section("#joint", 2, 1)
-    r.check(check_range, cells[:, 0], 0, n_states, "joint states")
-    r.check(check_range, cells[:, 1], 0, n_categories, "joint categories")
-    r.check(check_range, cells[:, 2], 1, 2**62, "joint counts")
+    cell_keys = Keys(cells[:, :2])
+    columns = [("states", n_states), ("categories", n_categories)]
+    r.check(check_table, cell_keys, cells[:, 2], columns, "#joint")
     joint_sums = sum_ids(cells[:, 1], cells[:, 2], n_categories)
     if not np.array_equal(joint_sums, sum_ids(words[:, 0], words[:, 1], n_categories)):
         raise r.error("joint column sums differ from the category word counts")
-    r.check(check_strictly_sorted, cells[:, :2], "#joint")
 
     live = np.bincount(cells[:, 0]) > 0  # the states with events, up to the joint's last
     keys = [f"#suffix\t{keep}" for keep in range(1, spec.depth)] + ["#contexts"]
@@ -337,8 +349,8 @@ def load_classlm(path: str | Path) -> ClassLM:
     r.end("#contexts")
 
     model = ClassLM.__new__(ClassLM)
-    model._setup(discount, spec, bos_id, words[:, 0], words[:, 1], cells[:, :2], cells[:, 2],
-                 n_categories, n_states, tables)
+    model._setup(discount, spec, bos_id, words[:, 0], words[:, 1], cells[:, :2], cell_keys,
+                 cells[:, 2], n_categories, n_states, tables)
     return model
 
 
@@ -346,19 +358,18 @@ def _read_table(
     r: Reader, key: str, slots: Sequence[Slot], n_states: int, live: np.ndarray
 ) -> tuple[Keys, np.ndarray]:
     """The (keys, states) table of a class model file's section ``key``,
-    whose context columns are the values of ``slots``: each column in
-    its slot's range, each state in ``[0, n_states)`` and one with
-    events (``live``, indexed by state) and the rows strictly sorted,
-    packed as they are checked."""
+    whose context columns are the values of ``slots``: its rows packed
+    and checked by ``check_table``, each column in its slot's range, and
+    each state in ``[0, n_states)`` and one with events (``live``,
+    indexed by state)."""
     rows = r.section(key, len(slots), 1)
     what = key.replace("\t", " ")
-    for k, sl in enumerate(slots):
-        r.check(check_range, rows[:, k], 0, sl.mapper.arity, f"{what} slot {sl.offset} values")
+    keys = Keys(rows[:, :-1])
+    columns = [(f"slot {sl.offset} values", sl.mapper.arity) for sl in slots]
+    r.check(check_table, keys, None, columns, what)
     states = rows[:, -1]
     r.check(check_range, states, 0, n_states, f"{what} states")
     r.check(_check_live, states, live, what)
-    keys = Keys(rows[:, :-1])
-    r.check(check_strictly_sorted, keys.key, what)
     return keys, states.astype(np.int32)
 
 
@@ -387,9 +398,9 @@ class BackoffModel:
 
         p_1(w) = (max(c(w) - D, 0) + D * n+ / |V|) / N.
 
-    The model is defined by its kept counts, given as strictly sorted
-    rows of word ids (else ``ValueError``) with their counts, as
-    ``train_backoff`` checks and cuts them.  It keeps them once, packed:
+    The model is defined by its kept counts, as ``train_backoff``, its
+    one maker, checks and cuts them: per order, the kept k-grams' rows,
+    their ``_rows.Keys`` and their counts.  It keeps them once, packed:
     ``grams[k-1]`` is the ``_rows.Keys`` of the kept k-grams and
     ``counts[k-1]`` their counts.  From them it derives ``uni`` and, per
     order k >= 2, the lookup tables of the kept k-grams (the same keys)
@@ -403,22 +414,22 @@ class BackoffModel:
         self,
         n_words: int,
         discount: float,
-        counts: Sequence[tuple[np.ndarray, np.ndarray]],
+        kept: Sequence[tuple[np.ndarray, Keys, np.ndarray]],
         bos_id: int,
     ):
-        if not 0.0 < discount < 1.0:
-            raise ValueError("discount must lie in (0, 1)")
-        if not counts:
+        check_discount(discount, backoff=True)
+        if not kept:
             raise ValueError("counts for at least one order required")
         if not 0 <= bos_id < n_words:
             raise ValueError("begin id outside [0, n_words)")
-        self.order = len(counts)
+        self.order = len(kept)
         self.n_words = int(n_words)
         self.discount = d = float(discount)
         self.bos_id = int(bos_id)
-        self.counts = [np.array(c, dtype=np.int64) for _, c in counts]
+        self.grams = [keys for _, keys, _ in kept]
+        self.counts = [c for _, _, c in kept]
 
-        words, uni_counts = counts[0][0][:, 0], self.counts[0]
+        words, uni_counts = kept[0][0][:, 0], self.counts[0]
         total = int(uni_counts.sum())
         if total == 0:
             raise ValueError("no unigrams survive the cutoffs")
@@ -426,14 +437,11 @@ class BackoffModel:
         self.uni = np.full(self.n_words, floor / total, dtype=np.float64)
         self.uni[words] = (np.maximum(uni_counts - d, 0.0) + floor) / total
 
-        # each order's k-grams packed once and checked sorted; per order
-        # k >= 2 their keys, their p_k, the seen histories and their bows
-        self.grams = [Keys(grams) for grams, _ in counts]
-        for k, keys in enumerate(self.grams, 1):
-            check_strictly_sorted(keys.key, f"order-{k}")
+        # per order k >= 2 the kept k-grams' keys, their p_k, the seen
+        # histories and their bows
         tables: list[tuple] = []
         for k in range(2, self.order + 1):
-            (grams, c), gram_keys = counts[k - 1], self.grams[k - 1]
+            grams, gram_keys, c = kept[k - 1]
             hists = Keys(grams[:, :-1])
             starts = np.flatnonzero(row_starts(hists.key))
             hists.key = hists.key[starts]  # the distinct histories span what all of them do
@@ -515,7 +523,7 @@ def train_backoff(
     counts: Sequence[tuple[np.ndarray, np.ndarray]],
     n_words: int,
     *,
-    discount: float = 0.5,
+    discount: float = DISCOUNT,
     cutoffs: dict[int, int] | None = None,
     bos_id: int,
 ) -> BackoffModel:
@@ -523,28 +531,27 @@ def train_backoff(
 
     ``counts[k-1]`` is the order-k pair (grams, counts) that
     ``ngram_counts`` returns: strictly sorted rows of k word ids in
-    ``[0, n_words)`` and positive counts; anything else raises
-    ``ValueError``.  ``cutoffs`` maps an order to the count at or below
-    which its n-grams are discarded; by default every order >= 3
-    discards singletons.  A history whose k-grams are all discarded
-    becomes unseen and backs off fully.
+    ``[0, n_words)`` and their counts, which ``_rows.check_table``
+    checks once per order, on the keys the model keeps, before the
+    cutoffs; anything else raises ``ValueError``.  ``cutoffs`` maps an
+    order to the count at or below which its n-grams are discarded;
+    by default (``default_cutoffs``) every order >= 3 discards
+    singletons.  A history whose k-grams are all discarded becomes
+    unseen and backs off fully.
     """
     if cutoffs is None:
-        cutoffs = {k: 1 for k in range(3, len(counts) + 1)}
+        cutoffs = default_cutoffs(len(counts))
     kept = []
     for k, (grams, c) in enumerate(counts, 1):
-        grams, c = np.asarray(grams, dtype=np.int64), np.asarray(c, dtype=np.int64)
+        grams, c = np.asarray(grams, dtype=np.int64), np.array(c, dtype=np.int64)
         if grams.ndim != 2 or grams.shape[1] != k or c.shape != (len(grams),):
             raise ValueError(f"order-{k} rows must have length {k} and one count each")
-        check_range(grams, 0, n_words, f"order-{k} word ids")
-        check_range(c, 1, 2**62, f"order-{k} counts")
-        if exact_sum(c) >= 2**62:
-            raise ValueError(f"order-{k} counts must add up to less than 2**62")
+        keys = Keys(grams)
+        check_table(keys, c, [("word ids", n_words)] * k, f"order-{k}")
         keep = c > cutoffs.get(k, 0)
-        if not keep.all():  # the model checks, and packs, the rows it keeps
-            check_strictly_sorted(grams, f"order-{k}")
-            grams, c = grams[keep], c[keep]
-        kept.append((grams, c))
+        if not keep.all():  # the keys keep the ranges of every row; the kept rows lie in them
+            grams, c, keys.key = grams[keep], c[keep], keys.key[keep]
+        kept.append((grams, keys, c))
     return BackoffModel(n_words, discount, kept, bos_id=bos_id)
 
 
@@ -582,8 +589,7 @@ def load_backoff(path: str | Path) -> BackoffModel:
     r = Reader(path, "#clusterlm-backoff v2", "backoff model")
     order = r.int_line("#order")
     discount = r.float_line("#discount")
-    if not 0.0 < discount < 1.0:
-        raise r.error("discount must lie in (0, 1)", 0)
+    r.check(check_discount, discount, "discount", True)
     n_words = r.int_line("#n_words")
     bos_id = r.int(r.line("#bos", 1)[0], "begin id")
     if order < 1:
@@ -658,9 +664,14 @@ def save_interpolated(
     model: InterpolatedModel, path: str | Path, component_paths: Sequence[str]
 ) -> None:
     """Write weights plus component model file paths (resolved against
-    the model file at load time when relative)."""
+    the model file at load time when relative).  A path that its
+    ``#component`` line cannot hold, with a tab or a newline or ending in
+    a carriage return, raises ``ValueError`` before anything is written."""
     if len(component_paths) != len(model.components):
         raise ValueError("one path per component required")
+    for p in component_paths:  # each must read back as its #component line's one field
+        if "\t" in p or "\n" in p or p.endswith("\r"):
+            raise ValueError(f"component path {p!r} holds a tab or a line break")
     lines = ["#clusterlm-interp v1"]
     lines.append("#weights\t" + " ".join(repr(float(x)) for x in model.weights))
     for p in component_paths:

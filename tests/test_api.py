@@ -279,6 +279,25 @@ def test_only_the_spec_reads_a_mapper_size():
     assert found == {"events.ContextSpec.__post_init__", "corpus.FeatureMapper.__post_init__"}
 
 
+def test_one_function_checks_a_table_of_counted_rows():
+    """Events, n-grams and the class model's cells and tables are each
+    checked by ``_rows.check_table``, once, on the keys their owner
+    packs: no module but ``_rows`` calls or imports the sort check, and
+    the table check runs at the four places such a table is made."""
+    sorts = enclosing_functions(
+        lambda node: isinstance(node, ast.Name) and node.id == "check_strictly_sorted"
+        or isinstance(node, ast.Attribute) and node.attr == "check_strictly_sorted"
+        or isinstance(node, ast.alias) and node.name == "check_strictly_sorted",
+        skip="_rows",
+    )
+    assert sorts == set()
+    tables = enclosing_functions(
+        lambda node: isinstance(node, ast.Name) and node.id == "check_table", skip="_rows"
+    )
+    assert tables == {"events.EventTable.__init__", "models.load_classlm", "models._read_table",
+                      "models.train_backoff"}
+
+
 READ_CALLS = {"read_bytes", "read_text", "fromfile", "loadtxt", "genfromtxt", "memmap"}
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import platform
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,13 @@ class TestContextSpecStrings:
         for bad in ("w", "x:-1", "w:one", "w:0", "w:1", ""):
             with pytest.raises(ValueError):
                 parse_context_spec(bad)
+
+    @pytest.mark.parametrize("spec", ["w:-1_0", "w:-\u0663", "w: -1", "w:-\uff11", "w:-" + "1" * 19])
+    def test_an_offset_is_a_header_integer(self, spec):
+        # int() reads each of these; an offset follows the files' one integer grammar
+        want = f"malformed context spec slot {spec!r}: bad offset"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            parse_context_spec(spec)
 
     def test_parse_rejects_duplicate_offsets(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -646,6 +654,26 @@ class TestFailureModes:
         err = run_fail(["eval", "ppl", "--model", d / "mix.model", "--test", d / "held.txt",
                         "--vocab", d / "v.txt"], capsys)
         assert err == f"error: mixture file {d / 'mix.model'} contains itself\n"
+
+    @pytest.mark.parametrize("folder, name", [("a\tb", "ng.model"), ("a\nb", "ng.model"),
+                                              ("ab", "ng.model\r")],
+                             ids=["tab", "newline", "final carriage return"])
+    def test_a_component_path_no_mixture_can_hold_is_rejected(self, workdir, capsys, folder, name):
+        """A ``#component`` line holds its path as one field up to the line
+        end, so ``interp tune`` refuses a path that would not read back as
+        written, and writes no mixture, which no command could load."""
+        d = workdir
+        (d / folder).mkdir()
+        run_ok(["vocab", "build", "--corpus", d / "train.txt", "--out", d / "v.txt"], capsys)
+        for order, out in ((1, d / "n1.model"), (2, d / folder / name)):
+            run_ok(["ngram", "train", "--corpus", d / "train.txt", "--vocab", d / "v.txt",
+                    "--order", order, "--out", out], capsys)
+        before = sorted(d.iterdir())
+        err = run_fail(["interp", "tune", "--models", d / "n1.model", d / folder / name,
+                        "--heldout", d / "held.txt", "--vocab", d / "v.txt",
+                        "--out", d / "mix.model"], capsys)
+        assert err == f"error: component path {folder + '/' + name!r} holds a tab or a line break\n"
+        assert sorted(d.iterdir()) == before
 
     @pytest.mark.parametrize("command", ["interp tune", "cluster run"])
     def test_an_output_that_would_overwrite_an_input_is_rejected(

@@ -178,7 +178,7 @@ class TestFromCounts:
     def test_nonpositive_count_rejected(self):
         vocab = build_vocabulary("a".split())
         spec = word_spec(vocab, (-1,))
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^event counts outside \[1, 2\*\*62\)$"):
             table_from_counts(spec, {(0,): {0: 0}})
 
     def test_counts_too_large_to_sum_rejected(self):
@@ -199,7 +199,9 @@ class TestFromCounts:
     def test_a_total_of_2_62_or_more_is_rejected(self, counts):
         vocab = build_vocabulary("a b".split())
         spec = word_spec(vocab, (-1,))
-        with pytest.raises(ValueError, match=r"add up to less than 2\*\*62"):
+        # one count of 2**62 or more fails the count rule before the total's
+        rule = r"outside \[1, 2\*\*62\)" if max(counts) >= 2**62 else r"must add up to less than 2\*\*62"
+        with pytest.raises(ValueError, match=f"^event counts {rule}$"):
             table_from_counts(spec, {(0,): dict(enumerate(counts, 1))})
 
     @settings(max_examples=200, deadline=None)
@@ -212,7 +214,8 @@ class TestFromCounts:
         if sum(counts) < 2**62:
             assert build().total == sum(counts)
         else:
-            with pytest.raises(ValueError, match="add up"):
+            rule = r"outside \[1, 2\*\*62\)" if max(counts) >= 2**62 else "must add up"
+            with pytest.raises(ValueError, match=f"^event counts {rule}"):
                 build()
 
     def test_marginals_derived_consistently(self):
@@ -577,8 +580,8 @@ class TestCountsFileCorruption:
             load_counts(path)
 
     @pytest.mark.parametrize("damage, message", [
-        ("zero count", "stored counts must be strictly positive"),
-        ("swapped rows", "(context, word) rows are not strictly sorted"),
+        ("zero count", "event counts outside [1, 2**62)"),
+        ("swapped rows", "event rows are not strictly sorted"),
     ])
     def test_a_bad_event_row_names_the_file_and_line(self, tmp_path, damage, message):
         path, lines = counts_lines(tmp_path)
@@ -631,8 +634,8 @@ class TestCountsFileCorruption:
             if signed:
                 want = malformed_row(path, min(signed) + 1)
             else:
-                zero = f"corrupt counts file {path}: line {min(bad) + 1}: stored counts must be"
-                want = f"^{re.escape(zero)} strictly positive$"
+                zero = f"corrupt counts file {path}: line {min(bad) + 1}: event counts"
+                want = f"^{re.escape(zero)} outside {re.escape('[1, 2**62)')}$"
             with pytest.raises(ValueError, match=want):
                 load_counts(path)
 

@@ -536,8 +536,8 @@ class TestClassLMSectionLine:
 
     @pytest.mark.parametrize("name, key, message", [
         ("category out of range", "#words", "word categories outside"),
-        ("joint state out of range", "#joint", "joint states outside"),
-        ("joint count zero", "#joint", "joint counts outside"),
+        ("joint state out of range", "#joint", "#joint states outside"),
+        ("joint count zero", "#joint", "#joint counts outside [1, 2**62)"),
         ("joint cells unsorted", "#joint", "#joint rows are not strictly sorted"),
         ("suffix state out of range", "#suffix", "#suffix 1 states outside"),
         ("suffix state without events", "#suffix", "#suffix 1 maps to a state without events"),

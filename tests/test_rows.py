@@ -1,5 +1,6 @@
-"""The shared row operations on packed keys (lookup, count, grouping and
-the sort check) against dict, Counter, lexsort and tuple-order oracles,
+"""The shared row operations on packed keys (lookup, count, grouping,
+the sort check and the table check) against dict, Counter, lexsort,
+tuple-order and from-scratch oracles,
 the line numbers in ``Reader``'s errors, the blocked passes against
 the same passes made in one block, and the text codec against its
 digit-by-digit writer and a line-by-line reading of the row grammar."""
@@ -19,12 +20,14 @@ from clusterlm._rows import (
     Keys,
     Reader,
     check_strictly_sorted,
+    check_table,
     exact_sum,
     find_rows,
     group_rows,
     sum_rows,
     write_rows,
 )
+from clusterlm.models import train_backoff
 
 from conftest import oracle_write_rows
 
@@ -217,6 +220,103 @@ class TestCheckStrictlySorted:
             else:
                 with pytest.raises(ValueError, match="drawn rows are not strictly sorted"):
                     check_strictly_sorted(key, "drawn")
+
+
+def table_fault(rows: list, counts: list | None, columns: list, what: str) -> str | None:
+    """The error of the first rule that the ``what`` table of ``rows``
+    (lists of ints) and ``counts`` breaks, read from scratch in the order
+    ``check_table`` checks them, or None: column j of every row in
+    [0, hi) for ``columns[j]`` = (name, hi), each count in [1, 2**62),
+    their total below 2**62, and each row above the one before it in
+    tuple order."""
+    for j, (name, hi) in enumerate(columns):
+        if any(not 0 <= row[j] < hi for row in rows):
+            return f"{what} {name} outside [0, {hi})"
+    if counts is not None and any(not 1 <= c < 2**62 for c in counts):
+        return f"{what} counts outside [1, 2**62)"
+    if counts is not None and sum(counts) >= 2**62:
+        return f"{what} counts must add up to less than 2**62"
+    if any(a >= b for a, b in zip(rows, rows[1:])):
+        return f"{what} rows are not strictly sorted"
+    return None
+
+
+@st.composite
+def counted_tables(draw, width=None, bound=None):
+    """(rows, counts, bounds): a small table of counted rows, ``width``
+    columns (1 to 8 by default) each below its bound (``bound``, or drawn
+    per column), and counts or (without ``bound``) none.  Values come from
+    a few per column, so rows repeat and share prefixes; eight columns of
+    300 ids pack into two key chunks, as an order-8 model's do.  The rows
+    are sorted, sorted without repeats, or in any order, and now and then
+    one value or one count is out of its range or the counts add up past
+    2**62."""
+    width = draw(st.integers(1, 8)) if width is None else width
+    bounds = [bound or draw(st.sampled_from([1, 3, 300, 2**40])) for _ in range(width)]
+    values = [st.sampled_from(sorted({0, 1 % hi, hi // 2, hi - 1})) for hi in bounds]
+    rows = draw(st.lists(st.tuples(*values).map(list), max_size=12))
+    order = draw(st.sampled_from(["any", "sorted", "unique"]))
+    if order != "any":
+        rows = sorted(map(list, {tuple(r) for r in rows})) if order == "unique" else sorted(rows)
+    if rows and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
+        rows[i][j] = draw(st.sampled_from([-1, bounds[j]]))
+    counts = None
+    if bound is not None or draw(st.booleans()):
+        count = st.sampled_from([1, 2, 3, 2**61, 2**62 - 1])
+        counts = draw(st.lists(count, min_size=len(rows), max_size=len(rows)))
+        if rows and draw(st.booleans()):
+            counts[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from([0, 2**62, 2**63 - 1]))
+    return rows, counts, bounds
+
+
+class TestCheckTable:
+    @settings(max_examples=400, deadline=None)
+    @given(counted_tables(), st.sampled_from([1, 2, ONE_BLOCK]))
+    def test_matches_a_check_from_scratch(self, table, block):
+        """The one table check accepts what the from-scratch check
+        accepts, returning the exact total, and rejects what it rejects
+        with the error of the same rule and column."""
+        rows, counts, bounds = table
+        packed = Keys(np.array(rows, dtype=np.int64).reshape(len(rows), len(bounds)))
+        weights = None if counts is None else np.array(counts, dtype=np.int64)
+        columns = [(f"c{j}", hi) for j, hi in enumerate(bounds)]
+        want = table_fault(rows, counts, columns, "drawn")
+        with blocks_of(block):
+            if want is None:
+                assert check_table(packed, weights, columns, "drawn") == sum(counts or [])
+            else:
+                with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                    check_table(packed, weights, columns, "drawn")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_train_backoff_checks_each_order_before_its_cutoff(self, data):
+        """``train_backoff`` rejects the first order that breaks a rule,
+        with that rule's error, checking each order as given, before its
+        cutoff; an order the cutoffs leave empty is kept empty."""
+        n_words = data.draw(st.sampled_from([3, 300]), label="n_words")
+        order = data.draw(st.integers(1, 8), label="order")
+        tables = [data.draw(counted_tables(k, n_words), label=f"order {k}")
+                  for k in range(1, order + 1)]
+        cutoffs = data.draw(st.dictionaries(st.integers(1, order), st.sampled_from([0, 1, 2, 2**62])))
+        counts = [(np.array(rows, dtype=np.int64).reshape(len(rows), k), np.array(c, dtype=np.int64))
+                  for k, (rows, c, _) in enumerate(tables, 1)]
+        faults = [table_fault(rows, c, [("word ids", n_words)] * k, f"order-{k}")
+                  for k, (rows, c, _) in enumerate(tables, 1)]
+        kept = [[(r, n) for r, n in zip(rows, c) if n > cutoffs.get(k, 0)]
+                for k, (rows, c, _) in enumerate(tables, 1)]
+        want = next(filter(None, faults), None)
+        if want is None and not kept[0]:
+            want = "no unigrams survive the cutoffs"
+        if want is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                train_backoff(counts, n_words, cutoffs=cutoffs, bos_id=0)
+            return
+        model = train_backoff(counts, n_words, cutoffs=cutoffs, bos_id=0)
+        for k, rows in enumerate(kept, 1):
+            assert model.grams[k - 1].rows().tolist() == [r for r, _ in rows]
+            assert model.counts[k - 1].tolist() == [n for _, n in rows]
 
 
 # one way to damage a row of two key fields and one value field, each
